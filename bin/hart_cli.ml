@@ -51,6 +51,7 @@ let wrap f db =
        close_store pool db;
        r
      with
+    | Hart_error.Error e -> Error (Hart_error.to_string e)
     | Invalid_argument m | Failure m -> Error m
     | Sys_error m -> Error m)
 

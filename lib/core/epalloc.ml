@@ -1,7 +1,12 @@
 module Pmem = Hart_pmem.Pmem
 module Bits = Hart_util.Bits
 
-let magic = 0x484152545F763031L (* "HART_v01" *)
+let magic = 0x484152545F763032L (* "HART_v02" *)
+
+(* The v01 root packed the micro-logs right after the scalars (from byte
+   48 of the root line, 24-byte stride); its images are refused, never
+   replayed at this layout's offsets. *)
+let magic_v01 = 0x484152545F763031L (* "HART_v01" *)
 let root_off = 64 (* first allocation of a fresh pool *)
 let n_classes = 4
 
@@ -24,10 +29,13 @@ let cls_name = function
   | Chunk.Val16 -> "val16"
   | Chunk.Val32 -> "val32"
 
-(* Root block layout: magic@0, kh@8, heads@16+8*cls, micro-logs after. *)
+(* Root block layout: magic@0, kh@8, heads@16+8*cls on the first line,
+   which the scalars have to themselves; the micro-logs fill the lines
+   after it, one slot per line. *)
 let head_field cls = root_off + 16 + (8 * cls_id cls)
-let log_base = root_off + 16 + (8 * n_classes)
-let root_bytes = 16 + (8 * n_classes) + Microlog.region_bytes
+let root_scalar_bytes = 16 + (8 * n_classes)
+let log_base = root_off + Pmem.line_bytes
+let root_bytes = Pmem.line_bytes + Microlog.region_bytes
 
 (* Copy-on-write sorted array of chunk offsets: the volatile registry
    that resolves an object offset to its chunk. Readers get a snapshot
@@ -209,7 +217,7 @@ let create ?(kh = 2) ?(checksums = false) pool =
   for id = 0 to n_classes - 1 do
     Pmem.set_u64 pool (head_field (cls_of_id id)) 0L
   done;
-  Pmem.persist pool ~off:root_off ~len:(16 + (8 * n_classes));
+  Pmem.persist pool ~off:root_off ~len:root_scalar_bytes;
   let logs = Microlog.create ~checksummed:checksums pool ~base:log_base in
   make pool ~kh ~checksums ~logs
 
@@ -355,16 +363,13 @@ let eprecycle t cls ~chunk =
             && reserved_mask_locked t chunk = 0
           then begin
             let slot = Microlog.Recycle.acquire t.logs in
-            Microlog.Recycle.set_pcurrent t.logs ~slot ~cls chunk;
-            (if t.heads.(id) = chunk then
+            let at_head = t.heads.(id) = chunk in
+            let prev = if at_head then 0 else find_prev t cls chunk in
+            Microlog.Recycle.record t.logs ~slot ~pprev:prev ~cls ~pcurrent:chunk;
+            (if at_head then
                set_head t cls (Chunk.pnext t.pool ~chunk)
-             else begin
-               let prev = find_prev t cls chunk in
-               if prev <> 0 then begin
-                 Microlog.Recycle.set_pprev t.logs ~slot prev;
-                 Chunk.set_pnext t.pool ~chunk:prev (Chunk.pnext t.pool ~chunk)
-               end
-             end);
+             else if prev <> 0 then
+               Chunk.set_pnext t.pool ~chunk:prev (Chunk.pnext t.pool ~chunk));
             Chunk.release t.pool cls ~chunk;
             (* unregister before dropping the stripe lock so no domain can
                reserve into the freed chunk through a stale active/avail
@@ -514,8 +519,6 @@ let recover_update_log t ~slot =
    (* with PNewV unset the old value is still in place: nothing to redo *));
   Microlog.Update.reclaim logs ~slot
 
-let root_scalar_bytes = 16 + (8 * n_classes)
-
 let attach ?(bad_lines = []) ?report pool =
   let quarantine = report <> None in
   let emit f = match report with Some r -> r f | None -> () in
@@ -526,16 +529,22 @@ let attach ?(bad_lines = []) ?report pool =
     let rec go l = l <= last && (Hashtbl.mem bad l || go (l + 1)) in
     go (off / Pmem.line_bytes)
   in
-  (* The root scalars (magic, kh word, list heads) share their line with
-     the start of the log region; per-line ECC cannot localise damage
-     below line granularity, so a fault here is unrepairable in place —
-     raise (the mount is refused, the fault Detected). *)
+  (* The root scalars (magic, kh word, list heads) fill the root's first
+     line; per-line ECC cannot localise damage below line granularity,
+     so a fault here is unrepairable in place — raise (the mount is
+     refused, the fault Detected). *)
   if bad_span root_off root_scalar_bytes then
     Hart_error.error (Root_block { off = root_off })
       "media-corrupt line under the root scalars — pool is unmountable";
-  if Pmem.get_u64 pool root_off <> magic then
-    Hart_error.error (Root_block { off = root_off })
-      "bad magic %Lx (want %Lx)" (Pmem.get_u64 pool root_off) magic;
+  (match Pmem.get_u64 pool root_off with
+  | m when m = magic -> ()
+  | m when m = magic_v01 ->
+      Hart_error.error (Root_block { off = root_off })
+        "pool formatted as HART_v01, whose micro-logs sit at other offsets \
+         — not mountable by this version"
+  | m ->
+      Hart_error.error (Root_block { off = root_off })
+        "bad magic %Lx (want %Lx)" m magic);
   let kh_word = Int64.to_int (Pmem.get_u64 pool (root_off + 8)) in
   let kh = kh_word land 0xFF in
   let checksums = kh_word land checksums_flag <> 0 in

@@ -33,12 +33,16 @@
 type t
 
 val magic : int64
+(** ["HART_v02"]: root scalars on a line of their own, then one micro-log
+    slot per line. A ["HART_v01"] root (logs packed after the scalars) is
+    refused by {!attach}. *)
 
 val root_off : int
 (** Pool offset of the root block (the pool's first allocation). *)
 
 val root_bytes : int
-(** Bytes of the root block: scalars + both micro-log slot arrays. *)
+(** Bytes of the root block: one line of scalars + both micro-log slot
+    arrays ({!Microlog.region_bytes}). *)
 
 val cls_name : Chunk.cls -> string
 (** Short class name ("leaf", "val8", …) as used in {!Hart_error.site}
@@ -73,7 +77,8 @@ val attach :
     [Hart]'s deferred reference-counted scan, since a forged [p_value]
     could alias a live key's value object.
 
-    @raise Hart_error.Error when the pool cannot be mounted: bad magic,
+    @raise Hart_error.Error when the pool cannot be mounted: bad magic
+    (including a ["HART_v01"] root),
     implausible feature word, corrupt chunk chain, or a media fault on
     the root-scalar line or a chunk prologue line (per-line ECC cannot
     localise damage below line granularity, so those structures cannot

@@ -90,17 +90,18 @@ let check_key key =
       (Printf.sprintf "HART keys must be 1..%d bytes (got %d)" Leaf.max_key_len n)
 
 (* Algorithm 3: out-of-place value update under the persistent update
-   log. [leaf] must be a committed leaf. *)
+   log. [leaf] must be a committed leaf. The new value is persisted
+   before the log record, and the record's three words are persisted
+   together: a durable record therefore always names a durable value
+   (DESIGN.md §"deviations"). *)
 let update_leaf t ~leaf value =
   let logs = Epalloc.logs t.alloc in
   let slot = Microlog.Update.acquire logs in
-  Microlog.Update.set_pleaf logs ~slot leaf;
   let old_v = Leaf.p_value t.pool ~leaf in
-  Microlog.Update.set_poldv logs ~slot old_v;
   let vcls = Value_obj.cls_for value in
   let new_v = Epalloc.epmalloc t.alloc vcls in
   Value_obj.write ~crc:(checksums t) t.pool ~obj:new_v value;
-  Microlog.Update.set_pnewv logs ~slot new_v;
+  Microlog.Update.record logs ~slot ~pleaf:leaf ~poldv:old_v ~pnewv:new_v;
   Epalloc.set_obj_bit t.alloc vcls ~obj:new_v;
   Leaf.set_p_value t.pool ~leaf new_v;
   (match Epalloc.class_of_value_obj t.alloc old_v with
@@ -130,9 +131,10 @@ let insert t ~key ~value =
       let vcls = Value_obj.cls_for value in
       let vobj = Epalloc.epmalloc t.alloc vcls in
       Value_obj.write ~crc:(checksums t) t.pool ~obj:vobj value;
-      Leaf.set_p_value t.pool ~leaf vobj;
+      (* p_value is durable before the value's bit: the Algorithm-2
+         repair of a crashed insert relies on that order *)
+      Leaf.init ~crc:(checksums t) t.pool ~leaf ~p_value:vobj key;
       Epalloc.set_obj_bit t.alloc vcls ~obj:vobj;
-      Leaf.write_key ~crc:(checksums t) t.pool ~leaf key;
       (match Art.insert art art_key leaf with
       | `Inserted -> ()
       | `Replaced _ -> assert false (* Art.find returned None above *));

@@ -24,7 +24,9 @@ let key pool ~leaf =
    would go stale with them. *)
 let key_crc len k = Crc32.string (String.make 1 (Char.chr len) ^ k)
 
-let write_key ?(crc = false) pool ~leaf k =
+(* Store the key fields without persisting; returns the end offset
+   (relative to [leaf]) of the bytes stored. *)
+let store_key ~crc pool ~leaf k =
   let len = String.length k in
   if len > max_key_len then
     invalid_arg
@@ -33,9 +35,18 @@ let write_key ?(crc = false) pool ~leaf k =
   if len > 0 then Pmem.set_string pool ~off:(leaf + 9) k;
   if crc then begin
     Pmem.set_u32 pool (leaf + crc_off) (key_crc len k);
-    Pmem.persist pool ~off:(leaf + 8) ~len:(crc_off + 4 - 8)
+    crc_off + 4
   end
-  else Pmem.persist pool ~off:(leaf + 8) ~len:(1 + len)
+  else 9 + len
+
+let write_key ?(crc = false) pool ~leaf k =
+  let stop = store_key ~crc pool ~leaf k in
+  Pmem.persist pool ~off:(leaf + 8) ~len:(stop - 8)
+
+let init ?(crc = false) pool ~leaf ~p_value k =
+  Pmem.set_u64 pool leaf (Int64.of_int p_value);
+  let stop = store_key ~crc pool ~leaf k in
+  Pmem.persist pool ~off:leaf ~len:stop
 
 let key_crc_ok pool ~leaf =
   let len = Pmem.get_u8 pool (leaf + 8) in

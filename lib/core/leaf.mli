@@ -45,6 +45,14 @@ val write_key : ?crc:bool -> Hart_pmem.Pmem.t -> leaf:int -> string -> unit
     unchanged).
     @raise Invalid_argument if the key exceeds {!max_key_len}. *)
 
+val init : ?crc:bool -> Hart_pmem.Pmem.t -> leaf:int -> p_value:int -> string -> unit
+(** Store the value pointer and the key (and, with [~crc:true], its
+    trailer), then persist them with one call — Algorithm 1 lines 13–16
+    with the two leaf persists merged. The leaf is still free (its bit
+    unset) when this runs, so no recovery state depends on the order of
+    the two stores.
+    @raise Invalid_argument if the key exceeds {!max_key_len}. *)
+
 val key_crc_ok : Hart_pmem.Pmem.t -> leaf:int -> bool
 (** Recompute and compare the stored key CRC (checksummed pools only;
     meaningless on plain pools). Also [false] when the stored length

@@ -3,11 +3,15 @@ module Crc32 = Hart_util.Crc32
 
 let n_slots = 8
 let slot_bytes = 24
-let region_bytes = 2 * n_slots * slot_bytes
+
+(* Each slot owns a whole line, so writing or reclaiming a record is one
+   single-line persist and a line holds at most one slot's record. *)
+let region_bytes = 2 * n_slots * Pmem.line_bytes
 
 type t = {
   pool : Pmem.t;
-  base : int;  (* update slots at [base], recycle slots after them *)
+  base : int;
+      (* line-aligned: update slots at [base], recycle slots after them *)
   checksummed : bool;  (* in-word CRC trailers on every log word *)
   mutable free_update : int;  (* bitmask of free update slots *)
   mutable free_recycle : int;
@@ -27,10 +31,12 @@ type t = {
 }
 
 let all_free = (1 lsl n_slots) - 1
-let update_off t slot = t.base + (slot * slot_bytes)
-let recycle_off t slot = t.base + (n_slots * slot_bytes) + (slot * slot_bytes)
+let update_off t slot = t.base + (slot * Pmem.line_bytes)
+let recycle_off t slot = t.base + ((n_slots + slot) * Pmem.line_bytes)
 
 let make pool ~base ~checksummed =
+  if base mod Pmem.line_bytes <> 0 then
+    invalid_arg "Microlog: the log region must start on a line boundary";
   {
     pool;
     base;
@@ -45,9 +51,10 @@ let make pool ~base ~checksummed =
   }
 
 let create ?(checksummed = false) pool ~base =
+  let t = make pool ~base ~checksummed in
   Pmem.set_string pool ~off:base (String.make region_bytes '\000');
   Pmem.persist pool ~off:base ~len:region_bytes;
-  make pool ~base ~checksummed
+  t
 
 let attach ?(checksummed = false) pool ~base =
   let t = make pool ~base ~checksummed in
@@ -156,9 +163,7 @@ let crc_of_low v =
 
 let kind_of_off t off = if off < recycle_off t 0 then "update" else "recycle"
 
-let slot_of_off t off =
-  if off < recycle_off t 0 then (off - t.base) / slot_bytes
-  else (off - recycle_off t 0) / slot_bytes
+let slot_of_off t off = (off - t.base) / Pmem.line_bytes mod n_slots
 
 let word_get t off =
   let raw = Pmem.get_u64 t.pool off in
@@ -175,7 +180,9 @@ let word_get t off =
     low
   end
 
-let word_set t off v =
+(* Store one word without persisting it: a record's words are stored
+   and then persisted together by [commit]. *)
+let word_store t off v =
   let raw =
     if v = 0 || not t.checksummed then Int64.of_int v
     else begin
@@ -185,8 +192,15 @@ let word_set t off v =
         (Int64.shift_left (Int64.of_int (crc_of_low v)) 32)
     end
   in
-  Pmem.set_u64 t.pool off raw;
-  Pmem.persist t.pool ~off ~len:8
+  Pmem.set_u64 t.pool off raw
+
+(* The record's words share the slot's line, so this is one flush. The
+   caller stores last the word without which recovery replays nothing
+   (PNewV: an update is redone only when all three words are set;
+   PCurrent: the word [Recycle.iter_pending] tests). Under TSO a line
+   written back early holds a prefix of the stores, and every proper
+   prefix lacks that word. *)
+let commit t off = Pmem.persist t.pool ~off ~len:slot_bytes
 
 (* One slot's word offsets, for verification and scrubbing. *)
 let slot_off t ~kind ~slot =
@@ -261,9 +275,13 @@ module Update = struct
       ~get:(fun t -> t.free_update)
       ~clear:(fun t slot -> t.free_update <- t.free_update land lnot (1 lsl slot))
 
-  let set_pleaf t ~slot v = word_set t (update_off t slot) v
-  let set_poldv t ~slot v = word_set t (update_off t slot + 8) v
-  let set_pnewv t ~slot v = word_set t (update_off t slot + 16) v
+  let record t ~slot ~pleaf ~poldv ~pnewv =
+    let off = update_off t slot in
+    word_store t off pleaf;
+    word_store t (off + 8) poldv;
+    word_store t (off + 16) pnewv;
+    commit t off
+
   let pleaf t ~slot = word_get t (update_off t slot)
   let poldv t ~slot = word_get t (update_off t slot + 8)
   let pnewv t ~slot = word_get t (update_off t slot + 16)
@@ -309,13 +327,14 @@ module Recycle = struct
       ~clear:(fun t slot ->
         t.free_recycle <- t.free_recycle land lnot (1 lsl slot))
 
-  let set_pprev t ~slot v = word_set t (recycle_off t slot) v
-
-  let set_pcurrent t ~slot ~cls v =
-    (* the class tag must be durable with (in fact before) PCurrent, so
+  let record t ~slot ~pprev ~cls ~pcurrent =
+    (* PCurrent is the key word: stored after PPrev and the class tag, so
        recovery never sees a chunk pointer without its list identity *)
-    word_set t (recycle_off t slot + 16) (cls_to_int cls);
-    word_set t (recycle_off t slot + 8) v
+    let off = recycle_off t slot in
+    word_store t off pprev;
+    word_store t (off + 16) (cls_to_int cls);
+    word_store t (off + 8) pcurrent;
+    commit t off
 
   let pprev t ~slot = word_get t (recycle_off t slot)
   let pcurrent t ~slot = word_get t (recycle_off t slot + 8)

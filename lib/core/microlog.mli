@@ -4,13 +4,22 @@
     The root block reserves [n_slots] slots of each kind so that
     concurrent writers on distinct ARTs can each hold a log
     ([GetMicroLog] in the paper). A slot is a triple of 8-byte persistent
-    words; the zero word marks an unused field, so crash recovery can
-    classify how far an interrupted operation progressed purely from the
-    durable image.
+    words at the start of its own 64-byte line; the zero word marks an
+    unused field, so crash recovery can classify how far an interrupted
+    operation progressed purely from the durable image.
 
     Update-log slot: [PLeaf], [POldV], [PNewV].
     Recycle-log slot: [PPrev], [PCurrent], [meta] (low bits: object
     class of the chunk being unlinked).
+
+    A record is written whole: its three words are stored in a fixed
+    order and persisted by one single-line flush ([record]). The paper's
+    Algorithm 3 persists the words one by one; because a slot never
+    spans two lines, any durable state of the line is either the whole
+    record or a prefix of its stores that lacks the last word (PNewV,
+    resp. PCurrent), which recovery discards without replaying anything
+    (DESIGN.md §"deviations"). Reclaiming a slot is one single-line
+    flush too.
 
     When the pool is formatted with checksums, every non-zero log word
     carries a CRC-32 of its 32-bit payload in its upper half — the
@@ -31,15 +40,18 @@ val n_slots : int
 (** 8 of each kind — an upper bound on concurrent writers per HART. *)
 
 val slot_bytes : int
-(** Bytes per slot (three 8-byte words). *)
+(** Bytes of a slot's record (three 8-byte words). Slots are laid out
+    one per line ({!Hart_pmem.Pmem.line_bytes} apart). *)
 
 val region_bytes : int
-(** Bytes the two slot arrays occupy after the root-block scalars. *)
+(** Bytes the two slot arrays occupy after the root-block scalars:
+    [2 * n_slots] lines. *)
 
 val create : ?checksummed:bool -> Hart_pmem.Pmem.t -> base:int -> t
 (** [create pool ~base] formats (zeroes and persists) both slot arrays
     starting at pool offset [base]. [checksummed] (default false)
-    enables the in-word CRC trailers. *)
+    enables the in-word CRC trailers.
+    @raise Invalid_argument unless [base] is line-aligned. *)
 
 val attach : ?checksummed:bool -> Hart_pmem.Pmem.t -> base:int -> t
 (** Adopt existing slot arrays after a crash without modifying them.
@@ -93,9 +105,12 @@ module Update : sig
       reverse, so every held slot is eventually reclaimed). Subject to
       {!set_acquire_timeout}. *)
 
-  val set_pleaf : t -> slot:int -> int -> unit
-  val set_poldv : t -> slot:int -> int -> unit
-  val set_pnewv : t -> slot:int -> int -> unit
+  val record : t -> slot:int -> pleaf:int -> poldv:int -> pnewv:int -> unit
+  (** Store [PLeaf], [POldV], [PNewV] in that order and persist them with
+      one flush — the commit point of an update. The caller persists the
+      new value object first, so a durable record implies a durable
+      value. *)
+
   val pleaf : t -> slot:int -> int
   val poldv : t -> slot:int -> int
   val pnewv : t -> slot:int -> int
@@ -110,10 +125,10 @@ end
 
 module Recycle : sig
   val acquire : t -> int
-  val set_pprev : t -> slot:int -> int -> unit
-  val set_pcurrent : t -> slot:int -> cls:Chunk.cls -> int -> unit
-  (** Records the chunk being unlinked together with its object class so
-      recovery knows which list to repair. *)
+  val record : t -> slot:int -> pprev:int -> cls:Chunk.cls -> pcurrent:int -> unit
+  (** Store [PPrev] (0 when the chunk is the list head), the object class
+      and [PCurrent] in that order and persist them with one flush, before
+      the unlink starts. The class tells recovery which list to repair. *)
 
   val pprev : t -> slot:int -> int
   val pcurrent : t -> slot:int -> int

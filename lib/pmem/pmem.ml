@@ -23,7 +23,11 @@ type t = {
   meter : Meter.t;
   mutable cache : Bytes.t;  (* volatile view seen by loads/stores *)
   mutable shadow : Bytes.t;  (* durable image *)
-  mutable dirty : Bytes.t;  (* one bit per line of [cache] *)
+  mutable dirty : Bytes.t;
+      (* one byte per line of [cache]: a byte store touches no other
+         line's flag, so domains storing to distinct lines never lose
+         each other's dirty marks (a packed bitmap's read-modify-write
+         on a shared byte would) *)
   mutable capacity : int;
   max_capacity : int;
   mutable brk : int;
@@ -49,7 +53,7 @@ type t = {
 let crc_zero_line =
   Hart_util.Crc32.bytes_sub (Bytes.make line_bytes '\000') ~off:0 ~len:line_bytes
 
-let crc_lines cap = (cap + line_bytes - 1) / line_bytes
+let n_lines cap = (cap + line_bytes - 1) / line_bytes
 
 let create ?(capacity = 1 lsl 20) ?(max_capacity = 1 lsl 30) meter =
   let capacity = max line_bytes capacity in
@@ -57,7 +61,7 @@ let create ?(capacity = 1 lsl 20) ?(max_capacity = 1 lsl 30) meter =
     meter;
     cache = Bytes.make capacity '\000';
     shadow = Bytes.make capacity '\000';
-    dirty = Bytes.make (capacity / line_bytes / 8 + 1) '\000';
+    dirty = Bytes.make (n_lines capacity) '\000';
     capacity;
     max_capacity;
     brk = line_bytes (* offset 0 is the null persistent pointer *);
@@ -70,7 +74,7 @@ let create ?(capacity = 1 lsl 20) ?(max_capacity = 1 lsl 30) meter =
     crash_fired = false;
     total_flushes = 0;
     read_trace = None;
-    line_crc = Array.make (crc_lines capacity) crc_zero_line;
+    line_crc = Array.make (n_lines capacity) crc_zero_line;
     stuck = Hashtbl.create 4;
     poisoned = Hashtbl.create 4;
   }
@@ -95,15 +99,9 @@ let meter t = t.meter
 let capacity t = t.capacity
 let live_bytes t = t.live
 
-let dirty_get t line = Bytes.get_uint8 t.dirty (line lsr 3) land (1 lsl (line land 7)) <> 0
-
-let dirty_set t line =
-  let i = line lsr 3 in
-  Bytes.set_uint8 t.dirty i (Bytes.get_uint8 t.dirty i lor (1 lsl (line land 7)))
-
-let dirty_clear t line =
-  let i = line lsr 3 in
-  Bytes.set_uint8 t.dirty i (Bytes.get_uint8 t.dirty i land lnot (1 lsl (line land 7)))
+let dirty_get t line = Bytes.get t.dirty line <> '\000'
+let dirty_set t line = Bytes.set t.dirty line '\001'
+let dirty_clear t line = Bytes.set t.dirty line '\000'
 
 let grow t needed =
   let rec target cap = if cap >= needed then cap else target (cap * 2) in
@@ -111,11 +109,11 @@ let grow t needed =
   if cap > t.max_capacity then raise Out_of_memory_pm;
   let cache = Bytes.make cap '\000'
   and shadow = Bytes.make cap '\000'
-  and dirty = Bytes.make ((cap / line_bytes / 8) + 1) '\000' in
+  and dirty = Bytes.make (n_lines cap) '\000' in
   Bytes.blit t.cache 0 cache 0 t.capacity;
   Bytes.blit t.shadow 0 shadow 0 t.capacity;
   Bytes.blit t.dirty 0 dirty 0 (Bytes.length t.dirty);
-  let line_crc = Array.make (crc_lines cap) crc_zero_line in
+  let line_crc = Array.make (n_lines cap) crc_zero_line in
   Array.blit t.line_crc 0 line_crc 0 (Array.length t.line_crc);
   t.cache <- cache;
   t.shadow <- shadow;

@@ -417,9 +417,7 @@ let test_microlog_roundtrip () =
   let base = Pmem.alloc pool Microlog.region_bytes in
   let logs = Microlog.create pool ~base in
   let slot = Microlog.Update.acquire logs in
-  Microlog.Update.set_pleaf logs ~slot 111;
-  Microlog.Update.set_poldv logs ~slot 222;
-  Microlog.Update.set_pnewv logs ~slot 333;
+  Microlog.Update.record logs ~slot ~pleaf:111 ~poldv:222 ~pnewv:333;
   Alcotest.(check int) "pleaf" 111 (Microlog.Update.pleaf logs ~slot);
   Alcotest.(check int) "poldv" 222 (Microlog.Update.poldv logs ~slot);
   Alcotest.(check int) "pnewv" 333 (Microlog.Update.pnewv logs ~slot);
@@ -431,7 +429,7 @@ let test_microlog_durability () =
   let base = Pmem.alloc pool Microlog.region_bytes in
   let logs = Microlog.create pool ~base in
   let slot = Microlog.Update.acquire logs in
-  Microlog.Update.set_pleaf logs ~slot 7;
+  Microlog.Update.record logs ~slot ~pleaf:7 ~poldv:8 ~pnewv:9;
   Pmem.crash pool;
   let logs' = Microlog.attach pool ~base in
   let pending = ref [] in
@@ -446,10 +444,44 @@ let test_microlog_recycle_class () =
   let base = Pmem.alloc pool Microlog.region_bytes in
   let logs = Microlog.create pool ~base in
   let slot = Microlog.Recycle.acquire logs in
-  Microlog.Recycle.set_pcurrent logs ~slot ~cls:Chunk.Val16 999;
+  Microlog.Recycle.record logs ~slot ~pprev:0 ~cls:Chunk.Val16 ~pcurrent:999;
   Alcotest.(check bool) "class recorded" true
     (Microlog.Recycle.cls logs ~slot = Chunk.Val16);
-  Alcotest.(check int) "pcurrent" 999 (Microlog.Recycle.pcurrent logs ~slot)
+  Alcotest.(check int) "pcurrent" 999 (Microlog.Recycle.pcurrent logs ~slot);
+  Alcotest.(check int) "pprev" 0 (Microlog.Recycle.pprev logs ~slot)
+
+(* Every slot of a formatted HART root sits on its own line: writing a
+   record and reclaiming it each flush exactly one line. *)
+let test_microlog_one_line_per_record () =
+  let h, pool = fresh_hart () in
+  let logs = Epalloc.logs (Hart.alloc h) in
+  let flushes f =
+    let c0 = Pmem.flush_count pool in
+    f ();
+    Pmem.flush_count pool - c0
+  in
+  let check what n =
+    Alcotest.(check int) (what ^ " flushes one line") 1 n
+  in
+  let upd = List.init Microlog.n_slots (fun _ -> Microlog.Update.acquire logs) in
+  let rec_ = List.init Microlog.n_slots (fun _ -> Microlog.Recycle.acquire logs) in
+  List.iter
+    (fun slot ->
+      let what = Printf.sprintf "update slot %d" slot in
+      check (what ^ " record")
+        (flushes (fun () ->
+             Microlog.Update.record logs ~slot ~pleaf:(slot + 1) ~poldv:2 ~pnewv:3));
+      check (what ^ " reclaim") (flushes (fun () -> Microlog.Update.reclaim logs ~slot)))
+    upd;
+  List.iter
+    (fun slot ->
+      let what = Printf.sprintf "recycle slot %d" slot in
+      check (what ^ " record")
+        (flushes (fun () ->
+             Microlog.Recycle.record logs ~slot ~pprev:(slot + 1) ~cls:Chunk.Val32
+               ~pcurrent:4));
+      check (what ^ " reclaim") (flushes (fun () -> Microlog.Recycle.reclaim logs ~slot)))
+    rec_
 
 let test_microlog_exhaustion () =
   let pool = fresh_pool () in
@@ -488,32 +520,54 @@ let recovered_value pool =
     (Hart.search h "bystander");
   Hart.search h "target"
 
-let test_ulog_state_pleaf_only () =
-  (* crash between Algorithm 3 lines 2 and 3: only PLeaf durable -> the
-     recovery must simply reset the log, value stays OLD *)
-  let pool, h = setup_update_scenario () in
-  Pmem.arm_crash pool ~after_flushes:1;
+(* Crash [update target NEW] after [flushes] line flushes. An update
+   flushes the new value object (one line: a Val8 object never straddles
+   one), then the one-line log record, then commits. Returns the slot
+   offset of the record, which is [pending] iff the record is durable. *)
+let crash_update_after pool h ~flushes =
+  Pmem.arm_crash pool ~after_flushes:flushes;
   (try ignore (Hart.update h ~key:"target" ~value:"NEW")
    with Pmem.Crash_injected -> ());
+  let logs = Epalloc.logs (Hart.alloc h) in
+  (logs, Microlog.slot_offset logs ~kind:"update" ~slot:0)
+
+let test_ulog_state_value_only () =
+  (* new value durable, record not: the value is an unreferenced free
+     object and the update never happened *)
+  let pool, h = setup_update_scenario () in
+  let logs, _ = crash_update_after pool h ~flushes:1 in
+  Alcotest.(check bool) "no pending record" false
+    (Microlog.pending logs ~kind:"update" ~slot:0);
+  Alcotest.(check (option string)) "old value" (Some "OLD") (recovered_value pool)
+
+(* A record whose trailing words are missing cannot come from [record]
+   (the words are persisted together, key word last), but recovery must
+   still treat it as never written: the rule is "PNewV unset => no
+   redo". The states are built by zeroing words of a durable record. *)
+let durable_partial_record ~keep =
+  let pool, h = setup_update_scenario () in
+  let logs, off = crash_update_after pool h ~flushes:2 in
+  Alcotest.(check bool) "record durable" true
+    (Microlog.pending logs ~kind:"update" ~slot:0);
+  for w = keep to 2 do
+    Pmem.set_u64 pool (off + (8 * w)) 0L
+  done;
+  Pmem.persist pool ~off ~len:Microlog.slot_bytes;
+  pool
+
+let test_ulog_state_pleaf_only () =
+  let pool = durable_partial_record ~keep:1 in
   Alcotest.(check (option string)) "old value" (Some "OLD") (recovered_value pool)
 
 let test_ulog_state_pleaf_poldv () =
-  (* crash between lines 3 and 6: PLeaf + POldV durable, PNewV not ->
-     reset, old value intact *)
-  let pool, h = setup_update_scenario () in
-  Pmem.arm_crash pool ~after_flushes:2;
-  (try ignore (Hart.update h ~key:"target" ~value:"NEW")
-   with Pmem.Crash_injected -> ());
+  let pool = durable_partial_record ~keep:2 in
   Alcotest.(check (option string)) "old value" (Some "OLD") (recovered_value pool)
 
 let test_ulog_state_all_three () =
-  (* crash after line 6: all three pointers durable -> recovery resumes
-     from line 7 and the update commits *)
+  (* record durable, commit not: recovery redoes Algorithm 3 from line 7
+     and the update commits *)
   let pool, h = setup_update_scenario () in
-  (* flushes: PLeaf, POldV, value object, PNewV = 4 *)
-  Pmem.arm_crash pool ~after_flushes:4;
-  (try ignore (Hart.update h ~key:"target" ~value:"NEW")
-   with Pmem.Crash_injected -> ());
+  ignore (crash_update_after pool h ~flushes:2);
   Alcotest.(check (option string)) "new value (redo)" (Some "NEW")
     (recovered_value pool)
 
@@ -521,7 +575,7 @@ let test_ulog_replay_is_idempotent () =
   (* all-three state recovered twice (crash during first recovery's
      replay) must still commit exactly once *)
   let pool, h = setup_update_scenario () in
-  Pmem.arm_crash pool ~after_flushes:4;
+  Pmem.arm_crash pool ~after_flushes:2;
   (try ignore (Hart.update h ~key:"target" ~value:"NEW")
    with Pmem.Crash_injected -> ());
   (* crash the first recovery after one of its replay flushes *)
@@ -747,6 +801,30 @@ let test_hart_memory_accounting () =
   Alcotest.(check bool) "dram tracked" true (Hart.dram_bytes h > 0);
   Alcotest.(check bool) "meter agrees with pool" true
     (Hart.pm_bytes h = Pmem.live_bytes pool)
+
+(* The persist budget of one quiesced operation (no chunk allocated or
+   recycled): an update persists the new value, the one-line log record,
+   the new value's bit, the leaf's p_value, the old value's bit and the
+   reclaimed record; an insert persists the value, the leaf (p_value and
+   key together), the value's bit and the leaf's bit. *)
+let test_hart_persists_per_op () =
+  let h, pool = fresh_hart () in
+  for i = 0 to 9 do
+    Hart.insert h ~key:(Printf.sprintf "pc%04d" i) ~value:"v"
+  done;
+  let meter = Pmem.meter pool in
+  let cost f =
+    let before = Meter.counters meter in
+    f ();
+    Meter.diff before (Meter.counters meter)
+  in
+  let d = cost (fun () -> assert (Hart.update h ~key:"pc0003" ~value:"w")) in
+  Alcotest.(check int) "update: persist calls" 6 d.Meter.persist_calls;
+  (* 8-byte value objects never straddle a line, and the record fits in
+     its slot's line *)
+  Alcotest.(check int) "update: flushes" 6 d.Meter.flushes;
+  let d = cost (fun () -> Hart.insert h ~key:"pc0010" ~value:"v") in
+  Alcotest.(check int) "insert: persist calls" 4 d.Meter.persist_calls
 
 (* ------------------------------------------------------------------ *)
 (* HART vs model                                                       *)
@@ -1155,6 +1233,36 @@ let test_pool_image_reboot_cycle () =
   Alcotest.(check (option string)) "new key survives" (Some "100") (Hart.search h3 "pi100");
   Hart.check_integrity h3;
   Sys.remove path
+
+(* An image whose root still carries the v01 magic (micro-logs packed
+   after the root scalars, 24 bytes apart) must be refused with a typed
+   error: read at this layout's offsets, the v01 update slot 0's PNewV
+   word would look like a pending PLeaf. *)
+let test_v01_root_refused () =
+  let h, pool = fresh_hart () in
+  Hart.insert h ~key:"k1" ~value:"v1";
+  let v01_slot0 = Epalloc.root_off + 48 in
+  Pmem.set_u64 pool Epalloc.root_off 0x484152545F763031L (* "HART_v01" *);
+  List.iteri
+    (fun w v -> Pmem.set_u64 pool (v01_slot0 + (8 * w)) (Int64.of_int v))
+    [ 4096; 8192; 12288 ];
+  Pmem.persist_all pool;
+  let path = Filename.temp_file "hart_v01" ".pm" in
+  Pmem.save pool path;
+  let pool2 = Pmem.load (Meter.create Latency.c300_100) path in
+  Sys.remove path;
+  match Hart.recover pool2 with
+  | _ -> Alcotest.fail "v01 root mounted"
+  | exception Hart_error.Error { site = Hart_error.Root_block { off }; detail; _ } ->
+      Alcotest.(check int) "error at the magic" Epalloc.root_off off;
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length detail && (String.sub detail i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) "names the old format" true (mentions "HART_v01")
 
 let test_double_recovery () =
   let h, pool = fresh_hart () in
@@ -1996,6 +2104,8 @@ let () =
           Alcotest.test_case "durability" `Quick test_microlog_durability;
           Alcotest.test_case "recycle class tag" `Quick test_microlog_recycle_class;
           Alcotest.test_case "exhaustion" `Quick test_microlog_exhaustion;
+          Alcotest.test_case "one line per record" `Quick
+            test_microlog_one_line_per_record;
         ] );
       ( "hart",
         [
@@ -2022,6 +2132,7 @@ let () =
           Alcotest.test_case "fold/min/max" `Quick test_hart_fold_min_max;
           Alcotest.test_case "stats" `Quick test_hart_stats;
           Alcotest.test_case "memory accounting" `Quick test_hart_memory_accounting;
+          Alcotest.test_case "persist calls per op" `Quick test_hart_persists_per_op;
           QCheck_alcotest.to_alcotest qcheck_hart_vs_map;
         ] );
       ( "crash",
@@ -2030,6 +2141,7 @@ let () =
           Alcotest.test_case "update crash sweep" `Quick test_update_crash_sweep;
           Alcotest.test_case "delete crash sweep" `Quick test_delete_crash_sweep;
           Alcotest.test_case "recycle crash sweep" `Quick test_recycle_crash_sweep;
+          Alcotest.test_case "ulog state: value only" `Quick test_ulog_state_value_only;
           Alcotest.test_case "ulog state: PLeaf only" `Quick test_ulog_state_pleaf_only;
           Alcotest.test_case "ulog state: PLeaf+POldV" `Quick test_ulog_state_pleaf_poldv;
           Alcotest.test_case "ulog state: all three (redo)" `Quick test_ulog_state_all_three;
@@ -2050,6 +2162,7 @@ let () =
           Alcotest.test_case "crash during recovery" `Quick test_crash_during_recovery;
           Alcotest.test_case "eviction robustness" `Quick test_eviction_does_not_break_protocol;
           Alcotest.test_case "pool image reboot cycle" `Quick test_pool_image_reboot_cycle;
+          Alcotest.test_case "v01 root refused" `Quick test_v01_root_refused;
           QCheck_alcotest.to_alcotest qcheck_hart_recovery;
         ] );
       ( "parallel-recovery",

@@ -127,13 +127,11 @@ let parallel_recovery_cases =
         parallel_recovery_matches_serial_space;
     ]
 
-(* Pin HART's crash-schedule space exactly: the ART node-layer rewrite
-   (bitmap/pooled DRAM representation, DESIGN.md §14) must not move a
-   single flush boundary, because the modelled PM write/flush sequence
-   is independent of how the DRAM index represents its children. Any
-   drift in these triples means the cost model changed, not just the
-   physical layout — which is a fidelity bug this PR's contract
-   forbids. *)
+(* Pin HART's crash-schedule space exactly. The triples move only when
+   the persistence protocol's PM write/flush sequence changes (as with
+   the one-line micro-log records); a change elsewhere, such as the
+   DRAM node representation (DESIGN.md §14), must not move a single
+   flush boundary. *)
 let schedule_space_pin () =
   List.iter
     (fun (name, flushes, scheds, nested) ->
@@ -149,11 +147,11 @@ let schedule_space_pin () =
         (Printf.sprintf "%s: nested schedules" name)
         nested r.Fault.nested_schedules)
     [
-      ("update-log", 105, 105, 254);
-      ("delete-recycle", 82, 82, 130);
-      ("mixed-dense", 96, 96, 162);
-      ("chunk-unlink", 43, 43, 68);
-      ("split-chain", 189, 189, 211);
+      ("update-log", 78, 78, 145);
+      ("delete-recycle", 66, 66, 73);
+      ("mixed-dense", 77, 77, 101);
+      ("chunk-unlink", 27, 27, 36);
+      ("split-chain", 156, 156, 130);
     ]
 
 let oracle_semantics () =
@@ -797,17 +795,20 @@ let mt_shrink_regression () =
                 (still ());
               Alcotest.(check bool) "deterministically so" true (still ())))
 
-(* The known-minimal shape of the PR 3 bug: one domain's out-of-place
-   update durably frees the old value object with the pending update
-   log still referencing it, while the other domain's mutation
-   reallocates the just-freed slot; crashing before the log reclaims
-   makes replay free the new owner's value. From these coordinates the
-   shrinker must reproduce a <= 3-op reproducer. *)
+(* The known-minimal shape of the PR 3 bug: one domain durably frees a
+   value object while a durable reference still names it (here the
+   deleted key's free leaf slot), and the other domain's update
+   reallocates the just-freed slot; crashing before the reference is
+   severed makes recovery free the new owner's value. The deleting
+   domain comes first because an update's first flush, and so its first
+   yield, follows its epmalloc: the free must happen before the update
+   starts. From these coordinates the shrinker must reproduce a <= 3-op
+   reproducer. *)
 let mt_shrink_minimal_shape () =
   with_injected_bug (fun () ->
       let setup = [ Fault.Insert ("aa00", "v0"); Fault.Insert ("bb00", "v1") ] in
       let scripts =
-        [| [ Fault.Update ("aa00", "u0") ]; [ Fault.Delete "bb00" ] |]
+        [| [ Fault.Delete "bb00" ]; [ Fault.Update ("aa00", "u0") ] |]
       in
       let seed =
         List.find_opt

@@ -141,6 +141,34 @@ let test_dirty_line_count () =
   Pmem.persist pool ~off ~len:128;
   Alcotest.(check int) "clean after persist" 0 (Pmem.dirty_line_count pool)
 
+(* Two domains store to interleaved lines (one the even lines, the other
+   the odd ones) from a synchronised start: every line written must end
+   up dirty. A dirty map that packs several lines' flags into one byte
+   loses flags to the racing read-modify-writes. *)
+let test_dirty_lines_two_domains () =
+  let lines = 1 lsl 16 in
+  for _trial = 1 to 5 do
+    let pool, _ = fresh ~capacity:((lines + 1) * 64) () in
+    let base = Pmem.alloc pool (lines * 64) in
+    let ready = Atomic.make 0 in
+    let writer parity () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      let i = ref parity in
+      while !i < lines do
+        Pmem.set_u8 pool (base + (!i * 64)) 1;
+        i := !i + 2
+      done
+    in
+    let other = Domain.spawn (writer 1) in
+    writer 0 ();
+    Domain.join other;
+    Alcotest.(check int) "every written line dirty" lines
+      (Pmem.dirty_line_count pool)
+  done
+
 let test_persist_all () =
   let pool, _ = fresh () in
   let off = Pmem.alloc pool 1024 in
@@ -833,6 +861,8 @@ let () =
           Alcotest.test_case "bounds checked" `Quick test_bounds_checked;
           Alcotest.test_case "persist reaches shadow" `Quick test_persist_reaches_shadow;
           Alcotest.test_case "dirty line count" `Quick test_dirty_line_count;
+          Alcotest.test_case "dirty lines, two domains" `Quick
+            test_dirty_lines_two_domains;
           Alcotest.test_case "persist_all" `Quick test_persist_all;
         ] );
       ( "crash",

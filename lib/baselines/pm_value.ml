@@ -14,9 +14,9 @@ let write pool payload =
   Pmem.persist pool ~off:obj ~len:(1 + String.length payload);
   obj
 
-let read pool obj =
-  let len = Pmem.get_u8 pool obj in
-  if len = 0 then "" else Pmem.get_string pool ~off:(obj + 1) ~len
+(* Same layout as a HART value object, read the same way: one access
+   per line the object covers. *)
+let read pool obj = Hart_core.Value_obj.read pool ~obj
 
 let free pool obj =
   let len = Pmem.get_u8 pool obj in
@@ -33,10 +33,9 @@ let update_leaf pool ~leaf payload =
 
 (* Validated read: the final PM key comparison of a radix descent. *)
 let read_leaf pool ~leaf key =
-  if not (String.equal (Hart_core.Leaf.key pool ~leaf) key) then None
-  else
-    let v = Hart_core.Leaf.p_value pool ~leaf in
-    if v = 0 then None else Some (read pool v)
+  match Hart_core.Leaf.read pool ~leaf with
+  | Ok (v, stored) when v <> 0 && String.equal stored key -> Some (read pool v)
+  | Ok _ | Error _ -> None
 
 let free_leaf pool ~leaf =
   let v = Hart_core.Leaf.p_value pool ~leaf in

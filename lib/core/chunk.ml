@@ -82,8 +82,11 @@ let set_pnext pool ~chunk next =
   Pmem.set_u64 pool (chunk + 8) (Int64.of_int next);
   Pmem.persist pool ~off:(chunk + 8) ~len:8
 
-let iter_live pool cls ~chunk f =
+let iter_slots pool cls ~chunk f =
   let bm = bitmap pool ~chunk in
   for idx = 0 to objs_per_chunk - 1 do
-    if Bits.test bm idx then f ~idx ~obj:(obj_off cls ~chunk ~idx)
+    f ~idx ~obj:(obj_off cls ~chunk ~idx) ~live:(Bits.test bm idx)
   done
+
+let iter_live pool cls ~chunk f =
+  iter_slots pool cls ~chunk (fun ~idx ~obj ~live -> if live then f ~idx ~obj)

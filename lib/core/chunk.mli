@@ -87,5 +87,16 @@ val pnext : Hart_pmem.Pmem.t -> chunk:int -> int
 val set_pnext : Hart_pmem.Pmem.t -> chunk:int -> int -> unit
 (** Store and persist the next pointer. *)
 
+val iter_slots :
+  Hart_pmem.Pmem.t ->
+  cls ->
+  chunk:int ->
+  (idx:int -> obj:int -> live:bool -> unit) ->
+  unit
+(** Visit every slot in index order with its bit, reading the bitmap
+    once (one PM read per chunk, not one per slot). [f] must not change
+    this chunk's bitmap. *)
+
 val iter_live : Hart_pmem.Pmem.t -> cls -> chunk:int -> (idx:int -> obj:int -> unit) -> unit
-(** Visit every object whose bit is set (recovery scan, Algorithm 7). *)
+(** Visit every object whose bit is set (recovery scan, Algorithm 7);
+    {!iter_slots} restricted to live slots. *)

@@ -683,12 +683,12 @@ let attach ?(bad_lines = []) ?report pool =
   if not quarantine then begin
     let rec sweep chunk =
       if chunk <> 0 then begin
-        for idx = 0 to Chunk.objs_per_chunk - 1 do
-          if not (Chunk.test_bit pool ~chunk ~idx) then begin
-            let obj = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
-            if Leaf.p_value pool ~leaf:obj <> 0 then repair_leaf_slot t obj
-          end
-        done;
+        (* a repair clears the slot and frees a value object; it never
+           changes this leaf chunk's bitmap, so one bitmap read serves
+           the whole chunk *)
+        Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj ~live ->
+            if (not live) && Leaf.p_value pool ~leaf:obj <> 0 then
+              repair_leaf_slot t obj);
         sweep (Chunk.pnext pool ~chunk)
       end
     in

@@ -142,14 +142,16 @@ let insert t ~key ~value =
       Atomic.incr t.count
 
 (* Read a validated leaf's value; [None] if the leaf fails validation.
-   The PM key read models the leaf key comparison a C implementation
-   performs at the end of its ART descent. *)
+   Three reads: the bitmap word, the leaf (key and value pointer in one
+   pass — the leaf key comparison a C implementation performs at the
+   end of its ART descent), then the value object. *)
 let read_validated t ~leaf key =
   if not (Epalloc.obj_bit t.alloc Chunk.Leaf_c ~obj:leaf) then None
-  else if not (String.equal (Leaf.key t.pool ~leaf) key) then None
   else
-    let v = Leaf.p_value t.pool ~leaf in
-    if v = 0 then None else Some (Value_obj.read t.pool ~obj:v)
+    match Leaf.read t.pool ~leaf with
+    | Ok (v, stored) when v <> 0 && String.equal stored key ->
+        Some (Value_obj.read t.pool ~obj:v)
+    | Ok _ | Error _ -> None
 
 (* Algorithm 4. *)
 let search t key =
@@ -302,12 +304,22 @@ let make_recovered pool alloc quarantines =
     quarantines;
   }
 
-let duplicate_leaf_error alloc ~key ~obj =
+let leaf_slot_error ?keys alloc ~obj fmt =
   let chunk = Epalloc.chunk_of_obj alloc Chunk.Leaf_c obj in
   let idx = Chunk.idx_of_obj Chunk.Leaf_c ~chunk ~obj in
-  Hart_error.error ~keys:[ key ]
-    (Leaf_slot { chunk; idx; leaf = obj })
-    "duplicate committed leaf for key %S" key
+  Hart_error.error ?keys (Leaf_slot { chunk; idx; leaf = obj }) fmt
+
+let duplicate_leaf_error alloc ~key ~obj =
+  leaf_slot_error ~keys:[ key ] alloc ~obj "duplicate committed leaf for key %S" key
+
+(* The key a plain recovery indexes a committed leaf under. A length
+   byte outside 1..max_key_len names no key the index could have
+   stored: refuse the mount rather than index a bogus key. *)
+let committed_leaf_key alloc ~obj =
+  match Leaf.read_key (Epalloc.pool alloc) ~leaf:obj with
+  | Ok key -> key
+  | Error len ->
+      leaf_slot_error alloc ~obj "committed leaf stores invalid key length %d" len
 
 (* ---- quarantining recovery machinery ------------------------------ *)
 
@@ -333,43 +345,41 @@ type leaf_verdict =
 let inspect_leaf alloc ~checksums ~bad_span ~leaf =
   let pool = Epalloc.pool alloc in
   try
-    let len = Leaf.key_len pool ~leaf in
-    if len < 1 || len > Leaf.max_key_len then
-      Leaf_bad
-        { key = None; pv = 0; detail = Printf.sprintf "invalid key length %d" len }
-    else begin
-      let key = Leaf.key pool ~leaf in
-      let pv = Leaf.p_value pool ~leaf in
-      if bad_span leaf Leaf.size then
-        Leaf_bad { key = Some key; pv; detail = "leaf bytes on a corrupt media line" }
-      else if checksums && not (Leaf.key_crc_ok pool ~leaf) then
-        Leaf_bad { key = Some key; pv; detail = "leaf key fails its CRC" }
-      else if pv = 0 then
-        Leaf_bad { key = Some key; pv = 0; detail = "committed leaf without a value object" }
-      else
-        match Epalloc.class_of_value_obj alloc pv with
-        | None ->
-            Leaf_bad
-              {
-                key = Some key;
-                pv = 0;
-                detail = Printf.sprintf "dangling value pointer %d" pv;
-              }
-        | Some vcls ->
-            if not (Epalloc.obj_bit alloc vcls ~obj:pv) then
+    match Leaf.read pool ~leaf with
+    | Error len ->
+        Leaf_bad
+          { key = None; pv = 0; detail = Printf.sprintf "invalid key length %d" len }
+    | Ok (pv, key) ->
+        if bad_span leaf Leaf.size then
+          Leaf_bad { key = Some key; pv; detail = "leaf bytes on a corrupt media line" }
+        else if checksums && not (Leaf.key_crc_ok pool ~leaf key) then
+          Leaf_bad { key = Some key; pv; detail = "leaf key fails its CRC" }
+        else if pv = 0 then
+          Leaf_bad
+            { key = Some key; pv = 0; detail = "committed leaf without a value object" }
+        else
+          match Epalloc.class_of_value_obj alloc pv with
+          | None ->
               Leaf_bad
                 {
                   key = Some key;
                   pv = 0;
-                  detail = Printf.sprintf "value object %d is not committed" pv;
+                  detail = Printf.sprintf "dangling value pointer %d" pv;
                 }
-            else if bad_span pv (Chunk.obj_size vcls) then
-              Leaf_bad
-                { key = Some key; pv; detail = "value bytes on a corrupt media line" }
-            else if checksums && not (Value_obj.crc_ok pool ~cls:vcls ~obj:pv) then
-              Leaf_bad { key = Some key; pv; detail = "value object fails its CRC" }
-            else Leaf_ok { key; pv }
-    end
+          | Some vcls ->
+              if not (Epalloc.obj_bit alloc vcls ~obj:pv) then
+                Leaf_bad
+                  {
+                    key = Some key;
+                    pv = 0;
+                    detail = Printf.sprintf "value object %d is not committed" pv;
+                  }
+              else if bad_span pv (Chunk.obj_size vcls) then
+                Leaf_bad
+                  { key = Some key; pv; detail = "value bytes on a corrupt media line" }
+              else if checksums && not (Value_obj.crc_ok pool ~cls:vcls ~obj:pv) then
+                Leaf_bad { key = Some key; pv; detail = "value object fails its CRC" }
+              else Leaf_ok { key; pv }
   with
   | Pmem.Media_poisoned { line; _ } ->
       Leaf_bad
@@ -460,21 +470,19 @@ let recover_quarantine pool =
   let t = make_recovered pool alloc findings in
   let valid = ref [] and badq = ref [] and stale_free = ref [] in
   Epalloc.iter_chunks alloc Chunk.Leaf_c (fun chunk ->
-      for idx = 0 to Chunk.objs_per_chunk - 1 do
-        let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
-        if Chunk.test_bit pool ~chunk ~idx then (
-          match inspect_leaf alloc ~checksums ~bad_span ~leaf with
-          | Leaf_ok { key; pv } -> valid := (key, leaf, chunk, idx, pv) :: !valid
-          | Leaf_bad { key; pv; detail } ->
-              badq := (chunk, idx, leaf, key, pv, detail) :: !badq)
-        else
-          match Leaf.p_value pool ~leaf with
-          | 0 -> ()
-          | pv -> stale_free := (leaf, pv) :: !stale_free
-          | exception (Pmem.Media_poisoned _ | Invalid_argument _) ->
-              (* unreadable pointer in a free slot: clear, free nothing *)
-              stale_free := (leaf, 0) :: !stale_free
-      done);
+      Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx ~obj:leaf ~live ->
+          if live then (
+            match inspect_leaf alloc ~checksums ~bad_span ~leaf with
+            | Leaf_ok { key; pv } -> valid := (key, leaf, chunk, idx, pv) :: !valid
+            | Leaf_bad { key; pv; detail } ->
+                badq := (chunk, idx, leaf, key, pv, detail) :: !badq)
+          else
+            match Leaf.p_value pool ~leaf with
+            | 0 -> ()
+            | pv -> stale_free := (leaf, pv) :: !stale_free
+            | exception (Pmem.Media_poisoned _ | Invalid_argument _) ->
+                (* unreadable pointer in a free slot: clear, free nothing *)
+                stale_free := (leaf, 0) :: !stale_free));
   (* deterministic duplicate resolution: keep the lower leaf offset *)
   let by_key = Hashtbl.create 256 in
   List.iter
@@ -509,7 +517,7 @@ let recover ?(quarantine = false) pool =
     let alloc = Epalloc.attach pool in
     let t = make_recovered pool alloc (ref []) in
     Epalloc.iter_live_objs alloc Chunk.Leaf_c (fun ~obj ->
-        let key = Leaf.key pool ~leaf:obj in
+        let key = committed_leaf_key alloc ~obj in
         let hash_key, art_key = split_key t key in
         let art = find_or_create_art t hash_key in
         match Art.insert art art_key obj with
@@ -581,36 +589,37 @@ let recover_parallel ?domains ?(quarantine = false) pool =
         let chunk = chunks.(ci) in
         if not quarantine then
           Chunk.iter_live pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj ->
-              let key = Leaf.key pool ~leaf:obj in
+              let key = committed_leaf_key alloc ~obj in
               let hash_key, art_key = split_key t key in
               let cell = work.(me).(Hash_dir.hash hash_key mod d) in
               cell := (hash_key, art_key, obj, chunk, 0, 0) :: !cell)
         else
-          for idx = 0 to Chunk.objs_per_chunk - 1 do
-            let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
-            if Chunk.test_bit pool ~chunk ~idx then (
-              match inspect_leaf alloc ~checksums ~bad_span ~leaf with
-              | Leaf_ok { key; pv } ->
-                  let hash_key, art_key = split_key t key in
-                  let cell = work.(me).(Hash_dir.hash hash_key mod d) in
-                  cell := (hash_key, art_key, leaf, chunk, idx, pv) :: !cell
-              | Leaf_bad { key; pv; detail } ->
-                  badq.(me) := (chunk, idx, leaf, key, pv, detail) :: !(badq.(me)))
-            else
-              match Leaf.p_value pool ~leaf with
-              | 0 -> ()
-              | pv -> stale_free.(me) := (leaf, pv) :: !(stale_free.(me))
-              | exception (Pmem.Media_poisoned _ | Invalid_argument _) ->
-                  stale_free.(me) := (leaf, 0) :: !(stale_free.(me))
-          done
+          Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx ~obj:leaf ~live ->
+              if live then (
+                match inspect_leaf alloc ~checksums ~bad_span ~leaf with
+                | Leaf_ok { key; pv } ->
+                    let hash_key, art_key = split_key t key in
+                    let cell = work.(me).(Hash_dir.hash hash_key mod d) in
+                    cell := (hash_key, art_key, leaf, chunk, idx, pv) :: !cell
+                | Leaf_bad { key; pv; detail } ->
+                    badq.(me) := (chunk, idx, leaf, key, pv, detail) :: !(badq.(me)))
+              else
+                match Leaf.p_value pool ~leaf with
+                | 0 -> ()
+                | pv -> stale_free.(me) := (leaf, pv) :: !(stale_free.(me))
+                | exception (Pmem.Media_poisoned _ | Invalid_argument _) ->
+                    stale_free.(me) := (leaf, 0) :: !(stale_free.(me)))
       done
     in
+    (* every domain is joined before any failure (a typed [Hart_error]
+       from a worker, say) is re-raised *)
     let run_phase phase =
       let workers =
         Array.init (d - 1) (fun i -> Domain.spawn (fun () -> phase (i + 1)))
       in
-      phase 0;
-      Array.iter Domain.join workers
+      let mine = try Ok (phase 0) with e -> Error e in
+      let theirs = Array.map (fun w -> try Ok (Domain.join w) with e -> Error e) workers in
+      List.iter (Result.iter_error raise) (mine :: Array.to_list theirs)
     in
     run_phase scan;
     (* serial quarantine merge: deduplicate (keep-lower-offset — an
@@ -625,8 +634,8 @@ let recover_parallel ?domains ?(quarantine = false) pool =
       Array.iter
         (Array.iter (fun cell ->
              List.iter
-               (fun (_, _, leaf, chunk, idx, pv) ->
-                 let key = Leaf.key pool ~leaf in
+               (fun (hash_key, art_key, leaf, chunk, idx, pv) ->
+                 let key = hash_key ^ art_key in
                  match Hashtbl.find_opt by_key key with
                  | None -> Hashtbl.replace by_key key (leaf, chunk, idx, pv)
                  | Some (leaf0, c0, i0, pv0) ->
@@ -712,10 +721,15 @@ let check_integrity ?(allow_recovered_orphans = false) t =
           let key = hk ^ ak in
           if not (Epalloc.obj_bit t.alloc Chunk.Leaf_c ~obj:leaf) then
             fail "leaf %d (key %S) is in an ART but its bit is clear" leaf key;
-          let stored = Leaf.key t.pool ~leaf in
+          let v, stored =
+            match Leaf.read t.pool ~leaf with
+            | Ok vk -> vk
+            | Error len ->
+                fail "leaf %d (ART position %S) stores invalid key length %d" leaf
+                  key len
+          in
           if not (String.equal stored key) then
             fail "leaf %d stores key %S but sits at ART position %S" leaf stored key;
-          let v = Leaf.p_value t.pool ~leaf in
           if v = 0 then fail "leaf %d (key %S) has no value object" leaf key;
           (match Epalloc.class_of_value_obj t.alloc v with
           | None -> fail "value %d of key %S is in no value chunk" v key
@@ -735,13 +749,10 @@ let check_integrity ?(allow_recovered_orphans = false) t =
   let repairable = Hashtbl.create 16 in
   if allow_recovered_orphans then
     Epalloc.iter_chunks t.alloc Chunk.Leaf_c (fun chunk ->
-        for idx = 0 to Chunk.objs_per_chunk - 1 do
-          if not (Chunk.test_bit t.pool ~chunk ~idx) then begin
-            let obj = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
-            let v = Leaf.p_value t.pool ~leaf:obj in
-            if v <> 0 then Hashtbl.replace repairable v ()
-          end
-        done);
+        Chunk.iter_slots t.pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj ~live ->
+            if not live then
+              let v = Leaf.p_value t.pool ~leaf:obj in
+              if v <> 0 then Hashtbl.replace repairable v ()));
   List.iter
     (fun vcls ->
       Epalloc.iter_live_objs t.alloc vcls (fun ~obj ->
@@ -851,19 +862,15 @@ let fsck ?(deep = true) t =
       }
   in
   let quarantine_leaf_here ~owner ~leaf ~detail =
-    let key =
-      match
-        let len = Leaf.key_len pool ~leaf in
-        if len < 1 || len > Leaf.max_key_len then None
-        else Some (Leaf.key pool ~leaf)
-      with
-      | k -> k
-      | exception (Pmem.Media_poisoned _ | Invalid_argument _) -> None
-    in
-    let pv =
-      match Leaf.p_value pool ~leaf with
-      | pv -> pv
-      | exception (Pmem.Media_poisoned _ | Invalid_argument _) -> 0
+    let key, pv =
+      match Leaf.read pool ~leaf with
+      | Ok (pv, key) -> (Some key, pv)
+      | Error _ | (exception (Pmem.Media_poisoned _ | Invalid_argument _)) -> (
+          (* the key is unreadable, but a pointer on a clean line may
+             still name a value to free *)
+          match Leaf.p_value pool ~leaf with
+          | pv -> (None, pv)
+          | exception (Pmem.Media_poisoned _ | Invalid_argument _) -> (None, 0))
     in
     excise_leaf t ?key ~leaf ();
     (if pv > 0 then

@@ -63,7 +63,9 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     and raises on anomalies.
 
     @raise Hart_error.Error on an unmountable pool (bad root block,
-    corrupt chunk chain, duplicate leaf in non-quarantine mode). *)
+    corrupt chunk chain; in non-quarantine mode also a duplicate leaf,
+    or a committed leaf whose key length is outside 1..24, both as
+    [Leaf_slot]). *)
 
 val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
 (** Parallel Algorithm 7: micro-log replay stays serial, then the
@@ -175,8 +177,9 @@ val pm_bytes : t -> int
 
 val check_integrity : ?allow_recovered_orphans:bool -> t -> unit
 (** Full cross-check of DRAM structures against the PM image: every ART
-    leaf points at a committed PM leaf whose stored key matches its tree
-    position and whose value object is committed; every committed PM leaf
+    leaf points at a committed PM leaf whose stored key (of a valid
+    length) matches its tree position and whose value object is
+    committed; every committed PM leaf
     is reachable from exactly one ART; every committed value object is
     referenced (with [allow_recovered_orphans], a value referenced by a
     {e free} leaf slot is tolerated — the repairable state Algorithm 2

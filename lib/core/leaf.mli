@@ -29,14 +29,24 @@ val set_p_value : Hart_pmem.Pmem.t -> leaf:int -> int -> unit
 (** Store and persist the value pointer (Algorithm 1 line 13 /
     Algorithm 3 line 8 commit point). *)
 
-val key : Hart_pmem.Pmem.t -> leaf:int -> string
-(** Read the stored key (charges PM reads for the key bytes — the leaf
-    key comparison a C implementation performs at the end of an ART
-    descent). *)
+val read : Hart_pmem.Pmem.t -> leaf:int -> (int * string, int) result
+(** [Ok (p_value, key)] in one pass over the leaf — the leaf key
+    comparison a C implementation performs at the end of an ART descent.
+    One access reads [[leaf, min (leaf + 33, end of the line holding
+    leaf + 8))], a second only the key bytes past that line, so each
+    line of [[leaf, leaf + 9 + key_len)] is charged once and no other.
+    [Error len] when the stored length byte is outside
+    [1..]{!max_key_len} (a corrupt or never-written leaf); no key byte
+    is read then, and nothing past the slot ever is. *)
 
-val key_len : Hart_pmem.Pmem.t -> leaf:int -> int
-(** The raw stored length byte, unvalidated — may exceed {!max_key_len}
-    on a corrupt leaf; fsck checks it before trusting {!key}. *)
+val read_key : Hart_pmem.Pmem.t -> leaf:int -> (string, int) result
+(** {!read} without the value pointer: starts at the length byte, so it
+    charges the lines of [[leaf + 8, leaf + 9 + key_len)] only (what a
+    recovery scan needs). *)
+
+val key : Hart_pmem.Pmem.t -> leaf:int -> string
+(** The key of {!read_key}.
+    @raise Invalid_argument on an out-of-range length byte. *)
 
 val write_key : ?crc:bool -> Hart_pmem.Pmem.t -> leaf:int -> string -> unit
 (** Store and persist key and key length (Algorithm 1 lines 15–16).
@@ -53,10 +63,10 @@ val init : ?crc:bool -> Hart_pmem.Pmem.t -> leaf:int -> p_value:int -> string ->
     the two stores.
     @raise Invalid_argument if the key exceeds {!max_key_len}. *)
 
-val key_crc_ok : Hart_pmem.Pmem.t -> leaf:int -> bool
-(** Recompute and compare the stored key CRC (checksummed pools only;
-    meaningless on plain pools). Also [false] when the stored length
-    byte is out of range. *)
+val key_crc_ok : Hart_pmem.Pmem.t -> leaf:int -> string -> bool
+(** [key_crc_ok pool ~leaf key]: does the stored CRC trailer match
+    [key], as returned by {!read}? Reads the 4-byte trailer only
+    (checksummed pools only; meaningless on plain pools). *)
 
 val clear : Hart_pmem.Pmem.t -> leaf:int -> unit
 (** Zero the whole leaf without persisting (used when repairing a slot

@@ -24,9 +24,21 @@ let write ?(crc = false) pool ~obj payload =
   end
   else Pmem.persist pool ~off:obj ~len:(1 + len)
 
+(* One access for the object's bytes on its first line (at most the
+   largest object, 32 bytes), a second only for payload bytes past that
+   line: each line of [obj, obj + 1 + len) is charged once. *)
 let read pool ~obj =
-  let len = Pmem.get_u8 pool obj in
-  if len = 0 then "" else Pmem.get_string pool ~off:(obj + 1) ~len
+  let line_end = (obj / Pmem.line_bytes + 1) * Pmem.line_bytes in
+  let head =
+    Pmem.get_string pool ~off:obj
+      ~len:(min (Chunk.obj_size Val32) (line_end - obj))
+  in
+  let len = Char.code head.[0] in
+  let have = String.length head - 1 in
+  if len <= have then String.sub head 1 len
+  else
+    String.sub head 1 have
+    ^ Pmem.get_string pool ~off:(obj + 1 + have) ~len:(len - have)
 
 let crc_ok pool ~cls ~obj =
   let len = Pmem.get_u8 pool obj in

@@ -14,7 +14,10 @@ val write : ?crc:bool -> Hart_pmem.Pmem.t -> obj:int -> string -> unit
     @raise Invalid_argument beyond 31 bytes. *)
 
 val read : Hart_pmem.Pmem.t -> obj:int -> string
-(** Read the payload back. *)
+(** Read the payload back: one access for the object's bytes on its
+    first line, a second only for payload bytes past it (a Val32 object
+    at an odd slot straddles a line; Val8 and Val16 objects never do).
+    Each line of [[obj, obj + 1 + len)] is charged once and no other. *)
 
 val crc_ok : Hart_pmem.Pmem.t -> cls:Chunk.cls -> obj:int -> bool
 (** Verify the stored trailer where one fits (vacuously true where none

@@ -409,6 +409,120 @@ let test_value_codec () =
       Alcotest.(check string) "roundtrip" payload (Value_obj.read pool ~obj))
     [ ""; "x"; "1234567"; "fifteen-bytes.."; String.make 31 'v' ]
 
+(* Run [f] under the read trace and the meter: its result, the lines
+   it read, and the PM reads it was charged. *)
+let traced pool f =
+  let meter = Pmem.meter pool in
+  let before = Meter.counters meter in
+  Pmem.read_trace_start pool;
+  let r = f () in
+  let lines = Pmem.read_trace_stop pool in
+  (r, lines, (Meter.diff before (Meter.counters meter)).Meter.pm_reads)
+
+let span_lines ~off ~len =
+  let first = off / Pmem.line_bytes and last = (off + len - 1) / Pmem.line_bytes in
+  List.init (last - first + 1) (fun i -> first + i)
+
+(* The single-access readers decode what field-by-field reads decode,
+   touch the same lines, and are charged one PM read per line. The
+   leaf-chunk slot phases repeat every 8 slots (8 x 40 B = 5 lines), so
+   slots 0..7 cover every phase, including slot 1, whose value pointer
+   ends a line and whose length byte starts the next; value slots 0..7
+   cover every phase of every value class. *)
+let test_reader_equivalence () =
+  let pool = fresh_pool () in
+  let lchunk = Chunk.alloc pool Chunk.Leaf_c in
+  let vchunks =
+    List.map (fun cls -> (cls, Chunk.alloc pool cls)) Chunk.[ Val8; Val16; Val32 ]
+  in
+  let check_case ~slot ~klen ~cls ~vidx ~vlen =
+    let what =
+      Format.asprintf "slot %d klen %d %a[%d] vlen %d" slot klen Chunk.pp_cls cls vidx
+        vlen
+    in
+    let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk:lchunk ~idx:slot in
+    let obj = Chunk.obj_off cls ~chunk:(List.assoc cls vchunks) ~idx:vidx in
+    let key = String.init klen (fun i -> Char.chr (65 + ((i + klen) mod 26))) in
+    let value = String.init vlen (fun i -> Char.chr (97 + (((7 * i) + vlen) mod 26))) in
+    Value_obj.write pool ~obj value;
+    Leaf.init pool ~leaf ~p_value:obj key;
+    let fields, field_lines, _ =
+      traced pool (fun () ->
+          let pv = Int64.to_int (Pmem.get_u64 pool leaf) in
+          let kl = Pmem.get_u8 pool (leaf + 8) in
+          (pv, Pmem.get_string pool ~off:(leaf + 9) ~len:kl))
+    in
+    Alcotest.(check (list int))
+      (what ^ ": field lines")
+      (span_lines ~off:leaf ~len:(9 + klen))
+      field_lines;
+    let got, lines, reads = traced pool (fun () -> Leaf.read pool ~leaf) in
+    Alcotest.(check (result (pair int string) int))
+      (what ^ ": leaf decode") (Ok fields) got;
+    Alcotest.(check (list int)) (what ^ ": leaf lines") field_lines lines;
+    Alcotest.(check int) (what ^ ": leaf reads") (List.length lines) reads;
+    let kfield_lines = span_lines ~off:(leaf + 8) ~len:(1 + klen) in
+    let got, lines, reads = traced pool (fun () -> Leaf.read_key pool ~leaf) in
+    Alcotest.(check (result string int)) (what ^ ": key decode") (Ok key) got;
+    Alcotest.(check (list int)) (what ^ ": key lines") kfield_lines lines;
+    Alcotest.(check int) (what ^ ": key reads") (List.length lines) reads;
+    let vfield, vfield_lines, _ =
+      traced pool (fun () ->
+          let len = Pmem.get_u8 pool obj in
+          if len = 0 then "" else Pmem.get_string pool ~off:(obj + 1) ~len)
+    in
+    let v, vlines, vreads = traced pool (fun () -> Value_obj.read pool ~obj) in
+    Alcotest.(check string) (what ^ ": value decode") vfield v;
+    Alcotest.(check string) (what ^ ": value") value v;
+    Alcotest.(check (list int)) (what ^ ": value lines") vfield_lines vlines;
+    Alcotest.(check int) (what ^ ": value reads") (List.length vlines) vreads
+  in
+  let classes = Array.of_list (List.map fst vchunks) in
+  for slot = 0 to 7 do
+    for klen = 1 to Leaf.max_key_len do
+      let cls = classes.(klen mod 3) in
+      check_case ~slot ~klen ~cls ~vidx:slot
+        ~vlen:(klen mod Chunk.obj_size cls)
+    done
+  done;
+  Array.iter
+    (fun cls ->
+      for vidx = 0 to 7 do
+        for vlen = 0 to Chunk.obj_size cls - 1 do
+          check_case ~slot:vidx ~klen:(1 + (vlen mod Leaf.max_key_len)) ~cls ~vidx ~vlen
+        done
+      done)
+    classes
+
+(* An out-of-range length byte is rejected after one access that stays
+   on the lines up to the length byte's: no key byte is read, nothing
+   past the slot. *)
+let test_leaf_read_rejects_bad_length () =
+  let pool = fresh_pool () in
+  let chunk = Chunk.alloc pool Chunk.Leaf_c in
+  for slot = 0 to 7 do
+    let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx:slot in
+    Leaf.init pool ~leaf ~p_value:4242 "key";
+    List.iter
+      (fun bad ->
+        Pmem.set_u8 pool (leaf + 8) bad;
+        let got, lines, reads = traced pool (fun () -> Leaf.read pool ~leaf) in
+        let what = Printf.sprintf "slot %d, length byte %d" slot bad in
+        Alcotest.(check (result (pair int string) int)) what (Error bad) got;
+        Alcotest.(check (list int))
+          (what ^ ": lines") (span_lines ~off:leaf ~len:9) lines;
+        Alcotest.(check int) (what ^ ": reads") (List.length lines) reads;
+        let got, lines, _ = traced pool (fun () -> Leaf.read_key pool ~leaf) in
+        Alcotest.(check (result string int)) (what ^ ": key only") (Error bad) got;
+        Alcotest.(check (list int)) (what ^ ": key-only lines")
+          [ (leaf + 8) / Pmem.line_bytes ] lines;
+        Alcotest.(check bool) (what ^ ": Leaf.key raises") true
+          (match Leaf.key pool ~leaf with
+          | _ -> false
+          | exception Invalid_argument _ -> true))
+      [ 0; 25; 30; 200; 255 ]
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Micro-logs                                                          *)
 
@@ -825,6 +939,83 @@ let test_hart_persists_per_op () =
   Alcotest.(check int) "update: flushes" 6 d.Meter.flushes;
   let d = cost (fun () -> Hart.insert h ~key:"pc0010" ~value:"v") in
   Alcotest.(check int) "insert: persist calls" 4 d.Meter.persist_calls
+
+(* PM reads per op. Every object read charges each line it covers
+   once, so a search hit costs three reads (bitmap word, leaf, value
+   object) when its leaf and value each sit on one line; a leaf in slot
+   phase 1 of its chunk (slots 1, 9, 17, ...) spans two lines. *)
+let test_hart_reads_per_op () =
+  let h, pool = fresh_hart () in
+  for i = 0 to 199 do
+    Hart.insert h ~key:(Printf.sprintf "rd%04d" i) ~value:(Printf.sprintf "v%d" i)
+  done;
+  let meter = Pmem.meter pool in
+  let cost f =
+    let before = Meter.counters meter in
+    f ();
+    Meter.diff before (Meter.counters meter)
+  in
+  let d = cost (fun () -> assert (Hart.search h "rd0042" = Some "v42")) in
+  Alcotest.(check int) "search hit: pm reads" 3 d.Meter.pm_reads;
+  let n = ref 0 in
+  let d = cost (fun () -> Hart.range h ~lo:"rd0010" ~hi:"rd0019" (fun _ _ -> incr n)) in
+  Alcotest.(check int) "range: keys" 10 !n;
+  (* 3 per key, plus rd0017's second leaf line *)
+  Alcotest.(check int) "range over 10 keys: pm reads" 31 d.Meter.pm_reads;
+  for i = 0 to 199 do
+    if i mod 3 = 0 then assert (Hart.delete h (Printf.sprintf "rd%04d" i))
+  done;
+  Pmem.crash pool;
+  (* The attach sanitize sweep reads each leaf chunk's bitmap once.
+     Beyond an empty pool's attach, this pool's attach reads:
+     - for each of its 8 chunks (4 leaf, 4 value), the header word and
+       the chain pointer of the chunk-list walk;
+     - for each of its 4 leaf chunks, the sweep's one bitmap word and
+       chain pointer;
+     - the value pointer of each of the 91 free leaf slots. *)
+  let empty = fresh_pool () in
+  ignore (Hart.create empty : Hart.t);
+  Pmem.crash empty;
+  let attach_reads pool =
+    let before = Meter.counters (Pmem.meter pool) in
+    ignore (Epalloc.attach pool : Epalloc.t);
+    (Meter.diff before (Meter.counters (Pmem.meter pool))).Meter.pm_reads
+  in
+  let base = attach_reads empty in
+  Alcotest.(check int) "attach: pm reads over an empty pool's"
+    ((8 * 2) + (4 * 2) + 91)
+    (attach_reads pool - base);
+  Pmem.crash pool;
+  let r = ref h in
+  let d = cost (fun () -> r := Hart.recover pool) in
+  Alcotest.(check int) "recover: keys" 133 (Hart.count !r);
+  Alcotest.(check int) "recover: pm reads" 294 d.Meter.pm_reads
+
+(* A cold workload touches exactly the lines field-by-field reads
+   touched: its miss count is the one those reads gave. *)
+let test_hart_cold_read_misses () =
+  let h, pool = fresh_hart () in
+  for i = 0 to 1999 do
+    Hart.insert h
+      ~key:(Printf.sprintf "cold%05d" (i * 7919 mod 2000))
+      ~value:(String.make (i mod 32) 'x')
+  done;
+  for i = 0 to 1999 do
+    if i mod 5 = 0 then assert (Hart.delete h (Printf.sprintf "cold%05d" i))
+  done;
+  Pmem.crash pool;
+  let meter = Pmem.meter pool in
+  let before = Meter.counters meter in
+  let h = Hart.recover pool in
+  for i = 0 to 1999 do
+    ignore (Hart.search h (Printf.sprintf "cold%05d" i) : string option)
+  done;
+  let n = ref 0 in
+  Hart.range h ~lo:"cold" ~hi:"cold~" (fun _ _ -> incr n);
+  let d = Meter.diff before (Meter.counters meter) in
+  Alcotest.(check int) "keys scanned" 1600 !n;
+  Alcotest.(check int) "pm read misses" 1994 d.Meter.pm_read_misses;
+  Alcotest.(check int) "pm reads" 13738 d.Meter.pm_reads
 
 (* ------------------------------------------------------------------ *)
 (* HART vs model                                                       *)
@@ -1929,6 +2120,52 @@ let leaf_offsets h =
       Art.iter art (fun _k off -> offs := off :: !offs));
   List.sort_uniq compare !offs
 
+(* A committed leaf whose length byte reads 0, 30 or 200 names no key
+   the index could have stored (30 and 200 would also run past the
+   40-byte slot). The live index fails its integrity check, plain
+   recovery (serial and parallel) refuses the mount with a typed error
+   at the slot instead of indexing a bogus key, and the quarantining
+   mount excises the leaf and keeps the rest. *)
+let test_invalid_key_length_refused () =
+  List.iter
+    (fun bad ->
+      let h, pool = fresh_hart () in
+      List.iter
+        (fun k -> Hart.insert h ~key:k ~value:("v-" ^ k))
+        [ "alpha"; "bravo"; "charlie" ];
+      let leaf = List.find (fun l -> Leaf.key pool ~leaf:l = "bravo") (leaf_offsets h) in
+      Pmem.set_u8 pool (leaf + 8) bad;
+      Pmem.persist pool ~off:(leaf + 8) ~len:1;
+      let what = Printf.sprintf "length byte %d" bad in
+      Alcotest.(check bool) (what ^ ": check_integrity fails") true
+        (match Hart.check_integrity h with () -> false | exception Failure _ -> true);
+      Pmem.crash pool;
+      let refused name recover =
+        match recover pool with
+        | (_ : Hart.t) -> Alcotest.failf "%s, %s: mounted" what name
+        | exception Hart_error.Error { site = Hart_error.Leaf_slot { leaf = l; _ }; _ } ->
+            Alcotest.(check int) (Printf.sprintf "%s, %s: the slot" what name) leaf l
+      in
+      refused "serial" (fun pool -> Hart.recover pool);
+      refused "parallel" (Hart.recover_parallel ~domains:2);
+      let hq = Hart.recover ~quarantine:true pool in
+      Alcotest.(check (list (pair string string)))
+        (what ^ ": survivors")
+        [ ("alpha", "v-alpha"); ("charlie", "v-charlie") ]
+        (dump_hart hq);
+      Alcotest.(check (list string))
+        (what ^ ": quarantined")
+        [ Printf.sprintf "invalid key length %d" bad ]
+        (List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.quarantines hq));
+      (* the excised leaf's value pointer was not trusted, so its value
+         object is left for fsck's orphan sweep *)
+      Alcotest.(check (list string))
+        (what ^ ": fsck reclaims the value")
+        [ "unreferenced committed value object reclaimed" ]
+        (List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.fsck hq));
+      Hart.check_integrity hq)
+    [ 0; 30; 200 ]
+
 (* A live leaf's line is destroyed: the binding cannot be repaired, so
    recovery must excise it, report it, and keep everything else intact —
    never serve a corrupted key or value.                               *)
@@ -2097,6 +2334,10 @@ let () =
           Alcotest.test_case "leaf" `Quick test_leaf_codec;
           Alcotest.test_case "leaf key limit" `Quick test_leaf_key_limit;
           Alcotest.test_case "value object" `Quick test_value_codec;
+          Alcotest.test_case "single-access readers = field reads" `Quick
+            test_reader_equivalence;
+          Alcotest.test_case "leaf read rejects bad length" `Quick
+            test_leaf_read_rejects_bad_length;
         ] );
       ( "microlog",
         [
@@ -2133,6 +2374,8 @@ let () =
           Alcotest.test_case "stats" `Quick test_hart_stats;
           Alcotest.test_case "memory accounting" `Quick test_hart_memory_accounting;
           Alcotest.test_case "persist calls per op" `Quick test_hart_persists_per_op;
+          Alcotest.test_case "pm reads per op" `Quick test_hart_reads_per_op;
+          Alcotest.test_case "cold read misses" `Quick test_hart_cold_read_misses;
           QCheck_alcotest.to_alcotest qcheck_hart_vs_map;
         ] );
       ( "crash",
@@ -2163,6 +2406,8 @@ let () =
           Alcotest.test_case "eviction robustness" `Quick test_eviction_does_not_break_protocol;
           Alcotest.test_case "pool image reboot cycle" `Quick test_pool_image_reboot_cycle;
           Alcotest.test_case "v01 root refused" `Quick test_v01_root_refused;
+          Alcotest.test_case "invalid key length refused" `Quick
+            test_invalid_key_length_refused;
           QCheck_alcotest.to_alcotest qcheck_hart_recovery;
         ] );
       ( "parallel-recovery",

@@ -724,6 +724,109 @@ let srv_determinism () =
   Alcotest.(check (list string)) "no oracle errors" [] p1.Fault_server.p_errors
 
 (* ------------------------------------------------------------------ *)
+(* Counter pins for the concurrent and server sweeps, at the CLI's
+   workload sizes. Like the HART schedule-space pin, these move only
+   when an executor's persist, lock or network sequence changes — a
+   refactor of the sweep machinery must leave every number alone. *)
+
+let mt_counters r =
+  [
+    ("ops", r.Fault_mt.n_ops);
+    ("flush-boundaries", r.Fault_mt.total_flushes);
+    ("schedules", r.Fault_mt.schedules);
+    ("nested", r.Fault_mt.nested_schedules);
+    ("recovery-flushes", r.Fault_mt.recovery_flushes);
+    ("max-in-flight", r.Fault_mt.max_in_flight);
+    ("multi-in-flight", r.Fault_mt.multi_in_flight);
+    ("contended", r.Fault_mt.contended);
+    ("checkpoints", r.Fault_mt.checkpoints);
+    ("replays", r.Fault_mt.checkpoint_replays);
+    ("violations", List.length r.Fault_mt.violations);
+  ]
+
+let mt_counter_pin () =
+  List.iter
+    (fun (name, (setup, scripts), expected) ->
+      let r =
+        Fault_mt.explore ~nested:true ~seed:42L ~domains:2 ~workload:name
+          ~setup scripts
+      in
+      Alcotest.(check (list (pair string int))) name expected (mt_counters r))
+    [
+      ( "mt-default",
+        Fault_mt.default_workload ~domains:2 ~ops_per_domain:6,
+        [
+          ("ops", 12); ("flush-boundaries", 51); ("schedules", 51);
+          ("nested", 107); ("recovery-flushes", 107); ("max-in-flight", 2);
+          ("multi-in-flight", 39); ("contended", 2); ("checkpoints", 0);
+          ("replays", 0); ("violations", 0);
+        ] );
+      ( "mt-collide",
+        Fault_mt.collide_workload ~domains:2 ~ops_per_domain:6,
+        [
+          ("ops", 12); ("flush-boundaries", 59); ("schedules", 59);
+          ("nested", 148); ("recovery-flushes", 148); ("max-in-flight", 2);
+          ("multi-in-flight", 31); ("contended", 13); ("checkpoints", 0);
+          ("replays", 0); ("violations", 0);
+        ] );
+    ]
+
+let srv_counters r =
+  [
+    ("ops", r.Fault_server.n_ops);
+    ("flush-boundaries", r.Fault_server.total_flushes);
+    ("schedules", r.Fault_server.schedules);
+    ("recovery-flushes", r.Fault_server.recovery_flushes);
+    ("max-in-flight", r.Fault_server.max_in_flight);
+    ("multi-in-flight", r.Fault_server.multi_in_flight);
+    ("acked", r.Fault_server.acked_writes);
+    ("dropped-sessions", r.Fault_server.dropped_sessions);
+    ("violations", List.length r.Fault_server.violations);
+  ]
+
+(* seed 11 at the CLI's 28 requests per client: the 160 + 82 boundaries
+   the server DST gate sweeps, clean and torn *)
+let srv_counter_pin () =
+  let setup, scripts =
+    Fault_server.default_workload ~clients:2 ~ops_per_client:28
+  in
+  let dsetup, dscripts, drops =
+    Fault_server.drop_workload ~clients:2 ~ops_per_client:28
+  in
+  let default_pin =
+    [
+      ("ops", 56); ("flush-boundaries", 160); ("schedules", 160);
+      ("recovery-flushes", 348); ("max-in-flight", 2);
+      ("multi-in-flight", 40); ("acked", 2787); ("dropped-sessions", 0);
+      ("violations", 0);
+    ]
+  and drop_pin =
+    [
+      ("ops", 56); ("flush-boundaries", 82); ("schedules", 82);
+      ("recovery-flushes", 157); ("max-in-flight", 1);
+      ("multi-in-flight", 0); ("acked", 683); ("dropped-sessions", 82);
+      ("violations", 0);
+    ]
+  in
+  List.iter
+    (fun mode ->
+      let r =
+        Fault_server.explore ~mode ~seed:11L ~clients:2
+          ~workload:"srv-default" ~setup scripts
+      in
+      Alcotest.(check (list (pair string int)))
+        (Format.asprintf "srv-default %a" Fault.pp_mode mode)
+        default_pin (srv_counters r);
+      let r =
+        Fault_server.explore ~mode ~drops ~seed:11L ~clients:2
+          ~workload:"srv-drop" ~setup:dsetup dscripts
+      in
+      Alcotest.(check (list (pair string int)))
+        (Format.asprintf "srv-drop %a" Fault.pp_mode mode)
+        drop_pin (srv_counters r))
+    [ Pmem.Clean; Pmem.Torn { seed = 111L; fraction = 0.5 } ]
+
+(* ------------------------------------------------------------------ *)
 (* Self-minimizing reproducers: re-inject the PR 3 free-before-sever
    bug (Epalloc's reservation hold degraded to a plain durable bit
    reset, so a racing domain can reallocate a freed object while the
@@ -986,6 +1089,8 @@ let () =
             mt_checkpoint_equivalence;
           Alcotest.test_case "fptree split-race pinned nested sweep" `Quick
             mt_split_race_pin;
+          Alcotest.test_case "hart default+collide counter pin" `Quick
+            mt_counter_pin;
         ] );
       ( "server-dst",
         [
@@ -998,5 +1103,7 @@ let () =
             srv_shrink_regression;
           Alcotest.test_case "no violation once fixed" `Quick
             srv_no_violation_when_fixed;
+          Alcotest.test_case "seed-11 counter pin, clean and torn" `Quick
+            srv_counter_pin;
         ] );
     ]

@@ -5,11 +5,11 @@
    (DESIGN.md §10, §12).
 
    Usage: fault_debug DOMAINS SCHEDULE [SEED]
-            [--index NAME] [--workload default|collide|gen]
+            [--target NAME] [--workload default|collide|split-race|gen]
             [--gen-seed S] [--nested] [--shrink]
 
-   --index     concurrent index to replay against (hart, fptree, woart,
-               wort; default hart)
+   --target    concurrent index to replay against (hart, fptree, woart,
+               wort, wb-tree; default hart)
    --workload  workload family to rebuild (the CLI's --mt-workload);
                gen rebuilds the seeded workload from --gen-seed
    --nested    additionally re-crash the single-domain recovery at each
@@ -22,22 +22,22 @@ module Fault_mt = Hart_fault.Fault_mt
 
 let usage () =
   prerr_endline
-    "usage: fault_debug DOMAINS SCHEDULE [SEED] [--index NAME]\n\
-    \       [--workload default|collide|gen] [--gen-seed S] [--nested]\n\
-    \       [--shrink]";
+    "usage: fault_debug DOMAINS SCHEDULE [SEED] [--target NAME]\n\
+    \       [--workload default|collide|split-race|gen] [--gen-seed S]\n\
+    \       [--nested] [--shrink]";
   exit 2
 
 let () =
   let positional = ref [] in
-  let index = ref "hart" in
+  let target = ref "hart" in
   let workload = ref "default" in
   let gen_seed = ref 42L in
   let nested = ref false in
   let shrink = ref false in
   let rec parse = function
     | [] -> ()
-    | "--index" :: v :: rest ->
-        index := v;
+    | "--target" :: v :: rest ->
+        target := v;
         parse rest
     | "--workload" :: v :: rest ->
         workload := v;
@@ -66,69 +66,75 @@ let () =
     | _ -> usage ()
   in
   let target =
-    match Fault_mt.find_mt_target !index with
+    match Fault_mt.find_mt_target !target with
     | Some t -> t
     | None ->
-        Printf.eprintf "unknown concurrent index %S\n" !index;
+        Printf.eprintf "unknown concurrent target %S (one of %s)\n" !target
+          (String.concat ", "
+             (List.map (fun t -> t.Fault.target_name) Fault_mt.all_mt_targets));
         exit 2
   in
   let setup, scripts =
-    match !workload with
-    | "default" -> Fault_mt.default_workload ~domains ~ops_per_domain:6
-    | "collide" -> Fault_mt.collide_workload ~domains ~ops_per_domain:6
-    | "gen" -> Fault_mt.gen_workload ~seed:!gen_seed ~domains ~ops_per_domain:6
-    | w ->
-        Printf.eprintf "unknown --workload %S (default, collide, gen)\n" w;
+    match Fault_mt.find_workload !workload with
+    | Some build -> build ~seed:!gen_seed ~domains ~ops_per_domain:6
+    | None ->
+        Printf.eprintf "unknown --workload %S (one of %s)\n" !workload
+          (String.concat ", " (List.map fst Fault_mt.workloads));
         exit 2
   in
   let dump_bindings label bs =
     Printf.printf "%s: %s\n" label
       (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) bs))
   in
+  let recover_dump pool =
+    let inst = target.Fault.reattach pool in
+    inst.Fault.check ();
+    inst.Fault.dump ()
+  in
   match
     Fault_mt.probe ~target ~capture_snapshot:!nested ~seed ~schedule ~setup
       scripts
   with
   | p ->
-      Printf.printf "crashed=%b flushes=%d recovery-flushes=%d\n"
-        p.Fault_mt.p_crashed p.Fault_mt.p_flushes p.Fault_mt.p_recovery_flushes;
-      dump_bindings "committed" p.Fault_mt.p_committed;
+      Printf.printf "crashed=%b flushes=%d recovery-flushes=%d\n" p.Fault.p_crashed
+        p.Fault.p_flushes p.Fault.p_recovery_flushes;
+      dump_bindings "committed" p.Fault.p_committed;
       List.iter
-        (fun (i, op) ->
-          Format.printf "in-flight fiber %d: %a@." i Fault.pp_op op)
-        p.Fault_mt.p_in_flight;
+        (fun (i, op) -> Format.printf "in-flight fiber %d: %a@." i Fault.pp_op op)
+        p.Fault.p_in_flight;
       List.iter
         (fun (i, op) -> Format.printf "waiting fiber %d: %a@." i Fault.pp_op op)
-        p.Fault_mt.p_waiting;
-      dump_bindings "recovered" p.Fault_mt.p_state;
+        p.Fault.p_waiting;
+      dump_bindings "recovered" p.Fault.p_state;
       (if !nested then
-         match p.Fault_mt.p_snapshot with
+         match p.Fault.p_snapshot with
          | None -> print_endline "nested: schedule did not crash, nothing to re-crash"
          | Some snapshot ->
              Fault.nested_recovery_sweep ~snapshot
-               ~recovery_flushes:p.Fault_mt.p_recovery_flushes
-               ~recover:(fun pool ->
-                 ignore (target.Fault_mt.mt_recover_dump pool : (string * string) list))
+               ~recovery_flushes:p.Fault.p_recovery_flushes
+               ~recover:(fun ~nested:_ pool ->
+                 ignore (target.Fault.reattach pool : Fault.instance))
                ~never_fired:(fun ~nested ->
                  Printf.printf "nested %d: recovery completed before boundary\n"
                    nested)
                ~check:(fun ~nested pool ->
-                 match target.Fault_mt.mt_recover_dump pool with
+                 match recover_dump pool with
                  | state ->
                      dump_bindings
                        (Printf.sprintf "nested %d%s" nested
-                          (if state = p.Fault_mt.p_state then "" else " (DIFFERS)"))
+                          (if state = p.Fault.p_state then "" else " (DIFFERS)"))
                        state
-                 | exception Failure msg ->
-                     Printf.printf "nested %d: FAILURE: %s\n" nested msg));
+                 | exception e ->
+                     Printf.printf "nested %d: FAILURE: %s\n" nested
+                       (Printexc.to_string e)));
       if !shrink then
         match Fault_mt.shrink ~target ~seed ~setup scripts with
         | None -> print_endline "shrink: workload does not violate under replay"
         | Some s ->
             Printf.printf "shrink: %d candidate replays, %d accepted\n"
-              s.Fault_mt.s_checks s.Fault_mt.s_accepted;
-            Format.printf "%a@." Fault.pp_repro s.Fault_mt.s_repro;
-            Printf.printf "detail at minimum: %s\n" s.Fault_mt.s_detail
-  | exception Failure msg ->
-      Printf.printf "FAILURE: %s\n" msg;
+              s.Fault.s_checks s.Fault.s_accepted;
+            Format.printf "%a@." Fault.pp_repro s.Fault.s_repro;
+            Printf.printf "detail at minimum: %s\n" s.Fault.s_detail
+  | exception e ->
+      Printf.printf "FAILURE: %s\n" (Printexc.to_string e);
       exit 1

@@ -588,18 +588,20 @@ let fault_cmd =
     Arg.(value & opt (some string) None & info [ "workload" ] ~docv:"NAME" ~doc)
   in
   let target =
-    let all =
-      List.map
-        (fun t -> t.Hart_fault.Fault.target_name)
-        Hart_fault.Fault.all_targets
+    let names ts =
+      String.concat ", " (List.map (fun t -> t.Hart_fault.Fault.target_name) ts)
     in
     Arg.(
       value
       & opt (some string) None
       & info [ "target" ] ~docv:"NAME"
           ~doc:
-            (Printf.sprintf "Index to sweep (one of %s); omit for all."
-               (String.concat ", " all)))
+            (Printf.sprintf
+               "Index to sweep (one of %s); omit for all. With \
+                $(b,--domains) > 1, the concurrent index (one of %s; \
+                default hart)."
+               (names Hart_fault.Fault.media_targets)
+               (names Hart_fault.Fault_mt.all_mt_targets)))
   in
   let torn =
     Arg.(
@@ -660,24 +662,10 @@ let fault_cmd =
           ~doc:
             "With $(docv) > 1, run the deterministic concurrent \
              explorer instead: $(docv) simulated domains (2-4) drive \
-             the concurrent HART front end under a seed-replayable \
+             the $(b,--target) concurrent index under a seed-replayable \
              interleaving, every flush boundary is crashed with \
              operations in flight, and recovery is checked against the \
              linearization-set oracle.")
-  in
-  let index =
-    let all =
-      List.map
-        (fun t -> t.Hart_fault.Fault_mt.mt_name)
-        Hart_fault.Fault_mt.all_mt_targets
-    in
-    Arg.(
-      value & opt string "hart"
-      & info [ "index" ] ~docv:"NAME"
-          ~doc:
-            (Printf.sprintf
-               "Concurrent index for the $(b,--domains) sweep (one of %s)."
-               (String.concat ", " all)))
   in
   let nested_mt =
     Arg.(
@@ -710,7 +698,7 @@ let fault_cmd =
              (disjoint per-domain prefixes), $(b,collide) (scripted \
              same-stripe collisions), $(b,split-race) (one FPTree leaf \
              driven past capacity so splits race fresh writers; pair \
-             with $(b,--index fptree)), or $(b,gen) (seeded random op \
+             with $(b,--target fptree)), or $(b,gen) (seeded random op \
              mix, swept over $(b,--gen-seeds) seeds).")
   in
   let server =
@@ -735,7 +723,7 @@ let fault_cmd =
       & info [ "clients" ] ~docv:"N"
           ~doc:
             "Concurrent client sessions for the $(b,--server) sweep \
-             (2-4).")
+             (1-4).")
   in
   let gen_seeds =
     Arg.(
@@ -788,355 +776,172 @@ let fault_cmd =
              format).")
   in
   let run workload target torn adversarial json_out no_nested checkpoint_every
-      keep_going domains index nested_mt shrink mt_workload gen_seeds seed
+      keep_going domains nested_mt shrink mt_workload gen_seeds seed
       max_schedules media_faults media_json server clients =
+    let module F = Hart_fault.Fault in
+    let module Mt = Hart_fault.Fault_mt in
+    let module Srv = Hart_fault.Fault_server in
+    let torn_mode seed = Pmem.Torn { seed; fraction = 0.5 } in
+    let mode = Option.fold ~none:Pmem.Clean ~some:torn_mode torn in
+    let lookup what names find n =
+      match find n with
+      | Some x -> x
+      | None ->
+          failwith
+            (Printf.sprintf "unknown %s %S (one of %s)" what n
+               (String.concat ", " names))
+    in
+    let target_names ts = List.map (fun t -> t.F.target_name) ts in
     ok_or_die
       (try
-         if server then begin
-           if clients < 1 || clients > 4 then
-             failwith "--clients supports 1-4 simulated sessions";
-           let keep_going = keep_going || shrink in
-           let modes =
-             match torn with
-             | None -> [ Hart_pmem.Pmem.Clean ]
-             | Some tseed ->
-                 [
-                   Hart_pmem.Pmem.Clean;
-                   Hart_pmem.Pmem.Torn { seed = tseed; fraction = 0.5 };
-                 ]
-           in
-           let workloads =
-             let setup, scripts =
-               Hart_fault.Fault_server.default_workload ~clients
-                 ~ops_per_client:28
-             in
+         (* every mode builds a list of jobs: a thunk running one sweep
+            (or one adversarial family of passes), with a shrinker for
+            its violations where the executor has one *)
+         let ok_msg, jobs =
+           if server then begin
+             if clients < 1 || clients > 4 then
+               failwith "--clients supports 1-4 simulated sessions";
+             let setup, scripts = Srv.default_workload ~clients ~ops_per_client:28 in
              let dsetup, dscripts, drops =
-               Hart_fault.Fault_server.drop_workload ~clients
-                 ~ops_per_client:28
+               Srv.drop_workload ~clients ~ops_per_client:28
              in
-             [
-               ("srv-default", setup, scripts, None);
-               ("srv-drop", dsetup, dscripts, Some drops);
-             ]
-           in
-           let reports =
-             List.concat_map
-               (fun mode ->
-                 List.map
-                   (fun (name, setup, scripts, drops) ->
-                     let r =
-                       Hart_fault.Fault_server.explore ~mode ~keep_going
-                         ?max_schedules ?drops ~seed ~clients ~workload:name
-                         ~setup scripts
-                     in
-                     Format.printf "%a@." Hart_fault.Fault_server.pp_report r;
-                     if
-                       shrink && drops = None
-                       && r.Hart_fault.Fault_server.violations <> []
-                     then begin
-                       match
-                         Hart_fault.Fault_server.shrink ~mode ~seed ~setup
-                           scripts
-                       with
+             ( "all server crash schedules consistent",
+               List.concat_map
+                 (fun mode ->
+                   List.map
+                     (fun (name, setup, scripts, drops) ->
+                       ( (fun () ->
+                           [
+                             Srv.explore ~mode ~keep_going:(keep_going || shrink)
+                               ?max_schedules ?drops ~seed ~clients ~workload:name
+                               ~setup scripts;
+                           ]),
+                         if drops = None then
+                           Some (fun () -> Srv.shrink ~mode ~seed ~setup scripts)
+                         else None ))
+                     [
+                       ("srv-default", setup, scripts, None);
+                       ("srv-drop", dsetup, dscripts, Some drops);
+                     ])
+                 (Pmem.Clean :: Option.to_list (Option.map torn_mode torn)) )
+           end
+           else if domains > 1 then begin
+             if domains > 4 then failwith "--domains supports 2-4 simulated domains";
+             let t =
+               lookup "concurrent target"
+                 (target_names Mt.all_mt_targets)
+                 Mt.find_mt_target
+                 (Option.value target ~default:"hart")
+             in
+             let build =
+               lookup "--mt-workload" (List.map fst Mt.workloads)
+                 Mt.find_workload mt_workload
+             in
+             let gen = mt_workload = "gen" in
+             ( "all concurrent crash schedules consistent",
+               List.init
+                 (if gen then max 1 gen_seeds else 1)
+                 (fun k ->
+                   let s = Int64.add seed (Int64.of_int k) in
+                   let name =
+                     if gen then Printf.sprintf "mt-gen#%Ld" s
+                     else "mt-" ^ mt_workload
+                   in
+                   let setup, scripts = build ~seed:s ~domains ~ops_per_domain:6 in
+                   ( (fun () ->
+                       [
+                         Mt.explore ~target:t ~mode
+                           ~keep_going:(keep_going || shrink) ~nested:nested_mt
+                           ?max_schedules ?checkpoint_every ~seed ~domains
+                           ~workload:name ~setup scripts;
+                       ]),
+                     Some
+                       (fun () ->
+                         Mt.shrink ~target:t ~mode ?checkpoint_every ~seed ~setup
+                           scripts) )) )
+           end
+           else begin
+             let media = media_faults > 0 in
+             let targets =
+               match target with
+               | None -> if media then F.media_targets else F.all_targets
+               | Some n ->
+                   [ lookup "target" (target_names F.media_targets) F.find_target n ]
+             in
+             let workloads =
+               match workload with
+               | None -> F.builtin_workloads
+               | Some n ->
+                   [
+                     lookup "workload"
+                       (List.map (fun (n, _, _) -> n) F.builtin_workloads)
+                       F.find_workload n;
+                   ]
+             in
+             let sweep t (name, setup, ops) () =
+               if media then
+                 [
+                   F.explore_media ~sites:media_faults ~base_seed:seed ~setup
+                     ~keep_going ~workload:name t ops;
+                 ]
+               else if adversarial then
+                 F.explore_adversarial ~nested:(not no_nested) ~setup
+                   ?checkpoint_every ~keep_going ~workload:name t ops
+               else
+                 [
+                   F.explore ~mode ~nested:(not no_nested) ~setup
+                     ?checkpoint_every ~keep_going ~workload:name t ops;
+                 ]
+             in
+             ( (if media then "no silent wrong answers under media faults"
+                else "all crash schedules consistent"),
+               List.concat_map
+                 (fun t -> List.map (fun w -> (sweep t w, None)) workloads)
+                 targets )
+           end
+         in
+         (* the one reporting tail: print, shrink and attach reproducers,
+            emit JSON, exit *)
+         let reports =
+           List.concat_map
+             (fun (run, shrinker) ->
+               List.map
+                 (fun r ->
+                   Format.printf "%a@." F.pp_report r;
+                   match shrinker with
+                   | Some shrink_it when shrink && r.F.violations <> [] -> (
+                       match shrink_it () with
                        | None ->
                            Format.printf
-                             "shrink: violation did not reproduce under \
-                              replay@.";
+                             "shrink: violation did not reproduce under replay@.";
                            r
                        | Some s ->
                            Format.printf
                              "shrink: %d candidate replays, %d accepted@.%a@."
-                             s.Hart_fault.Fault_mt.s_checks
-                             s.Hart_fault.Fault_mt.s_accepted
-                             Hart_fault.Fault.pp_repro
-                             s.Hart_fault.Fault_mt.s_repro;
-                           {
-                             r with
-                             Hart_fault.Fault_server.violations =
-                               List.map
-                                 (fun v ->
-                                   {
-                                     v with
-                                     Hart_fault.Fault.v_repro =
-                                       Some s.Hart_fault.Fault_mt.s_repro;
-                                   })
-                                 r.Hart_fault.Fault_server.violations;
-                           }
-                     end
-                     else r)
-                   workloads)
-               modes
-           in
-           let vs =
-             List.concat_map
-               (fun r -> r.Hart_fault.Fault_server.violations)
-               reports
-           in
-           (match json_out with
-           | None -> ()
-           | Some path ->
-               let oc = open_out path in
-               output_string oc (Hart_fault.Fault.violation_list_json vs);
-               close_out oc);
-           match vs with
-           | [] ->
-               print_endline "all server crash schedules consistent";
-               Ok ()
-           | vs ->
-               List.iter
-                 (fun v ->
-                   Printf.eprintf "violation: %s\n"
-                     (Hart_fault.Fault.violation_message v))
-                 vs;
-               Error
-                 (Printf.sprintf "%d violating schedule(s)" (List.length vs))
-         end
-         else if domains > 1 then begin
-           if domains > 4 then failwith "--domains supports 2-4 simulated domains";
-           let mode =
-             match torn with
-             | None -> Hart_pmem.Pmem.Clean
-             | Some seed -> Hart_pmem.Pmem.Torn { seed; fraction = 0.5 }
-           in
-           let mt_target =
-             match Hart_fault.Fault_mt.find_mt_target index with
-             | Some t -> t
-             | None -> failwith (Printf.sprintf "unknown concurrent index %S" index)
-           in
-           let workloads =
-             match mt_workload with
-             | "default" ->
-                 [
-                   ( "mt-default",
-                     Hart_fault.Fault_mt.default_workload ~domains
-                       ~ops_per_domain:6 );
-                 ]
-             | "collide" ->
-                 [
-                   ( "mt-collide",
-                     Hart_fault.Fault_mt.collide_workload ~domains
-                       ~ops_per_domain:6 );
-                 ]
-             | "split-race" ->
-                 [
-                   ( "mt-split-race",
-                     Hart_fault.Fault_mt.split_race_workload ~domains
-                       ~ops_per_domain:6 );
-                 ]
-             | "gen" ->
-                 List.init (max 1 gen_seeds) (fun k ->
-                     let s = Int64.add seed (Int64.of_int k) in
-                     ( Printf.sprintf "mt-gen#%Ld" s,
-                       Hart_fault.Fault_mt.gen_workload ~seed:s ~domains
-                         ~ops_per_domain:6 ))
-             | w ->
-                 failwith
-                   (Printf.sprintf
-                      "unknown --mt-workload %S (default, collide, \
-                       split-race, gen)" w)
-           in
-           let keep_going = keep_going || shrink in
-           let reports =
-             List.map
-               (fun (name, (setup, scripts)) ->
-                 let r =
-                   Hart_fault.Fault_mt.explore ~target:mt_target ~mode
-                     ~keep_going ~nested:nested_mt ?max_schedules
-                     ?checkpoint_every ~seed ~domains ~workload:name ~setup
-                     scripts
-                 in
-                 Format.printf "%a@." Hart_fault.Fault_mt.pp_report r;
-                 let r =
-                   if shrink && r.Hart_fault.Fault_mt.violations <> [] then begin
-                     match
-                       Hart_fault.Fault_mt.shrink ~target:mt_target ~mode
-                         ?checkpoint_every ~seed ~setup scripts
-                     with
-                     | None ->
-                         Format.printf
-                           "shrink: violation did not reproduce under \
-                            replay@.";
-                         r
-                     | Some s ->
-                         Format.printf
-                           "shrink: %d candidate replays, %d accepted@.%a@."
-                           s.Hart_fault.Fault_mt.s_checks
-                           s.Hart_fault.Fault_mt.s_accepted
-                           Hart_fault.Fault.pp_repro
-                           s.Hart_fault.Fault_mt.s_repro;
-                         {
-                           r with
-                           Hart_fault.Fault_mt.violations =
-                             List.map
-                               (fun v ->
-                                 {
-                                   v with
-                                   Hart_fault.Fault.v_repro =
-                                     Some s.Hart_fault.Fault_mt.s_repro;
-                                 })
-                               r.Hart_fault.Fault_mt.violations;
-                         }
-                   end
-                   else r
-                 in
-                 r)
-               workloads
-           in
-           let vs =
-             List.concat_map
-               (fun r -> r.Hart_fault.Fault_mt.violations)
-               reports
-           in
-           (match json_out with
-           | None -> ()
-           | Some path ->
-               let oc = open_out path in
-               output_string oc (Hart_fault.Fault.violation_list_json vs);
-               close_out oc);
-           match vs with
-           | [] ->
-               print_endline "all concurrent crash schedules consistent";
-               Ok ()
-           | vs ->
-               List.iter
-                 (fun v ->
-                   Printf.eprintf "violation: %s\n"
-                     (Hart_fault.Fault.violation_message v))
-                 vs;
-               Error (Printf.sprintf "%d violating schedule(s)" (List.length vs))
-         end
-         else if media_faults > 0 then begin
-           let targets =
-             match target with
-             | None -> Hart_fault.Fault.media_targets
-             | Some n -> (
-                 match Hart_fault.Fault.find_target n with
-                 | Some t -> [ t ]
-                 | None -> failwith (Printf.sprintf "unknown target %S" n))
-           in
-           let workloads =
-             match workload with
-             | None -> Hart_fault.Fault.builtin_workloads
-             | Some n -> (
-                 match Hart_fault.Fault.find_workload n with
-                 | Some w -> [ w ]
-                 | None -> failwith (Printf.sprintf "unknown workload %S" n))
-           in
-           let reports =
-             List.concat_map
-               (fun t ->
-                 List.map
-                   (fun (name, setup, ops) ->
-                     let r =
-                       Hart_fault.Fault.explore_media ~sites:media_faults
-                         ~base_seed:seed ~setup ~keep_going ~workload:name t
-                         ops
-                     in
-                     Format.printf "%a@." Hart_fault.Fault.pp_media_report r;
-                     r)
-                   workloads)
-               targets
-           in
-           (match media_json with
-           | None -> ()
-           | Some path ->
-               let oc = open_out path in
-               output_string oc (Hart_fault.Fault.media_reports_json reports);
-               close_out oc);
-           (match json_out with
-           | None -> ()
-           | Some path ->
-               let oc = open_out path in
-               output_string oc
-                 (Hart_fault.Fault.media_violations_to_json reports);
-               close_out oc);
-           let vs =
-             List.concat_map
-               (fun r -> r.Hart_fault.Fault.m_violations)
-               reports
-           in
-           match vs with
-           | [] ->
-               print_endline "no silent wrong answers under media faults";
-               Ok ()
-           | vs ->
-               List.iter
-                 (fun v ->
-                   Printf.eprintf "violation: %s\n"
-                     (Hart_fault.Fault.violation_message v))
-                 vs;
-               Error
-                 (Printf.sprintf "%d silent-wrong-answer violation(s)"
-                    (List.length vs))
-         end
-         else
-         let targets =
-           match target with
-           | None -> Hart_fault.Fault.all_targets
-           | Some n -> (
-               match Hart_fault.Fault.find_target n with
-               | Some t -> [ t ]
-               | None -> failwith (Printf.sprintf "unknown target %S" n))
+                             s.F.s_checks s.F.s_accepted F.pp_repro s.F.s_repro;
+                           F.with_repro s.F.s_repro r)
+                   | _ -> r)
+                 (run ()))
+             jobs
          in
-         let workloads =
-           match workload with
-           | None -> Hart_fault.Fault.builtin_workloads
-           | Some n -> (
-               match Hart_fault.Fault.find_workload n with
-               | Some w -> [ w ]
-               | None -> failwith (Printf.sprintf "unknown workload %S" n))
+         let write path s =
+           let oc = open_out path in
+           output_string oc s;
+           close_out oc
          in
-         let mode =
-           match torn with
-           | None -> Hart_pmem.Pmem.Clean
-           | Some seed -> Hart_pmem.Pmem.Torn { seed; fraction = 0.5 }
-         in
-         let reports = ref [] in
-         List.iter
-           (fun t ->
-             List.iter
-               (fun (name, setup, ops) ->
-                 let rs =
-                   if adversarial then
-                     Hart_fault.Fault.explore_adversarial
-                       ~nested:(not no_nested) ~setup ?checkpoint_every
-                       ~keep_going ~workload:name t ops
-                   else
-                     [
-                       Hart_fault.Fault.explore ~mode ~nested:(not no_nested)
-                         ~setup ?checkpoint_every ~keep_going ~workload:name t
-                         ops;
-                     ]
-                 in
-                 List.iter
-                   (fun r -> Format.printf "%a@." Hart_fault.Fault.pp_report r)
-                   rs;
-                 reports := !reports @ rs)
-               workloads)
-           targets;
-         (match json_out with
-         | None -> ()
-         | Some path ->
-             let oc = open_out path in
-             output_string oc (Hart_fault.Fault.violations_to_json !reports);
-             close_out oc);
-         let vs =
-           List.concat_map (fun r -> r.Hart_fault.Fault.violations) !reports
-         in
-         match vs with
+         Option.iter (fun p -> write p (F.violations_to_json reports)) json_out;
+         if media_faults > 0 then
+           Option.iter (fun p -> write p (F.media_reports_json reports)) media_json;
+         match List.concat_map (fun r -> r.F.violations) reports with
          | [] ->
-             print_endline "all crash schedules consistent";
+             print_endline ok_msg;
              Ok ()
          | vs ->
              List.iter
-               (fun v ->
-                 Printf.eprintf "violation: %s\n"
-                   (Hart_fault.Fault.violation_message v))
+               (fun v -> Printf.eprintf "violation: %s\n" (F.violation_message v))
                vs;
-             Error (Printf.sprintf "%d violating schedule(s)" (List.length vs))
-       with
-      | Hart_fault.Fault.Violation msg -> Error msg
-      | Failure msg -> Error msg)
+             Error (Printf.sprintf "%d violation(s)" (List.length vs))
+       with F.Violation msg | Failure msg -> Error msg)
   in
   Cmd.v
     (Cmd.info "fault"
@@ -1148,7 +953,7 @@ let fault_cmd =
           all of them).")
     Term.(
       const run $ workload $ target $ torn $ adversarial $ json_out $ no_nested
-      $ checkpoint_every $ keep_going $ domains $ index $ nested_mt $ shrink
+      $ checkpoint_every $ keep_going $ domains $ nested_mt $ shrink
       $ mt_workload $ gen_seeds $ seed $ max_schedules $ media_faults
       $ media_json $ server $ clients)
 

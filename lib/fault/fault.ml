@@ -261,8 +261,8 @@ let pp_mode ppf = function
         (String.concat "," (List.map string_of_int lines))
 
 (* A minimal replayable reproducer, attached to a violation by the
-   concurrent shrinker: (scheduler seed, domain scripts, crash schedule)
-   names one deterministic execution of [Fault_mt.probe]. *)
+   shrinker: (scheduler seed, per-actor scripts, crash schedule) names
+   one deterministic execution of a concurrent or server probe. *)
 type repro = {
   r_seed : int64;  (* scheduler seed *)
   r_domains : int;
@@ -281,19 +281,29 @@ type violation = {
   v_target : string;
   v_workload : string;
   v_mode : Pmem.crash_mode;
-  v_schedule : int;  (* outer flush boundary index *)
+  v_schedule : int;  (* outer flush boundary index (media: site index) *)
   v_nested : int option;  (* recovery flush index of a nested schedule *)
-  v_op : int option;  (* in-flight op index at the crash *)
   v_detail : string;
   v_repro : repro option;  (* shrunk coordinates, when a shrinker ran *)
 }
 
+let violation ~target ~workload ~mode ~schedule ?nested detail =
+  {
+    v_target = target;
+    v_workload = workload;
+    v_mode = mode;
+    v_schedule = schedule;
+    v_nested = nested;
+    v_detail = detail;
+    v_repro = None;
+  }
+
+let pp_ops ppf ops =
+  Format.pp_print_list
+    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+    pp_op ppf ops
+
 let pp_repro ppf r =
-  let pp_ops ppf ops =
-    Format.pp_print_list
-      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-      pp_op ppf ops
-  in
   Format.fprintf ppf "seed=%Ld domains=%d schedule=%d ops=%d" r.r_seed r.r_domains
     r.r_schedule (repro_ops r);
   if r.r_setup <> [] then Format.fprintf ppf "@ setup: %a" pp_ops r.r_setup;
@@ -302,16 +312,11 @@ let pp_repro ppf r =
     r.r_scripts
 
 let pp_violation ppf v =
-  let pp_opt tag ppf = function
-    | None -> ()
-    | Some m -> Format.fprintf ppf " %s=%d" tag m
-  in
-  Format.fprintf ppf "[%s/%s] mode=%a schedule=%d%a%a: %s" v.v_target v.v_workload
-    pp_mode v.v_mode v.v_schedule (pp_opt "nested") v.v_nested (pp_opt "op") v.v_op
-    v.v_detail;
-  match v.v_repro with
-  | None -> ()
-  | Some r -> Format.fprintf ppf "@ shrunk reproducer: %a" pp_repro r
+  Format.fprintf ppf "[%s/%s] mode=%a schedule=%d" v.v_target v.v_workload
+    pp_mode v.v_mode v.v_schedule;
+  Option.iter (Format.fprintf ppf " nested=%d") v.v_nested;
+  Format.fprintf ppf ": %s" v.v_detail;
+  Option.iter (Format.fprintf ppf "@ shrunk reproducer: %a" pp_repro) v.v_repro
 
 let violation_message v = Format.asprintf "%a" pp_violation v
 
@@ -352,297 +357,623 @@ let repro_json r =
     (String.concat "," (Array.to_list (Array.map ops_json r.r_scripts)))
 
 let violation_json v =
-  let opt = function None -> "null" | Some m -> string_of_int m in
   let seed = match v.v_mode with Pmem.Torn { seed; _ } -> Printf.sprintf "%Ld" seed | _ -> "null" in
+  let nested = match v.v_nested with None -> "null" | Some m -> string_of_int m in
   let repro = match v.v_repro with None -> "null" | Some r -> repro_json r in
   Printf.sprintf
-    {|{"target":"%s","workload":"%s","mode":"%s","seed":%s,"schedule":%d,"nested":%s,"op":%s,"detail":"%s","repro":%s}|}
+    {|{"target":"%s","workload":"%s","mode":"%s","seed":%s,"schedule":%d,"nested":%s,"detail":"%s","repro":%s}|}
     (json_escape v.v_target) (json_escape v.v_workload)
     (json_escape (Format.asprintf "%a" pp_mode v.v_mode))
-    seed v.v_schedule (opt v.v_nested) (opt v.v_op) (json_escape v.v_detail) repro
-
-type report = {
-  target : string;
-  workload : string;
-  mode : Pmem.crash_mode;
-  n_ops : int;
-  total_flushes : int;
-  schedules : int;
-  nested_schedules : int;
-  recovery_flushes : int;
-  directed_schedules : int;  (* directed torn re-runs performed *)
-  checkpoints : int;  (* pool snapshots taken during the dry run *)
-  checkpoint_replays : int;  (* schedules replayed from a snapshot *)
-  violations : violation list;  (* collected with [keep_going]; else empty *)
-}
+    seed v.v_schedule nested (json_escape v.v_detail) repro
 
 let violation_list_json = function
   | [] -> "[]\n"
   | vs -> "[\n  " ^ String.concat ",\n  " (List.map violation_json vs) ^ "\n]\n"
 
+type media_outcome =
+  | Media_repaired
+  | Media_quarantined
+  | Media_detected
+  | Media_benign
+
+let media_outcome_name = function
+  | Media_repaired -> "repaired"
+  | Media_quarantined -> "quarantined"
+  | Media_detected -> "detected"
+  | Media_benign -> "benign"
+
+type media_site = {
+  site_index : int;
+  site_fault : string;
+  site_outcome : media_outcome;
+  site_findings : int;
+}
+
+type report = {
+  target : string;
+  workload : string;
+  mode : Pmem.crash_mode;
+  seed : int64 option;
+  n_ops : int;
+  total_flushes : int;
+  schedules : int;
+  nested_schedules : int;
+  recovery_flushes : int;
+  max_in_flight : int;
+  multi_in_flight : int;
+  contended : int;
+  acked_writes : int;
+  dropped_sessions : int;
+  directed_schedules : int;
+  checkpoints : int;
+  checkpoint_replays : int;
+  sites : media_site list;
+  violations : violation list;
+}
+
 let violations_to_json reports =
   violation_list_json (List.concat_map (fun r -> r.violations) reports)
 
-(* a key no workload uses, for the post-recovery usability probe *)
-let probe_key = "~~probe~~"
+let with_repro repro r =
+  {
+    r with
+    violations = List.map (fun v -> { v with v_repro = Some repro }) r.violations;
+  }
 
-(* Shared nested-crash plumbing, used by this explorer and by the
-   concurrent one ([Fault_mt]): given a clone of a crashed durable image
-   and the number of flushes its (uninterrupted) recovery performs,
-   re-crash the recovery itself at every one of those flush boundaries
-   and hand each crashed-again image to the caller's check. [recover]
-   runs the target's recovery on the armed clone and is expected to be
-   interrupted by [Pmem.Crash_injected]; if it completes instead, the
-   armed point was never reached and [never_fired] reports it. *)
+(* ------------------------------------------------------------------ *)
+(* The exploration core: one sweep driver for every executor            *)
+
+type probe = {
+  p_crashed : bool;
+  p_flushes : int;
+  p_committed : (string * string) list;
+  p_in_flight : (int * op) list;
+  p_waiting : (int * op) list;
+  p_errors : string list;
+  p_acked : int;
+  p_dropped : bool;
+  p_state : (string * string) list;
+  p_recovery_flushes : int;
+  p_snapshot : Pmem.t option;
+}
+
+type 'st checkpoint = { cp_flushes : int; cp_pool : Pmem.t; cp_state : 'st }
+
+type 'st executor =
+  mode:Pmem.crash_mode ->
+  crash_at:int option ->
+  resume:(instance * 'st checkpoint) option ->
+  checkpoint:('st checkpoint -> unit) ->
+  Pmem.t * probe
+
+(* every subset of the in-flight set, folded onto the committed model —
+   operations waiting for a lock appear in no subset: they held none,
+   so by the serialized-case oracle they are durably absent *)
+let admissible_states committed in_flight =
+  let subsets =
+    List.fold_left
+      (fun acc op -> acc @ List.map (fun s -> op :: s) acc)
+      [ [] ] in_flight
+  in
+  let base = List.fold_left (fun m (k, v) -> SMap.add k v m) SMap.empty committed in
+  List.sort_uniq compare
+    (List.map (fun s -> SMap.bindings (List.fold_left apply_model base s)) subsets)
+
+(* Re-crash a recovery at every one of its own flush boundaries: given a
+   clone of a crashed durable image and the number of flushes its
+   (uninterrupted) recovery performs, arm a crash after [m] flushes of
+   a fresh clone and run [recover] on it, which is expected to be
+   interrupted by [Pmem.Crash_injected]; the crashed-again image goes to
+   [check]. A recovery that completes instead never reached the armed
+   point, and [never_fired] reports it. *)
 let nested_recovery_sweep ~snapshot ~recovery_flushes ~recover ~never_fired
     ~check =
   for m = 0 to recovery_flushes - 1 do
     let pool = Pmem.clone snapshot in
     Pmem.arm_crash pool ~after_flushes:m;
-    match recover pool with
+    match recover ~nested:m pool with
     | () -> never_fired ~nested:m
     | exception Pmem.Crash_injected -> check ~nested:m pool
   done
 
+(* Adopt a checkpoint image: reattaching must be observably free of PM
+   side effects (no flushes, no new dirty lines), or a replay from it
+   would not be the execution it stands in for. *)
+let adopt target snapshot =
+  let pool = Pmem.clone snapshot in
+  let f = Pmem.flush_count pool and d = Pmem.dirty_line_count pool in
+  match target.reattach pool with
+  | inst when Pmem.flush_count pool = f && Pmem.dirty_line_count pool = d ->
+      Some inst
+  | _ | (exception _) -> None
+
+let recover_crashed ?(capture_snapshot = false) target (pool, p) =
+  if not p.p_crashed then p
+  else begin
+    let p_snapshot = if capture_snapshot then Some (Pmem.clone pool) else None in
+    let r0 = Pmem.flush_count pool in
+    let inst = target.reattach pool in
+    inst.check ();
+    let p_state = inst.dump () in
+    { p with p_state; p_recovery_flushes = Pmem.flush_count pool - r0; p_snapshot }
+  end
+
+let describe = function
+  | Failure m | Violation m -> m
+  | Hart_error.Error e -> Hart_error.to_string e
+  | e -> Printexc.to_string e
+
+let pp_bindings bs =
+  String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) bs)
+
+let pp_actors ops =
+  String.concat ", "
+    (List.map (fun (i, op) -> Format.asprintf "%d:%a" i pp_op op) ops)
+
+(* one schedule's check failed: abandon the rest of that schedule *)
+exception Failed of violation
+
+let sweep ?(nested = false) ?(directed = false) ?(keep_going = false)
+    ?(stop_after_first = false) ?max_schedules
+    ?(after_recovery = fun _ _ -> ()) ?seed ~label ~workload ~mode ~n_ops
+    target (execute : _ executor) =
+  let fatal fmt =
+    Printf.ksprintf
+      (fun s -> raise (Violation (Printf.sprintf "[%s/%s] %s" label workload s)))
+      fmt
+  in
+  (* dry run: flush-boundary census, the crash-free oracle, checkpoints *)
+  let checkpoints = ref [] in
+  let dry =
+    match
+      execute ~mode ~crash_at:None ~resume:None ~checkpoint:(fun cp ->
+          checkpoints := cp :: !checkpoints)
+    with
+    | _, p -> p
+    | exception ((Violation _ | Stack_overflow | Out_of_memory) as e) -> raise e
+    | exception e -> fatal "crash-free run failed: %s" (describe e)
+  in
+  (match dry.p_errors with e :: _ -> fatal "crash-free run: %s" e | [] -> ());
+  if dry.p_in_flight <> [] || dry.p_waiting <> [] then
+    fatal "quiesced run left operations in flight";
+  if dry.p_state <> dry.p_committed then
+    fatal "crash-free run disagrees with its model";
+  let f = dry.p_flushes in
+  let indices =
+    match max_schedules with
+    | Some m when m > 0 && m < f ->
+        (* evenly strided subsample, first boundary always included *)
+        let stride = (f + m - 1) / m in
+        List.filter (fun i -> i mod stride = 0) (List.init f Fun.id)
+    | _ -> List.init f Fun.id
+  in
+  let max_in_flight = ref 0 and multi = ref 0 and contended = ref 0 in
+  let acked = ref 0 and dropped = ref 0 in
+  let nested_total = ref 0 and recovery_total = ref 0 and directed_total = ref 0 in
+  let cp_ok = ref true and cp_replays = ref 0 in
+  (* Replay from the newest checkpoint strictly before flush [i]: one
+     taken at exactly [i] flushes may have quiesced after the crash
+     point (operations commit and release without flushing again after
+     their last persist), so resuming it could replay a different —
+     valid but different — execution than the scratch run it stands in
+     for. A replay whose adoption has side effects or that no longer
+     crashes falls back to (and stays on) full re-execution. *)
+  let execute_at ~mode i =
+    let scratch () = execute ~mode ~crash_at:(Some i) ~resume:None ~checkpoint:ignore in
+    match
+      if !cp_ok then List.find_opt (fun cp -> cp.cp_flushes < i) !checkpoints
+      else None
+    with
+    | None -> scratch ()
+    | Some cp -> (
+        let replay =
+          Option.map
+            (fun inst ->
+              execute ~mode ~crash_at:(Some i) ~resume:(Some (inst, cp))
+                ~checkpoint:ignore)
+            (adopt target cp.cp_pool)
+        in
+        match replay with
+        | Some ((_, p) as run) when p.p_crashed ->
+            incr cp_replays;
+            run
+        | _ ->
+            cp_ok := false;
+            scratch ())
+  in
+  let rec run_schedule ~mode ~directed i =
+    let fail ?nested fmt =
+      Printf.ksprintf
+        (fun s ->
+          raise (Failed (violation ~target:label ~workload ~mode ~schedule:i ?nested s)))
+        fmt
+    in
+    let guard ?nested what f =
+      try f () with
+      | (Failed _ | Pmem.Crash_injected | Stack_overflow | Out_of_memory) as e -> raise e
+      | e -> fail ?nested "%s: %s" what (describe e)
+    in
+    let pool, p = guard "execution" (fun () -> execute_at ~mode i) in
+    if not p.p_crashed then
+      fail "never fired after %d flushes (flush count not reproducible?)" f;
+    let k = List.length p.p_in_flight in
+    if k > !max_in_flight then max_in_flight := k;
+    if k >= 2 then incr multi;
+    if p.p_waiting <> [] then incr contended;
+    if p.p_dropped then incr dropped;
+    acked := !acked + p.p_acked;
+    (match p.p_errors with e :: _ -> fail "%s" e | [] -> ());
+    let p =
+      guard "recovery or integrity failed" (fun () ->
+          recover_crashed ~capture_snapshot:(nested || directed) target (pool, p))
+    in
+    recovery_total := !recovery_total + p.p_recovery_flushes;
+    (* the admissible-subset oracle; the sequential executor's single
+       in-flight op makes it "exactly the state before or after it" *)
+    let ok = admissible_states p.p_committed (List.map snd p.p_in_flight) in
+    let judge ?nested what got =
+      if not (List.mem got ok) then
+        fail ?nested
+          "%s state is not committed-prefix + in-flight subset (in flight: %s; \
+           waiting: %s): got {%s}, committed {%s}"
+          what (pp_actors p.p_in_flight) (pp_actors p.p_waiting)
+          (pp_bindings got) (pp_bindings p.p_committed)
+    in
+    judge "recovered" p.p_state;
+    guard "post-recovery check" (fun () -> after_recovery pool p.p_state);
+    Option.iter
+      (fun snapshot ->
+        if nested then
+          nested_recovery_sweep ~snapshot ~recovery_flushes:p.p_recovery_flushes
+            ~recover:(fun ~nested pool ->
+              guard ~nested "crashed recovery" (fun () ->
+                  ignore (target.reattach pool : instance)))
+            ~never_fired:(fun ~nested ->
+              fail ~nested "nested crash never fired (%d recovery flushes)"
+                p.p_recovery_flushes)
+            ~check:(fun ~nested pool ->
+              incr nested_total;
+              judge ~nested "doubly recovered"
+                (guard ~nested "recovery after nested crash failed" (fun () ->
+                     let inst = target.reattach pool in
+                     inst.check ();
+                     inst.dump ())));
+        (* directed torn re-run: find the PM lines this schedule's
+           recovery actually reads (traced on a throwaway clone of the
+           crash image), then replay the very same schedule with exactly
+           those lines torn-evicted — the eviction subset most likely to
+           disturb the repair, found without sweeping random subsets *)
+        if directed then begin
+          let lines =
+            let p = Pmem.clone snapshot in
+            Pmem.read_trace_start p;
+            (try ignore (target.reattach p : instance) with _ -> ());
+            Pmem.read_trace_stop p
+          in
+          if lines <> [] then begin
+            incr directed_total;
+            run_schedule ~mode:(Pmem.Torn_lines lines) ~directed:false i
+          end
+        end)
+      p.p_snapshot
+  in
+  let violations = ref [] in
+  let record v =
+    if keep_going then violations := v :: !violations
+    else raise (Violation (violation_message v))
+  in
+  let exception Stop in
+  (try
+     List.iter
+       (fun i ->
+         (try run_schedule ~mode ~directed i with
+         | Failed v -> record v
+         | (Stack_overflow | Out_of_memory) as e -> raise e
+         | e ->
+             record
+               (violation ~target:label ~workload ~mode ~schedule:i (describe e)));
+         if stop_after_first && !violations <> [] then raise Stop)
+       indices
+   with Stop -> ());
+  {
+    target = label;
+    workload;
+    mode;
+    seed;
+    n_ops;
+    total_flushes = f;
+    schedules = List.length indices;
+    nested_schedules = !nested_total;
+    recovery_flushes = !recovery_total;
+    max_in_flight = !max_in_flight;
+    multi_in_flight = !multi;
+    contended = !contended;
+    acked_writes = !acked;
+    dropped_sessions = !dropped;
+    directed_schedules = !directed_total;
+    checkpoints = List.length !checkpoints;
+    checkpoint_replays = !cp_replays;
+    sites = [];
+    violations = List.rev !violations;
+  }
+
+(* a key no workload uses, for the post-recovery usability probe *)
+let probe_key = "~~probe~~"
+
 let explore ?(mode = Pmem.Clean) ?(nested = true) ?(directed = false)
     ?(setup = []) ?checkpoint_every ?(keep_going = false) ~workload target ops =
-  let exception Skip_schedule in
-  let violations = ref [] in
-  let msg_of fmt =
-    Printf.ksprintf
-      (fun s -> Printf.sprintf "[%s/%s] %s" target.target_name workload s)
-      fmt
-  in
-  (* schedule-level check failure: fatal, or collected under [keep_going]
-     (the rest of that schedule is skipped, the sweep continues) *)
-  let viol ~mode ~schedule ?nested ?op fmt =
-    Printf.ksprintf
-      (fun s ->
-        let v =
-          {
-            v_target = target.target_name;
-            v_workload = workload;
-            v_mode = mode;
-            v_schedule = schedule;
-            v_nested = nested;
-            v_op = op;
-            v_detail = s;
-            v_repro = None;
-          }
-        in
-        if keep_going then begin
-          violations := v :: !violations;
-          raise Skip_schedule
-        end
-        else raise (Violation (violation_message v)))
-      fmt
-  in
-  let ops_arr = Array.of_list ops in
-  let n = Array.length ops_arr in
+  let ops = Array.of_list ops in
+  let n = Array.length ops in
   (* oracle prefix states: models.(j) = setup plus ops.(0..j-1), atomic *)
   let models = Array.make (n + 1) SMap.empty in
   models.(0) <- List.fold_left apply_model SMap.empty setup;
   for j = 1 to n do
-    models.(j) <- apply_model models.(j - 1) ops_arr.(j - 1)
+    models.(j) <- apply_model models.(j - 1) ops.(j - 1)
   done;
-  (* Checkpoints: pool clones taken at op boundaries every ~K flushes of
-     the dry run, newest first. A schedule crashing at flush [i] replays
-     from the latest checkpoint at [fl <= i] instead of re-executing the
-     whole prefix — O(F·K) total flush work instead of O(F²). Only op
-     boundaries are eligible because the clone captures no volatile
-     state: the replay reattaches to the image, which is only
-     side-effect-free between operations. *)
-  let checkpoints = ref [] in
-  let cp_ok = ref true in
-  let cp_replays = ref 0 in
-  (* dry run: count the measured phase's flush boundaries *)
-  let total_flushes =
-    let inst = target.fresh () in
-    List.iter inst.apply setup;
-    let f0 = Pmem.flush_count inst.pool in
-    (match checkpoint_every with
-    | Some k when k > 0 ->
-        Array.iteri
-          (fun j op ->
-            inst.apply op;
-            let fl = Pmem.flush_count inst.pool - f0 in
-            let last = match !checkpoints with [] -> 0 | (_, f, _) :: _ -> f in
-            if fl - last >= k && j + 1 < n then
-              checkpoints := (j + 1, fl, Pmem.clone inst.pool) :: !checkpoints)
-          ops_arr
-    | _ -> Array.iter inst.apply ops_arr);
-    let f = Pmem.flush_count inst.pool - f0 in
-    inst.check ();
-    if inst.dump () <> SMap.bindings models.(n) then
-      raise (Violation (msg_of "crash-free run disagrees with the oracle"));
-    f
-  in
-  (* Replaying from a checkpoint is only faithful if reattaching to the
-     snapshot performs no PM work (no flushes, no new dirty lines) — true
-     at op boundaries for a consistent image. Verified per restore; any
-     discrepancy disables checkpoints for the rest of the sweep. *)
-  let restore cp =
-    let pool = Pmem.clone cp in
-    let f_before = Pmem.flush_count pool
-    and d_before = Pmem.dirty_line_count pool in
-    match target.reattach pool with
-    | inst
-      when Pmem.flush_count pool = f_before
-           && Pmem.dirty_line_count pool = d_before ->
-        Some inst
-    | _ -> None
-    | exception _ -> None
-  in
-  let nested_total = ref 0 and recovery_total = ref 0 and directed_total = ref 0 in
-  let rec run_schedule ~mode ~directed i ~allow_cp =
-    let viol ?nested ?op fmt = viol ~mode ~schedule:i ?nested ?op fmt in
-    (* re-execute (or replay) the prefix and crash at flush [i] *)
-    let via_cp = ref false in
-    let inst, j_start =
-      let from_scratch () =
-        let inst = target.fresh () in
-        List.iter inst.apply setup;
-        Pmem.arm_crash ~mode inst.pool ~after_flushes:i;
-        (inst, 0)
-      in
-      if not (allow_cp && !cp_ok) then from_scratch ()
-      else
-        match List.find_opt (fun (_, fl, _) -> fl <= i) !checkpoints with
-        | None -> from_scratch ()
-        | Some (j0, fl, cp) -> (
-            match restore cp with
-            | Some inst ->
-                via_cp := true;
-                incr cp_replays;
-                Pmem.arm_crash ~mode inst.pool ~after_flushes:(i - fl);
-                (inst, j0)
-            | None ->
-                cp_ok := false;
-                from_scratch ())
+  (* The sequential op loop. Checkpoints are op boundaries, every ~K
+     flushes of the dry run: the clone captures no volatile state, and
+     reattaching an image is side-effect free only between operations.
+     A checkpoint's state is the index of the next op. *)
+  let execute ~mode ~crash_at ~resume ~checkpoint =
+    let inst, j0, f_base =
+      match resume with
+      | None ->
+          let inst = target.fresh () in
+          List.iter inst.apply setup;
+          (inst, 0, 0)
+      | Some (inst, cp) -> (inst, cp.cp_state, cp.cp_flushes)
     in
-    let inflight = ref (j_start - 1) in
+    let f0 = Pmem.flush_count inst.pool in
+    Option.iter
+      (fun i -> Pmem.arm_crash ~mode inst.pool ~after_flushes:(i - f_base))
+      crash_at;
+    let j = ref j0 and last_cp = ref 0 in
     let crashed =
       try
-        for j = j_start to n - 1 do
-          inflight := j;
-          inst.apply ops_arr.(j)
+        while !j < n do
+          inst.apply ops.(!j);
+          incr j;
+          match (checkpoint_every, crash_at) with
+          | Some k, None when k > 0 ->
+              let fl = Pmem.flush_count inst.pool - f0 in
+              if fl - !last_cp >= k && !j < n then begin
+                last_cp := fl;
+                checkpoint
+                  { cp_flushes = fl; cp_pool = Pmem.clone inst.pool; cp_state = !j }
+              end
+          | _ -> ()
         done;
         Pmem.disarm_crash inst.pool;
         false
       with Pmem.Crash_injected -> true
     in
-    if not crashed then begin
-      if !via_cp then begin
-        (* the replayed execution coalesced its flushes differently (e.g.
-           a rebuilt allocator cache chose other slots); fall back to the
-           canonical full re-execution for this and later schedules *)
-        cp_ok := false;
-        decr cp_replays;
-        run_schedule ~mode ~directed i ~allow_cp:false
-      end
-      else
-        viol "never fired after %d flushes (flush count not reproducible?)"
-          total_flushes
-    end
+    let j = !j in
+    if crash_at = None then inst.check ();
+    ( inst.pool,
+      {
+        p_crashed = crashed;
+        p_flushes = f_base + Pmem.flush_count inst.pool - f0;
+        p_committed = SMap.bindings models.(j);
+        p_in_flight = (if crashed then [ (j, ops.(j)) ] else []);
+        p_waiting = [];
+        p_errors = [];
+        p_acked = 0;
+        p_dropped = false;
+        p_state = (if crashed then [] else inst.dump ());
+        p_recovery_flushes = 0;
+        p_snapshot = None;
+      } )
+  in
+  (* idempotence: recovering the recovered image changes nothing;
+     usability: the recovered store accepts and repairs further ops *)
+  let after_recovery pool recovered =
+    Pmem.crash pool;
+    let again = target.reattach pool in
+    again.check ();
+    if again.dump () <> recovered then failwith "recovery is not idempotent";
+    again.apply (Insert (probe_key, "p"));
+    again.apply (Delete probe_key);
+    again.check ()
+  in
+  sweep ~nested ~directed ~keep_going ~after_recovery ~label:target.target_name
+    ~workload ~mode ~n_ops:n target execute
+
+(* ------------------------------------------------------------------ *)
+(* Shrinking: delta-debug a violating concurrent workload to a locally
+   minimal reproducer.
+
+   Every candidate is judged by full deterministic replay: [replay] is
+   a bounded sweep that stops at its first violation — a candidate
+   "still violates" iff some flush boundary of its own execution fails
+   the oracle. The violating boundary is re-discovered per candidate,
+   which is what shrinks the crash coordinate along with the ops:
+   editing the workload moves every flush index, so carrying the
+   original schedule number over would be meaningless.
+
+   Shrink moves, greedily to fixpoint: drop whole actors (domains or
+   client sessions); remove consecutive op chunks (halving chunk sizes,
+   ddmin-style) from each script and from the setup; merge the key
+   universe down by substituting keys with the smallest surviving key;
+   simplify values to one byte; finally canonicalize the scheduler seed
+   towards 0. Each accepted move re-anchors on the new violation's
+   coordinates, so the result names one exact execution. *)
+
+type shrunk = {
+  s_repro : repro;
+  s_detail : string;  (* violation detail at the minimum *)
+  s_checks : int;  (* candidate replays evaluated *)
+  s_accepted : int;  (* shrink moves that preserved the violation *)
+}
+
+let shrink ?(budget = 400) ~replay ~seed ~setup scripts =
+  let checks = ref 0 in
+  let violates ~seed setup scripts =
+    if Array.length scripts = 0 || !checks >= budget then None
     else begin
-      let j = !inflight in
-      let before = SMap.bindings models.(j)
-      and after = SMap.bindings models.(j + 1) in
-      let consistent ?nested what got =
-        if got <> before && got <> after then begin
-          let pp_bindings bs =
-            String.concat ", "
-              (List.map (fun (k, v) -> Printf.sprintf "%S=%S" k v) bs)
-          in
-          viol ?nested ~op:j
-            "in-flight %s: %s state is not a crash-consistent prefix. got {%s} \
-             expected {%s} or {%s}"
-            (Format.asprintf "%a" pp_op ops_arr.(j))
-            what (pp_bindings got) (pp_bindings before) (pp_bindings after)
-        end
-      in
-      let guard ?nested what f =
-        try f ()
-        with Failure msg ->
-          viol ?nested ~op:j "in-flight %s: %s: %s"
-            (Format.asprintf "%a" pp_op ops_arr.(j))
-            what msg
-      in
-      (* snapshot the crash state before recovery mutates the pool *)
-      let snapshot = Pmem.clone inst.pool in
-      let r0 = Pmem.flush_count inst.pool in
-      let rec1 = guard "recovery failed" (fun () -> target.reattach inst.pool) in
-      let recovery_flushes = Pmem.flush_count inst.pool - r0 in
-      recovery_total := !recovery_total + recovery_flushes;
-      guard "integrity after recovery" rec1.check;
-      consistent "recovered" (rec1.dump ());
-      (* idempotence: recovering the recovered image changes nothing *)
-      let m1 = rec1.dump () in
-      Pmem.crash inst.pool;
-      let rec2 =
-        guard "second recovery failed" (fun () -> target.reattach inst.pool)
-      in
-      guard "integrity after second recovery" rec2.check;
-      if rec2.dump () <> m1 then viol "recovery is not idempotent";
-      (* usability: the recovered store accepts and repairs further ops *)
-      guard "post-recovery probe" (fun () ->
-          rec2.apply (Insert (probe_key, "p"));
-          rec2.apply (Delete probe_key);
-          rec2.check ());
-      (* nested schedules: crash the recovery itself at each of its flushes *)
-      if nested then
-        nested_recovery_sweep ~snapshot ~recovery_flushes
-          ~recover:(fun pool -> ignore (target.reattach pool : instance))
-          ~never_fired:(fun ~nested ->
-            viol ~nested "nested crash never fired (%d recovery flushes)"
-              recovery_flushes)
-          ~check:(fun ~nested pool ->
-            incr nested_total;
-            let rec3 =
-              guard ~nested "recovery after nested crash failed" (fun () ->
-                  target.reattach pool)
-            in
-            guard ~nested "integrity after nested crash" rec3.check;
-            let got = rec3.dump () in
-            if got <> before && got <> after then
-              viol ~nested
-                "state after crashed recovery is not a crash-consistent prefix");
-      (* directed torn re-run: find the PM lines this schedule's recovery
-         actually reads (traced on a throwaway clone of the crash image),
-         then replay the very same schedule with exactly those lines
-         torn-evicted — the eviction subset most likely to disturb the
-         repair, found without sweeping K random subsets *)
-      if directed then begin
-        let lines =
-          let p = Pmem.clone snapshot in
-          Pmem.read_trace_start p;
-          (try ignore (target.reattach p : instance) with _ -> ());
-          Pmem.read_trace_stop p
-        in
-        if lines <> [] then begin
-          incr directed_total;
-          run_schedule ~mode:(Pmem.Torn_lines lines) ~directed:false i ~allow_cp
-        end
-      end
+      incr checks;
+      match replay ~seed ~setup scripts with
+      | r -> (
+          match r.violations with
+          | [] -> None
+          | v :: _ -> Some (v.v_schedule, v.v_detail))
+      | exception Violation msg ->
+          (* dry-run failure outside any crash schedule — still a
+             reproducible failure of this candidate; no crash coordinate *)
+          Some (-1, msg)
+      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+      | exception e ->
+          (* a buggy target can corrupt itself badly enough that the
+             executor itself trips (e.g. Not_found from a mangled
+             structure); deterministic, so still a shrinkable failure *)
+          Some (-1, Printexc.to_string e)
     end
   in
-  for i = 0 to total_flushes - 1 do
-    try run_schedule ~mode ~directed i ~allow_cp:true with Skip_schedule -> ()
-  done;
-  {
-    target = target.target_name;
-    workload;
-    mode;
-    n_ops = n;
-    total_flushes;
-    schedules = total_flushes;
-    nested_schedules = !nested_total;
-    recovery_flushes = !recovery_total;
-    directed_schedules = !directed_total;
-    checkpoints = List.length !checkpoints;
-    checkpoint_replays = !cp_replays;
-    violations = List.rev !violations;
-  }
+  match violates ~seed setup scripts with
+  | None -> None
+  | Some (sch0, det0) ->
+      let cur_seed = ref seed in
+      let cur_setup = ref setup in
+      let cur_scripts = ref scripts in
+      let cur_sch = ref sch0 in
+      let cur_detail = ref det0 in
+      let accepted = ref 0 in
+      let try_candidate ~seed:sd setup scripts =
+        match violates ~seed:sd setup scripts with
+        | Some (sch, det) ->
+            cur_seed := sd;
+            cur_setup := setup;
+            cur_scripts := scripts;
+            cur_sch := sch;
+            cur_detail := det;
+            incr accepted;
+            true
+        | None -> false
+      in
+      let remove_chunk ops start len =
+        List.filteri (fun i _ -> i < start || i >= start + len) ops
+      in
+      (* drop whole actor scripts (an empty-script fiber still consumes
+         scheduling decisions, so even those are worth removing) *)
+      let drop_domain_pass () =
+        let changed = ref false in
+        let d = ref 0 in
+        while !d < Array.length !cur_scripts && Array.length !cur_scripts > 1 do
+          let cand =
+            Array.of_list
+              (List.filteri (fun i _ -> i <> !d) (Array.to_list !cur_scripts))
+          in
+          if try_candidate ~seed:!cur_seed !cur_setup cand then changed := true
+          else incr d
+        done;
+        !changed
+      in
+      (* remove consecutive chunks from one actor's script, halving the
+         chunk size — greedy ddmin *)
+      let drop_ops_pass () =
+        let changed = ref false in
+        for d = 0 to Array.length !cur_scripts - 1 do
+          let size = ref (max 1 (List.length !cur_scripts.(d) / 2)) in
+          while !size >= 1 do
+            let start = ref 0 in
+            while !start + !size <= List.length !cur_scripts.(d) do
+              let cand = Array.copy !cur_scripts in
+              cand.(d) <- remove_chunk cand.(d) !start !size;
+              if try_candidate ~seed:!cur_seed !cur_setup cand then
+                changed := true (* same start now holds the next chunk *)
+              else start := !start + !size
+            done;
+            size := !size / 2
+          done
+        done;
+        !changed
+      in
+      let drop_setup_pass () =
+        let changed = ref false in
+        let size = ref (max 1 (List.length !cur_setup / 2)) in
+        while !size >= 1 do
+          let start = ref 0 in
+          while !start + !size <= List.length !cur_setup do
+            let cand = remove_chunk !cur_setup !start !size in
+            if try_candidate ~seed:!cur_seed cand !cur_scripts then
+              changed := true
+            else start := !start + !size
+          done;
+          size := !size / 2
+        done;
+        !changed
+      in
+      let key_of = function Insert (k, _) | Update (k, _) | Delete k | Search k -> k in
+      let subst_key k k' = function
+        | Insert (q, v) when q = k -> Insert (k', v)
+        | Update (q, v) when q = k -> Update (k', v)
+        | Delete q when q = k -> Delete k'
+        | Search q when q = k -> Search k'
+        | op -> op
+      in
+      (* shrink the key universe: fold each key onto the smallest one *)
+      let merge_keys_pass () =
+        let keys =
+          List.sort_uniq compare
+            (List.map key_of (!cur_setup @ List.concat (Array.to_list !cur_scripts)))
+        in
+        match keys with
+        | [] | [ _ ] -> false
+        | smallest :: rest ->
+            let changed = ref false in
+            List.iter
+              (fun k ->
+                let cand_setup = List.map (subst_key k smallest) !cur_setup in
+                let cand_scripts =
+                  Array.map (List.map (subst_key k smallest)) !cur_scripts
+                in
+                if try_candidate ~seed:!cur_seed cand_setup cand_scripts then
+                  changed := true)
+              rest;
+            !changed
+      in
+      let simplify_value = function
+        | Insert (k, v) when v <> "v" -> Insert (k, "v")
+        | Update (k, v) when v <> "v" -> Update (k, "v")
+        | op -> op
+      in
+      let shrink_values_pass () =
+        let cand_setup = List.map simplify_value !cur_setup in
+        let cand_scripts = Array.map (List.map simplify_value) !cur_scripts in
+        if (cand_setup, cand_scripts) = (!cur_setup, !cur_scripts) then false
+        else try_candidate ~seed:!cur_seed cand_setup cand_scripts
+      in
+      let progress = ref true in
+      while !progress && !checks < budget do
+        progress := false;
+        if drop_domain_pass () then progress := true;
+        if drop_ops_pass () then progress := true;
+        if drop_setup_pass () then progress := true;
+        if merge_keys_pass () then progress := true;
+        if shrink_values_pass () then progress := true
+      done;
+      (* canonicalize the scheduler seed last (purely cosmetic): adopt
+         the smallest of a few tiny seeds that still violates *)
+      (try
+         List.iter
+           (fun sd ->
+             if sd <> !cur_seed && try_candidate ~seed:sd !cur_setup !cur_scripts
+             then raise Exit)
+           [ 0L; 1L ]
+       with Exit -> ());
+      Some
+        {
+          s_repro =
+            {
+              r_seed = !cur_seed;
+              r_domains = Array.length !cur_scripts;
+              r_schedule = !cur_sch;
+              r_setup = !cur_setup;
+              r_scripts = !cur_scripts;
+            };
+          s_detail = !cur_detail;
+          s_checks = !checks;
+          s_accepted = !accepted;
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Built-in workloads (the standing gate)                              *)
@@ -772,20 +1103,6 @@ let explore_adversarial ?(nested = true) ?(directed = true) ?(setup = [])
     :: List.init subsets (fun k ->
            sweep (Pmem.Torn { seed = Int64.add base_seed (Int64.of_int k); fraction }))
 
-let pp_report ppf r =
-  Format.fprintf ppf
-    "%-8s %-14s mode=%a ops=%d flush-boundaries=%d schedules=%d nested=%d \
-     recovery-flushes=%d"
-    r.target r.workload pp_mode r.mode r.n_ops r.total_flushes r.schedules
-    r.nested_schedules r.recovery_flushes;
-  if r.directed_schedules > 0 then
-    Format.fprintf ppf " directed=%d" r.directed_schedules;
-  if r.checkpoints > 0 then
-    Format.fprintf ppf " checkpoints=%d replays=%d" r.checkpoints
-      r.checkpoint_replays;
-  if r.violations <> [] then
-    Format.fprintf ppf " VIOLATIONS=%d" (List.length r.violations)
-
 (* ------------------------------------------------------------------ *)
 (* Media-fault sweep: seeded corruption of a populated durable image,
    with a no-silent-wrong-answer oracle.
@@ -801,33 +1118,6 @@ let pp_report ppf r =
    a typed error anywhere is itself an accepted outcome (detection).
    A divergence nothing accounts for is a silent wrong answer — the
    one forbidden behaviour. *)
-
-type media_outcome =
-  | Media_repaired
-  | Media_quarantined
-  | Media_detected
-  | Media_benign
-
-let media_outcome_name = function
-  | Media_repaired -> "repaired"
-  | Media_quarantined -> "quarantined"
-  | Media_detected -> "detected"
-  | Media_benign -> "benign"
-
-type media_site = {
-  site_index : int;
-  site_fault : string;
-  site_outcome : media_outcome;
-  site_findings : int;
-}
-
-type media_report = {
-  m_target : string;
-  m_workload : string;
-  m_seed : int64;
-  m_sites : media_site list;
-  m_violations : violation list;
-}
 
 let describe_fault = function
   | Pmem.Flip_bit { off; bit } -> Printf.sprintf "flip-bit(off=%d,bit=%d)" off bit
@@ -885,16 +1175,8 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
       Printf.ksprintf
         (fun s ->
           let v =
-            {
-              v_target = target.target_name;
-              v_workload = workload;
-              v_mode = Pmem.Clean;
-              v_schedule = site;
-              v_nested = None;
-              v_op = None;
-              v_detail = Printf.sprintf "%s: %s" fault_s s;
-              v_repro = None;
-            }
+            violation ~target:target.target_name ~workload ~mode:Pmem.Clean
+              ~schedule:site (Printf.sprintf "%s: %s" fault_s s)
           in
           if keep_going then begin
             violations := v :: !violations;
@@ -1013,15 +1295,29 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
     | Skip_site -> emit (classify ()))
   done;
   {
-    m_target = target.target_name;
-    m_workload = workload;
-    m_seed = base_seed;
-    m_sites = List.rev !outcomes;
-    m_violations = List.rev !violations;
+    target = target.target_name;
+    workload;
+    mode = Pmem.Clean;
+    seed = Some base_seed;
+    n_ops = List.length ops;
+    total_flushes = 0;
+    schedules = sites;
+    nested_schedules = 0;
+    recovery_flushes = 0;
+    max_in_flight = 0;
+    multi_in_flight = 0;
+    contended = 0;
+    acked_writes = 0;
+    dropped_sessions = 0;
+    directed_schedules = 0;
+    checkpoints = 0;
+    checkpoint_replays = 0;
+    sites = List.rev !outcomes;
+    violations = List.rev !violations;
   }
 
 let media_count outcome r =
-  List.length (List.filter (fun s -> s.site_outcome = outcome) r.m_sites)
+  List.length (List.filter (fun s -> s.site_outcome = outcome) r.sites)
 
 let media_site_json s =
   Printf.sprintf {|{"site":%d,"fault":"%s","outcome":"%s","findings":%d}|}
@@ -1032,31 +1328,51 @@ let media_site_json s =
 let media_report_json r =
   Printf.sprintf
     {|{"target":"%s","workload":"%s","seed":%Ld,"sites":%d,"repaired":%d,"quarantined":%d,"detected":%d,"benign":%d,"site_list":[%s],"violations":%s}|}
-    (json_escape r.m_target) (json_escape r.m_workload) r.m_seed
-    (List.length r.m_sites)
+    (json_escape r.target) (json_escape r.workload)
+    (Option.value r.seed ~default:0L)
+    (List.length r.sites)
     (media_count Media_repaired r)
     (media_count Media_quarantined r)
     (media_count Media_detected r)
     (media_count Media_benign r)
-    (String.concat "," (List.map media_site_json r.m_sites))
+    (String.concat "," (List.map media_site_json r.sites))
     (String.concat ""
        (String.split_on_char '\n'
-          (violation_list_json r.m_violations)))
+          (violation_list_json r.violations)))
 
 let media_reports_json = function
   | [] -> "[]\n"
   | rs -> "[\n  " ^ String.concat ",\n  " (List.map media_report_json rs) ^ "\n]\n"
 
-let media_violations_to_json reports =
-  violation_list_json (List.concat_map (fun r -> r.m_violations) reports)
-
-let pp_media_report ppf r =
-  Format.fprintf ppf
-    "%-8s %-14s media sites=%d repaired=%d quarantined=%d detected=%d benign=%d"
-    r.m_target r.m_workload (List.length r.m_sites)
-    (media_count Media_repaired r)
-    (media_count Media_quarantined r)
-    (media_count Media_detected r)
-    (media_count Media_benign r);
-  if r.m_violations <> [] then
-    Format.fprintf ppf " VIOLATIONS=%d" (List.length r.m_violations)
+let pp_report ppf r =
+  Format.fprintf ppf "%-12s %-14s" r.target r.workload;
+  if r.sites <> [] then
+    Format.fprintf ppf
+      " media sites=%d repaired=%d quarantined=%d detected=%d benign=%d"
+      (List.length r.sites)
+      (media_count Media_repaired r)
+      (media_count Media_quarantined r)
+      (media_count Media_detected r)
+      (media_count Media_benign r)
+  else begin
+    Format.fprintf ppf " mode=%a" pp_mode r.mode;
+    Option.iter (Format.fprintf ppf " seed=%Ld") r.seed;
+    Format.fprintf ppf
+      " ops=%d flush-boundaries=%d schedules=%d nested=%d recovery-flushes=%d \
+       max-in-flight=%d multi-in-flight=%d"
+      r.n_ops r.total_flushes r.schedules r.nested_schedules r.recovery_flushes
+      r.max_in_flight r.multi_in_flight;
+    (* executor-specific counters, shown where they apply *)
+    List.iter
+      (fun (name, v) -> if v > 0 then Format.fprintf ppf " %s=%d" name v)
+      [
+        ("contended", r.contended);
+        ("acked", r.acked_writes);
+        ("dropped-sessions", r.dropped_sessions);
+        ("directed", r.directed_schedules);
+        ("checkpoints", r.checkpoints);
+        ("replays", r.checkpoint_replays);
+      ]
+  end;
+  if r.violations <> [] then
+    Format.fprintf ppf " VIOLATIONS=%d" (List.length r.violations)

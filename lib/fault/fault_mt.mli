@@ -27,111 +27,41 @@
 
     Everything is deterministic: the same [(target, seed, schedule)]
     triple replays bit-identically, so a violation names one exact
-    execution. *)
+    execution. This module is the executor; the sweep, the oracle and
+    the report are {!Fault.sweep}'s. *)
 
-(** One concurrent index wired for exploration. [mt_fresh] formats a new
-    pool; [mt_reattach] adopts a quiescent pool (checkpoint replay);
-    [mt_recover_dump] recovers a crashed pool single-domain, runs the
-    index's integrity check, and returns the sorted live bindings. *)
-type mt_instance = {
-  mi_pool : Hart_pmem.Pmem.t;
-  mi_apply : Fault.op -> unit;
-  mi_dump : unit -> (string * string) list;
-}
+val of_mt : (module Hart_core.Index_intf.MT) -> Fault.target
+(** Package any [Striped_mt] instantiation as an explorer target: its
+    [reattach] is the index's [recover], its [check] is
+    [check_integrity ~recovered:true]. *)
 
-type mt_target = {
-  mt_name : string;
-  mt_fresh : unit -> mt_instance;
-  mt_reattach : Hart_pmem.Pmem.t -> mt_instance;
-  mt_recover_dump : Hart_pmem.Pmem.t -> (string * string) list;
-}
-
-val of_mt : (module Hart_core.Index_intf.MT) -> mt_target
-(** Package any [Striped_mt] instantiation as an explorer target. *)
-
-val hart_mt : mt_target
+val hart_mt : Fault.target
 (** [Hart_mt] — 512 hash-prefix stripes, all operations shard-local. *)
 
-val fptree_mt : mt_target
+val fptree_mt : Fault.target
 (** [Fptree_mt] — leaf-group stripes; splits run exclusively. *)
 
-val woart_mt : mt_target
+val woart_mt : Fault.target
 (** [Woart_mt] — radix-prefix stripes; only value updates commute. *)
 
-val wort_mt : mt_target
+val wort_mt : Fault.target
 (** [Wort_mt] — radix-prefix stripes over the WORT baseline; value
     updates (and upserts onto existing keys) commute, structural
     inserts and deletes serialize. *)
 
-val wb_tree_mt : mt_target
+val wb_tree_mt : Fault.target
 (** [Wb_tree_mt] — leaf stripes over the wB+-tree; deletes and
     non-splitting inserts/updates are leaf-local and commute, a full
     leaf splits exclusively. *)
 
-val all_mt_targets : mt_target list
+val all_mt_targets : Fault.target list
 
-val find_mt_target : string -> mt_target option
-(** Look a target up by its [mt_name] ("hart", "fptree", "woart",
-    "wort"). *)
-
-(* The measured-phase result of one interleaved execution. *)
-type probe = {
-  p_crashed : bool;
-  p_flushes : int;  (** measured-phase flushes performed *)
-  p_committed : (string * string) list;  (** linearized-prefix model *)
-  p_in_flight : (int * Fault.op) list;
-      (** (fiber, op) pairs holding a write lock at the crash *)
-  p_waiting : (int * Fault.op) list;
-      (** mutating (fiber, op) pairs started but holding no write lock
-          and not yet committed: durably absent by the serialized-case
-          oracle *)
-  p_state : (string * string) list;
-      (** bindings after single-domain recovery (crashed run) or after
-          quiescing (crash-free run) *)
-  p_recovery_flushes : int;
-      (** flush boundaries the single-domain recovery performed (0 for a
-          crash-free run) — the bound of the nested sweep *)
-  p_snapshot : Hart_pmem.Pmem.t option;
-      (** clone of the crashed durable image, taken before recovery ran;
-          present only when [capture_snapshot] was requested — feeds
-          [Fault.nested_recovery_sweep] *)
-}
-
-val admissible_states :
-  (string * string) list -> Fault.op list -> (string * string) list list
-(** [admissible_states committed in_flight] — every subset of the
-    in-flight operations folded onto the committed model, sorted and
-    deduplicated: the linearization-set oracle's acceptable recovered
-    states. Shared with the server explorer ([Fault_server]), whose
-    in-flight set is the started-but-uncommitted batch operations. *)
-
-type report = {
-  target : string;  (** [mt_name] of the explored target *)
-  seed : int64;
-  domains : int;
-  workload : string;
-  mode : Hart_pmem.Pmem.crash_mode;
-  n_ops : int;  (** total measured operations across all fibers *)
-  total_flushes : int;  (** dry-run flush boundaries *)
-  schedules : int;  (** crash schedules explored *)
-  nested_schedules : int;
-      (** crash-during-recovery schedules explored (the [nested] sweep) *)
-  recovery_flushes : int;
-      (** total single-domain recovery flushes observed across passing
-          schedules (= the nested sweep's bound) *)
-  max_in_flight : int;  (** most in-flight ops observed at any crash *)
-  multi_in_flight : int;  (** schedules with >= 2 ops in flight *)
-  contended : int;
-      (** schedules where some mutating op was waiting for a lock at the
-          crash — the serialized same-stripe case *)
-  checkpoints : int;  (** quiescent snapshots taken during the dry run *)
-  checkpoint_replays : int;  (** schedules replayed from a snapshot *)
-  violations : Fault.violation list;
-      (** collected under [keep_going]; empty otherwise *)
-}
+val find_mt_target : string -> Fault.target option
+(** Look a concurrent target up by name ("hart", "fptree", "woart",
+    "wort", "wb-tree" — the names of their sequential counterparts). *)
 
 val explore :
-  ?target:mt_target ->
+  ?target:Fault.target ->
   ?mode:Hart_pmem.Pmem.crash_mode ->
   ?keep_going:bool ->
   ?stop_after_first:bool ->
@@ -143,110 +73,61 @@ val explore :
   workload:string ->
   ?setup:Fault.op list ->
   Fault.op list array ->
-  report
-(** [explore ~seed ~domains ~workload scripts] dry-runs the interleaved
-    workload once to count its flush boundaries [F], checks the
-    crash-free final state against the linearization model, then crashes
-    every boundary [i < F] ([max_schedules] evenly subsamples the sweep,
-    for CI budgets), recovers and checks the oracle. [scripts] gives one
-    operation list per simulated domain ([Array.length scripts] must
-    equal [domains]); [setup] runs single-domain before the measured
-    phase. [target] (default {!hart_mt}) selects the index under test.
-    [mode] selects clean or torn crash semantics.
+  Fault.report
+(** [explore ~seed ~domains ~workload scripts] runs {!Fault.sweep} over
+    the interleaved workload: one operation list per simulated domain
+    ([Array.length scripts] must equal [domains]), [setup] run
+    single-domain before the measured phase. The report's target is
+    ["NAME-mt@Dd"]; [contended] counts crash points where a colliding
+    operation was waiting for a lock. [target] (default {!hart_mt})
+    selects the index under test, [mode] clean or torn crash semantics,
+    [max_schedules] an evenly strided subsample (for CI budgets).
 
     [checkpoint_every] (default off) snapshots the execution during the
     dry run at the first fully-quiescent op boundary after every [K]
     flushes — every fiber parked between operations, no locks held, so
     [Pmem.clone] plus the per-fiber op cursors, committed model and RNG
-    state capture the whole execution. Each schedule then replays from
-    the latest snapshot preceding its crash point. A replay is used only
-    when reattaching the snapshot is observably free of PM side effects
-    and the replayed run still crashes; otherwise the explorer falls
-    back permanently to full re-execution, so checkpointing never
-    changes what is checked.
+    state capture the whole execution.
 
-    [nested] (default [false]) lifts the single-domain explorer's
-    crash-during-recovery sweep to the concurrent engine: for every
-    crashed schedule whose recovered state passed the oracle, the
-    single-domain recovery is itself re-crashed at each of its own flush
-    boundaries (via {!Fault.nested_recovery_sweep} on a clone of the
-    crashed image), recovered again, and the doubly-recovered state
-    checked against the {e same} admissible set — the committed prefix
-    and in-flight set are properties of the original crash, which the
-    nested crash does not change: recovery completes or repairs
-    operations but never starts new ones, so a correct recovery crashed
-    at any point must still land in [committed + S].
-
-    [stop_after_first] (with [keep_going]) ends the sweep at the first
-    schedule that records a violation — the shrinker's replay mode.
+    [nested] (default [false]) re-crashes the single-domain recovery of
+    every crashed schedule at each of its own flush boundaries and
+    judges the doubly-recovered state against the {e same} admissible
+    set — the committed prefix and in-flight set are properties of the
+    original crash, which recovery completes or repairs but never
+    extends. [keep_going] and [stop_after_first] as in {!Fault.sweep}.
     @raise Fault.Violation on the first inadmissible schedule (unless
     [keep_going]), or if the crash-free run disagrees with its own
     linearization model (always fatal). *)
 
 val probe :
-  ?target:mt_target ->
+  ?target:Fault.target ->
   ?mode:Hart_pmem.Pmem.crash_mode ->
   ?capture_snapshot:bool ->
   seed:int64 ->
   schedule:int ->
   ?setup:Fault.op list ->
   Fault.op list array ->
-  probe
+  Fault.probe
 (** Replay one exact [(seed, schedule)] execution and return its raw
-    coordinates — committed prefix, in-flight set, waiting set,
+    coordinates — committed prefix, in-flight set ([p_in_flight]: the
+    (fiber, op) pairs holding a write lock at the crash), waiting set,
     recovered state — without judging them. Two probes of the same pair
     are identical (determinism), which the tests assert.
     [capture_snapshot] additionally clones the crashed image into
     [p_snapshot] before recovery runs. *)
 
-(** A locally minimal reproducer found by {!shrink}: the embedded
-    {!Fault.repro} replays through {!probe} / {!explore}. *)
-type shrunk = {
-  s_repro : Fault.repro;
-  s_detail : string;  (** violation detail at the minimum *)
-  s_checks : int;  (** candidate replays evaluated *)
-  s_accepted : int;  (** shrink moves that preserved the violation *)
-}
-
-val shrink_generic :
-  budget:int ->
-  checks:int ref ->
-  violates:
-    (seed:int64 ->
-    Fault.op list ->
-    Fault.op list array ->
-    (int * string) option) ->
-  seed:int64 ->
-  setup:Fault.op list ->
-  Fault.op list array ->
-  shrunk option
-(** The ddmin core behind {!shrink}, generic over the replay engine:
-    [violates ~seed setup scripts] re-runs one candidate and returns
-    [Some (schedule, detail)] if it still violates, incrementing
-    [checks] once per replay it performs (the move loop stops once
-    [!checks] reaches [budget]). The server explorer ([Fault_server])
-    reuses the same moves with client sessions as the "domains". *)
-
 val shrink :
-  ?target:mt_target ->
+  ?target:Fault.target ->
   ?mode:Hart_pmem.Pmem.crash_mode ->
   ?checkpoint_every:int ->
   ?budget:int ->
   seed:int64 ->
   setup:Fault.op list ->
   Fault.op list array ->
-  shrunk option
-(** [shrink ~seed ~setup scripts] delta-debugs a violating concurrent
-    workload to a locally minimal reproducer, or returns [None] if the
-    input does not violate at all. Every candidate is re-verified by a
-    full deterministic replay (a bounded {!explore} sweep over the
-    candidate's own flush boundaries, so the crash coordinate shrinks
-    along with the ops). Shrink moves, greedy to fixpoint: drop whole
-    domains, remove consecutive op chunks (halving sizes, ddmin-style)
-    from each script and the setup, merge the key universe onto its
-    smallest key, simplify values to one byte, and finally canonicalize
-    the scheduler seed towards 0. [budget] (default 400) bounds the
-    number of candidate replays. *)
+  Fault.shrunk option
+(** {!Fault.shrink} over concurrent workloads: every candidate is
+    re-judged by a bounded {!explore} sweep over its own flush
+    boundaries. [budget] defaults to 400 candidate replays. *)
 
 val default_workload :
   domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array
@@ -285,4 +166,18 @@ val gen_workload :
     of [seed] — the same seed always yields the same scripts — so a CI
     sweep over several seeds is replayable. *)
 
-val pp_report : Format.formatter -> report -> unit
+val workloads :
+  (string
+  * (seed:int64 ->
+    domains:int ->
+    ops_per_domain:int ->
+    Fault.op list * Fault.op list array))
+  list
+(** The concurrent workload table — ["default"], ["collide"],
+    ["split-race"], ["gen"] — shared by [hart_cli fault --domains] and
+    fault_debug. [seed] matters only to ["gen"]. *)
+
+val find_workload :
+  string ->
+  (seed:int64 -> domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array)
+  option

@@ -24,43 +24,10 @@
     - GETs return the value at call entry or one committed during the
       call; replies are well-typed, in request order.
 
-    Violations carry {!Fault.violation} coordinates and self-minimize
-    through {!Fault_mt.shrink_generic}. See DESIGN.md §17. *)
-
-type probe = {
-  p_crashed : bool;
-  p_flushes : int;  (** measured-phase flushes performed *)
-  p_committed : (string * string) list;  (** commit-order model *)
-  p_in_flight : (int * Fault.op) list;
-      (** (client, op) started under a stripe lock, uncommitted *)
-  p_state : (string * string) list;
-      (** bindings after single-domain recovery (crashed run) or after
-          quiescing (crash-free run) *)
-  p_replies : int array;  (** per client: reply frames parsed *)
-  p_acked : int array;  (** per client: write acknowledgements parsed *)
-  p_dropped : bool array;  (** per client: session hard-dropped *)
-  p_errors : string list;
-      (** in-execution oracle failures (ack⇒durable, reply typing,
-          read linearization, premature close) *)
-  p_recovery_flushes : int;
-}
-
-type report = {
-  seed : int64;
-  clients : int;
-  workload : string;
-  mode : Hart_pmem.Pmem.crash_mode;
-  n_ops : int;  (** total scripted requests across all clients *)
-  total_flushes : int;  (** dry-run flush boundaries *)
-  schedules : int;  (** crash schedules explored *)
-  max_in_flight : int;  (** most in-flight batch ops at any crash *)
-  multi_in_flight : int;  (** schedules with >= 2 ops in flight *)
-  acked_writes : int;  (** write acks parsed across crashed schedules *)
-  dropped_sessions : int;  (** schedules where a session hard-dropped *)
-  recovery_flushes : int;  (** recovery flushes across schedules *)
-  violations : Fault.violation list;
-      (** collected under [keep_going]; empty otherwise *)
-}
+    This module is the executor: the sweep, the admissible-subset
+    oracle and the report are {!Fault.sweep}'s, recovery goes through
+    {!Fault_mt.hart_mt}, and violations self-minimize through
+    {!Fault.shrink}. See DESIGN.md §17. *)
 
 val explore :
   ?mode:Hart_pmem.Pmem.crash_mode ->
@@ -73,14 +40,15 @@ val explore :
   workload:string ->
   ?setup:Fault.op list ->
   Fault.op list array ->
-  report
-(** [explore ~seed ~clients ~workload scripts] dry-runs the full-stack
-    session once to count its flush boundaries [F] and check the
-    crash-free oracle (every non-dropped session fully acknowledged,
-    quiesced store equal to the commit-order model), then crashes every
-    boundary [i < F] ([max_schedules] evenly subsamples, first boundary
-    always included), recovers and checks the session-linearizability
-    oracle. [scripts] gives one request list per client session
+  Fault.report
+(** [explore ~seed ~clients ~workload scripts] runs {!Fault.sweep} over
+    the full-stack session: the dry run counts its flush boundaries [F]
+    and checks the crash-free oracle (every non-dropped session fully
+    acknowledged, quiesced store equal to the commit-order model), then
+    every boundary [i < F] ([max_schedules] evenly subsamples, first
+    boundary always included) is crashed, recovered and checked against
+    the session-linearizability oracle. The report's target is
+    ["server@Nc"]; it counts [acked_writes] and [dropped_sessions]. [scripts] gives one request list per client session
     ([Insert]/[Update] → SET, [Delete] → DEL, [Search] → GET); [setup]
     populates the store directly, before any connection opens. [drops]
     arms a {!Hart_async.Sim_net} hard-drop byte fuse per client.
@@ -95,9 +63,11 @@ val probe :
   schedule:int ->
   ?setup:Fault.op list ->
   Fault.op list array ->
-  probe
+  Fault.probe
 (** Replay one exact [(seed, schedule)] full-stack execution and return
-    its raw coordinates without judging them. Deterministic: two probes
+    its raw coordinates without judging them: [p_in_flight] holds the
+    (client, op) batch operations started under a stripe lock but not
+    committed, [p_errors] the in-execution oracle failures. Deterministic: two probes
     of the same pair are identical, which the tests assert. *)
 
 val shrink :
@@ -106,9 +76,9 @@ val shrink :
   seed:int64 ->
   setup:Fault.op list ->
   Fault.op list array ->
-  Fault_mt.shrunk option
+  Fault.shrunk option
 (** Delta-debug a violating server workload to a locally minimal
-    reproducer through {!Fault_mt.shrink_generic} — client sessions
+    reproducer through {!Fault.shrink} — client sessions
     play the role of domains (the repro's [r_domains] is its client
     count), every candidate re-judged by a bounded {!explore} sweep.
     Returns [None] if the input does not violate at all. Drop fuses are
@@ -130,5 +100,3 @@ val drop_workload :
     received but never acknowledged. The server's epilogue contract
     (DESIGN.md §17) says those writes still commit; the sweep checks
     they survive every crash boundary like any other committed op. *)
-
-val pp_report : Format.formatter -> report -> unit

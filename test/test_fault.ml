@@ -254,6 +254,66 @@ let keep_going_collects () =
   Alcotest.(check (list string)) "clean target: no violations" []
     (List.map Fault.violation_message ok.Fault.violations)
 
+let contains ~sub s =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* A target whose recovery raises a typed error instead of [Failure]:
+   every crashed schedule must become a violation with coordinates
+   under keep_going, and a [Violation] otherwise — on the sequential
+   and the concurrent executor alike, since both run the same sweep. *)
+let typed_error_target inner =
+  {
+    inner with
+    Fault.target_name = "typed-error";
+    reattach =
+      (fun _ ->
+        Hart_core.Hart_error.error
+          (Hart_core.Hart_error.Pool_line { line = 1 })
+          "injected recovery failure");
+  }
+
+let typed_errors_become_violations () =
+  let check_collected what r =
+    Alcotest.(check bool)
+      (what ^ ": every schedule violates")
+      true
+      (r.Fault.schedules > 0
+      && List.length r.Fault.violations = r.Fault.schedules);
+    List.iter
+      (fun v ->
+        Alcotest.(check bool)
+          (what ^ ": schedule in range")
+          true
+          (v.Fault.v_schedule >= 0 && v.Fault.v_schedule < r.Fault.total_flushes);
+        Alcotest.(check bool)
+          (what ^ ": detail names the typed error")
+          true
+          (contains ~sub:"injected recovery failure" v.Fault.v_detail))
+      r.Fault.violations
+  in
+  let seq ~keep_going =
+    Fault.explore ~nested:false ~keep_going ~workload:"typed"
+      (typed_error_target Fault.hart) tampered_ops
+  in
+  let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:3 in
+  let mt ~keep_going =
+    Fault_mt.explore ~target:(typed_error_target Fault_mt.hart_mt) ~keep_going
+      ~seed:42L ~domains:2 ~workload:"typed" ~setup scripts
+  in
+  check_collected "sequential" (seq ~keep_going:true);
+  check_collected "concurrent" (mt ~keep_going:true);
+  List.iter
+    (fun (what, run) ->
+      match run () with
+      | (_ : Fault.report) -> Alcotest.failf "%s: sweep accepted the target" what
+      | exception Fault.Violation _ -> ())
+    [
+      ("sequential", fun () -> seq ~keep_going:false);
+      ("concurrent", fun () -> mt ~keep_going:false);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* All eight §II indexes as fault targets                              *)
 
@@ -295,11 +355,6 @@ let baseline_cases =
       ])
     baseline_targets
 
-let contains ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
-
 (* ------------------------------------------------------------------ *)
 (* Media-fault sweep                                                   *)
 
@@ -311,19 +366,19 @@ let media_sweep_target tgt () =
   let r =
     Fault.explore_media ~sites:6 ~keep_going:true ~setup ~workload:name tgt ops
   in
-  Alcotest.(check int) "every site ran" 6 (List.length r.Fault.m_sites);
+  Alcotest.(check int) "every site ran" 6 (List.length r.Fault.sites);
   Alcotest.(check (list string)) "no silent wrong answers" []
-    (List.map Fault.violation_message r.Fault.m_violations);
+    (List.map Fault.violation_message r.Fault.violations);
   (* not vacuous: most drawn faults corrupt content the mount must react
      to (only an unwritten stuck line may stay benign) *)
   Alcotest.(check bool) "some sites were non-benign" true
     (List.exists
        (fun s -> s.Fault.site_outcome <> Fault.Media_benign)
-       r.Fault.m_sites);
+       r.Fault.sites);
   (* a HART-family mount must have produced findings at some site; a
      baseline never does (it refuses with a typed error instead) *)
   let saw_findings =
-    List.exists (fun s -> s.Fault.site_findings > 0) r.Fault.m_sites
+    List.exists (fun s -> s.Fault.site_findings > 0) r.Fault.sites
   in
   Alcotest.(check bool) "findings match mount capability"
     (tgt.Fault.media_mount <> None)
@@ -342,7 +397,7 @@ let media_sweep_deterministic () =
       (fun s ->
         Printf.sprintf "%d:%s:%s" s.Fault.site_index s.Fault.site_fault
           (Fault.media_outcome_name s.Fault.site_outcome))
-      r.Fault.m_sites
+      r.Fault.sites
   in
   Alcotest.(check (list string)) "replayable" (run ()) (run ())
 
@@ -379,7 +434,7 @@ let media_json () =
       {|"outcome":"|}; {|"violations":[]|};
     ];
   Alcotest.(check string) "no violations -> empty baseline" "[]\n"
-    (Fault.media_violations_to_json [ r ])
+    (Fault.violations_to_json [ r ])
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial torn mode                                               *)
@@ -465,16 +520,16 @@ let violation_json () =
 
 let mt_check_report ?(min_in_flight = 2) r =
   Alcotest.(check bool) "has flush boundaries" true
-    (r.Fault_mt.total_flushes > 0);
-  Alcotest.(check int) "full coverage" r.Fault_mt.total_flushes
-    r.Fault_mt.schedules;
+    (r.Fault.total_flushes > 0);
+  Alcotest.(check int) "full coverage" r.Fault.total_flushes
+    r.Fault.schedules;
   Alcotest.(check bool)
     (Printf.sprintf "saw >= %d ops in flight at some crash" min_in_flight)
     true
-    (r.Fault_mt.max_in_flight >= min_in_flight);
+    (r.Fault.max_in_flight >= min_in_flight);
   Alcotest.(check bool) "some schedules crash with >= 2 ops in flight" true
-    (r.Fault_mt.multi_in_flight > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+    (r.Fault.multi_in_flight > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Fault.violations)
 
 let mt_sweep ~domains () =
   let setup, scripts = Fault_mt.default_workload ~domains ~ops_per_domain:4 in
@@ -497,7 +552,7 @@ let mt_determinism () =
   let p1 = Fault_mt.probe ~seed:7L ~schedule:20 ~setup scripts in
   let p2 = Fault_mt.probe ~seed:7L ~schedule:20 ~setup scripts in
   Alcotest.(check bool) "replay is bit-identical" true (p1 = p2);
-  Alcotest.(check bool) "the armed schedule fired" true p1.Fault_mt.p_crashed
+  Alcotest.(check bool) "the armed schedule fired" true p1.Fault.p_crashed
 
 let mt_subsample () =
   let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:4 in
@@ -506,10 +561,10 @@ let mt_subsample () =
       ~setup scripts
   in
   Alcotest.(check bool) "subsampled below full coverage" true
-    (r.Fault_mt.schedules > 0
-    && r.Fault_mt.schedules <= 11
-    && r.Fault_mt.schedules < r.Fault_mt.total_flushes);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+    (r.Fault.schedules > 0
+    && r.Fault.schedules <= 11
+    && r.Fault.schedules < r.Fault.total_flushes);
+  Alcotest.(check int) "no violations" 0 (List.length r.Fault.violations)
 
 (* The generalised explorer over the other striped front ends: FPTree
    (leaf-group stripes, splits exclusive) and WOART (radix-prefix
@@ -523,14 +578,14 @@ let mt_index_sweep target () =
       scripts
   in
   Alcotest.(check bool) "has flush boundaries" true
-    (r.Fault_mt.total_flushes > 0);
-  Alcotest.(check int) "full coverage" r.Fault_mt.total_flushes
-    r.Fault_mt.schedules;
+    (r.Fault.total_flushes > 0);
+  Alcotest.(check int) "full coverage" r.Fault.total_flushes
+    r.Fault.schedules;
   Alcotest.(check bool) "saw an op in flight at some crash" true
-    (r.Fault_mt.max_in_flight >= 1);
+    (r.Fault.max_in_flight >= 1);
   Alcotest.(check bool) "saw contended (waiting-writer) crash points" true
-    (r.Fault_mt.contended > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+    (r.Fault.contended > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Fault.violations)
 
 (* Same-stripe collisions on purpose: the sweep must cross crash points
    where a colliding op is waiting for the stripe while another op is
@@ -542,7 +597,7 @@ let mt_collide () =
   in
   mt_check_report r;
   Alcotest.(check bool) "saw contended (waiting-writer) crash points" true
-    (r.Fault_mt.contended > 0)
+    (r.Fault.contended > 0)
 
 (* Seeded generator: each seed is a different mix of commuting and
    colliding inserts/updates/deletes/searches; three seeds per CI run. *)
@@ -558,11 +613,11 @@ let mt_generated () =
       Alcotest.(check bool)
         (Printf.sprintf "seed %Ld has flush boundaries" seed)
         true
-        (r.Fault_mt.total_flushes > 0);
+        (r.Fault.total_flushes > 0);
       Alcotest.(check int)
         (Printf.sprintf "seed %Ld no violations" seed)
         0
-        (List.length r.Fault_mt.violations))
+        (List.length r.Fault.violations))
     [ 42L; 43L; 44L ];
   (* determinism of the generator itself: same seed, same scripts *)
   Alcotest.(check bool) "generator is a pure function of the seed" true
@@ -581,25 +636,25 @@ let mt_checkpoint_equivalence () =
     Fault_mt.explore ~checkpoint_every:20 ~seed:42L ~domains:2
       ~workload:"mt-cp" ~setup scripts
   in
-  Alcotest.(check int) "same flush census" plain.Fault_mt.total_flushes
-    cp.Fault_mt.total_flushes;
-  Alcotest.(check int) "same schedule count" plain.Fault_mt.schedules
-    cp.Fault_mt.schedules;
-  Alcotest.(check int) "same max in-flight" plain.Fault_mt.max_in_flight
-    cp.Fault_mt.max_in_flight;
+  Alcotest.(check int) "same flush census" plain.Fault.total_flushes
+    cp.Fault.total_flushes;
+  Alcotest.(check int) "same schedule count" plain.Fault.schedules
+    cp.Fault.schedules;
+  Alcotest.(check int) "same max in-flight" plain.Fault.max_in_flight
+    cp.Fault.max_in_flight;
   Alcotest.(check int) "same multi-in-flight census"
-    plain.Fault_mt.multi_in_flight cp.Fault_mt.multi_in_flight;
-  Alcotest.(check int) "same contention census" plain.Fault_mt.contended
-    cp.Fault_mt.contended;
+    plain.Fault.multi_in_flight cp.Fault.multi_in_flight;
+  Alcotest.(check int) "same contention census" plain.Fault.contended
+    cp.Fault.contended;
   Alcotest.(check int) "plain run took no checkpoints" 0
-    plain.Fault_mt.checkpoints;
+    plain.Fault.checkpoints;
   Alcotest.(check bool) "checkpointed run took snapshots" true
-    (cp.Fault_mt.checkpoints > 0);
+    (cp.Fault.checkpoints > 0);
   Alcotest.(check bool) "some schedules replayed from a snapshot" true
-    (cp.Fault_mt.checkpoint_replays > 0);
+    (cp.Fault.checkpoint_replays > 0);
   Alcotest.(check int) "no violations either way" 0
-    (List.length plain.Fault_mt.violations
-    + List.length cp.Fault_mt.violations)
+    (List.length plain.Fault.violations
+    + List.length cp.Fault.violations)
 
 (* ------------------------------------------------------------------ *)
 (* Nested concurrent recovery re-crash: after every mid-flight crash
@@ -614,11 +669,11 @@ let mt_nested_sweep target () =
     Fault_mt.explore ~target ~nested:true ~seed:42L ~domains:2
       ~workload:"mt-nested" ~setup scripts
   in
-  Alcotest.(check int) "full coverage" r.Fault_mt.total_flushes
-    r.Fault_mt.schedules;
-  Alcotest.(check int) "full nested coverage" r.Fault_mt.recovery_flushes
-    r.Fault_mt.nested_schedules;
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+  Alcotest.(check int) "full coverage" r.Fault.total_flushes
+    r.Fault.schedules;
+  Alcotest.(check int) "full nested coverage" r.Fault.recovery_flushes
+    r.Fault.nested_schedules;
+  Alcotest.(check int) "no violations" 0 (List.length r.Fault.violations)
 
 (* HART's recovery rewrites PM (micro-log replay, bitmap repair), so
    the nested sweep must actually have boundaries to crash. *)
@@ -629,8 +684,8 @@ let mt_nested_hart_covers () =
       ~setup scripts
   in
   Alcotest.(check bool) "hart recovery flushes were re-crashed" true
-    (r.Fault_mt.nested_schedules > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_mt.violations)
+    (r.Fault.nested_schedules > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Fault.violations)
 
 (* FPTree split-repair racing fresh writers: domain 0 drives one hot
    leaf past capacity (leaf_cap = 32) while domain 1 keeps updating the
@@ -648,17 +703,17 @@ let mt_split_race_pin () =
         Fault_mt.explore ?mode ~target:Fault_mt.fptree_mt ~nested:true
           ~seed:42L ~domains:2 ~workload:"mt-split-race" ~setup scripts
       in
-      Alcotest.(check int) "pinned schedule space" 99 r.Fault_mt.total_flushes;
-      Alcotest.(check int) "full coverage" r.Fault_mt.total_flushes
-        r.Fault_mt.schedules;
-      Alcotest.(check int) "full nested coverage" r.Fault_mt.recovery_flushes
-        r.Fault_mt.nested_schedules;
+      Alcotest.(check int) "pinned schedule space" 99 r.Fault.total_flushes;
+      Alcotest.(check int) "full coverage" r.Fault.total_flushes
+        r.Fault.schedules;
+      Alcotest.(check int) "full nested coverage" r.Fault.recovery_flushes
+        r.Fault.nested_schedules;
       Alcotest.(check bool) "split-side contention crossed" true
-        (r.Fault_mt.contended > 0);
+        (r.Fault.contended > 0);
       Alcotest.(check bool) "writers in flight at crash points" true
-        (r.Fault_mt.multi_in_flight > 0);
+        (r.Fault.multi_in_flight > 0);
       Alcotest.(check int) "no violations" 0
-        (List.length r.Fault_mt.violations))
+        (List.length r.Fault.violations))
     [ None; Some (Pmem.Torn { seed = 5L; fraction = 0.5 }) ]
 
 (* ------------------------------------------------------------------ *)
@@ -671,16 +726,16 @@ module Fault_server = Hart_fault.Fault_server
 
 let srv_check_report r =
   Alcotest.(check bool) "has flush boundaries" true
-    (r.Fault_server.total_flushes > 0);
-  Alcotest.(check int) "full coverage" r.Fault_server.total_flushes
-    r.Fault_server.schedules;
+    (r.Fault.total_flushes > 0);
+  Alcotest.(check int) "full coverage" r.Fault.total_flushes
+    r.Fault.schedules;
   Alcotest.(check bool) "pipelined batch ops in flight at some crash" true
-    (r.Fault_server.max_in_flight >= 2);
+    (r.Fault.max_in_flight >= 2);
   Alcotest.(check bool) "schedules with >= 2 ops in flight" true
-    (r.Fault_server.multi_in_flight > 0);
+    (r.Fault.multi_in_flight > 0);
   Alcotest.(check bool) "write acks parsed across crashed schedules" true
-    (r.Fault_server.acked_writes > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_server.violations)
+    (r.Fault.acked_writes > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Fault.violations)
 
 let srv_sweep ?mode () =
   let setup, scripts =
@@ -704,12 +759,12 @@ let srv_drop_sweep () =
       ~setup scripts
   in
   Alcotest.(check bool) "has flush boundaries" true
-    (r.Fault_server.total_flushes > 0);
-  Alcotest.(check int) "full coverage" r.Fault_server.total_flushes
-    r.Fault_server.schedules;
+    (r.Fault.total_flushes > 0);
+  Alcotest.(check int) "full coverage" r.Fault.total_flushes
+    r.Fault.schedules;
   Alcotest.(check bool) "sessions hard-dropped mid-pipelined-batch" true
-    (r.Fault_server.dropped_sessions > 0);
-  Alcotest.(check int) "no violations" 0 (List.length r.Fault_server.violations)
+    (r.Fault.dropped_sessions > 0);
+  Alcotest.(check int) "no violations" 0 (List.length r.Fault.violations)
 
 (* The whole stack — fragmentation, fiber choice, batching, crash — is
    a pure function of (seed, schedule). *)
@@ -720,8 +775,8 @@ let srv_determinism () =
   let p1 = Fault_server.probe ~seed:7L ~schedule:25 ~setup scripts in
   let p2 = Fault_server.probe ~seed:7L ~schedule:25 ~setup scripts in
   Alcotest.(check bool) "byte-level replay is identical" true (p1 = p2);
-  Alcotest.(check bool) "the armed schedule fired" true p1.Fault_server.p_crashed;
-  Alcotest.(check (list string)) "no oracle errors" [] p1.Fault_server.p_errors
+  Alcotest.(check bool) "the armed schedule fired" true p1.Fault.p_crashed;
+  Alcotest.(check (list string)) "no oracle errors" [] p1.Fault.p_errors
 
 (* ------------------------------------------------------------------ *)
 (* Counter pins for the concurrent and server sweeps, at the CLI's
@@ -731,17 +786,17 @@ let srv_determinism () =
 
 let mt_counters r =
   [
-    ("ops", r.Fault_mt.n_ops);
-    ("flush-boundaries", r.Fault_mt.total_flushes);
-    ("schedules", r.Fault_mt.schedules);
-    ("nested", r.Fault_mt.nested_schedules);
-    ("recovery-flushes", r.Fault_mt.recovery_flushes);
-    ("max-in-flight", r.Fault_mt.max_in_flight);
-    ("multi-in-flight", r.Fault_mt.multi_in_flight);
-    ("contended", r.Fault_mt.contended);
-    ("checkpoints", r.Fault_mt.checkpoints);
-    ("replays", r.Fault_mt.checkpoint_replays);
-    ("violations", List.length r.Fault_mt.violations);
+    ("ops", r.Fault.n_ops);
+    ("flush-boundaries", r.Fault.total_flushes);
+    ("schedules", r.Fault.schedules);
+    ("nested", r.Fault.nested_schedules);
+    ("recovery-flushes", r.Fault.recovery_flushes);
+    ("max-in-flight", r.Fault.max_in_flight);
+    ("multi-in-flight", r.Fault.multi_in_flight);
+    ("contended", r.Fault.contended);
+    ("checkpoints", r.Fault.checkpoints);
+    ("replays", r.Fault.checkpoint_replays);
+    ("violations", List.length r.Fault.violations);
   ]
 
 let mt_counter_pin () =
@@ -773,15 +828,15 @@ let mt_counter_pin () =
 
 let srv_counters r =
   [
-    ("ops", r.Fault_server.n_ops);
-    ("flush-boundaries", r.Fault_server.total_flushes);
-    ("schedules", r.Fault_server.schedules);
-    ("recovery-flushes", r.Fault_server.recovery_flushes);
-    ("max-in-flight", r.Fault_server.max_in_flight);
-    ("multi-in-flight", r.Fault_server.multi_in_flight);
-    ("acked", r.Fault_server.acked_writes);
-    ("dropped-sessions", r.Fault_server.dropped_sessions);
-    ("violations", List.length r.Fault_server.violations);
+    ("ops", r.Fault.n_ops);
+    ("flush-boundaries", r.Fault.total_flushes);
+    ("schedules", r.Fault.schedules);
+    ("recovery-flushes", r.Fault.recovery_flushes);
+    ("max-in-flight", r.Fault.max_in_flight);
+    ("multi-in-flight", r.Fault.multi_in_flight);
+    ("acked", r.Fault.acked_writes);
+    ("dropped-sessions", r.Fault.dropped_sessions);
+    ("violations", List.length r.Fault.violations);
   ]
 
 (* seed 11 at the CLI's 28 requests per client: the 160 + 82 boundaries
@@ -848,7 +903,7 @@ let mt_violates ~seed ~setup scripts =
     Fault_mt.explore ~keep_going:true ~stop_after_first:true ~seed
       ~domains:(Array.length scripts) ~workload:"inject" ~setup scripts
   with
-  | r -> r.Fault_mt.violations <> []
+  | r -> r.Fault.violations <> []
   | exception Fault.Violation _ -> true
   | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
   (* a corrupted target can also trip the explorer itself; like the
@@ -879,7 +934,7 @@ let mt_shrink_regression () =
           match Fault_mt.shrink ~seed ~setup scripts with
           | None -> Alcotest.fail "shrinker lost the violation"
           | Some s ->
-              let repro = s.Fault_mt.s_repro in
+              let repro = s.Fault.s_repro in
               let ops = Fault.repro_ops repro in
               Alcotest.(check bool)
                 (Printf.sprintf "reproducer has <= 10 ops (got %d)" ops)
@@ -887,7 +942,7 @@ let mt_shrink_regression () =
               Alcotest.(check bool) "reproducer has <= 2 domains" true
                 (repro.Fault.r_domains <= 2);
               Alcotest.(check bool) "shrink accepted at least one move" true
-                (s.Fault_mt.s_accepted > 0);
+                (s.Fault.s_accepted > 0);
               (* the minimal coordinates still violate, twice: the replay
                  is deterministic *)
               let still () =
@@ -924,7 +979,7 @@ let mt_shrink_minimal_shape () =
           match Fault_mt.shrink ~seed ~setup scripts with
           | None -> Alcotest.fail "shrinker lost the violation"
           | Some s ->
-              let ops = Fault.repro_ops s.Fault_mt.s_repro in
+              let ops = Fault.repro_ops s.Fault.s_repro in
               Alcotest.(check bool)
                 (Printf.sprintf "<= 3-op reproducer (got %d)" ops)
                 true (ops <= 3)))
@@ -946,7 +1001,7 @@ let srv_violates ~seed ~setup scripts =
     Fault_server.explore ~keep_going:true ~stop_after_first:true ~seed
       ~clients:(Array.length scripts) ~workload:"srv-inject" ~setup scripts
   with
-  | r -> r.Fault_server.violations <> []
+  | r -> r.Fault.violations <> []
   | exception Fault.Violation _ -> true
   | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
   | exception _ -> true
@@ -971,7 +1026,7 @@ let srv_shrink_regression () =
           match Fault_server.shrink ~seed ~setup scripts with
           | None -> Alcotest.fail "shrinker lost the violation"
           | Some s ->
-              let repro = s.Fault_mt.s_repro in
+              let repro = s.Fault.s_repro in
               Alcotest.(check bool) "reproducer has <= 2 clients" true
                 (repro.Fault.r_domains <= 2);
               Alcotest.(check bool)
@@ -1031,6 +1086,8 @@ let () =
             keep_going_collects;
           Alcotest.test_case "all eight targets registered" `Quick
             all_targets_registered;
+          Alcotest.test_case "typed recovery errors become violations" `Quick
+            typed_errors_become_violations;
         ] );
       ("baselines", baseline_cases);
       ( "media",

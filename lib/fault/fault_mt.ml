@@ -284,8 +284,6 @@ let execute ~target ~seed ?checkpoint_every ~setup scripts ~mode ~crash_at
           p_snapshot = None;
         } )
 
-let total_ops scripts = Array.fold_left (fun a s -> a + List.length s) 0 scripts
-
 let explore ?(target = hart_mt) ?(mode = Pmem.Clean) ?(keep_going = false)
     ?(stop_after_first = false) ?(nested = false) ?max_schedules
     ?checkpoint_every ~seed ~domains ~workload ?(setup = []) scripts =
@@ -293,7 +291,9 @@ let explore ?(target = hart_mt) ?(mode = Pmem.Clean) ?(keep_going = false)
     invalid_arg "Fault_mt.explore: scripts/domains mismatch";
   Fault.sweep ~nested ~keep_going ~stop_after_first ?max_schedules ~seed
     ~label:(Printf.sprintf "%s-mt@%dd" target.Fault.target_name domains)
-    ~workload ~mode ~n_ops:(total_ops scripts) target
+    ~workload ~mode
+    ~n_ops:(Array.fold_left (fun a s -> a + List.length s) 0 scripts)
+    target
     (execute ~target ~seed ?checkpoint_every ~setup scripts)
 
 let probe ?(target = hart_mt) ?(mode = Pmem.Clean) ?(capture_snapshot = false)

@@ -343,7 +343,8 @@ let explore ?(mode = Pmem.Clean) ?(keep_going = false)
     invalid_arg "Fault_server.explore: scripts/clients mismatch";
   Fault.sweep ~keep_going ~stop_after_first ?max_schedules ~seed
     ~label:(Printf.sprintf "server@%dc" clients)
-    ~workload ~mode ~n_ops:(Array.fold_left (fun a s -> a + List.length s) 0 scripts)
+    ~workload ~mode
+    ~n_ops:(Array.fold_left (fun a s -> a + List.length s) 0 scripts)
     Fault_mt.hart_mt
     (execute ~seed ~drops:(drops_of ~clients drops) ~setup scripts)
 

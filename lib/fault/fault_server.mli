@@ -20,7 +20,7 @@
       committed model;
     - unacknowledged operations land as any admissible subset of the
       started-but-uncommitted batch ops (atomically present or absent,
-      per {!Fault_mt.admissible_states});
+      per {!Fault.admissible_states});
     - GETs return the value at call entry or one committed during the
       call; replies are well-typed, in request order.
 

@@ -40,7 +40,7 @@ let header pool ~chunk = Pmem.get_u64 pool chunk
 let bitmap_of_header h = Int64.logand h 0xFFFFFFFFFFFFFFL
 let bitmap pool ~chunk = bitmap_of_header (header pool ~chunk)
 
-let pack_header bitmap =
+let header_of_bitmap bitmap =
   let hint =
     match Bits.lowest_zero bitmap ~width:objs_per_chunk with
     | Some i -> i
@@ -51,18 +51,8 @@ let pack_header bitmap =
   Int64.logor bitmap (Int64.shift_left top 56)
 
 let write_header pool ~chunk bitmap =
-  Pmem.set_u64 pool chunk (pack_header bitmap);
+  Pmem.set_u64 pool chunk (header_of_bitmap bitmap);
   Pmem.persist pool ~off:chunk ~len:8
-
-(* The hint/full byte is always written as [pack_header] of the bitmap
-   (see [set_bit]/[reset_bit]), so any disagreement is corruption — and
-   since both are pure functions of the bitmap, recomputing them is a
-   provably safe repair. *)
-let header_well_formed pool ~chunk =
-  let h = header pool ~chunk in
-  h = pack_header (bitmap_of_header h)
-
-let rewrite_header pool ~chunk = write_header pool ~chunk (bitmap pool ~chunk)
 
 let test_bit pool ~chunk ~idx = Bits.test (bitmap pool ~chunk) idx
 let set_bit pool ~chunk ~idx = write_header pool ~chunk (Bits.set (bitmap pool ~chunk) idx)

@@ -73,14 +73,17 @@ val is_full : Hart_pmem.Pmem.t -> chunk:int -> bool
 val next_free_hint : Hart_pmem.Pmem.t -> chunk:int -> int
 val full_indicator : Hart_pmem.Pmem.t -> chunk:int -> int
 
-val header_well_formed : Hart_pmem.Pmem.t -> chunk:int -> bool
-(** Whether the hint/full byte equals its canonical recomputation from
-    the bitmap (every legitimate header write keeps them canonical, so
-    [false] means the byte was corrupted). *)
+val header : Hart_pmem.Pmem.t -> chunk:int -> int64
+(** The raw header word. *)
 
-val rewrite_header : Hart_pmem.Pmem.t -> chunk:int -> unit
-(** Recompute hint/full from the bitmap and persist — the repair for a
-    {!header_well_formed} failure. The bitmap itself is unchanged. *)
+val header_of_bitmap : int64 -> int64
+(** The header every legitimate store writes for this bitmap: the
+    bitmap with its next-free hint and full indicator. *)
+
+val write_header : Hart_pmem.Pmem.t -> chunk:int -> int64 -> unit
+(** Store and persist [header_of_bitmap bitmap]. {!Epalloc} writes every
+    header through this, computing the bitmap from its DRAM mirror so no
+    PM read precedes the store. *)
 
 val pnext : Hart_pmem.Pmem.t -> chunk:int -> int
 

@@ -1,4 +1,5 @@
 module Pmem = Hart_pmem.Pmem
+module Meter = Hart_pmem.Meter
 module Bits = Hart_util.Bits
 
 let magic = 0x484152545F763032L (* "HART_v02" *)
@@ -37,61 +38,90 @@ let root_scalar_bytes = 16 + (8 * n_classes)
 let log_base = root_off + Pmem.line_bytes
 let root_bytes = Pmem.line_bytes + Microlog.region_bytes
 
-(* Copy-on-write sorted array of chunk offsets: the volatile registry
-   that resolves an object offset to its chunk. Readers get a snapshot
-   from an [Atomic.t] with no locking; mutations (chunk alloc/recycle,
-   both rare — once per 56 objects at most) build a fresh array and
-   publish it under the class lock. *)
+(* A registered chunk's volatile state. The record is created when the
+   chunk is registered and never moves: registry snapshots share it, so
+   a lock-free reader holding an old snapshot still reads a coherent
+   (if stale) record, and a recycled chunk's record keeps its empty
+   bitmap for good.
+
+   [bits] is the DRAM mirror of the chunk's 56-bit occupancy bitmap. PM
+   stays the only durable copy: every header store computes the new
+   bitmap from the mirror, updates the mirror and then stores and
+   persists the PM header, all under the chunk's stripe lock, so the two
+   never differ outside that call. [attach] rebuilds the mirror from the
+   headers its chain walk reads anyway. The mirror is a dense DRAM array
+   of 8-byte words, 8 to a line; [addr] is this chunk's word in it, and
+   every read or write of [bits] is charged there on the meter. *)
+type entry = {
+  chunk : int;
+  mutable bits : int;  (* stripe lock for writes; reads may race *)
+  mutable reserved : int;  (* 56-bit reservation mask; stripe lock *)
+  slot : int;  (* index in the class's mirror array *)
+  addr : int;
+}
+
+(* Copy-on-write array of entries sorted by chunk offset: the volatile
+   registry that resolves an object offset to its chunk. Readers get a
+   snapshot from an [Atomic.t] with no locking; mutations (chunk
+   alloc/recycle, both rare — once per 56 objects at most) build a fresh
+   array and publish it under the class lock. *)
 module Registry = struct
-  type t = int array (* sorted ascending *)
+  type t = entry array (* sorted ascending by [chunk] *)
 
   let empty : t = [||]
 
-  (* greatest index with a.(i) <= x, or -1 *)
+  (* greatest index with a.(i).chunk <= x, or -1 *)
   let find_le (a : t) x =
     let rec go lo hi =
       if lo > hi then hi
       else
         let mid = (lo + hi) / 2 in
-        if a.(mid) <= x then go (mid + 1) hi else go lo (mid - 1)
+        if a.(mid).chunk <= x then go (mid + 1) hi else go lo (mid - 1)
     in
     go 0 (Array.length a - 1)
 
-  let mem (a : t) x =
-    let i = find_le a x in
-    i >= 0 && a.(i) = x
+  (* the entry of a registered chunk *)
+  let find (a : t) chunk =
+    let i = find_le a chunk in
+    if i >= 0 && a.(i).chunk = chunk then a.(i) else raise Not_found
 
-  let add (a : t) x =
-    if mem a x then a
-    else begin
-      let n = Array.length a in
-      let i = find_le a x + 1 in
-      let b = Array.make (n + 1) x in
-      Array.blit a 0 b 0 i;
-      Array.blit a i b (i + 1) (n - i);
-      b
-    end
+  let mem (a : t) chunk =
+    let i = find_le a chunk in
+    i >= 0 && a.(i).chunk = chunk
 
-  let remove (a : t) x =
-    let i = find_le a x in
-    if i < 0 || a.(i) <> x then a
-    else begin
-      let n = Array.length a in
-      let b = Array.make (n - 1) 0 in
-      Array.blit a 0 b 0 i;
-      Array.blit a (i + 1) b i (n - i - 1);
-      b
-    end
+  let add (a : t) e =
+    let n = Array.length a in
+    let i = find_le a e.chunk + 1 in
+    let b = Array.make (n + 1) e in
+    Array.blit a 0 b 0 i;
+    Array.blit a i b (i + 1) (n - i);
+    b
 
-  let iter (a : t) f = Array.iter f a
+  let remove (a : t) chunk =
+    let i = find_le a chunk in
+    if i < 0 || a.(i).chunk <> chunk then a
+    else Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (Array.length a - i - 1))
 end
+
+(* One class's slice of the mirror array: the DRAM line backing each
+   run of 8 slots, and the slots of recycled chunks awaiting reuse.
+   Class lock. *)
+type mirror = {
+  mutable lines : int array;  (* DRAM address of line [slot / 8] *)
+  mutable used : int;  (* slots ever handed out *)
+  mutable free_slots : int list;
+}
+
+let entries_per_line = Pmem.line_bytes / 8
+let mirror_lines m = (m.used + entries_per_line - 1) / entries_per_line
 
 (* Lock architecture (strict acquisition order, coarse to fine):
      class mutex  →  chunk stripe mutex  →  (Pmem alloc / Microlog mutex)
-   - A chunk's stripe mutex guards its bitmap read-modify-writes and its
-     reservation mask; the allocation fast path takes only this.
+   - A chunk's stripe mutex guards its header stores, its mirror word
+     and its reservation mask; the allocation fast path takes only this.
    - A class mutex guards that class's chunk-list structure (PM pnext
-     links + head mirror), its avail cache, and its registry publication.
+     links + head mirror), its avail cache, its mirror slots and its
+     registry publication.
    - Paths that hold a stripe and then need the class lock (returning a
      slot to the avail cache) release the stripe first, so the order is
      never reversed. *)
@@ -102,15 +132,15 @@ let dom_slot () = (Domain.self () :> int) land (dom_slots - 1)
 
 type t = {
   pool : Pmem.t;
+  meter : Meter.t;
   kh : int;
   checksums : bool;  (* CRC trailers on leaves, values and log words *)
   logs : Microlog.t;
   heads : int array;  (* volatile mirror of the persistent list heads *)
   class_mu : Mutex.t array;  (* one per class *)
   registry : Registry.t Atomic.t array;  (* per class, COW *)
+  mirror : mirror array;  (* per class *)
   chunk_mu : Mutex.t array;  (* stripe locks over chunks *)
-  reserved : (int, int ref) Hashtbl.t array;
-      (* chunk -> 56-bit reservation mask, sharded by stripe *)
   avail : (int, unit) Hashtbl.t array;
       (* chunks believed to have a free slot, per class; may contain
          stale (full or recycled) entries, filtered lazily under the
@@ -142,44 +172,55 @@ let with_lock mu f =
 
 let with_stripe t chunk f = with_lock t.chunk_mu.(stripe_of chunk) f
 
-(* stripe lock held *)
-let reserved_mask_locked t chunk =
-  match Hashtbl.find_opt t.reserved.(stripe_of chunk) chunk with
-  | Some r -> !r
-  | None -> 0
+let read_bits t e =
+  Meter.access t.meter Dram ~addr:e.addr ~write:false;
+  e.bits
 
-let occupancy_locked t chunk =
-  Int64.to_int (Chunk.bitmap t.pool ~chunk) lor reserved_mask_locked t chunk
-
-let reserve_locked t chunk idx =
-  let tbl = t.reserved.(stripe_of chunk) in
-  let r =
-    match Hashtbl.find_opt tbl chunk with
-    | Some r -> r
-    | None ->
-        let r = ref 0 in
-        Hashtbl.add tbl chunk r;
-        r
-  in
-  r := !r lor (1 lsl idx)
-
-let unreserve_locked t chunk idx =
-  let tbl = t.reserved.(stripe_of chunk) in
-  match Hashtbl.find_opt tbl chunk with
-  | Some r ->
-      r := !r land lnot (1 lsl idx);
-      if !r = 0 then Hashtbl.remove tbl chunk
-  | None -> ()
+(* Stripe lock held. The mirror is written before the PM store, so a
+   lock-free reader sees the new bitmap no later than it would have seen
+   the PM word, even across the persist's yield point. *)
+let store_bits t e bits =
+  e.bits <- bits;
+  Meter.access t.meter Dram ~addr:e.addr ~write:true;
+  Chunk.write_header t.pool ~chunk:e.chunk (Int64.of_int bits)
 
 let mark_avail t id chunk =
   with_lock t.class_mu.(id) (fun () -> Hashtbl.replace t.avail.(id) chunk ())
 
-(* class lock held; registry mutations are serialised by it *)
-let registry_add t id chunk =
-  Atomic.set t.registry.(id) (Registry.add (Atomic.get t.registry.(id)) chunk)
+(* class lock held *)
+let mirror_slot t id =
+  let m = t.mirror.(id) in
+  match m.free_slots with
+  | s :: rest ->
+      m.free_slots <- rest;
+      s
+  | [] ->
+      let s = m.used in
+      let line = s / entries_per_line in
+      if s mod entries_per_line = 0 then begin
+        if line = Array.length m.lines then
+          m.lines <- Array.append m.lines (Array.make (max 4 line) 0);
+        m.lines.(line) <- Meter.dram_alloc t.meter Pmem.line_bytes
+      end;
+      m.used <- s + 1;
+      s
 
-let registry_remove t id chunk =
-  Atomic.set t.registry.(id) (Registry.remove (Atomic.get t.registry.(id)) chunk)
+(* class lock held; registry mutations are serialised by it *)
+let new_entry t id chunk ~bits =
+  let slot = mirror_slot t id in
+  let line = t.mirror.(id).lines.(slot / entries_per_line) in
+  { chunk; bits; reserved = 0; slot; addr = line + (8 * (slot mod entries_per_line)) }
+
+let registry_add t id e =
+  Atomic.set t.registry.(id) (Registry.add (Atomic.get t.registry.(id)) e)
+
+let registry_remove t id e =
+  Atomic.set t.registry.(id) (Registry.remove (Atomic.get t.registry.(id)) e.chunk);
+  let m = t.mirror.(id) in
+  m.free_slots <- e.slot :: m.free_slots
+
+let mirror_bytes t =
+  Array.fold_left (fun acc m -> acc + (mirror_lines m * Pmem.line_bytes)) 0 t.mirror
 
 let set_head t cls v =
   Pmem.set_u64 t.pool (head_field cls) (Int64.of_int v);
@@ -189,14 +230,16 @@ let set_head t cls v =
 let make pool ~kh ~checksums ~logs =
   {
     pool;
+    meter = Pmem.meter pool;
     kh;
     checksums;
     logs;
     heads = Array.make n_classes 0;
     class_mu = Array.init n_classes (fun _ -> Mutex.create ());
     registry = Array.init n_classes (fun _ -> Atomic.make Registry.empty);
+    mirror =
+      Array.init n_classes (fun _ -> { lines = [||]; used = 0; free_slots = [] });
     chunk_mu = Array.init n_stripes (fun _ -> Mutex.create ());
-    reserved = Array.init n_stripes (fun _ -> Hashtbl.create 16);
     avail = Array.init n_classes (fun _ -> Hashtbl.create 64);
     active = Array.init n_classes (fun _ -> Array.make dom_slots 0);
   }
@@ -221,21 +264,32 @@ let create ?(kh = 2) ?(checksums = false) pool =
   let logs = Microlog.create ~checksummed:checksums pool ~base:log_base in
   make pool ~kh ~checksums ~logs
 
-(* Lock-free: snapshots the COW registry. The bitmap word itself is read
-   without the stripe lock by [obj_bit] — an 8-byte-aligned word read
-   racing only with same-word bit flips of *other* objects, never the
-   queried object's own bit (its owner holds the enclosing ART lock). *)
-let chunk_of_obj t cls obj =
+(* Lock-free: snapshots the COW registry. The mirror word is read
+   without the stripe lock by [obj_bit] — a word read racing only with
+   bit flips of *other* objects, never the queried object's own bit (its
+   owner holds the enclosing ART lock). *)
+let entry_of_obj t cls obj =
   let reg = Atomic.get t.registry.(cls_id cls) in
   let i = Registry.find_le reg obj in
   if i < 0 then raise Not_found;
-  let chunk = reg.(i) in
-  if obj < chunk + 16 || obj >= chunk + Chunk.chunk_bytes cls then raise Not_found;
-  chunk
+  let e = reg.(i) in
+  if obj < e.chunk + 16 || obj >= e.chunk + Chunk.chunk_bytes cls then raise Not_found;
+  e
 
-let class_of_value_obj t obj =
-  let fits cls = match chunk_of_obj t cls obj with _ -> true | exception Not_found -> false in
-  List.find_opt fits [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ]
+let chunk_of_obj t cls obj = (entry_of_obj t cls obj).chunk
+
+(* The value class whose registered chunk holds [obj], with its entry. *)
+let value_entry t obj =
+  let rec go = function
+    | [] -> None
+    | cls :: rest -> (
+        match entry_of_obj t cls obj with
+        | e -> Some (cls, e)
+        | exception Not_found -> go rest)
+  in
+  go [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ]
+
+let class_of_value_obj t obj = Option.map fst (value_entry t obj)
 
 (* Which registered chunk (any class) covers this pool byte — including
    its 16-byte prologue, which [chunk_of_obj] deliberately excludes.
@@ -247,8 +301,8 @@ let chunk_covering t off =
       let cls = cls_of_id id in
       let reg = Atomic.get t.registry.(id) in
       let i = Registry.find_le reg off in
-      if i >= 0 && off < reg.(i) + Chunk.chunk_bytes cls then
-        Some (cls, reg.(i))
+      if i >= 0 && off < reg.(i).chunk + Chunk.chunk_bytes cls then
+        Some (cls, reg.(i).chunk)
       else go (id + 1)
   in
   go 0
@@ -256,23 +310,17 @@ let chunk_covering t off =
 (* ------------------------------------------------------------------ *)
 (* Allocation (Algorithm 2)                                            *)
 
-(* First free slot considering both the durable bitmap and volatile
-   reservations, preferring the persistent next-free hint. Stripe lock
-   held. *)
-let get_free_object_locked t chunk =
-  let occ = occupancy_locked t chunk in
+(* Lowest free slot considering both the committed bitmap and volatile
+   reservations. Stripe lock held. The persistent next-free hint is the
+   lowest zero of the bitmap, so when it is unreserved it is exactly
+   this slot; reading the mirror instead of the hint picks the same slot
+   without a PM read. *)
+let get_free_object_locked t e =
+  let occ = read_bits t e lor e.reserved in
   if occ land full_mask = full_mask then None
-  else begin
-    let hint = Chunk.next_free_hint t.pool ~chunk in
-    let free i = occ land (1 lsl i) = 0 in
-    let idx =
-      if hint < Chunk.objs_per_chunk && free hint then hint
-      else
-        let rec scan i = if free i then i else scan (i + 1) in
-        scan 0
-    in
-    Some idx
-  end
+  else
+    let rec scan i = if occ land (1 lsl i) = 0 then i else scan (i + 1) in
+    Some (scan 0)
 
 (* Reserve a slot in [chunk] if it is still a live chunk of [cls] with
    room. The registry re-check under the stripe lock is what makes the
@@ -283,29 +331,30 @@ let try_reserve t cls chunk =
   if chunk = 0 then None
   else
     with_stripe t chunk (fun () ->
-        if not (Registry.mem (Atomic.get t.registry.(cls_id cls)) chunk) then None
-        else
-          match get_free_object_locked t chunk with
-          | None -> None
-          | Some idx ->
-              reserve_locked t chunk idx;
-              Some (Chunk.obj_off cls ~chunk ~idx))
+        match Registry.find (Atomic.get t.registry.(cls_id cls)) chunk with
+        | exception Not_found -> None
+        | e -> (
+            match get_free_object_locked t e with
+            | None -> None
+            | Some idx ->
+                e.reserved <- e.reserved lor (1 lsl idx);
+                Some (Chunk.obj_off cls ~chunk ~idx)))
 
 (* ------------------------------------------------------------------ *)
 (* Bit commitment                                                      *)
 
 let set_obj_bit t cls ~obj =
-  let chunk = chunk_of_obj t cls obj in
-  let idx = Chunk.idx_of_obj cls ~chunk ~obj in
-  with_stripe t chunk (fun () ->
-      Chunk.set_bit t.pool ~chunk ~idx;
-      unreserve_locked t chunk idx)
+  let e = entry_of_obj t cls obj in
+  let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
+  with_stripe t e.chunk (fun () ->
+      store_bits t e (read_bits t e lor bit);
+      e.reserved <- e.reserved land lnot bit)
 
 let reset_obj_bit t cls ~obj =
-  let chunk = chunk_of_obj t cls obj in
-  let idx = Chunk.idx_of_obj cls ~chunk ~obj in
-  with_stripe t chunk (fun () -> Chunk.reset_bit t.pool ~chunk ~idx);
-  mark_avail t (cls_id cls) chunk
+  let e = entry_of_obj t cls obj in
+  let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
+  with_stripe t e.chunk (fun () -> store_bits t e (read_bits t e land lnot bit));
+  mark_avail t (cls_id cls) e.chunk
 
 (* Durably free the object but keep its slot reserved, so the caller can
    still scrub the object's contents (e.g. sever a leaf's stale value
@@ -325,21 +374,37 @@ let unsafe_no_reservation_hold = ref false
 let reset_obj_bit_hold t cls ~obj =
   if !unsafe_no_reservation_hold then reset_obj_bit t cls ~obj
   else
-    let chunk = chunk_of_obj t cls obj in
-    let idx = Chunk.idx_of_obj cls ~chunk ~obj in
-    with_stripe t chunk (fun () ->
-        Chunk.reset_bit t.pool ~chunk ~idx;
-        reserve_locked t chunk idx)
+    let e = entry_of_obj t cls obj in
+    let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
+    with_stripe t e.chunk (fun () ->
+        store_bits t e (read_bits t e land lnot bit);
+        e.reserved <- e.reserved lor bit)
 
 let obj_bit t cls ~obj =
-  let chunk = chunk_of_obj t cls obj in
-  Chunk.test_bit t.pool ~chunk ~idx:(Chunk.idx_of_obj cls ~chunk ~obj)
+  let e = entry_of_obj t cls obj in
+  read_bits t e land (1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj) <> 0
 
 let cancel_reservation t cls ~obj =
-  let chunk = chunk_of_obj t cls obj in
+  let e = entry_of_obj t cls obj in
+  let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
+  with_stripe t e.chunk (fun () -> e.reserved <- e.reserved land lnot bit);
+  mark_avail t (cls_id cls) e.chunk
+
+(* fsck: rewrite a chunk header that is not the one its mirror implies.
+   Right after [attach] the mirror is the PM bitmap, so only a corrupt
+   hint/full byte can differ; later the mirror holds the last bitmap the
+   allocator stored, so a bitmap a stray write changed is put back. *)
+let repair_header t cls ~chunk =
+  let e = Registry.find (Atomic.get t.registry.(cls_id cls)) chunk in
   with_stripe t chunk (fun () ->
-      unreserve_locked t chunk (Chunk.idx_of_obj cls ~chunk ~obj));
-  mark_avail t (cls_id cls) chunk
+      let bits = read_bits t e in
+      let h = Chunk.header t.pool ~chunk in
+      if h = Chunk.header_of_bitmap (Int64.of_int bits) then `Intact
+      else begin
+        store_bits t e bits;
+        if Int64.to_int h land full_mask = bits then `Hint_rewritten
+        else `Bitmap_restored
+      end)
 
 (* ------------------------------------------------------------------ *)
 (* Recycling (Algorithm 6)                                             *)
@@ -357,27 +422,25 @@ let eprecycle t cls ~chunk =
   let id = cls_id cls in
   with_lock t.class_mu.(id) (fun () ->
       with_stripe t chunk (fun () ->
-          if
-            Registry.mem (Atomic.get t.registry.(id)) chunk
-            && Chunk.is_empty t.pool ~chunk
-            && reserved_mask_locked t chunk = 0
-          then begin
-            let slot = Microlog.Recycle.acquire t.logs in
-            let at_head = t.heads.(id) = chunk in
-            let prev = if at_head then 0 else find_prev t cls chunk in
-            Microlog.Recycle.record t.logs ~slot ~pprev:prev ~cls ~pcurrent:chunk;
-            (if at_head then
-               set_head t cls (Chunk.pnext t.pool ~chunk)
-             else if prev <> 0 then
-               Chunk.set_pnext t.pool ~chunk:prev (Chunk.pnext t.pool ~chunk));
-            Chunk.release t.pool cls ~chunk;
-            (* unregister before dropping the stripe lock so no domain can
-               reserve into the freed chunk through a stale active/avail
-               reference *)
-            registry_remove t id chunk;
-            Hashtbl.remove t.avail.(id) chunk;
-            Microlog.Recycle.reclaim t.logs ~slot
-          end))
+          match Registry.find (Atomic.get t.registry.(id)) chunk with
+          | exception Not_found -> ()
+          | e when read_bits t e <> 0 || e.reserved <> 0 -> ()
+          | e ->
+              let slot = Microlog.Recycle.acquire t.logs in
+              let at_head = t.heads.(id) = chunk in
+              let prev = if at_head then 0 else find_prev t cls chunk in
+              Microlog.Recycle.record t.logs ~slot ~pprev:prev ~cls ~pcurrent:chunk;
+              (if at_head then
+                 set_head t cls (Chunk.pnext t.pool ~chunk)
+               else if prev <> 0 then
+                 Chunk.set_pnext t.pool ~chunk:prev (Chunk.pnext t.pool ~chunk));
+              Chunk.release t.pool cls ~chunk;
+              (* unregister before dropping the stripe lock so no domain can
+                 reserve into the freed chunk through a stale active/avail
+                 reference *)
+              registry_remove t id e;
+              Hashtbl.remove t.avail.(id) chunk;
+              Microlog.Recycle.reclaim t.logs ~slot))
 
 (* Lines 12-16 of Algorithm 2: a free leaf slot still pointing at a
    committed value object is the footprint of a crashed insertion or
@@ -399,21 +462,21 @@ let eprecycle t cls ~chunk =
 let repair_leaf_slot t obj =
   let p_value = Leaf.p_value t.pool ~leaf:obj in
   if p_value <> 0 then begin
-    (match class_of_value_obj t p_value with
-    | Some vcls ->
-        let vchunk = chunk_of_obj t vcls p_value in
-        let vidx = Chunk.idx_of_obj vcls ~chunk:vchunk ~obj:p_value in
+    (match value_entry t p_value with
+    | Some (vcls, ve) ->
+        let vbit = 1 lsl Chunk.idx_of_obj vcls ~chunk:ve.chunk ~obj:p_value in
         let cleared =
-          with_stripe t vchunk (fun () ->
-              if Chunk.test_bit t.pool ~chunk:vchunk ~idx:vidx then begin
-                Chunk.reset_bit t.pool ~chunk:vchunk ~idx:vidx;
+          with_stripe t ve.chunk (fun () ->
+              let bits = read_bits t ve in
+              if bits land vbit <> 0 then begin
+                store_bits t ve (bits land lnot vbit);
                 true
               end
               else false)
         in
         if cleared then begin
-          mark_avail t (cls_id vcls) vchunk;
-          eprecycle t vcls ~chunk:vchunk
+          mark_avail t (cls_id vcls) ve.chunk;
+          eprecycle t vcls ~chunk:ve.chunk
         end
     | None -> ());
     Leaf.clear t.pool ~leaf:obj;
@@ -459,7 +522,9 @@ let epmalloc t cls =
                 let chunk = Chunk.alloc t.pool cls in
                 Chunk.set_pnext t.pool ~chunk t.heads.(id);
                 set_head t cls chunk;
-                registry_add t id chunk;
+                let e = new_entry t id chunk ~bits:0 in
+                Meter.access t.meter Dram ~addr:e.addr ~write:true;
+                registry_add t id e;
                 Hashtbl.replace t.avail.(id) chunk ();
                 t.active.(id).(dom) <- chunk;
                 (match try_reserve t cls chunk with
@@ -490,7 +555,9 @@ let recover_recycle_log t ~slot =
        if prev <> 0 then Chunk.set_pnext t.pool ~chunk:prev (Chunk.pnext t.pool ~chunk)
      end);
     Chunk.release t.pool cls ~chunk;
-    registry_remove t id chunk;
+    (match Registry.find (Atomic.get t.registry.(id)) chunk with
+    | e -> registry_remove t id e
+    | exception Not_found -> ());
     Hashtbl.remove t.avail.(id) chunk
   end;
   (* already unlinked: the pool free was idempotent at the allocator
@@ -563,6 +630,7 @@ let attach ?(bad_lines = []) ?report pool =
   for id = 0 to n_classes - 1 do
     let cls = cls_of_id id in
     t.heads.(id) <- Int64.to_int (Pmem.get_u64 pool (head_field cls));
+    let walked = ref [] in
     let rec walk chunk =
       if chunk <> 0 then begin
         let site = Hart_error.Chunk_meta { cls = cls_name cls; chunk } in
@@ -580,9 +648,11 @@ let attach ?(bad_lines = []) ?report pool =
             "media-corrupt prologue line — bitmap and chain pointer \
              untrustworthy";
         match
-          registry_add t id chunk;
-          if not (Chunk.is_full pool ~chunk) then
-            Hashtbl.replace t.avail.(id) chunk ();
+          (* the header read that rebuilds the mirror also feeds the
+             avail cache *)
+          let bits = Int64.to_int (Chunk.bitmap pool ~chunk) in
+          walked := new_entry t id chunk ~bits :: !walked;
+          if bits <> full_mask then Hashtbl.replace t.avail.(id) chunk ();
           Chunk.pnext pool ~chunk
         with
         | next -> walk next
@@ -592,7 +662,15 @@ let attach ?(bad_lines = []) ?report pool =
             Hart_error.error site "chunk metadata on poisoned line %d" line
       end
     in
-    walk t.heads.(id)
+    walk t.heads.(id);
+    let reg = Array.of_list !walked in
+    Array.sort (fun a b -> compare a.chunk b.chunk) reg;
+    Atomic.set t.registry.(id) reg;
+    (* filling the mirror writes each of its lines once *)
+    let m = t.mirror.(id) in
+    for line = 0 to mirror_lines m - 1 do
+      Meter.access t.meter Dram ~addr:m.lines.(line) ~write:true
+    done
   done;
   (* Scrub the micro-logs BEFORE replay: a record sitting on a corrupt
      line, or failing its word CRC, must never be replayed — discarding
@@ -735,15 +813,15 @@ let check_invariants t =
         Hashtbl.add in_list chunk ();
         if not (Registry.mem (Atomic.get t.registry.(id)) chunk) then
           fail "chunk %d in list but not in registry (class %d)" chunk id);
-    Registry.iter (Atomic.get t.registry.(id)) (fun chunk ->
-        if not (Hashtbl.mem in_list chunk) then
-          fail "chunk %d in registry but not in list (class %d)" chunk id)
-  done;
-  Array.iter
-    (fun tbl ->
-      Hashtbl.iter
-        (fun chunk r ->
-          if !r land lnot full_mask <> 0 then
-            fail "reservation mask of chunk %d out of range" chunk)
-        tbl)
-    t.reserved
+    Array.iter
+      (fun e ->
+        if not (Hashtbl.mem in_list e.chunk) then
+          fail "chunk %d in registry but not in list (class %d)" e.chunk id;
+        let pm = Int64.to_int (Chunk.bitmap t.pool ~chunk:e.chunk) in
+        if e.bits <> pm then
+          fail "bitmap mirror of chunk %d is %#x but its PM bitmap is %#x"
+            e.chunk e.bits pm;
+        if e.reserved land lnot full_mask <> 0 then
+          fail "reservation mask of chunk %d out of range" e.chunk)
+      (Atomic.get t.registry.(id))
+  done

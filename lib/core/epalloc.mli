@@ -11,9 +11,20 @@
 
     Volatile acceleration (rebuilt by {!attach} after a crash): a mirror
     of the list heads, a per-class registry resolving object offsets to
-    their chunks ([MemChunkOf]), a per-chunk reservation mask preventing
+    their chunks ([MemChunkOf]), a DRAM mirror of every registered
+    chunk's occupancy bitmap, a per-chunk reservation mask preventing
     double hand-out of uncommitted slots, and a cache of chunks known to
     have free slots so the common allocation touches no full chunk.
+
+    The bitmap mirror takes PM reads off the write path: allocation,
+    bit commits and frees, recycling's emptiness test and {!obj_bit}
+    read the mirror, and every header store is computed from it. Each
+    header store still writes and persists the PM header exactly as
+    before, in the same stripe-locked call that updates the mirror, so
+    PM stays the only durable copy and the persist sequence is
+    unchanged. The mirror is a dense DRAM array of 8-byte words, 8 per
+    line, charged on the meter as DRAM accesses and counted in
+    {!mirror_bytes}.
 
     Domain safety: object-offset resolution is lock-free (the registry is
     a copy-on-write sorted array published through an [Atomic.t]); bitmap
@@ -111,6 +122,8 @@ val reset_obj_bit_hold : t -> Chunk.cls -> obj:int -> unit
     with {!cancel_reservation}. Same PM traffic as {!reset_obj_bit}. *)
 
 val obj_bit : t -> Chunk.cls -> obj:int -> bool
+(** Whether the object is committed, read from the bitmap mirror (one
+    DRAM access, no PM read). Lock-free. *)
 
 val cancel_reservation : t -> Chunk.cls -> obj:int -> unit
 (** Release a reservation without committing (an aborted operation). *)
@@ -140,6 +153,20 @@ val chunk_covering : t -> int -> (Chunk.cls * int) option
 (** The registered chunk (any class) whose bytes — prologue included —
     cover this pool offset. fsck's media-fault attribution. *)
 
+val mirror_bytes : t -> int
+(** DRAM bytes of the bitmap mirror: whole 64-byte lines of 8-byte
+    words, one word per chunk ever registered at once. *)
+
+val repair_header :
+  t -> Chunk.cls -> chunk:int -> [ `Intact | `Hint_rewritten | `Bitmap_restored ]
+(** fsck's header repair: if the chunk's PM header is not the one its
+    bitmap mirror implies, store and persist that one. [`Hint_rewritten]:
+    only the hint/full byte was wrong. [`Bitmap_restored]: the PM bitmap
+    itself differed — a stray write changed it since the allocator last
+    stored it (right after {!attach} the mirror is the PM bitmap, so
+    this needs a live store).
+    @raise Not_found if [chunk] is not a registered chunk of the class. *)
+
 val chunk_count : t -> Chunk.cls -> int
 val iter_chunks : t -> Chunk.cls -> (int -> unit) -> unit
 (** Walk the class's chunk list in PM order. *)
@@ -150,5 +177,6 @@ val live_objects : t -> Chunk.cls -> int
 val iter_live_objs : t -> Chunk.cls -> (obj:int -> unit) -> unit
 
 val check_invariants : t -> unit
-(** Registry/list agreement, head mirrors, reservation sanity. Raises
+(** Registry/list agreement, head mirrors, each registered chunk's
+    bitmap mirror against its PM bitmap, reservation sanity. Raises
     [Failure] on violation. Test use. *)

@@ -142,9 +142,10 @@ let insert t ~key ~value =
       Atomic.incr t.count
 
 (* Read a validated leaf's value; [None] if the leaf fails validation.
-   Three reads: the bitmap word, the leaf (key and value pointer in one
-   pass — the leaf key comparison a C implementation performs at the
-   end of its ART descent), then the value object. *)
+   The leaf's bit comes from the allocator's DRAM bitmap mirror; then two
+   PM reads: the leaf (key and value pointer in one pass — the leaf key
+   comparison a C implementation performs at the end of its ART descent)
+   and the value object. *)
 let read_validated t ~leaf key =
   if not (Epalloc.obj_bit t.alloc Chunk.Leaf_c ~obj:leaf) then None
   else
@@ -700,9 +701,12 @@ let recover_parallel ?domains ?(quarantine = false) pool =
 (* ------------------------------------------------------------------ *)
 (* Accounting and integrity                                            *)
 
+let dir_bytes t = Hash_dir.footprint_bytes t.dir
+
 let dram_bytes t =
-  Hash_dir.footprint_bytes t.dir
+  dir_bytes t
   + Hash_dir.fold t.dir ~init:0 ~f:(fun acc _ art -> acc + Art.footprint_bytes art)
+  + Epalloc.mirror_bytes t.alloc
 
 let pm_bytes t = Pmem.live_bytes t.pool
 
@@ -1081,27 +1085,32 @@ let fsck ?(deep = true) t =
             })
         !orphans)
     [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
-  (* chunk header hint/full bytes are pure functions of the bitmap:
-     recompute on mismatch (skipped when the prologue line is flagged by
-     the ECC — rewriting would reseal a line whose bitmap is garbage) *)
+  (* every chunk header must be the one its bitmap mirror implies: the
+     hint/full byte is a pure function of the bitmap, and the mirror holds
+     the bitmap the allocator last stored (skipped when the prologue line
+     is flagged by the ECC — rewriting would reseal a line whose chain
+     pointer is garbage) *)
   List.iter
     (fun cls ->
       Epalloc.iter_chunks alloc cls (fun chunk ->
-          if
-            (not (Hashtbl.mem bad_set (chunk / lb)))
-            && not (Chunk.header_well_formed pool ~chunk)
-          then begin
-            Chunk.rewrite_header pool ~chunk;
+          let repaired f_detail =
             emit
               {
                 Hart_error.f_site =
                   Chunk_meta { cls = Epalloc.cls_name cls; chunk };
                 f_action = Repaired;
-                f_detail = "hint/full header byte recomputed from the bitmap";
+                f_detail;
                 f_keys = [];
                 f_capacity = 0;
               }
-          end))
+          in
+          if not (Hashtbl.mem bad_set (chunk / lb)) then
+            match Epalloc.repair_header alloc cls ~chunk with
+            | `Intact -> ()
+            | `Hint_rewritten ->
+                repaired "hint/full header byte recomputed from the bitmap"
+            | `Bitmap_restored ->
+                repaired "PM bitmap restored from the allocator's DRAM mirror"))
     Chunk.all_classes;
   (* -------- phase 3 (deep): checksum walk ------------------------- *)
   if deep then begin

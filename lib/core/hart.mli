@@ -168,9 +168,13 @@ val iter_arts : t -> (string -> int Hart_art.Art.t -> unit) -> unit
     are PM leaf offsets). Read-only introspection for statistics and
     tests. *)
 
+val dir_bytes : t -> int
+(** Modelled DRAM bytes of the hash directory's bucket array. *)
+
 val dram_bytes : t -> int
 (** Modelled DRAM consumption: hash directory + ART inner nodes
-    (Fig. 10b). *)
+    (Fig. 10b) + the allocator's bitmap mirror
+    ({!Epalloc.mirror_bytes}). *)
 
 val pm_bytes : t -> int
 (** PM consumption: live pool bytes (chunks, root block). *)

@@ -33,6 +33,7 @@ type t = {
   val8_class : class_stats;
   val16_class : class_stats;
   val32_class : class_stats;
+  mirror_bytes : int;
   pm_bytes : int;
   dram_bytes : int;
 }
@@ -83,7 +84,7 @@ let collect hart =
   {
     keys = Hart.count hart;
     arts = !arts;
-    hash_buckets_bytes = Hart.dram_bytes hart - !node_bytes;
+    hash_buckets_bytes = Hart.dir_bytes hart;
     art_nodes = !hist;
     art_node_bytes = !node_bytes;
     art_pools =
@@ -105,6 +106,7 @@ let collect hart =
     val8_class = class_stats alloc Chunk.Val8;
     val16_class = class_stats alloc Chunk.Val16;
     val32_class = class_stats alloc Chunk.Val32;
+    mirror_bytes = Epalloc.mirror_bytes alloc;
     pm_bytes = Hart.pm_bytes hart;
     dram_bytes = Hart.dram_bytes hart;
   }
@@ -127,8 +129,8 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>keys            %d@ ARTs            %d (avg %.1f keys, max height %d)@ \
      ART nodes       N4=%d N16=%d N48=%d N256=%d (%d bytes)@ %a@ hash buckets    \
-     %d bytes@ %a@ %a@ %a@ %a@ PM total        %d bytes@ DRAM total      %d \
-     bytes@]"
+     %d bytes@ %a@ %a@ %a@ %a@ bitmap mirror   %d bytes@ PM total        %d \
+     bytes@ DRAM total      %d bytes@]"
     t.keys t.arts t.avg_art_keys t.max_art_height t.art_nodes.n4 t.art_nodes.n16
     t.art_nodes.n48 t.art_nodes.n256 t.art_node_bytes pp_pools t.art_pools
     t.hash_buckets_bytes
@@ -136,4 +138,4 @@ let pp ppf t =
     pp_class ("val8", t.val8_class)
     pp_class ("val16", t.val16_class)
     pp_class ("val32", t.val32_class)
-    t.pm_bytes t.dram_bytes
+    t.mirror_bytes t.pm_bytes t.dram_bytes

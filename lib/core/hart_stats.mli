@@ -42,8 +42,10 @@ type t = {
   val8_class : class_stats;
   val16_class : class_stats;
   val32_class : class_stats;
+  mirror_bytes : int;
+      (** DRAM bytes of EPallocator's bitmap mirror (8 per chunk) *)
   pm_bytes : int;
-  dram_bytes : int;
+  dram_bytes : int;  (** hash buckets + ART nodes + bitmap mirror *)
 }
 
 val collect : Hart.t -> t

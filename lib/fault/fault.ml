@@ -1171,18 +1171,19 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
     let fault = pick_fault rng pool in
     Pmem.inject_media_fault pool fault;
     let fault_s = describe_fault fault in
+    let violate s =
+      let v =
+        violation ~target:target.target_name ~workload ~mode:Pmem.Clean
+          ~schedule:site (Printf.sprintf "%s: %s" fault_s s)
+      in
+      if keep_going then violations := v :: !violations
+      else raise (Violation (violation_message v))
+    in
     let viol fmt =
       Printf.ksprintf
         (fun s ->
-          let v =
-            violation ~target:target.target_name ~workload ~mode:Pmem.Clean
-              ~schedule:site (Printf.sprintf "%s: %s" fault_s s)
-          in
-          if keep_going then begin
-            violations := v :: !violations;
-            raise Skip_site
-          end
-          else raise (Violation (violation_message v)))
+          violate s;
+          raise Skip_site)
         fmt
     in
     let findings = ref [] in
@@ -1256,8 +1257,10 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
       !d
     in
     let checked ~phase inst =
-      try inst.check ()
-      with Failure msg -> viol "integrity broken at %s: %s" phase msg
+      match inst.check () with
+      | () -> ()
+      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+      | exception e -> viol "integrity broken at %s: %s" phase (describe e)
     in
     (try
        (* 3. fault-tolerant mount *)
@@ -1292,7 +1295,13 @@ let explore_media ?(sites = 25) ?(base_seed = 0x4D454449414CL) ?(setup = [])
        emit (classify ())
      with
     | Site_detected -> emit Media_detected
-    | Skip_site -> emit (classify ()))
+    | Skip_site -> emit (classify ())
+    | (Violation _ | Stack_overflow | Out_of_memory) as e -> raise e
+    | e ->
+        (* outside the typed-detection set: a harness or index bug, not
+           an accepted outcome *)
+        violate ("unexpected exception: " ^ describe e);
+        emit (classify ()))
   done;
   {
     target = target.target_name;

@@ -518,9 +518,13 @@ val explore_media :
     [base_seed + k], so a report is exactly reproducible. The report's
     [sites] carries each site's outcome, [schedules] the site count and
     [seed] the base seed. [keep_going] collects violations instead of
-    raising on the first.
-    @raise Violation on the first silent wrong answer (unless
-    [keep_going]). *)
+    raising on the first. A typed error ({!Hart_core.Hart_error.Error},
+    {!Hart_pmem.Pmem.Media_poisoned}) from a mount, read-back or write
+    is detection, an accepted outcome; any exception from an integrity
+    check, and any other exception anywhere in a site, is a violation
+    at that site — only [Stack_overflow] and [Out_of_memory] escape.
+    @raise Violation on the first silent wrong answer or unexpected
+    exception (unless [keep_going]). *)
 
 val media_reports_json : report list -> string
 (** A JSON array with one object per media report (site list, outcome

@@ -914,7 +914,16 @@ let test_hart_memory_accounting () =
   Alcotest.(check bool) "pm grew" true (Hart.pm_bytes h > pm0);
   Alcotest.(check bool) "dram tracked" true (Hart.dram_bytes h > 0);
   Alcotest.(check bool) "meter agrees with pool" true
-    (Hart.pm_bytes h = Pmem.live_bytes pool)
+    (Hart.pm_bytes h = Pmem.live_bytes pool);
+  (* DRAM = hash directory + ART nodes + the allocator's bitmap mirror,
+     whose 8-byte words fill whole lines: 18 leaf and 18 val8 chunks
+     take 3 lines each *)
+  let s = Hart_core.Hart_stats.collect h in
+  Alcotest.(check int) "mirror bytes" (2 * 3 * 64) s.Hart_core.Hart_stats.mirror_bytes;
+  Alcotest.(check int) "dram = dir + ARTs + mirror"
+    (s.Hart_core.Hart_stats.hash_buckets_bytes + s.Hart_core.Hart_stats.art_node_bytes
+   + s.Hart_core.Hart_stats.mirror_bytes)
+    (Hart.dram_bytes h)
 
 (* The persist budget of one quiesced operation (no chunk allocated or
    recycled): an update persists the new value, the one-line log record,
@@ -941,9 +950,10 @@ let test_hart_persists_per_op () =
   Alcotest.(check int) "insert: persist calls" 4 d.Meter.persist_calls
 
 (* PM reads per op. Every object read charges each line it covers
-   once, so a search hit costs three reads (bitmap word, leaf, value
-   object) when its leaf and value each sit on one line; a leaf in slot
-   phase 1 of its chunk (slots 1, 9, 17, ...) spans two lines. *)
+   once, so a search hit costs two PM reads (leaf, value object) when
+   its leaf and value each sit on one line, plus one DRAM read of the
+   leaf chunk's bitmap mirror; a leaf in slot phase 1 of its chunk
+   (slots 1, 9, 17, ...) spans two lines. *)
 let test_hart_reads_per_op () =
   let h, pool = fresh_hart () in
   for i = 0 to 199 do
@@ -956,12 +966,16 @@ let test_hart_reads_per_op () =
     Meter.diff before (Meter.counters meter)
   in
   let d = cost (fun () -> assert (Hart.search h "rd0042" = Some "v42")) in
-  Alcotest.(check int) "search hit: pm reads" 3 d.Meter.pm_reads;
+  Alcotest.(check int) "search hit: pm reads" 2 d.Meter.pm_reads;
+  (* 7 for the directory probe and the ART descent, 1 mirror word *)
+  Alcotest.(check int) "search hit: dram reads" 8 d.Meter.dram_reads;
   let n = ref 0 in
   let d = cost (fun () -> Hart.range h ~lo:"rd0010" ~hi:"rd0019" (fun _ _ -> incr n)) in
   Alcotest.(check int) "range: keys" 10 !n;
-  (* 3 per key, plus rd0017's second leaf line *)
-  Alcotest.(check int) "range over 10 keys: pm reads" 31 d.Meter.pm_reads;
+  (* 2 per key, plus rd0017's second leaf line *)
+  Alcotest.(check int) "range over 10 keys: pm reads" 21 d.Meter.pm_reads;
+  (* the ART walk is not metered: one mirror word per key *)
+  Alcotest.(check int) "range over 10 keys: dram reads" 10 d.Meter.dram_reads;
   for i = 0 to 199 do
     if i mod 3 = 0 then assert (Hart.delete h (Printf.sprintf "rd%04d" i))
   done;
@@ -991,6 +1005,41 @@ let test_hart_reads_per_op () =
   Alcotest.(check int) "recover: keys" 133 (Hart.count !r);
   Alcotest.(check int) "recover: pm reads" 294 d.Meter.pm_reads
 
+(* The write path reads no chunk header on PM: allocation, bit commits,
+   frees and recycling's emptiness test use the bitmap mirror, and each
+   header store is computed from it. What PM reads remain are the
+   leaf's value pointer (update, delete) and the Algorithm-2 repair
+   check of the fresh leaf slot (insert). Each op reads 4 mirror words
+   and writes 2; the other DRAM reads are the directory probe and the
+   ART descent (7 for update and delete, 5 for insert). *)
+let test_hart_write_path_reads () =
+  let h, pool = fresh_hart () in
+  for i = 0 to 199 do
+    Hart.insert h ~key:(Printf.sprintf "rd%04d" i) ~value:(Printf.sprintf "v%d" i)
+  done;
+  let meter = Pmem.meter pool in
+  let cost f =
+    let before = Meter.counters meter in
+    f ();
+    Meter.diff before (Meter.counters meter)
+  in
+  let check what d ~pm_reads ~flushes ~dram_reads =
+    Alcotest.(check int) (what ^ ": pm reads") pm_reads d.Meter.pm_reads;
+    Alcotest.(check int) (what ^ ": flushes") flushes d.Meter.flushes;
+    Alcotest.(check int) (what ^ ": dram reads") dram_reads d.Meter.dram_reads;
+    Alcotest.(check int) (what ^ ": dram writes") 2 d.Meter.dram_writes
+  in
+  check "update"
+    (cost (fun () -> assert (Hart.update h ~key:"rd0043" ~value:"w")))
+    ~pm_reads:1 ~flushes:6 ~dram_reads:(7 + 4);
+  check "insert"
+    (cost (fun () -> Hart.insert h ~key:"rd0200" ~value:"v200"))
+    ~pm_reads:1 ~flushes:4 ~dram_reads:(5 + 4);
+  check "delete"
+    (cost (fun () -> assert (Hart.delete h "rd0044")))
+    ~pm_reads:1 ~flushes:3 ~dram_reads:(7 + 4);
+  Hart.check_integrity h
+
 (* A cold workload touches exactly the lines field-by-field reads
    touched: its miss count is the one those reads gave. *)
 let test_hart_cold_read_misses () =
@@ -1015,7 +1064,11 @@ let test_hart_cold_read_misses () =
   let d = Meter.diff before (Meter.counters meter) in
   Alcotest.(check int) "keys scanned" 1600 !n;
   Alcotest.(check int) "pm read misses" 1994 d.Meter.pm_read_misses;
-  Alcotest.(check int) "pm reads" 13738 d.Meter.pm_reads
+  Alcotest.(check int) "pm reads" 10538 d.Meter.pm_reads;
+  (* 31504 for recovery's rebuild and the searches' directory probes
+     and ART descents, plus one mirror word per validated leaf: 1600
+     search hits and 1600 scanned keys *)
+  Alcotest.(check int) "dram reads" 34704 d.Meter.dram_reads
 
 (* ------------------------------------------------------------------ *)
 (* HART vs model                                                       *)
@@ -2204,6 +2257,69 @@ let test_unrepairable_leaf_quarantined () =
     "media scrub clean after fsck" []
     (Pmem.media_verify pool).Pmem.corrupt_lines
 
+(* A Val8 chunk of [populate_hart]'s store with a free slot: its
+   offset, that slot, and a committed slot. *)
+let val8_chunk_slots h =
+  let pool = Hart.pool h in
+  let found = ref None in
+  Epalloc.iter_chunks (Hart.alloc h) Chunk.Val8 (fun chunk ->
+      let bm = Chunk.bitmap pool ~chunk in
+      let pick live =
+        List.find (fun i -> Int64.logand bm (Int64.shift_left 1L i) <> 0L = live)
+          (List.init Chunk.objs_per_chunk Fun.id)
+      in
+      if !found = None then found := Some (chunk, pick false, pick true));
+  Option.get !found
+
+let fails_integrity h =
+  match Hart.check_integrity h with () -> false | exception Failure _ -> true
+
+(* A stray store of a well-formed header with a different bitmap leaves
+   the allocator's DRAM mirror and the PM bitmap disagreeing; the
+   allocator's invariant check names the chunk. *)
+let test_mirror_desync_caught () =
+  let h, pool, _ = populate_hart () in
+  Hart.check_integrity h;
+  let chunk, free, _ = val8_chunk_slots h in
+  let bm = Int64.logor (Chunk.bitmap pool ~chunk) (Int64.shift_left 1L free) in
+  Pmem.set_u64 pool chunk (Chunk.header_of_bitmap bm);
+  Pmem.persist pool ~off:chunk ~len:8;
+  (match Epalloc.check_invariants (Hart.alloc h) with
+  | () -> Alcotest.fail "desynchronised bitmap mirror not caught"
+  | exception Failure msg ->
+      Alcotest.(check bool) "names the chunk" true
+        (String.starts_with ~prefix:(Printf.sprintf "bitmap mirror of chunk %d " chunk) msg));
+  Alcotest.(check bool) "check_integrity fails" true (fails_integrity h)
+
+(* A live store whose value-chunk header was corrupted: scrub leaves
+   the PM header equal to the bitmap mirror again, so the store passes
+   its integrity check and serves every binding. A media bit flip that
+   marks a free slot used is reclaimed as an orphan (resealing the
+   line); a stray store that clears a live value's bit is put back from
+   the mirror. *)
+let test_scrub_heals_value_header () =
+  let h, pool, model = populate_hart () in
+  let chunk, free, live = val8_chunk_slots h in
+  Pmem.inject_media_fault pool (Pmem.Flip_bit { off = chunk + (free / 8); bit = free mod 8 });
+  Alcotest.(check bool) "flipped bit: check_integrity fails" true (fails_integrity h);
+  let details = List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.scrub h) in
+  Alcotest.(check bool) "flipped bit: orphan reclaimed" true
+    (List.mem "unreferenced committed value object reclaimed" details);
+  Hart.check_integrity h;
+  Alcotest.(check (list int)) "flipped bit: line resealed" []
+    (Pmem.media_verify pool).Pmem.corrupt_lines;
+  let bm = Int64.logand (Chunk.bitmap pool ~chunk) (Int64.lognot (Int64.shift_left 1L live)) in
+  Pmem.set_u64 pool chunk (Chunk.header_of_bitmap bm);
+  Pmem.persist pool ~off:chunk ~len:8;
+  Alcotest.(check bool) "cleared bit: check_integrity fails" true (fails_integrity h);
+  Alcotest.(check (list string)) "cleared bit: bitmap restored"
+    [ "PM bitmap restored from the allocator's DRAM mirror" ]
+    (List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.scrub h));
+  Hart.check_integrity h;
+  Alcotest.(check int) "scrub converges" 0 (List.length (Hart.scrub h));
+  Alcotest.(check (list (pair string string)))
+    "bindings intact" (SMap.bindings model) (dump_hart h)
+
 let test_microlog_acquire_timeout () =
   let pool = fresh_pool () in
   let base = Pmem.alloc pool Microlog.region_bytes in
@@ -2376,6 +2492,7 @@ let () =
           Alcotest.test_case "persist calls per op" `Quick test_hart_persists_per_op;
           Alcotest.test_case "pm reads per op" `Quick test_hart_reads_per_op;
           Alcotest.test_case "cold read misses" `Quick test_hart_cold_read_misses;
+          Alcotest.test_case "write-path pm reads" `Quick test_hart_write_path_reads;
           QCheck_alcotest.to_alcotest qcheck_hart_vs_map;
         ] );
       ( "crash",
@@ -2438,6 +2555,10 @@ let () =
             test_unrepairable_leaf_quarantined;
           Alcotest.test_case "log acquire timeout" `Quick
             test_microlog_acquire_timeout;
+          Alcotest.test_case "bitmap mirror desync caught" `Quick
+            test_mirror_desync_caught;
+          Alcotest.test_case "scrub heals a value-chunk header" `Quick
+            test_scrub_heals_value_header;
           QCheck_alcotest.to_alcotest qcheck_media_fsck_partition;
         ] );
       ( "concurrency",

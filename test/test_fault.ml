@@ -5,6 +5,7 @@
 module Pmem = Hart_pmem.Pmem
 module Fault = Hart_fault.Fault
 module Fault_mt = Hart_fault.Fault_mt
+module Hart_error = Hart_core.Hart_error
 
 let find name =
   match Fault.find_workload name with
@@ -416,6 +417,60 @@ let media_sweep_roster () =
         && String.sub tgt.Fault.target_name 0 4 = "hart")
         (tgt.Fault.media_mount <> None))
     Fault.media_targets
+
+(* An exception outside the typed-detection set must become a violation
+   at the site that raised it, not escape the sweep: a media mount that
+   raises [Invalid_argument], and an integrity check that raises a
+   typed [Hart_error] after the mount accepted the store. *)
+let media_unexpected_exceptions () =
+  let name, setup, ops = find "update-log" in
+  let mount_raises =
+    {
+      Fault.hart with
+      target_name = "mount-raises";
+      media_mount = Some (fun _ -> invalid_arg "mount: injected");
+    }
+  and check_raises =
+    {
+      Fault.hart with
+      target_name = "check-raises";
+      media_mount =
+        Option.map
+          (fun mount pool ->
+            let inst, findings = mount pool in
+            ( {
+                inst with
+                Fault.check =
+                  (fun () ->
+                    Hart_error.error (Hart_error.Pool_line { line = 0 })
+                      "check: injected");
+              },
+              findings ))
+          Fault.hart.Fault.media_mount;
+    }
+  in
+  List.iter
+    (fun (tgt, what) ->
+      let r =
+        Fault.explore_media ~sites:3 ~keep_going:true ~setup ~workload:name tgt
+          ops
+      in
+      Alcotest.(check int) (what ^ ": every site ran") 3 (List.length r.Fault.sites);
+      (* a site detected before the faulty code runs has no violation *)
+      List.iter
+        (fun (v : Fault.violation) ->
+          Alcotest.(check bool)
+            (what ^ ": message carries the exception")
+            true
+            (contains ~sub:"injected" (Fault.violation_message v)))
+        r.Fault.violations;
+      Alcotest.(check bool) (what ^ ": violations recorded") true
+        (r.Fault.violations <> []);
+      match Fault.explore_media ~sites:3 ~setup ~workload:name tgt ops with
+      | (_ : Fault.report) -> Alcotest.failf "%s: sweep accepted it" what
+      | exception Fault.Violation _ -> ())
+    [ (mount_raises, "mount raises Invalid_argument");
+      (check_raises, "check raises Hart_error") ]
 
 let media_json () =
   let name, setup, ops = find "update-log" in
@@ -1103,6 +1158,8 @@ let () =
             Alcotest.test_case "roster and capabilities" `Quick
               media_sweep_roster;
             Alcotest.test_case "media JSON serialization" `Quick media_json;
+            Alcotest.test_case "unexpected exceptions are violations" `Quick
+              media_unexpected_exceptions;
           ] );
       ( "adversarial",
         [

@@ -280,6 +280,64 @@ let test_epalloc_concurrent () =
   Alcotest.(check int) "live objects = committed minus freed"
     (held0 + held_rest) live
 
+(* Insert/update/delete churn on 4 domains with values of every class,
+   plus racing foreign searches (lock-free mirror reads). Chunks of all
+   four classes fill, empty and recycle concurrently; afterwards every
+   registered chunk's DRAM bitmap mirror must equal its PM bitmap
+   ([check_integrity] runs [Epalloc.check_invariants]) and the tree must
+   equal the merged oracle. *)
+let test_mirror_churn () =
+  let t = fresh_mt () in
+  let keys_per_domain = 600 in
+  let key d i = Printf.sprintf "mc%d_%03d" d i in
+  let oracles = Array.init n_domains (fun _ -> ref SMap.empty) in
+  let require cond fmt = Printf.ksprintf (fun s -> if not cond then failwith s) fmt in
+  let worker d () =
+    let rng = Rng.create (Int64.of_int (700 + d)) in
+    let oracle = oracles.(d) in
+    for _ = 1 to 4_000 do
+      let k = key d (Rng.int rng keys_per_domain) in
+      let v () = String.make (1 + Rng.int rng 31) (Char.chr (97 + d)) in
+      match Rng.int rng 4 with
+      | 0 ->
+          let v = v () in
+          Hart_mt.insert t ~key:k ~value:v;
+          oracle := SMap.add k v !oracle
+      | 1 ->
+          let v = v () in
+          let hit = Hart_mt.update t ~key:k ~value:v in
+          require (hit = SMap.mem k !oracle) "update of %s hit=%b" k hit;
+          if hit then oracle := SMap.add k v !oracle
+      | 2 ->
+          let hit = Hart_mt.delete t k in
+          require (hit = SMap.mem k !oracle) "delete of %s hit=%b" k hit;
+          oracle := SMap.remove k !oracle
+      | _ -> (
+          let other = (d + 1 + Rng.int rng (n_domains - 1)) mod n_domains in
+          match Hart_mt.search t (key other (Rng.int rng keys_per_domain)) with
+          | None -> ()
+          | Some v ->
+              require
+                (v <> "" && v.[0] = Char.chr (97 + other))
+                "foreign read returned %S" v)
+    done
+  in
+  let domains = Array.init (n_domains - 1) (fun d -> Domain.spawn (worker (d + 1))) in
+  worker 0 ();
+  Array.iter Domain.join domains;
+  let hart = Hart_mt.underlying t in
+  Hart.check_integrity hart;
+  let merged =
+    Array.fold_left
+      (fun acc o -> SMap.union (fun _ _ _ -> assert false) acc !o)
+      SMap.empty oracles
+  in
+  let dumped = ref SMap.empty in
+  Hart.iter hart (fun k v -> dumped := SMap.add k v !dumped);
+  Alcotest.(check (list (pair string string)))
+    "bindings match merged oracle" (SMap.bindings merged)
+    (SMap.bindings !dumped)
+
 (* ------------------------------------------------------------------ *)
 (* Delete-churn recycler storm: every domain owns a key slice and runs
    waves of insert-everything / delete-everything, so whole leaf and
@@ -826,6 +884,8 @@ let () =
             test_epalloc_concurrent;
           Alcotest.test_case "delete-churn recycler storm" `Quick
             test_recycler_churn_storm;
+          Alcotest.test_case "insert/update/delete churn keeps the mirror" `Quick
+            test_mirror_churn;
         ] );
       ( "striped_functor",
         [

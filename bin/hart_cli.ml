@@ -174,189 +174,62 @@ let bench_cmd =
     (Cmd.info "bench" ~doc:"Bulk-load random records and report simulated cost.")
     Term.(const run $ records $ db_arg)
 
-let parallel_cmd =
+let exp_cmd =
+  let module E = Hart_harness.Experiments in
+  let names =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"NAME"
+          ~doc:"Experiments to run, in order; omit to run all of them.")
+  in
   let scale =
     Arg.(
       value & opt float 1.0
       & info [ "scale" ] ~docv:"F"
-          ~doc:"Scale the per-phase operation count (default 200k ops).")
+          ~doc:"Scale every experiment's record, operation and pool counts.")
   in
-  let json =
+  let json_dir =
     Arg.(
       value
       & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Also write the results as JSON (BENCH_parallel.json format).")
-  in
-  let min_speedup =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"X"
+      & info [ "json-dir" ] ~docv:"DIR"
           ~doc:
-            "Fail (exit 1) unless uniform-insert throughput at \
-             $(b,--speedup-domains) domains is at least X times the \
-             1-domain figure. Skipped with a logged notice when the host \
-             reports fewer usable cores than that domain count.")
+            "Write each experiment's JSON artifact to $(docv)/BENCH_NAME.json \
+             and, when the run includes an experiment without one, every \
+             printed table to $(docv)/BENCH_figs.json.")
   in
-  let speedup_domains =
+  let gate =
     Arg.(
-      value & opt int 4
-      & info [ "speedup-domains" ] ~docv:"N"
-          ~doc:"Domain count the $(b,--min-speedup) threshold applies to.")
+      value & flag
+      & info [ "gate" ]
+          ~doc:
+            "Fail (exit 1) when a wall-clock speed-up misses its threshold \
+             (listed under EXPERIMENTS). A threshold is skipped with a \
+             logged notice when the host has fewer cores than it is defined \
+             over, or the scaled sizes are too small to time.")
   in
-  let run scale json min_speedup speedup_domains =
-    ok_or_die
-      (if scale <= 0. then Error "scale must be positive"
-       else begin
-         let threshold =
-           Option.map (fun x -> (speedup_domains, x)) min_speedup
-         in
-         match Hart_harness.Exp_parallel.run ?json_path:json ?threshold ~scale () with
-         | () -> Ok ()
-         | exception Failure msg -> Error msg
-       end)
-  in
-  Cmd.v
-    (Cmd.info "parallel"
-       ~doc:
-         "Measure wall-clock multi-domain scalability of the concurrent \
-          HART front end (uniform and Zipf key mixes, 1-8 domains). Real \
-          [Domain.spawn] timings, not the simulated clock.")
-    Term.(const run $ scale $ json $ min_speedup $ speedup_domains)
-
-let ycsb_cmd =
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale" ] ~docv:"F"
-          ~doc:"Scale the preload size (default 20k records, 2x ops).")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Also write the results as JSON (BENCH_ycsb.json format).")
-  in
-  let run scale json =
+  let run names scale json_dir gate =
     ok_or_die
       (if scale <= 0. then Error "scale must be positive"
        else
-         match Hart_harness.Exp_ycsb.run ?json_path:json ~scale () with
-         | () -> Ok ()
-         | exception Failure msg -> Error msg)
+         match E.select names with
+         | Error msg -> Error msg
+         | Ok entries -> (
+             try Ok (E.run ?json_dir ~gate ~scale entries)
+             with Failure msg | Sys_error msg -> Error msg))
   in
   Cmd.v
-    (Cmd.info "ycsb"
+    (Cmd.info "exp"
        ~doc:
-         "Run the six YCSB core workloads (A-F) over every index in the \
-          repo, plus request-skew, composite-key and delete-churn \
-          variants, on the simulated clock.")
-    Term.(const run $ scale $ json)
-
-let recovery_cmd =
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale" ] ~docv:"F"
-          ~doc:"Scale the pool sizes (default 50k/200k/1M keys).")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Also write the results as JSON (BENCH_recovery.json format).")
-  in
-  let min_speedup =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:
-            "Fail (exit 1) unless recovery at $(b,--speedup-domains) \
-             domains on the largest pool is at least X times faster than \
-             serial. Skipped with a logged notice when the host reports \
-             fewer usable cores than that domain count.")
-  in
-  let speedup_domains =
-    Arg.(
-      value & opt int 4
-      & info [ "speedup-domains" ] ~docv:"N"
-          ~doc:"Domain count the $(b,--min-speedup) threshold applies to.")
-  in
-  let run scale json min_speedup speedup_domains =
-    ok_or_die
-      (if scale <= 0. then Error "scale must be positive"
-       else begin
-         let threshold =
-           Option.map (fun x -> (speedup_domains, x)) min_speedup
-         in
-         match
-           Hart_harness.Exp_recovery.run_parallel ?json_path:json ?threshold
-             ~scale ()
-         with
-         | () -> Ok ()
-         | exception Failure msg -> Error msg
-       end)
-  in
-  Cmd.v
-    (Cmd.info "recovery"
-       ~doc:
-         "Measure wall-clock parallel recovery (Hart.recover_parallel) \
-          against pool size at 1-8 domains, verifying every rebuild \
-          against the original contents. Real [Domain.spawn] timings.")
-    Term.(const run $ scale $ json $ min_speedup $ speedup_domains)
-
-let art_nodes_cmd =
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale" ] ~docv:"F"
-          ~doc:"Scale the key counts (default 100k and 1M keys).")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Also write the results as JSON (BENCH_art_nodes.json format).")
-  in
-  let min_lookup_speedup =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "min-lookup-speedup" ] ~docv:"X"
-          ~doc:
-            "Fail (exit 1) unless uniform-random search on the bitmap \
-             layer at the largest key count is at least X times faster \
-             (wall clock) than the boxed layer. Skipped with a logged \
-             notice when the scaled sizes are too small to time \
-             meaningfully.")
-  in
-  let run scale json min_lookup_speedup =
-    ok_or_die
-      (if scale <= 0. then Error "scale must be positive"
-       else
-         match
-           Hart_harness.Exp_art_nodes.run ?json_path:json
-             ?lookup_threshold:min_lookup_speedup ~scale ()
-         with
-         | () -> Ok ()
-         | exception Failure msg -> Error msg)
-  in
-  Cmd.v
-    (Cmd.info "art-nodes"
-       ~doc:
-         "Benchmark the bitmap ART node layer against the retained boxed \
-          layer: wall-clock ns/op for insert, search, delete and range at \
-          100k-1M keys, plus simulated ns/op as a cost-model fidelity \
-          check (the two layers must agree exactly).")
-    Term.(const run $ scale $ json $ min_lookup_speedup)
+         "Run experiments: the paper's figure reproductions (simulated \
+          clock) and the beyond-paper suites."
+       ~man:
+         (`S "EXPERIMENTS"
+         :: List.map (fun e -> `I (e.E.name, e.E.doc)) E.all))
+    Term.(const run $ names $ scale $ json_dir $ gate)
 
 (* ------------------------------------------------------------------ *)
-(* serve / loadgen                                                     *)
+(* serve                                                               *)
 
 let serve_cmd =
   let socket =
@@ -403,75 +276,6 @@ let serve_cmd =
           end. Ctrl-C stops accepting, drains live connections and saves \
           the pool image back to $(b,--db).")
     Term.(const run $ socket $ domains $ db_arg)
-
-let loadgen_cmd =
-  let socket =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "socket" ] ~docv:"PATH"
-          ~doc:
-            "Aim at a running server ($(b,hart_cli serve)) on this socket. \
-             Default: an in-process loopback store, freshly preloaded.")
-  in
-  let scale =
-    Arg.(
-      value & opt float 1.0
-      & info [ "scale" ] ~docv:"F"
-          ~doc:"Scale the per-connection request count (default 20k).")
-  in
-  let conns =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "conns" ] ~docv:"N,N,..."
-          ~doc:"Connection counts to sweep (default 1,2,4).")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Also write the results as JSON (BENCH_server.json format).")
-  in
-  let run socket scale conns json =
-    ok_or_die
-      (if scale <= 0. then Error "scale must be positive"
-       else begin
-         let conn_counts =
-           Option.map
-             (fun s ->
-               List.map
-                 (fun w ->
-                   match int_of_string_opt w with
-                   | Some n when n > 0 -> n
-                   | Some _ | None ->
-                       failwith
-                         (Printf.sprintf "bad --conns element %S" w))
-                 (String.split_on_char ',' s))
-             conns
-         in
-         let target =
-           match socket with
-           | None -> Hart_harness.Exp_server.Loopback
-           | Some p -> Hart_harness.Exp_server.Socket p
-         in
-         match
-           Hart_harness.Exp_server.run ?json_path:json ?conn_counts ~target
-             ~scale ()
-         with
-         | (_ : Hart_harness.Exp_server.run_result list) -> Ok ()
-         | exception Failure msg -> Error msg
-       end)
-  in
-  Cmd.v
-    (Cmd.info "loadgen"
-       ~doc:
-         "Open-loop load generator for the KV service: fixed request \
-          schedule at 70% of a per-run calibrated rate, latency measured \
-          from scheduled send to reply (queueing delay included), reported \
-          as throughput plus p50/p99/p999 per connection count.")
-    Term.(const run $ socket $ scale $ conns $ json)
 
 (* ------------------------------------------------------------------ *)
 (* fsck / scrub                                                        *)
@@ -967,15 +771,11 @@ let () =
       list_cmd;
       stats_cmd;
       bench_cmd;
-      parallel_cmd;
-      ycsb_cmd;
-      recovery_cmd;
-      art_nodes_cmd;
+      exp_cmd;
       fault_cmd;
       fsck_cmd;
       scrub_cmd;
       serve_cmd;
-      loadgen_cmd;
     ]
   in
   let names = List.map Cmd.name commands in

@@ -58,5 +58,5 @@ let () =
     Workload.mixes;
   print_newline ();
   print_endline
-    "(HART should lead on the write-heavy mixes; see bench/main.exe for\n\
-     the full Fig. 9 grid across all latency configurations.)"
+    "(HART should lead on the write-heavy mixes; see `hart_cli exp fig9`\n\
+     for the full Fig. 9 grid across all latency configurations.)"

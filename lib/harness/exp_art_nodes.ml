@@ -12,7 +12,7 @@
      fails if they diverge, making every benchmark run a fidelity
      check.
 
-   Emitted as BENCH_art_nodes.json. The [--min-lookup-speedup] CI gate
+   Emitted as BENCH_art_nodes.json. The CI gate ([hart_cli exp --gate])
    checks the uniform-random search speedup at the largest key count,
    skipping with a notice when the scaled sizes are too small to time
    meaningfully (like the recovery gate skips on small hosts). *)
@@ -171,7 +171,7 @@ let measure (module L : LAYER) ~keys ~shuffled ~windows =
         ops;
   }
 
-let run ?json_path ?lookup_threshold ~scale () =
+let run ?lookup_threshold ~scale () =
   let sizes =
     List.sort_uniq compare
       (List.map
@@ -254,52 +254,45 @@ let run ?json_path ?lookup_threshold ~scale () =
         Printf.printf "lookup-speedup threshold check OK: %.2fx >= %.2fx\n"
           search_speedup min_speedup);
   flush stdout;
-  match json_path with
-  | None -> ()
-  | Some path ->
-      let cells m =
-        List.concat_map
-          (fun op ->
-            let c = List.assoc op m.m_cells in
+  let cells m =
+    List.concat_map
+      (fun op ->
+        let c = List.assoc op m.m_cells in
+        [
+          Json.Obj
             [
-              Json.Obj
-                [
-                  ("keys", Json.Int m.m_keys);
-                  ("layer", Json.Str m.m_layer);
-                  ("op", Json.Str op);
-                  ("wall_ns_per_op", Json.Float c.wall);
-                  ("sim_ns_per_op", Json.Float c.sim);
-                ];
-            ])
-          ops
-      in
-      let j =
-        Json.Obj
-          [
-            ("experiment", Json.Str "art_nodes");
-            ("range_width", Json.Int range_width);
-            ( "rows",
-              Json.List
-                (List.concat_map
-                   (fun (_, boxed, bitmap) -> cells boxed @ cells bitmap)
-                   pairs) );
-            ( "speedups",
-              Json.List
-                (List.map
-                   (fun (n, boxed, bitmap) ->
-                     Json.Obj
-                       (("keys", Json.Int n)
-                       :: List.map
-                            (fun op ->
-                              ( op,
-                                Json.Float
-                                  (Report.ratio
-                                     (List.assoc op boxed.m_cells).wall
-                                     (List.assoc op bitmap.m_cells).wall) ))
-                            ops))
-                   pairs) );
-            ("search_speedup_at_max", Json.Float search_speedup);
-          ]
-      in
-      Json.write path j;
-      Printf.printf "wrote %s\n%!" path
+              ("keys", Json.Int m.m_keys);
+              ("layer", Json.Str m.m_layer);
+              ("op", Json.Str op);
+              ("wall_ns_per_op", Json.Float c.wall);
+              ("sim_ns_per_op", Json.Float c.sim);
+            ];
+        ])
+      ops
+  in
+  Json.Obj
+    [
+      ("experiment", Json.Str "art_nodes");
+      ("range_width", Json.Int range_width);
+      ( "rows",
+        Json.List
+          (List.concat_map
+             (fun (_, boxed, bitmap) -> cells boxed @ cells bitmap)
+             pairs) );
+      ( "speedups",
+        Json.List
+          (List.map
+             (fun (n, boxed, bitmap) ->
+               Json.Obj
+                 (("keys", Json.Int n)
+                 :: List.map
+                      (fun op ->
+                        ( op,
+                          Json.Float
+                            (Report.ratio
+                               (List.assoc op boxed.m_cells).wall
+                               (List.assoc op bitmap.m_cells).wall) ))
+                      ops))
+             pairs) );
+      ("search_speedup_at_max", Json.Float search_speedup);
+    ]

@@ -298,7 +298,7 @@ let phases ~total_ops =
     };
   ]
 
-let run ?json_path ?threshold ~scale () =
+let run ?threshold ~scale () =
   let total_ops =
     (* multiple of every domain count times the batch size *)
     let raw = int_of_float (float_of_int default_total_ops *. scale) in
@@ -382,88 +382,70 @@ let run ?json_path ?threshold ~scale () =
         (if ins1 > 0. then insN /. ins1 else 0.)
         host
   | _ -> ());
-  (* CI gate: speedup thresholds only mean something when the host can
-     actually run that many domains in parallel, so the check logs a
-     skip notice instead of failing on small machines. *)
-  (match threshold with
-  | None -> ()
-  | Some (d_req, min_speedup) -> (
-      if host < d_req then
-        Printf.printf
-          "threshold check SKIPPED: host reports %d usable core(s), fewer \
-           than the %d domains the threshold is defined over\n"
-          host d_req
-      else
-        match results with
-        | (1, base) :: _ when List.mem_assoc d_req results ->
-            let ins1 = (List.assoc "insert (uniform)" base).ops_per_s in
-            let insD =
-              (List.assoc "insert (uniform)" (List.assoc d_req results))
-                .ops_per_s
-            in
-            let speedup = if ins1 > 0. then insD /. ins1 else 0. in
-            if speedup < min_speedup then
-              failwith
-                (Printf.sprintf
-                   "parallel scalability below threshold: insert at %d \
-                    domains is %.2fx of 1 domain, required >= %.2fx"
-                   d_req speedup min_speedup)
-            else
-              Printf.printf "threshold check OK: %.2fx >= %.2fx at %d domains\n"
-                speedup min_speedup d_req
-        | _ ->
+  Report.core_gate ~label:"threshold check" ~host threshold
+    (fun d_req min_speedup ->
+      match results with
+      | (1, base) :: _ when List.mem_assoc d_req results ->
+          let ins1 = (List.assoc "insert (uniform)" base).ops_per_s in
+          let insD =
+            (List.assoc "insert (uniform)" (List.assoc d_req results)).ops_per_s
+          in
+          let speedup = if ins1 > 0. then insD /. ins1 else 0. in
+          if speedup < min_speedup then
             failwith
               (Printf.sprintf
-                 "threshold check: %d domains is not a measured domain count"
-                 d_req)));
+                 "parallel scalability below threshold: insert at %d \
+                  domains is %.2fx of 1 domain, required >= %.2fx"
+                 d_req speedup min_speedup)
+          else
+            Printf.printf "threshold check OK: %.2fx >= %.2fx at %d domains\n"
+              speedup min_speedup d_req
+      | _ ->
+          failwith
+            (Printf.sprintf
+               "threshold check: %d domains is not a measured domain count"
+               d_req));
   flush stdout;
-  match json_path with
-  | None -> ()
-  | Some path ->
-      let j =
-        Json.Obj
-          [
-            ("experiment", Json.Str "parallel-wall-clock");
-            ("total_ops_per_phase", Json.Int total_ops);
-            ("host_recommended_domains", Json.Int host);
-            ("batch", Json.Int batch);
-            ( "phases",
-              Json.List
-                (List.map
-                   (fun p ->
-                     Json.Obj
-                       [
-                         ("name", Json.Str p.name);
-                         ( "results",
-                           Json.List
-                             (List.map
-                                (fun (d, rs) ->
-                                  let r = List.assoc p.name rs in
-                                  Json.Obj
-                                    [
-                                      ("domains", Json.Int d);
-                                      ("ops_per_s", Json.Float r.ops_per_s);
-                                      ("p50_ns", Json.Float r.p50_ns);
-                                      ("p99_ns", Json.Float r.p99_ns);
-                                    ])
-                                results) );
-                       ])
-                   ps) );
-            ( "cross_index",
-              Json.List
-                (List.map
-                   (fun x ->
-                     Json.Obj
-                       [
-                         ("index", Json.Str x.x_index);
-                         ("phase", Json.Str x.x_phase);
-                         ("domains", Json.Int x.x_domains);
-                         ("ops_per_s", Json.Float x.x_r.ops_per_s);
-                         ("p50_ns", Json.Float x.x_r.p50_ns);
-                         ("p99_ns", Json.Float x.x_r.p99_ns);
-                       ])
-                   cross) );
-          ]
-      in
-      Json.write path j;
-      Printf.printf "wrote %s\n%!" path
+  Json.Obj
+    [
+      ("experiment", Json.Str "parallel-wall-clock");
+      ("total_ops_per_phase", Json.Int total_ops);
+      ("host_recommended_domains", Json.Int host);
+      ("batch", Json.Int batch);
+      ( "phases",
+        Json.List
+          (List.map
+             (fun p ->
+               Json.Obj
+                 [
+                   ("name", Json.Str p.name);
+                   ( "results",
+                     Json.List
+                       (List.map
+                          (fun (d, rs) ->
+                            let r = List.assoc p.name rs in
+                            Json.Obj
+                              [
+                                ("domains", Json.Int d);
+                                ("ops_per_s", Json.Float r.ops_per_s);
+                                ("p50_ns", Json.Float r.p50_ns);
+                                ("p99_ns", Json.Float r.p99_ns);
+                              ])
+                          results) );
+                 ])
+             ps) );
+      ( "cross_index",
+        Json.List
+          (List.map
+             (fun x ->
+               Json.Obj
+                 [
+                   ("index", Json.Str x.x_index);
+                   ("phase", Json.Str x.x_phase);
+                   ("domains", Json.Int x.x_domains);
+                   ("ops_per_s", Json.Float x.x_r.ops_per_s);
+                   ("p50_ns", Json.Float x.x_r.p50_ns);
+                   ("p99_ns", Json.Float x.x_r.p99_ns);
+                 ])
+             cross) );
+    ]

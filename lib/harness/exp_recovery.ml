@@ -91,7 +91,7 @@ type parallel_row = {
   pr_secs : (int * float) list;  (* domains -> wall seconds *)
 }
 
-let run_parallel ?json_path ?threshold ~scale () =
+let run_parallel ?threshold ~scale () =
   let host = Domain.recommended_domain_count () in
   let sizes =
     List.map
@@ -173,69 +173,52 @@ let run_parallel ?json_path ?threshold ~scale () =
                (fun (_, s) -> if s > 0. then base /. s else 0.)
                r.pr_secs ))
          rows);
-  (* CI gate: like Exp_parallel's, meaningful only when the host has the
-     cores, so it logs a skip notice instead of failing on small hosts. *)
-  (match threshold with
-  | None -> ()
-  | Some (d_req, min_speedup) -> (
-      if host < d_req then
-        Printf.printf
-          "recovery threshold check SKIPPED: host reports %d usable \
-           core(s), fewer than the %d domains the threshold is defined \
-           over\n"
-          host d_req
-      else
-        match List.rev rows with
-        | biggest :: _ when List.mem_assoc d_req biggest.pr_secs ->
-            let base = List.assoc 1 biggest.pr_secs in
-            let at_d = List.assoc d_req biggest.pr_secs in
-            let speedup = if at_d > 0. then base /. at_d else 0. in
-            if speedup < min_speedup then
-              failwith
-                (Printf.sprintf
-                   "parallel recovery below threshold: %d domains is %.2fx \
-                    of serial on %d keys, required >= %.2fx"
-                   d_req speedup biggest.pr_keys min_speedup)
-            else
-              Printf.printf
-                "recovery threshold check OK: %.2fx >= %.2fx at %d domains \
-                 (%d keys)\n"
-                speedup min_speedup d_req biggest.pr_keys
-        | _ ->
+  Report.core_gate ~label:"recovery threshold check" ~host threshold
+    (fun d_req min_speedup ->
+      match List.rev rows with
+      | biggest :: _ when List.mem_assoc d_req biggest.pr_secs ->
+          let base = List.assoc 1 biggest.pr_secs in
+          let at_d = List.assoc d_req biggest.pr_secs in
+          let speedup = if at_d > 0. then base /. at_d else 0. in
+          if speedup < min_speedup then
             failwith
               (Printf.sprintf
-                 "recovery threshold check: %d domains is not a measured \
-                  domain count"
-                 d_req)));
+                 "parallel recovery below threshold: %d domains is %.2fx \
+                  of serial on %d keys, required >= %.2fx"
+                 d_req speedup biggest.pr_keys min_speedup)
+          else
+            Printf.printf
+              "recovery threshold check OK: %.2fx >= %.2fx at %d domains \
+               (%d keys)\n"
+              speedup min_speedup d_req biggest.pr_keys
+      | _ ->
+          failwith
+            (Printf.sprintf
+               "recovery threshold check: %d domains is not a measured \
+                domain count"
+               d_req));
   flush stdout;
-  match json_path with
-  | None -> ()
-  | Some path ->
-      let j =
-        Json.Obj
-          [
-            ("experiment", Json.Str "recovery-parallel");
-            ("host_recommended_domains", Json.Int host);
-            ( "rows",
-              Json.List
-                (List.map
-                   (fun r ->
-                     Json.Obj
-                       [
-                         ("keys", Json.Int r.pr_keys);
-                         ( "wall_s",
-                           Json.List
-                             (List.map
-                                (fun (d, s) ->
-                                  Json.Obj
-                                    [
-                                      ("domains", Json.Int d);
-                                      ("seconds", Json.Float s);
-                                    ])
-                                r.pr_secs) );
-                       ])
-                   rows) );
-          ]
-      in
-      Json.write path j;
-      Printf.printf "wrote %s\n%!" path
+  Json.Obj
+    [
+      ("experiment", Json.Str "recovery-parallel");
+      ("host_recommended_domains", Json.Int host);
+      ( "rows",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("keys", Json.Int r.pr_keys);
+                   ( "wall_s",
+                     Json.List
+                       (List.map
+                          (fun (d, s) ->
+                            Json.Obj
+                              [
+                                ("domains", Json.Int d);
+                                ("seconds", Json.Float s);
+                              ])
+                          r.pr_secs) );
+                 ])
+             rows) );
+    ]

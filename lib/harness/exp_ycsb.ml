@@ -118,7 +118,7 @@ let grid_json name grid =
              grid) );
     ]
 
-let run ?json_path ~scale () =
+let run ~scale =
   let n = max 1_000 (int_of_float (float_of_int default_preload *. scale)) in
   let n_ops = 2 * n in
   Printf.printf
@@ -166,25 +166,18 @@ let run ?json_path ~scale () =
     ~prefix:
       (Printf.sprintf "Delete-churn storm (%d keys x 2 waves)" churn_n)
     ~cols:[ "churn" ] churn;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let j =
-        Json.Obj
+  flush stdout;
+  Json.Obj
+    [
+      ("experiment", Json.Str "ycsb");
+      ("preloaded", Json.Int n);
+      ("ops_per_cell", Json.Int n_ops);
+      ( "grids",
+        Json.List
           [
-            ("experiment", Json.Str "ycsb");
-            ("preloaded", Json.Int n);
-            ("ops_per_cell", Json.Int n_ops);
-            ( "grids",
-              Json.List
-                [
-                  grid_json "af_random" af;
-                  grid_json "af_composite" af_comp;
-                  grid_json "ycsb_a_skew" skew;
-                  grid_json "delete_churn" churn;
-                ] );
-          ]
-      in
-      Json.write path j;
-      Printf.printf "wrote %s\n%!" path);
-  flush stdout
+            grid_json "af_random" af;
+            grid_json "af_composite" af_comp;
+            grid_json "ycsb_a_skew" skew;
+            grid_json "delete_churn" churn;
+          ] );
+    ]

@@ -84,46 +84,33 @@ module Json = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Capture: when enabled, every printed table is also recorded so the
-   bench runner can dump all figure numbers as machine-readable JSON *)
-
-type captured = {
-  c_title : string;
-  c_cols : string list;
-  c_rows : (string * Json.t list) list;
-}
+(* Capture: while enabled, every printed table is also recorded so the
+   experiment registry can write all figure numbers as JSON *)
 
 let capture_on = ref false
-let captured_tables : captured list ref = ref []
-
-let start_capture () =
-  capture_on := true;
-  captured_tables := []
+let captured_tables : Json.t list ref = ref []
 
 let record ~title ~col_names rows =
   if !capture_on then
     captured_tables :=
-      { c_title = title; c_cols = col_names; c_rows = rows } :: !captured_tables
+      Json.Obj
+        [
+          ("title", Json.Str title);
+          ("columns", Json.List (List.map (fun s -> Json.Str s) col_names));
+          ( "rows",
+            Json.List
+              (List.map
+                 (fun (label, cells) ->
+                   Json.Obj [ ("label", Json.Str label); ("cells", Json.List cells) ])
+                 rows) );
+        ]
+      :: !captured_tables
 
-let captured_json () =
-  Json.List
-    (List.rev_map
-       (fun c ->
-         Json.Obj
-           [
-             ("title", Json.Str c.c_title);
-             ("columns", Json.List (List.map (fun s -> Json.Str s) c.c_cols));
-             ( "rows",
-               Json.List
-                 (List.map
-                    (fun (label, cells) ->
-                      Json.Obj
-                        [ ("label", Json.Str label); ("cells", Json.List cells) ])
-                    c.c_rows) );
-           ])
-       !captured_tables)
-
-let dump_captured ~path = Json.write path (captured_json ())
+let capture f =
+  capture_on := true;
+  captured_tables := [];
+  let r = Fun.protect ~finally:(fun () -> capture_on := false) f in
+  (r, Json.List (List.rev !captured_tables))
 
 let render_table ~title ~col_names ~rows =
   let headers = "" :: col_names in
@@ -171,3 +158,14 @@ let print_table ~title ~col_names ~rows =
     ~rows:(List.map (fun (label, cells) -> (label, List.map fmt_f cells)) rows)
 
 let ratio baseline ours = if baseline <= 0. || ours <= 0. then 0. else baseline /. ours
+
+let core_gate ~label ~host threshold check =
+  match threshold with
+  | None -> ()
+  | Some (d_req, min_speedup) ->
+      if host < d_req then
+        Printf.printf
+          "%s SKIPPED: host reports %d usable core(s), fewer than the %d \
+           domains the threshold is defined over\n"
+          label host d_req
+      else check d_req min_speedup

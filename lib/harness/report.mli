@@ -32,13 +32,20 @@ module Json : sig
   val write : string -> t -> unit
 end
 
-val start_capture : unit -> unit
-(** From now on, record every printed table (title, columns, rows). *)
+val capture : (unit -> 'a) -> 'a * Json.t
+(** [capture f] runs [f] and also returns every table it printed, in
+    print order: [[{title; columns; rows: [{label; cells}]}]]. Numeric
+    tables keep full float precision; string tables keep the rendered
+    cells. *)
 
-val captured_json : unit -> Json.t
-(** All tables recorded since {!start_capture}, in print order:
-    [[{title; columns; rows: [{label; cells}]}]]. Numeric tables keep
-    full float precision; string tables keep the rendered cells. *)
-
-val dump_captured : path:string -> unit
-(** Write {!captured_json} to [path] (e.g. [BENCH_figs.json]). *)
+val core_gate :
+  label:string ->
+  host:int ->
+  (int * float) option ->
+  (int -> float -> unit) ->
+  unit
+(** [core_gate ~label ~host threshold check] applies a wall-clock
+    speed-up [threshold] of [(domains, min_speedup)]: such a ratio means
+    something only when the host has the cores, so with [host] below
+    [domains] it logs "[label] SKIPPED: ..." instead of failing; otherwise
+    it runs [check domains min_speedup]. [None] does nothing. *)

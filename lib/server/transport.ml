@@ -4,9 +4,9 @@
    - [pair]: an in-process loopback — two unidirectional byte pipes
      with park/wake flow control. Under the deterministic executor
      ([Scheduler.Sim]) this gives seed-replayable client/server tests;
-     under [Scheduler.Wall] the same pipes carry the loadgen's traffic
-     across domains (the mutex sections are short and never yield, so
-     they are safe on one thread and on many).
+     the same pipes also work under [Scheduler.Wall] across domains
+     (the mutex sections are short and never yield, so they are safe on
+     one thread and on many).
 
    - [of_fd]: a nonblocking socket, parking on the executor's readiness
      waiters (EAGAIN → wait → retry). Only meaningful under [Wall],

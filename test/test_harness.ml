@@ -143,14 +143,42 @@ let with_captured_stdout f =
       Unix.close null)
     f
 
+module Experiments = Hart_harness.Experiments
+
+let entry_names = List.map (fun e -> e.Experiments.name) Experiments.all
+
+let test_registry_select () =
+  let names r = Result.map (List.map (fun e -> e.Experiments.name)) r in
+  let check = Alcotest.(check (result (list string) string)) in
+  check "no names selects every entry" (Ok entry_names)
+    (names (Experiments.select []));
+  check "names keep their order" (Ok [ "fig8"; "micro" ])
+    (names (Experiments.select [ "fig8"; "micro" ]));
+  check "an unknown name is rejected with the valid ones"
+    (Error
+       (Printf.sprintf "unknown experiment \"fig11\" (one of %s)"
+          (String.concat ", " entry_names)))
+    (names (Experiments.select [ "fig8"; "fig11" ]))
+
+(* every entry but the wall-clock micro-benchmarks, through the registry
+   into a JSON directory, as [hart_cli exp --json-dir] runs them *)
 let test_experiments_smoke () =
+  Alcotest.(check int)
+    "entry names are unique" (List.length entry_names)
+    (List.length (List.sort_uniq compare entry_names));
+  let dir = Filename.temp_dir "hart_exp" "" in
+  let entries =
+    List.filter (fun e -> e.Experiments.name <> "micro") Experiments.all
+  in
   with_captured_stdout (fun () ->
-      Hart_harness.Exp_mixed.run ~scale:0.02;
-      Hart_harness.Exp_range.run ~scale:0.02;
-      Hart_harness.Exp_memory.run ~scale:0.02;
-      Hart_harness.Exp_recovery.run ~scale:0.02;
-      Hart_harness.Exp_scalability.run ~scale:0.02;
-      Hart_harness.Exp_ablation.run ~scale:0.02)
+      Experiments.run ~json_dir:dir ~gate:false ~scale:0.02 entries);
+  List.iter
+    (fun name ->
+      let path = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
+      Alcotest.(check bool) (path ^ " written") true (Sys.file_exists path);
+      Sys.remove path)
+    [ "parallel"; "ycsb"; "recovery"; "art_nodes"; "scrub"; "figs" ];
+  Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
 (* Cross-index mixed-workload plan generator (Exp_parallel.mix_plan)   *)
@@ -242,5 +270,8 @@ let () =
             test_mix_plan_zipf_skew;
         ] );
       ( "experiments",
-        [ Alcotest.test_case "smoke run all drivers" `Quick test_experiments_smoke ] );
+        [
+          Alcotest.test_case "registry lookup" `Quick test_registry_select;
+          Alcotest.test_case "smoke run all drivers" `Quick test_experiments_smoke;
+        ] );
     ]

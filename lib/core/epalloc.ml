@@ -442,6 +442,10 @@ let eprecycle t cls ~chunk =
               Hashtbl.remove t.avail.(id) chunk;
               Microlog.Recycle.reclaim t.logs ~slot))
 
+let release_hold t cls ~obj =
+  cancel_reservation t cls ~obj;
+  eprecycle t cls ~chunk:(chunk_of_obj t cls obj)
+
 (* Lines 12-16 of Algorithm 2: a free leaf slot still pointing at a
    committed value object is the footprint of a crashed insertion or
    deletion; release the value before handing the slot out. Called with
@@ -450,15 +454,16 @@ let eprecycle t cls ~chunk =
    leaf-class ones.
 
    Soundness depends on an allocator-wide invariant: a value object that
-   is durably referenced by a free leaf slot (or by a pending update
-   log) has never been reallocated since that reference was written.
-   [Hart.delete] and [Hart.update_leaf] maintain it by freeing the old
-   value with [reset_obj_bit_hold] and only [cancel_reservation]ing it
-   after the durable reference is severed (p_value cleared / log
-   reclaimed). Without the hold, the value could be re-owned by a live
-   key before the crash, and this repair would free the new owner's
-   value — a corruption the concurrent crash explorer found as
-   "value N of key K is not committed". *)
+   is durably referenced by a free leaf slot (or as the POldV of an
+   update-log record) has never been reallocated since that reference
+   was written. [Hart.delete] and [Hart.update_leaf] maintain it by
+   freeing the old value with [reset_obj_bit_hold] and only releasing
+   the hold after the durable reference is gone: the p_value cleared, or
+   the record overwritten by the slot's next update ([release_hold]).
+   Without the hold, the value could be re-owned by a live key before
+   the crash, and this repair would free the new owner's value — a
+   corruption the concurrent crash explorer found as "value N of key K
+   is not committed". *)
 let repair_leaf_slot t obj =
   let p_value = Leaf.p_value t.pool ~leaf:obj in
   if p_value <> 0 then begin
@@ -564,27 +569,56 @@ let recover_recycle_log t ~slot =
      level, so only the log remains to clean *)
   Microlog.Recycle.reclaim logs ~slot
 
+(* Whether [obj] is an object boundary of a registered leaf chunk whose
+   bit is set: a leaf some key owns. *)
+let committed_leaf t obj =
+  match obj_bit t Chunk.Leaf_c ~obj with
+  | live -> live
+  | exception (Not_found | Invalid_argument _) -> false
+
+(* A completed update keeps its record, and its POldV stays reserved
+   while the record is durable (and again from here on, if kept). So
+   POldV was never reallocated, and a committed PLeaf still pointing at
+   it proves the update in flight. A PLeaf pointing at PNewV proves the
+   update past its leaf store, whose PNewV bit was persisted first. Any
+   other PLeaf belongs to a later epoch: the record is stale. Keeping a
+   record writes nothing, so recovering a quiescent image is
+   flush-free. *)
 let recover_update_log t ~slot =
   let logs = t.logs in
   let pleaf = Microlog.Update.pleaf logs ~slot in
   let poldv = Microlog.Update.poldv logs ~slot in
   let pnewv = Microlog.Update.pnewv logs ~slot in
-  (if pleaf <> 0 && poldv <> 0 && pnewv <> 0 then begin
-     (* the crash hit between Algorithm 3 lines 7 and 10: replay them *)
-     (match class_of_value_obj t pnewv with
-     | Some vcls -> set_obj_bit t vcls ~obj:pnewv
-     | None -> ());
-     Leaf.set_p_value t.pool ~leaf:pleaf pnewv;
-     match class_of_value_obj t poldv with
-     | Some vcls ->
-         if obj_bit t vcls ~obj:poldv then reset_obj_bit t vcls ~obj:poldv;
-         (match chunk_of_obj t vcls poldv with
-         | chunk -> eprecycle t vcls ~chunk
-         | exception Not_found -> ())
-     | None -> ()
-   end
-   (* with PNewV unset the old value is still in place: nothing to redo *));
-  Microlog.Update.reclaim logs ~slot
+  let p_value =
+    if pleaf <> 0 && poldv <> 0 && pnewv <> 0 && committed_leaf t pleaf then
+      Leaf.p_value t.pool ~leaf:pleaf
+    else 0
+  in
+  match value_entry t poldv with
+  | Some (vcls, e) when p_value <> poldv && pnewv <> 0 ->
+      let bit = 1 lsl Chunk.idx_of_obj vcls ~chunk:e.chunk ~obj:poldv in
+      with_stripe t e.chunk (fun () ->
+          let bits = read_bits t e in
+          (* the crash hit between Algorithm 3 lines 9 and 10 *)
+          if p_value = pnewv && bits land bit <> 0 then store_bits t e (bits land lnot bit);
+          e.reserved <- e.reserved lor bit);
+      Microlog.Update.release logs ~slot ~held:poldv
+  | _ ->
+      if p_value <> 0 && p_value = poldv then begin
+        (* the crash hit between Algorithm 3 lines 7 and 10: replay them *)
+        (match class_of_value_obj t pnewv with
+        | Some vcls -> set_obj_bit t vcls ~obj:pnewv
+        | None -> ());
+        Leaf.set_p_value t.pool ~leaf:pleaf pnewv;
+        match class_of_value_obj t poldv with
+        | Some vcls ->
+            if obj_bit t vcls ~obj:poldv then reset_obj_bit t vcls ~obj:poldv;
+            eprecycle t vcls ~chunk:(chunk_of_obj t vcls poldv)
+        | None -> ()
+      end;
+      (* a torn record (a zero word) changed nothing; one whose POldV is
+         in no value chunk has nothing to hold *)
+      Microlog.Update.reclaim logs ~slot
 
 let attach ?(bad_lines = []) ?report pool =
   let quarantine = report <> None in
@@ -689,7 +723,8 @@ let attach ?(bad_lines = []) ?report pool =
     Hashtbl.iter
       (fun (kind, slot) off ->
         let was_pending = Microlog.pending logs ~kind ~slot in
-        Microlog.discard_slot logs ~kind ~slot;
+        (* before replay no slot holds anything *)
+        ignore (Microlog.discard_slot logs ~kind ~slot : int);
         if was_pending then
           emit
             {
@@ -721,7 +756,7 @@ let attach ?(bad_lines = []) ?report pool =
       try body () with
       | Hart_error.Error _ | Invalid_argument _ | Not_found
       | Pmem.Media_poisoned _ ->
-          Microlog.discard_slot logs ~kind ~slot;
+          ignore (Microlog.discard_slot logs ~kind ~slot : int);
           emit
             {
               Hart_error.f_site = Log_slot { kind; slot; off };
@@ -746,11 +781,9 @@ let attach ?(bad_lines = []) ?report pool =
           recover_recycle_log t ~slot));
   Microlog.Update.iter_pending logs (fun ~slot ->
       let off = Microlog.slot_offset logs ~kind:"update" ~slot in
-      guarded "update" ~slot ~off (fun () ->
-          (if quarantine then
-             let pleaf = Microlog.Update.pleaf logs ~slot in
-             if pleaf <> 0 then ignore (chunk_of_obj t Chunk.Leaf_c pleaf : int));
-          recover_update_log t ~slot));
+      (* a kept record's PLeaf may since have been recycled: stale, not
+         unreplayable *)
+      guarded "update" ~slot ~off (fun () -> recover_update_log t ~slot));
   (* sanitize: a free leaf slot must never carry a stale value pointer
      into steady state, or a later Algorithm-2 repair of that slot could
      free a value that has since been re-owned by another key. In

@@ -78,7 +78,9 @@ val attach :
     volatile state by walking the chunk lists (every chain pointer
     validated — alignment, bounds, acyclicity), then run the recovery
     protocols of both micro-logs (recycle logs first, so update-log
-    recovery can acquire one).
+    recovery can acquire one). An update is redone only when its leaf
+    shows it in flight; every other complete update record is kept
+    without a PM write, its POldV reserved again.
 
     Passing [~report] switches on quarantine mode for media-damaged
     pools: log records on a [bad_lines] line or failing their CRC are
@@ -135,6 +137,11 @@ val unsafe_no_reservation_hold : bool ref
     the free-before-sever race the hold closes. The fault tests flip
     this to prove the concurrent explorer still catches (and the
     shrinker minimizes) the original bug. Never set outside tests. *)
+
+val release_hold : t -> Chunk.cls -> obj:int -> unit
+(** End the hold {!reset_obj_bit_hold} placed once the object's durable
+    reference is gone: {!cancel_reservation}, then {!eprecycle} its
+    chunk. *)
 
 val eprecycle : t -> Chunk.cls -> chunk:int -> unit
 (** Algorithm 6: if the chunk holds no used or reserved object, unlink it

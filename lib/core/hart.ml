@@ -89,11 +89,18 @@ let check_key key =
     invalid_arg
       (Printf.sprintf "HART keys must be 1..%d bytes (got %d)" Leaf.max_key_len n)
 
+(* End the hold on a value a log slot handed back (0: none). *)
+let release_held_value alloc obj =
+  match Epalloc.class_of_value_obj alloc obj with
+  | Some cls -> Epalloc.release_hold alloc cls ~obj
+  | None -> ()
+
 (* Algorithm 3: out-of-place value update under the persistent update
    log. [leaf] must be a committed leaf. The new value is persisted
    before the log record, and the record's three words are persisted
    together: a durable record therefore always names a durable value
-   (DESIGN.md §"deviations"). *)
+   (DESIGN.md §"deviations"). Five flushes: value, record, new bit,
+   p_value, old bit. *)
 let update_leaf t ~leaf value =
   let logs = Epalloc.logs t.alloc in
   let slot = Microlog.Update.acquire logs in
@@ -101,23 +108,25 @@ let update_leaf t ~leaf value =
   let vcls = Value_obj.cls_for value in
   let new_v = Epalloc.epmalloc t.alloc vcls in
   Value_obj.write ~crc:(checksums t) t.pool ~obj:new_v value;
-  Microlog.Update.record logs ~slot ~pleaf:leaf ~poldv:old_v ~pnewv:new_v;
+  (* the record this one overwrites no longer names its POldV *)
+  release_held_value t.alloc
+    (Microlog.Update.record logs ~slot ~pleaf:leaf ~poldv:old_v ~pnewv:new_v);
   Epalloc.set_obj_bit t.alloc vcls ~obj:new_v;
   Leaf.set_p_value t.pool ~leaf new_v;
-  (match Epalloc.class_of_value_obj t.alloc old_v with
+  match Epalloc.class_of_value_obj t.alloc old_v with
   | Some old_cls ->
-      (* The old value is durably free from here, but the pending log's
-         POldV still references it. Hold its slot (volatile reservation)
-         until the log is reclaimed: if it could be reallocated first and
-         we then crashed before reclaim, replay would free the new
-         owner's value through the stale POldV. A pending log therefore
-         proves its POldV was never reallocated. *)
+      (* The old value is durably free from here, but the record stays
+         on PM and its POldV still references it. Hold the value's
+         slot (volatile reservation) until the log slot's next record
+         overwrites this one: if it could be reallocated first and we then crashed,
+         recovery could take the new owner's leaf for this update in
+         flight. A durable record therefore proves its POldV was never
+         reallocated (DESIGN.md §6). *)
       Epalloc.reset_obj_bit_hold t.alloc old_cls ~obj:old_v;
-      Microlog.Update.reclaim logs ~slot;
-      Epalloc.cancel_reservation t.alloc old_cls ~obj:old_v;
-      Epalloc.eprecycle t.alloc old_cls
-        ~chunk:(Epalloc.chunk_of_obj t.alloc old_cls old_v)
-  | None -> Microlog.Update.reclaim logs ~slot)
+      Microlog.Update.release logs ~slot ~held:old_v
+  | None ->
+      (* nothing to hold, so the record must not outlive the update *)
+      Microlog.Update.reclaim logs ~slot
 
 (* Algorithm 1. *)
 let insert t ~key ~value =
@@ -209,13 +218,9 @@ let delete t key =
                    sound. *)
                 Epalloc.reset_obj_bit_hold t.alloc vcls ~obj:vobj;
                 Leaf.set_p_value t.pool ~leaf 0;
-                Epalloc.cancel_reservation t.alloc vcls ~obj:vobj;
-                Epalloc.eprecycle t.alloc vcls
-                  ~chunk:(Epalloc.chunk_of_obj t.alloc vcls vobj)
+                Epalloc.release_hold t.alloc vcls ~obj:vobj
             | None -> ());
-            Epalloc.cancel_reservation t.alloc Chunk.Leaf_c ~obj:leaf;
-            Epalloc.eprecycle t.alloc Chunk.Leaf_c
-              ~chunk:(Epalloc.chunk_of_obj t.alloc Chunk.Leaf_c leaf);
+            Epalloc.release_hold t.alloc Chunk.Leaf_c ~obj:leaf;
             if Art.is_empty art then Hash_dir.remove t.dir hash_key;
             Atomic.decr t.count;
             true)
@@ -850,8 +855,11 @@ let fsck ?(deep = true) t =
   let detected_lines = Hashtbl.create 8 in
   let freed = Hashtbl.create 16 in
   let scrub_log_slot (kind, slot, off) =
-    let was_pending = Microlog.pending logs ~kind ~slot in
-    Microlog.discard_slot logs ~kind ~slot;
+    let durable = Microlog.pending logs ~kind ~slot in
+    let held = Microlog.discard_slot logs ~kind ~slot in
+    release_held_value alloc held;
+    (* a record that holds its POldV is a completed update's, kept *)
+    let was_pending = durable && held = 0 in
     emit
       {
         Hart_error.f_site = Log_slot { kind; slot; off };

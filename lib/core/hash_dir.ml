@@ -68,14 +68,17 @@ let touch t tab slot ~write =
   | None -> ()
   | Some m -> Meter.access m Dram ~addr:(tab.addr + (slot * slot_bytes)) ~write
 
+(* [key]'s slot, or the first empty slot on its chain: its index and the
+   cell read there. Callers decide from that cell and never read the
+   slot again, since a concurrent fresh insert can fill an empty slot
+   without bumping [version]. *)
 let probe t tab key =
-  (* index of [key]'s slot, or of the first empty slot on its chain *)
   let rec go i =
     touch t tab i ~write:false;
     match Atomic.get tab.slots.(i) with
-    | Empty -> i
-    | Occupied { key = k; _ } ->
-        if String.equal k key then i else go ((i + 1) land tab.mask)
+    | Empty -> (i, Empty)
+    | Occupied { key = k; _ } as cell ->
+        if String.equal k key then (i, cell) else go ((i + 1) land tab.mask)
   in
   go (hash key land tab.mask)
 
@@ -89,9 +92,9 @@ let find t key =
     else
       let tab = Atomic.get t.table in
       let r =
-        match Atomic.get tab.slots.(probe t tab key) with
-        | Empty -> None
-        | Occupied { payload; _ } -> Some payload
+        match probe t tab key with
+        | _, Empty -> None
+        | _, Occupied { payload; _ } -> Some payload
       in
       if Atomic.get t.version <> v0 then attempt () else r
   in
@@ -100,10 +103,9 @@ let find t key =
 (* callers hold [t.writer] *)
 let rec insert_locked t key payload =
   let tab = Atomic.get t.table in
-  let i = probe t tab key in
-  match Atomic.get tab.slots.(i) with
-  | Occupied _ -> Atomic.set tab.slots.(i) (Occupied { key; payload })
-  | Empty ->
+  match probe t tab key with
+  | i, Occupied _ -> Atomic.set tab.slots.(i) (Occupied { key; payload })
+  | i, Empty ->
       if 10 * (t.occupied + 1) > 7 * (tab.mask + 1) then begin
         resize t tab;
         insert_locked t key payload
@@ -126,7 +128,7 @@ and resize t old =
       match Atomic.get cell with
       | Empty -> ()
       | Occupied { key; payload } ->
-          let i = probe t fresh key in
+          let i, _ = probe t fresh key in
           Atomic.set fresh.slots.(i) (Occupied { key; payload });
           touch t fresh i ~write:true;
           t.occupied <- t.occupied + 1)
@@ -143,10 +145,9 @@ let insert t key payload =
 let remove t key =
   Mutex.lock t.writer;
   let tab = Atomic.get t.table in
-  let i = probe t tab key in
-  (match Atomic.get tab.slots.(i) with
-  | Empty -> ()
-  | Occupied _ ->
+  (match probe t tab key with
+  | _, Empty -> ()
+  | i, Occupied _ ->
       (* the backward-shift transiently breaks probe chains; make readers
          retry across it *)
       Atomic.incr t.version;

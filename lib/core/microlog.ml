@@ -28,6 +28,9 @@ type t = {
          [Hart_error] carrying the holder dump *)
   owners_update : int array;  (* slot -> holder domain id, -1 when free *)
   owners_recycle : int array;
+  held : int array;
+      (* update slot -> POldV of the record kept in it, which the caller
+         keeps reserved (0: none); read and written by the slot's holder *)
 }
 
 let all_free = (1 lsl n_slots) - 1
@@ -48,6 +51,7 @@ let make pool ~base ~checksummed =
     acquire_timeout = None;
     owners_update = Array.make n_slots (-1);
     owners_recycle = Array.make n_slots (-1);
+    held = Array.make n_slots 0;
   }
 
 let create ?(checksummed = false) pool ~base =
@@ -263,11 +267,22 @@ let discard_slot t ~kind ~slot =
   Pmem.set_string t.pool ~off (String.make slot_bytes '\000');
   Pmem.persist t.pool ~off ~len:slot_bytes;
   Mutex.lock t.mu;
-  (if kind = "update" then t.free_update <- t.free_update lor (1 lsl slot)
-   else t.free_recycle <- t.free_recycle lor (1 lsl slot));
+  let held =
+    if kind = "update" then begin
+      t.free_update <- t.free_update lor (1 lsl slot);
+      let h = t.held.(slot) in
+      t.held.(slot) <- 0;
+      h
+    end
+    else begin
+      t.free_recycle <- t.free_recycle lor (1 lsl slot);
+      0
+    end
+  in
   (owners_of t kind).(slot) <- -1;
   Condition.broadcast t.slot_freed;
-  Mutex.unlock t.mu
+  Mutex.unlock t.mu;
+  held
 
 module Update = struct
   let acquire t =
@@ -275,29 +290,38 @@ module Update = struct
       ~get:(fun t -> t.free_update)
       ~clear:(fun t slot -> t.free_update <- t.free_update land lnot (1 lsl slot))
 
+  (* The slot may still hold the complete record of an earlier update,
+     so PNewV is zeroed first: every state of the line between the two
+     records lacks PNewV, and recovery redoes nothing from it. *)
   let record t ~slot ~pleaf ~poldv ~pnewv =
     let off = update_off t slot in
+    word_store t (off + 16) 0;
     word_store t off pleaf;
     word_store t (off + 8) poldv;
     word_store t (off + 16) pnewv;
-    commit t off
+    commit t off;
+    let prev = t.held.(slot) in
+    t.held.(slot) <- 0;
+    prev
 
   let pleaf t ~slot = word_get t (update_off t slot)
   let poldv t ~slot = word_get t (update_off t slot + 8)
   let pnewv t ~slot = word_get t (update_off t slot + 16)
 
-  (* Reclaim must persist its zeroes: if a stale log survived a crash,
-     recovery would redo the update and reset the old value's bit — but
-     that slot may have been legitimately reallocated in the meantime.
-     (The paper's Algorithm 3 shows no persistent() on LogReclaim, which
-     leaves exactly that window; see DESIGN.md §"deviations".) *)
+  let release t ~slot ~held =
+    t.held.(slot) <- held;
+    release_slot t ~kind:"update"
+      ~set:(fun t slot -> t.free_update <- t.free_update lor (1 lsl slot))
+      slot
+
+  (* Zeroes persist: a record nobody keeps has no held POldV, so if it
+     survived a crash, recovery could read a reallocated POldV through
+     it (DESIGN.md §6). *)
   let reclaim t ~slot =
     let off = update_off t slot in
     Pmem.set_string t.pool ~off (String.make slot_bytes '\000');
     Pmem.persist t.pool ~off ~len:slot_bytes;
-    release_slot t ~kind:"update"
-      ~set:(fun t slot -> t.free_update <- t.free_update lor (1 lsl slot))
-      slot
+    release t ~slot ~held:0
 
   let iter_pending t f =
     for slot = 0 to n_slots - 1 do

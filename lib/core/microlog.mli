@@ -18,8 +18,16 @@
     spans two lines, any durable state of the line is either the whole
     record or a prefix of its stores that lacks the last word (PNewV,
     resp. PCurrent), which recovery discards without replaying anything
-    (DESIGN.md §"deviations"). Reclaiming a slot is one single-line
-    flush too.
+    (DESIGN.md §"deviations").
+
+    A completed update does not reclaim its record: it returns the slot
+    to the volatile free set and leaves the record on PM, keeping the
+    record's POldV reserved ({!Update.release}) until the slot's next
+    record has durably overwritten it ({!Update.record}). While a record
+    is durable its POldV is therefore never reallocated, which is what
+    lets recovery tell an update in flight from a completed one by the
+    leaf alone (DESIGN.md §6). A recycle record is reclaimed with one
+    single-line flush.
 
     When the pool is formatted with checksums, every non-zero log word
     carries a CRC-32 of its 32-bit payload in its upper half — the
@@ -30,9 +38,10 @@
     records (an unverifiable log record is treated as never written).
 
     Slot acquisition is tracked by a volatile bitmask (no PM traffic)
-    guarded by a mutex, so domains can acquire and reclaim slots
+    guarded by a mutex, so domains can acquire and release slots
     concurrently; after a crash, {!attach} marks every slot that still
-    carries data as busy until the recovery protocol reclaims it. *)
+    carries data as busy until the recovery protocol reclaims or keeps
+    its record. *)
 
 type t
 
@@ -55,6 +64,8 @@ val create : ?checksummed:bool -> Hart_pmem.Pmem.t -> base:int -> t
 
 val attach : ?checksummed:bool -> Hart_pmem.Pmem.t -> base:int -> t
 (** Adopt existing slot arrays after a crash without modifying them.
+    Every slot carrying a record, kept or in flight, is busy until
+    recovery reclaims it or keeps it with {!Update.release}.
     [checksummed] must match the flag the pool was formatted with (the
     caller reads it from the root block). *)
 
@@ -85,15 +96,18 @@ val slot_offset : t -> kind:string -> slot:int -> int
 (** Pool offset of the slot's first word. *)
 
 val pending : t -> kind:string -> slot:int -> bool
-(** Whether the slot holds an un-reclaimed record (raw non-zero key
-    word; does not verify checksums, so safe on corrupt slots). *)
+(** Whether the slot holds a record, in flight or kept (raw non-zero
+    key word; does not verify checksums, so safe on corrupt slots). *)
 
-val discard_slot : t -> kind:string -> slot:int -> unit
+val discard_slot : t -> kind:string -> slot:int -> int
 (** Zero the slot's three words, persist them (resealing the covering
     lines), and return the slot to the volatile free set — the repair
     for a slot that fails verification or sits on a corrupt media line.
-    Discarding a pending record is the torn-record treatment: the
-    logged operation is deemed never to have committed. *)
+    Discarding a record is the torn-record treatment: the logged
+    operation is deemed never to have committed (a kept record's update
+    has completed, so losing it changes nothing). Returns the
+    POldV the slot held for a kept update record (0 if none); the
+    caller releases its reservation. *)
 
 (** Both sub-modules share the slot-handle convention: a slot is named by
     its index in \[0, n_slots). *)
@@ -102,22 +116,33 @@ module Update : sig
   val acquire : t -> int
   (** Claim a free slot; blocks until one is available when all are busy
       (deadlock-free: holders only acquire update→recycle, never the
-      reverse, so every held slot is eventually reclaimed). Subject to
+      reverse, so every held slot is eventually released). Subject to
       {!set_acquire_timeout}. *)
 
-  val record : t -> slot:int -> pleaf:int -> poldv:int -> pnewv:int -> unit
-  (** Store [PLeaf], [POldV], [PNewV] in that order and persist them with
-      one flush — the commit point of an update. The caller persists the
-      new value object first, so a durable record implies a durable
-      value. *)
+  val record : t -> slot:int -> pleaf:int -> poldv:int -> pnewv:int -> int
+  (** Store a zero [PNewV], then [PLeaf], [POldV], [PNewV], and persist
+      them with one flush — the commit point of an update. Zeroing
+      [PNewV] first means every durable state of the line between the
+      kept record it overwrites and the new one lacks [PNewV]. The caller persists the new
+      value object first, so a durable record implies a durable value.
+      Returns the POldV the slot held for the overwritten record (0 if
+      none): that record is durably gone, so the caller releases the
+      reservation. *)
 
   val pleaf : t -> slot:int -> int
   val poldv : t -> slot:int -> int
   val pnewv : t -> slot:int -> int
 
+  val release : t -> slot:int -> held:int -> unit
+  (** Return the slot to the volatile free set and keep its record on PM
+      — the paper's [LogReclaim], with no PM write. [held] is the record's
+      POldV, which the caller has reserved and keeps reserved until
+      {!record} returns it (0: nothing held). *)
+
   val reclaim : t -> slot:int -> unit
-  (** Zero the slot, persist, and release it to the volatile free set
-      ([LogReclaim]). *)
+  (** Zero the slot, persist, and release it holding nothing: for a
+      record that must not outlive its operation (one recovery does not
+      keep, or one with no POldV to hold). *)
 
   val iter_pending : t -> (slot:int -> unit) -> unit
   (** Visit every slot whose [PLeaf] is non-zero (recovery scan). *)

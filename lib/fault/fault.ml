@@ -999,6 +999,27 @@ let update_log_workload =
     Delete ("ABc");
   ]
 
+let stale_ulog_workload =
+  (* kept update-log records: AAk's second update leaves its record
+     (AAk's leaf, the held Val16 POldV, the Val16 PNewV) in log slot 0.
+     Once AAk is deleted, AAn is handed its leaf and PNewV, then AAp the
+     same leaf with a Val8 value; the update of AAo finally overwrites
+     the record through the same slot. Recovery must tell the stale
+     record from an update in flight by the leaf alone: an unheld POldV
+     would have gone to AAn and made the record look in flight, and
+     redoing it would point AAp's leaf at a dead value. *)
+  [
+    Insert ("AAk", "v0");
+    Insert ("AAo", "other");
+    Update ("AAk", "sixteen-1");
+    Update ("AAk", "sixteen-2");
+    Delete "AAk";
+    Insert ("AAn", "sixteen-3");
+    Delete "AAn";
+    Insert ("AAp", "p");
+    Update ("AAo", "other-2");
+  ]
+
 let delete_recycle_workload =
   (* Algorithm 5 + 6: drain every key so the (single, head) leaf chunk
      and value chunks empty and unlink; the last delete of a prefix also
@@ -1073,6 +1094,7 @@ let split_chain_setup, split_chain_workload =
 let builtin_workloads =
   [
     ("update-log", [], update_log_workload);
+    ("stale-ulog", [], stale_ulog_workload);
     ("delete-recycle", [], delete_recycle_workload);
     ("mixed-dense", [], mixed_dense_workload);
     ("chunk-unlink", chunk_unlink_setup, chunk_unlink_workload);

@@ -471,6 +471,9 @@ val builtin_workloads : (string * op list * op list) list
 
     - ["update-log"]: Algorithm 3 update-log states, including value
       size-class migrations and empty values;
+    - ["stale-ulog"]: a kept update-log record whose key is deleted and
+      whose leaf and new value are reused by other keys, then
+      overwritten by an update of another key through the same slot;
     - ["delete-recycle"]: Algorithm 5 deletes draining leaf and value
       chunks through Algorithm 6's unlink, plus empty-ART directory
       cleanup and reuse after recycling;

@@ -148,11 +148,12 @@ let schedule_space_pin () =
         (Printf.sprintf "%s: nested schedules" name)
         nested r.Fault.nested_schedules)
     [
-      ("update-log", 78, 78, 145);
+      ("update-log", 66, 66, 97);
+      ("stale-ulog", 47, 47, 64);
       ("delete-recycle", 66, 66, 73);
-      ("mixed-dense", 77, 77, 101);
+      ("mixed-dense", 71, 71, 77);
       ("chunk-unlink", 27, 27, 36);
-      ("split-chain", 156, 156, 130);
+      ("split-chain", 155, 155, 124);
     ]
 
 let oracle_semantics () =
@@ -866,17 +867,17 @@ let mt_counter_pin () =
       ( "mt-default",
         Fault_mt.default_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 51); ("schedules", 51);
-          ("nested", 107); ("recovery-flushes", 107); ("max-in-flight", 2);
-          ("multi-in-flight", 39); ("contended", 2); ("checkpoints", 0);
+          ("ops", 12); ("flush-boundaries", 48); ("schedules", 48);
+          ("nested", 76); ("recovery-flushes", 76); ("max-in-flight", 2);
+          ("multi-in-flight", 29); ("contended", 6); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
       ( "mt-collide",
         Fault_mt.collide_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 59); ("schedules", 59);
-          ("nested", 148); ("recovery-flushes", 148); ("max-in-flight", 2);
-          ("multi-in-flight", 31); ("contended", 13); ("checkpoints", 0);
+          ("ops", 12); ("flush-boundaries", 53); ("schedules", 53);
+          ("nested", 89); ("recovery-flushes", 89); ("max-in-flight", 2);
+          ("multi-in-flight", 22); ("contended", 21); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
     ]
@@ -894,7 +895,7 @@ let srv_counters r =
     ("violations", List.length r.Fault.violations);
   ]
 
-(* seed 11 at the CLI's 28 requests per client: the 160 + 82 boundaries
+(* seed 11 at the CLI's 28 requests per client: the 141 + 73 boundaries
    the server DST gate sweeps, clean and torn *)
 let srv_counter_pin () =
   let setup, scripts =
@@ -905,16 +906,16 @@ let srv_counter_pin () =
   in
   let default_pin =
     [
-      ("ops", 56); ("flush-boundaries", 160); ("schedules", 160);
-      ("recovery-flushes", 348); ("max-in-flight", 2);
-      ("multi-in-flight", 40); ("acked", 2787); ("dropped-sessions", 0);
+      ("ops", 56); ("flush-boundaries", 141); ("schedules", 141);
+      ("recovery-flushes", 273); ("max-in-flight", 2);
+      ("multi-in-flight", 64); ("acked", 2435); ("dropped-sessions", 0);
       ("violations", 0);
     ]
   and drop_pin =
     [
-      ("ops", 56); ("flush-boundaries", 82); ("schedules", 82);
-      ("recovery-flushes", 157); ("max-in-flight", 1);
-      ("multi-in-flight", 0); ("acked", 683); ("dropped-sessions", 82);
+      ("ops", 56); ("flush-boundaries", 73); ("schedules", 73);
+      ("recovery-flushes", 103); ("max-in-flight", 1);
+      ("multi-in-flight", 0); ("acked", 593); ("dropped-sessions", 73);
       ("violations", 0);
     ]
   in

@@ -234,6 +234,42 @@ let test_hash_dir_readers_vs_remover () =
   Alcotest.(check bool) "readers made progress" true (reads > 0);
   Hash_dir.check_invariants d
 
+(* An absent key's probe ends on an empty slot, which a concurrent fresh
+   insert can fill without bumping the seqlock version; [find] must
+   decide from the slot it probed, never read the slot again. Readers
+   look up only keys that are never inserted, so any [Some] is another
+   key's payload. *)
+let test_hash_dir_absent_keys_vs_churn () =
+  let d = Hash_dir.create ~initial_buckets:64 () in
+  let n_keys = 40 in
+  let key i = Printf.sprintf "hk%03d" i in
+  for i = 0 to n_keys - 1 do
+    Hash_dir.insert d (key i) i
+  done;
+  let stop = Atomic.make false in
+  let readers =
+    Array.init 2 (fun r ->
+        Domain.spawn (fun () ->
+            let rng = Rng.create (Int64.of_int (11 + r)) in
+            let wrong = ref 0 in
+            while not (Atomic.get stop) do
+              match Hash_dir.find d (Printf.sprintf "absent%03d" (Rng.int rng 500)) with
+              | None -> ()
+              | Some _ -> incr wrong
+            done;
+            !wrong))
+  in
+  let rng = Rng.create 5L in
+  for _ = 1 to 400_000 do
+    let i = Rng.int rng n_keys in
+    Hash_dir.remove d (key i);
+    Hash_dir.insert d (key i) i
+  done;
+  Atomic.set stop true;
+  let wrong = Array.fold_left (fun acc r -> acc + Domain.join r) 0 readers in
+  Alcotest.(check int) "absent keys never found" 0 wrong;
+  Hash_dir.check_invariants d
+
 (* ------------------------------------------------------------------ *)
 (* EPallocator: concurrent alloc/commit/free traffic                   *)
 
@@ -877,6 +913,8 @@ let () =
         [
           Alcotest.test_case "lock-free readers vs remover" `Quick
             test_hash_dir_readers_vs_remover;
+          Alcotest.test_case "absent keys under insert/remove churn" `Quick
+            test_hash_dir_absent_keys_vs_churn;
         ] );
       ( "epalloc",
         [

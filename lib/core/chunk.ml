@@ -50,13 +50,31 @@ let header_of_bitmap bitmap =
   let top = Int64.of_int ((full lsl 6) lor hint) in
   Int64.logor bitmap (Int64.shift_left top 56)
 
-let write_header pool ~chunk bitmap =
-  Pmem.set_u64 pool chunk (header_of_bitmap bitmap);
+let full_mask = (1 lsl objs_per_chunk) - 1
+let full_flag = Int64.shift_left 1L 62
+
+(* [header_of_bitmap] on a native-int bitmap: the next-free hint is the
+   lowest set bit of the free mask, found 32 bits at a time *)
+let header_of_bits bits =
+  let free = lnot bits land full_mask in
+  if free = 0 then Int64.logor (Int64.of_int bits) full_flag
+  else
+    let lo = free land 0xFFFF_FFFF in
+    let hint = if lo <> 0 then Bits.ctz_w lo else 32 + Bits.ctz_w (free lsr 32) in
+    Int64.of_int (bits lor (hint lsl 56))
+
+let write_header pool ~chunk bits =
+  Pmem.set_u64 pool chunk (header_of_bits bits);
   Pmem.persist pool ~off:chunk ~len:8
 
 let test_bit pool ~chunk ~idx = Bits.test (bitmap pool ~chunk) idx
-let set_bit pool ~chunk ~idx = write_header pool ~chunk (Bits.set (bitmap pool ~chunk) idx)
-let reset_bit pool ~chunk ~idx = write_header pool ~chunk (Bits.clear (bitmap pool ~chunk) idx)
+
+let set_bit pool ~chunk ~idx =
+  write_header pool ~chunk (Int64.to_int (bitmap pool ~chunk) lor (1 lsl idx))
+
+let reset_bit pool ~chunk ~idx =
+  write_header pool ~chunk (Int64.to_int (bitmap pool ~chunk) land lnot (1 lsl idx))
+
 let is_empty pool ~chunk = bitmap pool ~chunk = 0L
 let is_full pool ~chunk = Bits.popcount (bitmap pool ~chunk) = objs_per_chunk
 

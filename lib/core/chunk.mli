@@ -80,9 +80,13 @@ val header_of_bitmap : int64 -> int64
 (** The header every legitimate store writes for this bitmap: the
     bitmap with its next-free hint and full indicator. *)
 
-val write_header : Hart_pmem.Pmem.t -> chunk:int -> int64 -> unit
-(** Store and persist [header_of_bitmap bitmap]. {!Epalloc} writes every
-    header through this, computing the bitmap from its DRAM mirror so no
+val header_of_bits : int -> int64
+(** [header_of_bitmap] of a bitmap held in a native [int] (\[0,
+    2{^56})), computed without the [Int64] bit helpers. *)
+
+val write_header : Hart_pmem.Pmem.t -> chunk:int -> int -> unit
+(** Store and persist [header_of_bits bits]. {!Epalloc} writes every
+    header through this, passing the bitmap from its DRAM mirror so no
     PM read precedes the store. *)
 
 val pnext : Hart_pmem.Pmem.t -> chunk:int -> int

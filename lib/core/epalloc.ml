@@ -70,15 +70,15 @@ module Registry = struct
 
   let empty : t = [||]
 
+  let rec find_le_in (a : t) x lo hi =
+    if lo > hi then hi
+    else
+      let mid = (lo + hi) / 2 in
+      if a.(mid).chunk <= x then find_le_in a x (mid + 1) hi
+      else find_le_in a x lo (mid - 1)
+
   (* greatest index with a.(i).chunk <= x, or -1 *)
-  let find_le (a : t) x =
-    let rec go lo hi =
-      if lo > hi then hi
-      else
-        let mid = (lo + hi) / 2 in
-        if a.(mid).chunk <= x then go (mid + 1) hi else go lo (mid - 1)
-    in
-    go 0 (Array.length a - 1)
+  let find_le (a : t) x = find_le_in a x 0 (Array.length a - 1)
 
   (* the entry of a registered chunk *)
   let find (a : t) chunk =
@@ -182,10 +182,30 @@ let read_bits t e =
 let store_bits t e bits =
   e.bits <- bits;
   Meter.access t.meter Dram ~addr:e.addr ~write:true;
-  Chunk.write_header t.pool ~chunk:e.chunk (Int64.of_int bits)
+  Chunk.write_header t.pool ~chunk:e.chunk bits
 
+(* The per-operation lock sections below lock and unlock inline rather
+   than through [with_lock], so the commit path allocates no closure. *)
 let mark_avail t id chunk =
-  with_lock t.class_mu.(id) (fun () -> Hashtbl.replace t.avail.(id) chunk ())
+  let mu = t.class_mu.(id) in
+  Hart_util.Sched_hook.lock mu;
+  Hashtbl.replace t.avail.(id) chunk ();
+  Mutex.unlock mu
+
+(* Under the stripe lock, store [e]'s bitmap with [set] raised and
+   [clear] dropped, then update the reservations: [hold] reserves the
+   cleared bits, otherwise the set bits stop being reserved. *)
+let commit_bits t e ~set ~clear ~hold =
+  let mu = t.chunk_mu.(stripe_of e.chunk) in
+  Hart_util.Sched_hook.lock mu;
+  match store_bits t e ((read_bits t e lor set) land lnot clear) with
+  | () ->
+      e.reserved <-
+        (if hold then e.reserved lor clear else e.reserved land lnot set);
+      Mutex.unlock mu
+  | exception ex ->
+      Mutex.unlock mu;
+      raise ex
 
 (* class lock held *)
 let mirror_slot t id =
@@ -329,16 +349,22 @@ let get_free_object_locked t e =
    caller last saw it fails the check and is skipped. *)
 let try_reserve t cls chunk =
   if chunk = 0 then None
-  else
-    with_stripe t chunk (fun () ->
-        match Registry.find (Atomic.get t.registry.(cls_id cls)) chunk with
-        | exception Not_found -> None
-        | e -> (
-            match get_free_object_locked t e with
-            | None -> None
-            | Some idx ->
-                e.reserved <- e.reserved lor (1 lsl idx);
-                Some (Chunk.obj_off cls ~chunk ~idx)))
+  else begin
+    let mu = t.chunk_mu.(stripe_of chunk) in
+    Hart_util.Sched_hook.lock mu;
+    let r =
+      match Registry.find (Atomic.get t.registry.(cls_id cls)) chunk with
+      | exception Not_found -> None
+      | e -> (
+          match get_free_object_locked t e with
+          | None -> None
+          | Some idx ->
+              e.reserved <- e.reserved lor (1 lsl idx);
+              Some (Chunk.obj_off cls ~chunk ~idx))
+    in
+    Mutex.unlock mu;
+    r
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Bit commitment                                                      *)
@@ -346,14 +372,12 @@ let try_reserve t cls chunk =
 let set_obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
   let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
-  with_stripe t e.chunk (fun () ->
-      store_bits t e (read_bits t e lor bit);
-      e.reserved <- e.reserved land lnot bit)
+  commit_bits t e ~set:bit ~clear:0 ~hold:false
 
 let reset_obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
   let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
-  with_stripe t e.chunk (fun () -> store_bits t e (read_bits t e land lnot bit));
+  commit_bits t e ~set:0 ~clear:bit ~hold:false;
   mark_avail t (cls_id cls) e.chunk
 
 (* Durably free the object but keep its slot reserved, so the caller can
@@ -376,9 +400,7 @@ let reset_obj_bit_hold t cls ~obj =
   else
     let e = entry_of_obj t cls obj in
     let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
-    with_stripe t e.chunk (fun () ->
-        store_bits t e (read_bits t e land lnot bit);
-        e.reserved <- e.reserved lor bit)
+    commit_bits t e ~set:0 ~clear:bit ~hold:true
 
 let obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
@@ -399,7 +421,7 @@ let repair_header t cls ~chunk =
   with_stripe t chunk (fun () ->
       let bits = read_bits t e in
       let h = Chunk.header t.pool ~chunk in
-      if h = Chunk.header_of_bitmap (Int64.of_int bits) then `Intact
+      if h = Chunk.header_of_bits bits then `Intact
       else begin
         store_bits t e bits;
         if Int64.to_int h land full_mask = bits then `Hint_rewritten

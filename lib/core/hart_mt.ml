@@ -30,7 +30,7 @@ module S : Index_intf.S with type t = Hart.t = struct
   (* one ART = one shard: writes to distinct ARTs commute durably
      (disjoint subtrees, disjoint leaf/value objects, domain-safe
      shared layers below) *)
-  let stripe_of_key t key = Hash_dir.hash (fst (Hart.split_key t key))
+  let stripe_of_key t key = Hash_dir.hash_prefix key (Hart.kh t)
   let volatile_domain_safe = true
   let restructures _ ~op:_ ~key:_ = false
 end

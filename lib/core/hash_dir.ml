@@ -53,15 +53,19 @@ let create ?meter ?(initial_buckets = 1024) () =
 
 let length t = t.occupied
 
-(* FNV-1a, folded to the positive int range. *)
-let hash key =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    key;
-  Int64.to_int !h land max_int
+(* 64-bit FNV-1a, folded to the positive int range. Computed in native
+   63-bit ints: the low k bits of a product or xor depend only on the
+   low k bits of the operands, so starting from the offset basis's low
+   62 bits and keeping the result's low 62 bits ([land max_int]) gives
+   exactly the Int64 hash's folded value — without boxing. *)
+let hash_prefix key len =
+  let h = ref 0x0bf29ce484222325 in
+  for i = 0 to min len (String.length key) - 1 do
+    h := (!h lxor Char.code (String.unsafe_get key i)) * 0x100000001b3
+  done;
+  !h land max_int
+
+let hash key = hash_prefix key (String.length key)
 
 let touch t tab slot ~write =
   match t.meter with
@@ -71,34 +75,32 @@ let touch t tab slot ~write =
 (* [key]'s slot, or the first empty slot on its chain: its index and the
    cell read there. Callers decide from that cell and never read the
    slot again, since a concurrent fresh insert can fill an empty slot
-   without bumping [version]. *)
-let probe t tab key =
-  let rec go i =
-    touch t tab i ~write:false;
-    match Atomic.get tab.slots.(i) with
-    | Empty -> (i, Empty)
-    | Occupied { key = k; _ } as cell ->
-        if String.equal k key then (i, cell) else go ((i + 1) land tab.mask)
-  in
-  go (hash key land tab.mask)
+   without bumping [version]. Top-level recursion, so a probe builds
+   no closure. *)
+let rec probe_from t tab key i =
+  touch t tab i ~write:false;
+  match Atomic.get tab.slots.(i) with
+  | Empty -> (i, Empty)
+  | Occupied { key = k; _ } as cell ->
+      if String.equal k key then (i, cell)
+      else probe_from t tab key ((i + 1) land tab.mask)
 
-let find t key =
-  let rec attempt () =
-    let v0 = Atomic.get t.version in
-    if v0 land 1 = 1 then begin
-      Domain.cpu_relax ();
-      attempt ()
-    end
-    else
-      let tab = Atomic.get t.table in
-      let r =
-        match probe t tab key with
-        | _, Empty -> None
-        | _, Occupied { payload; _ } -> Some payload
-      in
-      if Atomic.get t.version <> v0 then attempt () else r
-  in
-  attempt ()
+let probe t tab key = probe_from t tab key (hash key land tab.mask)
+
+let rec find t key =
+  let v0 = Atomic.get t.version in
+  if v0 land 1 = 1 then begin
+    Domain.cpu_relax ();
+    find t key
+  end
+  else
+    let tab = Atomic.get t.table in
+    let r =
+      match probe t tab key with
+      | _, Empty -> None
+      | _, Occupied { payload; _ } -> Some payload
+    in
+    if Atomic.get t.version <> v0 then find t key else r
 
 (* callers hold [t.writer] *)
 let rec insert_locked t key payload =

@@ -29,7 +29,11 @@ val length : 'a t -> int
 val hash : string -> int
 (** The table's FNV-1a key hash, folded to the positive int range.
     Exposed so callers can stripe auxiliary state (e.g. lock arrays) the
-    same way the directory buckets its keys. *)
+    same way the directory buckets its keys. Allocation-free. *)
+
+val hash_prefix : string -> int -> int
+(** [hash_prefix key n] is [hash] of the first [min n (String.length
+    key)] bytes of [key], without copying them out. *)
 
 val find : 'a t -> string -> 'a option
 

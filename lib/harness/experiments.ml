@@ -24,8 +24,9 @@ let all =
     {
       name = "micro";
       doc =
-        "Bechamel wall-clock ns/op of insert, search and update on each \
-         tree (ignores the scale).";
+        "Bechamel wall-clock ns/op and minor words/op of insert, search \
+         and update on each tree and of the simulator primitives (ignores \
+         the scale).";
       run =
         (fun ~gate:_ ~scale:_ ->
           Exp_micro.run ();

@@ -35,7 +35,10 @@ type cell = {
   mutable c_evictions : int;
   mutable c_pm_allocs : int;
   mutable c_pm_frees : int;
-  mutable c_sim_ns : float;
+  c_sim_ns : float array;
+      (* one element: the cell's simulated clock, kept unboxed so a
+         charge is a plain float store ([mutable] float in this mixed
+         record would box a fresh float on every charge) *)
 }
 
 let n_cells = 64 (* power of two; domains hash into cells by id *)
@@ -54,7 +57,7 @@ let fresh_cell () =
     c_evictions = 0;
     c_pm_allocs = 0;
     c_pm_frees = 0;
-    c_sim_ns = 0.;
+    c_sim_ns = [| 0. |];
   }
 
 type t = {
@@ -113,9 +116,8 @@ let encode space addr =
   let line = addr / line_bytes in
   match space with Dram -> (line * 2) + 1 | Pm -> line * 2
 
-let charge_ns t ns =
-  let c = cell t in
-  c.c_sim_ns <- c.c_sim_ns +. ns
+let charge c ns = c.c_sim_ns.(0) <- c.c_sim_ns.(0) +. ns [@@inline]
+let charge_ns t ns = charge (cell t) ns
 
 let access t space ~addr ~write =
   let enc = encode space addr in
@@ -127,22 +129,22 @@ let access t space ~addr ~write =
     (match space with
     | Pm -> c.c_pm_writes <- c.c_pm_writes + 1
     | Dram -> c.c_dram_writes <- c.c_dram_writes + 1);
-    c.c_sim_ns <- c.c_sim_ns +. t.config.llc_hit_ns
+    charge c t.config.llc_hit_ns
   end
   else begin
     (match space with
     | Pm -> c.c_pm_reads <- c.c_pm_reads + 1
     | Dram -> c.c_dram_reads <- c.c_dram_reads + 1);
-    if hit then c.c_sim_ns <- c.c_sim_ns +. t.config.llc_hit_ns
+    if hit then charge c t.config.llc_hit_ns
     else begin
       t.tags.(set) <- enc;
       match space with
       | Pm ->
           c.c_pm_read_misses <- c.c_pm_read_misses + 1;
-          c.c_sim_ns <- c.c_sim_ns +. t.config.pm_read_ns
+          charge c t.config.pm_read_ns
       | Dram ->
           c.c_dram_read_misses <- c.c_dram_read_misses + 1;
-          c.c_sim_ns <- c.c_sim_ns +. t.config.dram_ns
+          charge c t.config.dram_ns
     end
   end
 
@@ -160,12 +162,12 @@ let flush_line t ~addr =
   if t.tags.(set) = enc then t.tags.(set) <- -1;
   let c = cell t in
   c.c_flushes <- c.c_flushes + 1;
-  c.c_sim_ns <- c.c_sim_ns +. t.config.pm_write_ns
+  charge c t.config.pm_write_ns
 
 let fence t =
   let c = cell t in
   c.c_fences <- c.c_fences + 1;
-  c.c_sim_ns <- c.c_sim_ns +. t.config.fence_ns
+  charge c t.config.fence_ns
 
 let persist_call t =
   let c = cell t in
@@ -179,12 +181,12 @@ let persist_call t =
 let pm_alloc t =
   let c = cell t in
   c.c_pm_allocs <- c.c_pm_allocs + 1;
-  c.c_sim_ns <- c.c_sim_ns +. ((2. *. t.config.pm_write_ns) +. 100.)
+  charge c ((2. *. t.config.pm_write_ns) +. 100.)
 
 let pm_free t =
   let c = cell t in
   c.c_pm_frees <- c.c_pm_frees + 1;
-  c.c_sim_ns <- c.c_sim_ns +. (t.config.pm_write_ns +. 50.)
+  charge c (t.config.pm_write_ns +. 50.)
 
 let persist_range t ~addr ~len =
   persist_call t;
@@ -231,11 +233,11 @@ let counters t =
         evictions = acc.evictions + c.c_evictions;
         pm_allocs = acc.pm_allocs + c.c_pm_allocs;
         pm_frees = acc.pm_frees + c.c_pm_frees;
-        sim_ns = acc.sim_ns +. c.c_sim_ns;
+        sim_ns = acc.sim_ns +. c.c_sim_ns.(0);
       })
     zero t.cells
 
-let sim_ns t = Array.fold_left (fun acc c -> acc +. c.c_sim_ns) 0. t.cells
+let sim_ns t = Array.fold_left (fun acc c -> acc +. c.c_sim_ns.(0)) 0. t.cells
 
 let reset t =
   Array.iter
@@ -252,7 +254,7 @@ let reset t =
       c.c_evictions <- 0;
       c.c_pm_allocs <- 0;
       c.c_pm_frees <- 0;
-      c.c_sim_ns <- 0.)
+      c.c_sim_ns.(0) <- 0.)
     t.cells
 
 let invalidate_cache t = Array.fill t.tags 0 (Array.length t.tags) (-1)

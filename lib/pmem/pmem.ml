@@ -40,18 +40,20 @@ type t = {
   mutable crash_fired : bool;  (* a crash happened since the last arm *)
   mutable total_flushes : int;  (* lifetime protocol flushes, survives Meter.reset *)
   mutable read_trace : (int, unit) Hashtbl.t option;  (* lines read while tracing *)
-  (* Media model. [line_crc] is the per-line ECC the DIMM stores alongside
-     each 64-byte line: volatile from the simulation's point of view (it
-     costs nothing on the simulated clock) and updated by every legitimate
-     write-back. Injected media faults mutate the durable image WITHOUT
-     touching it, which is exactly what makes them detectable. *)
-  mutable line_crc : int array;
+  (* Media model. The DIMM's per-line ECC is modelled sparsely: a line
+     whose durable bytes are what its last legitimate write left there
+     has no entry, because its ECC would just be the CRC of those bytes.
+     [expected] holds the ECC of the lines where that can fail — lines a
+     fault mutated (sealed with the CRC of the bytes before the first
+     mutation) and stuck lines written back (the CRC of the dropped
+     data). A legitimate write-back or scrub of the line removes its
+     entry. Injected faults happen while the pool is quiesced; the
+     write-back path's mutations of the three tables take [media_mu]. *)
+  expected : (int, int) Hashtbl.t;  (* line -> ECC of its intended bytes *)
   stuck : (int, unit) Hashtbl.t;  (* lines silently dropping write-backs *)
   poisoned : (int, unit) Hashtbl.t;  (* lines raising on any load *)
+  media_mu : Mutex.t;
 }
-
-let crc_zero_line =
-  Hart_util.Crc32.bytes_sub (Bytes.make line_bytes '\000') ~off:0 ~len:line_bytes
 
 let n_lines cap = (cap + line_bytes - 1) / line_bytes
 
@@ -74,9 +76,10 @@ let create ?(capacity = 1 lsl 20) ?(max_capacity = 1 lsl 30) meter =
     crash_fired = false;
     total_flushes = 0;
     read_trace = None;
-    line_crc = Array.make (n_lines capacity) crc_zero_line;
+    expected = Hashtbl.create 4;
     stuck = Hashtbl.create 4;
     poisoned = Hashtbl.create 4;
+    media_mu = Mutex.create ();
   }
 
 let clone t =
@@ -90,9 +93,10 @@ let clone t =
     free_lists;
     alloc_mu = Mutex.create ();
     read_trace = None;
-    line_crc = Array.copy t.line_crc;
+    expected = Hashtbl.copy t.expected;
     stuck = Hashtbl.copy t.stuck;
     poisoned = Hashtbl.copy t.poisoned;
+    media_mu = Mutex.create ();
   }
 
 let meter t = t.meter
@@ -102,6 +106,27 @@ let live_bytes t = t.live
 let dirty_get t line = Bytes.get t.dirty line <> '\000'
 let dirty_set t line = Bytes.set t.dirty line '\001'
 let dirty_clear t line = Bytes.set t.dirty line '\000'
+
+(* Unlocked emptiness tests are the fast path of every write-back and
+   scrub (and, on [poisoned] alone, of every load): the tables are only
+   filled by fault injection, which runs while the pool is quiesced. *)
+let media_faulty t =
+  Hashtbl.length t.expected > 0
+  || Hashtbl.length t.stuck > 0
+  || Hashtbl.length t.poisoned > 0
+
+let with_media t f =
+  Mutex.lock t.media_mu;
+  match f () with
+  | v ->
+      Mutex.unlock t.media_mu;
+      v
+  | exception e ->
+      Mutex.unlock t.media_mu;
+      raise e
+
+let line_crc bytes line =
+  Hart_util.Crc32.bytes_sub bytes ~off:(line * line_bytes) ~len:line_bytes
 
 let grow t needed =
   let rec target cap = if cap >= needed then cap else target (cap * 2) in
@@ -113,12 +138,9 @@ let grow t needed =
   Bytes.blit t.cache 0 cache 0 t.capacity;
   Bytes.blit t.shadow 0 shadow 0 t.capacity;
   Bytes.blit t.dirty 0 dirty 0 (Bytes.length t.dirty);
-  let line_crc = Array.make (n_lines cap) crc_zero_line in
-  Array.blit t.line_crc 0 line_crc 0 (Array.length t.line_crc);
   t.cache <- cache;
   t.shadow <- shadow;
   t.dirty <- dirty;
-  t.line_crc <- line_crc;
   t.capacity <- cap
 
 (* [alloc]/[free] are domain-safe: brk, live and the free lists are
@@ -141,10 +163,12 @@ let alloc t size =
            the lines' ECC and clears any read poison on them *)
         Bytes.fill t.cache off rounded '\000';
         Bytes.fill t.shadow off rounded '\000';
-        for line = off / line_bytes to (off + rounded) / line_bytes - 1 do
-          t.line_crc.(line) <- crc_zero_line;
-          Hashtbl.remove t.poisoned line
-        done;
+        if media_faulty t then
+          with_media t (fun () ->
+              for line = off / line_bytes to (off + rounded) / line_bytes - 1 do
+                Hashtbl.remove t.expected line;
+                Hashtbl.remove t.poisoned line
+              done);
         off
     | Some { contents = [] } | None ->
         (if t.brk + rounded > t.capacity then
@@ -221,9 +245,14 @@ let read_trace_stop t =
    test. *)
 let poison_check t off len =
   if Hashtbl.length t.poisoned > 0 then
-    for line = off / line_bytes to (off + len - 1) / line_bytes do
-      if Hashtbl.mem t.poisoned line then raise (Media_poisoned { off; line })
-    done
+    let first = off / line_bytes and last = (off + len - 1) / line_bytes in
+    let rec find line =
+      if line > last then -1
+      else if Hashtbl.mem t.poisoned line then line
+      else find (line + 1)
+    in
+    let line = with_media t (fun () -> find first) in
+    if line >= 0 then raise (Media_poisoned { off; line })
 
 let get_u8 t off =
   check t off 1 "get_u8";
@@ -278,23 +307,28 @@ let read_shadow_u64 t off =
   check t off 8 "read_shadow_u64";
   Bytes.get_int64_le t.shadow off
 
+let blit_line t line =
+  Bytes.blit t.cache (line * line_bytes) t.shadow (line * line_bytes) line_bytes
+
 (* One line's worth of data leaving the cache hierarchy for the media —
    the only path by which the durable image legitimately changes after
    init. A stuck line silently drops the data, but the controller still
    reports success and records the ECC of what it MEANT to write, so the
    loss shows up later as an ECC/content mismatch in {!media_verify}.
-   A successful full-line write-back replaces a poisoned line's cell
-   contents, clearing the poison. *)
+   A successful full-line write-back reseals the line's ECC (drops its
+   [expected] entry) and replaces a poisoned line's cell contents,
+   clearing the poison. *)
 let writeback_line t line =
-  if Hashtbl.mem t.stuck line then
-    t.line_crc.(line) <-
-      Hart_util.Crc32.bytes_sub t.cache ~off:(line * line_bytes) ~len:line_bytes
-  else begin
-    Bytes.blit t.cache (line * line_bytes) t.shadow (line * line_bytes) line_bytes;
-    t.line_crc.(line) <-
-      Hart_util.Crc32.bytes_sub t.shadow ~off:(line * line_bytes) ~len:line_bytes;
-    Hashtbl.remove t.poisoned line
-  end
+  if not (media_faulty t) then blit_line t line
+  else
+    with_media t (fun () ->
+        if Hashtbl.mem t.stuck line then
+          Hashtbl.replace t.expected line (line_crc t.cache line)
+        else begin
+          blit_line t line;
+          Hashtbl.remove t.expected line;
+          Hashtbl.remove t.poisoned line
+        end)
 
 let flush_line t line =
   writeback_line t line;
@@ -528,15 +562,10 @@ let load ?(max_capacity = 1 lsl 30) meter path =
           stored !crc;
       if pos_in ic <> in_channel_length ic then
         failwith "Pmem.load: trailing bytes after pool data";
+      (* the on-DIMM ECC reseals on mount, so [expected] starts empty:
+         image-file integrity is the trailer's job, detection of
+         post-mount media faults is the ECC's *)
       Bytes.blit t.shadow 0 t.cache 0 brk;
-      (* the on-DIMM ECC reseals on mount: image-file integrity is the
-         trailer's job, detection of post-mount media faults is this
-         table's job *)
-      for line = 0 to (brk / line_bytes) - 1 do
-        t.line_crc.(line) <-
-          Hart_util.Crc32.bytes_sub t.shadow ~off:(line * line_bytes)
-            ~len:line_bytes
-      done;
       t.brk <- brk;
       t.live <- live;
       t)
@@ -563,9 +592,18 @@ let check_line t line op =
     invalid_arg
       (Printf.sprintf "Pmem.%s: line %d outside pool (brk=%d)" op line t.brk)
 
+(* Seal the ECC of a line a fault is about to mutate, unless an earlier
+   fault or stuck write-back already did: the DIMM's ECC still describes
+   the bytes the last legitimate write left there. *)
+let seal t line =
+  with_media t (fun () ->
+      if not (Hashtbl.mem t.expected line) then
+        Hashtbl.replace t.expected line (line_crc t.shadow line))
+
 let inject_media_fault t fault =
   let flip off bit =
     check t off 1 "inject_media_fault";
+    seal t (off / line_bytes);
     let b = Bytes.get_uint8 t.shadow off in
     Bytes.set_uint8 t.shadow off (b lxor (1 lsl (bit land 7)));
     refresh_cache_line t (off / line_bytes)
@@ -575,10 +613,14 @@ let inject_media_fault t fault =
   | Flip_bits { seed; flips } ->
       let rng = Hart_util.Rng.create seed in
       for _ = 1 to flips do
-        flip (Hart_util.Rng.int rng t.brk) (Hart_util.Rng.int rng 8)
+        (* bit before offset: the draw order of the seeded fault sites *)
+        let bit = Hart_util.Rng.int rng 8 in
+        let off = Hart_util.Rng.int rng t.brk in
+        flip off bit
       done
   | Clobber_line { line; seed } ->
       check_line t line "inject_media_fault";
+      seal t line;
       let rng = Hart_util.Rng.create seed in
       for i = 0 to line_bytes - 1 do
         Bytes.set_uint8 t.shadow ((line * line_bytes) + i)
@@ -587,22 +629,25 @@ let inject_media_fault t fault =
       refresh_cache_line t line
   | Stuck_line { line } ->
       check_line t line "inject_media_fault";
-      Hashtbl.replace t.stuck line ()
+      with_media t (fun () -> Hashtbl.replace t.stuck line ())
   | Poison_line { line } ->
       check_line t line "inject_media_fault";
-      Hashtbl.replace t.poisoned line ()
+      with_media t (fun () -> Hashtbl.replace t.poisoned line ())
 
+(* Every line without an [expected] entry holds what its ECC describes,
+   so only the sealed lines need a CRC. *)
 let media_verify t =
-  let corrupt = ref [] and poisoned = ref [] in
-  for line = (t.brk / line_bytes) - 1 downto 0 do
-    if Hashtbl.mem t.poisoned line then poisoned := line :: !poisoned
-    else if
-      Hart_util.Crc32.bytes_sub t.shadow ~off:(line * line_bytes)
-        ~len:line_bytes
-      <> t.line_crc.(line)
-    then corrupt := line :: !corrupt
-  done;
-  { corrupt_lines = !corrupt; poisoned_lines = !poisoned }
+  with_media t (fun () ->
+      let poisoned = Hashtbl.fold (fun line () acc -> line :: acc) t.poisoned [] in
+      let corrupt =
+        Hashtbl.fold
+          (fun line crc acc ->
+            if Hashtbl.mem t.poisoned line || line_crc t.shadow line = crc then acc
+            else line :: acc)
+          t.expected []
+      in
+      { corrupt_lines = List.sort compare corrupt;
+        poisoned_lines = List.sort compare poisoned })
 
 let pp_stats ppf t =
   Format.fprintf ppf "@[<v>pool: capacity=%d brk=%d live=%d dirty_lines=%d@ %a@]"

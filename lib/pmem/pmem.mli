@@ -34,8 +34,8 @@ exception Media_poisoned of { off : int; line : int }
     poisoned 64-byte line. *)
 
 val line_bytes : int
-(** Size of a cache/media line (64). Media faults, the line-ECC table
-    and flush granularity all work on these units. *)
+(** Size of a cache/media line (64). Media faults, the line ECC and
+    flush granularity all work on these units. *)
 
 val create : ?capacity:int -> ?max_capacity:int -> Meter.t -> t
 (** [create meter] makes an empty pool (default initial capacity 1 MiB,
@@ -218,15 +218,26 @@ val evict_random : t -> Hart_util.Rng.t -> fraction:float -> unit
     Beyond torn flushes, real PM suffers media faults: bit rot, whole
     lines returning garbage, cells that stop accepting writes, and
     uncorrectable reads. The pool models them deterministically, and
-    pairs them with an always-on per-line CRC-32 side table — the
-    simulation's stand-in for the DIMM's per-line ECC. Every legitimate
-    write-back (flush, background eviction, torn-crash eviction,
-    allocator scrub) updates the table; injected faults mutate the
-    durable image {e without} updating it. {!media_verify} is therefore
-    a ground-truth-free detector: it reports exactly the lines whose
-    durable content no legitimate write produced. The table is volatile
-    metadata and costs nothing on the simulated clock (checksum
-    placement/cost accounting is discussed in DESIGN.md §15). *)
+    pairs them with a per-line CRC-32 — the simulation's stand-in for
+    the DIMM's per-line ECC. Every legitimate write-back (flush,
+    background eviction, torn-crash eviction, allocator scrub) reseals
+    a line's ECC; injected faults mutate the durable image {e without}
+    resealing it. {!media_verify} is therefore a ground-truth-free
+    detector: it reports exactly the lines whose durable content no
+    legitimate write produced.
+
+    The ECC is sealed at injection. A line no fault has touched holds
+    the bytes its ECC describes, so only the exceptions are stored: a
+    content fault records the CRC of the line's durable bytes before its
+    first mutation, a write-back to a stuck line records the CRC of the
+    dropped data, and a normal write-back, scrub or {!load} forgets the
+    line's record. A fault-free write-back therefore computes no CRC.
+    The records are volatile metadata and cost nothing on the simulated
+    clock (DESIGN.md §15).
+
+    Faults are injected while the pool is quiesced: no other domain may
+    be loading, storing or persisting. Write-backs from any domain then
+    update the fault tables under an internal mutex. *)
 
 type media_fault =
   | Flip_bit of { off : int; bit : int }
@@ -238,17 +249,17 @@ type media_fault =
       (** overwrite the whole 64-byte line with seeded garbage *)
   | Stuck_line of { line : int }
       (** the line silently drops all future write-backs: flushes report
-          success (and update the ECC table with the intended data, which
-          is what makes the loss detectable) but the durable image keeps
-          its old content *)
+          success (and seal the ECC of the intended data, which is what
+          makes the loss detectable) but the durable image keeps its old
+          content *)
   | Poison_line of { line : int }
       (** uncorrectable: any load touching the line raises
           {!Media_poisoned} until a full-line write-back replaces its
           contents *)
 
 type media_report = { corrupt_lines : int list; poisoned_lines : int list }
-(** [corrupt_lines]: lines whose durable content disagrees with the ECC
-    table, ascending. [poisoned_lines]: lines currently raising on
+(** [corrupt_lines]: lines whose durable content disagrees with their
+    ECC, ascending. [poisoned_lines]: lines currently raising on
     load. The two are disjoint (a poisoned line cannot be checksummed —
     it cannot be read at all). *)
 
@@ -259,8 +270,10 @@ val inject_media_fault : t -> media_fault -> unit
     @raise Invalid_argument for out-of-pool coordinates. *)
 
 val media_verify : t -> media_report
-(** Scrub pass over every line below [brk]: recompute each line's CRC
-    and compare with the ECC table. Free on the simulated clock (the
+(** Scrub pass over the pool: every line below [brk] whose durable
+    bytes disagree with its ECC, and every poisoned line. Only sealed
+    lines can disagree, so the pass recomputes one CRC per sealed line,
+    not one per pool line. Free on the simulated clock (the
     device-internal scrubber the simulation assumes). *)
 
 val pp_stats : Format.formatter -> t -> unit

@@ -1,8 +1,8 @@
 (** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320).
 
     Used as the integrity check for persisted PM objects, micro-log
-    words and pool images, and as the always-on per-line "media ECC"
-    side table in {!Hart_pmem.Pmem}. Table-driven; byte-exact with the
+    words and pool images, and as the per-line "media ECC" of
+    {!Hart_pmem.Pmem}. Table-driven; byte-exact with the
     zlib/POSIX cksum-style CRC-32 (check value of ["123456789"] is
     [0xCBF43926]).
 

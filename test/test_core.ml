@@ -60,6 +60,40 @@ let test_dir_grows () =
   done;
   Hash_dir.check_invariants d
 
+(* The Int64 FNV-1a the directory used to compute; the native-int hash
+   must agree with it bit for bit, or buckets and lock stripes move. *)
+let fnv1a_int64 key =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001b3L)
+    key;
+  Int64.to_int !h land max_int
+
+let test_dir_hash_matches_int64 () =
+  let check key =
+    Alcotest.(check int) (Printf.sprintf "hash %S" key) (fnv1a_int64 key) (Hash_dir.hash key)
+  in
+  check "";
+  for len = 1 to 24 do
+    check (String.init len (fun i -> Char.chr (97 + ((i * 7) mod 26))));
+    check (String.init len (fun i -> Char.chr (0x80 + ((i * 37) mod 128))));
+    check (String.make len '\xff')
+  done;
+  let rng = Rng.create 19L in
+  for _ = 1 to 10_000 do
+    check (String.init (Rng.int rng 33) (fun _ -> Char.chr (Rng.int rng 256)))
+  done;
+  (* the prefix form hashes what [String.sub] would have copied *)
+  for _ = 1 to 1000 do
+    let key = String.init (Rng.int rng 12) (fun _ -> Char.chr (Rng.int rng 256)) in
+    let n = Rng.int rng 16 in
+    Alcotest.(check int) "hash_prefix"
+      (fnv1a_int64 (String.sub key 0 (min n (String.length key))))
+      (Hash_dir.hash_prefix key n)
+  done
+
 let qcheck_dir_vs_hashtbl =
   let key_gen = QCheck.Gen.(map (String.make 2) (map Char.chr (int_range 97 102))) in
   let op_gen =
@@ -124,6 +158,27 @@ let test_chunk_header_fields () =
   Chunk.reset_bit pool ~chunk ~idx:17;
   Alcotest.(check int) "hint points at hole" 17 (Chunk.next_free_hint pool ~chunk);
   Alcotest.(check int) "available again" 0 (Chunk.full_indicator pool ~chunk)
+
+let test_chunk_header_of_bits () =
+  let full = (1 lsl Chunk.objs_per_chunk) - 1 in
+  let check bits =
+    Alcotest.(check int64) (Printf.sprintf "header of %#x" bits)
+      (Chunk.header_of_bitmap (Int64.of_int bits))
+      (Chunk.header_of_bits bits)
+  in
+  check 0;
+  check full;
+  for idx = 0 to Chunk.objs_per_chunk - 1 do
+    check (full land lnot (1 lsl idx));
+    check (1 lsl idx)
+  done;
+  let rng = Rng.create 23L in
+  for _ = 1 to 10_000 do
+    let bits = Int64.to_int (Rng.next64 rng) land full in
+    (* bias towards dense bitmaps so high hints are covered *)
+    check bits;
+    check (bits lor Int64.to_int (Rng.next64 rng) land full)
+  done
 
 let test_chunk_header_durable () =
   let pool = fresh_pool () in
@@ -2553,12 +2608,15 @@ let () =
           Alcotest.test_case "basic" `Quick test_dir_basic;
           Alcotest.test_case "remove" `Quick test_dir_remove;
           Alcotest.test_case "grows" `Quick test_dir_grows;
+          Alcotest.test_case "hash matches Int64 FNV-1a" `Quick test_dir_hash_matches_int64;
           QCheck_alcotest.to_alcotest qcheck_dir_vs_hashtbl;
         ] );
       ( "chunk",
         [
           Alcotest.test_case "classes and sizes" `Quick test_chunk_classes;
           Alcotest.test_case "header fields" `Quick test_chunk_header_fields;
+          Alcotest.test_case "int header matches header_of_bitmap" `Quick
+            test_chunk_header_of_bits;
           Alcotest.test_case "header durable" `Quick test_chunk_header_durable;
           Alcotest.test_case "pnext durable" `Quick test_chunk_pnext;
           Alcotest.test_case "iter_live" `Quick test_chunk_iter_live;

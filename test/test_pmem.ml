@@ -663,6 +663,46 @@ let test_media_poison_line () =
   Alcotest.(check (list int)) "unpoisoned" []
     (Pmem.media_verify pool).Pmem.poisoned_lines
 
+(* Write-backs from two domains mutate the fault tables at once: each
+   domain's stuck lines seal [expected] entries (growing the table) while
+   its poisoned lines are rewritten and unpoisoned. Whatever the
+   interleaving, exactly the stuck lines end corrupt and no poison is
+   left. *)
+let test_media_tables_two_domains () =
+  let lines = 1024 in
+  for _trial = 1 to 5 do
+    let pool, _ = fresh ~capacity:((lines + 1) * 64) () in
+    let base = Pmem.alloc pool (lines * 64) in
+    let line i = (base / 64) + i in
+    for i = 0 to lines - 1 do
+      Pmem.inject_media_fault pool
+        (if i land 2 = 0 then Pmem.Stuck_line { line = line i }
+         else Pmem.Poison_line { line = line i })
+    done;
+    let ready = Atomic.make 0 in
+    let writer parity () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      for i = 0 to (lines / 2) - 1 do
+        let off = base + (((2 * i) + parity) * 64) in
+        Pmem.set_string pool ~off (String.make 64 'x');
+        Pmem.persist pool ~off ~len:64
+      done
+    in
+    let other = Domain.spawn (writer 1) in
+    writer 0 ();
+    Domain.join other;
+    let r = Pmem.media_verify pool in
+    Alcotest.(check (list int)) "no poison left" [] r.Pmem.poisoned_lines;
+    Alcotest.(check (list int)) "exactly the stuck lines corrupt"
+      (List.filter_map
+         (fun i -> if i land 2 = 0 then Some (line i) else None)
+         (List.init lines Fun.id))
+      r.Pmem.corrupt_lines
+  done
+
 let test_media_fault_bounds () =
   let pool, _ = fresh () in
   let rejected f =
@@ -678,6 +718,308 @@ let test_media_fault_bounds () =
     (rejected (Pmem.Clobber_line { line = 1 lsl 24; seed = 1L }));
   Alcotest.(check bool) "out-of-pool poison" true
     (rejected (Pmem.Poison_line { line = 1 lsl 24 }))
+
+(* ------------------------------------------------------------------ *)
+(* Differential property: the sparse ECC table sealed at fault injection
+   reports exactly what an eager per-line CRC table would.             *)
+
+(* The reference: every line below brk carries the CRC of the bytes its
+   last legitimate write-back (or scrub, or mount) left there. The model
+   also mirrors both byte views and the dirty map, replaying the pool's
+   seeded eviction and fault draws, so it knows which lines each step
+   writes back. *)
+module Eager = struct
+  type t = {
+    cache : Bytes.t;
+    shadow : Bytes.t;
+    dirty : bool array;
+    crc : int array;
+    stuck : (int, unit) Hashtbl.t;
+    poisoned : (int, unit) Hashtbl.t;
+  }
+
+  let create lines =
+    let zero = Bytes.make (lines * 64) '\000' in
+    {
+      cache = Bytes.copy zero;
+      shadow = zero;
+      dirty = Array.make lines false;
+      crc = Array.make lines (Crc32.bytes_sub (Bytes.make 64 '\000') ~off:0 ~len:64);
+      stuck = Hashtbl.create 4;
+      poisoned = Hashtbl.create 4;
+    }
+
+  let copy m =
+    {
+      cache = Bytes.copy m.cache;
+      shadow = Bytes.copy m.shadow;
+      dirty = Array.copy m.dirty;
+      crc = Array.copy m.crc;
+      stuck = Hashtbl.copy m.stuck;
+      poisoned = Hashtbl.copy m.poisoned;
+    }
+
+  let lines m = Array.length m.dirty
+  let line_crc b line = Crc32.bytes_sub b ~off:(line * 64) ~len:64
+
+  let writeback m line =
+    if Hashtbl.mem m.stuck line then m.crc.(line) <- line_crc m.cache line
+    else begin
+      Bytes.blit m.cache (line * 64) m.shadow (line * 64) 64;
+      m.crc.(line) <- line_crc m.shadow line;
+      Hashtbl.remove m.poisoned line
+    end
+
+  let store m off v =
+    Bytes.set_uint8 m.cache off v;
+    m.dirty.(off / 64) <- true
+
+  let persist m line =
+    if m.dirty.(line) then begin
+      writeback m line;
+      m.dirty.(line) <- false
+    end
+
+  let evict m seed fraction =
+    let rng = Rng.create seed in
+    for line = 0 to lines m - 1 do
+      if m.dirty.(line) && Rng.float rng 1.0 < fraction then persist m line
+    done
+
+  let crash ?torn m =
+    (match torn with
+    | None -> ()
+    | Some (seed, fraction) ->
+        let rng = Rng.create seed in
+        for line = 0 to lines m - 1 do
+          if m.dirty.(line) && Rng.float rng 1.0 < fraction then writeback m line
+        done);
+    Bytes.blit m.shadow 0 m.cache 0 (Bytes.length m.cache);
+    Array.fill m.dirty 0 (lines m) false
+
+  let scrub m ~off ~len =
+    Bytes.fill m.cache off len '\000';
+    Bytes.fill m.shadow off len '\000';
+    for line = off / 64 to ((off + len) / 64) - 1 do
+      m.crc.(line) <- line_crc m.shadow line;
+      Hashtbl.remove m.poisoned line
+    done
+
+  let refresh m line =
+    Bytes.blit m.shadow (line * 64) m.cache (line * 64) 64;
+    m.dirty.(line) <- false
+
+  let flip m off bit =
+    Bytes.set_uint8 m.shadow off (Bytes.get_uint8 m.shadow off lxor (1 lsl (bit land 7)));
+    refresh m (off / 64)
+
+  let inject m = function
+    | Pmem.Flip_bit { off; bit } -> flip m off bit
+    | Pmem.Flip_bits { seed; flips } ->
+        let rng = Rng.create seed in
+        for _ = 1 to flips do
+          let bit = Rng.int rng 8 in
+          flip m (Rng.int rng (Bytes.length m.shadow)) bit
+        done
+    | Pmem.Clobber_line { line; seed } ->
+        let rng = Rng.create seed in
+        for i = 0 to 63 do
+          Bytes.set_uint8 m.shadow ((line * 64) + i) (Rng.int rng 256)
+        done;
+        refresh m line
+    | Pmem.Stuck_line { line } -> Hashtbl.replace m.stuck line ()
+    | Pmem.Poison_line { line } -> Hashtbl.replace m.poisoned line ()
+
+  (* a mount reseals every line and starts with no faulty cells *)
+  let reload m =
+    crash m;
+    Array.iteri (fun line _ -> m.crc.(line) <- line_crc m.shadow line) m.crc;
+    Hashtbl.reset m.stuck;
+    Hashtbl.reset m.poisoned
+
+  let verify m =
+    let corrupt = ref [] and poisoned = ref [] in
+    for line = lines m - 1 downto 0 do
+      if Hashtbl.mem m.poisoned line then poisoned := line :: !poisoned
+      else if line_crc m.shadow line <> m.crc.(line) then corrupt := line :: !corrupt
+    done;
+    { Pmem.corrupt_lines = !corrupt; poisoned_lines = !poisoned }
+end
+
+type media_step =
+  | Store of int * int  (* byte offset, value *)
+  | Persist of int  (* line *)
+  | Evict of int64 * float
+  | Crash_clean
+  | Crash_torn of int64 * float
+  | Rescrub of int  (* region: free, then re-allocate *)
+  | Fault of Pmem.media_fault
+  | Clone
+  | Save_load
+
+let regions = 6 (* of [region_bytes] each, after the null line *)
+let region_bytes = 128
+let media_lines = 1 + (regions * region_bytes / 64)
+
+let pp_media_step = function
+  | Store (off, v) -> Printf.sprintf "Store(%d,%d)" off v
+  | Persist l -> Printf.sprintf "Persist %d" l
+  | Evict (s, f) -> Printf.sprintf "Evict(%Ld,%.2f)" s f
+  | Crash_clean -> "Crash_clean"
+  | Crash_torn (s, f) -> Printf.sprintf "Crash_torn(%Ld,%.2f)" s f
+  | Rescrub r -> Printf.sprintf "Rescrub %d" r
+  | Fault (Pmem.Flip_bit { off; bit }) -> Printf.sprintf "Flip_bit(%d,%d)" off bit
+  | Fault (Pmem.Flip_bits { seed; flips }) ->
+      Printf.sprintf "Flip_bits(%Ld,%d)" seed flips
+  | Fault (Pmem.Clobber_line { line; seed }) ->
+      Printf.sprintf "Clobber_line(%d,%Ld)" line seed
+  | Fault (Pmem.Stuck_line { line }) -> Printf.sprintf "Stuck_line %d" line
+  | Fault (Pmem.Poison_line { line }) -> Printf.sprintf "Poison_line %d" line
+  | Clone -> "Clone"
+  | Save_load -> "Save_load"
+
+let media_step_gen =
+  let open QCheck.Gen in
+  let bytes = media_lines * 64 and line = int_bound (media_lines - 1) in
+  let seed = map Int64.of_int (int_bound 1000) and fraction = float_bound_inclusive 1. in
+  frequency
+    [
+      (8, map2 (fun off v -> Store (off, v)) (int_range 64 (bytes - 1)) (int_bound 255));
+      (5, map (fun l -> Persist l) line);
+      (1, map2 (fun s f -> Evict (s, f)) seed fraction);
+      (1, return Crash_clean);
+      (1, map2 (fun s f -> Crash_torn (s, f)) seed fraction);
+      (1, map (fun r -> Rescrub r) (int_bound (regions - 1)));
+      (1, map2 (fun off bit -> Fault (Pmem.Flip_bit { off; bit })) (int_bound (bytes - 1))
+            (int_bound 7));
+      (* few sites, so a later flip often undoes an earlier one: the
+         line must then verify clean again *)
+      (2, map (fun line -> Fault (Pmem.Flip_bit { off = line * 64; bit = 0 })) line);
+      (1, map2 (fun seed flips -> Fault (Pmem.Flip_bits { seed; flips })) seed
+            (int_range 1 4));
+      (1, map2 (fun line seed -> Fault (Pmem.Clobber_line { line; seed })) line seed);
+      (2, map (fun line -> Fault (Pmem.Stuck_line { line })) line);
+      (1, map (fun line -> Fault (Pmem.Poison_line { line })) line);
+      (1, return Clone);
+      (1, return Save_load);
+    ]
+
+let qcheck_sealed_ecc_matches_eager =
+  QCheck.Test.make ~count:300
+    ~name:"sealed ECC table reports what an eager per-line CRC table does"
+    (QCheck.make
+       ~print:(fun steps -> String.concat "; " (List.map pp_media_step steps))
+       QCheck.Gen.(list_size (int_bound 80) media_step_gen))
+    (fun steps ->
+      let pool, meter = fresh () in
+      let offs = Array.init regions (fun _ -> Pmem.alloc pool region_bytes) in
+      assert (offs.(0) = 64 && offs.(regions - 1) = (media_lines * 64) - region_bytes);
+      let path = Filename.temp_file "media" ".pool" in
+      let model = ref (Eager.create media_lines) and pool = ref pool in
+      let same_shadow () =
+        let ok = ref true in
+        for w = 0 to (media_lines * 8) - 1 do
+          if Pmem.read_shadow_u64 !pool (w * 8) <> Bytes.get_int64_le !model.Eager.shadow (w * 8)
+          then ok := false
+        done;
+        !ok
+      in
+      let step s =
+        match s with
+        | Store (off, v) ->
+            Pmem.set_u8 !pool off v;
+            Eager.store !model off v
+        | Persist line ->
+            Pmem.persist !pool ~off:(line * 64) ~len:1;
+            Eager.persist !model line
+        | Evict (seed, fraction) ->
+            Pmem.evict_random !pool (Rng.create seed) ~fraction;
+            Eager.evict !model seed fraction
+        | Crash_clean ->
+            Pmem.crash !pool;
+            Eager.crash !model
+        | Crash_torn (seed, fraction) ->
+            Pmem.arm_crash !pool ~mode:(Pmem.Torn { seed; fraction }) ~after_flushes:0;
+            Pmem.crash !pool;
+            Eager.crash ~torn:(seed, fraction) !model
+        | Rescrub r ->
+            Pmem.free !pool ~off:offs.(r) ~len:region_bytes;
+            let off = Pmem.alloc !pool region_bytes in
+            assert (off = offs.(r));
+            Eager.scrub !model ~off ~len:region_bytes
+        | Fault f ->
+            Pmem.inject_media_fault !pool f;
+            Eager.inject !model f
+        | Clone ->
+            let copy = Pmem.clone !pool in
+            (* the original keeps running too: mutate it and drop it *)
+            Pmem.inject_media_fault !pool (Pmem.Clobber_line { line = 1; seed = 3L });
+            Pmem.persist_all !pool;
+            pool := copy;
+            model := Eager.copy !model
+        | Save_load ->
+            Pmem.save !pool path;
+            pool := Pmem.load meter path;
+            Eager.reload !model
+      in
+      let ok =
+        List.for_all
+          (fun s ->
+            step s;
+            Pmem.media_verify !pool = Eager.verify !model && same_shadow ())
+          steps
+      in
+      Sys.remove path;
+      ok)
+
+(* ------------------------------------------------------------------ *)
+(* Allocation pins: the per-event simulator path allocates nothing. A
+   boxed float or Int64 on it costs minor-GC work on every metered
+   access, flush and fence (DESIGN.md §9).                             *)
+
+let alloc_calls = 10_000
+
+let minor_words_of f =
+  f 0 (* warm: first-touch effects stay out of the count *);
+  let before = Gc.minor_words () in
+  for i = 1 to alloc_calls do
+    f i
+  done;
+  Gc.minor_words () -. before
+
+let check_alloc_free name f =
+  let words = minor_words_of f in
+  Alcotest.(check (float 0.)) (name ^ ": words/call") 0.
+    (Float.round (words /. float_of_int alloc_calls))
+
+let test_alloc_meter_access () =
+  let meter = Meter.create Latency.c300_300 in
+  check_alloc_free "Meter.access" (fun i ->
+      Meter.access meter Meter.Pm ~addr:(i * 64) ~write:(i land 1 = 0))
+
+let test_alloc_meter_flush_fence () =
+  let meter = Meter.create Latency.c300_300 in
+  check_alloc_free "Meter.flush_line + fence" (fun i ->
+      Meter.flush_line meter ~addr:(i * 64);
+      Meter.fence meter)
+
+let test_alloc_get_u8 () =
+  let pool, _ = fresh () in
+  let off = Pmem.alloc pool 4096 in
+  check_alloc_free "Pmem.get_u8" (fun i -> ignore (Pmem.get_u8 pool (off + (i land 4095)) : int))
+
+let test_alloc_store_persist () =
+  let pool, _ = fresh () in
+  let off = Pmem.alloc pool 4096 in
+  check_alloc_free "Pmem.set_u8 + persist" (fun i ->
+      let o = off + (i land 4095) in
+      Pmem.set_u8 pool o i;
+      Pmem.persist pool ~off:o ~len:1)
+
+let test_alloc_hash_dir () =
+  let keys = Array.init 64 (fun i -> Printf.sprintf "key%05d" i) in
+  check_alloc_free "Hash_dir.hash" (fun i ->
+      ignore (Hart_core.Hash_dir.hash keys.(i land 63) : int))
 
 (* ------------------------------------------------------------------ *)
 (* Flush counting, cloning, torn crash mode                            *)
@@ -905,6 +1247,18 @@ let () =
             test_media_poison_line;
           Alcotest.test_case "fault coordinates bounds-checked" `Quick
             test_media_fault_bounds;
+          Alcotest.test_case "fault tables, two domains" `Quick
+            test_media_tables_two_domains;
+          QCheck_alcotest.to_alcotest qcheck_sealed_ecc_matches_eager;
+        ] );
+      ( "alloc-free",
+        [
+          Alcotest.test_case "Meter.access" `Quick test_alloc_meter_access;
+          Alcotest.test_case "Meter.flush_line + fence" `Quick
+            test_alloc_meter_flush_fence;
+          Alcotest.test_case "Pmem.get_u8" `Quick test_alloc_get_u8;
+          Alcotest.test_case "Pmem.set_u8 + persist" `Quick test_alloc_store_persist;
+          Alcotest.test_case "hash_dir: Hash_dir.hash" `Quick test_alloc_hash_dir;
         ] );
       ( "fault-injection",
         [

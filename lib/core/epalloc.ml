@@ -51,56 +51,107 @@ let root_bytes = Pmem.line_bytes + Microlog.region_bytes
    never differ outside that call. [attach] rebuilds the mirror from the
    headers its chain walk reads anyway. The mirror is a dense DRAM array
    of 8-byte words, 8 to a line; [addr] is this chunk's word in it, and
-   every read or write of [bits] is charged there on the meter. *)
+   every read or write of [bits] is charged there on the meter.
+
+   [prev] is the chunk before this one in its class list (0 at the
+   head): the volatile PPrev of Algorithm 6, so recycling needs no list
+   walk. It is DRAM metadata next to the registry lookup that reaches
+   it, and like that lookup it is not metered. [live] turns false when
+   the chunk is recycled; from then on every lookup treats the record as
+   unregistered. *)
 type entry = {
   chunk : int;
   mutable bits : int;  (* stripe lock for writes; reads may race *)
   mutable reserved : int;  (* 56-bit reservation mask; stripe lock *)
   slot : int;  (* index in the class's mirror array *)
   addr : int;
+  mutable prev : int;  (* class lock *)
+  mutable live : bool;  (* cleared under the class and stripe locks *)
 }
 
-(* Copy-on-write array of entries sorted by chunk offset: the volatile
-   registry that resolves an object offset to its chunk. Readers get a
-   snapshot from an [Atomic.t] with no locking; mutations (chunk
-   alloc/recycle, both rare — once per 56 objects at most) build a fresh
-   array and publish it under the class lock. *)
+(* The volatile registry that resolves an object offset to its chunk:
+   parallel arrays sorted by chunk offset, an unboxed [keys] array for
+   the binary search and the records in [entries], with spare capacity
+   past [len]. Readers take a snapshot from an [Atomic.t] with no
+   locking and never look past its [len]; mutations run under the class
+   lock.
+
+   Registration is amortised O(1). [Pmem] hands out fresh space with a
+   bump pointer, so a new chunk usually lies above every registered one:
+   its cells are written past [len] and a snapshot one longer is
+   published. Recycling marks the record dead in place. [Pmem] reuses a
+   freed range only for an allocation of the same rounded size, and the
+   four chunk classes round to sizes (2304, 512, 960 and 1856 bytes)
+   that differ from each other and from every other allocation in a
+   HART pool (the root block; the ART nodes of the PM-node ablation, 64
+   to 2112 bytes), so a dead record's offset can only come back as a
+   chunk of its own class, which takes the cell over. Dead records
+   therefore never outnumber the class's chunks on [Pmem]'s free list,
+   and the registry never holds more cells than the class's peak chunk
+   count: there is nothing to compact. Only a full array (which
+   doubles) or a chunk registered below a live one with no dead cell at
+   its offset (space freed before a reload) copies. *)
 module Registry = struct
-  type t = entry array (* sorted ascending by [chunk] *)
+  type t = { keys : int array; entries : entry array; len : int }
 
-  let empty : t = [||]
+  let empty = { keys = [||]; entries = [||]; len = 0 }
 
-  let rec find_le_in (a : t) x lo hi =
-    if lo > hi then hi
-    else
-      let mid = (lo + hi) / 2 in
-      if a.(mid).chunk <= x then find_le_in a x (mid + 1) hi
-      else find_le_in a x lo (mid - 1)
+  let of_sorted entries =
+    { keys = Array.map (fun e -> e.chunk) entries; entries; len = Array.length entries }
 
-  (* greatest index with a.(i).chunk <= x, or -1 *)
-  let find_le (a : t) x = find_le_in a x 0 (Array.length a - 1)
+  (* greatest index below [len] with keys.(i) <= x, or -1 *)
+  let find_le r x =
+    let keys = r.keys in
+    let rec go lo hi =
+      if lo > hi then hi
+      else
+        let mid = (lo + hi) lsr 1 in
+        if keys.(mid) <= x then go (mid + 1) hi else go lo (mid - 1)
+    in
+    go 0 (r.len - 1)
 
-  (* the entry of a registered chunk *)
-  let find (a : t) chunk =
-    let i = find_le a chunk in
-    if i >= 0 && a.(i).chunk = chunk then a.(i) else raise Not_found
+  (* the live record of a registered chunk *)
+  let find r chunk =
+    let i = find_le r chunk in
+    if i >= 0 && r.keys.(i) = chunk && r.entries.(i).live then r.entries.(i)
+    else raise Not_found
 
-  let mem (a : t) chunk =
-    let i = find_le a chunk in
-    i >= 0 && a.(i).chunk = chunk
+  let mem r chunk =
+    match find r chunk with _ -> true | exception Not_found -> false
 
-  let add (a : t) e =
-    let n = Array.length a in
-    let i = find_le a e.chunk + 1 in
-    let b = Array.make (n + 1) e in
-    Array.blit a 0 b 0 i;
-    Array.blit a i b (i + 1) (n - i);
-    b
+  let iter_live f r =
+    for i = 0 to r.len - 1 do
+      if r.entries.(i).live then f r.entries.(i)
+    done
 
-  let remove (a : t) chunk =
-    let i = find_le a chunk in
-    if i < 0 || a.(i).chunk <> chunk then a
-    else Array.append (Array.sub a 0 i) (Array.sub a (i + 1) (Array.length a - i - 1))
+  (* class lock held *)
+  let add cell e =
+    let r = Atomic.get cell in
+    let n = r.len and cap = Array.length r.keys in
+    let i = find_le r e.chunk in
+    if i >= 0 && r.keys.(i) = e.chunk then begin
+      (* the dead record of a recycled chunk at this offset; the
+         republication orders the write before later snapshot loads *)
+      assert (not r.entries.(i).live);
+      r.entries.(i) <- e;
+      Atomic.set cell r
+    end
+    else if i = n - 1 && n < cap then begin
+      r.keys.(n) <- e.chunk;
+      r.entries.(n) <- e;
+      Atomic.set cell { r with len = n + 1 }
+    end
+    else begin
+      let cap = if n < cap then cap else max 16 (2 * n) in
+      let keys = Array.make cap 0 and entries = Array.make cap e in
+      Array.blit r.keys 0 keys 0 (i + 1);
+      Array.blit r.entries 0 entries 0 (i + 1);
+      keys.(i + 1) <- e.chunk;
+      entries.(i + 1) <- e;
+      Array.blit r.keys (i + 1) keys (i + 2) (n - i - 1);
+      Array.blit r.entries (i + 1) entries (i + 2) (n - i - 1);
+      Atomic.set cell { keys; entries; len = n + 1 }
+    end
 end
 
 (* One class's slice of the mirror array: the DRAM line backing each
@@ -138,7 +189,7 @@ type t = {
   logs : Microlog.t;
   heads : int array;  (* volatile mirror of the persistent list heads *)
   class_mu : Mutex.t array;  (* one per class *)
-  registry : Registry.t Atomic.t array;  (* per class, COW *)
+  registry : Registry.t Atomic.t array;  (* per class *)
   mirror : mirror array;  (* per class *)
   chunk_mu : Mutex.t array;  (* stripe locks over chunks *)
   avail : (int, unit) Hashtbl.t array;
@@ -226,18 +277,28 @@ let mirror_slot t id =
       s
 
 (* class lock held; registry mutations are serialised by it *)
-let new_entry t id chunk ~bits =
+let new_entry t id chunk ~bits ~prev =
   let slot = mirror_slot t id in
   let line = t.mirror.(id).lines.(slot / entries_per_line) in
-  { chunk; bits; reserved = 0; slot; addr = line + (8 * (slot mod entries_per_line)) }
+  {
+    chunk;
+    bits;
+    reserved = 0;
+    slot;
+    addr = line + (8 * (slot mod entries_per_line));
+    prev;
+    live = true;
+  }
 
-let registry_add t id e =
-  Atomic.set t.registry.(id) (Registry.add (Atomic.get t.registry.(id)) e)
-
-let registry_remove t id e =
-  Atomic.set t.registry.(id) (Registry.remove (Atomic.get t.registry.(id)) e.chunk);
+(* class and stripe locks held *)
+let unregister t id e =
+  e.live <- false;
   let m = t.mirror.(id) in
   m.free_slots <- e.slot :: m.free_slots
+
+(* class lock held: [chunk] (if any) now follows [prev] in its list *)
+let set_prev t id chunk prev =
+  if chunk <> 0 then (Registry.find (Atomic.get t.registry.(id)) chunk).prev <- prev
 
 let mirror_bytes t =
   Array.fold_left (fun acc m -> acc + (mirror_lines m * Pmem.line_bytes)) 0 t.mirror
@@ -284,7 +345,7 @@ let create ?(kh = 2) ?(checksums = false) pool =
   let logs = Microlog.create ~checksummed:checksums pool ~base:log_base in
   make pool ~kh ~checksums ~logs
 
-(* Lock-free: snapshots the COW registry. The mirror word is read
+(* Lock-free: snapshots the registry. The mirror word is read
    without the stripe lock by [obj_bit] — a word read racing only with
    bit flips of *other* objects, never the queried object's own bit (its
    owner holds the enclosing ART lock). *)
@@ -292,8 +353,9 @@ let entry_of_obj t cls obj =
   let reg = Atomic.get t.registry.(cls_id cls) in
   let i = Registry.find_le reg obj in
   if i < 0 then raise Not_found;
-  let e = reg.(i) in
-  if obj < e.chunk + 16 || obj >= e.chunk + Chunk.chunk_bytes cls then raise Not_found;
+  let e = reg.entries.(i) in
+  if (not e.live) || obj < e.chunk + 16 || obj >= e.chunk + Chunk.chunk_bytes cls then
+    raise Not_found;
   e
 
 let chunk_of_obj t cls obj = (entry_of_obj t cls obj).chunk
@@ -321,8 +383,8 @@ let chunk_covering t off =
       let cls = cls_of_id id in
       let reg = Atomic.get t.registry.(id) in
       let i = Registry.find_le reg off in
-      if i >= 0 && off < reg.(i).chunk + Chunk.chunk_bytes cls then
-        Some (cls, reg.(i).chunk)
+      if i >= 0 && reg.entries.(i).live && off < reg.keys.(i) + Chunk.chunk_bytes cls
+      then Some (cls, reg.keys.(i))
       else go (id + 1)
   in
   go 0
@@ -330,17 +392,18 @@ let chunk_covering t off =
 (* ------------------------------------------------------------------ *)
 (* Allocation (Algorithm 2)                                            *)
 
+(* The lowest slot not set in [occupied]: a trailing-zero count of the
+   free mask, constant time. *)
+let free_slot occupied =
+  let free = lnot occupied land full_mask in
+  if free = 0 then None else Some (Bits.ctz free)
+
 (* Lowest free slot considering both the committed bitmap and volatile
    reservations. Stripe lock held. The persistent next-free hint is the
    lowest zero of the bitmap, so when it is unreserved it is exactly
    this slot; reading the mirror instead of the hint picks the same slot
    without a PM read. *)
-let get_free_object_locked t e =
-  let occ = read_bits t e lor e.reserved in
-  if occ land full_mask = full_mask then None
-  else
-    let rec scan i = if occ land (1 lsl i) = 0 then i else scan (i + 1) in
-    Some (scan 0)
+let get_free_object_locked t e = free_slot (read_bits t e lor e.reserved)
 
 (* Reserve a slot in [chunk] if it is still a live chunk of [cls] with
    room. The registry re-check under the stripe lock is what makes the
@@ -431,15 +494,6 @@ let repair_header t cls ~chunk =
 (* ------------------------------------------------------------------ *)
 (* Recycling (Algorithm 6)                                             *)
 
-(* class lock held: the pnext chain only changes under it *)
-let find_prev t cls chunk =
-  let rec walk c =
-    if c = 0 then 0
-    else if Chunk.pnext t.pool ~chunk:c = chunk then c
-    else walk (Chunk.pnext t.pool ~chunk:c)
-  in
-  walk t.heads.(cls_id cls)
-
 let eprecycle t cls ~chunk =
   let id = cls_id cls in
   with_lock t.class_mu.(id) (fun () ->
@@ -449,18 +503,17 @@ let eprecycle t cls ~chunk =
           | e when read_bits t e <> 0 || e.reserved <> 0 -> ()
           | e ->
               let slot = Microlog.Recycle.acquire t.logs in
-              let at_head = t.heads.(id) = chunk in
-              let prev = if at_head then 0 else find_prev t cls chunk in
+              let prev = e.prev in
               Microlog.Recycle.record t.logs ~slot ~pprev:prev ~cls ~pcurrent:chunk;
-              (if at_head then
-                 set_head t cls (Chunk.pnext t.pool ~chunk)
-               else if prev <> 0 then
-                 Chunk.set_pnext t.pool ~chunk:prev (Chunk.pnext t.pool ~chunk));
+              let next = Chunk.pnext t.pool ~chunk in
+              if prev = 0 then set_head t cls next
+              else Chunk.set_pnext t.pool ~chunk:prev next;
+              set_prev t id next prev;
               Chunk.release t.pool cls ~chunk;
               (* unregister before dropping the stripe lock so no domain can
                  reserve into the freed chunk through a stale active/avail
                  reference *)
-              registry_remove t id e;
+              unregister t id e;
               Hashtbl.remove t.avail.(id) chunk;
               Microlog.Recycle.reclaim t.logs ~slot))
 
@@ -547,11 +600,13 @@ let epmalloc t cls =
             | None ->
                 (* lines 8-10: grow the list at its head *)
                 let chunk = Chunk.alloc t.pool cls in
-                Chunk.set_pnext t.pool ~chunk t.heads.(id);
+                let next = t.heads.(id) in
+                Chunk.set_pnext t.pool ~chunk next;
                 set_head t cls chunk;
-                let e = new_entry t id chunk ~bits:0 in
+                set_prev t id next chunk;
+                let e = new_entry t id chunk ~bits:0 ~prev:0 in
                 Meter.access t.meter Dram ~addr:e.addr ~write:true;
-                registry_add t id e;
+                Registry.add t.registry.(id) e;
                 Hashtbl.replace t.avail.(id) chunk ();
                 t.active.(id).(dom) <- chunk;
                 (match try_reserve t cls chunk with
@@ -569,26 +624,25 @@ let recover_recycle_log t ~slot =
   let chunk = Microlog.Recycle.pcurrent logs ~slot in
   let cls = Microlog.Recycle.cls logs ~slot in
   let id = cls_id cls in
-  let prev = Microlog.Recycle.pprev logs ~slot in
-  let reachable =
-    let rec walk c = c <> 0 && (c = chunk || walk (Chunk.pnext t.pool ~chunk:c)) in
-    walk t.heads.(id)
-  in
-  if reachable then begin
-    (* resume the unlink from where it stopped *)
-    (if t.heads.(id) = chunk then set_head t cls (Chunk.pnext t.pool ~chunk)
-     else begin
-       let prev = if prev <> 0 then prev else find_prev t cls chunk in
-       if prev <> 0 then Chunk.set_pnext t.pool ~chunk:prev (Chunk.pnext t.pool ~chunk)
-     end);
-    Chunk.release t.pool cls ~chunk;
-    (match Registry.find (Atomic.get t.registry.(id)) chunk with
-    | e -> registry_remove t id e
-    | exception Not_found -> ());
-    Hashtbl.remove t.avail.(id) chunk
-  end;
-  (* already unlinked: the pool free was idempotent at the allocator
-     level, so only the log remains to clean *)
+  (* the registry holds exactly the chunks the chain walk reached, and
+     each replay keeps it so *)
+  (match Registry.find (Atomic.get t.registry.(id)) chunk with
+  | e ->
+      (* still linked: resume the unlink from where it stopped *)
+      let logged = Microlog.Recycle.pprev logs ~slot in
+      let prev =
+        if t.heads.(id) = chunk then 0 else if logged <> 0 then logged else e.prev
+      in
+      let next = Chunk.pnext t.pool ~chunk in
+      if prev = 0 then set_head t cls next else Chunk.set_pnext t.pool ~chunk:prev next;
+      set_prev t id next prev;
+      Chunk.release t.pool cls ~chunk;
+      unregister t id e;
+      Hashtbl.remove t.avail.(id) chunk
+  | exception Not_found ->
+      (* already unlinked: the pool free was idempotent at the allocator
+         level, so only the log remains to clean *)
+      ());
   Microlog.Recycle.reclaim logs ~slot
 
 (* Whether [obj] is an object boundary of a registered leaf chunk whose
@@ -687,7 +741,7 @@ let attach ?(bad_lines = []) ?report pool =
     let cls = cls_of_id id in
     t.heads.(id) <- Int64.to_int (Pmem.get_u64 pool (head_field cls));
     let walked = ref [] in
-    let rec walk chunk =
+    let rec walk ~prev chunk =
       if chunk <> 0 then begin
         let site = Hart_error.Chunk_meta { cls = cls_name cls; chunk } in
         if
@@ -707,21 +761,21 @@ let attach ?(bad_lines = []) ?report pool =
           (* the header read that rebuilds the mirror also feeds the
              avail cache *)
           let bits = Int64.to_int (Chunk.bitmap pool ~chunk) in
-          walked := new_entry t id chunk ~bits :: !walked;
+          walked := new_entry t id chunk ~bits ~prev :: !walked;
           if bits <> full_mask then Hashtbl.replace t.avail.(id) chunk ();
           Chunk.pnext pool ~chunk
         with
-        | next -> walk next
+        | next -> walk ~prev:chunk next
         | exception Invalid_argument msg ->
             Hart_error.error site "chunk metadata access out of pool: %s" msg
         | exception Pmem.Media_poisoned { line; _ } ->
             Hart_error.error site "chunk metadata on poisoned line %d" line
       end
     in
-    walk t.heads.(id);
+    walk ~prev:0 t.heads.(id);
     let reg = Array.of_list !walked in
     Array.sort (fun a b -> compare a.chunk b.chunk) reg;
-    Atomic.set t.registry.(id) reg;
+    Atomic.set t.registry.(id) (Registry.of_sorted reg);
     (* filling the mirror writes each of its lines once *)
     let m = t.mirror.(id) in
     for line = 0 to mirror_lines m - 1 do
@@ -862,13 +916,27 @@ let check_invariants t =
     let cls = cls_of_id id in
     if t.heads.(id) <> Int64.to_int (Pmem.get_u64 t.pool (head_field cls)) then
       fail "head mirror diverged for class %d" id;
+    let reg = Atomic.get t.registry.(id) in
     let in_list = Hashtbl.create 16 in
+    let prev = ref 0 in
     iter_chunks t cls (fun chunk ->
         if Hashtbl.mem in_list chunk then fail "chunk list cycle at %d" chunk;
         Hashtbl.add in_list chunk ();
-        if not (Registry.mem (Atomic.get t.registry.(id)) chunk) then
-          fail "chunk %d in list but not in registry (class %d)" chunk id);
-    Array.iter
+        (match Registry.find reg chunk with
+        | e ->
+            if e.prev <> !prev then
+              fail "chunk %d links back to %d but follows %d (class %d)" chunk
+                e.prev !prev id
+        | exception Not_found ->
+            fail "chunk %d in list but not in registry (class %d)" chunk id);
+        prev := chunk);
+    for i = 0 to reg.len - 1 do
+      if reg.keys.(i) <> reg.entries.(i).chunk then
+        fail "registry key %d names chunk %d" reg.keys.(i) reg.entries.(i).chunk;
+      if i > 0 && reg.keys.(i - 1) >= reg.keys.(i) then
+        fail "registry out of order at chunk %d (class %d)" reg.keys.(i) id
+    done;
+    Registry.iter_live
       (fun e ->
         if not (Hashtbl.mem in_list e.chunk) then
           fail "chunk %d in registry but not in list (class %d)" e.chunk id;
@@ -878,5 +946,5 @@ let check_invariants t =
             e.chunk e.bits pm;
         if e.reserved land lnot full_mask <> 0 then
           fail "reservation mask of chunk %d out of range" e.chunk)
-      (Atomic.get t.registry.(id))
+      reg
   done

@@ -12,9 +12,11 @@
     Volatile acceleration (rebuilt by {!attach} after a crash): a mirror
     of the list heads, a per-class registry resolving object offsets to
     their chunks ([MemChunkOf]), a DRAM mirror of every registered
-    chunk's occupancy bitmap, a per-chunk reservation mask preventing
-    double hand-out of uncommitted slots, and a cache of chunks known to
-    have free slots so the common allocation touches no full chunk.
+    chunk's occupancy bitmap, each chunk's predecessor in its list (so
+    {!eprecycle} finds Algorithm 6's [PPrev] without walking the list),
+    a per-chunk reservation mask preventing double hand-out of
+    uncommitted slots, and a cache of chunks known to have free slots so
+    the common allocation touches no full chunk.
 
     The bitmap mirror takes PM reads off the write path: allocation,
     bit commits and frees, recycling's emptiness test and {!obj_bit}
@@ -27,7 +29,9 @@
     {!mirror_bytes}.
 
     Domain safety: object-offset resolution is lock-free (the registry is
-    a copy-on-write sorted array published through an [Atomic.t]); bitmap
+    a sorted array with spare capacity, published with its length through
+    an [Atomic.t]; registration appends in place, recycling marks a
+    record dead, and a reader never looks past its snapshot's length); bitmap
     read-modify-writes and reservations are serialised per chunk by a
     stripe of mutexes, which also preserves the bitmap-after-insert
     persistence ordering per chunk; chunk-list structure, the avail cache
@@ -105,6 +109,11 @@ val checksums : t -> bool
 
 val logs : t -> Microlog.t
 
+val free_slot : int -> int option
+(** The lowest slot of a chunk whose occupied-or-reserved mask is given,
+    or [None] if all 56 are taken: the slot {!epmalloc} hands out.
+    Constant time (a trailing-zero count). *)
+
 val epmalloc : t -> Chunk.cls -> int
 (** Algorithm 2: return the offset of a free object, reserving it
     (volatile) against concurrent hand-out. The object's bit is {e not}
@@ -146,7 +155,9 @@ val release_hold : t -> Chunk.cls -> obj:int -> unit
 val eprecycle : t -> Chunk.cls -> chunk:int -> unit
 (** Algorithm 6: if the chunk holds no used or reserved object, unlink it
     from its list under the recycle log and return its space to the
-    pool. Safe to call on any chunk, including already-recycled ones. *)
+    pool. Safe to call on any chunk, including already-recycled ones.
+    [PPrev] comes from the chunk's volatile predecessor link, so the
+    cost does not depend on the length of the list. *)
 
 val chunk_of_obj : t -> Chunk.cls -> int -> int
 (** [MemChunkOf]: the chunk containing this object.
@@ -184,6 +195,7 @@ val live_objects : t -> Chunk.cls -> int
 val iter_live_objs : t -> Chunk.cls -> (obj:int -> unit) -> unit
 
 val check_invariants : t -> unit
-(** Registry/list agreement, head mirrors, each registered chunk's
-    bitmap mirror against its PM bitmap, reservation sanity. Raises
-    [Failure] on violation. Test use. *)
+(** Registry/list agreement, registry order, each chunk's predecessor
+    link against the list, head mirrors, each registered chunk's bitmap
+    mirror against its PM bitmap, reservation sanity. Raises [Failure]
+    on violation. Test use. *)

@@ -6,8 +6,9 @@ type entry = {
   doc : string;  (** one line, for [hart_cli exp --help] *)
   run : gate:bool -> scale:float -> Report.Json.t option;
       (** Prints the entry's tables and returns its JSON artifact, if it
-          has one. With [~gate:true], raises [Failure] when a wall-clock
-          speed-up misses the entry's CI threshold. *)
+          has one. With [~gate:true], raises [Failure] when a measured
+          ratio (a wall-clock speed-up, or Fig. 8(d)'s deletion-time
+          growth) misses the entry's CI threshold. *)
 }
 
 val all : entry list

@@ -40,6 +40,12 @@ let[@inline] rank_below_w w i = popcount_w (w land ((1 lsl i) - 1))
    the bits below it into a mask, count them. *)
 let[@inline] ctz_w w = popcount_w ((w land -w) - 1)
 
+(* The same on a full native int: the mask below the lowest set bit can
+   reach 62 bits, so count it in two 32-bit halves. *)
+let[@inline] ctz w =
+  let below = (w land -w) - 1 in
+  popcount_w (below land 0xFFFF_FFFF) + popcount_w (below lsr 32)
+
 let lowest_zero word ~width =
   let rec go i =
     if i >= width then None

@@ -39,6 +39,10 @@ val ctz_w : int -> int
 (** Trailing zeros of a non-zero 32-bit word held in a native [int]:
     the index of its least-significant set bit. *)
 
+val ctz : int -> int
+(** {!ctz_w} for any non-zero native [int], e.g. a 56-bit chunk bitmap:
+    [ctz_w] miscounts a word of [2{^32}] or more. *)
+
 val lowest_zero : int64 -> width:int -> int option
 (** [lowest_zero word ~width] is the index of the least-significant zero
     bit among bits \[0, width), or [None] if those bits are all ones. *)

@@ -326,6 +326,97 @@ let test_eprecycle_refuses_nonempty () =
   Alcotest.(check int) "chunk kept" 1 (Epalloc.chunk_count a Chunk.Val8);
   Alcotest.(check bool) "object intact" true (Epalloc.obj_bit a Chunk.Val8 ~obj:o)
 
+(* Registering a chunk costs the same at any registry size: a chunk
+   above every registered one is written into spare cells in place. Each
+   group of 56 committed allocations registers one Val8 chunk. Over the
+   last 64 of 4160 registrations the median group allocates at most
+   twice what it did over the first 64. The median, because the arrays
+   double at powers of two and the 4097th registration pays for one
+   doubling, amortised over the 2048 before it. A registry copied on
+   every registration allocates a word per registered chunk each time,
+   about 8 times the bound at 4096 chunks. *)
+let test_epalloc_registration_cost () =
+  let a, _ = fresh_alloc () in
+  let n = 4160 in
+  let bytes = Array.make n 0. in
+  for c = 0 to n - 1 do
+    let before = Gc.allocated_bytes () in
+    for _ = 1 to Chunk.objs_per_chunk do
+      let obj = Epalloc.epmalloc a Chunk.Val8 in
+      Epalloc.set_obj_bit a Chunk.Val8 ~obj
+    done;
+    bytes.(c) <- Gc.allocated_bytes () -. before
+  done;
+  Alcotest.(check int) "chunks" n (Epalloc.chunk_count a Chunk.Val8);
+  let median lo =
+    let w = Array.sub bytes lo 64 in
+    Array.sort compare w;
+    w.(32)
+  in
+  let first = median 0 and last = median (n - 64) in
+  if last > 2. *. first then
+    Alcotest.failf
+      "median registration: %.0f bytes over the last 64 of %d, %.0f over the \
+       first 64"
+      last n first
+
+(* eprecycle takes PPrev from the chunk's volatile link: unlinking the
+   tail of a 1000-chunk list reads the same PM as unlinking the tail of
+   a 10-chunk list: the chunk's own chain pointer. It persists the
+   recycle record, the predecessor's chain pointer and the record's
+   reclaim. *)
+let test_eprecycle_cost_independent_of_length () =
+  let recycle_tail len =
+    let a, pool = fresh_alloc () in
+    let objs =
+      Array.init (len * Chunk.objs_per_chunk) (fun _ ->
+          let o = Epalloc.epmalloc a Chunk.Val8 in
+          Epalloc.set_obj_bit a Chunk.Val8 ~obj:o;
+          o)
+    in
+    (* the list grows at its head, so the first chunk is its tail *)
+    let tail = Epalloc.chunk_of_obj a Chunk.Val8 objs.(0) in
+    for i = 0 to Chunk.objs_per_chunk - 1 do
+      Epalloc.reset_obj_bit a Chunk.Val8 ~obj:objs.(i)
+    done;
+    let meter = Pmem.meter pool in
+    let before = Meter.counters meter in
+    Epalloc.eprecycle a Chunk.Val8 ~chunk:tail;
+    let d = Meter.diff before (Meter.counters meter) in
+    Alcotest.(check int) "tail unlinked" (len - 1) (Epalloc.chunk_count a Chunk.Val8);
+    Epalloc.check_invariants a;
+    d
+  in
+  let short = recycle_tail 10 and long = recycle_tail 1000 in
+  Alcotest.(check int) "pm reads: the chunk's pnext" 1 short.Meter.pm_reads;
+  Alcotest.(check int) "pm reads" short.Meter.pm_reads long.Meter.pm_reads;
+  Alcotest.(check int) "flushes, 10 chunks" 3 short.Meter.flushes;
+  Alcotest.(check int) "flushes, 1000 chunks" 3 long.Meter.flushes
+
+(* The slot [epmalloc] picks is the lowest zero of occupied | reserved,
+   as a bit-by-bit scan finds it; masks come dense and sparse. *)
+let qcheck_free_slot_matches_scan =
+  let full = (1 lsl Chunk.objs_per_chunk) - 1 in
+  let scan occ =
+    let rec go i =
+      if i >= Chunk.objs_per_chunk then None
+      else if occ land (1 lsl i) = 0 then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  QCheck.Test.make ~count:2000 ~name:"free_slot picks the slot a bit scan picks"
+    (QCheck.make
+       ~print:(Printf.sprintf "%#x")
+       QCheck.Gen.(
+         oneof
+           [
+             map (fun x -> x land full) int;
+             map (fun k -> full land lnot (1 lsl k)) (int_bound 55);
+             map2 (fun x k -> (x lor ((1 lsl k) - 1)) land full) int (int_bound 56);
+           ]))
+    (fun occ -> Epalloc.free_slot occ = scan occ)
+
 let test_epalloc_attach_rebuilds () =
   let a, pool = fresh_alloc () in
   let objs = List.init 100 (fun _ ->
@@ -2632,6 +2723,11 @@ let () =
           Alcotest.test_case "recycle returns space" `Quick test_eprecycle_returns_space;
           Alcotest.test_case "recycle mid-list" `Quick test_eprecycle_middle_of_list;
           Alcotest.test_case "recycle refuses non-empty" `Quick test_eprecycle_refuses_nonempty;
+          Alcotest.test_case "recycle cost independent of list length" `Quick
+            test_eprecycle_cost_independent_of_length;
+          Alcotest.test_case "registration cost independent of registry size" `Quick
+            test_epalloc_registration_cost;
+          QCheck_alcotest.to_alcotest qcheck_free_slot_matches_scan;
           Alcotest.test_case "attach rebuilds" `Quick test_epalloc_attach_rebuilds;
           Alcotest.test_case "attach rejects garbage" `Quick test_epalloc_attach_rejects_garbage;
           Alcotest.test_case "leaf slot repair" `Quick test_epalloc_leaf_repair;

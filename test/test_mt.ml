@@ -316,6 +316,80 @@ let test_epalloc_concurrent () =
   Alcotest.(check int) "live objects = committed minus freed"
     (held0 + held_rest) live
 
+(* Lock-free registry readers against a registry writer. The main
+   domain churns Val8 chunks: it allocates and commits (appending
+   registry cells past the published length, doubling the arrays), frees
+   and recycles (marking records dead) and allocates again (recycled
+   offsets come back and take their dead cells over). Another domain
+   resolves a fixed set of committed Val8 and Val16 objects in a loop;
+   [class_of_value_obj] searches the churning Val8 registry first. No
+   lookup may miss a live object or name the wrong chunk or class. *)
+let test_registry_readers_vs_churn () =
+  let pool =
+    Pmem.create ~capacity:(1 lsl 24) ~max_capacity:(1 lsl 25)
+      (Meter.create Latency.c300_100)
+  in
+  let ep = Epalloc.create pool in
+  let commit cls =
+    let obj = Epalloc.epmalloc ep cls in
+    Epalloc.set_obj_bit ep cls ~obj;
+    obj
+  in
+  let fixed =
+    Array.init (4 * Chunk.objs_per_chunk) (fun i ->
+        let cls = if i mod 2 = 0 then Chunk.Val8 else Chunk.Val16 in
+        let obj = commit cls in
+        (cls, obj, Epalloc.chunk_of_obj ep cls obj))
+  in
+  let stop = Atomic.make false in
+  let reader () =
+    let passes = ref 0 in
+    while not (Atomic.get stop) do
+      Array.iter
+        (fun (cls, obj, chunk) ->
+          (match Epalloc.chunk_of_obj ep cls obj with
+          | c when c = chunk -> ()
+          | c -> failwith (Printf.sprintf "object %d resolved to chunk %d, not %d" obj c chunk)
+          | exception Not_found -> failwith (Printf.sprintf "object %d lost its chunk" obj));
+          if not (Epalloc.obj_bit ep cls ~obj) then
+            failwith (Printf.sprintf "object %d reads as free" obj);
+          if Epalloc.class_of_value_obj ep obj <> Some cls then
+            failwith (Printf.sprintf "object %d resolved to the wrong class" obj))
+        fixed;
+      incr passes
+    done;
+    !passes
+  in
+  let r = Domain.spawn reader in
+  let rng = Rng.create 7L in
+  let writer () =
+    for _ = 1 to 300 do
+      let objs =
+        Array.init
+          ((1 + Rng.int rng 6) * Chunk.objs_per_chunk + Rng.int rng Chunk.objs_per_chunk)
+          (fun _ -> commit Chunk.Val8)
+      in
+      Rng.shuffle rng objs;
+      Array.iter
+        (fun obj ->
+          let chunk = Epalloc.chunk_of_obj ep Chunk.Val8 obj in
+          Epalloc.reset_obj_bit ep Chunk.Val8 ~obj;
+          Epalloc.eprecycle ep Chunk.Val8 ~chunk)
+        objs
+    done
+  in
+  (match writer () with
+  | () -> Atomic.set stop true
+  | exception e ->
+      Atomic.set stop true;
+      ignore (Domain.join r : int);
+      raise e);
+  let passes = Domain.join r in
+  Alcotest.(check bool) "reader made passes" true (passes > 0);
+  Alcotest.(check int) "only the fixed chunks remain" 2
+    (Epalloc.chunk_count ep Chunk.Val8);
+  Epalloc.check_invariants ep
+
 (* Insert/update/delete churn on 4 domains with values of every class,
    plus racing foreign searches (lock-free mirror reads). Chunks of all
    four classes fill, empty and recycle concurrently; afterwards every
@@ -924,6 +998,8 @@ let () =
             test_recycler_churn_storm;
           Alcotest.test_case "insert/update/delete churn keeps the mirror" `Quick
             test_mirror_churn;
+          Alcotest.test_case "lock-free registry readers vs chunk churn" `Quick
+            test_registry_readers_vs_churn;
         ] );
       ( "striped_functor",
         [

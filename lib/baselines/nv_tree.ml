@@ -394,7 +394,7 @@ module S : Hart_core.Index_intf.S with type t = t = struct
   let count = count
   let dram_bytes = dram_bytes
   let pm_bytes = pm_bytes
-  let check_integrity ~recovered:_ t = check_integrity t
+  let check_integrity t = check_integrity t
   let stripe_of_key _ _ = 0
   let volatile_domain_safe = false
   let restructures _ ~op:_ ~key:_ = true

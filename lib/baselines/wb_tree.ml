@@ -702,7 +702,7 @@ module S : Hart_core.Index_intf.S with type t = t = struct
   let count = count
   let dram_bytes = dram_bytes
   let pm_bytes = pm_bytes
-  let check_integrity ~recovered:_ t = check_integrity t
+  let check_integrity t = check_integrity t
 
   let in_range key = String.length key >= 1 && String.length key <= 24
 

@@ -442,7 +442,7 @@ module S : Hart_core.Index_intf.S with type t = t = struct
   let count = count
   let dram_bytes = dram_bytes
   let pm_bytes = pm_bytes
-  let check_integrity ~recovered:_ t = check_invariants t
+  let check_integrity t = check_invariants t
 
   let stripe_of_key _ key =
     Hashtbl.hash (String.sub key 0 (min 2 (String.length key)))

@@ -58,11 +58,18 @@ let root_bytes = Pmem.line_bytes + Microlog.region_bytes
    walk. It is DRAM metadata next to the registry lookup that reaches
    it, and like that lookup it is not metered. [live] turns false when
    the chunk is recycled; from then on every lookup treats the record as
-   unregistered. *)
+   unregistered.
+
+   [owned] (leaf chunks only) marks the free slots that own the value
+   object their [p_value] still names: a deleted key's slot keeps its
+   value committed until an insertion takes the slot over or the chunk
+   is recycled. Like [reserved] it is volatile and lives in the word the
+   reservation already touches; [attach] rebuilds it. *)
 type entry = {
   chunk : int;
   mutable bits : int;  (* stripe lock for writes; reads may race *)
   mutable reserved : int;  (* 56-bit reservation mask; stripe lock *)
+  mutable owned : int;  (* 56-bit owning-free-slot mask; stripe lock *)
   slot : int;  (* index in the class's mirror array *)
   addr : int;
   mutable prev : int;  (* class lock *)
@@ -284,6 +291,7 @@ let new_entry t id chunk ~bits ~prev =
     chunk;
     bits;
     reserved = 0;
+    owned = 0;
     slot;
     addr = line + (8 * (slot mod entries_per_line));
     prev;
@@ -398,36 +406,119 @@ let free_slot occupied =
   let free = lnot occupied land full_mask in
   if free = 0 then None else Some (Bits.ctz free)
 
-(* Lowest free slot considering both the committed bitmap and volatile
-   reservations. Stripe lock held. The persistent next-free hint is the
-   lowest zero of the bitmap, so when it is unreserved it is exactly
-   this slot; reading the mirror instead of the hint picks the same slot
-   without a PM read. *)
-let get_free_object_locked t e = free_slot (read_bits t e lor e.reserved)
+(* Test-only mutations of the protocols DESIGN.md §6 items 1-3 argue.
+   Each reinstates one bug that the crash explorers must catch; the
+   fault tests set one at a time. Never set outside tests. *)
+type mutation =
+  | No_reservation_hold
+  | Own_uncommitted
+  | Ignore_owned
+  | Unlink_before_reset
+  | Release_before_sever
 
-(* Reserve a slot in [chunk] if it is still a live chunk of [cls] with
-   room. The registry re-check under the stripe lock is what makes the
-   cached [active] chunk (and stale [avail] entries) safe: a chunk
-   recycled — or recycled and re-allocated to another class — since the
-   caller last saw it fails the check and is skipped. *)
+let unsafe_mutation : mutation option ref = ref None
+let mutated m = match !unsafe_mutation with None -> false | Some m' -> m' == m
+
+(* Leaf-chunk recycles abandoned because the chunk changed under them,
+   process-wide: lets a test show that its schedules reach that path. *)
+let abandoned = Atomic.make 0
+let recycles_abandoned () = Atomic.get abandoned
+
+(* A reservation packed in one int, so the allocation path allocates
+   nothing: the object's offset shifted left by one, with bit 0 set when
+   the slot owned a value (the owned mark passes to the caller with the
+   slot); [no_slot] when the chunk had none. *)
+let no_slot = -1
+
+(* Reserve the lowest free slot of [chunk] if it is still a live chunk
+   of [cls] with room: the lowest zero of mirror | reserved, which is
+   the slot the persistent next-free hint names whenever that slot is
+   unreserved, found without a PM read. The registry re-check under the
+   stripe lock is what makes the cached [active] chunk (and stale
+   [avail] entries) safe: a chunk recycled — or recycled and
+   re-allocated to another class — since the caller last saw it fails
+   the check and is skipped. The owned mark is tested in the same
+   locked section and mirror access, so a fresh slot costs nothing
+   extra. *)
 let try_reserve t cls chunk =
-  if chunk = 0 then None
+  if chunk = 0 then no_slot
   else begin
     let mu = t.chunk_mu.(stripe_of chunk) in
     Hart_util.Sched_hook.lock mu;
     let r =
       match Registry.find (Atomic.get t.registry.(cls_id cls)) chunk with
-      | exception Not_found -> None
+      | exception Not_found -> no_slot
       | e -> (
-          match get_free_object_locked t e with
-          | None -> None
+          match free_slot (read_bits t e lor e.reserved) with
+          | None -> no_slot
           | Some idx ->
-              e.reserved <- e.reserved lor (1 lsl idx);
-              Some (Chunk.obj_off cls ~chunk ~idx))
+              let bit = 1 lsl idx in
+              let owns = e.owned land bit <> 0 in
+              e.reserved <- e.reserved lor bit;
+              e.owned <- e.owned land lnot bit;
+              (Chunk.obj_off cls ~chunk ~idx lsl 1) lor Bool.to_int owns)
     in
     Mutex.unlock mu;
     r
   end
+
+let reserve t cls =
+  let id = cls_id cls in
+  let dom = dom_slot () in
+  (* fast path: the chunk this domain last allocated from, touched
+     without the class lock *)
+  let r = try_reserve t cls t.active.(id).(dom) in
+  if r <> no_slot then r
+  else
+    with_lock t.class_mu.(id) (fun () ->
+        (* The volatile available-chunk cache replaces Algorithm 2's PM
+           list walk (lines 1-7): it is complete — every slot release
+           re-adds its chunk — so a miss here means no chunk has a free
+           slot. The paper's walk re-scans every full chunk once the
+           head fills, which is quadratic over a large store; caching
+           which chunks have room is exactly the kind of DRAM
+           acceleration EPallocator exists for (§III-A.4). *)
+        let stale = ref [] in
+        let got = ref no_slot in
+        (try
+           Hashtbl.iter
+             (fun chunk () ->
+               let r = try_reserve t cls chunk in
+               if r = no_slot then stale := chunk :: !stale
+               else begin
+                 got := r;
+                 t.active.(id).(dom) <- chunk;
+                 raise Exit
+               end)
+             t.avail.(id)
+         with Exit -> ());
+        List.iter (fun c -> Hashtbl.remove t.avail.(id) c) !stale;
+        if !got <> no_slot then !got
+        else begin
+          (* lines 8-10: grow the list at its head *)
+          let chunk = Chunk.alloc t.pool cls in
+          let next = t.heads.(id) in
+          Chunk.set_pnext t.pool ~chunk next;
+          set_head t cls chunk;
+          set_prev t id next chunk;
+          let e = new_entry t id chunk ~bits:0 ~prev:0 in
+          Meter.access t.meter Dram ~addr:e.addr ~write:true;
+          Registry.add t.registry.(id) e;
+          Hashtbl.replace t.avail.(id) chunk ();
+          t.active.(id).(dom) <- chunk;
+          let r = try_reserve t cls chunk in
+          assert (r <> no_slot) (* fresh chunk, registered, empty *);
+          r
+        end)
+
+let epmalloc t cls =
+  match cls with
+  | Chunk.Leaf_c -> invalid_arg "Epalloc.epmalloc: leaf slots come from epmalloc_leaf"
+  | Val8 | Val16 | Val32 -> reserve t cls lsr 1
+
+let epmalloc_leaf t =
+  let r = reserve t Chunk.Leaf_c in
+  (r lsr 1, r land 1 = 1)
 
 (* ------------------------------------------------------------------ *)
 (* Bit commitment                                                      *)
@@ -443,23 +534,16 @@ let reset_obj_bit t cls ~obj =
   commit_bits t e ~set:0 ~clear:bit ~hold:false;
   mark_avail t (cls_id cls) e.chunk
 
-(* Durably free the object but keep its slot reserved, so the caller can
-   still scrub the object's contents (e.g. sever a leaf's stale value
-   pointer) before any domain can be handed the slot. Release with
-   [cancel_reservation]. Identical PM traffic to [reset_obj_bit] — the
-   reservation is volatile — so simulated-clock figures are unchanged. *)
-
-(* Test-only fault injection: when set, [reset_obj_bit_hold] degrades to
-   plain [reset_obj_bit] — the freed slot is immediately reallocatable
-   while its durable reference still stands, reintroducing the
-   free-before-sever race the hold was added to fix. The later
-   [cancel_reservation] remains safe (unreserving an unreserved slot is
-   a no-op). Lets the fault tests prove the explorer + shrinker would
-   re-find the original bug. *)
-let unsafe_no_reservation_hold = ref false
-
+(* Durably free the object but keep its slot reserved while a durable
+   reference (a free leaf slot's p_value, an update record's POldV)
+   still names it, so no domain can be handed the slot first. Release
+   with [release_hold]. Identical PM traffic to [reset_obj_bit] — the
+   reservation is volatile — so simulated-clock figures are unchanged.
+   Under [No_reservation_hold] it degrades to plain [reset_obj_bit]; the
+   later release stays safe (unreserving an unreserved slot is a
+   no-op). *)
 let reset_obj_bit_hold t cls ~obj =
-  if !unsafe_no_reservation_hold then reset_obj_bit t cls ~obj
+  if mutated No_reservation_hold then reset_obj_bit t cls ~obj
   else
     let e = entry_of_obj t cls obj in
     let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
@@ -474,6 +558,34 @@ let cancel_reservation t cls ~obj =
   let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
   with_stripe t e.chunk (fun () -> e.reserved <- e.reserved land lnot bit);
   mark_avail t (cls_id cls) e.chunk
+
+let leaf_bit e ~leaf = 1 lsl Chunk.idx_of_obj Chunk.Leaf_c ~chunk:e.chunk ~obj:leaf
+
+let set_owner t ~leaf owns =
+  let e = entry_of_obj t Chunk.Leaf_c leaf in
+  let bit = leaf_bit e ~leaf in
+  with_stripe t e.chunk (fun () ->
+      e.owned <- (if owns then e.owned lor bit else e.owned land lnot bit))
+
+let iter_owned t f =
+  Registry.iter_live
+    (fun e ->
+      let o = ref e.owned in
+      while !o <> 0 do
+        let idx = Bits.ctz !o in
+        o := !o land (!o - 1);
+        f ~leaf:(Chunk.obj_off Chunk.Leaf_c ~chunk:e.chunk ~idx)
+      done)
+    (Atomic.get t.registry.(cls_id Chunk.Leaf_c))
+
+(* Whether [v] is a committed object of a registered value chunk. *)
+let value_committed t v =
+  match value_entry t v with
+  | Some (vcls, ve) -> (
+      match Chunk.idx_of_obj vcls ~chunk:ve.chunk ~obj:v with
+      | idx -> read_bits t ve land (1 lsl idx) <> 0
+      | exception Invalid_argument _ -> false)
+  | None -> false
 
 (* fsck: rewrite a chunk header that is not the one its mirror implies.
    Right after [attach] the mirror is the PM bitmap, so only a corrupt
@@ -494,127 +606,116 @@ let repair_header t cls ~chunk =
 (* ------------------------------------------------------------------ *)
 (* Recycling (Algorithm 6)                                             *)
 
-let eprecycle t cls ~chunk =
-  let id = cls_id cls in
-  with_lock t.class_mu.(id) (fun () ->
-      with_stripe t chunk (fun () ->
-          match Registry.find (Atomic.get t.registry.(id)) chunk with
-          | exception Not_found -> ()
-          | e when read_bits t e <> 0 || e.reserved <> 0 -> ()
-          | e ->
-              let slot = Microlog.Recycle.acquire t.logs in
-              let prev = e.prev in
-              Microlog.Recycle.record t.logs ~slot ~pprev:prev ~cls ~pcurrent:chunk;
-              let next = Chunk.pnext t.pool ~chunk in
-              if prev = 0 then set_head t cls next
-              else Chunk.set_pnext t.pool ~chunk:prev next;
-              set_prev t id next prev;
-              Chunk.release t.pool cls ~chunk;
-              (* unregister before dropping the stripe lock so no domain can
-                 reserve into the freed chunk through a stale active/avail
-                 reference *)
-              unregister t id e;
-              Hashtbl.remove t.avail.(id) chunk;
-              Microlog.Recycle.reclaim t.logs ~slot))
+(* Class and stripe locks held, [e] empty: unlink it under the recycle
+   log and give its space back. *)
+let unlink t cls e =
+  let id = cls_id cls and chunk = e.chunk in
+  let slot = Microlog.Recycle.acquire t.logs in
+  let prev = e.prev in
+  Microlog.Recycle.record t.logs ~slot ~pprev:prev ~cls ~pcurrent:chunk;
+  let next = Chunk.pnext t.pool ~chunk in
+  if prev = 0 then set_head t cls next else Chunk.set_pnext t.pool ~chunk:prev next;
+  set_prev t id next prev;
+  Chunk.release t.pool cls ~chunk;
+  (* unregister before dropping the stripe lock so no domain can
+     reserve into the freed chunk through a stale active/avail
+     reference *)
+  unregister t id e;
+  Hashtbl.remove t.avail.(id) chunk;
+  Microlog.Recycle.reclaim t.logs ~slot
 
-let release_hold t cls ~obj =
+let rec eprecycle t cls ~chunk =
+  let id = cls_id cls in
+  let taken =
+    with_lock t.class_mu.(id) (fun () ->
+        with_stripe t chunk (fun () ->
+            match Registry.find (Atomic.get t.registry.(id)) chunk with
+            | exception Not_found -> None
+            | e when read_bits t e <> 0 || e.reserved <> 0 -> None
+            | e when e.owned = 0 ->
+                unlink t cls e;
+                None
+            | e ->
+                (* take the owning slots, reserved until they name
+                   nothing or are unlinked *)
+                let o = e.owned in
+                e.owned <- 0;
+                e.reserved <- o;
+                Some (e, o)))
+  in
+  match taken with Some (e, owners) -> recycle_owning t e owners | None -> ()
+
+(* An empty leaf chunk whose free slots own values (DESIGN.md §6 item
+   2). No lock is held here: resetting a value's bit takes value-class
+   locks, which never nest inside leaf-class ones. The values' bits are
+   reset durably, each held, before the unlink starts, so no crash can
+   leave a committed value that nothing names; the holds outlast every
+   durable slot naming a value, so no crash can leave a slot naming a
+   value another key has since been given. If the chunk changed
+   meanwhile — a domain reserved another of its slots, or committed and
+   deleted one — it stays linked, and the taken slots are severed
+   before the holds end. *)
+and recycle_owning t e owners =
+  let chunk = e.chunk in
+  let leaves = ref [] and o = ref owners in
+  while !o <> 0 do
+    let idx = Bits.ctz !o in
+    o := !o land (!o - 1);
+    leaves := Chunk.obj_off Chunk.Leaf_c ~chunk ~idx :: !leaves
+  done;
+  let values =
+    List.filter_map
+      (fun leaf ->
+        let v = Leaf.p_value t.pool ~leaf in
+        Option.map (fun (vcls, _) -> (vcls, v)) (value_entry t v))
+      !leaves
+  in
+  let let_go () = List.iter (fun (vcls, obj) -> reset_obj_bit_hold t vcls ~obj) values in
+  if not (mutated Unlink_before_reset) then let_go ();
+  let unlinked =
+    with_lock t.class_mu.(cls_id Chunk.Leaf_c) (fun () ->
+        with_stripe t chunk (fun () ->
+            read_bits t e = 0 && e.reserved = owners && e.owned = 0
+            && (unlink t Chunk.Leaf_c e;
+                true)))
+  in
+  if mutated Unlink_before_reset then let_go ();
+  let end_holds () = List.iter (fun (vcls, obj) -> release_hold t vcls ~obj) values in
+  if unlinked then end_holds ()
+  else begin
+    Atomic.incr abandoned;
+    if mutated Release_before_sever then end_holds ();
+    List.iter (fun leaf -> Leaf.set_p_value t.pool ~leaf 0) !leaves;
+    with_stripe t chunk (fun () -> e.reserved <- e.reserved land lnot owners);
+    mark_avail t (cls_id Chunk.Leaf_c) chunk;
+    if not (mutated Release_before_sever) then end_holds ();
+    (* a slot another domain committed and deleted meanwhile owns its
+       value now, and its free_leaf's recycle gave up on our
+       reservations: try again *)
+    eprecycle t Chunk.Leaf_c ~chunk
+  end
+
+and release_hold t cls ~obj =
   cancel_reservation t cls ~obj;
   eprecycle t cls ~chunk:(chunk_of_obj t cls obj)
 
-(* Lines 12-16 of Algorithm 2: a free leaf slot still pointing at a
-   committed value object is the footprint of a crashed insertion or
-   deletion; release the value before handing the slot out. Called with
-   no locks held — the caller's reservation makes the slot exclusive —
-   because it takes *value*-class locks, which must never nest inside
-   leaf-class ones.
-
-   Soundness depends on an allocator-wide invariant: a value object that
-   is durably referenced by a free leaf slot (or as the POldV of an
-   update-log record) has never been reallocated since that reference
-   was written. [Hart.delete] and [Hart.update_leaf] maintain it by
-   freeing the old value with [reset_obj_bit_hold] and only releasing
-   the hold after the durable reference is gone: the p_value cleared, or
-   the record overwritten by the slot's next update ([release_hold]).
-   Without the hold, the value could be re-owned by a live key before
-   the crash, and this repair would free the new owner's value — a
-   corruption the concurrent crash explorer found as "value N of key K
-   is not committed". *)
-let repair_leaf_slot t obj =
-  let p_value = Leaf.p_value t.pool ~leaf:obj in
-  if p_value <> 0 then begin
-    (match value_entry t p_value with
-    | Some (vcls, ve) ->
-        let vbit = 1 lsl Chunk.idx_of_obj vcls ~chunk:ve.chunk ~obj:p_value in
-        let cleared =
-          with_stripe t ve.chunk (fun () ->
-              let bits = read_bits t ve in
-              if bits land vbit <> 0 then begin
-                store_bits t ve (bits land lnot vbit);
-                true
-              end
-              else false)
-        in
-        if cleared then begin
-          mark_avail t (cls_id vcls) ve.chunk;
-          eprecycle t vcls ~chunk:ve.chunk
-        end
-    | None -> ());
-    Leaf.clear t.pool ~leaf:obj;
-    Pmem.persist t.pool ~off:obj ~len:8
-  end
-
-let epmalloc t cls =
-  let id = cls_id cls in
-  let dom = dom_slot () in
-  let obj =
-    (* fast path: the chunk this domain last allocated from, touched
-       without the class lock *)
-    match try_reserve t cls t.active.(id).(dom) with
-    | Some obj -> obj
-    | None ->
-        with_lock t.class_mu.(id) (fun () ->
-            (* The volatile available-chunk cache replaces Algorithm 2's
-               PM list walk (lines 1-7): it is complete — every slot
-               release re-adds its chunk — so a miss here means no chunk
-               has a free slot. The paper's walk re-scans every full
-               chunk once the head fills, which is quadratic over a large
-               store; caching which chunks have room is exactly the kind
-               of DRAM acceleration EPallocator exists for (§III-A.4). *)
-            let stale = ref [] in
-            let got = ref None in
-            (try
-               Hashtbl.iter
-                 (fun chunk () ->
-                   match try_reserve t cls chunk with
-                   | Some obj ->
-                       got := Some (chunk, obj);
-                       raise Exit
-                   | None -> stale := chunk :: !stale)
-                 t.avail.(id)
-             with Exit -> ());
-            List.iter (fun c -> Hashtbl.remove t.avail.(id) c) !stale;
-            match !got with
-            | Some (chunk, obj) ->
-                t.active.(id).(dom) <- chunk;
-                obj
-            | None ->
-                (* lines 8-10: grow the list at its head *)
-                let chunk = Chunk.alloc t.pool cls in
-                let next = t.heads.(id) in
-                Chunk.set_pnext t.pool ~chunk next;
-                set_head t cls chunk;
-                set_prev t id next chunk;
-                let e = new_entry t id chunk ~bits:0 ~prev:0 in
-                Meter.access t.meter Dram ~addr:e.addr ~write:true;
-                Registry.add t.registry.(id) e;
-                Hashtbl.replace t.avail.(id) chunk ();
-                t.active.(id).(dom) <- chunk;
-                (match try_reserve t cls chunk with
-                | Some obj -> obj
-                | None -> assert false (* fresh chunk, registered, empty *)))
-  in
-  if cls = Chunk.Leaf_c then repair_leaf_slot t obj;
-  obj
+(* Algorithm 5's free: clear and persist the leaf's bit and, in the same
+   stripe-locked section, mark the slot as the owner of the value its
+   p_value names, so no domain can reserve the slot before it owns; then
+   recycle the chunk if that emptied it. *)
+let free_leaf t ~leaf =
+  let e = entry_of_obj t Chunk.Leaf_c leaf in
+  let bit = leaf_bit e ~leaf in
+  let mu = t.chunk_mu.(stripe_of e.chunk) in
+  Hart_util.Sched_hook.lock mu;
+  e.owned <- e.owned lor bit;
+  (match store_bits t e (read_bits t e land lnot bit) with
+  | () -> Mutex.unlock mu
+  | exception ex ->
+      Mutex.unlock mu;
+      raise ex);
+  mark_avail t (cls_id Chunk.Leaf_c) e.chunk;
+  eprecycle t Chunk.Leaf_c ~chunk:e.chunk
 
 (* ------------------------------------------------------------------ *)
 (* Recovery (single-domain: runs before the store is shared)           *)
@@ -860,22 +961,33 @@ let attach ?(bad_lines = []) ?report pool =
       (* a kept record's PLeaf may since have been recycled: stale, not
          unreplayable *)
       guarded "update" ~slot ~off (fun () -> recover_update_log t ~slot));
-  (* sanitize: a free leaf slot must never carry a stale value pointer
-     into steady state, or a later Algorithm-2 repair of that slot could
-     free a value that has since been re-owned by another key. In
-     quarantine mode this sweep is skipped — a media fault can forge a
-     p_value aliasing a live key's value, so the caller must run the
-     deferred, reference-counted scan ([Hart]'s quarantining recovery)
-     instead of this eager repair. *)
+  (* Ownership sweep (DESIGN.md §6 item 2): a free leaf slot whose
+     p_value names a committed value owns it, and is marked so without a
+     PM write, so a quiescent image still recovers flush-free. Any other
+     non-null p_value names a value whose bit is clear: the footprint of
+     a crash inside an insertion's class-mismatch window or a recycle's
+     window, whose holds kept that value from being given to another key
+     before the crash. The slot is severed, so no later reallocation of
+     that value can make the slot look like an owner. In quarantine mode
+     the sweep is skipped — a media fault can forge a p_value aliasing a
+     live key's value, so the caller must run the deferred scan that
+     knows the live keys' values ([Hart]'s quarantining recovery). *)
   if not quarantine then begin
+    let reg = Atomic.get t.registry.(cls_id Chunk.Leaf_c) in
     let rec sweep chunk =
       if chunk <> 0 then begin
-        (* a repair clears the slot and frees a value object; it never
-           changes this leaf chunk's bitmap, so one bitmap read serves
-           the whole chunk *)
-        Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj ~live ->
-            if (not live) && Leaf.p_value pool ~leaf:obj <> 0 then
-              repair_leaf_slot t obj);
+        let e = Registry.find reg chunk in
+        (* the sweep never changes this leaf chunk's bitmap, so one
+           bitmap read serves the whole chunk *)
+        Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx ~obj ~live ->
+            if not live then
+              let v = Leaf.p_value pool ~leaf:obj in
+              if v <> 0 then
+                if
+                  value_committed t v
+                  || (mutated Own_uncommitted && value_entry t v <> None)
+                then e.owned <- e.owned lor (1 lsl idx)
+                else Leaf.set_p_value pool ~leaf:obj 0);
         sweep (Chunk.pnext pool ~chunk)
       end
     in
@@ -945,6 +1057,11 @@ let check_invariants t =
           fail "bitmap mirror of chunk %d is %#x but its PM bitmap is %#x"
             e.chunk e.bits pm;
         if e.reserved land lnot full_mask <> 0 then
-          fail "reservation mask of chunk %d out of range" e.chunk)
+          fail "reservation mask of chunk %d out of range" e.chunk;
+        if e.owned land (e.bits lor e.reserved) <> 0 then
+          fail "chunk %d marks a committed or reserved slot as an owner"
+            e.chunk;
+        if e.owned <> 0 && cls <> Chunk.Leaf_c then
+          fail "value chunk %d has owning slots" e.chunk)
       reg
   done

@@ -6,8 +6,10 @@
     freedom comes from ordering: an object's bitmap bit is set only
     {e after} the object is fully linked into the index, so a crash
     between allocation and commit leaves a free bit and the slot is
-    simply handed out again later (Algorithm 2's repair path also clears
-    any value object such a half-born leaf still references).
+    simply handed out again later. A free leaf slot whose [p_value]
+    names a committed value owns it (a deleted key's slot, or a crashed
+    insertion's): Algorithm 2's reuse point hands that value to the next
+    key, and only recycling lets go of it otherwise.
 
     Volatile acceleration (rebuilt by {!attach} after a crash): a mirror
     of the list heads, a per-class registry resolving object offsets to
@@ -15,8 +17,9 @@
     chunk's occupancy bitmap, each chunk's predecessor in its list (so
     {!eprecycle} finds Algorithm 6's [PPrev] without walking the list),
     a per-chunk reservation mask preventing double hand-out of
-    uncommitted slots, and a cache of chunks known to have free slots so
-    the common allocation touches no full chunk.
+    uncommitted slots, a per-leaf-chunk mask of the free slots that own
+    a value, and a cache of chunks known to have free slots so the
+    common allocation touches no full chunk.
 
     The bitmap mirror takes PM reads off the write path: allocation,
     bit commits and frees, recycling's emptiness test and {!obj_bit}
@@ -89,10 +92,16 @@ val attach :
     Passing [~report] switches on quarantine mode for media-damaged
     pools: log records on a [bad_lines] line or failing their CRC are
     discarded (reported via [report]) instead of replayed, replay is
-    guarded against unresolvable pointers, and the eager free-leaf-slot
-    sanitation sweep is skipped — the caller must follow with
-    [Hart]'s deferred reference-counted scan, since a forged [p_value]
-    could alias a live key's value object.
+    guarded against unresolvable pointers, and the free-leaf-slot
+    ownership sweep is skipped — the caller must follow with [Hart]'s
+    deferred scan, which decides each slot's ownership against the live
+    keys' values ({!set_owner}), since a forged [p_value] could alias a
+    live key's value object.
+
+    Outside quarantine mode the sweep reads every free leaf slot's
+    [p_value]: a slot naming a committed value becomes its owner with
+    no PM write; any other non-null pointer is severed (stored 0 and
+    persisted).
 
     @raise Hart_error.Error when the pool cannot be mounted: bad magic
     (including a ["HART_v01"] root),
@@ -115,9 +124,21 @@ val free_slot : int -> int option
     Constant time (a trailing-zero count). *)
 
 val epmalloc : t -> Chunk.cls -> int
-(** Algorithm 2: return the offset of a free object, reserving it
+(** Algorithm 2: return the offset of a free value object, reserving it
     (volatile) against concurrent hand-out. The object's bit is {e not}
-    set. For [Leaf_c], the repair path of lines 12–16 runs here. *)
+    set.
+    @raise Invalid_argument for [Leaf_c]: a leaf slot may own a value,
+    so leaves come only from {!epmalloc_leaf}. *)
+
+val epmalloc_leaf : t -> int * bool
+(** Algorithm 2 for a leaf slot, reserved like {!epmalloc}'s, and whether the slot owns the value its
+    [p_value] names (a deleted key's slot, see {!free_leaf}). The owner
+    takes that value over — Algorithm 2's reuse point, lines 12–16 — by
+    rewriting it in place, or by freeing it with {!reset_obj_bit_hold}
+    and releasing the hold once the leaf's pointer is overwritten. A
+    slot that owns nothing needs no PM read: non-owning free slots name
+    no value. The test costs nothing beyond the reservation: it reads
+    the owned mark in the same locked section. *)
 
 val set_obj_bit : t -> Chunk.cls -> obj:int -> unit
 (** Commit the object: set and persist its bitmap bit, release the
@@ -126,11 +147,18 @@ val set_obj_bit : t -> Chunk.cls -> obj:int -> unit
 val reset_obj_bit : t -> Chunk.cls -> obj:int -> unit
 (** Clear and persist the object's bit, making the slot reusable. *)
 
+val free_leaf : t -> leaf:int -> unit
+(** Algorithm 5's free, with one persist: clear and persist the leaf's
+    bit and mark the free slot as the owner of the value its [p_value]
+    still names. That value keeps its bit until an insertion takes the
+    slot over ({!epmalloc_leaf}) or {!eprecycle} lets go of it. Then
+    recycle the leaf's chunk if it emptied. *)
+
 val reset_obj_bit_hold : t -> Chunk.cls -> obj:int -> unit
 (** Like {!reset_obj_bit}, but keep the slot reserved so no domain can
-    be handed it while the caller still scrubs the object's contents
-    (e.g. severing a dead leaf's value pointer, Algorithm 5). Release
-    with {!cancel_reservation}. Same PM traffic as {!reset_obj_bit}. *)
+    be handed it while a durable reference still names the object (an
+    update record's POldV, a free leaf slot's [p_value]). Release with
+    {!release_hold}. Same PM traffic as {!reset_obj_bit}. *)
 
 val obj_bit : t -> Chunk.cls -> obj:int -> bool
 (** Whether the object is committed, read from the bitmap mirror (one
@@ -139,25 +167,65 @@ val obj_bit : t -> Chunk.cls -> obj:int -> bool
 val cancel_reservation : t -> Chunk.cls -> obj:int -> unit
 (** Release a reservation without committing (an aborted operation). *)
 
-val unsafe_no_reservation_hold : bool ref
-(** Test-only fault injection: while [true], {!reset_obj_bit_hold}
-    degrades to plain {!reset_obj_bit} — the freed slot becomes
-    reallocatable while its durable reference still stands, reinstating
-    the free-before-sever race the hold closes. The fault tests flip
-    this to prove the concurrent explorer still catches (and the
-    shrinker minimizes) the original bug. Never set outside tests. *)
+type mutation =
+  | No_reservation_hold
+      (** {!reset_obj_bit_hold} degrades to {!reset_obj_bit}: a freed
+          value can be given to another key while a durable reference
+          still names it. *)
+  | Own_uncommitted
+      (** {!attach}'s sweep makes a free slot the owner of the value its
+          [p_value] names even when that value's bit is clear. *)
+  | Ignore_owned
+      (** [Hart.insert] overwrites an owning slot's [p_value] as if the
+          slot owned nothing, leaking the owned value. *)
+  | Unlink_before_reset
+      (** {!eprecycle} unlinks a leaf chunk before the resets of its
+          owned values are durable. *)
+  | Release_before_sever
+      (** An abandoned leaf-chunk recycle ends its values' holds before
+          it severs the slots that named them. *)
+(** Test-only fault injection into the ownership and hold protocols
+    (DESIGN.md §6 items 1–3): each reinstates one bug the crash
+    explorers must catch. *)
+
+val unsafe_mutation : mutation option ref
+(** The mutation in force; [None] (always, outside the fault tests). *)
+
+val mutated : mutation -> bool
+
+val recycles_abandoned : unit -> int
+(** Leaf-chunk recycles abandoned so far in this process because
+    another domain reserved, or committed and deleted, a slot of the
+    chunk while its owned values were being reset (DESIGN.md §6 item 2).
+    Lets a test show that its schedules reach that path. *)
 
 val release_hold : t -> Chunk.cls -> obj:int -> unit
 (** End the hold {!reset_obj_bit_hold} placed once the object's durable
     reference is gone: {!cancel_reservation}, then {!eprecycle} its
     chunk. *)
 
+val set_owner : t -> leaf:int -> bool -> unit
+(** Set or drop a free leaf slot's owned mark. For a quarantining
+    recovery, which decides ownership itself, and for fsck when it
+    severs or reclaims. Quiesced callers only. *)
+
+val value_committed : t -> int -> bool
+(** Whether the offset is an object of a registered value chunk whose
+    bit is set (read from the mirror). *)
+
+val iter_owned : t -> (leaf:int -> unit) -> unit
+(** Visit every owning free leaf slot, in offset order. *)
+
 val eprecycle : t -> Chunk.cls -> chunk:int -> unit
 (** Algorithm 6: if the chunk holds no used or reserved object, unlink it
     from its list under the recycle log and return its space to the
     pool. Safe to call on any chunk, including already-recycled ones.
     [PPrev] comes from the chunk's volatile predecessor link, so the
-    cost does not depend on the length of the list. *)
+    cost does not depend on the length of the list. A leaf chunk whose
+    free slots own values first takes those slots (reserved), durably
+    resets the values' bits under holds, then unlinks, then ends the
+    holds; if a domain reserved one of its slots meanwhile, the chunk
+    stays and the taken slots are severed before the holds end. *)
 
 val chunk_of_obj : t -> Chunk.cls -> int -> int
 (** [MemChunkOf]: the chunk containing this object.

@@ -128,7 +128,13 @@ let update_leaf t ~leaf value =
       (* nothing to hold, so the record must not outlive the update *)
       Microlog.Update.reclaim logs ~slot
 
-(* Algorithm 1. *)
+(* Algorithm 1. The value's bit is set only after the leaf's p_value is
+   durable, so a crash never leaves a committed value that nothing names.
+   A slot that owns a value (a deleted key's, DESIGN.md §6 item 1) hands
+   it over, Algorithm 2 lines 12-16: a value of the new value's class is
+   rewritten in place and keeps its bit (three persists: value, leaf,
+   leaf bit); one of another class is freed, held until [Leaf.init] has
+   overwritten the pointer. *)
 let insert t ~key ~value =
   check_key key;
   let hash_key, art_key = split_key t key in
@@ -136,14 +142,29 @@ let insert t ~key ~value =
   match Art.find art art_key with
   | Some leaf -> update_leaf t ~leaf value
   | None ->
-      let leaf = Epalloc.epmalloc t.alloc Chunk.Leaf_c in
+      let leaf, owns = Epalloc.epmalloc_leaf t.alloc in
+      let crc = checksums t in
       let vcls = Value_obj.cls_for value in
-      let vobj = Epalloc.epmalloc t.alloc vcls in
-      Value_obj.write ~crc:(checksums t) t.pool ~obj:vobj value;
-      (* p_value is durable before the value's bit: the Algorithm-2
-         repair of a crashed insert relies on that order *)
-      Leaf.init ~crc:(checksums t) t.pool ~leaf ~p_value:vobj key;
-      Epalloc.set_obj_bit t.alloc vcls ~obj:vobj;
+      let old_v =
+        if owns && not (Epalloc.mutated Ignore_owned) then Leaf.p_value t.pool ~leaf
+        else 0
+      in
+      let old = if old_v = 0 then None else Epalloc.class_of_value_obj t.alloc old_v in
+      (match old with
+      | Some old_cls when old_cls = vcls ->
+          Value_obj.write ~crc t.pool ~obj:old_v value;
+          Leaf.init ~crc t.pool ~leaf ~p_value:old_v key
+      | _ ->
+          let vobj = Epalloc.epmalloc t.alloc vcls in
+          Value_obj.write ~crc t.pool ~obj:vobj value;
+          (match old with
+          | Some c -> Epalloc.reset_obj_bit_hold t.alloc c ~obj:old_v
+          | None -> ());
+          Leaf.init ~crc t.pool ~leaf ~p_value:vobj key;
+          (match old with
+          | Some c -> Epalloc.release_hold t.alloc c ~obj:old_v
+          | None -> ());
+          Epalloc.set_obj_bit t.alloc vcls ~obj:vobj);
       (match Art.insert art art_key leaf with
       | `Inserted -> ()
       | `Replaced _ -> assert false (* Art.find returned None above *));
@@ -199,28 +220,9 @@ let delete t key =
         match Art.delete art art_key with
         | None -> false
         | Some leaf ->
-            let vobj = Leaf.p_value t.pool ~leaf in
-            (* free the leaf slot durably but keep it reserved: the
-               stale value reference must be severed before another
-               domain can be handed the slot, or its repair path would
-               free a value owned by a live key (and our late writes
-               would clobber the new owner's leaf) *)
-            Epalloc.reset_obj_bit_hold t.alloc Chunk.Leaf_c ~obj:leaf;
-            (match Epalloc.class_of_value_obj t.alloc vobj with
-            | Some vcls ->
-                (* Hold the value slot too: it is durably free from here
-                   but the free leaf's p_value still references it. If it
-                   could be reallocated before that reference is severed
-                   and we then crashed, the Algorithm-2 repair of this
-                   slot would free the value's new owner. The hold makes
-                   a durably-referenced free value provably
-                   never-reallocated, which is what makes the repair
-                   sound. *)
-                Epalloc.reset_obj_bit_hold t.alloc vcls ~obj:vobj;
-                Leaf.set_p_value t.pool ~leaf 0;
-                Epalloc.release_hold t.alloc vcls ~obj:vobj
-            | None -> ());
-            Epalloc.release_hold t.alloc Chunk.Leaf_c ~obj:leaf;
+            (* one persist: the free slot keeps its p_value and owns
+               that value (DESIGN.md §6 item 1) *)
+            Epalloc.free_leaf t.alloc ~leaf;
             if Art.is_empty art then Hash_dir.remove t.dir hash_key;
             Atomic.decr t.count;
             true)
@@ -404,28 +406,26 @@ let inspect_leaf alloc ~checksums ~bad_span ~leaf =
    reference set. Zeroing the object's bytes reseals its media lines
    and leaves no stale payload behind. *)
 let free_value_exclusive alloc ~kept_values ~freed pv =
-  if pv > 0 && not (Hashtbl.mem kept_values pv) && not (Hashtbl.mem freed pv)
+  (* untrusted bytes may land inside a value chunk yet between object
+     boundaries — such an offset names no object, committed or not *)
+  if
+    pv > 0
+    && (not (Hashtbl.mem kept_values pv))
+    && (not (Hashtbl.mem freed pv))
+    && Epalloc.value_committed alloc pv
   then
-    match
-      (* untrusted bytes may land inside a value chunk yet between
-         object boundaries — such an offset names no object at all *)
-      match Epalloc.class_of_value_obj alloc pv with
-      | some_cls -> some_cls
-      | exception Invalid_argument _ -> None
-    with
-    | Some vcls
-      when (try Epalloc.obj_bit alloc vcls ~obj:pv
-            with Invalid_argument _ -> false) ->
+    match Epalloc.class_of_value_obj alloc pv with
+    | Some vcls ->
         Hashtbl.replace freed pv ();
         Epalloc.reset_obj_bit alloc vcls ~obj:pv;
         let pool = Epalloc.pool alloc in
         Pmem.set_string pool ~off:pv (String.make (Chunk.obj_size vcls) '\000');
         Pmem.persist pool ~off:pv ~len:(Chunk.obj_size vcls)
-    | _ -> ()
+    | None -> ()
 
 (* Serial application of the quarantine decisions gathered by the (maybe
-   parallel) scan: excise bad leaves, repair stale free slots, free
-   provably-exclusive values, emit findings. PM-mutating. *)
+   parallel) scan: excise bad leaves, free provably-exclusive values,
+   settle free slots' ownership, emit findings. PM-mutating. *)
 let apply_quarantine alloc ~kept_values ~findings ~badq ~stale_free =
   let pool = Epalloc.pool alloc in
   let freed = Hashtbl.create 16 in
@@ -445,17 +445,30 @@ let apply_quarantine alloc ~kept_values ~findings ~badq ~stale_free =
         }
         :: !findings)
     badq;
-  (* Free leaf slots still carrying a value pointer: the repair
-     [Epalloc] normally performs eagerly at attach, deferred here so it
-     can consult the kept reference set (the pointer may be forged by
-     the media fault and alias a live key's value). No finding — this is
-     ordinary crash residue, not corruption. *)
+  (* Free leaf slots still carrying a value pointer, decided here instead
+     of by [Epalloc]'s attach sweep so that the kept reference set is
+     known (the pointer may be forged by the media fault and alias a
+     live key's value). As in that sweep, a slot naming a committed
+     value owns it, unless a kept leaf or a lower slot already names it;
+     any other slot is severed. No finding — this is ordinary crash
+     residue, not corruption. *)
+  let claimed = Hashtbl.create 16 in
   List.iter
     (fun (leaf, pv) ->
-      if pv > 0 then free_value_exclusive alloc ~kept_values ~freed pv;
-      Leaf.clear pool ~leaf;
-      Pmem.persist pool ~off:leaf ~len:Leaf.size)
-    stale_free
+      if
+        pv > 0
+        && (not (Hashtbl.mem kept_values pv))
+        && (not (Hashtbl.mem claimed pv))
+        && Epalloc.value_committed alloc pv
+      then begin
+        Hashtbl.replace claimed pv ();
+        Epalloc.set_owner alloc ~leaf true
+      end
+      else begin
+        Leaf.clear pool ~leaf;
+        Pmem.persist pool ~off:leaf ~len:Leaf.size
+      end)
+    (List.sort compare stale_free)
 
 (* Quarantining serial recovery: mount a pool that may carry media
    faults. Differences from the plain path: the ECC table is consulted
@@ -715,9 +728,10 @@ let dram_bytes t =
 
 let pm_bytes t = Pmem.live_bytes t.pool
 
-let check_integrity ?(allow_recovered_orphans = false) t =
+let check_integrity t =
   let fail fmt = Printf.ksprintf failwith fmt in
   let seen_leaves = Hashtbl.create 256 in
+  (* value -> the live leaf or owning free slot that names it *)
   let seen_values = Hashtbl.create 256 in
   let n = ref 0 in
   Hash_dir.iter t.dir (fun hk art ->
@@ -747,25 +761,36 @@ let check_integrity ?(allow_recovered_orphans = false) t =
                 fail "value %d of key %S is not committed" v key);
           if Hashtbl.mem seen_values v then
             fail "value object %d referenced by two leaves" v;
-          Hashtbl.add seen_values v ()));
+          Hashtbl.add seen_values v leaf));
   let count = Atomic.get t.count in
   if !n <> count then fail "count %d but %d reachable leaves" count !n;
   let live_leaves = Epalloc.live_objects t.alloc Chunk.Leaf_c in
   if live_leaves <> !n then
     fail "%d committed PM leaves but %d reachable from ARTs (leak?)" live_leaves !n;
-  (* every committed value object must be referenced — from a live leaf,
-     or (post-crash, if allowed) from a free leaf slot awaiting repair *)
-  let repairable = Hashtbl.create 16 in
-  if allow_recovered_orphans then
-    Epalloc.iter_chunks t.alloc Chunk.Leaf_c (fun chunk ->
-        Chunk.iter_slots t.pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj ~live ->
-            if not live then
-              let v = Leaf.p_value t.pool ~leaf:obj in
-              if v <> 0 then Hashtbl.replace repairable v ()));
+  (* every committed value is named by a live leaf or by exactly one
+     owning free slot, and a free slot that owns nothing names no
+     committed value: a crash would otherwise make it a second owner *)
+  let owning = Hashtbl.create 16 in
+  Epalloc.iter_owned t.alloc (fun ~leaf ->
+      Hashtbl.replace owning leaf ();
+      let v = Leaf.p_value t.pool ~leaf in
+      if not (Epalloc.value_committed t.alloc v) then
+        fail "free leaf slot %d owns value %d, which is not committed" leaf v;
+      (match Hashtbl.find_opt seen_values v with
+      | Some other ->
+          fail "value %d owned by free leaf slot %d is also named by %d" v leaf other
+      | None -> ());
+      Hashtbl.add seen_values v leaf);
+  Epalloc.iter_chunks t.alloc Chunk.Leaf_c (fun chunk ->
+      Chunk.iter_slots t.pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj:leaf ~live ->
+          if not (live || Hashtbl.mem owning leaf) then
+            let v = Leaf.p_value t.pool ~leaf in
+            if v <> 0 && Epalloc.value_committed t.alloc v then
+              fail "free leaf slot %d names committed value %d but owns nothing" leaf v));
   List.iter
     (fun vcls ->
       Epalloc.iter_live_objs t.alloc vcls (fun ~obj ->
-          if not (Hashtbl.mem seen_values obj || Hashtbl.mem repairable obj) then
+          if not (Hashtbl.mem seen_values obj) then
             fail "committed value object %d is unreferenced (leak)" obj))
     [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
   Epalloc.check_invariants t.alloc
@@ -835,6 +860,20 @@ let value_owners t =
           | exception Pmem.Media_poisoned _ -> ()));
   owner
 
+(* value offset -> the owning free leaf slot that names it *)
+let owned_values t =
+  let owned = Hashtbl.create 16 in
+  Epalloc.iter_owned t.alloc (fun ~leaf ->
+      match Leaf.p_value t.pool ~leaf with
+      | pv -> Hashtbl.replace owned pv leaf
+      | exception Pmem.Media_poisoned _ -> ());
+  owned
+
+(* fsck: a free slot stops owning and stops naming a value *)
+let sever t ~leaf =
+  Epalloc.set_owner t.alloc ~leaf false;
+  Leaf.set_p_value t.pool ~leaf 0
+
 let zero_span t ~off ~len =
   Pmem.set_string t.pool ~off (String.make len '\000');
   Pmem.persist t.pool ~off ~len
@@ -854,6 +893,7 @@ let fsck ?(deep = true) t =
   List.iter (fun l -> Hashtbl.replace bad_set l ()) bad_lines;
   let detected_lines = Hashtbl.create 8 in
   let freed = Hashtbl.create 16 in
+  let reclaimed = Hashtbl.create 8 in
   let scrub_log_slot (kind, slot, off) =
     let durable = Microlog.pending logs ~kind ~slot in
     let held = Microlog.discard_slot logs ~kind ~slot in
@@ -989,6 +1029,9 @@ let fsck ?(deep = true) t =
                                   %d"
                                  obj line)
                       | None ->
+                          (* a slot that owned it is severed in phase 2,
+                             under this finding *)
+                          Hashtbl.replace reclaimed obj ();
                           Epalloc.reset_obj_bit alloc cls ~obj;
                           zero_span t ~off:obj ~len:osize;
                           emit
@@ -1010,7 +1053,13 @@ let fsck ?(deep = true) t =
                             }
                     end
                   end
-                  else zero_span t ~off:obj ~len:osize
+                  else begin
+                    (* a zeroed slot names nothing: its value, if it
+                       owned one, is an orphan for phase 2 *)
+                    if cls = Chunk.Leaf_c then
+                      Epalloc.set_owner alloc ~leaf:obj false;
+                    zero_span t ~off:obj ~len:osize
+                  end
               done;
               (* tail padding of the chunk's allocation *)
               let chunk_end = chunk + Chunk.chunk_bytes cls in
@@ -1035,6 +1084,29 @@ let fsck ?(deep = true) t =
   let reachable = Hashtbl.create 256 in
   Hash_dir.iter t.dir (fun hk art ->
       Art.iter art (fun ak leaf -> Hashtbl.replace reachable leaf (hk ^ ak)));
+  (* an owning free slot is no finding while its value is committed and
+     no live key's; one that is not, and a slot naming a value it does
+     not own, is severed *)
+  let owned = owned_values t in
+  Hashtbl.filter_map_inplace
+    (fun pv leaf ->
+      if Epalloc.value_committed alloc pv && not (Hashtbl.mem owner pv) then Some leaf
+      else begin
+        sever t ~leaf;
+        (if not (Hashtbl.mem reclaimed pv) then
+           let chunk = Epalloc.chunk_of_obj alloc Chunk.Leaf_c leaf in
+           let idx = Chunk.idx_of_obj Chunk.Leaf_c ~chunk ~obj:leaf in
+           emit
+             {
+               Hart_error.f_site = Leaf_slot { chunk; idx; leaf };
+               f_action = Repaired;
+               f_detail = "free leaf slot owning an uncommitted or live value severed";
+               f_keys = [];
+               f_capacity = 0;
+             });
+        None
+      end)
+    owned;
   Epalloc.iter_chunks alloc Chunk.Leaf_c (fun chunk ->
       for idx = 0 to Chunk.objs_per_chunk - 1 do
         let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
@@ -1046,14 +1118,11 @@ let fsck ?(deep = true) t =
         else
           match Leaf.p_value pool ~leaf with
           | 0 -> ()
+          | pv when Hashtbl.find_opt owned pv = Some leaf -> ()
           | pv ->
-              (match Hashtbl.find_opt owner pv with
-              | Some _ -> () (* owned by a live key: sever only *)
-              | None ->
-                  let kept_values = Hashtbl.create 1 in
-                  free_value_exclusive alloc ~kept_values ~freed pv);
-              Leaf.clear pool ~leaf;
-              Pmem.persist pool ~off:leaf ~len:Leaf.size;
+              if not (Hashtbl.mem owner pv || Hashtbl.mem owned pv) then
+                free_value_exclusive alloc ~kept_values:(Hashtbl.create 1) ~freed pv;
+              sever t ~leaf;
               emit
                 {
                   Hart_error.f_site = Leaf_slot { chunk; idx; leaf };
@@ -1064,25 +1133,25 @@ let fsck ?(deep = true) t =
                 }
           | exception Pmem.Media_poisoned _ -> ()
       done);
-  (* unreferenced committed values *)
+  (* committed values that no live key and no owning slot names *)
   List.iter
     (fun vcls ->
       let orphans = ref [] in
       Epalloc.iter_live_objs alloc vcls (fun ~obj ->
-          if not (Hashtbl.mem owner obj) then orphans := obj :: !orphans);
+          if not (Hashtbl.mem owner obj || Hashtbl.mem owned obj) then
+            orphans := obj :: !orphans);
       List.iter
         (fun obj ->
           Epalloc.reset_obj_bit alloc vcls ~obj;
           zero_span t ~off:obj ~len:(Chunk.obj_size vcls);
           let chunk = Epalloc.chunk_of_obj alloc vcls obj in
-          ignore chunk;
           emit
             {
               Hart_error.f_site =
                 Value_slot
                   {
                     cls = Epalloc.cls_name vcls;
-                    chunk = Epalloc.chunk_of_obj alloc vcls obj;
+                    chunk;
                     idx = Chunk.idx_of_obj vcls ~chunk ~obj;
                     obj;
                   };

@@ -12,8 +12,9 @@
     - update — Algorithm 3 (out-of-place, under the persistent update
       log);
     - search — Algorithm 4 (bitmap validation of the found leaf);
-    - deletion — Algorithm 5 (bits reset, chunks recycled, empty ARTs
-      freed);
+    - deletion — Algorithm 5 (the leaf bit reset, with one persist: the
+      free slot owns its value until an insertion takes the slot over or
+      its chunk is recycled; empty ARTs freed);
     - chunk recycling — Algorithm 6 (inside {!Epalloc.eprecycle});
     - recovery — Algorithm 7 ({!recover} rebuilds the directory and all
       internal nodes from the PM leaf chunks alone).
@@ -103,8 +104,9 @@ val fsck : ?deep:bool -> t -> Hart_error.finding list
       records discarded, and what cannot be trusted at line granularity
       (root scalars, chunk prologues) is reported as detected;
     - {e cross-structure invariants}: committed-but-unreachable leaves
-      are quarantined, unreferenced committed values reclaimed, stale
-      value references in free leaf slots severed, and corrupt
+      are quarantined, committed values named by no live leaf and no
+      owning free slot reclaimed, free slots that name a value without
+      owning it severed, and corrupt
       hint/full header bytes recomputed from their bitmaps;
     - {e checksum walk} (only with [~deep:true], the default, on
       checksummed pools): every reachable leaf's key CRC and value CRC
@@ -179,12 +181,12 @@ val dram_bytes : t -> int
 val pm_bytes : t -> int
 (** PM consumption: live pool bytes (chunks, root block). *)
 
-val check_integrity : ?allow_recovered_orphans:bool -> t -> unit
+val check_integrity : t -> unit
 (** Full cross-check of DRAM structures against the PM image: every ART
     leaf points at a committed PM leaf whose stored key (of a valid
     length) matches its tree position and whose value object is
-    committed; every committed PM leaf
-    is reachable from exactly one ART; every committed value object is
-    referenced (with [allow_recovered_orphans], a value referenced by a
-    {e free} leaf slot is tolerated — the repairable state Algorithm 2
-    cleans lazily after a crash). Raises [Failure] on violation. *)
+    committed; every committed PM leaf is reachable from exactly one
+    ART; every committed value object is named by exactly one live leaf
+    or owning free leaf slot (DESIGN.md §6 item 1), and a free slot that
+    owns nothing names no committed value. A set bit named by nothing
+    is a leak. Raises [Failure] on violation. *)

@@ -24,8 +24,7 @@ module S : Index_intf.S with type t = Hart.t = struct
   let dram_bytes = Hart.dram_bytes
   let pm_bytes = Hart.pm_bytes
 
-  let check_integrity ~recovered t =
-    Hart.check_integrity ~allow_recovered_orphans:recovered t
+  let check_integrity t = Hart.check_integrity t
 
   (* one ART = one shard: writes to distinct ARTs commute durably
      (disjoint subtrees, disjoint leaf/value objects, domain-safe

@@ -33,6 +33,7 @@ type t = {
   val8_class : class_stats;
   val16_class : class_stats;
   val32_class : class_stats;
+  owned_values : int;
   mirror_bytes : int;
   pm_bytes : int;
   dram_bytes : int;
@@ -106,6 +107,10 @@ let collect hart =
     val8_class = class_stats alloc Chunk.Val8;
     val16_class = class_stats alloc Chunk.Val16;
     val32_class = class_stats alloc Chunk.Val32;
+    owned_values =
+      (let n = ref 0 in
+       Epalloc.iter_owned alloc (fun ~leaf:_ -> incr n);
+       !n);
     mirror_bytes = Epalloc.mirror_bytes alloc;
     pm_bytes = Hart.pm_bytes hart;
     dram_bytes = Hart.dram_bytes hart;
@@ -129,8 +134,8 @@ let pp ppf t =
   Format.fprintf ppf
     "@[<v>keys            %d@ ARTs            %d (avg %.1f keys, max height %d)@ \
      ART nodes       N4=%d N16=%d N48=%d N256=%d (%d bytes)@ %a@ hash buckets    \
-     %d bytes@ %a@ %a@ %a@ %a@ bitmap mirror   %d bytes@ PM total        %d \
-     bytes@ DRAM total      %d bytes@]"
+     %d bytes@ %a@ %a@ %a@ %a@ owned values    %d@ bitmap mirror   %d bytes@ \
+     PM total        %d bytes@ DRAM total      %d bytes@]"
     t.keys t.arts t.avg_art_keys t.max_art_height t.art_nodes.n4 t.art_nodes.n16
     t.art_nodes.n48 t.art_nodes.n256 t.art_node_bytes pp_pools t.art_pools
     t.hash_buckets_bytes
@@ -138,4 +143,4 @@ let pp ppf t =
     pp_class ("val8", t.val8_class)
     pp_class ("val16", t.val16_class)
     pp_class ("val32", t.val32_class)
-    t.mirror_bytes t.pm_bytes t.dram_bytes
+    t.owned_values t.mirror_bytes t.pm_bytes t.dram_bytes

@@ -42,6 +42,10 @@ type t = {
   val8_class : class_stats;
   val16_class : class_stats;
   val32_class : class_stats;
+  owned_values : int;
+      (** values kept committed by owning free leaf slots (deleted keys'
+          slots not yet taken over); the value classes' [live_objects]
+          include them *)
   mirror_bytes : int;
       (** DRAM bytes of EPallocator's bitmap mirror (8 per chunk) *)
   pm_bytes : int;

@@ -64,9 +64,8 @@ module type S = sig
   val dram_bytes : t -> int
   val pm_bytes : t -> int
 
-  val check_integrity : recovered:bool -> t -> unit
-  (** Structural integrity; [recovered:true] permits post-crash
-      repairable states (e.g. HART's recovered orphans).
+  val check_integrity : t -> unit
+  (** Structural integrity, the same rule before and after a crash.
       @raise Failure on any broken invariant. *)
 
   val stripe_of_key : t -> string -> int
@@ -146,7 +145,7 @@ module type MT = sig
   val iter : t -> (string -> string -> unit) -> unit
   (** Quiesced-only. *)
 
-  val check_integrity : recovered:bool -> t -> unit
+  val check_integrity : t -> unit
   (** Quiesced-only. *)
 
   val stripe_lock : t -> string -> Rwlock.t

@@ -166,5 +166,5 @@ module Make (I : Index_intf.S) : Index_intf.MT with type index = I.t = struct
 
   let count t = I.count t.idx
   let iter t f = I.iter t.idx f
-  let check_integrity ~recovered t = I.check_integrity ~recovered t.idx
+  let check_integrity t = I.check_integrity t.idx
 end

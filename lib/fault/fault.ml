@@ -71,7 +71,7 @@ let hart_instance ?(expect_clean = true) pool h =
       | Search k -> ignore (Hart.search h k : string option));
     check =
       (fun () ->
-        Hart.check_integrity ~allow_recovered_orphans:true h;
+        Hart.check_integrity h;
         (* crash schedules never involve media faults, so a quarantining
            mount reached through this path must have found nothing — a
            finding here means recovery misclassified a legitimate torn
@@ -1002,12 +1002,14 @@ let update_log_workload =
 let stale_ulog_workload =
   (* kept update-log records: AAk's second update leaves its record
      (AAk's leaf, the held Val16 POldV, the Val16 PNewV) in log slot 0.
-     Once AAk is deleted, AAn is handed its leaf and PNewV, then AAp the
-     same leaf with a Val8 value; the update of AAo finally overwrites
-     the record through the same slot. Recovery must tell the stale
-     record from an update in flight by the leaf alone: an unheld POldV
-     would have gone to AAn and made the record look in flight, and
-     redoing it would point AAp's leaf at a dead value. *)
+     Once AAk is deleted, its free leaf slot owns PNewV: AAn takes the
+     slot over and is handed leaf and PNewV together, then AAp the same
+     leaf with a Val8 value, which frees PNewV, and AAq the same leaf
+     again with a Val16 value, freshly allocated; the update of AAo
+     finally overwrites the record through the same slot. Recovery must
+     tell the stale record from an update in flight by the leaf alone:
+     an unheld POldV would have gone to AAq and made the record look in
+     flight, and redoing it would point AAq's leaf at a dead value. *)
   [
     Insert ("AAk", "v0");
     Insert ("AAo", "other");
@@ -1017,6 +1019,8 @@ let stale_ulog_workload =
     Insert ("AAn", "sixteen-3");
     Delete "AAn";
     Insert ("AAp", "p");
+    Delete "AAp";
+    Insert ("AAq", "sixteen-4");
     Update ("AAo", "other-2");
   ]
 

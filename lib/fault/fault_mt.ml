@@ -70,7 +70,7 @@ let of_mt (module M : Index_intf.MT) =
         | Fault.Update (k, v) -> ignore (M.update t ~key:k ~value:v : bool)
         | Fault.Delete k -> ignore (M.delete t k : bool)
         | Fault.Search k -> ignore (M.search t k : string option));
-      check = (fun () -> M.check_integrity ~recovered:true t);
+      check = (fun () -> M.check_integrity t);
       dump = (fun () -> Fault.sorted_dump (M.iter t));
     }
   in

@@ -33,7 +33,7 @@
 val of_mt : (module Hart_core.Index_intf.MT) -> Fault.target
 (** Package any [Striped_mt] instantiation as an explorer target: its
     [reattach] is the index's [recover], its [check] is
-    [check_integrity ~recovered:true]. *)
+    [check_integrity]. *)
 
 val hart_mt : Fault.target
 (** [Hart_mt] — 512 hash-prefix stripes, all operations shard-local. *)

@@ -216,7 +216,7 @@ let test_epalloc_distinct_objects () =
   let a, _ = fresh_alloc () in
   let seen = Hashtbl.create 64 in
   for _ = 1 to 200 do
-    let obj = Epalloc.epmalloc a Chunk.Leaf_c in
+    let obj = fst (Epalloc.epmalloc_leaf a) in
     Alcotest.(check bool) "fresh object" false (Hashtbl.mem seen obj);
     Hashtbl.add seen obj ();
     Epalloc.set_obj_bit a Chunk.Leaf_c ~obj
@@ -252,7 +252,7 @@ let test_epalloc_slot_reuse_after_reset () =
 let test_epalloc_chunk_of_obj () =
   let a, _ = fresh_alloc () in
   let objs = List.init 120 (fun _ ->
-      let o = Epalloc.epmalloc a Chunk.Leaf_c in
+      let o = fst (Epalloc.epmalloc_leaf a) in
       Epalloc.set_obj_bit a Chunk.Leaf_c ~obj:o;
       o)
   in
@@ -275,9 +275,14 @@ let test_epalloc_class_of_value_obj () =
   Alcotest.(check bool) "v8" true (Epalloc.class_of_value_obj a v8 = Some Chunk.Val8);
   Alcotest.(check bool) "v16" true (Epalloc.class_of_value_obj a v16 = Some Chunk.Val16);
   Alcotest.(check bool) "v32" true (Epalloc.class_of_value_obj a v32 = Some Chunk.Val32);
-  let leaf = Epalloc.epmalloc a Chunk.Leaf_c in
+  let leaf = fst (Epalloc.epmalloc_leaf a) in
   Alcotest.(check bool) "leaf is no value" true
-    (Epalloc.class_of_value_obj a leaf = None)
+    (Epalloc.class_of_value_obj a leaf = None);
+  (* a leaf slot may own a value: only epmalloc_leaf hands one out *)
+  Alcotest.(check bool) "epmalloc refuses leaf slots" true
+    (match Epalloc.epmalloc a Chunk.Leaf_c with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
 
 let test_eprecycle_returns_space () =
   let a, pool = fresh_alloc () in
@@ -420,7 +425,7 @@ let qcheck_free_slot_matches_scan =
 let test_epalloc_attach_rebuilds () =
   let a, pool = fresh_alloc () in
   let objs = List.init 100 (fun _ ->
-      let o = Epalloc.epmalloc a Chunk.Leaf_c in
+      let o = fst (Epalloc.epmalloc_leaf a) in
       Epalloc.set_obj_bit a Chunk.Leaf_c ~obj:o;
       o)
   in
@@ -443,24 +448,40 @@ let test_epalloc_attach_rejects_garbage () =
     | exception Hart_error.Error { site = Hart_error.Root_block _; _ } -> true)
 
 let test_epalloc_leaf_repair () =
-  (* simulate the Algorithm 1 crash window: value committed, leaf bit not
-     set; the next epmalloc of that leaf slot must free the value *)
+  (* the Algorithm 1 crash windows: a free leaf slot names a value that
+     is committed (crash after the value's bit, before the leaf's) or
+     not (crash before the value's bit). Attach makes the first slot
+     the value's owner, writing nothing, and severs the second. *)
   let a, pool = fresh_alloc () in
-  let leaf = Epalloc.epmalloc a Chunk.Leaf_c in
-  let v = Epalloc.epmalloc a Chunk.Val8 in
-  Value_obj.write pool ~obj:v "six";
-  Leaf.set_p_value pool ~leaf v;
-  Epalloc.set_obj_bit a Chunk.Val8 ~obj:v;
-  (* crash: leaf bit never set *)
+  let stage committed =
+    let leaf = fst (Epalloc.epmalloc_leaf a) in
+    let v = Epalloc.epmalloc a Chunk.Val8 in
+    Value_obj.write pool ~obj:v "six";
+    Leaf.set_p_value pool ~leaf v;
+    if committed then Epalloc.set_obj_bit a Chunk.Val8 ~obj:v;
+    (leaf, v)
+  in
+  let owner, v = stage true in
+  let severed, _ = stage false in
+  (* crash: neither leaf bit was set *)
   Pmem.crash pool;
+  let flushes = Pmem.flush_count pool in
   let a' = Epalloc.attach pool in
-  (* the attach-time sweep repairs the slot eagerly (see DESIGN.md):
-     the orphaned value is reclaimed before any allocation happens *)
-  Alcotest.(check int) "orphaned value reclaimed at attach" 0
+  Alcotest.(check int) "one flush: the sever" 1 (Pmem.flush_count pool - flushes);
+  Alcotest.(check int) "attach keeps only the committed value" 1
     (Epalloc.live_objects a' Chunk.Val8);
-  let leaf' = Epalloc.epmalloc a' Chunk.Leaf_c in
-  Alcotest.(check int) "same slot handed out" leaf leaf';
-  Alcotest.(check int) "p_value cleared" 0 (Leaf.p_value pool ~leaf:leaf')
+  Alcotest.(check bool) "committed value kept" true
+    (Epalloc.obj_bit a' Chunk.Val8 ~obj:v);
+  Alcotest.(check int) "uncommitted value's slot severed" 0
+    (Leaf.p_value pool ~leaf:severed);
+  let owned = ref [] in
+  Epalloc.iter_owned a' (fun ~leaf -> owned := leaf :: !owned);
+  Alcotest.(check (list int)) "the other slot owns it" [ owner ] !owned;
+  Alcotest.(check (pair int bool)) "handed out as an owner" (owner, true)
+    (Epalloc.epmalloc_leaf a');
+  Alcotest.(check int) "p_value kept" v (Leaf.p_value pool ~leaf:owner);
+  Alcotest.(check (pair int bool)) "then the severed slot, owning nothing"
+    (severed, false) (Epalloc.epmalloc_leaf a')
 
 (* Allocator model check: random alloc/commit/free/recycle/crash
    sequences against a simple set model. *)
@@ -786,7 +807,7 @@ let setup_update_scenario () =
 
 let recovered_value pool =
   let h = Hart.recover pool in
-  Hart.check_integrity ~allow_recovered_orphans:true h;
+  Hart.check_integrity h;
   Alcotest.(check (option string)) "bystander untouched" (Some "bb")
     (Hart.search h "bystander");
   Hart.search h "target"
@@ -995,7 +1016,7 @@ let test_rlog_recovery_head_unlink () =
   Pmem.disarm_crash pool;
   if not !crashed then Pmem.crash pool;
   let h' = Hart.recover pool in
-  Hart.check_integrity ~allow_recovered_orphans:true h';
+  Hart.check_integrity h';
   (* whatever the crash point, surviving keys are exactly the committed
      ones and further deletion works *)
   let keys = ref [] in
@@ -1180,8 +1201,29 @@ let test_hart_stats () =
      + hist.Hart_core.Hart_stats.n48
      + hist.Hart_core.Hart_stats.n256
     > 0);
+  Alcotest.(check int) "no owned values" 0 s.Hart_core.Hart_stats.owned_values;
   (* the renderer shouldn't raise *)
-  ignore (Format.asprintf "%a" Hart_core.Hart_stats.pp s : string)
+  ignore (Format.asprintf "%a" Hart_core.Hart_stats.pp s : string);
+  (* deleted keys' slots own their values, which stay committed, until
+     inserts take the slots over (the active chunk's lowest free slots:
+     st0460-st0479's) *)
+  for i = 460 to 479 do
+    assert (Hart.delete h (Printf.sprintf "st%04d" i))
+  done;
+  let s = Hart_core.Hart_stats.collect h in
+  Alcotest.(check int) "owned values after 20 deletes" 20
+    s.Hart_core.Hart_stats.owned_values;
+  Alcotest.(check int) "val8 objects include them" 499
+    s.Hart_core.Hart_stats.val8_class.Hart_core.Hart_stats.live_objects;
+  for i = 0 to 19 do
+    Hart.insert h ~key:(Printf.sprintf "su%04d" i) ~value:"seven77"
+  done;
+  let s = Hart_core.Hart_stats.collect h in
+  Alcotest.(check int) "owned values after 20 refills" 0
+    s.Hart_core.Hart_stats.owned_values;
+  Alcotest.(check int) "val8 objects unchanged" 499
+    s.Hart_core.Hart_stats.val8_class.Hart_core.Hart_stats.live_objects;
+  Hart.check_integrity h
 
 let test_hart_memory_accounting () =
   let h, pool = fresh_hart () in
@@ -1225,7 +1267,16 @@ let test_hart_persists_per_op () =
      its slot's line *)
   Alcotest.(check int) "update: flushes" 5 d.Meter.flushes;
   let d = cost (fun () -> Hart.insert h ~key:"pc0010" ~value:"v") in
-  Alcotest.(check int) "insert: persist calls" 4 d.Meter.persist_calls
+  Alcotest.(check int) "insert: persist calls" 4 d.Meter.persist_calls;
+  (* the freed slot owns its value: the delete persists the leaf bit
+     only, and the next insert takes the value over in place *)
+  let d = cost (fun () -> assert (Hart.delete h "pc0010")) in
+  Alcotest.(check int) "delete: persist calls" 1 d.Meter.persist_calls;
+  let d = cost (fun () -> Hart.insert h ~key:"pc0011" ~value:"w") in
+  Alcotest.(check int) "insert into an owning slot: persist calls" 3
+    d.Meter.persist_calls;
+  Alcotest.(check int) "no owning slot left" 0
+    (Hart_core.Hart_stats.collect h).owned_values
 
 (* PM reads per op. Every object read charges each line it covers
    once, so a search hit costs two PM reads (leaf, value object) when
@@ -1286,12 +1337,16 @@ let test_hart_reads_per_op () =
 (* The write path reads no chunk header on PM: allocation, bit commits,
    frees and recycling's emptiness test use the bitmap mirror, and each
    header store is computed from it. What PM reads remain are the
-   leaf's value pointer (update, delete) and the Algorithm-2 repair
-   check of the fresh leaf slot (insert). Each op reads 4 mirror words
-   and writes 2; the other DRAM reads are the directory probe and the
-   ART descent (7 for update and delete, 5 for insert). An update's
-   fourth mirror read is the recycling test of the old value its log
-   slot held, so the measured update follows one that filled the slot. *)
+   leaf's value pointer, read by an update and by an insert that takes
+   over an owning slot; a fresh insert and a delete read none. An update
+   and a fresh insert read 4 mirror words and write 2, a delete reads 2
+   (its bit, its chunk's recycling test) and writes 1, a take-over reads
+   2 and writes 1 (its leaf's chunk only: the value keeps its bit). The
+   other DRAM reads are the directory probe and the ART descent (7 for
+   the update, 5 for the inserts, 3 for deleting rd0200, the only key
+   under "rd02"). An update's fourth mirror read is
+   the recycling test of the old value its log slot held, so the
+   measured update follows one that filled the slot. *)
 let test_hart_write_path_reads () =
   let h, pool = fresh_hart () in
   for i = 0 to 199 do
@@ -1304,21 +1359,24 @@ let test_hart_write_path_reads () =
     f ();
     Meter.diff before (Meter.counters meter)
   in
-  let check what d ~pm_reads ~flushes ~dram_reads =
+  let check what d ~pm_reads ~flushes ~dram_reads ~dram_writes =
     Alcotest.(check int) (what ^ ": pm reads") pm_reads d.Meter.pm_reads;
     Alcotest.(check int) (what ^ ": flushes") flushes d.Meter.flushes;
     Alcotest.(check int) (what ^ ": dram reads") dram_reads d.Meter.dram_reads;
-    Alcotest.(check int) (what ^ ": dram writes") 2 d.Meter.dram_writes
+    Alcotest.(check int) (what ^ ": dram writes") dram_writes d.Meter.dram_writes
   in
   check "update"
     (cost (fun () -> assert (Hart.update h ~key:"rd0043" ~value:"w")))
-    ~pm_reads:1 ~flushes:5 ~dram_reads:(7 + 4);
+    ~pm_reads:1 ~flushes:5 ~dram_reads:(7 + 4) ~dram_writes:2;
   check "insert"
     (cost (fun () -> Hart.insert h ~key:"rd0200" ~value:"v200"))
-    ~pm_reads:1 ~flushes:4 ~dram_reads:(5 + 4);
+    ~pm_reads:0 ~flushes:4 ~dram_reads:(5 + 4) ~dram_writes:2;
   check "delete"
-    (cost (fun () -> assert (Hart.delete h "rd0044")))
-    ~pm_reads:1 ~flushes:3 ~dram_reads:(7 + 4);
+    (cost (fun () -> assert (Hart.delete h "rd0200")))
+    ~pm_reads:0 ~flushes:1 ~dram_reads:(3 + 2) ~dram_writes:1;
+  check "insert into the owning slot"
+    (cost (fun () -> Hart.insert h ~key:"rd0201" ~value:"v201"))
+    ~pm_reads:1 ~flushes:3 ~dram_reads:(5 + 2) ~dram_writes:1;
   Hart.check_integrity h
 
 (* A cold workload touches exactly the lines field-by-field reads
@@ -1347,9 +1405,10 @@ let test_hart_cold_read_misses () =
   Alcotest.(check int) "pm read misses" 1994 d.Meter.pm_read_misses;
   Alcotest.(check int) "pm reads" 10538 d.Meter.pm_reads;
   (* 31504 for recovery's rebuild and the searches' directory probes
-     and ART descents, plus one mirror word per validated leaf: 1600
-     search hits and 1600 scanned keys *)
-  Alcotest.(check int) "dram reads" 34704 d.Meter.dram_reads
+     and ART descents, plus one mirror word per validated leaf (1600
+     search hits and 1600 scanned keys) and one per owning free slot,
+     whose value's bit attach's sweep tests (400 deleted keys) *)
+  Alcotest.(check int) "dram reads" 35104 d.Meter.dram_reads
 
 (* ------------------------------------------------------------------ *)
 (* HART vs model                                                       *)
@@ -1425,7 +1484,7 @@ let qcheck_hart_recovery =
       ignore (run_hart_ops h model ops : bool);
       Pmem.crash pool;
       let h' = Hart.recover pool in
-      Hart.check_integrity ~allow_recovered_orphans:true h';
+      Hart.check_integrity h';
       Hart.count h' = SMap.cardinal !model
       && SMap.for_all (fun k v -> Hart.search h' k = Some v) !model)
 
@@ -1458,7 +1517,7 @@ let test_insert_crash_sweep () =
         (fun () -> Hart.insert h ~key:"victim-key" ~value:"victim!")
         (fun () ->
           let h' = Hart.recover pool in
-          Hart.check_integrity ~allow_recovered_orphans:true h';
+          Hart.check_integrity h';
           Alcotest.(check (option string)) "preexist1 survives" (Some "A")
             (Hart.search h' "preexist1");
           Alcotest.(check (option string)) "preexist2 survives" (Some "B")
@@ -1489,7 +1548,7 @@ let test_update_crash_sweep () =
         (fun () -> ignore (Hart.update h ~key:"target" ~value:"NEW"))
         (fun () ->
           let h' = Hart.recover pool in
-          Hart.check_integrity ~allow_recovered_orphans:true h';
+          Hart.check_integrity h';
           Alcotest.(check (option string)) "stable survives" (Some "S")
             (Hart.search h' "stable");
           (match Hart.search h' "target" with
@@ -1519,7 +1578,7 @@ let test_delete_crash_sweep () =
         (fun () -> ignore (Hart.delete h "victim"))
         (fun () ->
           let h' = Hart.recover pool in
-          Hart.check_integrity ~allow_recovered_orphans:true h';
+          Hart.check_integrity h';
           Alcotest.(check (option string)) "other key survives" (Some "K")
             (Hart.search h' "keepme");
           (match Hart.search h' "victim" with
@@ -1538,19 +1597,25 @@ let test_recycle_crash_sweep () =
      crash over the entire run including the unlink windows at the end *)
   let total_keys = 60 in
   let completed_flushes =
-    (* dry run to learn the flush count of the whole deletion phase *)
+    (* dry run to learn the flush count of the whole deletion phase, and
+       that it recycles both leaf chunks and both value chunks *)
     let h, pool = fresh_hart () in
     for i = 0 to total_keys - 1 do
       Hart.insert h ~key:(Printf.sprintf "rc%04d" i) ~value:"v"
     done;
+    let chunks () =
+      let a = Hart.alloc h in
+      (Epalloc.chunk_count a Chunk.Leaf_c, Epalloc.chunk_count a Chunk.Val8)
+    in
+    Alcotest.(check (pair int int)) "two leaf and two value chunks" (2, 2) (chunks ());
     let c0 = (Meter.counters (Pmem.meter pool)).Meter.flushes in
     for i = 0 to total_keys - 1 do
       ignore (Hart.delete h (Printf.sprintf "rc%04d" i))
     done;
+    Alcotest.(check (pair int int)) "deletion phase recycles all four" (0, 0)
+      (chunks ());
     (Meter.counters (Pmem.meter pool)).Meter.flushes - c0
   in
-  Alcotest.(check bool) "deletion phase flushes enough to recycle" true
-    (completed_flushes > 3 * total_keys);
   (* sweep, concentrating on every flush of the last few deletions where
      the chunks empty and unlink *)
   let points =
@@ -1573,7 +1638,7 @@ let test_recycle_crash_sweep () =
        with Pmem.Crash_injected -> crashed := true);
       if !crashed then begin
         let h' = Hart.recover pool in
-        Hart.check_integrity ~allow_recovered_orphans:true h';
+        Hart.check_integrity h';
         (* deletions are not atomic as a batch, but every surviving key
            must be intact and the store must drain cleanly afterwards *)
         let survivors = ref [] in
@@ -1616,7 +1681,7 @@ let qcheck_crash_anywhere =
          Pmem.disarm_crash pool
        with Pmem.Crash_injected -> ());
       let h' = Hart.recover pool in
-      Hart.check_integrity ~allow_recovered_orphans:true h';
+      Hart.check_integrity h';
       (* every op completed before the crash must be durable; the one
          in-flight op may have landed either way, so compare against the
          committed-prefix model modulo one key *)
@@ -1701,7 +1766,7 @@ let test_crash_during_recovery () =
       recovered := Some (Hart.recover pool)
   | Some _ -> ());
   let h' = Option.get !recovered in
-  Hart.check_integrity ~allow_recovered_orphans:true h';
+  Hart.check_integrity h';
   Alcotest.(check int) "all records present" 200 (Hart.count h');
   (match Hart.search h' "cr0100" with
   | Some "v" | Some "NEW" -> ()
@@ -1728,7 +1793,7 @@ let test_eviction_does_not_break_protocol () =
   done;
   Pmem.crash pool;
   let h' = Hart.recover pool in
-  Hart.check_integrity ~allow_recovered_orphans:true h';
+  Hart.check_integrity h';
   Alcotest.(check int) "all committed data back" (SMap.cardinal !model)
     (Hart.count h');
   SMap.iter
@@ -1816,13 +1881,13 @@ let dump_hart h =
    clone of the same durable image. *)
 let check_parallel_equiv ?(domain_counts = [ 1; 2; 3; 4 ]) pool =
   let serial = Hart.recover (Pmem.clone pool) in
-  Hart.check_integrity ~allow_recovered_orphans:true serial;
+  Hart.check_integrity serial;
   let s_dump = dump_hart serial in
   let s_stats = Hart_core.Hart_stats.collect serial in
   List.iter
     (fun d ->
       let par = Hart.recover_parallel ~domains:d (Pmem.clone pool) in
-      Hart.check_integrity ~allow_recovered_orphans:true par;
+      Hart.check_integrity par;
       Alcotest.(check int)
         (Printf.sprintf "count at %d domain(s)" d)
         (Hart.count serial) (Hart.count par);
@@ -2102,39 +2167,47 @@ let crash_matrix ~build ~f ~check =
            Alcotest.failf "nested crash %d.%d.%d never fired" k m q
          with Pmem.Crash_injected -> ());
         let h3 = Hart.recover p2 in
-        Hart.check_integrity ~allow_recovered_orphans:true h3;
+        Hart.check_integrity h3;
         check h3
       done;
       let h2 = Hart.recover mid in
-      Hart.check_integrity ~allow_recovered_orphans:true h2;
+      Hart.check_integrity h2;
       check h2
     done;
     let h1 = Hart.recover outer in
-    Hart.check_integrity ~allow_recovered_orphans:true h1;
+    Hart.check_integrity h1;
     check h1
   done;
   total
 
 let test_delete_crash_matrix () =
   (* the richest Algorithm 5 instance: deleting the last key of a prefix
-     empties its leaf chunk AND its value chunk (both recycled via the
-     Algorithm 6 log) and removes the empty ART from the directory *)
+     removes the empty ART from the directory *)
   let build () =
     let h, pool = fresh_hart () in
     Hart.insert h ~key:"XXonly-key" ~value:"last value";
     Hart.insert h ~key:"YYbystander" ~value:"B";
     (h, pool)
   in
+  (* the deleted key's slot then owns its value until the next insert
+     takes the slot over; a value of another class frees it, which
+     empties and recycles its value chunk *)
   let total =
     crash_matrix ~build
-      ~f:(fun h -> ignore (Hart.delete h "XXonly-key"))
+      ~f:(fun h ->
+        ignore (Hart.delete h "XXonly-key");
+        Hart.insert h ~key:"XXnext" ~value:"n")
       ~check:(fun h' ->
         Alcotest.(check (option string)) "bystander survives" (Some "B")
           (Hart.search h' "YYbystander");
         (match Hart.search h' "XXonly-key" with
         | None | Some "last value" -> ()
         | Some v -> Alcotest.failf "victim neither absent nor intact: %S" v);
+        (match Hart.search h' "XXnext" with
+        | None | Some "n" -> ()
+        | Some v -> Alcotest.failf "successor neither absent nor intact: %S" v);
         (* drain and reuse: the half-recycled chunks must stay usable *)
+        ignore (Hart.delete h' "XXnext");
         ignore (Hart.delete h' "XXonly-key");
         Hart.insert h' ~key:"XXonly-key" ~value:"again";
         Hart.check_integrity h')
@@ -2415,6 +2488,9 @@ let populate_hart ?checksums () =
 
 let test_fsck_clean_store () =
   let h, pool, model = populate_hart () in
+  (* the 14 deleted keys' slots own their values: no finding *)
+  let owned h = (Hart_core.Hart_stats.collect h).owned_values in
+  Alcotest.(check int) "owning slots" 14 (owned h);
   Alcotest.(check int) "no quarantines" 0 (List.length (Hart.quarantines h));
   Alcotest.(check int) "fsck clean" 0 (List.length (Hart.fsck h));
   Alcotest.(check int) "scrub clean" 0 (List.length (Hart.scrub h));
@@ -2422,9 +2498,10 @@ let test_fsck_clean_store () =
   let h' = Hart.recover ~quarantine:true pool in
   Alcotest.(check int) "recovery quarantines nothing" 0
     (List.length (Hart.quarantines h'));
+  Alcotest.(check int) "owning slots after a quarantining recovery" 14 (owned h');
   Alcotest.(check int) "fsck clean after recovery" 0
     (List.length (Hart.fsck h'));
-  Hart.check_integrity ~allow_recovered_orphans:true h';
+  Hart.check_integrity h';
   Alcotest.(check int) "count intact" (SMap.cardinal model) (Hart.count h')
 
 let test_checksummed_roundtrip () =
@@ -2437,7 +2514,7 @@ let test_checksummed_roundtrip () =
   Alcotest.(check bool) "pool self-describes" true (Hart.checksums h');
   Alcotest.(check (list (pair string string)))
     "bindings survive reboot" (SMap.bindings model) (dump_hart h');
-  Hart.check_integrity ~allow_recovered_orphans:true h';
+  Hart.check_integrity h';
   Alcotest.(check int) "deep fsck clean after reboot" 0
     (List.length (Hart.fsck ~deep:true h'));
   Pmem.crash pool;
@@ -2532,7 +2609,7 @@ let test_unrepairable_leaf_quarantined () =
   (* fsck heals the pool: the excised leaf's value object is reclaimed,
      its lines resealed, and a second pass finds nothing left to do *)
   ignore (Hart.fsck h');
-  Hart.check_integrity ~allow_recovered_orphans:true h';
+  Hart.check_integrity h';
   Alcotest.(check int) "fsck converges" 0 (List.length (Hart.fsck h'));
   Alcotest.(check (list int))
     "media scrub clean after fsck" []
@@ -2685,7 +2762,7 @@ let qcheck_media_fsck_partition =
               QCheck.Test.fail_reportf
                 "%d keys lost but nothing quarantined or detected"
                 (List.length lost);
-            Hart.check_integrity ~allow_recovered_orphans:true h;
+            Hart.check_integrity h;
             true
           with
           | Hart_error.Error _ | Pmem.Media_poisoned _ ->

@@ -148,12 +148,12 @@ let schedule_space_pin () =
         (Printf.sprintf "%s: nested schedules" name)
         nested r.Fault.nested_schedules)
     [
-      ("update-log", 66, 66, 97);
-      ("stale-ulog", 47, 47, 64);
-      ("delete-recycle", 66, 66, 73);
-      ("mixed-dense", 71, 71, 77);
-      ("chunk-unlink", 27, 27, 36);
-      ("split-chain", 155, 155, 124);
+      ("update-log", 63, 63, 70);
+      ("stale-ulog", 46, 46, 34);
+      ("delete-recycle", 61, 61, 35);
+      ("mixed-dense", 61, 61, 48);
+      ("chunk-unlink", 189, 189, 4806);
+      ("split-chain", 151, 151, 47);
     ]
 
 let oracle_semantics () =
@@ -867,16 +867,16 @@ let mt_counter_pin () =
       ( "mt-default",
         Fault_mt.default_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 48); ("schedules", 48);
-          ("nested", 76); ("recovery-flushes", 76); ("max-in-flight", 2);
-          ("multi-in-flight", 29); ("contended", 6); ("checkpoints", 0);
+          ("ops", 12); ("flush-boundaries", 41); ("schedules", 41);
+          ("nested", 48); ("recovery-flushes", 48); ("max-in-flight", 2);
+          ("multi-in-flight", 25); ("contended", 5); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
       ( "mt-collide",
         Fault_mt.collide_workload ~domains:2 ~ops_per_domain:6,
         [
           ("ops", 12); ("flush-boundaries", 53); ("schedules", 53);
-          ("nested", 89); ("recovery-flushes", 89); ("max-in-flight", 2);
+          ("nested", 77); ("recovery-flushes", 77); ("max-in-flight", 2);
           ("multi-in-flight", 22); ("contended", 21); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
@@ -895,7 +895,7 @@ let srv_counters r =
     ("violations", List.length r.Fault.violations);
   ]
 
-(* seed 11 at the CLI's 28 requests per client: the 141 + 73 boundaries
+(* seed 11 at the CLI's 28 requests per client: the 136 + 70 boundaries
    the server DST gate sweeps, clean and torn *)
 let srv_counter_pin () =
   let setup, scripts =
@@ -906,16 +906,16 @@ let srv_counter_pin () =
   in
   let default_pin =
     [
-      ("ops", 56); ("flush-boundaries", 141); ("schedules", 141);
-      ("recovery-flushes", 273); ("max-in-flight", 2);
-      ("multi-in-flight", 64); ("acked", 2435); ("dropped-sessions", 0);
+      ("ops", 56); ("flush-boundaries", 136); ("schedules", 136);
+      ("recovery-flushes", 200); ("max-in-flight", 2);
+      ("multi-in-flight", 40); ("acked", 2405); ("dropped-sessions", 0);
       ("violations", 0);
     ]
   and drop_pin =
     [
-      ("ops", 56); ("flush-boundaries", 73); ("schedules", 73);
-      ("recovery-flushes", 103); ("max-in-flight", 1);
-      ("multi-in-flight", 0); ("acked", 593); ("dropped-sessions", 73);
+      ("ops", 56); ("flush-boundaries", 70); ("schedules", 70);
+      ("recovery-flushes", 86); ("max-in-flight", 1);
+      ("multi-in-flight", 0); ("acked", 592); ("dropped-sessions", 70);
       ("violations", 0);
     ]
   in
@@ -947,11 +947,11 @@ let srv_counter_pin () =
 
 module Epalloc = Hart_core.Epalloc
 
-let with_injected_bug f =
-  Epalloc.unsafe_no_reservation_hold := true;
-  Fun.protect
-    ~finally:(fun () -> Epalloc.unsafe_no_reservation_hold := false)
-    f
+let with_mutation m f =
+  Epalloc.unsafe_mutation := Some m;
+  Fun.protect ~finally:(fun () -> Epalloc.unsafe_mutation := None) f
+
+let with_injected_bug f = with_mutation Epalloc.No_reservation_hold f
 
 (* Does this (seed, workload) violate under deterministic replay? *)
 let mt_violates ~seed ~setup scripts =
@@ -1009,20 +1009,31 @@ let mt_shrink_regression () =
                 (still ());
               Alcotest.(check bool) "deterministically so" true (still ())))
 
-(* The known-minimal shape of the PR 3 bug: one domain durably frees a
-   value object while a durable reference still names it (here the
-   deleted key's free leaf slot), and the other domain's update
-   reallocates the just-freed slot; crashing before the reference is
-   severed makes recovery free the new owner's value. The deleting
-   domain comes first because an update's first flush, and so its first
-   yield, follows its epmalloc: the free must happen before the update
-   starts. From these coordinates the shrinker must reproduce a <= 3-op
-   reproducer. *)
+(* The known-minimal shape of a free-before-overwrite bug in the
+   ownership rule: one domain's insert takes over a deleted key's slot
+   with a value of another class, so it frees the slot's owned value
+   while the slot's durable p_value still names it, and the other
+   domain's update reallocates that value; crashing before the insert's
+   leaf store overwrites the pointer makes recovery's sweep hand the
+   slot ownership of a value a live key names. The setup makes the
+   inserting domain's first flushes its value write and the free, so
+   the free can precede the update's allocation. From these
+   coordinates the shrinker must reproduce a <= 3-op reproducer. *)
 let mt_shrink_minimal_shape () =
   with_injected_bug (fun () ->
-      let setup = [ Fault.Insert ("aa00", "v0"); Fault.Insert ("bb00", "v1") ] in
+      let setup =
+        [
+          Fault.Insert ("aa00", "v0");
+          Fault.Insert ("bb00", "v1");
+          Fault.Insert ("dd00", String.make 20 'd');
+          Fault.Delete "bb00";
+        ]
+      in
       let scripts =
-        [| [ Fault.Delete "bb00" ]; [ Fault.Update ("aa00", "u0") ] |]
+        [|
+          [ Fault.Insert ("cc00", String.make 20 'c') ];
+          [ Fault.Update ("aa00", "u0") ];
+        |]
       in
       let seed =
         List.find_opt
@@ -1030,7 +1041,7 @@ let mt_shrink_minimal_shape () =
           (List.init 16 (fun i -> Int64.of_int (i + 1)))
       in
       match seed with
-      | None -> Alcotest.fail "minimal free-before-sever shape did not violate"
+      | None -> Alcotest.fail "minimal free-before-overwrite shape did not violate"
       | Some seed -> (
           match Fault_mt.shrink ~seed ~setup scripts with
           | None -> Alcotest.fail "shrinker lost the violation"
@@ -1046,6 +1057,125 @@ let mt_no_violation_when_fixed () =
   let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:6 in
   Alcotest.(check bool) "fixed allocator passes the same sweep" false
     (mt_violates ~seed:1L ~setup scripts)
+
+(* Each mutation of the ownership rule alone must fail HART's
+   single-domain crash sweep of a built-in workload: owning a value
+   whose bit is clear at attach (mixed-dense's inserts crash between
+   the leaf store and the value's bit), an insert overwriting an owning
+   slot's pointer (mixed-dense re-inserts into deleted keys' slots), a
+   leaf chunk unlinked before its owned values' resets are durable
+   (delete-recycle drains its chunk), and a kept record's POldV not held
+   (stale-ulog re-allocates its class into the record's leaf). *)
+let sweep_violates name =
+  let name, setup, ops = find name in
+  match Fault.explore ~keep_going:true ~setup ~workload:name Fault.hart ops with
+  | r -> r.Fault.violations <> []
+  | exception Fault.Violation _ -> true
+  | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+  | exception _ -> true
+
+let ownership_mutations_caught () =
+  List.iter
+    (fun (m, what, workload) ->
+      Alcotest.(check bool) "clean sweep passes" false (sweep_violates workload);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s fails the %s sweep" what workload)
+        true
+        (with_mutation m (fun () -> sweep_violates workload)))
+    [
+      (Epalloc.Own_uncommitted, "owning an uncommitted value", "mixed-dense");
+      (Epalloc.Ignore_owned, "ignoring the owned mark", "mixed-dense");
+      (Epalloc.Unlink_before_reset, "unlinking before the resets", "delete-recycle");
+      (Epalloc.No_reservation_hold, "not holding POldV", "stale-ulog");
+    ]
+
+(* A recycle of a leaf chunk whose only slot owns a value is abandoned
+   when the other domain reserves a slot of the chunk between the value
+   reset and the unlink; the taken slot must then be severed before the
+   value's hold ends, or the second insert, given that value, leaves a
+   free slot naming its committed value. Seeds 3 and 6 reach the
+   abandon path. *)
+let abandon_explore ~seed ~setup scripts =
+  let before = Epalloc.recycles_abandoned () in
+  let r =
+    Fault_mt.explore ~keep_going:true ~seed ~domains:(Array.length scripts)
+      ~workload:"recycle-abandon" ~setup scripts
+  in
+  (List.length r.Fault.violations, Epalloc.recycles_abandoned () - before)
+
+let recycle_abandon_sweep () =
+  let setup = [ Fault.Insert ("aa00", "v") ] in
+  let scripts =
+    [| [ Fault.Delete "aa00" ]; [ Fault.Insert ("bb00", "w"); Fault.Insert ("cc00", "x") ] |]
+  in
+  for seed = 1 to 8 do
+    let violations, abandons = abandon_explore ~seed:(Int64.of_int seed) ~setup scripts in
+    Alcotest.(check int) (Printf.sprintf "seed %d: violations" seed) 0 violations;
+    if seed = 3 || seed = 6 then
+      Alcotest.(check bool) (Printf.sprintf "seed %d: recycle abandoned" seed) true (abandons > 0)
+  done
+
+(* The abandon path's order, sever then end the holds, under a schedule
+   that puts an allocation of the freed value between the two: 55 Val16
+   keys and one Val8 key fill the first leaf chunk, so "aa00" is alone in
+   the second one while its Val8 value shares a chunk that stays linked.
+   The first domain deletes "aa00", the second reserves a slot of its
+   leaf chunk (abandoning the recycle) and the third takes the value,
+   committed, before the sever is durable — at seed 7. Ending the holds
+   first must fail that sweep. *)
+let abandon_sever_before_holds_end () =
+  let setup =
+    List.init 55 (fun i -> Fault.Insert (Printf.sprintf "k%02d0" i, "sixteen-4"))
+    @ [ Fault.Insert ("zz00", "x"); Fault.Insert ("aa00", "v") ]
+  in
+  let inserts p = List.init 2 (fun i -> Fault.Insert (Printf.sprintf "%s%d00" p i, "w")) in
+  let scripts = [| [ Fault.Delete "aa00" ]; inserts "b"; inserts "c" |] in
+  let violations, abandons = abandon_explore ~seed:7L ~setup scripts in
+  Alcotest.(check int) "violations" 0 violations;
+  Alcotest.(check bool) "recycle abandoned" true (abandons > 0);
+  let violations, _ =
+    with_mutation Epalloc.Release_before_sever (fun () ->
+        abandon_explore ~seed:7L ~setup scripts)
+  in
+  Alcotest.(check bool) "ending the holds before the sever is caught" true (violations > 0)
+
+(* A slot another domain commits and deletes while a recycle of its leaf
+   chunk is in flight owns its value once the recycle is abandoned, and
+   that delete's own recycle gave up on the abandoned one's
+   reservations: the abandoned recycle must try again, or the chunk and
+   the value stay allocated with no key left. Runs the two domains to
+   completion (no crash) under the deterministic scheduler; seed 65
+   reaches the abandon path with the second key already deleted. *)
+let abandon_retries_recycle () =
+  let module Sched = Hart_async.Scheduler in
+  let module Hart_mt = Hart_core.Hart_mt in
+  let module Chunk = Hart_core.Chunk in
+  let abandoned = ref [] in
+  for seed = 1 to 200 do
+    let pool = Pmem.create ~capacity:(1 lsl 20) (Hart_pmem.Meter.create Hart_pmem.Latency.c300_100) in
+    let t = Hart_mt.create pool in
+    Hart_mt.insert t ~key:"aa00" ~value:"v";
+    let before = Epalloc.recycles_abandoned () in
+    let sim = Sched.Sim.create ~rng:(Hart_util.Rng.create (Int64.of_int seed)) () in
+    ignore (Sched.Sim.spawn sim (fun () -> ignore (Hart_mt.delete t "aa00" : bool)) : int);
+    ignore
+      (Sched.Sim.spawn sim (fun () ->
+           Hart_mt.insert t ~key:"bb00" ~value:"w";
+           ignore (Hart_mt.delete t "bb00" : bool))
+        : int);
+    Sched.install_sched_hook ();
+    Fun.protect ~finally:Sched.uninstall_sched_hook (fun () -> Sched.Sim.run sim);
+    if Epalloc.recycles_abandoned () > before then abandoned := seed :: !abandoned;
+    let alloc = Hart_core.Hart.alloc (Hart_mt.underlying t) in
+    List.iter
+      (fun cls ->
+        Alcotest.(check int)
+          (Format.asprintf "seed %d: %a chunks left" seed Chunk.pp_cls cls)
+          0
+          (Epalloc.chunk_count alloc cls))
+      Chunk.all_classes
+  done;
+  Alcotest.(check bool) "seed 65 abandons a recycle" true (List.mem 65 !abandoned)
 
 (* The server sweep must catch real durability bugs end to end: the
    same injected allocator bug, observed through RESP sessions instead
@@ -1220,5 +1350,16 @@ let () =
             srv_no_violation_when_fixed;
           Alcotest.test_case "seed-11 counter pin, clean and torn" `Quick
             srv_counter_pin;
+        ] );
+      ( "ownership",
+        [
+          Alcotest.test_case "each mutation fails a crash sweep" `Quick
+            ownership_mutations_caught;
+          Alcotest.test_case "recycle abandoned by a concurrent insert" `Quick
+            recycle_abandon_sweep;
+          Alcotest.test_case "abandoned recycle severs before the holds end" `Quick
+            abandon_sever_before_holds_end;
+          Alcotest.test_case "abandoned recycle retried once the chunk drains" `Quick
+            abandon_retries_recycle;
         ] );
     ]

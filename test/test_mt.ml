@@ -623,7 +623,7 @@ module Toy_log = struct
   let dram_bytes _ = 0
   let pm_bytes t = 8 + (log_len t * rec_size)
 
-  let check_integrity ~recovered:_ t =
+  let check_integrity t =
     let n = log_len t in
     if n < 0 || n > max_recs then failwith "toy: count out of range";
     for i = 0 to n - 1 do

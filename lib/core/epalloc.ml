@@ -242,25 +242,45 @@ let store_bits t e bits =
   Meter.access t.meter Dram ~addr:e.addr ~write:true;
   Chunk.write_header t.pool ~chunk:e.chunk bits
 
+(* The spare rule. Plain allocation never takes a value chunk's last
+   free slot: only an update whose old value sits in the chunk may
+   ([epmalloc_update]), so its new value shares the old one's header and
+   both bits commit with one store. The old slot's hold ends at its log
+   slot's next record, which gives the spare back. Leaf chunks keep no
+   spare. *)
+let keeps_spare = function Chunk.Leaf_c -> false | Val8 | Val16 | Val32 -> true
+
+(* [e]'s slots neither committed nor reserved *)
+let free_mask e = lnot (e.bits lor e.reserved) land full_mask
+
+(* Stripe lock held, [e]'s mirror word just touched: whether plain
+   allocation may take one of its slots. *)
+let plain_room cls e =
+  let free = free_mask e in
+  if keeps_spare cls then free land (free - 1) <> 0 else free <> 0
+
 (* The per-operation lock sections below lock and unlock inline rather
    than through [with_lock], so the commit path allocates no closure. *)
-let mark_avail t id chunk =
-  let mu = t.class_mu.(id) in
+let mark_avail t cls chunk =
+  let mu = t.class_mu.(cls_id cls) in
   Hart_util.Sched_hook.lock mu;
-  Hashtbl.replace t.avail.(id) chunk ();
+  Hashtbl.replace t.avail.(cls_id cls) chunk ();
   Mutex.unlock mu
 
 (* Under the stripe lock, store [e]'s bitmap with [set] raised and
-   [clear] dropped, then update the reservations: [hold] reserves the
-   cleared bits, otherwise the set bits stop being reserved. *)
-let commit_bits t e ~set ~clear ~hold =
+   [clear] dropped, then update the reservations: the set bits stop
+   being reserved and, with [hold], the cleared ones become reserved.
+   Cleared bits not held go back to the avail cache if plain allocation
+   may now use the chunk. *)
+let commit_bits t cls e ~set ~clear ~hold =
   let mu = t.chunk_mu.(stripe_of e.chunk) in
   Hart_util.Sched_hook.lock mu;
   match store_bits t e ((read_bits t e lor set) land lnot clear) with
   | () ->
-      e.reserved <-
-        (if hold then e.reserved lor clear else e.reserved land lnot set);
-      Mutex.unlock mu
+      e.reserved <- e.reserved land lnot set lor (if hold then clear else 0);
+      let freed = clear <> 0 && (not hold) && plain_room cls e in
+      Mutex.unlock mu;
+      if freed then mark_avail t cls e.chunk
   | exception ex ->
       Mutex.unlock mu;
       raise ex
@@ -406,11 +426,14 @@ let free_slot occupied =
   let free = lnot occupied land full_mask in
   if free = 0 then None else Some (Bits.ctz free)
 
+let value_objs_per_chunk = Chunk.objs_per_chunk - 1
+
 (* Test-only mutations of the protocols DESIGN.md §6 items 1-3 argue.
    Each reinstates one bug that the crash explorers must catch; the
    fault tests set one at a time. Never set outside tests. *)
 type mutation =
   | No_reservation_hold
+  | P_value_before_bits
   | Own_uncommitted
   | Ignore_owned
   | Unlink_before_reset
@@ -439,8 +462,8 @@ let no_slot = -1
    re-allocated to another class — since the caller last saw it fails
    the check and is skipped. The owned mark is tested in the same
    locked section and mirror access, so a fresh slot costs nothing
-   extra. *)
-let try_reserve t cls chunk =
+   extra. Only [~spare:true] may take a value chunk's last free slot. *)
+let try_reserve ?(spare = false) t cls chunk =
   if chunk = 0 then no_slot
   else begin
     let mu = t.chunk_mu.(stripe_of chunk) in
@@ -449,14 +472,18 @@ let try_reserve t cls chunk =
       match Registry.find (Atomic.get t.registry.(cls_id cls)) chunk with
       | exception Not_found -> no_slot
       | e -> (
-          match free_slot (read_bits t e lor e.reserved) with
-          | None -> no_slot
-          | Some idx ->
+          let occupied = read_bits t e lor e.reserved in
+          match free_slot occupied with
+          | Some idx
+            when spare
+                 || (not (keeps_spare cls))
+                 || occupied lor (1 lsl idx) <> full_mask ->
               let bit = 1 lsl idx in
               let owns = e.owned land bit <> 0 in
               e.reserved <- e.reserved lor bit;
               e.owned <- e.owned land lnot bit;
-              (Chunk.obj_off cls ~chunk ~idx lsl 1) lor Bool.to_int owns)
+              (Chunk.obj_off cls ~chunk ~idx lsl 1) lor Bool.to_int owns
+          | Some _ | None -> no_slot)
     in
     Mutex.unlock mu;
     r
@@ -473,11 +500,14 @@ let reserve t cls =
     with_lock t.class_mu.(id) (fun () ->
         (* The volatile available-chunk cache replaces Algorithm 2's PM
            list walk (lines 1-7): it is complete — every slot release
-           re-adds its chunk — so a miss here means no chunk has a free
-           slot. The paper's walk re-scans every full chunk once the
-           head fills, which is quadratic over a large store; caching
-           which chunks have room is exactly the kind of DRAM
-           acceleration EPallocator exists for (§III-A.4). *)
+           that leaves the chunk room for plain allocation re-adds it —
+           so a miss here means no chunk has room. A value chunk down
+           to its spare is not re-added, so such chunks cost the scan
+           nothing past the one visit that drops them. The paper's walk
+           re-scans every full chunk once the head fills, which is
+           quadratic over a large store; caching which chunks have room
+           is exactly the kind of DRAM acceleration EPallocator exists
+           for (§III-A.4). *)
         let stale = ref [] in
         let got = ref no_slot in
         (try
@@ -520,19 +550,26 @@ let epmalloc_leaf t =
   let r = reserve t Chunk.Leaf_c in
   (r lsr 1, r land 1 = 1)
 
+let epmalloc_update t cls ~old =
+  let r =
+    match entry_of_obj t cls old with
+    | e -> try_reserve ~spare:true t cls e.chunk
+    | exception Not_found -> no_slot
+  in
+  if r <> no_slot then r lsr 1 else epmalloc t cls
+
 (* ------------------------------------------------------------------ *)
 (* Bit commitment                                                      *)
 
+let obj_mask cls e obj = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj
+
 let set_obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
-  let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
-  commit_bits t e ~set:bit ~clear:0 ~hold:false
+  commit_bits t cls e ~set:(obj_mask cls e obj) ~clear:0 ~hold:false
 
 let reset_obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
-  let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
-  commit_bits t e ~set:0 ~clear:bit ~hold:false;
-  mark_avail t (cls_id cls) e.chunk
+  commit_bits t cls e ~set:0 ~clear:(obj_mask cls e obj) ~hold:false
 
 (* Durably free the object but keep its slot reserved while a durable
    reference (a free leaf slot's p_value, an update record's POldV)
@@ -543,21 +580,43 @@ let reset_obj_bit t cls ~obj =
    later release stays safe (unreserving an unreserved slot is a
    no-op). *)
 let reset_obj_bit_hold t cls ~obj =
-  if mutated No_reservation_hold then reset_obj_bit t cls ~obj
-  else
-    let e = entry_of_obj t cls obj in
-    let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
-    commit_bits t e ~set:0 ~clear:bit ~hold:true
+  let e = entry_of_obj t cls obj in
+  commit_bits t cls e ~set:0 ~clear:(obj_mask cls e obj)
+    ~hold:(not (mutated No_reservation_hold))
+
+(* Set [obj]'s bit and reset [old]'s with a hold: one header store when
+   they share a chunk, otherwise [obj]'s header first. Under
+   [No_reservation_hold] the reset holds nothing, as in
+   [reset_obj_bit_hold]. *)
+let commit_update t cls ~obj ~old =
+  let e = entry_of_obj t cls obj in
+  let set = obj_mask cls e obj in
+  let hold = not (mutated No_reservation_hold) in
+  match value_entry t old with
+  | Some (ocls, oe) when oe == e ->
+      commit_bits t cls e ~set ~clear:(obj_mask ocls oe old) ~hold;
+      true
+  | Some (ocls, oe) ->
+      commit_bits t cls e ~set ~clear:0 ~hold:false;
+      commit_bits t ocls oe ~set:0 ~clear:(obj_mask ocls oe old) ~hold;
+      true
+  | None ->
+      commit_bits t cls e ~set ~clear:0 ~hold:false;
+      false
 
 let obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
-  read_bits t e land (1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj) <> 0
+  read_bits t e land obj_mask cls e obj <> 0
 
 let cancel_reservation t cls ~obj =
   let e = entry_of_obj t cls obj in
-  let bit = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj in
-  with_stripe t e.chunk (fun () -> e.reserved <- e.reserved land lnot bit);
-  mark_avail t (cls_id cls) e.chunk
+  let bit = obj_mask cls e obj in
+  let mu = t.chunk_mu.(stripe_of e.chunk) in
+  Hart_util.Sched_hook.lock mu;
+  e.reserved <- e.reserved land lnot bit;
+  let room = plain_room cls e in
+  Mutex.unlock mu;
+  if room then mark_avail t cls e.chunk
 
 let leaf_bit e ~leaf = 1 lsl Chunk.idx_of_obj Chunk.Leaf_c ~chunk:e.chunk ~obj:leaf
 
@@ -687,7 +746,7 @@ and recycle_owning t e owners =
     if mutated Release_before_sever then end_holds ();
     List.iter (fun leaf -> Leaf.set_p_value t.pool ~leaf 0) !leaves;
     with_stripe t chunk (fun () -> e.reserved <- e.reserved land lnot owners);
-    mark_avail t (cls_id Chunk.Leaf_c) chunk;
+    mark_avail t Chunk.Leaf_c chunk;
     if not (mutated Release_before_sever) then end_holds ();
     (* a slot another domain committed and deleted meanwhile owns its
        value now, and its free_leaf's recycle gave up on our
@@ -714,7 +773,7 @@ let free_leaf t ~leaf =
   | exception ex ->
       Mutex.unlock mu;
       raise ex);
-  mark_avail t (cls_id Chunk.Leaf_c) e.chunk;
+  mark_avail t Chunk.Leaf_c e.chunk;
   eprecycle t Chunk.Leaf_c ~chunk:e.chunk
 
 (* ------------------------------------------------------------------ *)
@@ -756,11 +815,12 @@ let committed_leaf t obj =
 (* A completed update keeps its record, and its POldV stays reserved
    while the record is durable (and again from here on, if kept). So
    POldV was never reallocated, and a committed PLeaf still pointing at
-   it proves the update in flight. A PLeaf pointing at PNewV proves the
-   update past its leaf store, whose PNewV bit was persisted first. Any
-   other PLeaf belongs to a later epoch: the record is stale. Keeping a
-   record writes nothing, so recovering a quiescent image is
-   flush-free. *)
+   it proves the update in flight, whether or not its bits were
+   committed: the redo's set is idempotent and its reset is guarded by
+   the bit. A PLeaf pointing at PNewV proves the update past its leaf
+   store, which follows both bit commits. Any other PLeaf belongs to a
+   later epoch: the record is stale. Keeping a record writes nothing, so
+   recovering a quiescent image is flush-free. *)
 let recover_update_log t ~slot =
   let logs = t.logs in
   let pleaf = Microlog.Update.pleaf logs ~slot in
@@ -776,13 +836,14 @@ let recover_update_log t ~slot =
       let bit = 1 lsl Chunk.idx_of_obj vcls ~chunk:e.chunk ~obj:poldv in
       with_stripe t e.chunk (fun () ->
           let bits = read_bits t e in
-          (* the crash hit between Algorithm 3 lines 9 and 10 *)
+          (* only an image written when the old bit was reset after
+             the leaf store can have crashed in between *)
           if p_value = pnewv && bits land bit <> 0 then store_bits t e (bits land lnot bit);
           e.reserved <- e.reserved lor bit);
       Microlog.Update.release logs ~slot ~held:poldv
   | _ ->
       if p_value <> 0 && p_value = poldv then begin
-        (* the crash hit between Algorithm 3 lines 7 and 10: replay them *)
+        (* the crash hit before the leaf store: replay from the bits *)
         (match class_of_value_obj t pnewv with
         | Some vcls -> set_obj_bit t vcls ~obj:pnewv
         | None -> ());
@@ -862,8 +923,9 @@ let attach ?(bad_lines = []) ?report pool =
           (* the header read that rebuilds the mirror also feeds the
              avail cache *)
           let bits = Int64.to_int (Chunk.bitmap pool ~chunk) in
-          walked := new_entry t id chunk ~bits ~prev :: !walked;
-          if bits <> full_mask then Hashtbl.replace t.avail.(id) chunk ();
+          let e = new_entry t id chunk ~bits ~prev in
+          walked := e :: !walked;
+          if plain_room cls e then Hashtbl.replace t.avail.(id) chunk ();
           Chunk.pnext pool ~chunk
         with
         | next -> walk ~prev:chunk next
@@ -1016,6 +1078,16 @@ let live_objects t cls =
   let n = ref 0 in
   iter_chunks t cls (fun chunk ->
       n := !n + Bits.popcount (Chunk.bitmap t.pool ~chunk));
+  !n
+
+let spares t cls =
+  let n = ref 0 in
+  if keeps_spare cls then
+    Registry.iter_live
+      (fun e ->
+        let free = free_mask e in
+        if free <> 0 && free land (free - 1) = 0 then incr n)
+      (Atomic.get t.registry.(cls_id cls));
   !n
 
 let iter_live_objs t cls f =

@@ -123,12 +123,25 @@ val free_slot : int -> int option
     or [None] if all 56 are taken: the slot {!epmalloc} hands out.
     Constant time (a trailing-zero count). *)
 
+val value_objs_per_chunk : int
+(** 55: the objects {!epmalloc} hands out of one value chunk. It never
+    takes a value chunk's last free slot, the {e spare}: only
+    {!epmalloc_update} may, so an update's new value can share the old
+    one's chunk and header. The old slot's hold ends at its log slot's
+    next record, which gives the spare back. Leaf chunks keep no spare. *)
+
 val epmalloc : t -> Chunk.cls -> int
 (** Algorithm 2: return the offset of a free value object, reserving it
-    (volatile) against concurrent hand-out. The object's bit is {e not}
-    set.
+    (volatile) against concurrent hand-out, never a chunk's spare. The
+    object's bit is {e not} set.
     @raise Invalid_argument for [Leaf_c]: a leaf slot may own a value,
     so leaves come only from {!epmalloc_leaf}. *)
+
+val epmalloc_update : t -> Chunk.cls -> old:int -> int
+(** The new value object of an update whose current value is [old]: a
+    free slot of [old]'s chunk, the spare included, when [old] is of
+    class [cls]; otherwise, or if that chunk has no free slot,
+    {!epmalloc}. Reserved like {!epmalloc}'s. *)
 
 val epmalloc_leaf : t -> int * bool
 (** Algorithm 2 for a leaf slot, reserved like {!epmalloc}'s, and whether the slot owns the value its
@@ -160,6 +173,13 @@ val reset_obj_bit_hold : t -> Chunk.cls -> obj:int -> unit
     update record's POldV, a free leaf slot's [p_value]). Release with
     {!release_hold}. Same PM traffic as {!reset_obj_bit}. *)
 
+val commit_update : t -> Chunk.cls -> obj:int -> old:int -> bool
+(** An update's bit commit: set [obj]'s bit and reset [old]'s, holding
+    [old] as {!reset_obj_bit_hold} does. When the two share a chunk
+    both change in one header store and persist; otherwise [obj]'s
+    header is persisted first. Returns whether [old] is a value object
+    (held); if not, only [obj]'s bit is set. *)
+
 val obj_bit : t -> Chunk.cls -> obj:int -> bool
 (** Whether the object is committed, read from the bitmap mirror (one
     DRAM access, no PM read). Lock-free. *)
@@ -169,9 +189,13 @@ val cancel_reservation : t -> Chunk.cls -> obj:int -> unit
 
 type mutation =
   | No_reservation_hold
-      (** {!reset_obj_bit_hold} degrades to {!reset_obj_bit}: a freed
-          value can be given to another key while a durable reference
-          still names it. *)
+      (** {!reset_obj_bit_hold} and {!commit_update} reset without a
+          hold: a freed value can be given to another key while a
+          durable reference still names it. *)
+  | P_value_before_bits
+      (** [Hart]'s update stores the leaf's [p_value] before
+          {!commit_update}: a crash in between leaves a key naming a
+          value whose bit is clear. *)
   | Own_uncommitted
       (** {!attach}'s sweep makes a free slot the owner of the value its
           [p_value] names even when that value's bit is clear. *)
@@ -184,8 +208,8 @@ type mutation =
   | Release_before_sever
       (** An abandoned leaf-chunk recycle ends its values' holds before
           it severs the slots that named them. *)
-(** Test-only fault injection into the ownership and hold protocols
-    (DESIGN.md §6 items 1–3): each reinstates one bug the crash
+(** Test-only fault injection into the ownership, hold and update
+    protocols (DESIGN.md §6 items 1–3): each reinstates one bug the crash
     explorers must catch. *)
 
 val unsafe_mutation : mutation option ref
@@ -259,6 +283,10 @@ val iter_chunks : t -> Chunk.cls -> (int -> unit) -> unit
 
 val live_objects : t -> Chunk.cls -> int
 (** Total set bits across the class's chunks. *)
+
+val spares : t -> Chunk.cls -> int
+(** Value chunks whose only free, unreserved slot is the kept spare
+    (see {!value_objs_per_chunk}); 0 for [Leaf_c]. Quiesced callers. *)
 
 val iter_live_objs : t -> Chunk.cls -> (obj:int -> unit) -> unit
 

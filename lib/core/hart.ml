@@ -99,34 +99,38 @@ let release_held_value alloc obj =
    log. [leaf] must be a committed leaf. The new value is persisted
    before the log record, and the record's three words are persisted
    together: a durable record therefore always names a durable value
-   (DESIGN.md §"deviations"). Five flushes: value, record, new bit,
-   p_value, old bit. *)
+   (DESIGN.md §"deviations"). Then both bits, then the leaf's p_value,
+   so a durable p_value = PNewV implies both bits are done. The new
+   value goes into the old value's chunk when it can (the chunk's spare,
+   if need be), and then both bits change in one header store: four
+   persists. A class change or a chunk with no free slot costs a second
+   header persist: five.
+
+   The old value is durably free once the bits are, but the record
+   stays on PM and its POldV still references it. Its slot is held
+   (volatile reservation) until the log slot's next record overwrites
+   this one: if it could be reallocated first and we then crashed,
+   recovery could take the new owner's leaf for this update in flight.
+   A durable record therefore proves its POldV was never reallocated
+   (DESIGN.md §6). *)
 let update_leaf t ~leaf value =
   let logs = Epalloc.logs t.alloc in
   let slot = Microlog.Update.acquire logs in
   let old_v = Leaf.p_value t.pool ~leaf in
   let vcls = Value_obj.cls_for value in
-  let new_v = Epalloc.epmalloc t.alloc vcls in
+  let new_v = Epalloc.epmalloc_update t.alloc vcls ~old:old_v in
   Value_obj.write ~crc:(checksums t) t.pool ~obj:new_v value;
   (* the record this one overwrites no longer names its POldV *)
   release_held_value t.alloc
     (Microlog.Update.record logs ~slot ~pleaf:leaf ~poldv:old_v ~pnewv:new_v);
-  Epalloc.set_obj_bit t.alloc vcls ~obj:new_v;
-  Leaf.set_p_value t.pool ~leaf new_v;
-  match Epalloc.class_of_value_obj t.alloc old_v with
-  | Some old_cls ->
-      (* The old value is durably free from here, but the record stays
-         on PM and its POldV still references it. Hold the value's
-         slot (volatile reservation) until the log slot's next record
-         overwrites this one: if it could be reallocated first and we then crashed,
-         recovery could take the new owner's leaf for this update in
-         flight. A durable record therefore proves its POldV was never
-         reallocated (DESIGN.md §6). *)
-      Epalloc.reset_obj_bit_hold t.alloc old_cls ~obj:old_v;
-      Microlog.Update.release logs ~slot ~held:old_v
-  | None ->
-      (* nothing to hold, so the record must not outlive the update *)
-      Microlog.Update.reclaim logs ~slot
+  let p_value_first = Epalloc.mutated P_value_before_bits in
+  if p_value_first then Leaf.set_p_value t.pool ~leaf new_v;
+  let held = Epalloc.commit_update t.alloc vcls ~obj:new_v ~old:old_v in
+  if not p_value_first then Leaf.set_p_value t.pool ~leaf new_v;
+  if held then Microlog.Update.release logs ~slot ~held:old_v
+  else
+    (* nothing to hold, so the record must not outlive the update *)
+    Microlog.Update.reclaim logs ~slot
 
 (* Algorithm 1. The value's bit is set only after the leaf's p_value is
    durable, so a crash never leaves a committed value that nothing names.

@@ -10,7 +10,8 @@
     - insertion — Algorithm 1 (leaf bit set last: the commit point);
     - allocation — Algorithm 2 (inside {!Epalloc.epmalloc});
     - update — Algorithm 3 (out-of-place, under the persistent update
-      log);
+      log; four persists when the new value takes a slot in the old
+      value's chunk, whose two bits then change in one header store);
     - search — Algorithm 4 (bitmap validation of the found leaf);
     - deletion — Algorithm 5 (the leaf bit reset, with one persist: the
       free slot owns its value until an insertion takes the slot over or

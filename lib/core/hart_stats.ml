@@ -18,6 +18,7 @@ type class_stats = {
   capacity : int;
   occupancy : float;
   bytes : int;
+  spares : int;
 }
 
 type t = {
@@ -50,6 +51,7 @@ let class_stats alloc cls =
     occupancy =
       (if capacity = 0 then 0. else float_of_int live_objects /. float_of_int capacity);
     bytes = chunks * Chunk.chunk_bytes cls;
+    spares = Epalloc.spares alloc cls;
   }
 
 let collect hart =
@@ -118,7 +120,8 @@ let collect hart =
 
 let pp_class ppf (label, (c : class_stats)) =
   Format.fprintf ppf "%-6s %5d chunks, %7d/%7d objects (%.0f%%), %9d bytes"
-    label c.chunks c.live_objects c.capacity (100. *. c.occupancy) c.bytes
+    label c.chunks c.live_objects c.capacity (100. *. c.occupancy) c.bytes;
+  if label <> "leaf" then Format.fprintf ppf ", spares %d" c.spares
 
 let pp_pools ppf (p : bitmap_pools) =
   Format.fprintf ppf "ART pools       ";

@@ -27,6 +27,9 @@ type class_stats = {
   capacity : int;  (** chunks × 56 *)
   occupancy : float;  (** live / capacity, 0 when empty *)
   bytes : int;  (** PM bytes held by the class's chunks *)
+  spares : int;
+      (** value chunks whose only free slot is the spare kept for
+          updates ({!Epalloc.value_objs_per_chunk}); 0 for leaves *)
 }
 
 type t = {

@@ -1063,10 +1063,11 @@ let mixed_dense_workload =
   ]
 
 let chunk_unlink_setup, chunk_unlink_workload =
-  (* three full 56-slot leaf chunks (and three value chunks), then drain
-     each chunk down to one key in setup; the measured phase performs the
+  (* three full 56-slot leaf chunks (and four value chunks: a value
+     chunk keeps its 56th slot as the update spare), then drain each leaf
+     chunk down to one key in setup; the measured phase performs the
      three deletes that trigger Algorithm 6's unlink at the middle, head
-     and tail positions of the chunk lists *)
+     and tail positions of the leaf chunk list *)
   let per = 56 in
   let prefixes = [ "ka"; "kb"; "kc" ] in
   let inserts =

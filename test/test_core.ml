@@ -286,8 +286,9 @@ let test_epalloc_class_of_value_obj () =
 
 let test_eprecycle_returns_space () =
   let a, pool = fresh_alloc () in
-  (* commit then free a full chunk's worth of values *)
-  let objs = List.init 56 (fun _ ->
+  (* commit then free a full chunk's worth of values: 55, the spare
+     left free *)
+  let objs = List.init Epalloc.value_objs_per_chunk (fun _ ->
       let o = Epalloc.epmalloc a Chunk.Val8 in
       Epalloc.set_obj_bit a Chunk.Val8 ~obj:o;
       o)
@@ -304,7 +305,7 @@ let test_eprecycle_returns_space () =
 let test_eprecycle_middle_of_list () =
   let a, _ = fresh_alloc () in
   (* build three chunks; empty the middle one *)
-  let objs = Array.init (3 * 56) (fun _ ->
+  let objs = Array.init (3 * Epalloc.value_objs_per_chunk) (fun _ ->
       let o = Epalloc.epmalloc a Chunk.Val8 in
       Epalloc.set_obj_bit a Chunk.Val8 ~obj:o;
       o)
@@ -333,7 +334,8 @@ let test_eprecycle_refuses_nonempty () =
 
 (* Registering a chunk costs the same at any registry size: a chunk
    above every registered one is written into spare cells in place. Each
-   group of 56 committed allocations registers one Val8 chunk. Over the
+   group of 55 committed allocations registers one Val8 chunk, whose
+   56th slot is the spare. Over the
    last 64 of 4160 registrations the median group allocates at most
    twice what it did over the first 64. The median, because the arrays
    double at powers of two and the 4097th registration pays for one
@@ -346,7 +348,7 @@ let test_epalloc_registration_cost () =
   let bytes = Array.make n 0. in
   for c = 0 to n - 1 do
     let before = Gc.allocated_bytes () in
-    for _ = 1 to Chunk.objs_per_chunk do
+    for _ = 1 to Epalloc.value_objs_per_chunk do
       let obj = Epalloc.epmalloc a Chunk.Val8 in
       Epalloc.set_obj_bit a Chunk.Val8 ~obj
     done;
@@ -374,14 +376,14 @@ let test_eprecycle_cost_independent_of_length () =
   let recycle_tail len =
     let a, pool = fresh_alloc () in
     let objs =
-      Array.init (len * Chunk.objs_per_chunk) (fun _ ->
+      Array.init (len * Epalloc.value_objs_per_chunk) (fun _ ->
           let o = Epalloc.epmalloc a Chunk.Val8 in
           Epalloc.set_obj_bit a Chunk.Val8 ~obj:o;
           o)
     in
     (* the list grows at its head, so the first chunk is its tail *)
     let tail = Epalloc.chunk_of_obj a Chunk.Val8 objs.(0) in
-    for i = 0 to Chunk.objs_per_chunk - 1 do
+    for i = 0 to Epalloc.value_objs_per_chunk - 1 do
       Epalloc.reset_obj_bit a Chunk.Val8 ~obj:objs.(i)
     done;
     let meter = Pmem.meter pool in
@@ -397,6 +399,51 @@ let test_eprecycle_cost_independent_of_length () =
   Alcotest.(check int) "pm reads" short.Meter.pm_reads long.Meter.pm_reads;
   Alcotest.(check int) "flushes, 10 chunks" 3 short.Meter.flushes;
   Alcotest.(check int) "flushes, 1000 chunks" 3 long.Meter.flushes
+
+(* The spare rule: plain allocation hands out 55 slots of a value chunk
+   and opens a new chunk rather than take the 56th. An update whose old
+   value sits in the chunk takes it, and both bits commit with one
+   header persist. The old slot is held, so the chunk has no free slot
+   (a second update there falls back to plain allocation) until the
+   hold ends and the old slot becomes the chunk's spare. *)
+let test_epalloc_spare_rule () =
+  let a, pool = fresh_alloc () in
+  let objs =
+    Array.init Epalloc.value_objs_per_chunk (fun _ ->
+        let o = Epalloc.epmalloc a Chunk.Val8 in
+        Epalloc.set_obj_bit a Chunk.Val8 ~obj:o;
+        o)
+  in
+  let chunk_of o = Epalloc.chunk_of_obj a Chunk.Val8 o in
+  let chunk = chunk_of objs.(0) in
+  Alcotest.(check int) "the chunk is down to its spare" 1 (Epalloc.spares a Chunk.Val8);
+  let plain = Epalloc.epmalloc a Chunk.Val8 in
+  Alcotest.(check bool) "plain allocation leaves the spare" true (chunk_of plain <> chunk);
+  Epalloc.cancel_reservation a Chunk.Val8 ~obj:plain;
+  let old = objs.(7) in
+  let fresh = Epalloc.epmalloc_update a Chunk.Val8 ~old in
+  Alcotest.(check int) "the update takes the spare" chunk (chunk_of fresh);
+  let before = Pmem.flush_count pool in
+  Alcotest.(check bool) "old is held" true
+    (Epalloc.commit_update a Chunk.Val8 ~obj:fresh ~old);
+  Alcotest.(check int) "both bits, one flush" 1 (Pmem.flush_count pool - before);
+  Alcotest.(check bool) "new bit set" true (Epalloc.obj_bit a Chunk.Val8 ~obj:fresh);
+  Alcotest.(check bool) "old bit clear" false (Epalloc.obj_bit a Chunk.Val8 ~obj:old);
+  Alcotest.(check int) "no spare while the old slot is held" 0
+    (Epalloc.spares a Chunk.Val8);
+  let other = Epalloc.epmalloc_update a Chunk.Val8 ~old:objs.(8) in
+  Alcotest.(check bool) "a second update falls back" true (chunk_of other <> chunk);
+  Epalloc.cancel_reservation a Chunk.Val8 ~obj:other;
+  let other16 = Epalloc.epmalloc_update a Chunk.Val16 ~old:objs.(8) in
+  Alcotest.(check bool) "a class change allocates in its class" true
+    (Epalloc.class_of_value_obj a other16 = Some Chunk.Val16);
+  Epalloc.cancel_reservation a Chunk.Val16 ~obj:other16;
+  Epalloc.release_hold a Chunk.Val8 ~obj:old;
+  Alcotest.(check int) "the hold's end gives the spare back" 1
+    (Epalloc.spares a Chunk.Val8);
+  Alcotest.(check int) "the next update takes it" old
+    (Epalloc.epmalloc_update a Chunk.Val8 ~old:objs.(8));
+  Epalloc.check_invariants a
 
 (* The slot [epmalloc] picks is the lowest zero of occupied | reserved,
    as a bit-by-bit scan finds it; masks come dense and sparse. *)
@@ -1247,13 +1294,16 @@ let test_hart_memory_accounting () =
 
 (* The persist budget of one quiesced operation (no chunk allocated or
    recycled): an update persists the new value, the one-line log record,
-   the new value's bit, the leaf's p_value and the old value's bit (the
-   record stays on PM, not reclaimed); an insert persists the value, the
+   both bits in one header store (the new value shares the old one's
+   chunk) and the leaf's p_value (the record stays on PM, not
+   reclaimed); one that changes the value's class commits the bits in
+   two chunks' headers, five persists. An insert persists the value, the
    leaf (p_value and key together), the value's bit and the leaf's bit. *)
 let test_hart_persists_per_op () =
   let h, pool = fresh_hart () in
   for i = 0 to 9 do
-    Hart.insert h ~key:(Printf.sprintf "pc%04d" i) ~value:"v"
+    Hart.insert h ~key:(Printf.sprintf "pc%04d" i)
+      ~value:(if i = 9 then "a 16-byte value" else "v")
   done;
   let meter = Pmem.meter pool in
   let cost f =
@@ -1262,10 +1312,14 @@ let test_hart_persists_per_op () =
     Meter.diff before (Meter.counters meter)
   in
   let d = cost (fun () -> assert (Hart.update h ~key:"pc0003" ~value:"w")) in
-  Alcotest.(check int) "update: persist calls" 5 d.Meter.persist_calls;
+  Alcotest.(check int) "update: persist calls" 4 d.Meter.persist_calls;
   (* 8-byte value objects never straddle a line, and the record fits in
      its slot's line *)
-  Alcotest.(check int) "update: flushes" 5 d.Meter.flushes;
+  Alcotest.(check int) "update: flushes" 4 d.Meter.flushes;
+  let d =
+    cost (fun () -> assert (Hart.update h ~key:"pc0004" ~value:"a 16-byte value"))
+  in
+  Alcotest.(check int) "class-changing update: persist calls" 5 d.Meter.persist_calls;
   let d = cost (fun () -> Hart.insert h ~key:"pc0010" ~value:"v") in
   Alcotest.(check int) "insert: persist calls" 4 d.Meter.persist_calls;
   (* the freed slot owns its value: the delete persists the leaf bit
@@ -1339,14 +1393,19 @@ let test_hart_reads_per_op () =
    header store is computed from it. What PM reads remain are the
    leaf's value pointer, read by an update and by an insert that takes
    over an owning slot; a fresh insert and a delete read none. An update
-   and a fresh insert read 4 mirror words and write 2, a delete reads 2
-   (its bit, its chunk's recycling test) and writes 1, a take-over reads
-   2 and writes 1 (its leaf's chunk only: the value keeps its bit). The
-   other DRAM reads are the directory probe and the ART descent (7 for
-   the update, 5 for the inserts, 3 for deleting rd0200, the only key
-   under "rd02"). An update's fourth mirror read is
-   the recycling test of the old value its log slot held, so the
-   measured update follows one that filled the slot. *)
+   whose new value shares the old one's chunk reads 3 mirror words (the
+   reservation, the bit commit, and the recycling test of the old value
+   its log slot held, so the measured update follows one that filled
+   the slot) and writes 1. The values of rd0000-rd0054 share a chunk,
+   and rd0042's update took its spare, so rd0043's update right after
+   finds no free slot there: it falls back to plain allocation (one
+   more mirror read) and commits in two headers (one more read and
+   write, one more flush). A fresh insert reads 4 mirror words and
+   writes 2, a delete reads 2 (its bit, its chunk's recycling test) and
+   writes 1, a take-over reads 2 and writes 1 (its leaf's chunk only:
+   the value keeps its bit). The other DRAM reads are the directory
+   probe and the ART descent (7 for the updates, 5 for the inserts, 3
+   for deleting rd0200, the only key under "rd02"). *)
 let test_hart_write_path_reads () =
   let h, pool = fresh_hart () in
   for i = 0 to 199 do
@@ -1365,9 +1424,12 @@ let test_hart_write_path_reads () =
     Alcotest.(check int) (what ^ ": dram reads") dram_reads d.Meter.dram_reads;
     Alcotest.(check int) (what ^ ": dram writes") dram_writes d.Meter.dram_writes
   in
-  check "update"
+  check "update, spare taken"
     (cost (fun () -> assert (Hart.update h ~key:"rd0043" ~value:"w")))
-    ~pm_reads:1 ~flushes:5 ~dram_reads:(7 + 4) ~dram_writes:2;
+    ~pm_reads:1 ~flushes:5 ~dram_reads:(7 + 5) ~dram_writes:2;
+  check "update"
+    (cost (fun () -> assert (Hart.update h ~key:"rd0100" ~value:"w")))
+    ~pm_reads:1 ~flushes:4 ~dram_reads:(7 + 3) ~dram_writes:1;
   check "insert"
     (cost (fun () -> Hart.insert h ~key:"rd0200" ~value:"v200"))
     ~pm_reads:0 ~flushes:4 ~dram_reads:(5 + 4) ~dram_writes:2;
@@ -1378,6 +1440,57 @@ let test_hart_write_path_reads () =
     (cost (fun () -> Hart.insert h ~key:"rd0201" ~value:"v201"))
     ~pm_reads:1 ~flushes:3 ~dram_reads:(5 + 2) ~dram_writes:1;
   Hart.check_integrity h
+
+(* After a preload, every full value chunk is down to its spare. An
+   update in the value's class takes the spare of its old value's chunk
+   and gives it back when the next record ends its hold; one right after
+   another update in the same chunk finds no free slot there and moves
+   its value to another chunk. So after random updates, with or without
+   class changes, no value chunk holds 56 values, and every chunk
+   holding 55 is down to its spare but at most one: the one whose spare
+   the last update took, held by its kept record. *)
+let test_hart_spares_after_updates () =
+  let h, pool = fresh_hart () in
+  let n = 2200 in
+  let key i = Printf.sprintf "sp%04d" i in
+  for i = 0 to n - 1 do
+    Hart.insert h ~key:(key i) ~value:(Printf.sprintf "v%d" (i mod 100))
+  done;
+  let s = Hart_core.Hart_stats.collect h in
+  Alcotest.(check int) "preload: chunks of 55" 40 s.val8_class.chunks;
+  Alcotest.(check int) "preload: each down to its spare" 40 s.val8_class.spares;
+  Alcotest.(check int) "leaf chunks keep no spare" 0 s.leaf_class.spares;
+  let alloc = Hart.alloc h in
+  let rng = Rng.create 5L in
+  let run ~class_changes =
+    for _ = 1 to 2000 do
+      let value =
+        if class_changes && Rng.int rng 10 = 0 then "a 16-byte value" else "u"
+      in
+      assert (Hart.update h ~key:(key (Rng.int rng n)) ~value)
+    done;
+    Hart.check_integrity h;
+    (* value chunks holding 55 values; none may hold 56 *)
+    let at_spare = ref 0 in
+    List.iter
+      (fun cls ->
+        Epalloc.iter_chunks alloc cls (fun chunk ->
+            let live = Hart_util.Bits.popcount (Chunk.bitmap pool ~chunk) in
+            if live = Chunk.objs_per_chunk then
+              Alcotest.failf "value chunk %d has all its bits set" chunk;
+            if live = Epalloc.value_objs_per_chunk then incr at_spare))
+      [ Chunk.Val8; Chunk.Val16 ];
+    let s = Hart_core.Hart_stats.collect h in
+    (!at_spare, s.val8_class.spares + s.val16_class.spares)
+  in
+  List.iter
+    (fun class_changes ->
+      let at_spare, spares = run ~class_changes in
+      if at_spare = 0 then Alcotest.fail "no value chunk holds 55 values";
+      if spares < at_spare - 1 then
+        Alcotest.failf "%d chunks hold 55 values, %d are down to their spare"
+          at_spare spares)
+    [ false; true ]
 
 (* A cold workload touches exactly the lines field-by-field reads
    touched: its miss count is the one those reads gave. *)
@@ -1402,8 +1515,8 @@ let test_hart_cold_read_misses () =
   Hart.range h ~lo:"cold" ~hi:"cold~" (fun _ _ -> incr n);
   let d = Meter.diff before (Meter.counters meter) in
   Alcotest.(check int) "keys scanned" 1600 !n;
-  Alcotest.(check int) "pm read misses" 1994 d.Meter.pm_read_misses;
-  Alcotest.(check int) "pm reads" 10538 d.Meter.pm_reads;
+  Alcotest.(check int) "pm read misses" 1984 d.Meter.pm_read_misses;
+  Alcotest.(check int) "pm reads" 10528 d.Meter.pm_reads;
   (* 31504 for recovery's rebuild and the searches' directory probes
      and ART descents, plus one mirror word per validated leaf (1600
      search hits and 1600 scanned keys) and one per owning free slot,
@@ -2810,6 +2923,8 @@ let () =
           Alcotest.test_case "leaf slot repair" `Quick test_epalloc_leaf_repair;
           QCheck_alcotest.to_alcotest qcheck_epalloc_model;
           QCheck_alcotest.to_alcotest qcheck_chunk_header_roundtrip;
+          Alcotest.test_case "only an update takes the spare" `Quick
+            test_epalloc_spare_rule;
         ] );
       ( "codecs",
         [
@@ -2860,6 +2975,8 @@ let () =
           Alcotest.test_case "cold read misses" `Quick test_hart_cold_read_misses;
           Alcotest.test_case "write-path pm reads" `Quick test_hart_write_path_reads;
           QCheck_alcotest.to_alcotest qcheck_hart_vs_map;
+          Alcotest.test_case "value chunks keep their spares" `Quick
+            test_hart_spares_after_updates;
         ] );
       ( "crash",
         [

@@ -148,12 +148,12 @@ let schedule_space_pin () =
         (Printf.sprintf "%s: nested schedules" name)
         nested r.Fault.nested_schedules)
     [
-      ("update-log", 63, 63, 70);
-      ("stale-ulog", 46, 46, 34);
+      ("update-log", 63, 63, 83);
+      ("stale-ulog", 44, 44, 32);
       ("delete-recycle", 61, 61, 35);
-      ("mixed-dense", 61, 61, 48);
-      ("chunk-unlink", 189, 189, 4806);
-      ("split-chain", 151, 151, 47);
+      ("mixed-dense", 59, 59, 46);
+      ("chunk-unlink", 192, 192, 4809);
+      ("split-chain", 150, 150, 45);
     ]
 
 let oracle_semantics () =
@@ -682,9 +682,11 @@ let mt_generated () =
 
 (* Checkpointed replay must check exactly what full re-execution checks:
    same flush census, same in-flight statistics, zero violations, and
-   snapshots must actually have been taken and used. *)
+   snapshots must actually have been taken and used. Eight ops per
+   domain give the dry run two quiescent points past 20 flushes with
+   crash points after them (four ops, 23 flushes, leave none). *)
 let mt_checkpoint_equivalence () =
-  let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:4 in
+  let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:8 in
   let plain =
     Fault_mt.explore ~seed:42L ~domains:2 ~workload:"mt-cp" ~setup scripts
   in
@@ -867,17 +869,17 @@ let mt_counter_pin () =
       ( "mt-default",
         Fault_mt.default_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 41); ("schedules", 41);
+          ("ops", 12); ("flush-boundaries", 39); ("schedules", 39);
           ("nested", 48); ("recovery-flushes", 48); ("max-in-flight", 2);
-          ("multi-in-flight", 25); ("contended", 5); ("checkpoints", 0);
+          ("multi-in-flight", 18); ("contended", 6); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
       ( "mt-collide",
         Fault_mt.collide_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 53); ("schedules", 53);
-          ("nested", 77); ("recovery-flushes", 77); ("max-in-flight", 2);
-          ("multi-in-flight", 22); ("contended", 21); ("checkpoints", 0);
+          ("ops", 12); ("flush-boundaries", 48); ("schedules", 48);
+          ("nested", 68); ("recovery-flushes", 68); ("max-in-flight", 2);
+          ("multi-in-flight", 25); ("contended", 12); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
     ]
@@ -895,7 +897,7 @@ let srv_counters r =
     ("violations", List.length r.Fault.violations);
   ]
 
-(* seed 11 at the CLI's 28 requests per client: the 136 + 70 boundaries
+(* seed 11 at the CLI's 28 requests per client: the 116 + 61 boundaries
    the server DST gate sweeps, clean and torn *)
 let srv_counter_pin () =
   let setup, scripts =
@@ -906,16 +908,16 @@ let srv_counter_pin () =
   in
   let default_pin =
     [
-      ("ops", 56); ("flush-boundaries", 136); ("schedules", 136);
-      ("recovery-flushes", 200); ("max-in-flight", 2);
-      ("multi-in-flight", 40); ("acked", 2405); ("dropped-sessions", 0);
+      ("ops", 56); ("flush-boundaries", 116); ("schedules", 116);
+      ("recovery-flushes", 156); ("max-in-flight", 2);
+      ("multi-in-flight", 46); ("acked", 1980); ("dropped-sessions", 0);
       ("violations", 0);
     ]
   and drop_pin =
     [
-      ("ops", 56); ("flush-boundaries", 70); ("schedules", 70);
-      ("recovery-flushes", 86); ("max-in-flight", 1);
-      ("multi-in-flight", 0); ("acked", 592); ("dropped-sessions", 70);
+      ("ops", 56); ("flush-boundaries", 61); ("schedules", 61);
+      ("recovery-flushes", 68); ("max-in-flight", 1);
+      ("multi-in-flight", 0); ("acked", 501); ("dropped-sessions", 61);
       ("violations", 0);
     ]
   in
@@ -1064,8 +1066,10 @@ let mt_no_violation_when_fixed () =
    the leaf store and the value's bit), an insert overwriting an owning
    slot's pointer (mixed-dense re-inserts into deleted keys' slots), a
    leaf chunk unlinked before its owned values' resets are durable
-   (delete-recycle drains its chunk), and a kept record's POldV not held
-   (stale-ulog re-allocates its class into the record's leaf). *)
+   (delete-recycle drains its chunk), a kept record's POldV not held
+   (stale-ulog re-allocates its class into the record's leaf), and an
+   update storing its leaf's p_value before the bits (a crash in between
+   leaves mixed-dense's updated key naming an uncommitted value). *)
 let sweep_violates name =
   let name, setup, ops = find name in
   match Fault.explore ~keep_going:true ~setup ~workload:name Fault.hart ops with
@@ -1087,6 +1091,7 @@ let ownership_mutations_caught () =
       (Epalloc.Ignore_owned, "ignoring the owned mark", "mixed-dense");
       (Epalloc.Unlink_before_reset, "unlinking before the resets", "delete-recycle");
       (Epalloc.No_reservation_hold, "not holding POldV", "stale-ulog");
+      (Epalloc.P_value_before_bits, "storing p_value before the bits", "mixed-dense");
     ]
 
 (* A recycle of a leaf chunk whose only slot owns a value is abandoned

@@ -336,7 +336,7 @@ let test_registry_readers_vs_churn () =
     obj
   in
   let fixed =
-    Array.init (4 * Chunk.objs_per_chunk) (fun i ->
+    Array.init (4 * Epalloc.value_objs_per_chunk) (fun i ->
         let cls = if i mod 2 = 0 then Chunk.Val8 else Chunk.Val16 in
         let obj = commit cls in
         (cls, obj, Epalloc.chunk_of_obj ep cls obj))
@@ -366,7 +366,8 @@ let test_registry_readers_vs_churn () =
     for _ = 1 to 300 do
       let objs =
         Array.init
-          ((1 + Rng.int rng 6) * Chunk.objs_per_chunk + Rng.int rng Chunk.objs_per_chunk)
+          ((1 + Rng.int rng 6) * Epalloc.value_objs_per_chunk
+          + Rng.int rng Epalloc.value_objs_per_chunk)
           (fun _ -> commit Chunk.Val8)
       in
       Rng.shuffle rng objs;

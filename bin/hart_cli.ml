@@ -281,7 +281,7 @@ let serve_cmd =
 (* fsck / scrub                                                        *)
 
 let finding_json (f : Hart_error.finding) =
-  let open Hart_harness.Report.Json in
+  let open Hart_util.Json in
   Obj
     [
       ("site", Str (Format.asprintf "%a" Hart_error.pp_site f.Hart_error.f_site));
@@ -293,7 +293,7 @@ let finding_json (f : Hart_error.finding) =
 
 let integrity_report ~tool ~db hart findings =
   let repaired, quarantined, detected = Hart_error.partition findings in
-  let open Hart_harness.Report.Json in
+  let open Hart_util.Json in
   Obj
     [
       ("tool", Str tool);
@@ -346,7 +346,7 @@ let integrity_cmd ~tool ~doc ~deep =
            (match json_out with
            | None -> ()
            | Some path ->
-               Hart_harness.Report.Json.write path
+               Hart_util.Json.write path
                  (integrity_report ~tool ~db hart findings));
            (* repairs were persisted into the pool as they were made;
               write the healed image back *)

@@ -7,20 +7,13 @@
 module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
-module Index_intf = Hart_baselines.Index_intf
+module Index_intf = Hart_core.Index_intf
+module Roster = Hart_baselines.Roster
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
 
 let preload_n = 10_000
 let n_ops = 20_000
-
-let make_index name pool =
-  match name with
-  | "HART" -> Hart_baselines.Hart_index.ops (Hart_core.Hart.create pool)
-  | "WOART" -> Hart_baselines.Woart.ops (Hart_baselines.Woart.create pool)
-  | "ART+CoW" -> Hart_baselines.Art_cow.ops (Hart_baselines.Art_cow.create pool)
-  | "FPTree" -> Hart_baselines.Fptree.ops (Hart_baselines.Fptree.create pool)
-  | _ -> assert false
 
 let () =
   let universe = Keygen.generate Keygen.Random (preload_n + n_ops) in
@@ -29,32 +22,28 @@ let () =
   Printf.printf
     "YCSB store: %d preloaded records, %d-op mixes, 300/300 ns PM, uniform\n\n"
     preload_n n_ops;
-  Printf.printf "%-22s %10s %10s %10s\n" "" "HART" "WOART+CoW" "FPTree";
+  Printf.printf "%-22s" "";
+  List.iter (fun e -> Printf.printf " %10s" e.Roster.label) Roster.paper;
+  print_newline ();
   List.iter
     (fun mix ->
-      let cells =
-        List.map
-          (fun name ->
-            let meter = Meter.create Latency.c300_300 in
-            let pool = Pmem.create meter in
-            let ops = make_index name pool in
-            Array.iteri
-              (fun i key -> ops.Index_intf.insert ~key ~value:(Keygen.value_for i))
-              preloaded;
-            let trace = Workload.ycsb mix ~preloaded ~fresh ~n_ops in
-            let t0 = Meter.sim_ns meter in
-            ignore (Workload.apply ops trace : int);
-            let kops =
-              float_of_int n_ops /. ((Meter.sim_ns meter -. t0) /. 1e9) /. 1e3
-            in
-            kops)
-          [ "HART"; "WOART"; "FPTree" ]
-      in
-      match cells with
-      | [ hart; woart; fptree ] ->
-          Printf.printf "%-22s %8.0fk %8.0fk %8.0fk  ops/s\n"
-            mix.Workload.mix_name hart woart fptree
-      | _ -> assert false)
+      Printf.printf "%-22s" mix.Workload.mix_name;
+      List.iter
+        (fun e ->
+          let meter = Meter.create Latency.c300_300 in
+          let ops = Roster.create e (Pmem.create meter) in
+          Array.iteri
+            (fun i key -> ops.Index_intf.insert ~key ~value:(Keygen.value_for i))
+            preloaded;
+          let trace = Workload.ycsb mix ~preloaded ~fresh ~n_ops in
+          let t0 = Meter.sim_ns meter in
+          ignore (Workload.apply ops trace : int);
+          let kops =
+            float_of_int n_ops /. ((Meter.sim_ns meter -. t0) /. 1e9) /. 1e3
+          in
+          Printf.printf " %9.0fk" kops)
+        Roster.paper;
+      print_endline "  ops/s")
     Workload.mixes;
   print_newline ();
   print_endline

@@ -30,8 +30,6 @@ val dram_bytes : t -> int
 (** 0: pure PM tree. *)
 
 val pm_bytes : t -> int
-val ops : t -> Index_intf.ops
-
 module S : Hart_core.Index_intf.S with type t = t
 (** Uniform index-signature conformance (shard metadata included), for
     [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

@@ -487,16 +487,3 @@ module S : Hart_core.Index_intf.S with type t = t = struct
            touch anything, so either path is safe for them *)
         in_range key && free_slot t (find_leaf t t.root key) = None
 end
-
-let ops t =
-  {
-    Index_intf.name = "FPTree";
-    insert = (fun ~key ~value -> insert t ~key ~value);
-    search = (fun k -> search t k);
-    update = (fun ~key ~value -> update t ~key ~value);
-    delete = (fun k -> delete t k);
-    range = (fun ~lo ~hi f -> range t ~lo ~hi f);
-    count = (fun () -> count t);
-    dram_bytes = (fun () -> dram_bytes t);
-    pm_bytes = (fun () -> pm_bytes t);
-  }

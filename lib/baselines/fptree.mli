@@ -55,8 +55,6 @@ val check_integrity : t -> unit
 (** Inner-node separators agree with leaf contents, chain is key-ordered,
     count matches live bits. Raises [Failure] on violation. *)
 
-val ops : t -> Index_intf.ops
-
 module S : Hart_core.Index_intf.S with type t = t
 (** Uniform index-signature conformance (shard metadata included), for
     [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

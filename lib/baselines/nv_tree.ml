@@ -361,19 +361,6 @@ let check_integrity t =
     t.leaves;
   if !seen <> t.count then fail "count %d but %d live bindings" t.count !seen
 
-let ops t =
-  {
-    Index_intf.name = "NV-Tree";
-    insert = (fun ~key ~value -> insert t ~key ~value);
-    search = (fun k -> search t k);
-    update = (fun ~key ~value -> update t ~key ~value);
-    delete = (fun k -> delete t k);
-    range = (fun ~lo ~hi f -> range t ~lo ~hi f);
-    count = (fun () -> count t);
-    dram_bytes = (fun () -> dram_bytes t);
-    pm_bytes = (fun () -> pm_bytes t);
-  }
-
 (* Index_intf.S conformance, conservative: this baseline has no
    concurrency story in the paper, so it declares a single shard
    (stripe 0) and classifies every mutation as a restructure — the

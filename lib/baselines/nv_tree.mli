@@ -44,8 +44,6 @@ val rebuild_count : t -> int
 val dram_bytes : t -> int
 val pm_bytes : t -> int
 val check_integrity : t -> unit
-val ops : t -> Index_intf.ops
-
 module S : Hart_core.Index_intf.S with type t = t
 (** Uniform index-signature conformance (shard metadata included), for
     [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

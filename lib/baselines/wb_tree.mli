@@ -50,8 +50,6 @@ val check_integrity : t -> unit
 (** Volatile/durable correspondence (bitmaps, entries, next chain) plus
     the sorted-chain and routing invariants. *)
 
-val ops : t -> Index_intf.ops
-
 module S : Hart_core.Index_intf.S with type t = t
 (** Uniform index-signature conformance (shard metadata included), for
     [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

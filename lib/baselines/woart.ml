@@ -167,16 +167,3 @@ module S : Hart_core.Index_intf.S with type t = t = struct
     | `Delete -> true
     | `Insert -> Art.find t.art key = None (* new key: node + registry slot *)
 end
-
-let ops t =
-  {
-    Index_intf.name = "WOART";
-    insert = (fun ~key ~value -> insert t ~key ~value);
-    search = (fun k -> search t k);
-    update = (fun ~key ~value -> update t ~key ~value);
-    delete = (fun k -> delete t k);
-    range = (fun ~lo ~hi f -> range t ~lo ~hi f);
-    count = (fun () -> count t);
-    dram_bytes = (fun () -> dram_bytes t);
-    pm_bytes = (fun () -> pm_bytes t);
-  }

@@ -403,19 +403,6 @@ let recover pool =
       link_leaf t ~key:(Hart_core.Leaf.key t.pool ~leaf) leaf);
   t
 
-let ops t =
-  {
-    Index_intf.name = "WORT";
-    insert = (fun ~key ~value -> insert t ~key ~value);
-    search = (fun k -> search t k);
-    update = (fun ~key ~value -> update t ~key ~value);
-    delete = (fun k -> delete t k);
-    range = (fun ~lo ~hi f -> range t ~lo ~hi f);
-    count = (fun () -> count t);
-    dram_bytes = (fun () -> dram_bytes t);
-    pm_bytes = (fun () -> pm_bytes t);
-  }
-
 (* Index_intf.S conformance. Like WOART, WORT's value updates are
    leaf-local out-of-place swaps ([Pm_value.update_leaf]: new object,
    8-byte pointer commit, old object freed, allocation serialised in the

@@ -45,8 +45,6 @@ val pm_bytes : t -> int
 val check_invariants : t -> unit
 (** Structural invariants plus exact tree/registry correspondence. *)
 
-val ops : t -> Index_intf.ops
-
 module S : Hart_core.Index_intf.S with type t = t
 (** Uniform index-signature conformance (shard metadata included), for
     [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

@@ -3,8 +3,9 @@
     Three views of one persistent index, in increasing strength:
 
     - {!ops} — a first-class record of closures over an already-built
-      instance, used by the benchmark harness to drive every §II index
-      through identical code paths;
+      instance ([Hart_baselines.Roster.ops] builds one from any {!S}),
+      used by the benchmark harness to drive every §II index through
+      identical code paths;
     - {!S} — the full single-threaded module signature, including the
       lifecycle ([create]/[recover]) and the concurrency metadata
       ({!S.stripe_of_key}, {!S.restructures}, {!S.volatile_domain_safe})

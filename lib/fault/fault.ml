@@ -2,15 +2,10 @@ module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
 module Rng = Hart_util.Rng
+module Json = Hart_util.Json
 module Hart = Hart_core.Hart
 module Hart_error = Hart_core.Hart_error
-module Fptree = Hart_baselines.Fptree
-module Wort = Hart_baselines.Wort
-module Woart = Hart_baselines.Woart
-module Art_cow = Hart_baselines.Art_cow
-module Nv_tree = Hart_baselines.Nv_tree
-module Wb_tree = Hart_baselines.Wb_tree
-module Cdds_btree = Hart_baselines.Cdds_btree
+module Roster = Hart_baselines.Roster
 module SMap = Map.Make (String)
 
 type op =
@@ -143,103 +138,51 @@ let hart_parallel_recovery ~domains =
              Hart.recover_parallel ~domains ~quarantine:true pool));
   }
 
-let fptree_instance pool t =
-  {
-    pool;
-    apply =
-      (function
-      | Insert (k, v) -> Fptree.insert t ~key:k ~value:v
-      | Update (k, v) -> ignore (Fptree.update t ~key:k ~value:v : bool)
-      | Delete k -> ignore (Fptree.delete t k : bool)
-      | Search k -> ignore (Fptree.search t k : string option));
-    check = (fun () -> Fptree.check_integrity t);
-    dump = (fun () -> sorted_dump (Fptree.iter t));
-  }
+module type INDEX = sig
+  type t
 
-let fptree =
+  val name : string
+  val create : Pmem.t -> t
+  val recover : Pmem.t -> t
+  val insert : t -> key:string -> value:string -> unit
+  val search : t -> string -> string option
+  val update : t -> key:string -> value:string -> bool
+  val delete : t -> string -> bool
+  val iter : t -> (string -> string -> unit) -> unit
+  val check_integrity : t -> unit
+end
+
+let of_index (module I : INDEX) =
+  let instance pool t =
+    {
+      pool;
+      apply =
+        (function
+        | Insert (k, v) -> I.insert t ~key:k ~value:v
+        | Update (k, v) -> ignore (I.update t ~key:k ~value:v : bool)
+        | Delete k -> ignore (I.delete t k : bool)
+        | Search k -> ignore (I.search t k : string option));
+      check = (fun () -> I.check_integrity t);
+      dump = (fun () -> sorted_dump (I.iter t));
+    }
+  in
   {
-    target_name = "fptree";
+    target_name = I.name;
     fresh =
       (fun () ->
         let pool = fresh_pool () in
-        fptree_instance pool (Fptree.create pool));
-    reattach = (fun pool -> fptree_instance pool (Fptree.recover pool));
+        instance pool (I.create pool));
+    reattach = (fun pool -> instance pool (I.recover pool));
     media_mount = None;
   }
 
-(* The six remaining baselines all expose the uniform ops record; only
-   the integrity check and the recover entry point differ. Their keys
-   are bounded at 24 bytes, so a 25-byte [0xff] run is above any key. *)
-let ops_instance pool (o : Hart_baselines.Index_intf.ops) check =
-  let hi = String.make 25 '\xff' in
-  {
-    pool;
-    apply =
-      (function
-      | Insert (k, v) -> o.insert ~key:k ~value:v
-      | Update (k, v) -> ignore (o.update ~key:k ~value:v : bool)
-      | Delete k -> ignore (o.delete k : bool)
-      | Search k -> ignore (o.search k : string option));
-    check;
-    dump = (fun () -> sorted_dump (fun f -> o.range ~lo:"\x00" ~hi f));
-  }
-
-let baseline_target name ~fresh ~reattach =
-  {
-    target_name = name;
-    fresh =
-      (fun () ->
-        let pool = fresh_pool () in
-        fresh pool);
-    reattach;
-    media_mount = None;
-  }
-
-let wort =
-  let inst pool t = ops_instance pool (Wort.ops t) (fun () -> Wort.check_invariants t) in
-  baseline_target "wort"
-    ~fresh:(fun pool -> inst pool (Wort.create pool))
-    ~reattach:(fun pool -> inst pool (Wort.recover pool))
-
-let woart =
-  let inst pool t = ops_instance pool (Woart.ops t) (fun () -> Woart.check_integrity t) in
-  baseline_target "woart"
-    ~fresh:(fun pool -> inst pool (Woart.create pool))
-    ~reattach:(fun pool -> inst pool (Woart.recover pool))
-
-let art_cow =
-  let inst pool t =
-    ops_instance pool (Art_cow.ops t) (fun () -> Art_cow.check_integrity t)
-  in
-  baseline_target "art-cow"
-    ~fresh:(fun pool -> inst pool (Art_cow.create pool))
-    ~reattach:(fun pool -> inst pool (Art_cow.recover pool))
-
-let nv_tree =
-  let inst pool t =
-    ops_instance pool (Nv_tree.ops t) (fun () -> Nv_tree.check_integrity t)
-  in
-  baseline_target "nv-tree"
-    ~fresh:(fun pool -> inst pool (Nv_tree.create pool))
-    ~reattach:(fun pool -> inst pool (Nv_tree.recover pool))
-
-let wb_tree =
-  let inst pool t =
-    ops_instance pool (Wb_tree.ops t) (fun () -> Wb_tree.check_integrity t)
-  in
-  baseline_target "wb-tree"
-    ~fresh:(fun pool -> inst pool (Wb_tree.create pool))
-    ~reattach:(fun pool -> inst pool (Wb_tree.recover pool))
-
-let cdds_btree =
-  let inst pool t =
-    ops_instance pool (Cdds_btree.ops t) (fun () -> Cdds_btree.check_integrity t)
-  in
-  baseline_target "cdds"
-    ~fresh:(fun pool -> inst pool (Cdds_btree.create pool))
-    ~reattach:(fun pool -> inst pool (Cdds_btree.recover pool))
-
-let all_targets = [ hart; fptree; wort; woart; art_cow; nv_tree; wb_tree; cdds_btree ]
+(* HART keeps its own target (quarantine check, media mount); every
+   other roster index is swept through its [S] module *)
+let all_targets =
+  List.map
+    (fun { Roster.index = (module I); _ } ->
+      if I.name = hart.target_name then hart else of_index (module I))
+    Roster.all
 
 (* the media sweep's roster: the crash-gate eight plus the checksummed
    HART variant, so both HART detection tiers (line ECC alone, line ECC
@@ -321,26 +264,12 @@ let pp_violation ppf v =
 let violation_message v = Format.asprintf "%a" pp_violation v
 
 (* machine-readable form, for CI diffing against an empty baseline *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let op_json op =
   let one tag k v =
-    Printf.sprintf {|{"op":"%s","key":"%s"%s}|} tag (json_escape k)
+    Printf.sprintf {|{"op":"%s","key":"%s"%s}|} tag (Json.escape k)
       (match v with
       | None -> ""
-      | Some v -> Printf.sprintf {|,"value":"%s"|} (json_escape v))
+      | Some v -> Printf.sprintf {|,"value":"%s"|} (Json.escape v))
   in
   match op with
   | Insert (k, v) -> one "insert" k (Some v)
@@ -362,9 +291,9 @@ let violation_json v =
   let repro = match v.v_repro with None -> "null" | Some r -> repro_json r in
   Printf.sprintf
     {|{"target":"%s","workload":"%s","mode":"%s","seed":%s,"schedule":%d,"nested":%s,"detail":"%s","repro":%s}|}
-    (json_escape v.v_target) (json_escape v.v_workload)
-    (json_escape (Format.asprintf "%a" pp_mode v.v_mode))
-    seed v.v_schedule nested (json_escape v.v_detail) repro
+    (Json.escape v.v_target) (Json.escape v.v_workload)
+    (Json.escape (Format.asprintf "%a" pp_mode v.v_mode))
+    seed v.v_schedule nested (Json.escape v.v_detail) repro
 
 let violation_list_json = function
   | [] -> "[]\n"
@@ -1357,14 +1286,14 @@ let media_count outcome r =
 
 let media_site_json s =
   Printf.sprintf {|{"site":%d,"fault":"%s","outcome":"%s","findings":%d}|}
-    s.site_index (json_escape s.site_fault)
+    s.site_index (Json.escape s.site_fault)
     (media_outcome_name s.site_outcome)
     s.site_findings
 
 let media_report_json r =
   Printf.sprintf
     {|{"target":"%s","workload":"%s","seed":%Ld,"sites":%d,"repaired":%d,"quarantined":%d,"detected":%d,"benign":%d,"site_list":[%s],"violations":%s}|}
-    (json_escape r.target) (json_escape r.workload)
+    (Json.escape r.target) (Json.escape r.workload)
     (Option.value r.seed ~default:0L)
     (List.length r.sites)
     (media_count Media_repaired r)

@@ -99,27 +99,35 @@ val hart_parallel_recovery : domains:int -> target
     and the schedule space matches [hart]'s — sweeping this target clean
     proves parallel recovery is crash-equivalent to serial. *)
 
-val fptree : target
-(** The FPTree baseline — same selective-persistence family, so it must
-    satisfy the same prefix-consistency oracle. *)
+(** What {!of_index} needs of an index: its lifecycle, the four
+    operations, a full [iter] for the oracle's dump and its integrity
+    check. Both {!Hart_core.Index_intf.S} and
+    {!Hart_core.Index_intf.MT} modules have this shape. *)
+module type INDEX = sig
+  type t
 
-val wort : target
+  val name : string
+  val create : Hart_pmem.Pmem.t -> t
+  val recover : Hart_pmem.Pmem.t -> t
+  val insert : t -> key:string -> value:string -> unit
+  val search : t -> string -> string option
+  val update : t -> key:string -> value:string -> bool
+  val delete : t -> string -> bool
+  val iter : t -> (string -> string -> unit) -> unit
+  val check_integrity : t -> unit
+end
 
-val woart : target
-
-val art_cow : target
-
-val nv_tree : target
-
-val wb_tree : target
-
-val cdds_btree : target
+val of_index : (module INDEX) -> target
+(** An explorer target named [I.name]: [fresh] builds on {!fresh_pool},
+    [reattach] is [I.recover], [check] is [I.check_integrity]; no media
+    mount. *)
 
 val all_targets : target list
-(** All eight indexes of the paper's §II comparison — HART, FPTree and
-    the six §II-C baselines ("wort", "woart", "art-cow", "nv-tree",
-    "wb-tree", "cdds") — each wired to its own [recover] entry point and
-    integrity check, all subject to the same prefix-consistency oracle. *)
+(** All eight indexes of the paper's §II comparison, one per
+    [Hart_baselines.Roster] entry and in its order: {!hart}, then every
+    other index through {!of_index} over its [S] module, so each is
+    wired to its own [recover] entry point and integrity check and
+    judged by the same prefix-consistency oracle. *)
 
 val media_targets : target list
 (** The media sweep's roster: {!all_targets} plus {!hart_checksummed},

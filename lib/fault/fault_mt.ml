@@ -58,38 +58,15 @@ module Scheduler = Hart_async.Scheduler
 module SMap = Map.Make (String)
 
 (* ------------------------------------------------------------------ *)
-(* Targets: any Index_intf.MT as a Fault.target                         *)
+(* Targets: every roster index with a striped front end                 *)
 
-let of_mt (module M : Index_intf.MT) =
-  let instance pool t =
-    {
-      Fault.pool;
-      apply =
-        (function
-        | Fault.Insert (k, v) -> M.insert t ~key:k ~value:v
-        | Fault.Update (k, v) -> ignore (M.update t ~key:k ~value:v : bool)
-        | Fault.Delete k -> ignore (M.delete t k : bool)
-        | Fault.Search k -> ignore (M.search t k : string option));
-      check = (fun () -> M.check_integrity t);
-      dump = (fun () -> Fault.sorted_dump (M.iter t));
-    }
-  in
-  {
-    Fault.target_name = M.name;
-    fresh =
-      (fun () ->
-        let pool = Fault.fresh_pool () in
-        instance pool (M.create pool));
-    reattach = (fun pool -> instance pool (M.recover pool));
-    media_mount = None;
-  }
+let hart_mt = Fault.of_index (module Hart_mt.M)
 
-let hart_mt = of_mt (module Hart_mt.M)
-let fptree_mt = of_mt (module Hart_baselines.Fptree_mt)
-let woart_mt = of_mt (module Hart_baselines.Woart_mt)
-let wort_mt = of_mt (module Hart_baselines.Wort_mt)
-let wb_tree_mt = of_mt (module Hart_baselines.Wb_tree_mt)
-let all_mt_targets = [ hart_mt; fptree_mt; woart_mt; wort_mt; wb_tree_mt ]
+let all_mt_targets =
+  List.filter_map
+    (fun { Hart_baselines.Roster.mt; _ } ->
+      Option.map (fun (module M : Index_intf.MT) -> Fault.of_index (module M)) mt)
+    Hart_baselines.Roster.all
 
 let find_mt_target name =
   List.find_opt (fun t -> t.Fault.target_name = name) all_mt_targets

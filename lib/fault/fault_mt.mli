@@ -30,31 +30,13 @@
     execution. This module is the executor; the sweep, the oracle and
     the report are {!Fault.sweep}'s. *)
 
-val of_mt : (module Hart_core.Index_intf.MT) -> Fault.target
-(** Package any [Striped_mt] instantiation as an explorer target: its
-    [reattach] is the index's [recover], its [check] is
-    [check_integrity]. *)
-
 val hart_mt : Fault.target
 (** [Hart_mt] — 512 hash-prefix stripes, all operations shard-local. *)
 
-val fptree_mt : Fault.target
-(** [Fptree_mt] — leaf-group stripes; splits run exclusively. *)
-
-val woart_mt : Fault.target
-(** [Woart_mt] — radix-prefix stripes; only value updates commute. *)
-
-val wort_mt : Fault.target
-(** [Wort_mt] — radix-prefix stripes over the WORT baseline; value
-    updates (and upserts onto existing keys) commute, structural
-    inserts and deletes serialize. *)
-
-val wb_tree_mt : Fault.target
-(** [Wb_tree_mt] — leaf stripes over the wB+-tree; deletes and
-    non-splitting inserts/updates are leaf-local and commute, a full
-    leaf splits exclusively. *)
-
 val all_mt_targets : Fault.target list
+(** {!Fault.of_index} over the [mt] front end of every
+    [Hart_baselines.Roster] entry that has one, in roster order: HART,
+    FPTree, WORT, WOART and the wB+-tree. *)
 
 val find_mt_target : string -> Fault.target option
 (** Look a concurrent target up by name ("hart", "fptree", "woart",

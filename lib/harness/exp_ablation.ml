@@ -11,19 +11,17 @@
 
 module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
-module Pmem = Hart_pmem.Pmem
 module Hart = Hart_core.Hart
-module Index_intf = Hart_baselines.Index_intf
+module Index_intf = Hart_core.Index_intf
+module Roster = Hart_baselines.Roster
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
 
 let default_records = 20_000
 
 let hart_instance ?kh ?internal_nodes () =
-  let meter = Meter.create ~llc_bytes:Runner.harness_llc_bytes Latency.c300_300 in
-  let pool = Pmem.create meter in
-  let ops = Hart_baselines.Hart_index.ops (Hart.create ?kh ?internal_nodes pool) in
-  { Runner.pool; meter; ops }
+  Runner.on_pool Latency.c300_300 (fun pool ->
+      Roster.ops (module Hart_core.Hart_mt.S) (Hart.create ?kh ?internal_nodes pool))
 
 let measure_ins_search inst keys =
   let ins = Runner.measure inst (Workload.insert_trace keys Keygen.value_for) in
@@ -80,14 +78,14 @@ let event_diagnostics ~scale =
                let inst = Runner.make tree Latency.c300_300 in
                if needs_preload then Runner.preload inst keys Keygen.value_for;
                let m = Runner.measure inst (mk_trace keys) in
-               ( Runner.tree_name tree,
+               ( tree.Roster.label,
                  [
                    per_op m m.Runner.counters.Meter.flushes;
                    per_op m m.Runner.counters.Meter.pm_read_misses;
                    per_op m m.Runner.counters.Meter.dram_read_misses;
                    per_op m m.Runner.counters.Meter.pm_allocs;
                  ] ))
-             Runner.all_trees))
+             Roster.paper))
     [
       ("insertion", (fun keys -> Workload.insert_trace keys Keygen.value_for), false);
       ("search", (fun keys -> Workload.search_trace keys), true);
@@ -127,6 +125,18 @@ let value_sizes ~scale =
            ("30-byte values (Val32)", fun i -> Printf.sprintf "wide-value-%018d" i);
          ])
 
+(* One row of the lineage tables: the four basic operations, us/op, on
+   a fresh instance of the named roster index. *)
+let lineage_row keys name =
+  let e = Roster.find name in
+  let inst = Runner.make e Latency.c300_300 in
+  let ins = Runner.measure inst (Workload.insert_trace keys Keygen.value_for) in
+  let sea = Runner.measure inst (Workload.search_trace keys) in
+  let upd = Runner.measure inst (Workload.update_trace keys Keygen.value_for) in
+  let del = Runner.measure inst (Workload.delete_trace keys) in
+  ( e.Roster.label,
+    [ Runner.avg_us ins; Runner.avg_us sea; Runner.avg_us upd; Runner.avg_us del ] )
+
 let radix_lineage ~scale =
   (* Extra baseline beyond the paper's figures: WORT, the first of the
      FAST'17 radix trees (§II-C), against its successors. Its fixed
@@ -134,31 +144,12 @@ let radix_lineage ~scale =
      the reason WOART superseded it and the paper benchmarks WOART. *)
   let n = int_of_float (float_of_int default_records *. scale) in
   let keys = Keygen.generate Keygen.Random n in
-  let wort_instance () =
-    let meter = Meter.create ~llc_bytes:Runner.harness_llc_bytes Latency.c300_300 in
-    let pool = Pmem.create meter in
-    { Runner.pool; meter; ops = Hart_baselines.Wort.ops (Hart_baselines.Wort.create pool) }
-  in
-  let row label inst =
-    let ins = Runner.measure inst (Workload.insert_trace keys Keygen.value_for) in
-    let sea = Runner.measure inst (Workload.search_trace keys) in
-    let upd = Runner.measure inst (Workload.update_trace keys Keygen.value_for) in
-    let del = Runner.measure inst (Workload.delete_trace keys) in
-    ( label,
-      [ Runner.avg_us ins; Runner.avg_us sea; Runner.avg_us upd; Runner.avg_us del ] )
-  in
   Report.print_table
     ~title:
       (Printf.sprintf
          "Extra E1: the FAST'17 radix lineage, us/op (Random, %d records, 300/300)" n)
     ~col_names:[ "insert"; "search"; "update"; "delete" ]
-    ~rows:
-      [
-        row "WORT" (wort_instance ());
-        row "WOART" (Runner.make Runner.WOART Latency.c300_300);
-        row "ART+CoW" (Runner.make Runner.ART_COW Latency.c300_300);
-        row "HART" (Runner.make Runner.HART Latency.c300_300);
-      ]
+    ~rows:(List.map (lineage_row keys) [ "wort"; "woart"; "art-cow"; "hart" ])
 
 let bptree_lineage ~scale =
   (* The B+-tree side of §II-C: CDDS, NV-Tree and wB+-Tree, the trees
@@ -168,32 +159,12 @@ let bptree_lineage ~scale =
      logged splits. *)
   let n = int_of_float (float_of_int default_records *. scale) in
   let keys = Keygen.generate Keygen.Random n in
-  let instance ops_of create =
-    let meter = Meter.create ~llc_bytes:Runner.harness_llc_bytes Latency.c300_300 in
-    let pool = Pmem.create meter in
-    { Runner.pool; meter; ops = ops_of (create pool) }
-  in
-  let row label inst =
-    let ins = Runner.measure inst (Workload.insert_trace keys Keygen.value_for) in
-    let sea = Runner.measure inst (Workload.search_trace keys) in
-    let upd = Runner.measure inst (Workload.update_trace keys Keygen.value_for) in
-    let del = Runner.measure inst (Workload.delete_trace keys) in
-    ( label,
-      [ Runner.avg_us ins; Runner.avg_us sea; Runner.avg_us upd; Runner.avg_us del ] )
-  in
   Report.print_table
     ~title:
       (Printf.sprintf
          "Extra E2: the B+-tree lineage, us/op (Random, %d records, 300/300)" n)
     ~col_names:[ "insert"; "search"; "update"; "delete" ]
-    ~rows:
-      [
-        row "CDDS" (instance Hart_baselines.Cdds_btree.ops Hart_baselines.Cdds_btree.create);
-        row "NV-Tree" (instance Hart_baselines.Nv_tree.ops Hart_baselines.Nv_tree.create);
-        row "wB+Tree" (instance Hart_baselines.Wb_tree.ops Hart_baselines.Wb_tree.create);
-        row "FPTree" (Runner.make Runner.FPTREE Latency.c300_300);
-        row "HART" (Runner.make Runner.HART Latency.c300_300);
-      ]
+    ~rows:(List.map (lineage_row keys) [ "cdds"; "nv-tree"; "wb-tree"; "fptree"; "hart" ])
 
 let run ~scale =
   kh_sweep ~scale;

@@ -21,7 +21,7 @@ module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
 module Keygen = Hart_workloads.Keygen
 module Rng = Hart_util.Rng
-module Json = Report.Json
+module Json = Hart_util.Json
 
 module type LAYER = sig
   type t

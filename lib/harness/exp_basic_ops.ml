@@ -7,6 +7,7 @@
     deletion run over the same instance, as the paper does. *)
 
 module Latency = Hart_pmem.Latency
+module Roster = Hart_baselines.Roster
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
 
@@ -26,13 +27,13 @@ let get_op c = function
   | op -> invalid_arg op
 
 (* One cell: build, then exercise the four basic operations. *)
-let run_cell tree config keys =
-  let inst = Runner.make tree config in
+let run_cell entry config keys =
+  let inst = Runner.make entry config in
   let m_ins = Runner.measure inst (Workload.insert_trace keys Keygen.value_for) in
   let m_sea = Runner.measure inst (Workload.search_trace keys) in
   let m_upd = Runner.measure inst (Workload.update_trace keys Keygen.value_for) in
   let m_del = Runner.measure inst (Workload.delete_trace keys) in
-  assert (inst.Runner.ops.Hart_baselines.Index_intf.count () = 0);
+  assert (inst.Runner.ops.Hart_core.Index_intf.count () = 0);
   {
     insertion = Runner.avg_us m_ins;
     search = Runner.avg_us m_sea;
@@ -57,7 +58,10 @@ let run_grid ~scale =
       let per_config =
         List.map
           (fun config ->
-            (config, List.map (fun tree -> (tree, run_cell tree config keys)) Runner.all_trees))
+            ( config,
+              List.map
+                (fun e -> (e.Roster.name, run_cell e config keys))
+                Roster.paper ))
           Latency.all
       in
       (spec, n, per_config))
@@ -75,7 +79,7 @@ let print_figures grid =
                  (4 + op_idx) sub
                  (String.capitalize_ascii op)
                  (Keygen.name spec) n)
-            ~col_names:(List.map Runner.tree_name Runner.all_trees)
+            ~col_names:(List.map (fun e -> e.Roster.label) Roster.paper)
             ~rows:
               (List.map
                  (fun (config, cells) ->
@@ -94,8 +98,8 @@ let print_best_case grid =
         List.fold_left
           (fun acc (_, cells) ->
             let find t = List.assoc t cells in
-            let hart = get_op (find Runner.HART) op
-            and other = get_op (find competitor) op in
+            let hart = get_op (find Roster.hart.name) op
+            and other = get_op (find competitor.Roster.name) op in
             Float.max acc (Report.ratio other hart))
           acc per_config)
       0. grid
@@ -106,9 +110,9 @@ let print_best_case grid =
     ~rows:
       (List.map
          (fun competitor ->
-           ( "vs " ^ Runner.tree_name competitor,
+           ( "vs " ^ competitor.Roster.label,
              List.map (fun op -> best competitor op) op_names ))
-         [ Runner.WOART; Runner.ART_COW; Runner.FPTREE ])
+         (List.filter (fun e -> e.Roster.name <> Roster.hart.name) Roster.paper))
 
 let run ~scale =
   let grid = run_grid ~scale in

@@ -2,8 +2,9 @@
     (the paper loads 100M records; counts scale with --scale). WOART and
     ART+CoW use no DRAM; HART uses the most DRAM; FPTree the most PM. *)
 
+module Roster = Hart_baselines.Roster
 module Latency = Hart_pmem.Latency
-module Index_intf = Hart_baselines.Index_intf
+module Index_intf = Hart_core.Index_intf
 module Keygen = Hart_workloads.Keygen
 
 let default_records = 100_000
@@ -21,9 +22,9 @@ let run ~scale =
          (fun tree ->
            let inst = Runner.make tree Latency.c300_100 in
            Runner.preload inst keys Keygen.value_for;
-           ( Runner.tree_name tree,
+           ( tree.Roster.label,
              [
                mb (inst.Runner.ops.Index_intf.pm_bytes ());
                mb (inst.Runner.ops.Index_intf.dram_bytes ());
              ] ))
-         Runner.all_trees)
+         Roster.paper)

@@ -6,6 +6,7 @@
    sanity-check the implementations; the figure reproductions use the
    simulated clock (DESIGN.md). *)
 
+module Roster = Hart_baselines.Roster
 module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
@@ -48,7 +49,7 @@ let tests () =
   let shuffled = Array.copy keys in
   Hart_util.Rng.shuffle (Hart_util.Rng.create 17L) shuffled;
   let per_tree tree =
-    let name = Runner.tree_name tree in
+    let name = tree.Roster.label in
     let built =
       lazy
         (let inst = Runner.make tree Latency.c300_100 in
@@ -66,26 +67,26 @@ let tests () =
         (Staged.stage (fun () ->
              let inst = Lazy.force built in
              let i = next () in
-             inst.Runner.ops.Hart_baselines.Index_intf.insert ~key:keys.(i)
+             inst.Runner.ops.Hart_core.Index_intf.insert ~key:keys.(i)
                ~value:"bench77"));
       Test.make ~name:(name ^ "/search")
         (Staged.stage (fun () ->
              let inst = Lazy.force built in
              ignore
-               (inst.Runner.ops.Hart_baselines.Index_intf.search
+               (inst.Runner.ops.Hart_core.Index_intf.search
                   shuffled.(next ())
                  : string option)));
       Test.make ~name:(name ^ "/update")
         (Staged.stage (fun () ->
              let inst = Lazy.force built in
              ignore
-               (inst.Runner.ops.Hart_baselines.Index_intf.update
+               (inst.Runner.ops.Hart_core.Index_intf.update
                   ~key:shuffled.(next ()) ~value:"bench88"
                  : bool)));
     ]
   in
   Bechamel.Test.make_grouped ~name:"micro"
-    (primitives keys @ List.concat_map per_tree Runner.all_trees)
+    (primitives keys @ List.concat_map per_tree Roster.paper)
 
 let run () =
   let open Bechamel in

@@ -2,6 +2,7 @@
     Read-Modified-Write, Write-Intensive), uniform request distribution,
     avg time per operation across the latency grid. *)
 
+module Roster = Hart_baselines.Roster
 module Latency = Hart_pmem.Latency
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
@@ -24,7 +25,7 @@ let run ~scale =
           (Printf.sprintf
              "Fig 9(%c): %s avg us/op -- %d preloaded, %d ops, Uniform" sub
              mix.Workload.mix_name n n_ops)
-        ~col_names:(List.map Runner.tree_name Runner.all_trees)
+        ~col_names:(List.map (fun e -> e.Roster.label) Roster.paper)
         ~rows:
           (List.map
              (fun config ->
@@ -34,6 +35,6 @@ let run ~scale =
                      let inst = Runner.make tree config in
                      Runner.preload inst preloaded Keygen.value_for;
                      Runner.avg_us (Runner.measure inst trace))
-                   Runner.all_trees ))
+                   Roster.paper ))
              Latency.all))
     Workload.mixes

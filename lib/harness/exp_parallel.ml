@@ -27,7 +27,7 @@ module Hart_mt = Hart_core.Hart_mt
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
 module Rng = Hart_util.Rng
-module Json = Report.Json
+module Json = Hart_util.Json
 
 let domain_counts = [ 1; 2; 4; 8 ]
 let default_total_ops = 200_000
@@ -99,7 +99,8 @@ let fresh_hart ~n_keys = Hart_mt.create (fresh_pool ~n_keys)
 
 (* -------------------------------------------------------------------
    Cross-index sweep: the same striped front end ([Striped_mt]) over
-   HART, FPTree and WOART at each domain count — the Fig. 9-style
+   each paper tree that has one (HART, WOART, FPTree) at each domain
+   count — the Fig. 9-style
    comparison: insert, search, then two mixed mutation phases (25/50/25
    insert/update/delete over uniform and Zipf(0.99) key popularity).
    The interesting shape is qualitative:
@@ -115,6 +116,7 @@ type mt_ops = {
   xi_search : string -> string option;
 }
 
+(* the paper's evaluated trees that have a striped front end *)
 let mt_indexes : (string * (n_keys:int -> mt_ops)) list =
   let make (module M : Hart_core.Index_intf.MT) ~n_keys =
     let t = M.create (fresh_pool ~n_keys) in
@@ -125,11 +127,10 @@ let mt_indexes : (string * (n_keys:int -> mt_ops)) list =
       xi_search = (fun k -> M.search t k);
     }
   in
-  [
-    ("hart", make (module Hart_mt.M));
-    ("fptree", make (module Hart_baselines.Fptree_mt));
-    ("woart", make (module Hart_baselines.Woart_mt));
-  ]
+  List.filter_map
+    (fun { Hart_baselines.Roster.name; mt; _ } ->
+      Option.map (fun m -> (name, make m)) mt)
+    Hart_baselines.Roster.paper
 
 (* Seeded plan for the mixed cross-index phases: 25% insert / 50%
    update / 25% delete over key indices drawn uniformly or

@@ -4,8 +4,9 @@
     traversal with per-leaf validation (the paper implements theirs as a
     search per key). *)
 
+module Roster = Hart_baselines.Roster
 module Latency = Hart_pmem.Latency
-module Index_intf = Hart_baselines.Index_intf
+module Index_intf = Hart_core.Index_intf
 module Keygen = Hart_workloads.Keygen
 
 let default_records = 50_000
@@ -20,7 +21,7 @@ let run ~scale =
       (Printf.sprintf
          "Fig 10(a): Range query avg us/record -- Sequential, %d records, %d-record window"
          n window)
-    ~col_names:(List.map Runner.tree_name Runner.all_trees)
+    ~col_names:(List.map (fun e -> e.Roster.label) Roster.paper)
     ~rows:
       (List.map
          (fun config ->
@@ -40,5 +41,5 @@ let run ~scale =
                    failwith
                      (Printf.sprintf "range returned %d of %d records" !seen window);
                  d.Hart_pmem.Meter.sim_ns /. float_of_int window /. 1000.)
-               Runner.all_trees ))
+               Roster.paper ))
          Latency.all)

@@ -73,7 +73,7 @@ let run ~scale =
    identical durable image; the result is verified against the build
    (count, spot contents) every time.                                   *)
 
-module Json = Report.Json
+module Json = Hart_util.Json
 
 let parallel_base_sizes = [ 50_000; 200_000; 1_000_000 ]
 let parallel_domain_counts = [ 1; 2; 4; 8 ]

@@ -4,6 +4,7 @@
     protocol is replayed by {!Mt_sim} (see DESIGN.md for why wall-clock
     scaling cannot be measured in this container). *)
 
+module Roster = Hart_baselines.Roster
 module Latency = Hart_pmem.Latency
 module Hart = Hart_core.Hart
 module Keygen = Hart_workloads.Keygen
@@ -17,7 +18,7 @@ let run ~scale =
   let n = int_of_float (float_of_int default_records *. scale) in
   let keys = Keygen.generate Keygen.Random n in
   (* measure single-threaded service times per operation type *)
-  let inst = Runner.make Runner.HART Latency.c300_100 in
+  let inst = Runner.make Roster.hart Latency.c300_100 in
   let svc_ins =
     Runner.avg_us (Runner.measure inst (Workload.insert_trace keys Keygen.value_for))
     *. 1000.

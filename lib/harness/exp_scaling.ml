@@ -10,6 +10,7 @@
     many times the time at the smallest. The clock is simulated, so the
     check is deterministic. *)
 
+module Roster = Hart_baselines.Roster
 module Latency = Hart_pmem.Latency
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
@@ -36,14 +37,14 @@ let run ?max_delete_growth ~scale () =
                 Runner.measure inst (Workload.update_trace keys Keygen.value_for)
               in
               let m_del = Runner.measure inst (Workload.delete_trace keys) in
-              ( tree,
+              ( tree.Roster.name,
                 [|
                   m_ins.Runner.sim_ns /. 1e9;
                   m_sea.Runner.sim_ns /. 1e9;
                   m_upd.Runner.sim_ns /. 1e9;
                   m_del.Runner.sim_ns /. 1e9;
                 |] ))
-            Runner.all_trees
+            Roster.paper
         in
         (n, per_tree))
       sizes
@@ -54,7 +55,7 @@ let run ?max_delete_growth ~scale () =
         ~title:
           (Printf.sprintf "Fig 8(%s): %s total time (s) vs records -- Random, 300/100"
              sub op)
-        ~col_names:(List.map Runner.tree_name Runner.all_trees)
+        ~col_names:(List.map (fun e -> e.Roster.label) Roster.paper)
         ~rows:
           (List.map
              (fun (n, per_tree) ->
@@ -63,7 +64,7 @@ let run ?max_delete_growth ~scale () =
              results))
     [ ("a", "Insertion"); ("b", "Search"); ("c", "Update"); ("d", "Deletion") ];
   let hart_delete_us (n, per_tree) =
-    (List.assoc Runner.HART per_tree).(3) *. 1e6 /. float_of_int n
+    (List.assoc Roster.hart.name per_tree).(3) *. 1e6 /. float_of_int n
   in
   let (n_lo, _) as lo = List.hd results in
   let (n_hi, _) as hi = List.nth results (List.length results - 1) in

@@ -22,7 +22,7 @@ module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
 module Hart = Hart_core.Hart
 module Keygen = Hart_workloads.Keygen
-module Json = Report.Json
+module Json = Hart_util.Json
 
 let base_sizes = [ 20_000; 100_000 ]
 

@@ -12,50 +12,27 @@
 
 module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
-module Pmem = Hart_pmem.Pmem
-module Hart = Hart_core.Hart
-module B = Hart_baselines
+module Roster = Hart_baselines.Roster
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
-module Json = Report.Json
+module Json = Hart_util.Json
 
 let default_preload = 20_000
 
 (* ------------------------------------------------------------------ *)
-(* All eight indexes behind Index_intf.ops, each on a fresh pool with
-   the harness LLC (dataset >> cache, as on the paper's testbed).       *)
-
-let fresh_meter () =
-  Meter.create ~llc_bytes:Runner.harness_llc_bytes Latency.c300_100
-
-let targets : (string * (unit -> B.Index_intf.ops * Meter.t)) list =
-  let with_pool make () =
-    let meter = fresh_meter () in
-    let pool = Pmem.create meter in
-    (make pool, meter)
-  in
-  [
-    ("hart", with_pool (fun p -> B.Hart_index.ops (Hart.create p)));
-    ("woart", with_pool (fun p -> B.Woart.ops (B.Woart.create p)));
-    ("art_cow", with_pool (fun p -> B.Art_cow.ops (B.Art_cow.create p)));
-    ("wort", with_pool (fun p -> B.Wort.ops (B.Wort.create p)));
-    ("fptree", with_pool (fun p -> B.Fptree.ops (B.Fptree.create p)));
-    ("nv_tree", with_pool (fun p -> B.Nv_tree.ops (B.Nv_tree.create p)));
-    ("wb_tree", with_pool (fun p -> B.Wb_tree.ops (B.Wb_tree.create p)));
-    ("cdds_btree", with_pool (fun p -> B.Cdds_btree.ops (B.Cdds_btree.create p)));
-  ]
+(* Every roster index, each on a fresh pool with the harness LLC
+   (dataset >> cache, as on the paper's testbed).                       *)
 
 type cell = { sim_us : float; flush_per_op : float; wall_us : float }
 
-let run_cell (ops, meter) ~preloaded ~trace =
-  Array.iteri
-    (fun i key -> ops.B.Index_intf.insert ~key ~value:(Keygen.value_for i))
-    preloaded;
-  let before = Meter.counters meter in
+let run_cell entry ~preloaded ~trace =
+  let inst = Runner.make entry Latency.c300_100 in
+  Runner.preload inst preloaded Keygen.value_for;
+  let before = Meter.counters inst.Runner.meter in
   let t0 = Unix.gettimeofday () in
-  ignore (Workload.apply ops trace : int);
+  ignore (Workload.apply inst.Runner.ops trace : int);
   let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
-  let c = Meter.diff before (Meter.counters meter) in
+  let c = Meter.diff before (Meter.counters inst.Runner.meter) in
   let n = float_of_int (Array.length trace) in
   {
     sim_us = c.Meter.sim_ns /. n /. 1e3;
@@ -70,16 +47,16 @@ let key_universe spec ~n ~n_ops =
 
 let run_grid ~n ~n_ops spec plan =
   List.map
-    (fun (t_name, mk) ->
-      ( t_name,
+    (fun entry ->
+      ( entry.Roster.name,
         List.map
           (fun (mix, dist) ->
             let preloaded, fresh = key_universe spec ~n ~n_ops in
             let trace = Workload.ycsb ~dist mix ~preloaded ~fresh ~n_ops in
             (mix.Workload.mix_name, Workload.dist_name dist,
-             run_cell (mk ()) ~preloaded ~trace))
+             run_cell entry ~preloaded ~trace))
           plan ))
-    targets
+    Roster.all
 
 let print_metric ~title ~cols ~get grid =
   Report.print_table ~title ~col_names:cols
@@ -156,11 +133,11 @@ let run ~scale =
   let churn_n = max 500 (n / 4) in
   let churn =
     List.map
-      (fun (t_name, mk) ->
+      (fun entry ->
         let keys = Keygen.generate ~seed:0xC4B2L Keygen.Random churn_n in
         let trace = Workload.churn_trace ~waves:2 keys Keygen.value_for in
-        (t_name, [ ("churn", "n/a", run_cell (mk ()) ~preloaded:[||] ~trace) ]))
-      targets
+        (entry.Roster.name, [ ("churn", "n/a", run_cell entry ~preloaded:[||] ~trace) ]))
+      Roster.all
   in
   metric_tables
     ~prefix:

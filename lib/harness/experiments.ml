@@ -6,7 +6,7 @@
 type entry = {
   name : string;
   doc : string;
-  run : gate:bool -> scale:float -> Report.Json.t option;
+  run : gate:bool -> scale:float -> Hart_util.Json.t option;
 }
 
 let tables f ~gate:_ ~scale =
@@ -146,7 +146,7 @@ let run ?json_dir ~gate ~scale entries =
     Option.iter
       (fun dir ->
         let path = Filename.concat dir ("BENCH_" ^ name ^ ".json") in
-        Report.Json.write path j;
+        Hart_util.Json.write path j;
         Printf.printf "wrote %s\n%!" path)
       json_dir
   in

@@ -4,7 +4,7 @@
 type entry = {
   name : string;
   doc : string;  (** one line, for [hart_cli exp --help] *)
-  run : gate:bool -> scale:float -> Report.Json.t option;
+  run : gate:bool -> scale:float -> Hart_util.Json.t option;
       (** Prints the entry's tables and returns its JSON artifact, if it
           has one. With [~gate:true], raises [Failure] when a measured
           ratio (a wall-clock speed-up, or Fig. 8(d)'s deletion-time

@@ -16,23 +16,7 @@ val ratio : float -> float -> float
 val fmt_f : float -> string
 (** 3-decimal rendering used in tables ("1.234"). *)
 
-(** Minimal JSON emitter, so benchmark artifacts need no external JSON
-    dependency. Non-finite floats serialise as [null]. *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | List of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-  val write : string -> t -> unit
-end
-
-val capture : (unit -> 'a) -> 'a * Json.t
+val capture : (unit -> 'a) -> 'a * Hart_util.Json.t
 (** [capture f] runs [f] and also returns every table it printed, in
     print order: [[{title; columns; rows: [{label; cells}]}]]. Numeric
     tables keep full float precision; string tables keep the rendered

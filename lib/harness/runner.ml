@@ -1,26 +1,9 @@
 module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
-module Index_intf = Hart_baselines.Index_intf
+module Index_intf = Hart_core.Index_intf
+module Roster = Hart_baselines.Roster
 module Workload = Hart_workloads.Workload
-
-type tree = HART | WOART | ART_COW | FPTREE
-
-let tree_name = function
-  | HART -> "HART"
-  | WOART -> "WOART"
-  | ART_COW -> "ART+CoW"
-  | FPTREE -> "FPTree"
-
-let all_trees = [ HART; WOART; ART_COW; FPTREE ]
-
-let of_tree_name s =
-  match String.lowercase_ascii s with
-  | "hart" -> Some HART
-  | "woart" -> Some WOART
-  | "art+cow" | "artcow" | "cow" -> Some ART_COW
-  | "fptree" -> Some FPTREE
-  | _ -> None
 
 type instance = {
   pool : Pmem.t;
@@ -36,17 +19,12 @@ type instance = {
    20 MiB on the paper's Xeon. *)
 let harness_llc_bytes = 256 * 1024
 
-let make tree config =
+let on_pool config build =
   let meter = Meter.create ~llc_bytes:harness_llc_bytes config in
   let pool = Pmem.create meter in
-  let ops =
-    match tree with
-    | HART -> Hart_baselines.Hart_index.ops (Hart_core.Hart.create pool)
-    | WOART -> Hart_baselines.Woart.ops (Hart_baselines.Woart.create pool)
-    | ART_COW -> Hart_baselines.Art_cow.ops (Hart_baselines.Art_cow.create pool)
-    | FPTREE -> Hart_baselines.Fptree.ops (Hart_baselines.Fptree.create pool)
-  in
-  { pool; meter; ops }
+  { pool; meter; ops = build pool }
+
+let make entry config = on_pool config (Roster.create entry)
 
 type measurement = {
   n_ops : int;

@@ -3,18 +3,10 @@
     emulation methodology (§IV-A), where per-operation time is dominated
     by configured PM latencies charged to counted memory events. *)
 
-type tree = HART | WOART | ART_COW | FPTREE
-
-val tree_name : tree -> string
-val all_trees : tree list
-(** In the paper's legend order: HART, WOART, ART+CoW, FPTree. *)
-
-val of_tree_name : string -> tree option
-
 type instance = {
   pool : Hart_pmem.Pmem.t;
   meter : Hart_pmem.Meter.t;
-  ops : Hart_baselines.Index_intf.ops;
+  ops : Hart_core.Index_intf.ops;
 }
 
 val harness_llc_bytes : int
@@ -22,8 +14,12 @@ val harness_llc_bytes : int
     with the record counts so dataset ≫ cache holds as it did on the
     paper's testbed (DESIGN.md). *)
 
-val make : tree -> Hart_pmem.Latency.config -> instance
-(** Fresh pool + meter + empty index of the given kind. *)
+val on_pool :
+  Hart_pmem.Latency.config -> (Hart_pmem.Pmem.t -> Hart_core.Index_intf.ops) -> instance
+(** Fresh meter (harness LLC) + pool, and the index [build] puts on it. *)
+
+val make : Hart_baselines.Roster.entry -> Hart_pmem.Latency.config -> instance
+(** Fresh pool + meter + empty index of the entry's kind. *)
 
 type measurement = {
   n_ops : int;

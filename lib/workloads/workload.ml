@@ -215,21 +215,21 @@ let scan_hi = String.make 24 '\xff'
 
 exception Scan_done
 
-let apply (ops : Hart_baselines.Index_intf.ops) trace =
+let apply (ops : Hart_core.Index_intf.ops) trace =
   let hits = ref 0 in
   Array.iter
     (function
       | Insert (key, value) ->
-          ops.Hart_baselines.Index_intf.insert ~key ~value;
+          ops.Hart_core.Index_intf.insert ~key ~value;
           incr hits
-      | Search k -> if ops.Hart_baselines.Index_intf.search k <> None then incr hits
+      | Search k -> if ops.Hart_core.Index_intf.search k <> None then incr hits
       | Update (key, value) ->
-          if ops.Hart_baselines.Index_intf.update ~key ~value then incr hits
-      | Delete k -> if ops.Hart_baselines.Index_intf.delete k then incr hits
+          if ops.Hart_core.Index_intf.update ~key ~value then incr hits
+      | Delete k -> if ops.Hart_core.Index_intf.delete k then incr hits
       | Scan (lo, len) ->
           let got = ref 0 in
           (try
-             ops.Hart_baselines.Index_intf.range ~lo ~hi:scan_hi (fun _ _ ->
+             ops.Hart_core.Index_intf.range ~lo ~hi:scan_hi (fun _ _ ->
                  incr got;
                  if !got >= len then raise Scan_done)
            with Scan_done -> ());
@@ -237,8 +237,8 @@ let apply (ops : Hart_baselines.Index_intf.ops) trace =
       | Rmw (key, value) ->
           (* read-modify-write: the read half counts as the hit; the write
              half lands as update-or-insert *)
-          if ops.Hart_baselines.Index_intf.search key <> None then incr hits;
-          if not (ops.Hart_baselines.Index_intf.update ~key ~value) then
-            ops.Hart_baselines.Index_intf.insert ~key ~value)
+          if ops.Hart_core.Index_intf.search key <> None then incr hits;
+          if not (ops.Hart_core.Index_intf.update ~key ~value) then
+            ops.Hart_core.Index_intf.insert ~key ~value)
     trace;
   !hits

@@ -117,7 +117,7 @@ val churn_trace :
     final insert wave so the index ends populated. Each round drains and
     refills whole allocator chunks, storming the [Epalloc] recycler. *)
 
-val apply : Hart_baselines.Index_intf.ops -> op array -> int
+val apply : Hart_core.Index_intf.ops -> op array -> int
 (** Run a trace against an index; returns the number of operations that
     found their key (hits), for sanity checks. Scans count as a hit when
     they return at least one record; RMW's read half is the hit and its

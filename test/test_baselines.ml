@@ -7,35 +7,18 @@ module Wort = Hart_baselines.Wort
 module Nv_tree = Hart_baselines.Nv_tree
 module Wb_tree = Hart_baselines.Wb_tree
 module Cdds = Hart_baselines.Cdds_btree
-module Art_cow = Hart_baselines.Art_cow
 module Fptree = Hart_baselines.Fptree
-module Hart_index = Hart_baselines.Hart_index
-module Index_intf = Hart_baselines.Index_intf
-module Hart = Hart_core.Hart
+module Roster = Hart_baselines.Roster
+module Index_intf = Hart_core.Index_intf
 module SMap = Map.Make (String)
 
 let fresh_pool () = Pmem.create (Meter.create Latency.c300_300)
 
-let make_woart () = Woart.ops (Woart.create (fresh_pool ()))
-let make_wort () = Wort.ops (Wort.create (fresh_pool ()))
-let make_nv () = Nv_tree.ops (Nv_tree.create (fresh_pool ()))
-let make_wb () = Wb_tree.ops (Wb_tree.create (fresh_pool ()))
-let make_cdds () = Cdds.ops (Cdds.create (fresh_pool ()))
-let make_cow () = Art_cow.ops (Art_cow.create (fresh_pool ()))
-let make_fptree () = Fptree.ops (Fptree.create (fresh_pool ()))
-let make_hart () = Hart_index.ops (Hart.create (fresh_pool ()))
+(* a fresh, empty roster index *)
+let make name () = Roster.create (Roster.find name) (fresh_pool ())
 
 let all_makers =
-  [
-    ("HART", make_hart);
-    ("WOART", make_woart);
-    ("ART+CoW", make_cow);
-    ("FPTree", make_fptree);
-    ("WORT", make_wort);
-    ("NV-Tree", make_nv);
-    ("wB+Tree", make_wb);
-    ("CDDS", make_cdds);
-  ]
+  List.map (fun e -> (e.Roster.label, make e.Roster.name)) Roster.all
 
 (* ------------------------------------------------------------------ *)
 (* Uniform behaviour of all four trees                                 *)
@@ -547,7 +530,7 @@ let test_pure_pm_trees_use_no_dram () =
       load_tree ops 500;
       Alcotest.(check int) (ops.Index_intf.name ^ " uses no DRAM") 0
         (ops.Index_intf.dram_bytes ()))
-    [ make_woart; make_cow ]
+    [ make "woart"; make "art-cow" ]
 
 let test_hybrid_trees_use_dram () =
   List.iter
@@ -556,11 +539,11 @@ let test_hybrid_trees_use_dram () =
       load_tree ops 500;
       Alcotest.(check bool) (ops.Index_intf.name ^ " uses DRAM") true
         (ops.Index_intf.dram_bytes () > 0))
-    [ make_hart; make_fptree ]
+    [ make "hart"; make "fptree" ]
 
 let test_hart_dram_exceeds_fptree () =
   (* the paper: HART consumes much more DRAM than FPTree (Fig. 10b) *)
-  let hart = make_hart () and fp = make_fptree () in
+  let hart = make "hart" () and fp = make "fptree" () in
   load_tree hart 3000;
   load_tree fp 3000;
   Alcotest.(check bool) "HART DRAM > FPTree DRAM" true
@@ -569,7 +552,7 @@ let test_hart_dram_exceeds_fptree () =
 let test_fptree_pm_exceeds_hart () =
   (* the paper: FPTree consumes more PM than HART (fingerprints, no
      coalescing) *)
-  let hart = make_hart () and fp = make_fptree () in
+  let hart = make "hart" () and fp = make "fptree" () in
   load_tree hart 3000;
   load_tree fp 3000;
   Alcotest.(check bool) "FPTree PM > HART PM" true
@@ -579,15 +562,9 @@ let test_fptree_pm_exceeds_hart () =
 (* Cost-model direction checks: the event counts that drive every
    figure must order the trees the way the paper's results do.         *)
 
-let flushes_for maker n =
+let flushes_for name n =
   let pool = fresh_pool () in
-  let ops =
-    match maker with
-    | `Hart -> Hart_index.ops (Hart.create pool)
-    | `Woart -> Woart.ops (Woart.create pool)
-    | `Cow -> Art_cow.ops (Art_cow.create pool)
-    | `Fptree -> Fptree.ops (Fptree.create pool)
-  in
+  let ops = Roster.create (Roster.find name) pool in
   let before = Meter.counters (Pmem.meter pool) in
   for i = 0 to n - 1 do
     ops.Index_intf.insert ~key:(Printf.sprintf "cost%06d" i) ~value:"seven"
@@ -597,9 +574,9 @@ let flushes_for maker n =
 
 let test_insert_flush_ordering () =
   let n = 2000 in
-  let hart = flushes_for `Hart n
-  and woart = flushes_for `Woart n
-  and cow = flushes_for `Cow n in
+  let hart = flushes_for "hart" n
+  and woart = flushes_for "woart" n
+  and cow = flushes_for "art-cow" n in
   Alcotest.(check bool)
     (Printf.sprintf "HART (%d) flushes less than WOART (%d)" hart woart)
     true (hart < woart);
@@ -607,13 +584,9 @@ let test_insert_flush_ordering () =
     (Printf.sprintf "WOART (%d) flushes less than ART+CoW (%d)" woart cow)
     true (woart < cow)
 
-let search_pm_reads maker n =
+let search_pm_reads name n =
   let pool = fresh_pool () in
-  let ops =
-    match maker with
-    | `Hart -> Hart_index.ops (Hart.create pool)
-    | `Woart -> Woart.ops (Woart.create pool)
-  in
+  let ops = Roster.create (Roster.find name) pool in
   for i = 0 to n - 1 do
     ops.Index_intf.insert ~key:(Printf.sprintf "sr%06d" i) ~value:"seven"
   done;
@@ -628,7 +601,7 @@ let test_search_pm_read_ordering () =
   (* WOART descends through PM nodes, HART only validates the leaf: HART
      must issue far fewer PM reads per search *)
   let n = 2000 in
-  let hart = search_pm_reads `Hart n and woart = search_pm_reads `Woart n in
+  let hart = search_pm_reads "hart" n and woart = search_pm_reads "woart" n in
   Alcotest.(check bool)
     (Printf.sprintf "HART PM reads (%d) < WOART PM reads (%d)" hart woart)
     true (hart < woart)

@@ -13,8 +13,8 @@
 module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
-module Hart = Hart_core.Hart
-module B = Hart_baselines
+module Index_intf = Hart_core.Index_intf
+module Roster = Hart_baselines.Roster
 module SMap = Map.Make (String)
 
 type dop =
@@ -70,54 +70,32 @@ let dops_arb =
     QCheck.Gen.(list_size (int_range 1 160) dop_gen)
 
 (* ------------------------------------------------------------------ *)
-(* Targets: every index in the repo, driven through Index_intf.ops      *)
+(* Targets: every roster index, driven through Index_intf.ops and
+   checked with its own S.check_integrity                               *)
 
 let fresh_pool () =
   Pmem.create ~capacity:(1 lsl 21)
     (Meter.create ~llc_bytes:(1 lsl 16) Latency.c300_100)
 
-let targets :
-    (string * (unit -> B.Index_intf.ops * (unit -> unit))) list =
-  [
-    ( "hart",
-      fun () ->
-        let h = Hart.create (fresh_pool ()) in
-        (B.Hart_index.ops h, fun () -> Hart.check_integrity h) );
-    ( "woart",
-      fun () ->
-        let t = B.Woart.create (fresh_pool ()) in
-        (B.Woart.ops t, fun () -> ()) );
-    ( "art_cow",
-      fun () ->
-        let t = B.Art_cow.create (fresh_pool ()) in
-        (B.Art_cow.ops t, fun () -> ()) );
-    ( "wort",
-      fun () ->
-        let t = B.Wort.create (fresh_pool ()) in
-        (B.Wort.ops t, fun () -> B.Wort.check_invariants t) );
-    ( "fptree",
-      fun () ->
-        let t = B.Fptree.create (fresh_pool ()) in
-        (B.Fptree.ops t, fun () -> B.Fptree.check_integrity t) );
-    ( "nv_tree",
-      fun () ->
-        let t = B.Nv_tree.create (fresh_pool ()) in
-        (B.Nv_tree.ops t, fun () -> B.Nv_tree.check_integrity t) );
-    ( "wb_tree",
-      fun () ->
-        let t = B.Wb_tree.create (fresh_pool ()) in
-        (B.Wb_tree.ops t, fun () -> B.Wb_tree.check_integrity t) );
-    ( "cdds_btree",
-      fun () ->
-        let t = B.Cdds_btree.create (fresh_pool ()) in
-        (B.Cdds_btree.ops t, fun () -> B.Cdds_btree.check_integrity t) );
-  ]
+(* the case names predate the roster's names; kept so test ids stay put *)
+let case_name = function
+  | "cdds" -> "cdds_btree"
+  | n -> String.map (function '-' -> '_' | c -> c) n
+
+let targets : (string * (unit -> Index_intf.ops * (unit -> unit))) list =
+  List.map
+    (fun { Roster.name; index = (module I); _ } ->
+      ( case_name name,
+        fun () ->
+          let t = I.create (fresh_pool ()) in
+          (Roster.ops (module I) t, fun () -> I.check_integrity t) ))
+    Roster.all
 
 let max_key = String.make Hart_core.Leaf.max_key_len '\xff'
 
-let collect_range (ops : B.Index_intf.ops) ~lo ~hi =
+let collect_range (ops : Index_intf.ops) ~lo ~hi =
   let acc = ref [] in
-  ops.B.Index_intf.range ~lo ~hi (fun k v -> acc := (k, v) :: !acc);
+  ops.Index_intf.range ~lo ~hi (fun k v -> acc := (k, v) :: !acc);
   (* in-leaf order is unspecified for some structures; compare as sets *)
   List.sort compare !acc
 
@@ -137,22 +115,22 @@ let run_differential name make ops_list =
     (fun step op ->
       (match op with
       | Insert (k, v) ->
-          ops.B.Index_intf.insert ~key:k ~value:v;
+          ops.Index_intf.insert ~key:k ~value:v;
           oracle := SMap.add k v !oracle
       | Update (k, v) ->
-          let hit = ops.B.Index_intf.update ~key:k ~value:v in
+          let hit = ops.Index_intf.update ~key:k ~value:v in
           if hit <> SMap.mem k !oracle then
             failf step op "update returned %b, oracle has-key %b" hit
               (SMap.mem k !oracle);
           if hit then oracle := SMap.add k v !oracle
       | Delete k ->
-          let hit = ops.B.Index_intf.delete k in
+          let hit = ops.Index_intf.delete k in
           if hit <> SMap.mem k !oracle then
             failf step op "delete returned %b, oracle has-key %b" hit
               (SMap.mem k !oracle);
           oracle := SMap.remove k !oracle
       | Search k ->
-          let got = ops.B.Index_intf.search k
+          let got = ops.Index_intf.search k
           and want = SMap.find_opt k !oracle in
           if got <> want then
             failf step op "search: got %s, oracle %s"
@@ -162,7 +140,7 @@ let run_differential name make ops_list =
           if collect_range ops ~lo ~hi <> oracle_range !oracle ~lo ~hi then
             failf step op "range contents diverge from oracle"
       | Count ->
-          let got = ops.B.Index_intf.count ()
+          let got = ops.Index_intf.count ()
           and want = SMap.cardinal !oracle in
           if got <> want then failf step op "count: got %d, oracle %d" got want);
       if (step + 1) mod 16 = 0 then
@@ -177,7 +155,7 @@ let run_differential name make ops_list =
       "%s: final contents diverge from oracle (%d vs %d bindings)" name
       (List.length final)
       (SMap.cardinal !oracle);
-  if ops.B.Index_intf.count () <> SMap.cardinal !oracle then
+  if ops.Index_intf.count () <> SMap.cardinal !oracle then
     QCheck.Test.fail_reportf "%s: final count diverges from oracle" name;
   true
 
@@ -200,18 +178,18 @@ let dense_ladder name make () =
   let oracle = ref SMap.empty in
   List.iter
     (fun k ->
-      ops.B.Index_intf.insert ~key:k ~value:k;
+      ops.Index_intf.insert ~key:k ~value:k;
       oracle := SMap.add k k !oracle)
     keys;
   List.iter
     (fun k ->
-      assert (ops.B.Index_intf.update ~key:k ~value:(k ^ "!"));
+      assert (ops.Index_intf.update ~key:k ~value:(k ^ "!"));
       oracle := SMap.add k (k ^ "!") !oracle)
     keys;
   List.iteri
     (fun i k ->
       if i mod 2 = 0 then begin
-        assert (ops.B.Index_intf.delete k);
+        assert (ops.Index_intf.delete k);
         oracle := SMap.remove k !oracle
       end)
     keys;
@@ -295,22 +273,22 @@ let run_varlen name make ops_list =
     (fun step op ->
       (match op with
       | Insert (k, v) ->
-          ops.B.Index_intf.insert ~key:(Keygen.encode_key k) ~value:v;
+          ops.Index_intf.insert ~key:(Keygen.encode_key k) ~value:v;
           oracle := SMap.add k v !oracle
       | Update (k, v) ->
-          let hit = ops.B.Index_intf.update ~key:(Keygen.encode_key k) ~value:v in
+          let hit = ops.Index_intf.update ~key:(Keygen.encode_key k) ~value:v in
           if hit <> SMap.mem k !oracle then
             failf step op "update returned %b, oracle has-key %b" hit
               (SMap.mem k !oracle);
           if hit then oracle := SMap.add k v !oracle
       | Delete k ->
-          let hit = ops.B.Index_intf.delete (Keygen.encode_key k) in
+          let hit = ops.Index_intf.delete (Keygen.encode_key k) in
           if hit <> SMap.mem k !oracle then
             failf step op "delete returned %b, oracle has-key %b" hit
               (SMap.mem k !oracle);
           oracle := SMap.remove k !oracle
       | Search k ->
-          let got = ops.B.Index_intf.search (Keygen.encode_key k)
+          let got = ops.Index_intf.search (Keygen.encode_key k)
           and want = SMap.find_opt k !oracle in
           if got <> want then
             failf step op "search: got %s, oracle %s"
@@ -318,7 +296,7 @@ let run_varlen name make ops_list =
               (match want with Some v -> Printf.sprintf "%S" v | None -> "None")
       | Range _ -> (* not generated: encoding is not order-preserving *) ()
       | Count ->
-          let got = ops.B.Index_intf.count ()
+          let got = ops.Index_intf.count ()
           and want = SMap.cardinal !oracle in
           if got <> want then failf step op "count: got %d, oracle %d" got want);
       if (step + 1) mod 16 = 0 then
@@ -359,19 +337,19 @@ let varlen_ladder name make () =
   let oracle = ref SMap.empty in
   List.iteri
     (fun i k ->
-      ops.B.Index_intf.insert ~key:(Keygen.encode_key k)
+      ops.Index_intf.insert ~key:(Keygen.encode_key k)
         ~value:(Keygen.value_for i);
       oracle := SMap.add k (Keygen.value_for i) !oracle)
     keys;
   List.iter
     (fun k ->
-      assert (ops.B.Index_intf.update ~key:(Keygen.encode_key k) ~value:"upd!");
+      assert (ops.Index_intf.update ~key:(Keygen.encode_key k) ~value:"upd!");
       oracle := SMap.add k "upd!" !oracle)
     keys;
   List.iteri
     (fun i k ->
       if i mod 2 = 0 then begin
-        assert (ops.B.Index_intf.delete (Keygen.encode_key k));
+        assert (ops.Index_intf.delete (Keygen.encode_key k));
         oracle := SMap.remove k !oracle
       end)
     keys;
@@ -380,13 +358,13 @@ let varlen_ladder name make () =
       Alcotest.(check (option string))
         (Printf.sprintf "%s: survivor len %d" name (String.length k))
         (Some v)
-        (ops.B.Index_intf.search (Keygen.encode_key k)))
+        (ops.Index_intf.search (Keygen.encode_key k)))
     !oracle;
   check ();
   Alcotest.(check int)
     (name ^ ": varlen ladder count")
     (SMap.cardinal !oracle)
-    (ops.B.Index_intf.count ())
+    (ops.Index_intf.count ())
 
 let varlen_ladder_tests =
   List.map

@@ -7,6 +7,10 @@ module Fault = Hart_fault.Fault
 module Fault_mt = Hart_fault.Fault_mt
 module Hart_error = Hart_core.Hart_error
 
+(* roster targets without a named value of their own *)
+let fptree = Option.get (Fault.find_target "fptree")
+let mt_target name = Option.get (Fault_mt.find_mt_target name)
+
 let find name =
   match Fault.find_workload name with
   | Some w -> w
@@ -76,7 +80,7 @@ let torn_cases target =
    itself nested-crash-swept. *)
 let fptree_split_repair () =
   let name, setup, ops = find "split-chain" in
-  let r = Fault.explore ~setup ~workload:name Fault.fptree ops in
+  let r = Fault.explore ~setup ~workload:name fptree ops in
   check_report ~expect_nested:true r
 
 (* Torn with fraction 1.0 must behave exactly like a clean crash: every
@@ -758,7 +762,7 @@ let mt_split_race_pin () =
   List.iter
     (fun mode ->
       let r =
-        Fault_mt.explore ?mode ~target:Fault_mt.fptree_mt ~nested:true
+        Fault_mt.explore ?mode ~target:(mt_target "fptree") ~nested:true
           ~seed:42L ~domains:2 ~workload:"mt-split-race" ~setup scripts
       in
       Alcotest.(check int) "pinned schedule space" 99 r.Fault.total_flushes;
@@ -1248,18 +1252,18 @@ let () =
       ( "hart-schedule-pin",
         [ Alcotest.test_case "schedule space unchanged" `Quick schedule_space_pin ] );
       ( "fptree-clean",
-        clean_cases Fault.fptree
+        clean_cases fptree
         @ [ Alcotest.test_case "fptree/split-chain repairs torn split" `Quick
               fptree_split_repair ] );
       ("hart-parallel-recovery", parallel_recovery_cases);
       ("hart-torn", torn_cases Fault.hart);
-      ("fptree-torn", torn_cases Fault.fptree);
+      ("fptree-torn", torn_cases fptree);
       ( "torn-full",
         [
           Alcotest.test_case "hart full eviction = clean" `Quick
             (torn_full_eviction Fault.hart);
           Alcotest.test_case "fptree full eviction = clean" `Quick
-            (torn_full_eviction Fault.fptree);
+            (torn_full_eviction fptree);
         ] );
       ( "checkpoint",
         [
@@ -1268,7 +1272,7 @@ let () =
           Alcotest.test_case "hart/split-chain replay equivalence" `Quick
             (checkpoint_equivalence Fault.hart "split-chain");
           Alcotest.test_case "fptree/split-chain replay equivalence" `Quick
-            (checkpoint_equivalence Fault.fptree "split-chain");
+            (checkpoint_equivalence fptree "split-chain");
         ] );
       ( "meta",
         [
@@ -1314,19 +1318,19 @@ let () =
           Alcotest.test_case "replay determinism" `Quick mt_determinism;
           Alcotest.test_case "max-schedules subsampling" `Quick mt_subsample;
           Alcotest.test_case "fptree-mt 2-domain sweep" `Quick
-            (mt_index_sweep Fault_mt.fptree_mt);
+            (mt_index_sweep (mt_target "fptree"));
           Alcotest.test_case "woart-mt 2-domain sweep" `Quick
-            (mt_index_sweep Fault_mt.woart_mt);
+            (mt_index_sweep (mt_target "woart"));
           Alcotest.test_case "wb-tree-mt 2-domain sweep" `Quick
-            (mt_index_sweep Fault_mt.wb_tree_mt);
+            (mt_index_sweep (mt_target "wb-tree"));
           Alcotest.test_case "same-stripe collision sweep" `Quick mt_collide;
           Alcotest.test_case "generated workloads, 3 seeds" `Quick mt_generated;
           Alcotest.test_case "nested recovery re-crash: hart" `Quick
             (mt_nested_sweep Fault_mt.hart_mt);
           Alcotest.test_case "nested recovery re-crash: fptree" `Quick
-            (mt_nested_sweep Fault_mt.fptree_mt);
+            (mt_nested_sweep (mt_target "fptree"));
           Alcotest.test_case "nested recovery re-crash: woart" `Quick
-            (mt_nested_sweep Fault_mt.woart_mt);
+            (mt_nested_sweep (mt_target "woart"));
           Alcotest.test_case "nested sweep covers hart recovery" `Quick
             mt_nested_hart_covers;
           Alcotest.test_case "shrinker: injected bug to minimal repro" `Quick

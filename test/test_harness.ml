@@ -3,6 +3,10 @@ module Meter = Hart_pmem.Meter
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
 module Runner = Hart_harness.Runner
+module Roster = Hart_baselines.Roster
+module Index_intf = Hart_core.Index_intf
+module Fault = Hart_fault.Fault
+module Fault_mt = Hart_fault.Fault_mt
 module Mt_sim = Hart_harness.Mt_sim
 module Report = Hart_harness.Report
 module Rng = Hart_util.Rng
@@ -12,17 +16,17 @@ module Rng = Hart_util.Rng
 
 let test_runner_make_all () =
   List.iter
-    (fun tree ->
-      let inst = Runner.make tree Latency.c300_300 in
-      inst.Runner.ops.Hart_baselines.Index_intf.insert ~key:"probe" ~value:"v";
+    (fun e ->
+      let inst = Runner.make e Latency.c300_300 in
+      inst.Runner.ops.Index_intf.insert ~key:"probe" ~value:"v";
       Alcotest.(check (option string))
-        (Runner.tree_name tree ^ " works")
+        (e.Roster.label ^ " works")
         (Some "v")
-        (inst.Runner.ops.Hart_baselines.Index_intf.search "probe"))
-    Runner.all_trees
+        (inst.Runner.ops.Index_intf.search "probe"))
+    Roster.all
 
 let test_runner_measure () =
-  let inst = Runner.make Runner.HART Latency.c300_300 in
+  let inst = Runner.make Roster.hart Latency.c300_300 in
   let keys = Keygen.generate Keygen.Random 1000 in
   let m = Runner.measure inst (Workload.insert_trace keys Keygen.value_for) in
   Alcotest.(check int) "op count" 1000 m.Runner.n_ops;
@@ -33,7 +37,7 @@ let test_runner_measure () =
     (m.Runner.counters.Meter.flushes > 0)
 
 let test_runner_measure_is_delta () =
-  let inst = Runner.make Runner.HART Latency.c300_300 in
+  let inst = Runner.make Roster.hart Latency.c300_300 in
   let keys = Keygen.generate Keygen.Random 500 in
   Runner.preload inst keys Keygen.value_for;
   let m = Runner.measure inst (Workload.search_trace keys) in
@@ -41,22 +45,47 @@ let test_runner_measure_is_delta () =
      the measured delta *)
   Alcotest.(check int) "no flushes during search" 0 m.Runner.counters.Meter.flushes
 
-let test_runner_names () =
+(* Every per-index view is the roster: names and labels are unique, the
+   fault explorers sweep exactly its entries (plus checksummed HART in
+   the media sweep), and the figures' columns are its paper four. *)
+let test_roster_views () =
+  let names es = List.map (fun e -> e.Roster.name) es in
+  let labels es = List.map (fun e -> e.Roster.label) es in
+  let target_names ts = List.map (fun t -> t.Fault.target_name) ts in
+  let unique what xs =
+    Alcotest.(check int) (what ^ " unique") (List.length xs)
+      (List.length (List.sort_uniq compare xs))
+  in
+  unique "names" (names Roster.all);
+  unique "labels" (labels Roster.all);
+  Alcotest.(check (list string)) "crash-gate targets" (names Roster.all)
+    (target_names Fault.all_targets);
+  Alcotest.(check (list string)) "media targets"
+    ("hart-crc" :: names Roster.all)
+    (target_names Fault.media_targets);
+  Alcotest.(check (list string)) "concurrent targets"
+    (names (List.filter (fun e -> e.Roster.mt <> None) Roster.all))
+    (target_names Fault_mt.all_mt_targets);
+  Alcotest.(check (list string)) "paper four, legend order"
+    [ "HART"; "WOART"; "ART+CoW"; "FPTree" ]
+    (labels Roster.paper);
   List.iter
-    (fun tree ->
-      match Runner.of_tree_name (Runner.tree_name tree) with
-      | Some t ->
-          Alcotest.(check string) "roundtrip" (Runner.tree_name tree)
-            (Runner.tree_name t)
-      | None -> Alcotest.fail "tree name roundtrip")
-    Runner.all_trees
+    (fun e ->
+      Alcotest.(check bool) (e.Roster.name ^ " is a roster entry") true
+        (Roster.find e.Roster.name == e))
+    Roster.paper;
+  List.iter
+    (fun e ->
+      let ops = Roster.create e (Hart_pmem.Pmem.create (Meter.create Latency.c300_300)) in
+      Alcotest.(check string) "ops carry the label" e.Roster.label ops.Index_intf.name)
+    Roster.all
 
 (* ------------------------------------------------------------------ *)
 (* Latency ordering: the simulated clock must respect the configs      *)
 
 let test_latency_monotone () =
   let avg config =
-    let inst = Runner.make Runner.HART config in
+    let inst = Runner.make Roster.hart config in
     let keys = Keygen.generate Keygen.Random 2000 in
     Runner.avg_us (Runner.measure inst (Workload.insert_trace keys Keygen.value_for))
   in
@@ -246,9 +275,10 @@ let () =
           Alcotest.test_case "make all trees" `Quick test_runner_make_all;
           Alcotest.test_case "measure" `Quick test_runner_measure;
           Alcotest.test_case "measure is a delta" `Quick test_runner_measure_is_delta;
-          Alcotest.test_case "tree names" `Quick test_runner_names;
           Alcotest.test_case "latency configs order the clock" `Quick test_latency_monotone;
         ] );
+      ( "roster",
+        [ Alcotest.test_case "names, labels and target lists" `Quick test_roster_views ] );
       ( "mt_sim",
         [
           Alcotest.test_case "single-thread baseline" `Quick test_mt_sim_single_thread_baseline;

@@ -671,7 +671,7 @@ let toy_scripts ~domains ~ops_per_domain =
    the fire-order linearization model, so the lost update surfaces as a
    Violation before any crash is even injected. *)
 let test_toy_bad_rejected () =
-  let target = Hart_fault.Fault_mt.of_mt (module Toy_bad_mt) in
+  let target = Hart_fault.Fault.of_index (module Toy_bad_mt) in
   let scripts = toy_scripts ~domains:2 ~ops_per_domain:4 in
   let caught = ref 0 in
   for seed = 1 to 5 do
@@ -687,7 +687,7 @@ let test_toy_bad_rejected () =
 
 (* Same index, honest metadata: the full sweep must pass. *)
 let test_toy_good_passes () =
-  let target = Hart_fault.Fault_mt.of_mt (module Toy_good_mt) in
+  let target = Hart_fault.Fault.of_index (module Toy_good_mt) in
   let scripts = toy_scripts ~domains:2 ~ops_per_domain:4 in
   let r =
     Hart_fault.Fault_mt.explore ~target ~seed:3L ~domains:2
@@ -706,6 +706,8 @@ let test_toy_good_passes () =
    the exclusive structure lock, so an update-heavy workload on
    distinct prefixes genuinely overlaps at crash points, and the full
    sweep still passes the linearization-set oracle. *)
+
+let wort_mt = Option.get (Hart_fault.Fault_mt.find_mt_target "wort")
 
 let test_wort_update_commute () =
   let prefixes = [ "wa"; "wb" ] in
@@ -731,7 +733,7 @@ let test_wort_update_commute () =
          prefixes)
   in
   let r =
-    Hart_fault.Fault_mt.explore ~target:Hart_fault.Fault_mt.wort_mt ~seed:7L
+    Hart_fault.Fault_mt.explore ~target:wort_mt ~seed:7L
       ~domains:2 ~workload:"wort-update" ~setup scripts
   in
   Alcotest.(check bool) "swept some flush boundaries" true (r.total_flushes > 0);
@@ -749,7 +751,7 @@ let test_wort_insert_serializes () =
               (Printf.sprintf "w%c-%02d" (Char.chr (Char.code 'p' + d)) j, "v")))
   in
   let r =
-    Hart_fault.Fault_mt.explore ~target:Hart_fault.Fault_mt.wort_mt ~seed:9L
+    Hart_fault.Fault_mt.explore ~target:wort_mt ~seed:9L
       ~domains:2 ~workload:"wort-insert" scripts
   in
   Alcotest.(check int) "no violations" 0 (List.length r.violations);

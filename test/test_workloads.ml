@@ -1,6 +1,6 @@
 module Keygen = Hart_workloads.Keygen
 module Workload = Hart_workloads.Workload
-module Index_intf = Hart_baselines.Index_intf
+module Index_intf = Hart_core.Index_intf
 
 let distinct keys =
   let h = Hashtbl.create (Array.length keys) in
@@ -526,7 +526,7 @@ let test_composite_keys () =
 
 let test_apply_counts_hits () =
   let pool = Hart_pmem.Pmem.create (Hart_pmem.Meter.create Hart_pmem.Latency.c300_100) in
-  let ops = Hart_baselines.Hart_index.ops (Hart_core.Hart.create pool) in
+  let ops = Hart_baselines.Roster.(create hart) pool in
   let keys = Keygen.generate Keygen.Random 100 in
   let hits = Workload.apply ops (Workload.insert_trace keys Keygen.value_for) in
   Alcotest.(check int) "all inserts counted" 100 hits;

@@ -41,9 +41,6 @@ type t = M.t
 let create ?kh pool = M.of_index (Hart.create ?kh pool)
 let of_hart = M.of_index
 let recover = M.recover
-
-let recover_parallel ?domains pool =
-  M.of_index (Hart.recover_parallel ?domains pool)
 let underlying = M.underlying
 let art_lock = M.stripe_lock
 let insert = M.insert

@@ -36,11 +36,6 @@ val of_hart : Hart.t -> t
 (** Wrap an already-built (or already-recovered) HART in the striped
     front end — the KV server's path from a loaded store file. *)
 
-val recover_parallel : ?domains:int -> Hart_pmem.Pmem.t -> t
-(** {!Hart.recover_parallel} wrapped for concurrent use: the rebuild
-    itself fans out across domains, then the result is handed to the
-    striped front end. *)
-
 val insert : t -> key:string -> value:string -> unit
 val search : t -> string -> string option
 val update : t -> key:string -> value:string -> bool

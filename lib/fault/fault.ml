@@ -266,10 +266,9 @@ let violation_message v = Format.asprintf "%a" pp_violation v
 (* machine-readable form, for CI diffing against an empty baseline *)
 let op_json op =
   let one tag k v =
-    Printf.sprintf {|{"op":"%s","key":"%s"%s}|} tag (Json.escape k)
-      (match v with
-      | None -> ""
-      | Some v -> Printf.sprintf {|,"value":"%s"|} (Json.escape v))
+    Json.Obj
+      ([ ("op", Json.Str tag); ("key", Json.Str k) ]
+      @ Option.to_list (Option.map (fun v -> ("value", Json.Str v)) v))
   in
   match op with
   | Insert (k, v) -> one "insert" k (Some v)
@@ -277,27 +276,35 @@ let op_json op =
   | Delete k -> one "delete" k None
   | Search k -> one "search" k None
 
-let ops_json ops = "[" ^ String.concat "," (List.map op_json ops) ^ "]"
+let ops_json ops = Json.List (List.map op_json ops)
 
 let repro_json r =
-  Printf.sprintf
-    {|{"seed":%Ld,"domains":%d,"schedule":%d,"ops":%d,"setup":%s,"scripts":[%s]}|}
-    r.r_seed r.r_domains r.r_schedule (repro_ops r) (ops_json r.r_setup)
-    (String.concat "," (Array.to_list (Array.map ops_json r.r_scripts)))
+  Json.Obj
+    [
+      ("seed", Json.Int64 r.r_seed);
+      ("domains", Json.Int r.r_domains);
+      ("schedule", Json.Int r.r_schedule);
+      ("ops", Json.Int (repro_ops r));
+      ("setup", ops_json r.r_setup);
+      ("scripts", Json.List (Array.to_list (Array.map ops_json r.r_scripts)));
+    ]
 
 let violation_json v =
-  let seed = match v.v_mode with Pmem.Torn { seed; _ } -> Printf.sprintf "%Ld" seed | _ -> "null" in
-  let nested = match v.v_nested with None -> "null" | Some m -> string_of_int m in
-  let repro = match v.v_repro with None -> "null" | Some r -> repro_json r in
-  Printf.sprintf
-    {|{"target":"%s","workload":"%s","mode":"%s","seed":%s,"schedule":%d,"nested":%s,"detail":"%s","repro":%s}|}
-    (Json.escape v.v_target) (Json.escape v.v_workload)
-    (Json.escape (Format.asprintf "%a" pp_mode v.v_mode))
-    seed v.v_schedule nested (Json.escape v.v_detail) repro
+  let opt f = function None -> Json.Null | Some x -> f x in
+  Json.Obj
+    [
+      ("target", Json.Str v.v_target);
+      ("workload", Json.Str v.v_workload);
+      ("mode", Json.Str (Format.asprintf "%a" pp_mode v.v_mode));
+      ( "seed",
+        match v.v_mode with Pmem.Torn { seed; _ } -> Json.Int64 seed | _ -> Json.Null );
+      ("schedule", Json.Int v.v_schedule);
+      ("nested", opt (fun m -> Json.Int m) v.v_nested);
+      ("detail", Json.Str v.v_detail);
+      ("repro", opt repro_json v.v_repro);
+    ]
 
-let violation_list_json = function
-  | [] -> "[]\n"
-  | vs -> "[\n  " ^ String.concat ",\n  " (List.map violation_json vs) ^ "\n]\n"
+let violation_list_json vs = Json.to_lines (List.map violation_json vs)
 
 type media_outcome =
   | Media_repaired
@@ -1285,29 +1292,31 @@ let media_count outcome r =
   List.length (List.filter (fun s -> s.site_outcome = outcome) r.sites)
 
 let media_site_json s =
-  Printf.sprintf {|{"site":%d,"fault":"%s","outcome":"%s","findings":%d}|}
-    s.site_index (Json.escape s.site_fault)
-    (media_outcome_name s.site_outcome)
-    s.site_findings
+  Json.Obj
+    [
+      ("site", Json.Int s.site_index);
+      ("fault", Json.Str s.site_fault);
+      ("outcome", Json.Str (media_outcome_name s.site_outcome));
+      ("findings", Json.Int s.site_findings);
+    ]
 
 let media_report_json r =
-  Printf.sprintf
-    {|{"target":"%s","workload":"%s","seed":%Ld,"sites":%d,"repaired":%d,"quarantined":%d,"detected":%d,"benign":%d,"site_list":[%s],"violations":%s}|}
-    (Json.escape r.target) (Json.escape r.workload)
-    (Option.value r.seed ~default:0L)
-    (List.length r.sites)
-    (media_count Media_repaired r)
-    (media_count Media_quarantined r)
-    (media_count Media_detected r)
-    (media_count Media_benign r)
-    (String.concat "," (List.map media_site_json r.sites))
-    (String.concat ""
-       (String.split_on_char '\n'
-          (violation_list_json r.violations)))
+  let count outcome = Json.Int (media_count outcome r) in
+  Json.Obj
+    [
+      ("target", Json.Str r.target);
+      ("workload", Json.Str r.workload);
+      ("seed", Json.Int64 (Option.value r.seed ~default:0L));
+      ("sites", Json.Int (List.length r.sites));
+      ("repaired", count Media_repaired);
+      ("quarantined", count Media_quarantined);
+      ("detected", count Media_detected);
+      ("benign", count Media_benign);
+      ("site_list", Json.List (List.map media_site_json r.sites));
+      ("violations", Json.List (List.map violation_json r.violations));
+    ]
 
-let media_reports_json = function
-  | [] -> "[]\n"
-  | rs -> "[\n  " ^ String.concat ",\n  " (List.map media_report_json rs) ^ "\n]\n"
+let media_reports_json rs = Json.to_lines (List.map media_report_json rs)
 
 let pp_report ppf r =
   Format.fprintf ppf "%-12s %-14s" r.target r.workload;

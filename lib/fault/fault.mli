@@ -161,7 +161,7 @@ val repro_ops : repro -> int
 
 val pp_repro : Format.formatter -> repro -> unit
 
-val repro_json : repro -> string
+val repro_json : repro -> Hart_util.Json.t
 (** The reproducer as a JSON object: seed, domains, schedule, op count,
     and the full setup/scripts op lists. *)
 

@@ -4,6 +4,7 @@ type t =
   | Null
   | Bool of bool
   | Int of int
+  | Int64 of int64
   | Float of float
   | Str of string
   | List of t list
@@ -31,6 +32,7 @@ let rec emit buf ~indent t =
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int i -> Buffer.add_string buf (string_of_int i)
+  | Int64 i -> Buffer.add_string buf (Int64.to_string i)
   | Float f ->
       if not (Float.is_finite f) then Buffer.add_string buf "null"
       else Buffer.add_string buf (Printf.sprintf "%.6g" f)
@@ -71,6 +73,36 @@ let to_string t =
   emit buf ~indent:0 t;
   Buffer.add_char buf '\n';
   Buffer.contents buf
+
+let rec emit_compact buf = function
+  | List xs ->
+      Buffer.add_char buf '[';
+      List.iteri
+        (fun i x ->
+          if i > 0 then Buffer.add_char buf ',';
+          emit_compact buf x)
+        xs;
+      Buffer.add_char buf ']'
+  | Obj kvs ->
+      Buffer.add_char buf '{';
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          emit_compact buf (Str k);
+          Buffer.add_char buf ':';
+          emit_compact buf v)
+        kvs;
+      Buffer.add_char buf '}'
+  | scalar -> emit buf ~indent:0 scalar
+
+let to_compact t =
+  let buf = Buffer.create 256 in
+  emit_compact buf t;
+  Buffer.contents buf
+
+let to_lines = function
+  | [] -> "[]\n"
+  | xs -> "[\n  " ^ String.concat ",\n  " (List.map to_compact xs) ^ "\n]\n"
 
 let write path t =
   let oc = open_out path in

@@ -70,21 +70,27 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     [Leaf_slot]). *)
 
 val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
-(** Parallel Algorithm 7: micro-log replay stays serial, then the
-    directory/ART rebuild fans the leaf-chunk scan and the per-bucket
-    ART construction across [domains] [Domain.spawn] workers (default
-    [Domain.recommended_domain_count ()]). Buckets are rebuilt
-    independently — the directory hash partitions the hash-key space, so
-    each ART is built wholly by one worker — and the result is
-    observationally identical to {!recover}. [~domains:1] is exactly
-    serial {!recover}.
+(** {!recover} cut into [domains] partitions (default
+    [Domain.recommended_domain_count ()]); {!recover} is
+    [recover_parallel ~domains:1]. Every mode and domain count runs one
+    pipeline:
 
-    [~quarantine:true] composes with the fan-out: workers perform the
-    (read-only) per-leaf validation in the scan phase, and all
-    quarantine PM mutations are applied in a serial merge before the
-    build phase. The keep-lower-offset duplicate rule is
-    order-independent, so parallel and serial quarantining recovery
-    excise identical leaves.
+    - the serial preamble replays the micro-logs (quarantining: after
+      the ECC scrub, in guarded mode);
+    - [domains] workers scan slices of the leaf chunk list, reading each
+      live leaf's key (quarantining: validating the leaf), and sort the
+      entries into partitions by the directory hash of their hash key;
+    - quarantining only, a serial merge applies the keep-lower-offset
+      duplicate rule and then every quarantine PM write — the only PM
+      writes after the preamble;
+    - each worker indexes its own partition straight into the shared
+      directory. Partitions own disjoint hash keys, so each ART is built
+      wholly by one worker.
+
+    The rules are order-independent, so the bindings, the findings and
+    the structural statistics do not depend on [domains]. With [~domains:1] nothing
+    is spawned, and a plain mount reads each key and indexes it in one
+    pass over the chunk list.
     @raise Invalid_argument if [domains < 1]. *)
 
 val quarantines : t -> Hart_error.finding list

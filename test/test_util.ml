@@ -1,5 +1,6 @@
 module Rng = Hart_util.Rng
 module Bits = Hart_util.Bits
+module Json = Hart_util.Json
 
 let test_rng_determinism () =
   let a = Rng.create 42L and b = Rng.create 42L in
@@ -259,6 +260,29 @@ let qcheck_lowest_zero_is_zero =
       | None -> List.for_all (Bits.test w) (List.init 56 Fun.id)
       | Some i -> i < 56 && not (Bits.test w i))
 
+(* The compact layout is what the fault reports are made of, and CI
+   diffs those byte for byte. *)
+let test_json_compact_layouts () =
+  let op = Json.Obj [ ("op", Json.Str "insert"); ("key", Json.Str "a\"b\\\n\r\t\001") ] in
+  let v =
+    Json.Obj
+      [
+        ("seed", Json.Int64 Int64.min_int);
+        ("n", Json.Int (-3));
+        ("none", Json.Null);
+        ("ok", Json.Bool true);
+        ("ops", Json.List [ op; Json.List [] ]);
+        ("empty", Json.Obj []);
+      ]
+  in
+  let compact =
+    {|{"seed":-9223372036854775808,"n":-3,"none":null,"ok":true,"ops":[{"op":"insert","key":"a\"b\\\n\r\t\u0001"},[]],"empty":{}}|}
+  in
+  Alcotest.(check string) "compact" compact (Json.to_compact v);
+  Alcotest.(check string) "lines" ("[\n  " ^ compact ^ ",\n  []\n]\n")
+    (Json.to_lines [ v; Json.List [] ]);
+  Alcotest.(check string) "no lines" "[]\n" (Json.to_lines [])
+
 let () =
   Alcotest.run "util"
     [
@@ -295,4 +319,6 @@ let () =
           Alcotest.test_case "ctz on words of 2^32 and more" `Quick test_ctz_wide;
           QCheck_alcotest.to_alcotest qcheck_ctz_random;
         ] );
+      ( "json",
+        [ Alcotest.test_case "compact layouts" `Quick test_json_compact_layouts ] );
     ]

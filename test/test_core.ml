@@ -3003,6 +3003,232 @@ let qcheck_media_fsck_partition =
           | Hart_error.Error _ | Pmem.Media_poisoned _ ->
               true (* typed mid-walk detection is an accepted outcome *)))
 
+(* Findings pin for the media-repair path. Two pools (plain and
+   checksummed), each churned by [populate_hart] (owning free slots),
+   then by updates (the last one leaves a kept update record), then cut
+   by a crash inside a leaf-chunk recycle (a pending recycle record).
+   Every site is one media fault (all five kinds) on one line class:
+   the log slots' lines (kept, pending, idle), chunk prologues, a live
+   leaf, a live value, an owning free slot, the value it owns, chunk
+   padding and unregistered pool space. At rest the fault hits the
+   crashed image before the quarantining mount; online it hits the
+   mounted store before fsck. Each site renders the mount's typed
+   error, or its quarantines then the fsck findings, then the sorted
+   bindings and an MD5 of the durable image; the MD5 of the whole
+   rendering is pinned. [PIN_DUMP=1 dune exec test/test_core.exe]
+   prints the rendering, then the MD5 to pin. *)
+let media_pin_base ~checksums =
+  let h, pool, model = populate_hart ~checksums () in
+  List.iteri
+    (fun i (key, value) ->
+      if i mod 7 = 3 then assert (Hart.update h ~key ~value:("u" ^ value)))
+    (SMap.bindings model);
+  Pmem.persist_all pool;
+  Pmem.crash pool;
+  let logs p =
+    Microlog.attach ~checksummed:checksums p
+      ~base:(Epalloc.root_off + Pmem.line_bytes)
+  in
+  let recycle_pending p =
+    List.exists
+      (fun slot -> Microlog.pending (logs p) ~kind:"recycle" ~slot)
+      (List.init Microlog.n_slots Fun.id)
+  in
+  (* delete in leaf-offset order, so the lowest leaf chunk empties, and
+     crash at the first flush that leaves its recycle record pending *)
+  let rec cut k =
+    let p = Pmem.clone pool in
+    let h = Hart.recover p in
+    let victims = List.map (fun leaf -> Leaf.key p ~leaf) (leaf_offsets h) in
+    let recycled =
+      Epalloc.chunk_of_obj (Hart.alloc h) Chunk.Leaf_c (List.hd (leaf_offsets h))
+    in
+    Pmem.arm_crash p ~after_flushes:k;
+    match List.iter (fun key -> ignore (Hart.delete h key : bool)) victims with
+    | () -> Alcotest.failf "no recycle record pending after %d flushes" k
+    | exception Pmem.Crash_injected ->
+        Pmem.disarm_crash p;
+        if recycle_pending p then (p, recycled) else cut (k + 1)
+  in
+  let base, recycled = cut 1 in
+  assert (Microlog.pending (logs base) ~kind:"update" ~slot:0);
+  (base, recycled)
+
+let media_pin_lines base ~recycled =
+  let h = Hart.recover (Pmem.clone base) in
+  let alloc = Hart.alloc h and pool = Hart.pool h in
+  let line off = off / Pmem.line_bytes in
+  let prologues = Hashtbl.create 16 in
+  List.iter
+    (fun cls ->
+      Epalloc.iter_chunks alloc cls (fun chunk ->
+          Hashtbl.replace prologues (line chunk) ()))
+    Chunk.all_classes;
+  let off_prologue offs =
+    List.find (fun off -> not (Hashtbl.mem prologues (line off))) offs
+  in
+  let first cls =
+    let c = ref 0 in
+    Epalloc.iter_chunks alloc cls (fun chunk -> if !c = 0 then c := chunk);
+    !c
+  in
+  let leaves = leaf_offsets h in
+  let live_leaf =
+    off_prologue (List.filteri (fun i _ -> i >= List.length leaves / 2) leaves)
+  in
+  let owners = ref [] in
+  Epalloc.iter_owned alloc (fun ~leaf -> owners := leaf :: !owners);
+  let owner = off_prologue (List.rev !owners) in
+  let logs = Epalloc.logs alloc in
+  let slot kind slot = Microlog.slot_offset logs ~kind ~slot in
+  let base_logs =
+    Microlog.attach ~checksummed:(Hart.checksums h) base
+      ~base:(Epalloc.root_off + Pmem.line_bytes)
+  in
+  let pending =
+    List.find
+      (fun slot -> Microlog.pending base_logs ~kind:"recycle" ~slot)
+      (List.init Microlog.n_slots Fun.id)
+  in
+  let unregistered = recycled + (10 * Pmem.line_bytes) in
+  assert (Epalloc.chunk_covering alloc unregistered = None);
+  [
+    ("log-kept", line (slot "update" 0));
+    ("log-pending", line (slot "recycle" pending));
+    ("log-idle", line (slot "update" 5));
+    ("prologue-leaf", line (first Chunk.Leaf_c));
+    ("prologue-val32", line (first Chunk.Val32));
+    ("live-leaf", line live_leaf);
+    ( "live-value",
+      line (off_prologue (List.map (fun leaf -> Leaf.p_value pool ~leaf) leaves)) );
+    ("owning-slot", line owner);
+    ("owned-value", line (Leaf.p_value pool ~leaf:owner));
+    ("val8-padding", line (first Chunk.Val8 + Chunk.chunk_bytes Chunk.Val8 - 1));
+    ("unregistered", line unregistered);
+  ]
+
+let media_pin_faults rng line =
+  [
+    ( "flip-bit",
+      Pmem.Flip_bit
+        {
+          off = (line * Pmem.line_bytes) + Rng.int rng Pmem.line_bytes;
+          bit = Rng.int rng 8;
+        } );
+    ("clobber", Pmem.Clobber_line { line; seed = Rng.next64 rng });
+    ("stuck", Pmem.Stuck_line { line });
+    ("poison", Pmem.Poison_line { line });
+  ]
+
+let media_pin_render () =
+  let b = Buffer.create (1 lsl 20) in
+  let findings = ref [] in
+  let out fmt = Printf.bprintf b fmt in
+  let show what fs =
+    List.iter
+      (fun (f : Hart_error.finding) ->
+        findings := (what, f) :: !findings;
+        out "%s: %s\n" what (Format.asprintf "%a" Hart_error.pp_finding f))
+      fs
+  in
+  let image pool =
+    let path = Filename.temp_file "media_pin" ".pm" in
+    Pmem.save pool path;
+    let d = Digest.to_hex (Digest.file path) in
+    Sys.remove path;
+    d
+  in
+  let fsck_and_dump h =
+    (match Hart.fsck h with
+    | fs -> show "fsck" fs
+    | exception Hart_error.Error e -> out "fsck raised: %s\n" (Hart_error.to_string e)
+    | exception Pmem.Media_poisoned { line; _ } ->
+        out "fsck raised: poisoned line %d\n" line
+    | exception Invalid_argument m -> out "fsck raised: %s\n" m);
+    (match dump_hart h with
+    | bs ->
+        out "bindings: %s\n"
+          (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) bs))
+    | exception Pmem.Media_poisoned { line; _ } ->
+        out "bindings raised: poisoned line %d\n" line
+    | exception Invalid_argument m -> out "bindings raised: %s\n" m);
+    out "image: %s\n" (image (Hart.pool h))
+  in
+  List.iter
+    (fun checksums ->
+      let base, recycled = media_pin_base ~checksums in
+      let rng = Rng.create (if checksums then 0xC5L else 0x9AL) in
+      let sites =
+        List.concat_map
+          (fun (what, line) ->
+            List.map
+              (fun (kind, fault) -> (what ^ "/" ^ kind, fault))
+              (media_pin_faults rng line))
+          (media_pin_lines base ~recycled)
+        @ List.init 2 (fun i ->
+              ( Printf.sprintf "flip-bits#%d" i,
+                Pmem.Flip_bits { seed = Rng.next64 rng; flips = 2 + i } ))
+      in
+      List.iter
+        (fun phase ->
+          List.iter
+            (fun (site, fault) ->
+              out "== %s %s %s\n"
+                (if checksums then "checksummed" else "plain")
+                phase site;
+              let pool = Pmem.clone base in
+              if phase = "at-rest" then Pmem.inject_media_fault pool fault;
+              match Hart.recover ~quarantine:true pool with
+              | exception Hart_error.Error e ->
+                  out "mount refused: %s\n" (Hart_error.to_string e)
+              | exception Pmem.Media_poisoned { line; _ } ->
+                  out "mount refused: poisoned line %d\n" line
+              | h ->
+                  show "mount" (Hart.quarantines h);
+                  if phase = "online" then Pmem.inject_media_fault pool fault;
+                  fsck_and_dump h)
+            sites)
+        [ "at-rest"; "online" ])
+    [ false; true ];
+  (Buffer.contents b, List.rev !findings)
+
+let () =
+  if Sys.getenv_opt "PIN_DUMP" <> None then begin
+    let rendering = fst (media_pin_render ()) in
+    print_string rendering;
+    Printf.printf "media findings pin: %S\n"
+      (Digest.to_hex (Digest.string rendering));
+    exit 0
+  end
+
+let test_media_findings_pinned () =
+  let rendering, findings = media_pin_render () in
+  let details = List.map (fun (_, (f : Hart_error.finding)) -> f.f_detail) findings in
+  List.iter
+    (fun d ->
+      if not (List.mem d details) then Alcotest.failf "no site produces %S" d)
+    [
+      "pending log record on corrupt media discarded (treated as never committed)";
+      "idle log slot rewritten to zero (line resealed)";
+      "unreferenced committed value on corrupt line reclaimed";
+      "unreferenced committed value object reclaimed";
+    ];
+  List.iter
+    (fun who ->
+      if
+        not
+          (List.exists
+             (fun (w, (f : Hart_error.finding)) ->
+               w = who
+               && f.f_action = Hart_error.Quarantined
+               && match f.f_site with Hart_error.Leaf_slot _ -> true | _ -> false)
+             findings)
+      then Alcotest.failf "no leaf quarantined by %s" who)
+    [ "mount"; "fsck" ];
+  Alcotest.(check string)
+    "rendering md5" "ada10b358485bb750a0be3bbbd97770c"
+    (Digest.to_hex (Digest.string rendering))
+
 let () =
   Alcotest.run "core"
     [
@@ -3177,6 +3403,7 @@ let () =
           Alcotest.test_case "scrub heals a value-chunk header" `Quick
             test_scrub_heals_value_header;
           QCheck_alcotest.to_alcotest qcheck_media_fsck_partition;
+          Alcotest.test_case "media findings pinned" `Quick test_media_findings_pinned;
         ] );
       ( "concurrency",
         [

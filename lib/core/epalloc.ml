@@ -758,6 +758,11 @@ and release_hold t cls ~obj =
   cancel_reservation t cls ~obj;
   eprecycle t cls ~chunk:(chunk_of_obj t cls obj)
 
+let release_held t obj =
+  match class_of_value_obj t obj with
+  | Some cls -> release_hold t cls ~obj
+  | None -> ()
+
 (* Algorithm 5's free: clear and persist the leaf's bit and, in the same
    stripe-locked section, mark the slot as the owner of the value its
    p_value names, so no domain can reserve the slot before it owns; then
@@ -778,6 +783,29 @@ let free_leaf t ~leaf =
 
 (* ------------------------------------------------------------------ *)
 (* Recovery (single-domain: runs before the store is shared)           *)
+
+(* The repair for a log slot on a corrupt media line or failing its
+   word CRC: discard the record and end the hold of the POldV a kept
+   record held. A record that held nothing may be an operation in
+   flight, so it is reported as lost; any other slot only needed the
+   rewrite. Before replay no slot holds anything. *)
+let scrub_log_slot t ~report (kind, slot, off) =
+  let durable = Microlog.pending t.logs ~kind ~slot in
+  let held = Microlog.discard_slot t.logs ~kind ~slot in
+  release_held t held;
+  let lost = durable && held = 0 in
+  report
+    {
+      Hart_error.f_site = Log_slot { kind; slot; off };
+      f_action = (if lost then Quarantined else Repaired);
+      f_detail =
+        (if lost then
+           "pending log record on corrupt media discarded (treated as never \
+            committed)"
+         else "idle log slot rewritten to zero (line resealed)");
+      f_keys = [];
+      f_capacity = (if lost then 1 else 0);
+    }
 
 let recover_recycle_log t ~slot =
   let logs = t.logs in
@@ -861,13 +889,7 @@ let recover_update_log t ~slot =
 let attach ?(bad_lines = []) ?report pool =
   let quarantine = report <> None in
   let emit f = match report with Some r -> r f | None -> () in
-  let bad = Hashtbl.create 8 in
-  List.iter (fun l -> Hashtbl.replace bad l ()) bad_lines;
-  let bad_span off len =
-    let last = (off + len - 1) / Pmem.line_bytes in
-    let rec go l = l <= last && (Hashtbl.mem bad l || go (l + 1)) in
-    go (off / Pmem.line_bytes)
-  in
+  let bad_span = Pmem.touches_lines bad_lines in
   (* The root scalars (magic, kh word, list heads) fill the root's first
      line; per-line ECC cannot localise damage below line granularity,
      so a fault here is unrepairable in place — raise (the mount is
@@ -952,38 +974,10 @@ let attach ?(bad_lines = []) ?report pool =
   if quarantine then begin
     let to_scrub = Hashtbl.create 8 in
     List.iter
-      (fun (kind, slot, off) ->
-        Hashtbl.replace to_scrub (kind, slot) off)
-      (Microlog.slots_overlapping logs ~line_bytes:Pmem.line_bytes
-         ~lines:bad_lines);
-    List.iter
       (fun (kind, slot, off) -> Hashtbl.replace to_scrub (kind, slot) off)
-      (Microlog.verify logs);
+      (Microlog.slots_overlapping logs ~lines:bad_lines @ Microlog.verify logs);
     Hashtbl.iter
-      (fun (kind, slot) off ->
-        let was_pending = Microlog.pending logs ~kind ~slot in
-        (* before replay no slot holds anything *)
-        ignore (Microlog.discard_slot logs ~kind ~slot : int);
-        if was_pending then
-          emit
-            {
-              Hart_error.f_site = Log_slot { kind; slot; off };
-              f_action = Quarantined;
-              f_detail =
-                "pending log record on corrupt media discarded (treated \
-                 as never committed)";
-              f_keys = [];
-              f_capacity = 1;
-            }
-        else
-          emit
-            {
-              Hart_error.f_site = Log_slot { kind; slot; off };
-              f_action = Repaired;
-              f_detail = "idle log slot rewritten to zero (line resealed)";
-              f_keys = [];
-              f_capacity = 0;
-            })
+      (fun (kind, slot) off -> scrub_log_slot t ~report:emit (kind, slot, off))
       to_scrub
   end;
   (* Replay, guarded in quarantine mode: a record whose pointers do not

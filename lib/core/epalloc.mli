@@ -89,14 +89,16 @@ val attach :
     shows it in flight; every other complete update record is kept
     without a PM write, its POldV reserved again.
 
-    Passing [~report] switches on quarantine mode for media-damaged
-    pools: log records on a [bad_lines] line or failing their CRC are
-    discarded (reported via [report]) instead of replayed, replay is
-    guarded against unresolvable pointers, and the free-leaf-slot
-    ownership sweep is skipped — the caller must follow with [Hart]'s
-    deferred scan, which decides each slot's ownership against the live
-    keys' values ({!set_owner}), since a forged [p_value] could alias a
-    live key's value object.
+    [bad_lines] are the lines the device ECC flags; one under the root
+    scalars or a chunk prologue refuses the mount. Passing [~report]
+    switches on quarantine mode for media-damaged pools: every log slot
+    on a [bad_lines] line or failing its CRC goes through
+    {!scrub_log_slot} before replay, so replay never reads it; replay
+    is guarded (a record whose pointers do not resolve is discarded and
+    reported); and the free-leaf-slot ownership sweep is skipped — the
+    caller must follow with [Hart]'s deferred scan, which decides each
+    slot's ownership against the live keys' values ({!set_owner}),
+    since a forged [p_value] could alias a live key's value object.
 
     Outside quarantine mode the sweep reads every free leaf slot's
     [p_value]: a slot naming a committed value becomes its owner with
@@ -227,6 +229,22 @@ val release_hold : t -> Chunk.cls -> obj:int -> unit
 (** End the hold {!reset_obj_bit_hold} placed once the object's durable
     reference is gone: {!cancel_reservation}, then {!eprecycle} its
     chunk. *)
+
+val release_held : t -> int -> unit
+(** {!release_hold} for the value object at this offset, whatever its
+    class; nothing for an offset in no value chunk (0, say): the POldV a
+    log slot hands back. *)
+
+val scrub_log_slot :
+  t -> report:(Hart_error.finding -> unit) -> string * int * int -> unit
+(** The repair for a log slot, given as a [(kind, slot, offset)] triple,
+    that sits on a corrupt media line or fails its word CRC
+    ({!Microlog.slots_overlapping}, {!Microlog.verify}): discard the
+    record ({!Microlog.discard_slot}), {!release_held} the POldV a kept
+    record held, and [report] one [Log_slot] finding. A record that held
+    nothing is [Quarantined] (treated as never committed); an idle or
+    kept slot is [Repaired]. Shared by {!attach}'s quarantine mode and
+    [Hart.fsck]. *)
 
 val set_owner : t -> leaf:int -> bool -> unit
 (** Set or drop a free leaf slot's owned mark. For a quarantining

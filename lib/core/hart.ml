@@ -89,12 +89,6 @@ let check_key key =
     invalid_arg
       (Printf.sprintf "HART keys must be 1..%d bytes (got %d)" Leaf.max_key_len n)
 
-(* End the hold on a value a log slot handed back (0: none). *)
-let release_held_value alloc obj =
-  match Epalloc.class_of_value_obj alloc obj with
-  | Some cls -> Epalloc.release_hold alloc cls ~obj
-  | None -> ()
-
 (* Algorithm 3: out-of-place value update under the persistent update
    log. [leaf] must be a committed leaf. The new value is persisted
    before the log record, and the record's three words are persisted
@@ -121,7 +115,7 @@ let update_leaf t ~leaf value =
   let new_v = Epalloc.epmalloc_update t.alloc vcls ~old:old_v in
   Value_obj.write ~crc:(checksums t) t.pool ~obj:new_v value;
   (* the record this one overwrites no longer names its POldV *)
-  release_held_value t.alloc
+  Epalloc.release_held t.alloc
     (Microlog.Update.record logs ~slot ~pleaf:leaf ~poldv:old_v ~pnewv:new_v);
   let p_value_first = Epalloc.mutated P_value_before_bits in
   if p_value_first then Leaf.set_p_value t.pool ~leaf new_v;
@@ -316,10 +310,14 @@ let make_recovered pool alloc quarantines =
     quarantines;
   }
 
+(* A leaf slot's coordinates in errors and findings *)
+let leaf_site alloc ~leaf =
+  let chunk = Epalloc.chunk_of_obj alloc Chunk.Leaf_c leaf in
+  let idx = Chunk.idx_of_obj Chunk.Leaf_c ~chunk ~obj:leaf in
+  Hart_error.Leaf_slot { chunk; idx; leaf }
+
 let leaf_slot_error ?keys alloc ~obj fmt =
-  let chunk = Epalloc.chunk_of_obj alloc Chunk.Leaf_c obj in
-  let idx = Chunk.idx_of_obj Chunk.Leaf_c ~chunk ~obj in
-  Hart_error.error ?keys (Leaf_slot { chunk; idx; leaf = obj }) fmt
+  Hart_error.error ?keys (leaf_site alloc ~leaf:obj) fmt
 
 let duplicate_leaf_error alloc ~key ~obj =
   leaf_slot_error ~keys:[ key ] alloc ~obj "duplicate committed leaf for key %S" key
@@ -334,15 +332,6 @@ let committed_leaf_key alloc ~obj =
       leaf_slot_error alloc ~obj "committed leaf stores invalid key length %d" len
 
 (* ---- quarantining recovery machinery ------------------------------ *)
-
-(* Predicate over [off, off+len): does the span touch a flagged line? *)
-let bad_span_of_lines lines =
-  let tbl = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace tbl l ()) lines;
-  fun off len ->
-    let last = (off + len - 1) / Pmem.line_bytes in
-    let rec go l = l <= last && (Hashtbl.mem tbl l || go (l + 1)) in
-    go (off / Pmem.line_bytes)
 
 type leaf_verdict =
   | Leaf_ok of { key : string; pv : int }
@@ -403,51 +392,72 @@ let inspect_leaf alloc ~checksums ~bad_span ~leaf =
   | Invalid_argument msg ->
       Leaf_bad { key = None; pv = 0; detail = "access out of pool: " ^ msg }
 
-(* Free a value object iff it is provably exclusive: committed, and not
-   referenced by any kept (index-reachable) leaf. A corrupt leaf's
-   p_value is untrusted bytes — it may alias a live key's value object,
-   so freeing is deferred until the full scan has established the kept
-   reference set. Zeroing the object's bytes reseals its media lines
-   and leaves no stale payload behind. *)
-let free_value_exclusive alloc ~kept_values ~freed pv =
-  (* untrusted bytes may land inside a value chunk yet between object
-     boundaries — such an offset names no object, committed or not *)
-  if
-    pv > 0
-    && (not (Hashtbl.mem kept_values pv))
-    && (not (Hashtbl.mem freed pv))
-    && Epalloc.value_committed alloc pv
-  then
+(* ---- media-repair steps, shared by the mount and fsck ------------- *)
+
+let zero_span pool ~off ~len =
+  Pmem.set_string pool ~off (String.make len '\000');
+  Pmem.persist pool ~off ~len
+
+(* Durably free a value object: clear its bit, then zero and persist its
+   bytes, which reseals its media lines and leaves no stale payload. *)
+let free_value alloc vcls ~obj =
+  Epalloc.reset_obj_bit alloc vcls ~obj;
+  zero_span (Epalloc.pool alloc) ~off:obj ~len:(Chunk.obj_size vcls)
+
+(* [free_value] if [pv] is a committed value object. Untrusted bytes may
+   land inside a value chunk yet between object boundaries: such an
+   offset names no object, committed or not. *)
+let free_committed alloc pv =
+  if pv > 0 && Epalloc.value_committed alloc pv then
     match Epalloc.class_of_value_obj alloc pv with
-    | Some vcls ->
-        Hashtbl.replace freed pv ();
-        Epalloc.reset_obj_bit alloc vcls ~obj:pv;
-        let pool = Epalloc.pool alloc in
-        Pmem.set_string pool ~off:pv (String.make (Chunk.obj_size vcls) '\000');
-        Pmem.persist pool ~off:pv ~len:(Chunk.obj_size vcls)
+    | Some vcls -> free_value alloc vcls ~obj:pv
     | None -> ()
 
+(* Excise one committed leaf from PM and report the loss: clear its bit,
+   zero and persist its bytes (resealing the covering lines), free its
+   value. [key] and [pv] are what the caller trusts of the leaf. A
+   corrupt leaf's pointer is untrusted bytes that may alias a live key's
+   value, so the caller passes [pv = 0] unless its exclusivity rule
+   proves no kept leaf names the value. The DRAM index is the
+   caller's. *)
+let quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail =
+  if Epalloc.obj_bit alloc Chunk.Leaf_c ~obj:leaf then
+    Epalloc.reset_obj_bit alloc Chunk.Leaf_c ~obj:leaf;
+  zero_span (Epalloc.pool alloc) ~off:leaf ~len:Leaf.size;
+  free_committed alloc pv;
+  report
+    {
+      Hart_error.f_site = leaf_site alloc ~leaf;
+      f_action = Quarantined;
+      f_detail = detail;
+      f_keys = Option.to_list key;
+      f_capacity = 1;
+    }
+
+(* fsck: free a committed value that no live key and no owning slot
+   names, and report it *)
+let reclaim_value alloc ~report vcls ~obj ~detail =
+  free_value alloc vcls ~obj;
+  let chunk = Epalloc.chunk_of_obj alloc vcls obj in
+  let idx = Chunk.idx_of_obj vcls ~chunk ~obj in
+  report
+    {
+      Hart_error.f_site = Value_slot { cls = Epalloc.cls_name vcls; chunk; idx; obj };
+      f_action = Repaired;
+      f_detail = detail;
+      f_keys = [];
+      f_capacity = 0;
+    }
+
 (* Serial application of the quarantine decisions gathered by the (maybe
-   parallel) scan: excise bad leaves, free provably-exclusive values,
-   settle free slots' ownership, emit findings. PM-mutating. *)
-let apply_quarantine alloc ~kept_values ~findings ~badq ~stale_free =
-  let pool = Epalloc.pool alloc in
-  let freed = Hashtbl.create 16 in
+   parallel) scan: quarantine bad leaves, freeing only the values no kept
+   (index-reachable) leaf names, then settle free slots' ownership.
+   PM-mutating. *)
+let apply_quarantine alloc ~kept_values ~report ~badq ~stale_free =
   List.iter
-    (fun (chunk, idx, leaf, key, pv, detail) ->
-      Epalloc.reset_obj_bit alloc Chunk.Leaf_c ~obj:leaf;
-      Leaf.clear pool ~leaf;
-      Pmem.persist pool ~off:leaf ~len:Leaf.size;
-      free_value_exclusive alloc ~kept_values ~freed pv;
-      findings :=
-        {
-          Hart_error.f_site = Leaf_slot { chunk; idx; leaf };
-          f_action = Quarantined;
-          f_detail = detail;
-          f_keys = Option.to_list key;
-          f_capacity = 1;
-        }
-        :: !findings)
+    (fun (leaf, key, pv, detail) ->
+      let pv = if Hashtbl.mem kept_values pv then 0 else pv in
+      quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail)
     badq;
   (* Free leaf slots still carrying a value pointer, decided here instead
      of by [Epalloc]'s attach sweep so that the kept reference set is
@@ -468,10 +478,7 @@ let apply_quarantine alloc ~kept_values ~findings ~badq ~stale_free =
         Hashtbl.replace claimed pv ();
         Epalloc.set_owner alloc ~leaf true
       end
-      else begin
-        Leaf.clear pool ~leaf;
-        Pmem.persist pool ~off:leaf ~len:Leaf.size
-      end)
+      else zero_span (Epalloc.pool alloc) ~off:leaf ~len:Leaf.size)
     (List.sort compare stale_free)
 
 (* Algorithm 7: one pipeline for every mode and domain count [d].
@@ -511,13 +518,13 @@ let recover_parallel ?domains ?(quarantine = false) pool =
   in
   if d < 1 then invalid_arg "Hart.recover_parallel: domains must be >= 1";
   let findings = ref [] in
+  let report f = findings := f :: !findings in
   let bad_span, alloc =
     if not quarantine then ((fun _ _ -> false), Epalloc.attach pool)
     else begin
       let media = Pmem.media_verify pool in
       let bad_lines = media.Pmem.corrupt_lines @ media.Pmem.poisoned_lines in
-      ( bad_span_of_lines bad_lines,
-        Epalloc.attach ~bad_lines ~report:(fun f -> findings := f :: !findings) pool )
+      (Pmem.touches_lines bad_lines, Epalloc.attach ~bad_lines ~report pool)
     end
   in
   let checksums = Epalloc.checksums alloc in
@@ -541,16 +548,15 @@ let recover_parallel ?domains ?(quarantine = false) pool =
     let n = ref 0 and i = ref 0 in
     Epalloc.iter_chunks alloc Chunk.Leaf_c (fun chunk ->
         if !i mod d = me then
-          Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx ~obj:leaf ~live ->
+          Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj:leaf ~live ->
               if live then (
                 match classify leaf with
                 | Leaf_ok { key; pv } ->
                     let hash_key, art_key = split_key t key in
                     let p = Hash_dir.hash hash_key mod d in
                     if p = me && not quarantine then index n hash_key art_key leaf
-                    else push work.(me).(p) (hash_key, art_key, leaf, chunk, idx, pv)
-                | Leaf_bad { key; pv; detail } ->
-                    push badq.(me) (chunk, idx, leaf, key, pv, detail))
+                    else push work.(me).(p) (hash_key, art_key, leaf, pv)
+                | Leaf_bad { key; pv; detail } -> push badq.(me) (leaf, key, pv, detail))
               else if quarantine then
                 match Leaf.p_value pool ~leaf with
                 | 0 -> ()
@@ -579,30 +585,30 @@ let recover_parallel ?domains ?(quarantine = false) pool =
     Array.iter
       (Array.iter (fun cell ->
            List.iter
-             (fun ((hash_key, art_key, leaf, _, _, _) as e) ->
+             (fun ((hash_key, art_key, leaf, _) as e) ->
                let key = hash_key ^ art_key in
                match Hashtbl.find_opt by_key key with
                | None -> Hashtbl.replace by_key key e
-               | Some ((_, _, leaf0, _, _, _) as e0) ->
-                   let _, _, leaf, chunk, idx, pv =
+               | Some ((_, _, leaf0, _) as e0) ->
+                   let _, _, leaf, pv =
                      if leaf < leaf0 then (
                        Hashtbl.replace by_key key e;
                        e0)
                      else e
                    in
                    Hashtbl.replace dropped leaf ();
-                   bad := (chunk, idx, leaf, Some key, pv, dup) :: !bad)
+                   bad := (leaf, Some key, pv, dup) :: !bad)
              !cell))
       work;
     let kept_values = Hashtbl.create 256 in
-    Hashtbl.iter (fun _ (_, _, _, _, _, pv) -> Hashtbl.replace kept_values pv ()) by_key;
-    apply_quarantine alloc ~kept_values ~findings ~badq:!bad ~stale_free:(all stale_free)
+    Hashtbl.iter (fun _ (_, _, _, pv) -> Hashtbl.replace kept_values pv ()) by_key;
+    apply_quarantine alloc ~kept_values ~report ~badq:!bad ~stale_free:(all stale_free)
   end;
   let build p =
     let n = ref 0 in
     for me = 0 to d - 1 do
       List.iter
-        (fun (hash_key, art_key, leaf, _, _, _) ->
+        (fun (hash_key, art_key, leaf, _) ->
           if not (Hashtbl.mem dropped leaf) then index n hash_key art_key leaf)
         !(work.(me).(p))
     done;
@@ -695,12 +701,10 @@ let check_integrity t =
 (* ------------------------------------------------------------------ *)
 (* fsck / scrub (self-healing integrity pass)                          *)
 
-(* Excise one committed leaf from both the DRAM index and PM, online:
-   remove its binding (hunting linearly when the key is unreadable),
-   clear its bit, zero+persist its bytes (resealing the covering
-   lines). The value object is NOT freed here — callers decide with
-   [free_value_exclusive] against the current reference set. *)
-let excise_leaf t ?key ~leaf () =
+(* Remove a leaf's binding from the DRAM index, hunting linearly when
+   the key is unreadable: fsck's half of excising a leaf online, before
+   [quarantine_leaf] excises it from PM. *)
+let unbind t ~key ~leaf =
   (match key with
   | Some key -> (
       let hash_key, art_key = split_key t key in
@@ -734,14 +738,7 @@ let excise_leaf t ?key ~leaf () =
           | Some art ->
               ignore (Art.delete art ak);
               Atomic.decr t.count;
-              if Art.is_empty art then Hash_dir.remove t.dir hk)));
-  (match Epalloc.chunk_of_obj t.alloc Chunk.Leaf_c leaf with
-  | _ ->
-      if Epalloc.obj_bit t.alloc Chunk.Leaf_c ~obj:leaf then
-        Epalloc.reset_obj_bit t.alloc Chunk.Leaf_c ~obj:leaf
-  | exception Not_found -> ());
-  Leaf.clear t.pool ~leaf;
-  Pmem.persist t.pool ~off:leaf ~len:Leaf.size
+              if Art.is_empty art then Hash_dir.remove t.dir hk)))
 
 (* Reference map of the mounted index: value offset -> (key, leaf).
    fsck's media attribution needs the reverse direction (which key owns
@@ -771,10 +768,6 @@ let sever t ~leaf =
   Epalloc.set_owner t.alloc ~leaf false;
   Leaf.set_p_value t.pool ~leaf 0
 
-let zero_span t ~off ~len =
-  Pmem.set_string t.pool ~off (String.make len '\000');
-  Pmem.persist t.pool ~off ~len
-
 let fsck ?(deep = true) t =
   let pool = t.pool and alloc = t.alloc in
   let findings = ref [] in
@@ -786,30 +779,10 @@ let fsck ?(deep = true) t =
   (* -------- phase 1: media attribution ---------------------------- *)
   let media = Pmem.media_verify pool in
   let bad_lines = media.Pmem.corrupt_lines @ media.Pmem.poisoned_lines in
-  let bad_set = Hashtbl.create 16 in
-  List.iter (fun l -> Hashtbl.replace bad_set l ()) bad_lines;
+  let bad_span = Pmem.touches_lines bad_lines in
   let detected_lines = Hashtbl.create 8 in
-  let freed = Hashtbl.create 16 in
   let reclaimed = Hashtbl.create 8 in
-  let scrub_log_slot (kind, slot, off) =
-    let durable = Microlog.pending logs ~kind ~slot in
-    let held = Microlog.discard_slot logs ~kind ~slot in
-    release_held_value alloc held;
-    (* a record that holds its POldV is a completed update's, kept *)
-    let was_pending = durable && held = 0 in
-    emit
-      {
-        Hart_error.f_site = Log_slot { kind; slot; off };
-        f_action = (if was_pending then Quarantined else Repaired);
-        f_detail =
-          (if was_pending then
-             "pending log record on corrupt media discarded (treated as \
-              never committed)"
-           else "idle log slot rewritten to zero (line resealed)");
-        f_keys = [];
-        f_capacity = (if was_pending then 1 else 0);
-      }
-  in
+  let scrub_log_slot = Epalloc.scrub_log_slot alloc ~report:emit in
   let quarantine_leaf_here ~owner ~leaf ~detail =
     let key, pv =
       match Leaf.read pool ~leaf with
@@ -821,25 +794,15 @@ let fsck ?(deep = true) t =
           | pv -> (None, pv)
           | exception (Pmem.Media_poisoned _ | Invalid_argument _) -> (None, 0))
     in
-    excise_leaf t ?key ~leaf ();
-    (if pv > 0 then
-       (* exclusive unless some *other* live leaf owns this value *)
-       match Hashtbl.find_opt owner pv with
-       | Some (_, l) when l <> leaf -> ()
-       | _ ->
-           let kept_values = Hashtbl.create 1 in
-           free_value_exclusive alloc ~kept_values ~freed pv);
-    Hashtbl.remove owner pv;
-    let chunk = Epalloc.chunk_of_obj alloc Chunk.Leaf_c leaf in
-    let idx = Chunk.idx_of_obj Chunk.Leaf_c ~chunk ~obj:leaf in
-    emit
-      {
-        Hart_error.f_site = Leaf_slot { chunk; idx; leaf };
-        f_action = Quarantined;
-        f_detail = detail;
-        f_keys = Option.to_list key;
-        f_capacity = 1;
-      }
+    unbind t ~key ~leaf;
+    (* exclusive unless some *other* live leaf owns this value *)
+    let exclusive =
+      match Hashtbl.find_opt owner pv with Some (_, l) -> l = leaf | None -> true
+    in
+    quarantine_leaf alloc ~report:emit ~leaf ~key
+      ~pv:(if exclusive then pv else 0)
+      ~detail;
+    Hashtbl.remove owner pv
   in
   let owner = value_owners t in
   List.iter
@@ -863,14 +826,14 @@ let fsck ?(deep = true) t =
         end
         else
           List.iter scrub_log_slot
-            (Microlog.slots_overlapping logs ~line_bytes:lb ~lines:[ line ])
+            (Microlog.slots_overlapping logs ~lines:[ line ])
       end
       else
         match Epalloc.chunk_covering alloc lo with
         | None ->
             (* unregistered space: free-list regions, allocation padding —
                zero-fill reseals the line and nothing can reference it *)
-            zero_span t ~off:lo ~len:lb;
+            zero_span pool ~off:lo ~len:lb;
             emit
               {
                 Hart_error.f_site = Pool_line { line };
@@ -929,25 +892,10 @@ let fsck ?(deep = true) t =
                           (* a slot that owned it is severed in phase 2,
                              under this finding *)
                           Hashtbl.replace reclaimed obj ();
-                          Epalloc.reset_obj_bit alloc cls ~obj;
-                          zero_span t ~off:obj ~len:osize;
-                          emit
-                            {
-                              Hart_error.f_site =
-                                Value_slot
-                                  {
-                                    cls = Epalloc.cls_name cls;
-                                    chunk;
-                                    idx;
-                                    obj;
-                                  };
-                              f_action = Repaired;
-                              f_detail =
-                                "unreferenced committed value on corrupt \
-                                 line reclaimed";
-                              f_keys = [];
-                              f_capacity = 0;
-                            }
+                          reclaim_value alloc ~report:emit cls ~obj
+                            ~detail:
+                              "unreferenced committed value on corrupt line \
+                               reclaimed"
                     end
                   end
                   else begin
@@ -955,13 +903,13 @@ let fsck ?(deep = true) t =
                        owned one, is an orphan for phase 2 *)
                     if cls = Chunk.Leaf_c then
                       Epalloc.set_owner alloc ~leaf:obj false;
-                    zero_span t ~off:obj ~len:osize
+                    zero_span pool ~off:obj ~len:osize
                   end
               done;
               (* tail padding of the chunk's allocation *)
               let chunk_end = chunk + Chunk.chunk_bytes cls in
               if chunk_end < lo + lb then
-                zero_span t ~off:(max lo chunk_end)
+                zero_span pool ~off:(max lo chunk_end)
                   ~len:(lo + lb - max lo chunk_end);
               if not !touched_live then
                 emit
@@ -990,17 +938,15 @@ let fsck ?(deep = true) t =
       if Epalloc.value_committed alloc pv && not (Hashtbl.mem owner pv) then Some leaf
       else begin
         sever t ~leaf;
-        (if not (Hashtbl.mem reclaimed pv) then
-           let chunk = Epalloc.chunk_of_obj alloc Chunk.Leaf_c leaf in
-           let idx = Chunk.idx_of_obj Chunk.Leaf_c ~chunk ~obj:leaf in
-           emit
-             {
-               Hart_error.f_site = Leaf_slot { chunk; idx; leaf };
-               f_action = Repaired;
-               f_detail = "free leaf slot owning an uncommitted or live value severed";
-               f_keys = [];
-               f_capacity = 0;
-             });
+        if not (Hashtbl.mem reclaimed pv) then
+          emit
+            {
+              Hart_error.f_site = leaf_site alloc ~leaf;
+              f_action = Repaired;
+              f_detail = "free leaf slot owning an uncommitted or live value severed";
+              f_keys = [];
+              f_capacity = 0;
+            };
         None
       end)
     owned;
@@ -1018,11 +964,11 @@ let fsck ?(deep = true) t =
           | pv when Hashtbl.find_opt owned pv = Some leaf -> ()
           | pv ->
               if not (Hashtbl.mem owner pv || Hashtbl.mem owned pv) then
-                free_value_exclusive alloc ~kept_values:(Hashtbl.create 1) ~freed pv;
+                free_committed alloc pv;
               sever t ~leaf;
               emit
                 {
-                  Hart_error.f_site = Leaf_slot { chunk; idx; leaf };
+                  Hart_error.f_site = leaf_site alloc ~leaf;
                   f_action = Repaired;
                   f_detail = "stale value reference in free leaf slot severed";
                   f_keys = [];
@@ -1039,24 +985,8 @@ let fsck ?(deep = true) t =
             orphans := obj :: !orphans);
       List.iter
         (fun obj ->
-          Epalloc.reset_obj_bit alloc vcls ~obj;
-          zero_span t ~off:obj ~len:(Chunk.obj_size vcls);
-          let chunk = Epalloc.chunk_of_obj alloc vcls obj in
-          emit
-            {
-              Hart_error.f_site =
-                Value_slot
-                  {
-                    cls = Epalloc.cls_name vcls;
-                    chunk;
-                    idx = Chunk.idx_of_obj vcls ~chunk ~obj;
-                    obj;
-                  };
-              f_action = Repaired;
-              f_detail = "unreferenced committed value object reclaimed";
-              f_keys = [];
-              f_capacity = 0;
-            })
+          reclaim_value alloc ~report:emit vcls ~obj
+            ~detail:"unreferenced committed value object reclaimed")
         !orphans)
     [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
   (* every chunk header must be the one its bitmap mirror implies: the
@@ -1078,7 +1008,7 @@ let fsck ?(deep = true) t =
                 f_capacity = 0;
               }
           in
-          if not (Hashtbl.mem bad_set (chunk / lb)) then
+          if not (bad_span chunk 1) then
             match Epalloc.repair_header alloc cls ~chunk with
             | `Intact -> ()
             | `Hint_rewritten ->
@@ -1091,10 +1021,10 @@ let fsck ?(deep = true) t =
     (if checksums then
        let owner = value_owners t in
        let to_check = ref [] in
-       Hash_dir.iter t.dir (fun hk art ->
-           Art.iter art (fun ak leaf -> to_check := (hk ^ ak, leaf) :: !to_check));
+       Hash_dir.iter t.dir (fun _ art ->
+           Art.iter art (fun _ leaf -> to_check := leaf :: !to_check));
        List.iter
-         (fun (_key, leaf) ->
+         (fun leaf ->
            match
              inspect_leaf alloc ~checksums ~bad_span:(fun _ _ -> false) ~leaf
            with

@@ -81,6 +81,3 @@ let init ?(crc = false) pool ~leaf ~p_value k =
 
 let key_crc_ok pool ~leaf k =
   Pmem.get_u32 pool (leaf + crc_off) = key_crc (String.length k) k
-
-let clear pool ~leaf =
-  Pmem.set_string pool ~off:leaf (String.make size '\000')

@@ -67,7 +67,3 @@ val key_crc_ok : Hart_pmem.Pmem.t -> leaf:int -> string -> bool
 (** [key_crc_ok pool ~leaf key]: does the stored CRC trailer match
     [key], as returned by {!read}? Reads the 4-byte trailer only
     (checksummed pools only; meaningless on plain pools). *)
-
-val clear : Hart_pmem.Pmem.t -> leaf:int -> unit
-(** Zero the whole leaf without persisting (used when repairing a slot
-    that a crashed insertion left half-written). *)

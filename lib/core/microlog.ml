@@ -235,14 +235,8 @@ let verify t =
     !bad
   end
 
-let slots_overlapping t ~line_bytes ~lines =
-  let on_lines off len =
-    List.exists
-      (fun line ->
-        let lo = line * line_bytes and hi = ((line + 1) * line_bytes) - 1 in
-        off <= hi && off + len - 1 >= lo)
-      lines
-  in
+let slots_overlapping t ~lines =
+  let on_lines = Pmem.touches_lines lines in
   let hits = ref [] in
   List.iter
     (fun kind ->

@@ -87,7 +87,7 @@ val verify : t -> (string * int * int) list
     word as [(kind, slot, offset)] triples, [kind] being ["update"] or
     ["recycle"]. Read-only; never raises. *)
 
-val slots_overlapping : t -> line_bytes:int -> lines:int list -> (string * int * int) list
+val slots_overlapping : t -> lines:int list -> (string * int * int) list
 (** The slots whose 24 bytes overlap any of the given pool lines, as
     [(kind, slot, offset)] triples — the blast radius of a media fault
     on a log line. *)

@@ -649,6 +649,14 @@ let media_verify t =
       { corrupt_lines = List.sort compare corrupt;
         poisoned_lines = List.sort compare poisoned })
 
+let touches_lines lines =
+  let flagged = Hashtbl.create 16 in
+  List.iter (fun l -> Hashtbl.replace flagged l ()) lines;
+  fun off len ->
+    let last = (off + len - 1) / line_bytes in
+    let rec go l = l <= last && (Hashtbl.mem flagged l || go (l + 1)) in
+    go (off / line_bytes)
+
 let pp_stats ppf t =
   Format.fprintf ppf "@[<v>pool: capacity=%d brk=%d live=%d dirty_lines=%d@ %a@]"
     t.capacity t.brk t.live (dirty_line_count t) Meter.pp_counters

@@ -276,4 +276,10 @@ val media_verify : t -> media_report
     not one per pool line. Free on the simulated clock (the
     device-internal scrubber the simulation assumes). *)
 
+val touches_lines : int list -> int -> int -> bool
+(** [touches_lines lines off len]: does the span \[[off], [off + len])
+    share a line with [lines] (a {!media_verify} result, say)? Apply it
+    to the list once and reuse the predicate: the lines are hashed on
+    the first application. *)
+
 val pp_stats : Format.formatter -> t -> unit

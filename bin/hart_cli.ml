@@ -381,6 +381,67 @@ let scrub_cmd =
       "Online integrity pass: fsck without the deep checksum walk — the \
        cheap scan a store would run periodically."
 
+(* Replay one schedule of a concurrent sweep and dump it: crash and
+   flush counts, the committed prefix, the operations in flight and
+   waiting, the recovered bindings; [nested] adds each doubly recovered
+   state, [shrink] a locally minimal reproducer. A violation's (seed,
+   schedule) pair replays bit-identically (DESIGN.md §10, §12). *)
+let replay_schedule ~target ~mode ?checkpoint_every ~seed ~schedule ~nested ~shrink
+    (setup, scripts) =
+  let module F = Hart_fault.Fault in
+  let module Mt = Hart_fault.Fault_mt in
+  let dump_bindings label bs =
+    Printf.printf "%s: %s\n" label
+      (String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k v) bs))
+  in
+  match
+    Mt.probe ~target ~mode ~capture_snapshot:nested ~seed ~schedule ~setup scripts
+  with
+  | exception e -> Error (Printexc.to_string e)
+  | p ->
+      Printf.printf "crashed=%b flushes=%d recovery-flushes=%d\n" p.F.p_crashed
+        p.F.p_flushes p.F.p_recovery_flushes;
+      dump_bindings "committed" p.F.p_committed;
+      List.iter
+        (fun (i, op) -> Format.printf "in-flight fiber %d: %a@." i F.pp_op op)
+        p.F.p_in_flight;
+      List.iter
+        (fun (i, op) -> Format.printf "waiting fiber %d: %a@." i F.pp_op op)
+        p.F.p_waiting;
+      dump_bindings "recovered" p.F.p_state;
+      (if nested then
+         match p.F.p_snapshot with
+         | None -> print_endline "nested: schedule did not crash, nothing to re-crash"
+         | Some snapshot ->
+             F.nested_recovery_sweep ~snapshot ~recovery_flushes:p.F.p_recovery_flushes
+               ~recover:(fun ~nested:_ pool ->
+                 ignore (target.F.reattach pool : F.instance))
+               ~never_fired:(fun ~nested ->
+                 Printf.printf "nested %d: recovery completed before boundary\n" nested)
+               ~check:(fun ~nested pool ->
+                 match
+                   let inst = target.F.reattach pool in
+                   inst.F.check ();
+                   inst.F.dump ()
+                 with
+                 | state ->
+                     dump_bindings
+                       (Printf.sprintf "nested %d%s" nested
+                          (if state = p.F.p_state then "" else " (DIFFERS)"))
+                       state
+                 | exception e ->
+                     Printf.printf "nested %d: FAILURE: %s\n" nested
+                       (Printexc.to_string e)));
+      (if shrink then
+         match Mt.shrink ~target ~mode ?checkpoint_every ~seed ~setup scripts with
+         | None -> print_endline "shrink: workload does not violate under replay"
+         | Some s ->
+             Printf.printf "shrink: %d candidate replays, %d accepted\n" s.F.s_checks
+               s.F.s_accepted;
+             Format.printf "%a@." F.pp_repro s.F.s_repro;
+             Printf.printf "detail at minimum: %s\n" s.F.s_detail);
+      Ok ()
+
 let fault_cmd =
   let workload =
     let all = List.map (fun (n, _, _) -> n) Hart_fault.Fault.builtin_workloads in
@@ -537,6 +598,22 @@ let fault_cmd =
             "With $(b,--mt-workload gen), sweep $(docv) generated \
              workloads seeded $(b,--seed), $(b,--seed)+1, ...")
   in
+  let schedule =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "schedule" ] ~docv:"I"
+          ~doc:
+            "With $(b,--domains) > 1, replay crash schedule $(docv) of \
+             each sweep instead of exploring them (same $(b,--target), \
+             $(b,--mt-workload), $(b,--seed) and $(b,--gen-seeds)) and \
+             dump it: crashed and flush counts, the committed prefix, \
+             the operations in flight and waiting, the recovered \
+             bindings. $(b,--nested-mt) adds the state of each \
+             re-crashed recovery, $(b,--shrink) a minimal reproducer. A \
+             reported violation's (seed, schedule) pair replays \
+             bit-identically.")
+  in
   let seed =
     Arg.(
       value & opt int64 42L
@@ -580,7 +657,7 @@ let fault_cmd =
              format).")
   in
   let run workload target torn adversarial json_out no_nested checkpoint_every
-      keep_going domains nested_mt shrink mt_workload gen_seeds seed
+      keep_going domains nested_mt shrink mt_workload gen_seeds schedule seed
       max_schedules media_faults media_json server clients =
     let module F = Hart_fault.Fault in
     let module Mt = Hart_fault.Fault_mt in
@@ -596,155 +673,171 @@ let fault_cmd =
                (String.concat ", " names))
     in
     let target_names ts = List.map (fun t -> t.F.target_name) ts in
+    (* the concurrent index and the (name, workload) of each sweep *)
+    let mt_sweeps () =
+      if domains > 4 then failwith "--domains supports 2-4 simulated domains";
+      let t =
+        lookup "concurrent target"
+          (target_names Mt.all_mt_targets)
+          Mt.find_mt_target
+          (Option.value target ~default:"hart")
+      in
+      let build =
+        lookup "--mt-workload" (List.map fst Mt.workloads) Mt.find_workload mt_workload
+      in
+      let gen = mt_workload = "gen" in
+      ( t,
+        List.init
+          (if gen then max 1 gen_seeds else 1)
+          (fun k ->
+            let s = Int64.add seed (Int64.of_int k) in
+            ( (if gen then Printf.sprintf "mt-gen#%Ld" s else "mt-" ^ mt_workload),
+              build ~seed:s ~domains ~ops_per_domain:6 )) )
+    in
     ok_or_die
       (try
-         (* every mode builds a list of jobs: a thunk running one sweep
-            (or one adversarial family of passes), with a shrinker for
-            its violations where the executor has one *)
-         let ok_msg, jobs =
-           if server then begin
-             if clients < 1 || clients > 4 then
-               failwith "--clients supports 1-4 simulated sessions";
-             let setup, scripts = Srv.default_workload ~clients ~ops_per_client:28 in
-             let dsetup, dscripts, drops =
-               Srv.drop_workload ~clients ~ops_per_client:28
-             in
-             ( "all server crash schedules consistent",
-               List.concat_map
-                 (fun mode ->
+         match schedule with
+         | Some schedule ->
+             if domains < 2 then failwith "--schedule replays a --domains sweep (2-4)";
+             let t, sweeps = mt_sweeps () in
+             List.fold_left
+               (fun acc (name, workload) ->
+                 Result.bind acc (fun () ->
+                     if List.length sweeps > 1 then Printf.printf "== %s\n" name;
+                     replay_schedule ~target:t ~mode ?checkpoint_every ~seed ~schedule
+                       ~nested:nested_mt ~shrink workload))
+               (Ok ()) sweeps
+         | None ->
+             (* every mode builds a list of jobs: a thunk running one sweep
+                (or one adversarial family of passes), with a shrinker for
+                its violations where the executor has one *)
+             let ok_msg, jobs =
+               if server then begin
+                 if clients < 1 || clients > 4 then
+                   failwith "--clients supports 1-4 simulated sessions";
+                 let setup, scripts = Srv.default_workload ~clients ~ops_per_client:28 in
+                 let dsetup, dscripts, drops =
+                   Srv.drop_workload ~clients ~ops_per_client:28
+                 in
+                 ( "all server crash schedules consistent",
+                   List.concat_map
+                     (fun mode ->
+                       List.map
+                         (fun (name, setup, scripts, drops) ->
+                           ( (fun () ->
+                               [
+                                 Srv.explore ~mode ~keep_going:(keep_going || shrink)
+                                   ?max_schedules ?drops ~seed ~clients ~workload:name
+                                   ~setup scripts;
+                               ]),
+                             if drops = None then
+                               Some (fun () -> Srv.shrink ~mode ~seed ~setup scripts)
+                             else None ))
+                         [
+                           ("srv-default", setup, scripts, None);
+                           ("srv-drop", dsetup, dscripts, Some drops);
+                         ])
+                     (Pmem.Clean :: Option.to_list (Option.map torn_mode torn)) )
+               end
+               else if domains > 1 then begin
+                 let t, sweeps = mt_sweeps () in
+                 ( "all concurrent crash schedules consistent",
                    List.map
-                     (fun (name, setup, scripts, drops) ->
+                     (fun (name, (setup, scripts)) ->
                        ( (fun () ->
                            [
-                             Srv.explore ~mode ~keep_going:(keep_going || shrink)
-                               ?max_schedules ?drops ~seed ~clients ~workload:name
-                               ~setup scripts;
+                             Mt.explore ~target:t ~mode
+                               ~keep_going:(keep_going || shrink) ~nested:nested_mt
+                               ?max_schedules ?checkpoint_every ~seed ~domains
+                               ~workload:name ~setup scripts;
                            ]),
-                         if drops = None then
-                           Some (fun () -> Srv.shrink ~mode ~seed ~setup scripts)
-                         else None ))
-                     [
-                       ("srv-default", setup, scripts, None);
-                       ("srv-drop", dsetup, dscripts, Some drops);
-                     ])
-                 (Pmem.Clean :: Option.to_list (Option.map torn_mode torn)) )
-           end
-           else if domains > 1 then begin
-             if domains > 4 then failwith "--domains supports 2-4 simulated domains";
-             let t =
-               lookup "concurrent target"
-                 (target_names Mt.all_mt_targets)
-                 Mt.find_mt_target
-                 (Option.value target ~default:"hart")
-             in
-             let build =
-               lookup "--mt-workload" (List.map fst Mt.workloads)
-                 Mt.find_workload mt_workload
-             in
-             let gen = mt_workload = "gen" in
-             ( "all concurrent crash schedules consistent",
-               List.init
-                 (if gen then max 1 gen_seeds else 1)
-                 (fun k ->
-                   let s = Int64.add seed (Int64.of_int k) in
-                   let name =
-                     if gen then Printf.sprintf "mt-gen#%Ld" s
-                     else "mt-" ^ mt_workload
-                   in
-                   let setup, scripts = build ~seed:s ~domains ~ops_per_domain:6 in
-                   ( (fun () ->
+                         Some
+                           (fun () ->
+                             Mt.shrink ~target:t ~mode ?checkpoint_every ~seed ~setup
+                               scripts) ))
+                     sweeps )
+               end
+               else begin
+                 let media = media_faults > 0 in
+                 let targets =
+                   match target with
+                   | None -> if media then F.media_targets else F.all_targets
+                   | Some n ->
+                       [ lookup "target" (target_names F.media_targets) F.find_target n ]
+                 in
+                 let workloads =
+                   match workload with
+                   | None -> F.builtin_workloads
+                   | Some n ->
                        [
-                         Mt.explore ~target:t ~mode
-                           ~keep_going:(keep_going || shrink) ~nested:nested_mt
-                           ?max_schedules ?checkpoint_every ~seed ~domains
-                           ~workload:name ~setup scripts;
-                       ]),
-                     Some
-                       (fun () ->
-                         Mt.shrink ~target:t ~mode ?checkpoint_every ~seed ~setup
-                           scripts) )) )
-           end
-           else begin
-             let media = media_faults > 0 in
-             let targets =
-               match target with
-               | None -> if media then F.media_targets else F.all_targets
-               | Some n ->
-                   [ lookup "target" (target_names F.media_targets) F.find_target n ]
+                         lookup "workload"
+                           (List.map (fun (n, _, _) -> n) F.builtin_workloads)
+                           F.find_workload n;
+                       ]
+                 in
+                 let sweep t (name, setup, ops) () =
+                   if media then
+                     [
+                       F.explore_media ~sites:media_faults ~base_seed:seed ~setup
+                         ~keep_going ~workload:name t ops;
+                     ]
+                   else if adversarial then
+                     F.explore_adversarial ~nested:(not no_nested) ~setup
+                       ?checkpoint_every ~keep_going ~workload:name t ops
+                   else
+                     [
+                       F.explore ~mode ~nested:(not no_nested) ~setup
+                         ?checkpoint_every ~keep_going ~workload:name t ops;
+                     ]
+                 in
+                 ( (if media then "no silent wrong answers under media faults"
+                    else "all crash schedules consistent"),
+                   List.concat_map
+                     (fun t -> List.map (fun w -> (sweep t w, None)) workloads)
+                     targets )
+               end
              in
-             let workloads =
-               match workload with
-               | None -> F.builtin_workloads
-               | Some n ->
-                   [
-                     lookup "workload"
-                       (List.map (fun (n, _, _) -> n) F.builtin_workloads)
-                       F.find_workload n;
-                   ]
-             in
-             let sweep t (name, setup, ops) () =
-               if media then
-                 [
-                   F.explore_media ~sites:media_faults ~base_seed:seed ~setup
-                     ~keep_going ~workload:name t ops;
-                 ]
-               else if adversarial then
-                 F.explore_adversarial ~nested:(not no_nested) ~setup
-                   ?checkpoint_every ~keep_going ~workload:name t ops
-               else
-                 [
-                   F.explore ~mode ~nested:(not no_nested) ~setup
-                     ?checkpoint_every ~keep_going ~workload:name t ops;
-                 ]
-             in
-             ( (if media then "no silent wrong answers under media faults"
-                else "all crash schedules consistent"),
+             (* the one reporting tail: print, shrink and attach reproducers,
+                emit JSON, exit *)
+             let reports =
                List.concat_map
-                 (fun t -> List.map (fun w -> (sweep t w, None)) workloads)
-                 targets )
-           end
-         in
-         (* the one reporting tail: print, shrink and attach reproducers,
-            emit JSON, exit *)
-         let reports =
-           List.concat_map
-             (fun (run, shrinker) ->
-               List.map
-                 (fun r ->
-                   Format.printf "%a@." F.pp_report r;
-                   match shrinker with
-                   | Some shrink_it when shrink && r.F.violations <> [] -> (
-                       match shrink_it () with
-                       | None ->
-                           Format.printf
-                             "shrink: violation did not reproduce under replay@.";
-                           r
-                       | Some s ->
-                           Format.printf
-                             "shrink: %d candidate replays, %d accepted@.%a@."
-                             s.F.s_checks s.F.s_accepted F.pp_repro s.F.s_repro;
-                           F.with_repro s.F.s_repro r)
-                   | _ -> r)
-                 (run ()))
-             jobs
-         in
-         let write path s =
-           let oc = open_out path in
-           output_string oc s;
-           close_out oc
-         in
-         Option.iter (fun p -> write p (F.violations_to_json reports)) json_out;
-         if media_faults > 0 then
-           Option.iter (fun p -> write p (F.media_reports_json reports)) media_json;
-         match List.concat_map (fun r -> r.F.violations) reports with
-         | [] ->
-             print_endline ok_msg;
-             Ok ()
-         | vs ->
-             List.iter
-               (fun v -> Printf.eprintf "violation: %s\n" (F.violation_message v))
-               vs;
-             Error (Printf.sprintf "%d violation(s)" (List.length vs))
+                 (fun (run, shrinker) ->
+                   List.map
+                     (fun r ->
+                       Format.printf "%a@." F.pp_report r;
+                       match shrinker with
+                       | Some shrink_it when shrink && r.F.violations <> [] -> (
+                           match shrink_it () with
+                           | None ->
+                               Format.printf
+                                 "shrink: violation did not reproduce under replay@.";
+                               r
+                           | Some s ->
+                               Format.printf
+                                 "shrink: %d candidate replays, %d accepted@.%a@."
+                                 s.F.s_checks s.F.s_accepted F.pp_repro s.F.s_repro;
+                               F.with_repro s.F.s_repro r)
+                       | _ -> r)
+                     (run ()))
+                 jobs
+             in
+             let write path s =
+               let oc = open_out path in
+               output_string oc s;
+               close_out oc
+             in
+             Option.iter (fun p -> write p (F.violations_to_json reports)) json_out;
+             if media_faults > 0 then
+               Option.iter (fun p -> write p (F.media_reports_json reports)) media_json;
+             match List.concat_map (fun r -> r.F.violations) reports with
+             | [] ->
+                 print_endline ok_msg;
+                 Ok ()
+             | vs ->
+                 List.iter
+                   (fun v -> Printf.eprintf "violation: %s\n" (F.violation_message v))
+                   vs;
+                 Error (Printf.sprintf "%d violation(s)" (List.length vs))
        with F.Violation msg | Failure msg -> Error msg)
   in
   Cmd.v
@@ -758,7 +851,7 @@ let fault_cmd =
     Term.(
       const run $ workload $ target $ torn $ adversarial $ json_out $ no_nested
       $ checkpoint_every $ keep_going $ domains $ nested_mt $ shrink
-      $ mt_workload $ gen_seeds $ seed $ max_schedules $ media_faults
+      $ mt_workload $ gen_seeds $ schedule $ seed $ max_schedules $ media_faults
       $ media_json $ server $ clients)
 
 let () =

@@ -405,8 +405,9 @@ let gen_workload ~seed ~domains ~ops_per_domain =
   in
   (setup, Array.init domains script)
 
-(* The concurrent workload table, shared by [hart_cli fault --domains]
-   and fault_debug; [seed] matters only to the generator. *)
+(* The concurrent workload table, shared by [hart_cli fault --domains]'s
+   sweeps and its [--schedule] replay; [seed] matters only to the
+   generator. *)
 let workloads =
   [
     ("default", fun ~seed:_ -> default_workload);

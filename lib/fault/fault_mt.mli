@@ -156,8 +156,9 @@ val workloads :
     Fault.op list * Fault.op list array))
   list
 (** The concurrent workload table — ["default"], ["collide"],
-    ["split-race"], ["gen"] — shared by [hart_cli fault --domains] and
-    fault_debug. [seed] matters only to ["gen"]. *)
+    ["split-race"], ["gen"] — shared by [hart_cli fault --domains]'s
+    sweeps and its [--schedule] replay. [seed] matters only to
+    ["gen"]. *)
 
 val find_workload :
   string ->

@@ -421,6 +421,8 @@ let free_committed alloc pv =
    proves no kept leaf names the value. The DRAM index is the
    caller's. *)
 let quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail =
+  (* fsck finds live leaves by their PM bit, which a stray write can set
+     while the allocator's mirror bit stays clear *)
   if Epalloc.obj_bit alloc Chunk.Leaf_c ~obj:leaf then
     Epalloc.reset_obj_bit alloc Chunk.Leaf_c ~obj:leaf;
   zero_span (Epalloc.pool alloc) ~off:leaf ~len:Leaf.size;

@@ -563,8 +563,9 @@ let fault_cmd =
              (disjoint per-domain prefixes), $(b,collide) (scripted \
              same-stripe collisions), $(b,split-race) (one FPTree leaf \
              driven past capacity so splits race fresh writers; pair \
-             with $(b,--target fptree)), or $(b,gen) (seeded random op \
-             mix, swept over $(b,--gen-seeds) seeds).")
+             with $(b,--target fptree)), $(b,update-race) (per-domain \
+             updates whose values share one value chunk), or $(b,gen) \
+             (seeded random op mix, swept over $(b,--gen-seeds) seeds).")
   in
   let server =
     Arg.(

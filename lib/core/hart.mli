@@ -9,9 +9,10 @@
 
     - insertion — Algorithm 1 (leaf bit set last: the commit point);
     - allocation — Algorithm 2 (inside {!Epalloc.epmalloc});
-    - update — Algorithm 3 (out-of-place, under the persistent update
-      log; four persists when the new value takes a slot in the old
-      value's chunk, whose two bits then change in one header store);
+    - update — Algorithm 3 (out-of-place, without its update log: the
+      new value, then the leaf's [p_value], then the bits; three
+      persists when the new value takes a slot in the old value's
+      chunk, whose two bits then change in one header store);
     - search — Algorithm 4 (bitmap validation of the found leaf);
     - deletion — Algorithm 5 (the leaf bit reset, with one persist: the
       free slot owns its value until an insertion takes the slot over or
@@ -48,19 +49,23 @@ val create :
     unchanged. [internal_nodes] defaults to [`Dram]. *)
 
 val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
-(** Algorithm 7: adopt a pool after a crash or reboot — replay
-    micro-logs, then rebuild the hash table and every ART internal node
-    by scanning the leaf chunk list.
+(** Algorithm 7: adopt a pool after a crash or reboot — replay the
+    recycle log, then rebuild the hash table and every ART internal node
+    by scanning the leaf chunk list. Updates keep no log: the scan names
+    every committed leaf's value, and a serial liveness pass sets the
+    bit of each named value and clears every other (DESIGN.md §6
+    item 3).
 
     With [~quarantine:true] the mount tolerates media faults: the
     pool's line-ECC table is scrubbed first, log records on corrupt
     lines (or failing their CRCs) are discarded instead of replayed,
     every committed leaf is validated (media lines, key length, CRCs,
-    value resolution and commitment) before the index accepts it, and
+    value resolution) before the index accepts it, and
     duplicate keys resolve deterministically (lower leaf offset wins).
     Everything excised is reported in {!quarantines}; value objects of
     excised leaves are freed only when provably unshared (a corrupt
-    pointer may alias a live key's value). Without [quarantine] (the
+    pointer may alias a live key's value), and the liveness pass leaves
+    values nothing names to {!fsck}, which reports each one it frees. Without [quarantine] (the
     default) the mount assumes a crash-consistent, media-clean image
     and raises on anomalies.
 
@@ -75,21 +80,24 @@ val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     [recover_parallel ~domains:1]. Every mode and domain count runs one
     pipeline:
 
-    - the serial preamble replays the micro-logs (quarantining: after
+    - the serial preamble replays the recycle log (quarantining: after
       the ECC scrub, in guarded mode);
     - [domains] workers scan slices of the leaf chunk list, reading each
-      live leaf's key (quarantining: validating the leaf), and sort the
-      entries into partitions by the directory hash of their hash key;
+      live leaf's key and value pointer (quarantining: validating the
+      leaf), and sort the entries into partitions by the directory hash
+      of their hash key;
     - quarantining only, a serial merge applies the keep-lower-offset
-      duplicate rule and then every quarantine PM write — the only PM
-      writes after the preamble;
+      duplicate rule and then every quarantine PM write;
+    - the serial liveness pass stores the value-chunk headers whose
+      bits disagree with the named values — with the merge, the only
+      PM writes after the preamble;
     - each worker indexes its own partition straight into the shared
       directory. Partitions own disjoint hash keys, so each ART is built
       wholly by one worker.
 
     The rules are order-independent, so the bindings, the findings and
     the structural statistics do not depend on [domains]. With [~domains:1] nothing
-    is spawned, and a plain mount reads each key and indexes it in one
+    is spawned, and a plain mount reads each leaf and indexes it in one
     pass over the chunk list.
     @raise Invalid_argument if [domains < 1]. *)
 

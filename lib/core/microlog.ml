@@ -11,26 +11,21 @@ let region_bytes = 2 * n_slots * Pmem.line_bytes
 type t = {
   pool : Pmem.t;
   base : int;
-      (* line-aligned: update slots at [base], recycle slots after them *)
+      (* line-aligned: the v02 layout's update slots at [base], which
+         nothing writes any more, then the recycle slots *)
   checksummed : bool;  (* in-word CRC trailers on every log word *)
-  mutable free_update : int;  (* bitmask of free update slots *)
-  mutable free_recycle : int;
-  (* The free masks are the only cross-domain shared state (a slot's 24
+  mutable free : int;  (* bitmask of free recycle slots *)
+  (* The free mask is the only cross-domain shared state (a slot's 24
      bytes are owned by the acquirer until reclaim). Acquire blocks on
-     [slot_freed] when all slots are busy; this is deadlock-free because
-     slot holders only ever acquire in update→recycle order and never the
-     reverse, so a recycle-slot holder always runs to completion. *)
+     [slot_freed] when all slots are busy; a holder never acquires a
+     second slot, so it always runs to completion. *)
   mu : Mutex.t;
   slot_freed : Condition.t;
   mutable acquire_timeout : float option;
       (* None = block forever (the historical behavior); [Some s] bounds
          the wait and turns an exhaustion deadlock into a typed
          [Hart_error] carrying the holder dump *)
-  owners_update : int array;  (* slot -> holder domain id, -1 when free *)
-  owners_recycle : int array;
-  held : int array;
-      (* update slot -> POldV of the record kept in it, which the caller
-         keeps reserved (0: none); read and written by the slot's holder *)
+  owners : int array;  (* slot -> holder domain id, -1 when free *)
 }
 
 let all_free = (1 lsl n_slots) - 1
@@ -44,14 +39,11 @@ let make pool ~base ~checksummed =
     pool;
     base;
     checksummed;
-    free_update = all_free;
-    free_recycle = all_free;
+    free = all_free;
     mu = Mutex.create ();
     slot_freed = Condition.create ();
     acquire_timeout = None;
-    owners_update = Array.make n_slots (-1);
-    owners_recycle = Array.make n_slots (-1);
-    held = Array.make n_slots 0;
+    owners = Array.make n_slots (-1);
   }
 
 let create ?(checksummed = false) pool ~base =
@@ -63,14 +55,17 @@ let create ?(checksummed = false) pool ~base =
 let attach ?(checksummed = false) pool ~base =
   let t = make pool ~base ~checksummed in
   for slot = 0 to n_slots - 1 do
-    if Pmem.get_u64 pool (update_off t slot) <> 0L then
-      t.free_update <- t.free_update land lnot (1 lsl slot);
-    if Pmem.get_u64 pool (recycle_off t slot + 8) <> 0L then
-      t.free_recycle <- t.free_recycle land lnot (1 lsl slot)
+    (* a slot whose line cannot be read may hold a record: busy until
+       the quarantining mount discards it *)
+    match Pmem.get_u64 pool (recycle_off t slot + 8) with
+    | 0L -> ()
+    | _ | (exception Pmem.Media_poisoned _) ->
+        t.free <- t.free land lnot (1 lsl slot)
   done;
   t
 
 let checksummed t = t.checksummed
+let in_use t ~slot = t.free land (1 lsl slot) = 0
 let set_acquire_timeout t timeout = t.acquire_timeout <- timeout
 
 let pick_free mask =
@@ -79,22 +74,16 @@ let pick_free mask =
   in
   go 0
 
-let owners_of t = function
-  | "update" -> t.owners_update
-  | _ -> t.owners_recycle
-
 (* mu held *)
-let busy_dump_locked t kind =
-  let owners = owners_of t kind in
+let busy_dump_locked t =
   let busy = ref [] in
   for slot = n_slots - 1 downto 0 do
-    if owners.(slot) >= 0 then busy := (slot, owners.(slot)) :: !busy
+    if t.owners.(slot) >= 0 then busy := (slot, t.owners.(slot)) :: !busy
   done;
   !busy
 
-(* [get] reads the current mask, [clear] removes the chosen slot from it;
-   blocks until a slot is available (bounded by [acquire_timeout]). *)
-let acquire_slot t ~kind ~get ~clear =
+(* Blocks until a slot is available (bounded by [acquire_timeout]). *)
+let acquire_slot t =
   (* Under the cooperative crash explorer a [Condition.wait] would park
      the only OS thread, so exhaustion spins through the scheduler
      instead (unlock / yield / retry); the real-domain path blocks on
@@ -103,7 +92,7 @@ let acquire_slot t ~kind ~get ~clear =
   Hart_util.Sched_hook.lock t.mu;
   let deadline = ref neg_infinity in
   let rec wait () =
-    match pick_free (get t) with
+    match pick_free t.free with
     | -1 ->
         (if Hart_util.Sched_hook.active () then begin
            Mutex.unlock t.mu;
@@ -117,17 +106,17 @@ let acquire_slot t ~kind ~get ~clear =
                let now = Unix.gettimeofday () in
                if !deadline = neg_infinity then deadline := now +. timeout
                else if now >= !deadline then begin
-                 let busy = busy_dump_locked t kind in
+                 let busy = busy_dump_locked t in
                  Mutex.unlock t.mu;
                  raise
                    (Hart_error.Error
                       {
-                        site = Log_stall { kind; waited = timeout; busy };
+                        site = Log_stall { kind = "recycle"; waited = timeout; busy };
                         detail =
                           Printf.sprintf
-                            "all %d %s-log slots held for %.3fs without a \
+                            "all %d recycle-log slots held for %.3fs without a \
                              reclaim — likely a deadlocked or stalled holder"
-                            n_slots kind timeout;
+                            n_slots timeout;
                         keys = [];
                       })
                end
@@ -138,18 +127,18 @@ let acquire_slot t ~kind ~get ~clear =
                end);
         wait ()
     | slot ->
-        clear t slot;
-        (owners_of t kind).(slot) <- (Domain.self () :> int);
+        t.free <- t.free land lnot (1 lsl slot);
+        t.owners.(slot) <- (Domain.self () :> int);
         slot
   in
   let slot = wait () in
   Mutex.unlock t.mu;
   slot
 
-let release_slot t ~kind ~set slot =
+let release_slot t slot =
   Mutex.lock t.mu;
-  set t slot;
-  (owners_of t kind).(slot) <- -1;
+  t.free <- t.free lor (1 lsl slot);
+  t.owners.(slot) <- -1;
   Condition.broadcast t.slot_freed;
   Mutex.unlock t.mu
 
@@ -165,8 +154,6 @@ let crc_of_low v =
   Bytes.set_int32_le b 0 (Int32.of_int (v land 0xFFFFFFFF));
   Crc32.bytes_sub b ~off:0 ~len:4
 
-let kind_of_off t off = if off < recycle_off t 0 then "update" else "recycle"
-
 let slot_of_off t off = (off - t.base) / Pmem.line_bytes mod n_slots
 
 let word_get t off =
@@ -178,7 +165,7 @@ let word_get t off =
     let high = Int64.to_int (Int64.shift_right_logical raw 32) in
     if high <> crc_of_low low then
       Hart_error.error
-        (Log_slot { kind = kind_of_off t off; slot = slot_of_off t off; off })
+        (Log_slot { kind = "recycle"; slot = slot_of_off t off; off })
         "log word @%d fails its CRC (stored %08x, computed %08x)" off high
         (crc_of_low low);
     low
@@ -200,8 +187,7 @@ let word_store t off v =
 
 (* The record's words share the slot's line, so this is one flush. The
    caller stores last the word without which recovery replays nothing
-   (PNewV: an update is redone only when all three words are set;
-   PCurrent: the word [Recycle.iter_pending] tests). Under TSO a line
+   (PCurrent, the word [Recycle.iter_pending] tests). Under TSO a line
    written back early holds a prefix of the stores, and every proper
    prefix lacks that word. *)
 let commit t off = Pmem.persist t.pool ~off ~len:slot_bytes
@@ -222,12 +208,13 @@ let verify t =
           let off = slot_off t ~kind ~slot in
           let slot_bad = ref false in
           for w = 0 to 2 do
-            let raw = Pmem.get_u64 t.pool (off + (8 * w)) in
-            if raw <> 0L then begin
-              let low = Int64.to_int (Int64.logand raw 0xFFFFFFFFL) in
-              let high = Int64.to_int (Int64.shift_right_logical raw 32) in
-              if high <> crc_of_low low then slot_bad := true
-            end
+            match Pmem.get_u64 t.pool (off + (8 * w)) with
+            | 0L -> ()
+            | raw ->
+                let low = Int64.to_int (Int64.logand raw 0xFFFFFFFFL) in
+                let high = Int64.to_int (Int64.shift_right_logical raw 32) in
+                if high <> crc_of_low low then slot_bad := true
+            | exception Pmem.Media_poisoned _ -> slot_bad := true
           done;
           if !slot_bad then bad := (kind, slot, off) :: !bad
         done)
@@ -247,81 +234,16 @@ let slots_overlapping t ~lines =
     [ "recycle"; "update" ];
   !hits
 
-let pending t ~kind ~slot =
-  let off = slot_off t ~kind ~slot in
-  let key_word = if kind = "update" then off else off + 8 in
-  Pmem.get_u64 t.pool key_word <> 0L
-
-(* Discard a slot's record without interpreting it (the torn-record
-   treatment: a log record that fails verification is as good as never
-   written — the logged operation simply did not commit). Zeroes and
-   persists the slot, then returns it to the free set. *)
+(* Rewrite a slot's line to zeroes without reading it (the torn-record
+   treatment: a log record that fails verification, or sits on a line
+   that cannot be read, is as good as never written — the logged
+   operation simply did not commit), persist it, which reseals the
+   line, and return a recycle slot to the free set. *)
 let discard_slot t ~kind ~slot =
   let off = slot_off t ~kind ~slot in
   Pmem.set_string t.pool ~off (String.make slot_bytes '\000');
   Pmem.persist t.pool ~off ~len:slot_bytes;
-  Mutex.lock t.mu;
-  let held =
-    if kind = "update" then begin
-      t.free_update <- t.free_update lor (1 lsl slot);
-      let h = t.held.(slot) in
-      t.held.(slot) <- 0;
-      h
-    end
-    else begin
-      t.free_recycle <- t.free_recycle lor (1 lsl slot);
-      0
-    end
-  in
-  (owners_of t kind).(slot) <- -1;
-  Condition.broadcast t.slot_freed;
-  Mutex.unlock t.mu;
-  held
-
-module Update = struct
-  let acquire t =
-    acquire_slot t ~kind:"update"
-      ~get:(fun t -> t.free_update)
-      ~clear:(fun t slot -> t.free_update <- t.free_update land lnot (1 lsl slot))
-
-  (* The slot may still hold the complete record of an earlier update,
-     so PNewV is zeroed first: every state of the line between the two
-     records lacks PNewV, and recovery redoes nothing from it. *)
-  let record t ~slot ~pleaf ~poldv ~pnewv =
-    let off = update_off t slot in
-    word_store t (off + 16) 0;
-    word_store t off pleaf;
-    word_store t (off + 8) poldv;
-    word_store t (off + 16) pnewv;
-    commit t off;
-    let prev = t.held.(slot) in
-    t.held.(slot) <- 0;
-    prev
-
-  let pleaf t ~slot = word_get t (update_off t slot)
-  let poldv t ~slot = word_get t (update_off t slot + 8)
-  let pnewv t ~slot = word_get t (update_off t slot + 16)
-
-  let release t ~slot ~held =
-    t.held.(slot) <- held;
-    release_slot t ~kind:"update"
-      ~set:(fun t slot -> t.free_update <- t.free_update lor (1 lsl slot))
-      slot
-
-  (* Zeroes persist: a record nobody keeps has no held POldV, so if it
-     survived a crash, recovery could read a reallocated POldV through
-     it (DESIGN.md §6). *)
-  let reclaim t ~slot =
-    let off = update_off t slot in
-    Pmem.set_string t.pool ~off (String.make slot_bytes '\000');
-    Pmem.persist t.pool ~off ~len:slot_bytes;
-    release t ~slot ~held:0
-
-  let iter_pending t f =
-    for slot = 0 to n_slots - 1 do
-      if pleaf t ~slot <> 0 then f ~slot
-    done
-end
+  if kind = "recycle" then release_slot t slot
 
 module Recycle = struct
   let cls_to_int = function
@@ -339,11 +261,7 @@ module Recycle = struct
         Hart_error.error (Log_slot { kind = "recycle"; slot; off })
           "bad class tag %d in recycle log (want 0..3)" n
 
-  let acquire t =
-    acquire_slot t ~kind:"recycle"
-      ~get:(fun t -> t.free_recycle)
-      ~clear:(fun t slot ->
-        t.free_recycle <- t.free_recycle land lnot (1 lsl slot))
+  let acquire = acquire_slot
 
   let record t ~slot ~pprev ~cls ~pcurrent =
     (* PCurrent is the key word: stored after PPrev and the class tag, so
@@ -361,16 +279,9 @@ module Recycle = struct
     let off = recycle_off t slot + 16 in
     cls_of_int ~slot ~off (word_get t off)
 
-  (* persisted for the same reason as Update.reclaim: a stale recycle
-     log must not survive into a later epoch where its chunk offset has
-     been reallocated *)
-  let reclaim t ~slot =
-    let off = recycle_off t slot in
-    Pmem.set_string t.pool ~off (String.make slot_bytes '\000');
-    Pmem.persist t.pool ~off ~len:slot_bytes;
-    release_slot t ~kind:"recycle"
-      ~set:(fun t slot -> t.free_recycle <- t.free_recycle lor (1 lsl slot))
-      slot
+  (* Zeroes persist: a stale recycle log must not survive into a later
+     epoch where its chunk offset has been reallocated. *)
+  let reclaim t ~slot = discard_slot t ~kind:"recycle" ~slot
 
   let iter_pending t f =
     for slot = 0 to n_slots - 1 do

@@ -120,9 +120,10 @@ let hart_checksummed =
   }
 
 (* Same index, but every post-crash reattach rebuilds with the
-   multi-domain recovery. The rebuild phase issues no flushes, so armed
-   nested crashes still land only in the serial log replay — the
-   schedule space is identical to [hart]'s, and so must be the verdicts. *)
+   multi-domain recovery. The scan and rebuild phases issue no flushes,
+   so armed nested crashes still land only in the serial phases (log
+   replay, liveness pass) — the schedule space is identical to
+   [hart]'s, and so must be the verdicts. *)
 let hart_parallel_recovery ~domains =
   {
     target_name = Printf.sprintf "hart-par%d" domains;
@@ -935,17 +936,15 @@ let update_log_workload =
     Delete ("ABc");
   ]
 
-let stale_ulog_workload =
-  (* kept update-log records: AAk's second update leaves its record
-     (AAk's leaf, the held Val16 POldV, the Val16 PNewV) in log slot 0.
-     Once AAk is deleted, its free leaf slot owns PNewV: AAn takes the
-     slot over and is handed leaf and PNewV together, then AAp the same
-     leaf with a Val8 value, which frees PNewV, and AAq the same leaf
-     again with a Val16 value, freshly allocated; the update of AAo
-     finally overwrites the record through the same slot. Recovery must
-     tell the stale record from an update in flight by the leaf alone:
-     an unheld POldV would have gone to AAq and made the record look in
-     flight, and redoing it would point AAq's leaf at a dead value. *)
+let update_own_workload =
+  (* an updated value handed on through its leaf slot: once AAk is
+     deleted, its free leaf slot owns the Val16 value of AAk's second
+     update. AAn takes the slot over and is handed leaf and value
+     together, then AAp the same leaf with a Val8 value, which frees the
+     Val16 value, and AAq the same leaf again with a Val16 value, freshly
+     allocated; AAo's update finishes. Recovery's liveness pass must
+     settle every window from the leaves and the owning slot alone: the
+     owned value stays live, a freed one is never named twice. *)
   [
     Insert ("AAk", "v0");
     Insert ("AAo", "other");
@@ -1035,7 +1034,7 @@ let split_chain_setup, split_chain_workload =
 let builtin_workloads =
   [
     ("update-log", [], update_log_workload);
-    ("stale-ulog", [], stale_ulog_workload);
+    ("update-own", [], update_own_workload);
     ("delete-recycle", [], delete_recycle_workload);
     ("mixed-dense", [], mixed_dense_workload);
     ("chunk-unlink", chunk_unlink_setup, chunk_unlink_workload);

@@ -477,11 +477,12 @@ val explore_adversarial :
 val builtin_workloads : (string * op list * op list) list
 (** [(name, setup, ops)] — the standing correctness gate:
 
-    - ["update-log"]: Algorithm 3 update-log states, including value
-      size-class migrations and empty values;
-    - ["stale-ulog"]: a kept update-log record whose key is deleted and
-      whose leaf and new value are reused by other keys, then
-      overwritten by an update of another key through the same slot;
+    - ["update-log"]: Algorithm 3 updates (without the log, DESIGN.md
+      §6 item 3), including value size-class migrations and empty
+      values;
+    - ["update-own"]: an updated value owned by its deleted key's
+      leaf slot, handed on with the slot, then freed by a take-over of
+      another class and reallocated;
     - ["delete-recycle"]: Algorithm 5 deletes draining leaf and value
       chunks through Algorithm 6's unlink, plus empty-ART directory
       cleanup and reuse after recycling;

@@ -372,6 +372,29 @@ let split_race_workload ~domains ~ops_per_domain =
   in
   (setup, Array.init domains script)
 
+(* Concurrent updates into one value chunk: each domain updates keys of
+   its own prefix (its own stripe), whose values the setup places in one
+   Val8 chunk, so one domain's header store commits while another's
+   update is between its p_value store and its own bit commit, and each
+   domain is handed the slots the other's updates free. Every third
+   update changes class and back, taking the two-header path. *)
+let update_race_workload ~domains ~ops_per_domain =
+  let key d i = Printf.sprintf "u%d-%02d" d i in
+  let setup =
+    List.concat
+      (List.init domains (fun d ->
+           List.init 2 (fun i -> Fault.Insert (key d i, Printf.sprintf "s%d.%d" d i))))
+  in
+  let script d =
+    List.init ops_per_domain (fun j ->
+        let value =
+          if j mod 3 = 2 then Printf.sprintf "a 16-byte val%d.%d" d j
+          else Printf.sprintf "u%d.%d" d j
+        in
+        Fault.Update (key d (j mod 2), value))
+  in
+  (setup, Array.init domains script)
+
 (* Seeded workload generator: a qcheck-style op mix (40% insert, 25%
    update, 15% delete, 20% search) over a small key universe that mixes
    per-domain private keys with keys shared across all domains, so
@@ -413,6 +436,7 @@ let workloads =
     ("default", fun ~seed:_ -> default_workload);
     ("collide", fun ~seed:_ -> collide_workload);
     ("split-race", fun ~seed:_ -> split_race_workload);
+    ("update-race", fun ~seed:_ -> update_race_workload);
     ("gen", gen_workload);
   ]
 

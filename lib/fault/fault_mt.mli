@@ -137,6 +137,14 @@ val split_race_workload :
     own flush boundaries. Meaningful on {!fptree_mt} (HART has no leaf
     splits); test_fault pins its schedule-space census. *)
 
+val update_race_workload :
+  domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array
+(** [(setup, scripts)] — every domain updates keys of its own prefix
+    whose values share one value chunk, so header commits interleave
+    with other domains' updates between their [p_value] store and their
+    bit commit, and freed slots pass between domains; every third update
+    changes class, taking the two-header commit. *)
+
 val gen_workload :
   seed:int64 ->
   domains:int ->
@@ -156,7 +164,7 @@ val workloads :
     Fault.op list * Fault.op list array))
   list
 (** The concurrent workload table — ["default"], ["collide"],
-    ["split-race"], ["gen"] — shared by [hart_cli fault --domains]'s
+    ["split-race"], ["update-race"], ["gen"] — shared by [hart_cli fault --domains]'s
     sweeps and its [--schedule] replay. [seed] matters only to
     ["gen"]. *)
 

@@ -564,7 +564,10 @@ let fault_cmd =
              same-stripe collisions), $(b,split-race) (one FPTree leaf \
              driven past capacity so splits race fresh writers; pair \
              with $(b,--target fptree)), $(b,update-race) (per-domain \
-             updates whose values share one value chunk), or $(b,gen) \
+             updates whose values share one value chunk), \
+             $(b,recycle-race) (a lone key's leaf chunk emptied and \
+             recycled by a delete while other domains insert into it, \
+             taking its owning slot over across value classes), or $(b,gen) \
              (seeded random op mix, swept over $(b,--gen-seeds) seeds).")
   in
   let server =

@@ -294,17 +294,15 @@ let mark_avail t cls chunk =
   Mutex.unlock mu
 
 (* Under the stripe lock, store [e]'s bitmap with [set] raised and
-   [clear] dropped, then update the reservations: the set bits stop
-   being reserved and, with [hold], the cleared ones become reserved.
-   Cleared bits not held go back to the avail cache if plain allocation
-   may now use the chunk. *)
-let commit_bits t cls e ~set ~clear ~hold =
+   [clear] dropped; the set bits stop being reserved. Cleared bits go
+   back to the avail cache if plain allocation may now use the chunk. *)
+let commit_bits t cls e ~set ~clear =
   let mu = t.chunk_mu.(stripe_of e.chunk) in
   Hart_util.Sched_hook.lock mu;
   match store_bits t e ((read_bits t e lor set) land lnot clear) with
   | () ->
-      e.reserved <- e.reserved land lnot set lor (if hold then clear else 0);
-      let freed = clear <> 0 && (not hold) && plain_room cls e in
+      e.reserved <- e.reserved land lnot set;
+      let freed = clear <> 0 && plain_room cls e in
       Mutex.unlock mu;
       if freed then mark_avail t cls e.chunk
   | exception ex ->
@@ -463,19 +461,13 @@ let value_objs_per_chunk = Chunk.objs_per_chunk - 1
    Each reinstates one bug that the crash explorers must catch; the
    fault tests set one at a time. Never set outside tests. *)
 type mutation =
-  | No_reservation_hold
+  | Free_before_unname
   | Bits_before_p_value
   | No_liveness_pass
   | Ignore_owned
-  | Release_before_sever
 
 let unsafe_mutation : mutation option ref = ref None
 let mutated m = match !unsafe_mutation with None -> false | Some m' -> m' == m
-
-(* Leaf-chunk recycles abandoned because the chunk changed under them,
-   process-wide: lets a test show that its schedules reach that path. *)
-let abandoned = Atomic.make 0
-let recycles_abandoned () = Atomic.get abandoned
 
 (* A reservation packed in one int, so the allocation path allocates
    nothing: the object's offset shifted left by one, with bit 0 set when
@@ -595,37 +587,15 @@ let obj_mask cls e obj = 1 lsl Chunk.idx_of_obj cls ~chunk:e.chunk ~obj
 
 let set_obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
-  commit_bits t cls e ~set:(obj_mask cls e obj) ~clear:0 ~hold:false
+  commit_bits t cls e ~set:(obj_mask cls e obj) ~clear:0
 
 let reset_obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
-  commit_bits t cls e ~set:0 ~clear:(obj_mask cls e obj) ~hold:false
-
-(* Durably free the object but keep its slot reserved while a durable
-   reference (a free leaf slot's p_value) still names it, so no domain
-   can be handed the slot first. Release with [release_hold]. Identical
-   PM traffic to [reset_obj_bit] — the reservation is volatile — so
-   simulated-clock figures are unchanged. Under [No_reservation_hold] it
-   degrades to plain [reset_obj_bit]; the later release stays safe
-   (unreserving an unreserved slot is a no-op). *)
-let reset_obj_bit_hold t cls ~obj =
-  let e = entry_of_obj t cls obj in
   commit_bits t cls e ~set:0 ~clear:(obj_mask cls e obj)
-    ~hold:(not (mutated No_reservation_hold))
 
 let obj_bit t cls ~obj =
   let e = entry_of_obj t cls obj in
   read_bits t e land obj_mask cls e obj <> 0
-
-let cancel_reservation t cls ~obj =
-  let e = entry_of_obj t cls obj in
-  let bit = obj_mask cls e obj in
-  let mu = t.chunk_mu.(stripe_of e.chunk) in
-  Hart_util.Sched_hook.lock mu;
-  e.reserved <- e.reserved land lnot bit;
-  let room = plain_room cls e in
-  Mutex.unlock mu;
-  if room then mark_avail t cls e.chunk
 
 let leaf_bit e ~leaf = 1 lsl Chunk.idx_of_obj Chunk.Leaf_c ~chunk:e.chunk ~obj:leaf
 
@@ -692,78 +662,53 @@ let unlink t cls e =
   Hashtbl.remove t.avail.(id) chunk;
   Microlog.Recycle.reclaim t.logs ~slot
 
-let rec eprecycle t cls ~chunk =
-  let id = cls_id cls in
-  let taken =
-    with_lock t.class_mu.(id) (fun () ->
-        with_stripe t chunk (fun () ->
-            match Registry.find (Atomic.get t.registry.(id)) chunk with
-            | exception Not_found -> None
-            | e when read_bits t e <> 0 || e.reserved <> 0 -> None
-            | e when e.owned = 0 ->
-                unlink t cls e;
-                None
-            | e ->
-                (* take the owning slots, reserved until they name
-                   nothing or are unlinked *)
-                let o = e.owned in
-                e.owned <- 0;
-                e.reserved <- o;
-                Some (e, o)))
-  in
-  match taken with Some (e, owners) -> recycle_owning t e owners | None -> ()
-
-(* An empty leaf chunk whose free slots own values (DESIGN.md §6 item
-   2). No lock is held here: resetting a value's bit takes value-class
-   locks, which never nest inside leaf-class ones. The values' bits are
-   reset durably, each held, before the unlink starts, so no crash can
-   leave a committed value that nothing names; the holds outlast every
-   durable slot naming a value, so no crash can leave a slot naming a
-   value another key has since been given. If the chunk changed
-   meanwhile — a domain reserved another of its slots, or committed and
-   deleted one — it stays linked, and the taken slots are severed
-   before the holds end. *)
-and recycle_owning t e owners =
-  let chunk = e.chunk in
-  let leaves = ref [] and o = ref owners in
+(* The values the owning slots of leaf chunk [e] name, each with its
+   class, highest slot first: one PM read of each slot's p_value. *)
+let owned_values t e =
+  let values = ref [] and o = ref e.owned in
   while !o <> 0 do
     let idx = Bits.ctz !o in
     o := !o land (!o - 1);
-    leaves := Chunk.obj_off Chunk.Leaf_c ~chunk ~idx :: !leaves
+    let v = Leaf.p_value t.pool ~leaf:(Chunk.obj_off Chunk.Leaf_c ~chunk:e.chunk ~idx) in
+    match value_entry t v with
+    | Some (vcls, _) -> values := (vcls, v) :: !values
+    | None -> ()
   done;
-  let values =
-    List.filter_map
-      (fun leaf ->
-        let v = Leaf.p_value t.pool ~leaf in
-        Option.map (fun (vcls, _) -> (vcls, v)) (value_entry t v))
-      !leaves
-  in
-  List.iter (fun (vcls, obj) -> reset_obj_bit_hold t vcls ~obj) values;
-  let unlinked =
-    with_lock t.class_mu.(cls_id Chunk.Leaf_c) (fun () ->
-        with_stripe t chunk (fun () ->
-            read_bits t e = 0 && e.reserved = owners && e.owned = 0
-            && (unlink t Chunk.Leaf_c e;
-                true)))
-  in
-  let end_holds () = List.iter (fun (vcls, obj) -> release_hold t vcls ~obj) values in
-  if unlinked then end_holds ()
-  else begin
-    Atomic.incr abandoned;
-    if mutated Release_before_sever then end_holds ();
-    List.iter (fun leaf -> Leaf.set_p_value t.pool ~leaf 0) !leaves;
-    with_stripe t chunk (fun () -> e.reserved <- e.reserved land lnot owners);
-    mark_avail t Chunk.Leaf_c chunk;
-    if not (mutated Release_before_sever) then end_holds ();
-    (* a slot another domain committed and deleted meanwhile owns its
-       value now, and its free_leaf's recycle gave up on our
-       reservations: try again *)
-    eprecycle t Chunk.Leaf_c ~chunk
-  end
+  !values
 
-and release_hold t cls ~obj =
-  cancel_reservation t cls ~obj;
-  eprecycle t cls ~chunk:(chunk_of_obj t cls obj)
+let rec release_value t cls ~obj =
+  let e = entry_of_obj t cls obj in
+  commit_bits t cls e ~set:0 ~clear:(obj_mask cls e obj);
+  eprecycle t cls ~chunk:e.chunk
+
+(* A leaf chunk whose free slots own values (DESIGN.md §6 item 2) is
+   unlinked in the same locked section that finds it empty, so it
+   cannot change under the recycle; its values are let go afterwards,
+   with no leaf lock held, since value-class locks never nest inside
+   leaf-class ones. Nothing names them by then: a crash in between
+   leaves committed values that nothing names, which recovery's
+   liveness pass frees. Under [Free_before_unname] the values go first,
+   every slot of the chunk reserved meanwhile so that it stays empty. *)
+and eprecycle t cls ~chunk =
+  let id = cls_id cls in
+  let values =
+    with_lock t.class_mu.(id) (fun () ->
+        with_stripe t chunk (fun () ->
+            match Registry.find (Atomic.get t.registry.(id)) chunk with
+            | exception Not_found -> []
+            | e when read_bits t e <> 0 || e.reserved <> 0 -> []
+            | e ->
+                let values = owned_values t e in
+                if values <> [] && mutated Free_before_unname then
+                  e.reserved <- full_mask
+                else unlink t cls e;
+                values))
+  in
+  List.iter (fun (vcls, obj) -> release_value t vcls ~obj) values;
+  if values <> [] && mutated Free_before_unname then
+    with_lock t.class_mu.(id) (fun () ->
+        with_stripe t chunk (fun () ->
+            unlink t cls (Registry.find (Atomic.get t.registry.(id)) chunk)))
 
 (* Set [obj]'s bit and reset [old]'s: one header store when they share a
    chunk. Otherwise [old]'s header is stored first, so a crash between
@@ -776,12 +721,12 @@ let commit_update t cls ~obj ~old =
   let set = obj_mask cls e obj in
   match value_entry t old with
   | Some (ocls, oe) when oe == e ->
-      commit_bits t cls e ~set ~clear:(obj_mask ocls oe old) ~hold:false
+      commit_bits t cls e ~set ~clear:(obj_mask ocls oe old)
   | Some (ocls, oe) ->
-      commit_bits t ocls oe ~set:0 ~clear:(obj_mask ocls oe old) ~hold:false;
-      commit_bits t cls e ~set ~clear:0 ~hold:false;
+      commit_bits t ocls oe ~set:0 ~clear:(obj_mask ocls oe old);
+      commit_bits t cls e ~set ~clear:0;
       eprecycle t ocls ~chunk:oe.chunk
-  | None -> commit_bits t cls e ~set ~clear:0 ~hold:false
+  | None -> commit_bits t cls e ~set ~clear:0
 
 (* Algorithm 5's free: clear and persist the leaf's bit and, in the same
    stripe-locked section, mark the slot as the owner of the value its
@@ -1063,10 +1008,10 @@ let attach ?(bad_lines = []) ?report pool =
      p_value names a committed value owns it, and is marked so without a
      PM write, so a quiescent image still recovers flush-free. Any other
      non-null p_value names a value whose bit is clear: the footprint of
-     a crash inside an insertion's class-mismatch window or a recycle's
-     window, whose holds kept that value from being given to another key
-     before the crash. The slot is severed, so no later reallocation of
-     that value can make the slot look like an owner. In quarantine mode
+     a crash inside an insertion, between its leaf store and its value's
+     bit, whose reservation kept that value from every other key before
+     the crash. The slot is severed, so no later reallocation of that
+     value can make the slot look like an owner. In quarantine mode
      the sweep is skipped — a media fault can forge a p_value aliasing a
      live key's value, so the caller must run the deferred scan that
      knows the live keys' values ([Hart]'s quarantining recovery). *)

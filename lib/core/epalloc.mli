@@ -145,14 +145,15 @@ val epmalloc_update : t -> Chunk.cls -> old:int -> int
     {!epmalloc}. Reserved like {!epmalloc}'s. *)
 
 val epmalloc_leaf : t -> int * bool
-(** Algorithm 2 for a leaf slot, reserved like {!epmalloc}'s, and whether the slot owns the value its
-    [p_value] names (a deleted key's slot, see {!free_leaf}). The owner
-    takes that value over — Algorithm 2's reuse point, lines 12–16 — by
-    rewriting it in place, or by freeing it with {!reset_obj_bit_hold}
-    and releasing the hold once the leaf's pointer is overwritten. A
-    slot that owns nothing needs no PM read: non-owning free slots name
-    no value. The test costs nothing beyond the reservation: it reads
-    the owned mark in the same locked section. *)
+(** Algorithm 2 for a leaf slot, reserved like {!epmalloc}'s, and
+    whether the slot owns the value its [p_value] names (a deleted key's
+    slot, see {!free_leaf}). The owner takes that value over — Algorithm
+    2's reuse point, lines 12–16 — by rewriting it in place, or, for a
+    value of another class, by letting it go with {!release_value} once
+    the leaf's pointer names the new value. A slot that owns nothing
+    needs no PM read: non-owning free slots name no value. The test
+    costs nothing beyond the reservation: it reads the owned mark in the
+    same locked section. *)
 
 val set_obj_bit : t -> Chunk.cls -> obj:int -> unit
 (** Commit the object: set and persist its bitmap bit, release the
@@ -168,11 +169,9 @@ val free_leaf : t -> leaf:int -> unit
     slot over ({!epmalloc_leaf}) or {!eprecycle} lets go of it. Then
     recycle the leaf's chunk if it emptied. *)
 
-val reset_obj_bit_hold : t -> Chunk.cls -> obj:int -> unit
-(** Like {!reset_obj_bit}, but keep the slot reserved so no domain can
-    be handed it while a durable reference (a free leaf slot's
-    [p_value]) still names the object. Release with {!release_hold}.
-    Same PM traffic as {!reset_obj_bit}. *)
+val release_value : t -> Chunk.cls -> obj:int -> unit
+(** Free a committed value once nothing durable names it any more:
+    {!reset_obj_bit}, then {!eprecycle} its chunk if that emptied it. *)
 
 val commit_update : t -> Chunk.cls -> obj:int -> old:int -> unit
 (** An update's bit commit, once its leaf's [p_value] names [obj]: set
@@ -186,14 +185,14 @@ val obj_bit : t -> Chunk.cls -> obj:int -> bool
 (** Whether the object is committed, read from the bitmap mirror (one
     DRAM access, no PM read). Lock-free. *)
 
-val cancel_reservation : t -> Chunk.cls -> obj:int -> unit
-(** Release a reservation without committing (an aborted operation). *)
-
 type mutation =
-  | No_reservation_hold
-      (** {!reset_obj_bit_hold} resets without a hold: a freed value can
-          be given to another key while a durable reference still names
-          it. *)
+  | Free_before_unname
+      (** An owned value is freed while its free leaf slot still names
+          it: [Hart.insert]'s class-mismatch take-over frees the old
+          value before [Leaf.init], and {!eprecycle} frees an owning
+          leaf chunk's values before the unlink. Another key can then be
+          given the value, and a crash before the slot stops naming it
+          makes the slot a second owner. *)
   | Bits_before_p_value
       (** [Hart]'s update runs {!commit_update} before it stores the
           leaf's [p_value]: the old value is free while the leaf still
@@ -206,28 +205,14 @@ type mutation =
   | Ignore_owned
       (** [Hart.insert] overwrites an owning slot's [p_value] as if the
           slot owned nothing, leaking the owned value. *)
-  | Release_before_sever
-      (** An abandoned leaf-chunk recycle ends its values' holds before
-          it severs the slots that named them. *)
-(** Test-only fault injection into the ownership, hold, update and
-    liveness protocols (DESIGN.md §6 items 1–3): each reinstates one bug the crash
-    explorers must catch. *)
+(** Test-only fault injection into the ownership, update and liveness
+    protocols (DESIGN.md §6 items 1–3): each reinstates one bug the
+    crash explorers must catch. *)
 
 val unsafe_mutation : mutation option ref
 (** The mutation in force; [None] (always, outside the fault tests). *)
 
 val mutated : mutation -> bool
-
-val recycles_abandoned : unit -> int
-(** Leaf-chunk recycles abandoned so far in this process because
-    another domain reserved, or committed and deleted, a slot of the
-    chunk while its owned values were being reset (DESIGN.md §6 item 2).
-    Lets a test show that its schedules reach that path. *)
-
-val release_hold : t -> Chunk.cls -> obj:int -> unit
-(** End the hold {!reset_obj_bit_hold} placed once the object's durable
-    reference is gone: {!cancel_reservation}, then {!eprecycle} its
-    chunk. *)
 
 val scrub_log_slot :
   t -> report:(Hart_error.finding -> unit) -> string * int * int -> unit
@@ -286,10 +271,11 @@ val eprecycle : t -> Chunk.cls -> chunk:int -> unit
     pool. Safe to call on any chunk, including already-recycled ones.
     [PPrev] comes from the chunk's volatile predecessor link, so the
     cost does not depend on the length of the list. A leaf chunk whose
-    free slots own values first takes those slots (reserved), durably
-    resets the values' bits under holds, then unlinks, then ends the
-    holds; if a domain reserved one of its slots meanwhile, the chunk
-    stays and the taken slots are severed before the holds end. *)
+    free slots own values is unlinked in the locked section that finds
+    it empty, reading the owning slots' [p_value]s there; then, with no
+    leaf lock held, each value is let go with {!release_value}. A crash
+    in between leaves committed values that nothing names, which
+    recovery's liveness pass frees. *)
 
 val chunk_of_obj : t -> Chunk.cls -> int -> int
 (** [MemChunkOf]: the chunk containing this object.

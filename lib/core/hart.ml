@@ -98,8 +98,8 @@ let check_key key =
    first. A crash before the p_value store leaves the old value named
    and committed; after it, the key names the new value, whose bytes are
    durable, and recovery's liveness pass sets its bit and clears the
-   old one's. The old value is freed by the bit commit with no hold:
-   the leaf stopped naming it before. *)
+   old one's. The old value is freed by the bit commit, after the
+   leaf stopped naming it. *)
 let update_leaf t ~leaf value =
   let old_v = Leaf.p_value t.pool ~leaf in
   let vcls = Value_obj.cls_for value in
@@ -115,8 +115,10 @@ let update_leaf t ~leaf value =
    A slot that owns a value (a deleted key's, DESIGN.md §6 item 1) hands
    it over, Algorithm 2 lines 12-16: a value of the new value's class is
    rewritten in place and keeps its bit (three persists: value, leaf,
-   leaf bit); one of another class is freed, held until [Leaf.init] has
-   overwritten the pointer. *)
+   leaf bit); one of another class is freed once [Leaf.init] has made
+   the slot name the new value, so no domain can be given it while the
+   slot still names it. A crash before that free leaves it committed
+   and unnamed, which recovery's liveness pass frees. *)
 let insert t ~key ~value =
   check_key key;
   let hash_key, art_key = split_key t key in
@@ -139,13 +141,14 @@ let insert t ~key ~value =
       | _ ->
           let vobj = Epalloc.epmalloc t.alloc vcls in
           Value_obj.write ~crc t.pool ~obj:vobj value;
+          let free_first = Epalloc.mutated Free_before_unname in
           (match old with
-          | Some c -> Epalloc.reset_obj_bit_hold t.alloc c ~obj:old_v
-          | None -> ());
+          | Some c when free_first -> Epalloc.release_value t.alloc c ~obj:old_v
+          | _ -> ());
           Leaf.init ~crc t.pool ~leaf ~p_value:vobj key;
           (match old with
-          | Some c -> Epalloc.release_hold t.alloc c ~obj:old_v
-          | None -> ());
+          | Some c when not free_first -> Epalloc.release_value t.alloc c ~obj:old_v
+          | _ -> ());
           Epalloc.set_obj_bit t.alloc vcls ~obj:vobj);
       (match Art.insert art art_key leaf with
       | `Inserted -> ()

@@ -395,6 +395,33 @@ let update_race_workload ~domains ~ops_per_domain =
   in
   (setup, Array.init domains script)
 
+(* Owning leaf-chunk recycles racing inserts into the same chunk: 55
+   Val16 keys and one Val8 key fill the first leaf chunk, so the lone
+   key sits alone in the second, and its Val8 value shares a chunk that
+   stays linked when the value is freed. Domain 0 deletes the lone key,
+   which empties its leaf chunk, whose free slot now owns the value, and
+   recycles it; then it re-inserts and deletes the key in turn. Every
+   other domain inserts and deletes keys of its own prefix. An insert
+   reserves the chunk's lowest free slot, so one that comes before the
+   recycle takes the owning slot over; its Val16 values make that a
+   class-changing take-over. *)
+let recycle_race_workload ~domains ~ops_per_domain =
+  let lone = "aa00" in
+  let value d j =
+    if d = 0 then Printf.sprintf "v%d.%d" d j else Printf.sprintf "a 16-byte v%d.%d" d j
+  in
+  let script d =
+    List.init ops_per_domain (fun j ->
+        let key = if d = 0 then lone else Printf.sprintf "r%d-%02d" d (j / 2) in
+        if (j + Bool.to_int (d = 0)) mod 2 = 0 then Fault.Insert (key, value d j)
+        else Fault.Delete key)
+  in
+  let setup =
+    List.init 55 (fun i -> Fault.Insert (Printf.sprintf "k%02d0" i, "sixteen-4"))
+    @ [ Fault.Insert ("zz00", "x"); Fault.Insert (lone, "v") ]
+  in
+  (setup, Array.init domains script)
+
 (* Seeded workload generator: a qcheck-style op mix (40% insert, 25%
    update, 15% delete, 20% search) over a small key universe that mixes
    per-domain private keys with keys shared across all domains, so
@@ -437,6 +464,7 @@ let workloads =
     ("collide", fun ~seed:_ -> collide_workload);
     ("split-race", fun ~seed:_ -> split_race_workload);
     ("update-race", fun ~seed:_ -> update_race_workload);
+    ("recycle-race", fun ~seed:_ -> recycle_race_workload);
     ("gen", gen_workload);
   ]
 

@@ -145,6 +145,16 @@ val update_race_workload :
     bit commit, and freed slots pass between domains; every third update
     changes class, taking the two-header commit. *)
 
+val recycle_race_workload :
+  domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array
+(** [(setup, scripts)] — the setup fills one leaf chunk and leaves one
+    key alone in the next; domain 0 deletes it, emptying the chunk so
+    that the delete recycles it while the key's free slot owns its
+    value, then re-inserts and deletes it in turn. The other domains
+    insert and delete keys of their own prefixes, so an insert can take
+    the owning slot over before the recycle, changing the value's class
+    (Val8 to Val16). *)
+
 val gen_workload :
   seed:int64 ->
   domains:int ->
@@ -164,9 +174,9 @@ val workloads :
     Fault.op list * Fault.op list array))
   list
 (** The concurrent workload table — ["default"], ["collide"],
-    ["split-race"], ["update-race"], ["gen"] — shared by [hart_cli fault --domains]'s
-    sweeps and its [--schedule] replay. [seed] matters only to
-    ["gen"]. *)
+    ["split-race"], ["update-race"], ["recycle-race"], ["gen"] — shared
+    by [hart_cli fault --domains]'s sweeps and its [--schedule] replay.
+    [seed] matters only to ["gen"]. *)
 
 val find_workload :
   string ->

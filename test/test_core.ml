@@ -231,13 +231,6 @@ let test_epalloc_no_double_handout () =
   let y = Epalloc.epmalloc a Chunk.Val8 in
   Alcotest.(check bool) "reserved slot not reissued" true (x <> y)
 
-let test_epalloc_cancel_reservation () =
-  let a, _ = fresh_alloc () in
-  let x = Epalloc.epmalloc a Chunk.Val8 in
-  Epalloc.cancel_reservation a Chunk.Val8 ~obj:x;
-  let y = Epalloc.epmalloc a Chunk.Val8 in
-  Alcotest.(check int) "slot reusable after cancel" x y
-
 let test_epalloc_slot_reuse_after_reset () =
   let a, _ = fresh_alloc () in
   let x = Epalloc.epmalloc a Chunk.Val16 in
@@ -418,14 +411,12 @@ let test_epalloc_spare_rule () =
   Alcotest.(check int) "the chunk is down to its spare" 1 (Epalloc.spares a Chunk.Val8);
   let plain = Epalloc.epmalloc a Chunk.Val8 in
   Alcotest.(check bool) "plain allocation leaves the spare" true (chunk_of plain <> chunk);
-  Epalloc.cancel_reservation a Chunk.Val8 ~obj:plain;
   let old = objs.(7) in
   let fresh = Epalloc.epmalloc_update a Chunk.Val8 ~old in
   Alcotest.(check int) "the update takes the spare" chunk (chunk_of fresh);
   let other16 = Epalloc.epmalloc_update a Chunk.Val16 ~old:objs.(8) in
   Alcotest.(check bool) "a class change allocates in its class" true
     (Epalloc.class_of_value_obj a other16 = Some Chunk.Val16);
-  Epalloc.cancel_reservation a Chunk.Val16 ~obj:other16;
   let before = Pmem.flush_count pool in
   Epalloc.commit_update a Chunk.Val8 ~obj:fresh ~old;
   Alcotest.(check int) "both bits, one flush" 1 (Pmem.flush_count pool - before);
@@ -1067,6 +1058,96 @@ let test_update_p_value_windows () =
       done)
     [ ("NEW", 2, 2); ("a 16-byte value", 2, 3) ]
 
+(* Crash a fresh [scenario] after [n] flushes of [op] on its store,
+   where [n] is the flush count of [op] on a dry run of the same
+   scenario less [last]; return the crashed pool and what [scenario]
+   returned besides. *)
+let crash_before_last scenario op ~last =
+  let flushes =
+    let pool, h, _ = scenario () in
+    let f0 = Pmem.flush_count pool in
+    op h;
+    Pmem.flush_count pool - f0
+  in
+  let pool, h, x = scenario () in
+  Pmem.arm_crash pool ~after_flushes:(flushes - last);
+  (match op h with
+  | () -> Alcotest.fail "no crash"
+  | exception Pmem.Crash_injected -> ());
+  Pmem.disarm_crash pool;
+  (pool, x)
+
+(* Recover [pool], check it, then crash and recover it again: the first
+   recovery's flushes, and the second's, which must be none. *)
+let recover_twice pool =
+  let f0 = Pmem.flush_count pool in
+  let h = Hart.recover pool in
+  let first = Pmem.flush_count pool - f0 in
+  Hart.check_integrity h;
+  Pmem.crash pool;
+  let f0 = Pmem.flush_count pool in
+  Hart.check_integrity (Hart.recover pool);
+  Alcotest.(check int) "second recovery: no flush" 0 (Pmem.flush_count pool - f0);
+  (h, first)
+
+(* A delete that empties a leaf chunk whose free slot owns a value
+   unlinks the chunk, then resets the value's bit: "lone" sits alone in
+   the second leaf chunk, and its value shares a chunk that stays. A
+   crash between the two leaves a committed value that nothing names;
+   recovery's liveness pass clears its bit with one header store. *)
+let test_recycle_unlink_window () =
+  let scenario () =
+    let h, pool = fresh_hart () in
+    for i = 0 to 55 do
+      Hart.insert h ~key:(Printf.sprintf "fl%04d" i) ~value:"v"
+    done;
+    Hart.insert h ~key:"lone" ~value:"w";
+    (pool, h, Leaf.p_value pool ~leaf:(leaf_of h "lone"))
+  in
+  let op h = assert (Hart.delete h "lone") in
+  let pool, v = crash_before_last scenario op ~last:1 in
+  let a = Epalloc.attach (Pmem.clone pool) in
+  Alcotest.(check int) "leaf chunk unlinked" 1 (Epalloc.chunk_count a Chunk.Leaf_c);
+  Alcotest.(check bool) "value still committed" true (Epalloc.value_committed a v);
+  let h, flushes = recover_twice pool in
+  Alcotest.(check int) "recovery: one header store" 1 flushes;
+  Alcotest.(check bool) "unnamed value freed" false
+    (Epalloc.value_committed (Hart.alloc h) v);
+  Alcotest.(check int) "keys" 56 (Hart.count h)
+
+(* A take-over across classes writes the new value and the leaf, whose
+   p_value then names the new value, and only then resets the old
+   value's bit. A crash between the leaf and the reset leaves the free
+   slot naming the new value, whose bit is clear, and the old value
+   committed with nothing naming it: attach severs the slot, and the
+   liveness pass clears the old value's bit. *)
+let test_takeover_class_window () =
+  let scenario () =
+    let h, pool = fresh_hart () in
+    (* a Val16 chunk exists, and the old value's chunk stays *)
+    Hart.insert h ~key:"bystander" ~value:"a 16-byte value";
+    Hart.insert h ~key:"keeper" ~value:"k";
+    Hart.insert h ~key:"gone" ~value:"g";
+    let leaf = leaf_of h "gone" in
+    assert (Hart.delete h "gone");
+    (pool, h, (leaf, Leaf.p_value pool ~leaf))
+  in
+  (* after Leaf.init: the old value's reset, the new value's bit and the
+     leaf's bit remain *)
+  let op h = Hart.insert h ~key:"heir" ~value:"a 16-byte value" in
+  let pool, (leaf, old_v) = crash_before_last scenario op ~last:3 in
+  let new_v = Leaf.p_value pool ~leaf in
+  Alcotest.(check bool) "the slot names the new value" true (new_v <> 0 && new_v <> old_v);
+  let a = Epalloc.attach (Pmem.clone pool) in
+  Alcotest.(check bool) "old value still committed" true (Epalloc.value_committed a old_v);
+  let h, flushes = recover_twice pool in
+  Alcotest.(check int) "recovery: the sever and one header store" 2 flushes;
+  Alcotest.(check int) "slot severed" 0 (Leaf.p_value pool ~leaf);
+  Alcotest.(check bool) "unnamed value freed" false
+    (Epalloc.value_committed (Hart.alloc h) old_v);
+  Alcotest.(check (option string)) "heir never committed" None (Hart.search h "heir");
+  Alcotest.(check int) "keys" 2 (Hart.count h)
+
 let test_rlog_recovery_head_unlink () =
   (* empty a chunk at the head of the value list, crash inside the
      recycle protocol, recover: the list must be consistent *)
@@ -1351,7 +1432,29 @@ let test_hart_persists_per_op () =
   Alcotest.(check int) "insert into an owning slot: persist calls" 3
     d.Meter.persist_calls;
   Alcotest.(check int) "no owning slot left" 0
-    (Hart_core.Hart_stats.collect h).owned_values
+    (Hart_core.Hart_stats.collect h).owned_values;
+  (* a take-over across classes writes the new value and the leaf, then
+     frees the owned value and commits both bits *)
+  assert (Hart.delete h "pc0011");
+  let d = cost (fun () -> Hart.insert h ~key:"pc0012" ~value:"a 16-byte value") in
+  Alcotest.(check int) "take-over, class change: persist calls" 5 d.Meter.persist_calls;
+  (* fill the first leaf chunk, so that "lone" is alone in a second one:
+     deleting it recycles that chunk, whose free slot owns the value.
+     The delete persists the leaf bit, the unlink its recycle record,
+     the list head and the record's reclaim, then the value's reset;
+     the value chunk stays *)
+  for i = 100 to 144 do
+    Hart.insert h ~key:(Printf.sprintf "pc%04d" i) ~value:"v"
+  done;
+  Hart.insert h ~key:"lone" ~value:"v";
+  let chunks () =
+    let a = Hart.alloc h in
+    (Epalloc.chunk_count a Chunk.Leaf_c, Epalloc.chunk_count a Chunk.Val8)
+  in
+  Alcotest.(check (pair int int)) "two leaf chunks, one val8 chunk" (2, 1) (chunks ());
+  let d = cost (fun () -> assert (Hart.delete h "lone")) in
+  Alcotest.(check int) "owning leaf-chunk recycle: persist calls" 5 d.Meter.persist_calls;
+  Alcotest.(check (pair int int)) "the leaf chunk recycled" (1, 1) (chunks ())
 
 (* PM reads per op. Every object read charges each line it covers
    once, so a search hit costs two PM reads (leaf, value object) when
@@ -3090,7 +3193,9 @@ let qcheck_media_fsck_partition =
 (* Findings pin for the media-repair path. Two pools (plain and
    checksummed), each churned by [populate_hart] (owning free slots),
    then by updates, then cut by a crash inside a leaf-chunk recycle (a
-   pending recycle record). Every site is one media fault (all five
+   pending recycle record; the chunk's owned values are still committed
+   and nothing names them, so every quarantining mount leaves them to
+   fsck's orphan rule). Every site is one media fault (all five
    kinds) on one line class: the log slots' lines (an update slot of the
    v02 layout, a pending and an idle recycle slot), chunk prologues, a live
    leaf, a live value, an owning free slot, the value it owns, chunk
@@ -3309,7 +3414,7 @@ let test_media_findings_pinned () =
       then Alcotest.failf "no leaf quarantined by %s" who)
     [ "mount"; "fsck" ];
   Alcotest.(check string)
-    "rendering md5" "e9c8fbcd071ad15a473a52acfec5cb52"
+    "rendering md5" "9c7cc8013dd0cf27522c44afd4242877"
     (Digest.to_hex (Digest.string rendering))
 
 let () =
@@ -3337,7 +3442,6 @@ let () =
         [
           Alcotest.test_case "distinct objects" `Quick test_epalloc_distinct_objects;
           Alcotest.test_case "no double hand-out" `Quick test_epalloc_no_double_handout;
-          Alcotest.test_case "cancel reservation" `Quick test_epalloc_cancel_reservation;
           Alcotest.test_case "slot reuse after reset" `Quick test_epalloc_slot_reuse_after_reset;
           Alcotest.test_case "chunk_of_obj" `Quick test_epalloc_chunk_of_obj;
           Alcotest.test_case "class_of_value_obj" `Quick test_epalloc_class_of_value_obj;
@@ -3421,6 +3525,11 @@ let () =
           Alcotest.test_case "ulog state: all three (undo)" `Quick test_ulog_state_all_three;
           Alcotest.test_case "update: crash between p_value and bits" `Quick
             test_update_p_value_windows;
+          Alcotest.test_case "recycle: crash between unlink and value resets" `Quick
+            test_recycle_unlink_window;
+          Alcotest.test_case
+            "take-over across classes: crash between Leaf.init and the old value's reset"
+            `Quick test_takeover_class_window;
           Alcotest.test_case "ulog replay idempotent" `Quick test_ulog_replay_is_idempotent;
           Alcotest.test_case "kept ulog record: key updated again" `Quick
             test_kept_record_superseded;

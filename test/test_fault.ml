@@ -152,11 +152,11 @@ let schedule_space_pin () =
         (Printf.sprintf "%s: nested schedules" name)
         nested r.Fault.nested_schedules)
     [
-      ("update-log", 65, 65, 43);
-      ("update-own", 46, 46, 18);
-      ("delete-recycle", 61, 61, 35);
-      ("mixed-dense", 59, 59, 29);
-      ("chunk-unlink", 192, 192, 4809);
+      ("update-log", 65, 65, 121);
+      ("update-own", 46, 46, 23);
+      ("delete-recycle", 61, 61, 124);
+      ("mixed-dense", 59, 59, 75);
+      ("chunk-unlink", 192, 192, 603);
       ("split-chain", 149, 149, 39);
     ]
 
@@ -1054,12 +1054,12 @@ let mt_shrink_minimal_shape () =
       ]
     [| [ Fault.Update ("aa00", "u0") ]; [ Fault.Update ("bb00", "u1") ] |]
 
-(* The known-minimal shape of a free-before-overwrite bug in the
+(* The known-minimal shape of a free-before-unname bug in the
    ownership rule: one domain's insert takes over a deleted key's slot
-   with a value of another class, so it frees the slot's owned value
-   while the slot's durable p_value still names it, and without the
-   reservation hold the other domain's update is handed that value;
-   crashing before the insert's leaf store overwrites the pointer makes
+   with a value of another class, and under [Free_before_unname] frees
+   the slot's owned value while the slot's durable p_value still names
+   it, so the other domain's update is handed that value; crashing
+   before the insert's leaf store overwrites the pointer makes
    recovery's sweep hand the slot ownership of a value a live key
    names. The liveness pass cannot tell: the value is named either way.
    The setup makes the inserting domain's first flushes its value write
@@ -1068,8 +1068,8 @@ let mt_shrink_minimal_shape () =
    whose p_value flush would otherwise persist the insert's leaf store
    too; the interleaving is rare, seed 144 being the first to reach
    it. *)
-let mt_shrink_hold_shape () =
-  shrinks_known_shape ~seeds:200 Epalloc.No_reservation_hold
+let mt_shrink_free_shape () =
+  shrinks_known_shape ~seeds:200 Epalloc.Free_before_unname
     ~setup:
       [
         Fault.Insert ("aa00", "v0");
@@ -1136,73 +1136,74 @@ let bits_before_p_value_caught () =
     (with_mutation Epalloc.Bits_before_p_value (fun () ->
          sweep_violates "mixed-dense"))
 
-(* A recycle of a leaf chunk whose only slot owns a value is abandoned
-   when the other domain reserves a slot of the chunk between the value
-   reset and the unlink; the taken slot must then be severed before the
-   value's hold ends, or the second insert, given that value, leaves a
-   free slot naming its committed value. Seeds 3 and 6 reach the
-   abandon path. *)
-let abandon_explore ~seed ~setup scripts =
-  let before = Epalloc.recycles_abandoned () in
+(* The number of violations of a sweep of the given workload. *)
+let mt_violations ~seed ~setup scripts =
   let r =
     Fault_mt.explore ~keep_going:true ~seed ~domains:(Array.length scripts)
-      ~workload:"recycle-abandon" ~setup scripts
+      ~workload:"recycle-race" ~setup scripts
   in
-  (List.length r.Fault.violations, Epalloc.recycles_abandoned () - before)
+  List.length r.Fault.violations
 
-let recycle_abandon_sweep () =
+(* A leaf chunk whose only slot owns a value, emptied by a delete while
+   the other domain inserts: the insert takes the owning slot over or
+   the recycle unlinks the chunk first, whichever locks it first. *)
+let recycle_race_sweep () =
   let setup = [ Fault.Insert ("aa00", "v") ] in
   let scripts =
     [| [ Fault.Delete "aa00" ]; [ Fault.Insert ("bb00", "w"); Fault.Insert ("cc00", "x") ] |]
   in
   for seed = 1 to 8 do
-    let violations, abandons = abandon_explore ~seed:(Int64.of_int seed) ~setup scripts in
-    Alcotest.(check int) (Printf.sprintf "seed %d: violations" seed) 0 violations;
-    if seed = 3 || seed = 6 then
-      Alcotest.(check bool) (Printf.sprintf "seed %d: recycle abandoned" seed) true (abandons > 0)
+    Alcotest.(check int)
+      (Printf.sprintf "seed %d: violations" seed)
+      0
+      (mt_violations ~seed:(Int64.of_int seed) ~setup scripts)
   done
 
-(* The abandon path's order, sever then end the holds, under a schedule
-   that puts an allocation of the freed value between the two: 55 Val16
-   keys and one Val8 key fill the first leaf chunk, so "aa00" is alone in
-   the second one while its Val8 value shares a chunk that stays linked.
-   The first domain deletes "aa00", the second reserves a slot of its
-   leaf chunk (abandoning the recycle) and the third takes the value,
-   committed, before the sever is durable — at seed 7. Ending the holds
-   first must fail that sweep. *)
-let abandon_sever_before_holds_end () =
-  let setup =
-    List.init 55 (fun i -> Fault.Insert (Printf.sprintf "k%02d0" i, "sixteen-4"))
-    @ [ Fault.Insert ("zz00", "x"); Fault.Insert ("aa00", "v") ]
-  in
+(* The recycle's order, unlink then free the owned values, under a
+   schedule that puts an allocation of the freed value in between. The
+   recycle-race setup leaves "aa00" alone in the second leaf chunk while
+   its Val8 value shares a chunk that stays linked. The first domain
+   deletes "aa00"; the other two insert Val8 values, and under
+   [Free_before_unname] one of them is given the freed value and
+   commits it before the unlink is durable, first at seed 67: the free
+   slot that still names it then owns a value a live key names. *)
+let recycle_frees_after_unlink () =
+  let setup, _ = Fault_mt.recycle_race_workload ~domains:3 ~ops_per_domain:0 in
   let inserts p = List.init 2 (fun i -> Fault.Insert (Printf.sprintf "%s%d00" p i, "w")) in
   let scripts = [| [ Fault.Delete "aa00" ]; inserts "b"; inserts "c" |] in
-  let violations, abandons = abandon_explore ~seed:7L ~setup scripts in
-  Alcotest.(check int) "violations" 0 violations;
-  Alcotest.(check bool) "recycle abandoned" true (abandons > 0);
-  let violations, _ =
-    with_mutation Epalloc.Release_before_sever (fun () ->
-        abandon_explore ~seed:7L ~setup scripts)
+  Alcotest.(check int) "violations" 0 (mt_violations ~seed:7L ~setup scripts);
+  let first =
+    with_mutation Epalloc.Free_before_unname (fun () ->
+        List.find_opt
+          (fun seed -> mt_violations ~seed:(Int64.of_int seed) ~setup scripts > 0)
+          (List.init 200 (fun i -> i + 1)))
   in
-  Alcotest.(check bool) "ending the holds before the sever is caught" true (violations > 0)
+  Alcotest.(check (option int)) "freeing before the unlink is caught" (Some 67) first
 
-(* A slot another domain commits and deletes while a recycle of its leaf
-   chunk is in flight owns its value once the recycle is abandoned, and
-   that delete's own recycle gave up on the abandoned one's
-   reservations: the abandoned recycle must try again, or the chunk and
-   the value stay allocated with no key left. Runs the two domains to
-   completion (no crash) under the deterministic scheduler; seed 65
-   reaches the abandon path with the second key already deleted. *)
-let abandon_retries_recycle () =
+(* The recycle-race workload sweeps clean, and freeing an owned value
+   before its slot stops naming it fails the sweep at seed 1: the
+   recycling domain frees the deleted key's value before the unlink,
+   and the other domain is given it and commits it before the crash. *)
+let free_before_unname_caught () =
+  let setup, scripts = Fault_mt.recycle_race_workload ~domains:2 ~ops_per_domain:6 in
+  Alcotest.(check bool) "clean sweep passes" false (mt_violates ~seed:1L ~setup scripts);
+  Alcotest.(check bool) "free before unname fails the recycle-race sweep" true
+    (with_mutation Epalloc.Free_before_unname (fun () ->
+         mt_violates ~seed:1L ~setup scripts))
+
+(* A slot another domain commits and deletes while a recycle of its
+   leaf chunk is being decided must leave nothing behind: whichever
+   delete empties the chunk last recycles it, its owned values with it.
+   Runs the two domains to completion (no crash) under the
+   deterministic scheduler over 200 seeds. *)
+let recycle_race_leaves_nothing () =
   let module Sched = Hart_async.Scheduler in
   let module Hart_mt = Hart_core.Hart_mt in
   let module Chunk = Hart_core.Chunk in
-  let abandoned = ref [] in
   for seed = 1 to 200 do
     let pool = Pmem.create ~capacity:(1 lsl 20) (Hart_pmem.Meter.create Hart_pmem.Latency.c300_100) in
     let t = Hart_mt.create pool in
     Hart_mt.insert t ~key:"aa00" ~value:"v";
-    let before = Epalloc.recycles_abandoned () in
     let sim = Sched.Sim.create ~rng:(Hart_util.Rng.create (Int64.of_int seed)) () in
     ignore (Sched.Sim.spawn sim (fun () -> ignore (Hart_mt.delete t "aa00" : bool)) : int);
     ignore
@@ -1212,7 +1213,6 @@ let abandon_retries_recycle () =
         : int);
     Sched.install_sched_hook ();
     Fun.protect ~finally:Sched.uninstall_sched_hook (fun () -> Sched.Sim.run sim);
-    if Epalloc.recycles_abandoned () > before then abandoned := seed :: !abandoned;
     let alloc = Hart_core.Hart.alloc (Hart_mt.underlying t) in
     List.iter
       (fun cls ->
@@ -1221,8 +1221,7 @@ let abandon_retries_recycle () =
           0
           (Epalloc.chunk_count alloc cls))
       Chunk.all_classes
-  done;
-  Alcotest.(check bool) "seed 65 abandons a recycle" true (List.mem 65 !abandoned)
+  done
 
 (* The server sweep must catch real durability bugs end to end: the
    same injected update bug, observed through RESP sessions instead of
@@ -1378,7 +1377,7 @@ let () =
           Alcotest.test_case "shrinker: known shape to <= 3 ops" `Quick
             mt_shrink_minimal_shape;
           Alcotest.test_case "shrinker: unheld free to <= 3 ops" `Quick
-            mt_shrink_hold_shape;
+            mt_shrink_free_shape;
           Alcotest.test_case "no violation once fixed" `Quick
             mt_no_violation_when_fixed;
           Alcotest.test_case "checkpointed replay equivalence" `Quick
@@ -1406,12 +1405,14 @@ let () =
         [
           Alcotest.test_case "each mutation fails a crash sweep" `Quick
             ownership_mutations_caught;
-          Alcotest.test_case "recycle abandoned by a concurrent insert" `Quick
-            recycle_abandon_sweep;
-          Alcotest.test_case "abandoned recycle severs before the holds end" `Quick
-            abandon_sever_before_holds_end;
-          Alcotest.test_case "abandoned recycle retried once the chunk drains" `Quick
-            abandon_retries_recycle;
+          Alcotest.test_case "recycle raced by a concurrent insert" `Quick
+            recycle_race_sweep;
+          Alcotest.test_case "recycle frees owned values after the unlink" `Quick
+            recycle_frees_after_unlink;
+          Alcotest.test_case "recycle race leaves no chunk behind" `Quick
+            recycle_race_leaves_nothing;
+          Alcotest.test_case "free before unname fails the recycle-race sweep" `Quick
+            free_before_unname_caught;
           Alcotest.test_case "bits before p_value fails the update-race sweep" `Quick
             bits_before_p_value_caught;
         ] );

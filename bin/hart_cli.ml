@@ -567,8 +567,11 @@ let fault_cmd =
              updates whose values share one value chunk), \
              $(b,recycle-race) (a lone key's leaf chunk emptied and \
              recycled by a delete while other domains insert into it, \
-             taking its owning slot over across value classes), or $(b,gen) \
-             (seeded random op mix, swept over $(b,--gen-seeds) seeds).")
+             taking its owning slot over across value classes), \
+             $(b,recycle-classes) (a leaf chunk and a Val32 chunk emptied \
+             and recycled by two domains at once, each under its own \
+             class's log slot), or $(b,gen) (seeded random op mix, swept \
+             over $(b,--gen-seeds) seeds).")
   in
   let server =
     Arg.(

@@ -33,7 +33,7 @@ let park register = Effect.perform (Park register)
 
 (* The cooperative-scheduler hook wiring (Sched_hook) belongs to the
    runtime: installing it turns every instrumented production yield
-   point (Pmem.persist, Rwlock, Epalloc, Microlog) into a fiber switch
+   point (Pmem.persist, Rwlock, Epalloc) into a fiber switch
    of whichever executor handles the [Yield]. *)
 let install_sched_hook () = Sched_hook.install yield
 let uninstall_sched_hook () = Sched_hook.uninstall ()

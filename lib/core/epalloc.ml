@@ -31,8 +31,8 @@ let cls_name = function
   | Chunk.Val32 -> "val32"
 
 (* Root block layout: magic@0, kh@8, heads@16+8*cls on the first line,
-   which the scalars have to themselves; the micro-logs fill the lines
-   after it, one slot per line. *)
+   which the scalars have to themselves; the log region fills the lines
+   after it: the reserved lines, then the recycle slots, one per line. *)
 let head_field cls = root_off + 16 + (8 * cls_id cls)
 let root_scalar_bytes = 16 + (8 * n_classes)
 let log_base = root_off + Pmem.line_bytes
@@ -200,12 +200,12 @@ let runs () =
   { run = no_entry; run_id = 0; lo = 0; hi = 0; size = 1; mask = 0; closed = [] }
 
 (* Lock architecture (strict acquisition order, coarse to fine):
-     class mutex  →  chunk stripe mutex  →  (Pmem alloc / Microlog mutex)
+     class mutex  →  chunk stripe mutex  →  Pmem alloc
    - A chunk's stripe mutex guards its header stores, its mirror word
      and its reservation mask; the allocation fast path takes only this.
    - A class mutex guards that class's chunk-list structure (PM pnext
-     links + head mirror), its avail cache, its mirror slots and its
-     registry publication.
+     links + head mirror), its recycle-log slot, its avail cache, its
+     mirror slots and its registry publication.
    - Paths that hold a stripe and then need the class lock (returning a
      slot to the avail cache) release the stripe first, so the order is
      never reversed. *)
@@ -648,9 +648,10 @@ let repair_header t cls ~chunk =
    log and give its space back. *)
 let unlink t cls e =
   let id = cls_id cls and chunk = e.chunk in
-  let slot = Microlog.Recycle.acquire t.logs in
-  let prev = e.prev in
-  Microlog.Recycle.record t.logs ~slot ~pprev:prev ~cls ~pcurrent:chunk;
+  (* the class lock is held, so this class has no other record in
+     flight: its log slot is its class id *)
+  let slot = id and prev = e.prev in
+  Microlog.record t.logs ~slot ~pprev:prev ~cls ~pcurrent:chunk;
   let next = Chunk.pnext t.pool ~chunk in
   if prev = 0 then set_head t cls next else Chunk.set_pnext t.pool ~chunk:prev next;
   link t id ~prev next;
@@ -660,7 +661,7 @@ let unlink t cls e =
      reference *)
   unregister t id e;
   Hashtbl.remove t.avail.(id) chunk;
-  Microlog.Recycle.reclaim t.logs ~slot
+  Microlog.reclaim t.logs ~slot
 
 (* The values the owning slots of leaf chunk [e] name, each with its
    class, highest slot first: one PM read of each slot's p_value. *)
@@ -828,19 +829,18 @@ let settle_values ?(keep_unnamed = false) t runs =
         List.iter (fun chunk -> eprecycle t cls ~chunk) !emptied)
       [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ]
 
-(* The repair for a log slot on a corrupt media line or failing its
-   word CRC: rewrite its line without reading it. An update slot holds
-   nothing recovery reads (updates no longer log), and neither does a
-   recycle slot in the free set: the rewrite repairs them. A recycle
-   slot out of it is one attach found holding a record or unreadable,
-   before replay: it may have held a recycle in flight, which is lost.
-   A quiesced live store (fsck) has every slot free. *)
-let scrub_log_slot t ~report (kind, slot, off) =
-  let lost = kind = "recycle" && Microlog.in_use t.logs ~slot in
-  Microlog.discard_slot t.logs ~kind ~slot;
+(* The repair for a recycle slot on a corrupt media line or failing its
+   word CRC: rewrite its line without reading it. [before_replay] is
+   the quarantining mount's scrub: a slot whose line then holds a record
+   or cannot be read may have held a recycle in flight, which is lost.
+   Any other slot, and every slot of a quiesced live store (fsck), holds
+   nothing: the rewrite repairs it. *)
+let scrub_log_slot t ~report ~before_replay (slot, off) =
+  let lost = before_replay && Microlog.occupied t.logs ~slot in
+  Microlog.reclaim t.logs ~slot;
   report
     {
-      Hart_error.f_site = Log_slot { kind; slot; off };
+      Hart_error.f_site = Log_slot { slot; off };
       f_action = (if lost then Quarantined else Repaired);
       f_detail =
         (if lost then
@@ -851,17 +851,37 @@ let scrub_log_slot t ~report (kind, slot, off) =
       f_capacity = (if lost then 1 else 0);
     }
 
+(* A damaged line of the root block past its scalars: a recycle slot's
+   line is scrubbed; any other is one of the reserved lines where v02
+   images kept update-log slots, which nothing reads, so it is zeroed
+   and resealed. *)
+let repair_root_line t ~report ~before_replay line =
+  match Microlog.slots_overlapping t.logs ~lines:[ line ] with
+  | [] ->
+      let off = line * Pmem.line_bytes in
+      Pmem.set_string t.pool ~off (String.make Pmem.line_bytes '\000');
+      Pmem.persist t.pool ~off ~len:Pmem.line_bytes;
+      report
+        {
+          Hart_error.f_site = Pool_line { line };
+          f_action = Repaired;
+          f_detail = "reserved root-block line zeroed and resealed";
+          f_keys = [];
+          f_capacity = 0;
+        }
+  | slots -> List.iter (scrub_log_slot t ~report ~before_replay) slots
+
 let recover_recycle_log t ~slot =
   let logs = t.logs in
-  let chunk = Microlog.Recycle.pcurrent logs ~slot in
-  let cls = Microlog.Recycle.cls logs ~slot in
+  let chunk = Microlog.pcurrent logs ~slot in
+  let cls = Microlog.cls logs ~slot in
   let id = cls_id cls in
   (* the registry holds exactly the chunks the chain walk reached, and
      each replay keeps it so *)
   (match Registry.find (Atomic.get t.registry.(id)) chunk with
   | e ->
       (* still linked: resume the unlink from where it stopped *)
-      let logged = Microlog.Recycle.pprev logs ~slot in
+      let logged = Microlog.pprev logs ~slot in
       let prev =
         if t.heads.(id) = chunk then 0 else if logged <> 0 then logged else e.prev
       in
@@ -875,7 +895,7 @@ let recover_recycle_log t ~slot =
       (* already unlinked: the pool free was idempotent at the allocator
          level, so only the log remains to clean *)
       ());
-  Microlog.Recycle.reclaim logs ~slot
+  Microlog.reclaim logs ~slot
 
 let attach ?(bad_lines = []) ?report pool =
   let quarantine = report <> None in
@@ -959,51 +979,54 @@ let attach ?(bad_lines = []) ?report pool =
       Meter.access t.meter Dram ~addr:m.lines.(line) ~write:true
     done
   done;
-  (* Scrub the micro-logs BEFORE replay: a record sitting on a corrupt
+  (* Scrub the recycle log BEFORE replay: a record sitting on a corrupt
      line, or failing its word CRC, must never be replayed — discarding
      it is the torn-record treatment (the logged operation did not
      commit). Zero+persist also reseals the line's ECC entry. *)
   if quarantine then begin
-    let to_scrub = Hashtbl.create 8 in
+    let in_log line =
+      let off = line * Pmem.line_bytes in
+      off >= log_base && off < root_off + root_bytes
+    in
     List.iter
-      (fun (kind, slot, off) -> Hashtbl.replace to_scrub (kind, slot) off)
-      (Microlog.slots_overlapping logs ~lines:bad_lines @ Microlog.verify logs);
-    Hashtbl.iter
-      (fun (kind, slot) off -> scrub_log_slot t ~report:emit (kind, slot, off))
-      to_scrub
+      (repair_root_line t ~report:emit ~before_replay:true)
+      (List.sort_uniq compare (List.filter in_log bad_lines));
+    List.iter
+      (fun (slot, off) ->
+        if not (bad_span off Microlog.slot_bytes) then
+          scrub_log_slot t ~report:emit ~before_replay:true (slot, off))
+      (Microlog.verify logs)
   end;
   (* Replay, guarded in quarantine mode: a record whose pointers do not
      resolve to registered chunks is discarded rather than replayed into
-     arbitrary pool bytes. *)
-  let guarded kind ~slot ~off body =
-    if not quarantine then body ()
-    else
-      try body () with
-      | Hart_error.Error _ | Invalid_argument _ | Not_found
-      | Pmem.Media_poisoned _ ->
-          Microlog.discard_slot logs ~kind ~slot;
-          emit
-            {
-              Hart_error.f_site = Log_slot { kind; slot; off };
-              f_action = Quarantined;
-              f_detail = "unreplayable log record discarded";
-              f_keys = [];
-              f_capacity = 1;
-            }
-  in
-  Microlog.Recycle.iter_pending logs (fun ~slot ->
-      let off = Microlog.slot_offset logs ~kind:"recycle" ~slot in
-      guarded "recycle" ~slot ~off (fun () ->
-          (if quarantine then
-             let prev = Microlog.Recycle.pprev logs ~slot in
-             let cls = Microlog.Recycle.cls logs ~slot in
-             if
-               prev <> 0
-               && not (Registry.mem (Atomic.get t.registry.(cls_id cls)) prev)
-             then
-               Hart_error.error (Log_slot { kind = "recycle"; slot; off })
-                 "PPrev %d is no registered chunk" prev);
-          recover_recycle_log t ~slot));
+     arbitrary pool bytes. Every slot is replayed, not only the four
+     this version writes: an image written while slots were handed out
+     dynamically may hold a record in any of them. *)
+  Microlog.iter_pending logs (fun ~slot ->
+      let off = Microlog.slot_offset logs ~slot in
+      let site = Hart_error.Log_slot { slot; off } in
+      let replay () =
+        (if quarantine then
+           let prev = Microlog.pprev logs ~slot in
+           let cls = Microlog.cls logs ~slot in
+           if prev <> 0 && not (Registry.mem (Atomic.get t.registry.(cls_id cls)) prev)
+           then Hart_error.error site "PPrev %d is no registered chunk" prev);
+        recover_recycle_log t ~slot
+      in
+      if not quarantine then replay ()
+      else
+        try replay () with
+        | Hart_error.Error _ | Invalid_argument _ | Not_found
+        | Pmem.Media_poisoned _ ->
+            Microlog.reclaim logs ~slot;
+            emit
+              {
+                Hart_error.f_site = site;
+                f_action = Quarantined;
+                f_detail = "unreplayable log record discarded";
+                f_keys = [];
+                f_capacity = 1;
+              });
   (* Ownership sweep (DESIGN.md §6 item 2): a free leaf slot whose
      p_value names a committed value owns it, and is marked so without a
      PM write, so a quiescent image still recovers flush-free. Any other

@@ -59,8 +59,8 @@ val root_off : int
 (** Pool offset of the root block (the pool's first allocation). *)
 
 val root_bytes : int
-(** Bytes of the root block: one line of scalars + both micro-log slot
-    arrays ({!Microlog.region_bytes}). *)
+(** Bytes of the root block: one line of scalars + the log region
+    ({!Microlog.region_bytes}). *)
 
 val cls_name : Chunk.cls -> string
 (** Short class name ("leaf", "val8", …) as used in {!Hart_error.site}
@@ -215,16 +215,28 @@ val unsafe_mutation : mutation option ref
 val mutated : mutation -> bool
 
 val scrub_log_slot :
-  t -> report:(Hart_error.finding -> unit) -> string * int * int -> unit
-(** The repair for a log slot, given as a [(kind, slot, offset)] triple,
+  t ->
+  report:(Hart_error.finding -> unit) ->
+  before_replay:bool ->
+  int * int ->
+  unit
+(** The repair for a recycle slot, given as a [(slot, offset)] pair,
     that sits on a corrupt media line or fails its word CRC
-    ({!Microlog.slots_overlapping}, {!Microlog.verify}): rewrite its
-    line without trusting its words ({!Microlog.discard_slot}) and
-    [report] one [Log_slot] finding. A recycle slot that held a record,
-    or whose line could not be read, is [Quarantined] (the recycle is
-    treated as never committed); an update slot or an idle recycle slot
-    is [Repaired]. Never raises [Media_poisoned]. Shared by {!attach}'s
-    quarantine mode and [Hart.fsck]. *)
+    ({!Microlog.verify}): rewrite its line without trusting its words
+    ({!Microlog.reclaim}) and [report] one [Log_slot] finding. With
+    [before_replay] (the quarantining mount, before it replays the log),
+    a slot that holds a record or whose line cannot be read is
+    [Quarantined]: the recycle is treated as never committed. Every
+    other slot is [Repaired]. Never raises [Media_poisoned]. Shared by
+    {!attach}'s quarantine mode and [Hart.fsck]. *)
+
+val repair_root_line :
+  t -> report:(Hart_error.finding -> unit) -> before_replay:bool -> int -> unit
+(** The repair for a corrupt media line of the root block past its
+    scalars: a recycle slot's line goes through {!scrub_log_slot}; a
+    reserved line is zeroed, resealed and reported [Repaired] at its
+    [Pool_line] site. Shared by {!attach}'s quarantine mode and
+    [Hart.fsck]. *)
 
 (** {1 Value liveness (recovery)} *)
 

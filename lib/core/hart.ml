@@ -800,7 +800,7 @@ let fsck ?(deep = true) t =
   let bad_span = Pmem.touches_lines bad_lines in
   let detected_lines = Hashtbl.create 8 in
   let reclaimed = Hashtbl.create 8 in
-  let scrub_log_slot = Epalloc.scrub_log_slot alloc ~report:emit in
+  let scrub_log_slot = Epalloc.scrub_log_slot alloc ~report:emit ~before_replay:false in
   let quarantine_leaf_here ~owner ~leaf ~detail =
     let key, pv =
       match Leaf.read pool ~leaf with
@@ -827,8 +827,8 @@ let fsck ?(deep = true) t =
     (fun line ->
       let lo = line * lb in
       if lo < root_hi && lo + lb > root_lo then begin
-        (* root block: the scalar line is unrepairable in place; log
-           lines are repaired by discarding the overlapping slots *)
+        (* root block: the scalar line is unrepairable in place; the
+           lines past it are repaired *)
         if lo <= root_lo then begin
           Hashtbl.replace detected_lines line ();
           emit
@@ -842,9 +842,7 @@ let fsck ?(deep = true) t =
               f_capacity = 0;
             }
         end
-        else
-          List.iter scrub_log_slot
-            (Microlog.slots_overlapping logs ~lines:[ line ])
+        else Epalloc.repair_root_line alloc ~report:emit ~before_replay:false line
       end
       else
         match Epalloc.chunk_covering alloc lo with

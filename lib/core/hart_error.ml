@@ -3,9 +3,8 @@ type site =
   | Chunk_meta of { cls : string; chunk : int }
   | Leaf_slot of { chunk : int; idx : int; leaf : int }
   | Value_slot of { cls : string; chunk : int; idx : int; obj : int }
-  | Log_slot of { kind : string; slot : int; off : int }
+  | Log_slot of { slot : int; off : int }
   | Pool_line of { line : int }
-  | Log_stall of { kind : string; waited : float; busy : (int * int) list }
 
 type t = { site : site; detail : string; keys : string list }
 
@@ -21,19 +20,8 @@ let pp_site ppf = function
       Format.fprintf ppf "leaf slot %d of chunk @@%d (leaf @@%d)" idx chunk leaf
   | Value_slot { cls; chunk; idx; obj } ->
       Format.fprintf ppf "%s slot %d of chunk @@%d (obj @@%d)" cls idx chunk obj
-  | Log_slot { kind; slot; off } ->
-      Format.fprintf ppf "%s-log slot %d @@%d" kind slot off
+  | Log_slot { slot; off } -> Format.fprintf ppf "recycle-log slot %d @@%d" slot off
   | Pool_line { line } -> Format.fprintf ppf "pool line %d" line
-  | Log_stall { kind; waited; busy } ->
-      Format.fprintf ppf "%s-log stall after %.3fs (busy:%a)" kind waited
-        (fun ppf -> function
-          | [] -> Format.pp_print_string ppf " none"
-          | busy ->
-              List.iter
-                (fun (slot, dom) ->
-                  Format.fprintf ppf " slot %d/domain %d" slot dom)
-                busy)
-        busy
 
 let pp ppf t =
   Format.fprintf ppf "@[<hov 2>%a:@ %s" pp_site t.site t.detail;

@@ -23,14 +23,11 @@ type site =
       (** a chunk prologue (bitmap/hint/full header word or PNext) *)
   | Leaf_slot of { chunk : int; idx : int; leaf : int }
   | Value_slot of { cls : string; chunk : int; idx : int; obj : int }
-  | Log_slot of { kind : string; slot : int; off : int }
-      (** one micro-log slot; [kind] is ["update"] or ["recycle"] *)
+  | Log_slot of { slot : int; off : int }  (** one recycle-log slot *)
   | Pool_line of { line : int }
       (** a 64-byte line attributable to no finer structure (free space,
-          allocation padding, unmounted regions) *)
-  | Log_stall of { kind : string; waited : float; busy : (int * int) list }
-      (** micro-log slot acquisition timed out after [waited] seconds;
-          [busy] dumps the held slots as [(slot, owner domain)] pairs *)
+          allocation padding, the root block's reserved lines, unmounted
+          regions) *)
 
 type t = { site : site; detail : string; keys : string list }
 

@@ -1,27 +1,34 @@
-(** Persistent micro-log of Algorithm 6 (chunk recycling).
+(** Persistent recycle log of Algorithm 6 (chunk recycling).
 
-    The root block reserves [n_slots] recycle slots so that concurrent
-    writers on distinct ARTs can each hold a log ([GetMicroLog] in the
-    paper). A slot is a triple of 8-byte persistent words at the start
-    of its own 64-byte line; the zero word marks an unused field, so
-    crash recovery can classify how far an interrupted unlink progressed
-    purely from the durable image.
+    A recycle writes its record only while it holds its object class's
+    lock ({!Epalloc}), so at most one record per class is ever in
+    flight, and each class writes one fixed slot: its class id (leaf 0,
+    val8 1, val16 2, val32 3). Whoever holds a class's lock holds its
+    slot. The paper gives each writer thread a log of its own
+    ([GetMicroLog]); DESIGN.md §6 item 4. The region keeps [n_slots]
+    recycle slots, and recovery replays a record in any of them, so an
+    image written while slots were handed out dynamically still
+    recovers.
 
-    Recycle-log slot: [PPrev], [PCurrent], [meta] (low bits: object
-    class of the chunk being unlinked).
+    A slot is a triple of 8-byte persistent words at the start of its
+    own 64-byte line: [PPrev], [PCurrent], [meta] (low bits: object
+    class of the chunk being unlinked). The zero word marks an unused
+    field, so crash recovery can classify how far an interrupted unlink
+    progressed purely from the durable image.
 
     A record is written whole: its three words are stored in a fixed
-    order and persisted by one single-line flush ([Recycle.record]).
-    Because a slot never spans two lines, any durable state of the line
-    is either the whole record or a prefix of its stores that lacks the
-    last word ([PCurrent]), which recovery discards without replaying
-    anything (DESIGN.md §6 item 4). A record is reclaimed with one
-    single-line flush.
+    order and persisted by one single-line flush ({!record}). Because a
+    slot never spans two lines, any durable state of the line is either
+    the whole record or a prefix of its stores that lacks the last word
+    ([PCurrent]), which recovery discards without replaying anything
+    (DESIGN.md §6 item 4). A record is reclaimed with one single-line
+    flush.
 
-    The region keeps the v02 layout: [n_slots] lines of update-log slots
-    come first. Updates no longer log (DESIGN.md §6 item 3), so nothing
-    reads or writes them, apart from media repair, which reseals a
-    damaged line; a record an older image left there is ignored.
+    The region keeps the v02 layout: [n_slots] lines that held update-log
+    slots come first. Updates no longer log (DESIGN.md §6 item 3), so
+    those lines are reserved padding: nothing reads or writes them, apart
+    from media repair, which zeroes and reseals a damaged one; a record
+    an older image left there is ignored.
 
     When the pool is formatted with checksums, every non-zero log word
     carries a CRC-32 of its 32-bit payload in its upper half — the
@@ -29,25 +36,21 @@
     the trailer rides in the same 8-byte store and changes no flush
     counts. A word whose trailer fails raises a typed
     {!Hart_error.Error} at its [Log_slot] site; fsck discards such
-    records (an unverifiable log record is treated as never written).
-
-    Slot acquisition is tracked by a volatile bitmask (no PM traffic)
-    guarded by a mutex, so domains can acquire and release slots
-    concurrently; after a crash, {!attach} marks every slot that still
-    carries a record as busy until recovery replays and reclaims it. *)
+    records (an unverifiable log record is treated as never written). *)
 
 type t
 
 val n_slots : int
-(** 8 of each kind — an upper bound on concurrent writers per HART. *)
+(** 8 recycle slots. Only the first four (one per object class) are
+    written; recovery replays all of them. *)
 
 val slot_bytes : int
 (** Bytes of a slot's record (three 8-byte words). Slots are laid out
     one per line ({!Hart_pmem.Pmem.line_bytes} apart). *)
 
 val region_bytes : int
-(** Bytes the two slot arrays of the v02 layout occupy after the
-    root-block scalars: [2 * n_slots] lines. *)
+(** Bytes the v02 layout occupies after the root-block scalars:
+    [n_slots] reserved lines, then [n_slots] recycle-slot lines. *)
 
 val create : ?checksummed:bool -> Hart_pmem.Pmem.t -> base:int -> t
 (** [create pool ~base] formats (zeroes and persists) the region
@@ -56,63 +59,47 @@ val create : ?checksummed:bool -> Hart_pmem.Pmem.t -> base:int -> t
     @raise Invalid_argument unless [base] is line-aligned. *)
 
 val attach : ?checksummed:bool -> Hart_pmem.Pmem.t -> base:int -> t
-(** Adopt existing slot arrays after a crash without modifying them.
-    Every recycle slot carrying a record, or whose line cannot be read,
-    is busy until recovery reclaims or discards it. [checksummed] must
-    match the flag the pool was formatted with (the
-    caller reads it from the root block). *)
-
-val checksummed : t -> bool
-
-val in_use : t -> slot:int -> bool
-(** Whether the recycle slot is out of the volatile free set: held by a
-    recycle in flight, or, after {!attach}, because its line held a
-    record or could not be read. Reads no PM. *)
-
-val set_acquire_timeout : t -> float option -> unit
-(** Bound on how long {!Recycle.acquire} may block
-    when every slot is busy. [None] (the default) blocks forever on the
-    condition variable — the historical behavior. [Some seconds] turns
-    slot-pool exhaustion into a typed {!Hart_error.Error} whose
-    [Log_stall] site dumps the held slots and their owner domains, so a
-    wedged holder is diagnosable instead of a silent hang. *)
-
-(** {1 fsck hooks} *)
-
-val verify : t -> (string * int * int) list
-(** Check every non-zero log word's CRC trailer (checksummed logs only;
-    [[]] otherwise). Returns the slots containing at least one corrupt
-    or unreadable word as [(kind, slot, offset)] triples, [kind] being
-    ["update"] or ["recycle"]. Read-only; never raises. *)
-
-val slots_overlapping : t -> lines:int list -> (string * int * int) list
-(** The slots whose 24 bytes overlap any of the given pool lines, as
-    [(kind, slot, offset)] triples — the blast radius of a media fault
-    on a log line. *)
-
-val slot_offset : t -> kind:string -> slot:int -> int
-(** Pool offset of the slot's first word. *)
-
-val discard_slot : t -> kind:string -> slot:int -> unit
-(** Zero the slot's three words without reading them, persist them
-    (resealing the covering line), and return a recycle slot to the
-    volatile free set — the repair for a slot that fails verification or
-    sits on a corrupt media line. Discarding a record is the torn-record
-    treatment: the logged operation is deemed never to have
-    committed. *)
+(** Adopt an existing region after a crash without reading or modifying
+    it. [checksummed] must match the flag the pool was formatted with
+    (the caller reads it from the root block). *)
 
 (** A slot is named by its index in \[0, n_slots). *)
 
-module Recycle : sig
-  val acquire : t -> int
-  val record : t -> slot:int -> pprev:int -> cls:Chunk.cls -> pcurrent:int -> unit
-  (** Store [PPrev] (0 when the chunk is the list head), the object class
-      and [PCurrent] in that order and persist them with one flush, before
-      the unlink starts. The class tells recovery which list to repair. *)
+val record : t -> slot:int -> pprev:int -> cls:Chunk.cls -> pcurrent:int -> unit
+(** Store [PPrev] (0 when the chunk is the list head), the object class
+    and [PCurrent] in that order and persist them with one flush, before
+    the unlink starts. The class tells recovery which list to repair. *)
 
-  val pprev : t -> slot:int -> int
-  val pcurrent : t -> slot:int -> int
-  val cls : t -> slot:int -> Chunk.cls
-  val reclaim : t -> slot:int -> unit
-  val iter_pending : t -> (slot:int -> unit) -> unit
-end
+val pprev : t -> slot:int -> int
+val pcurrent : t -> slot:int -> int
+val cls : t -> slot:int -> Chunk.cls
+
+val reclaim : t -> slot:int -> unit
+(** Zero the slot's three words without reading them and persist them,
+    which reseals the covering line. This ends a replayed or completed
+    recycle, and it is the repair for a slot that fails verification or
+    sits on a corrupt media line: discarding a record is the torn-record
+    treatment, the logged recycle is deemed never to have committed. *)
+
+val iter_pending : t -> (slot:int -> unit) -> unit
+(** Every slot whose [PCurrent] is set, in slot order. *)
+
+(** {1 fsck hooks} *)
+
+val occupied : t -> slot:int -> bool
+(** Whether the slot's [PCurrent] word is non-zero or its line cannot be
+    read: the slot may hold a record. Never raises. *)
+
+val verify : t -> (int * int) list
+(** Check every non-zero log word's CRC trailer (checksummed logs only;
+    [[]] otherwise). Returns the slots containing at least one corrupt
+    or unreadable word as [(slot, offset)] pairs. Read-only; never
+    raises. *)
+
+val slots_overlapping : t -> lines:int list -> (int * int) list
+(** The slots whose 24 bytes overlap any of the given pool lines, as
+    [(slot, offset)] pairs — the blast radius of a media fault on a log
+    line. *)
+
+val slot_offset : t -> slot:int -> int
+(** Pool offset of the slot's first word. *)

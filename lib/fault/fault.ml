@@ -918,9 +918,11 @@ let shrink ?(budget = 400) ~replay ~seed ~setup scripts =
 let key prefix i = Printf.sprintf "%s%03d" prefix i
 
 let update_log_workload =
-  (* Algorithm 3 coverage: update-in-place via the persistent log, value
-     size-class migrations (Val8 <-> Val32), upsert-as-update, empty
-     values, and the log interplay with delete *)
+  (* Algorithm 3 coverage: updates without the log (the name predates
+     its removal; DESIGN.md §6 item 3), in their value's chunk or, on a
+     size-class migration (Val8 <-> Val32), in another that the old
+     value's chunk may empty and recycle, upsert-as-update, empty values,
+     and updates interleaved with deletes *)
   [
     Insert ("AAa", "v7bytes");
     Insert ("AAb", "w");

@@ -422,6 +422,43 @@ let recycle_race_workload ~domains ~ops_per_domain =
   in
   (setup, Array.init domains script)
 
+(* Two object classes recycling at once, each record in its own
+   class's log slot: 54 Val16 keys, one Val32 key and one Val8 key fill
+   the first leaf chunk, so the lone key sits alone in the second, and
+   the Val32 key's value sits alone in its chunk. Domain 0 deletes the
+   lone key, which empties and recycles its leaf chunk, then re-inserts
+   and deletes it in turn. Domain 1 updates the Val32 key to a Val8
+   value, which empties and recycles the Val32 chunk, then back and
+   forth. Every other domain inserts and deletes keys of its own
+   prefix. *)
+let recycle_classes_workload ~domains ~ops_per_domain =
+  let lone = "aa00" and wide = "bb00" in
+  let script d =
+    List.init ops_per_domain (fun j ->
+        match d with
+        | 0 ->
+            if j mod 2 = 0 then Fault.Delete lone
+            else Fault.Insert (lone, Printf.sprintf "v%d" j)
+        | 1 ->
+            Fault.Update
+              ( wide,
+                if j mod 2 = 0 then Printf.sprintf "w%d" j
+                else Printf.sprintf "a value of class val32 #%d" j )
+        | _ ->
+            let key = Printf.sprintf "r%d-%02d" d (j / 2) in
+            if j mod 2 = 0 then Fault.Insert (key, Printf.sprintf "v%d.%d" d j)
+            else Fault.Delete key)
+  in
+  let setup =
+    List.init 54 (fun i -> Fault.Insert (Printf.sprintf "k%02d0" i, "sixteen-4"))
+    @ [
+        Fault.Insert (wide, "a value of class val32");
+        Fault.Insert ("zz00", "x");
+        Fault.Insert (lone, "v");
+      ]
+  in
+  (setup, Array.init domains script)
+
 (* Seeded workload generator: a qcheck-style op mix (40% insert, 25%
    update, 15% delete, 20% search) over a small key universe that mixes
    per-domain private keys with keys shared across all domains, so
@@ -465,6 +502,7 @@ let workloads =
     ("split-race", fun ~seed:_ -> split_race_workload);
     ("update-race", fun ~seed:_ -> update_race_workload);
     ("recycle-race", fun ~seed:_ -> recycle_race_workload);
+    ("recycle-classes", fun ~seed:_ -> recycle_classes_workload);
     ("gen", gen_workload);
   ]
 

@@ -155,6 +155,18 @@ val recycle_race_workload :
     the owning slot over before the recycle, changing the value's class
     (Val8 to Val16). *)
 
+val recycle_classes_workload :
+  domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array
+(** [(setup, scripts)] — two object classes recycling at once: the
+    setup leaves one key alone in the second leaf chunk and one Val32
+    value alone in its chunk. Domain 0 deletes the lone key, emptying
+    and recycling its leaf chunk, then re-inserts and deletes it in
+    turn; domain 1 updates the Val32 key to a Val8 value and back,
+    emptying and recycling the Val32 chunk on every other update. Each
+    recycle writes its own class's log slot, so a crash can leave both
+    records pending. Further domains insert and delete keys of their own
+    prefixes. *)
+
 val gen_workload :
   seed:int64 ->
   domains:int ->
@@ -174,7 +186,8 @@ val workloads :
     Fault.op list * Fault.op list array))
   list
 (** The concurrent workload table — ["default"], ["collide"],
-    ["split-race"], ["update-race"], ["recycle-race"], ["gen"] — shared
+    ["split-race"], ["update-race"], ["recycle-race"],
+    ["recycle-classes"], ["gen"] — shared
     by [hart_cli fault --domains]'s sweeps and its [--schedule] replay.
     [seed] matters only to ["gen"]. *)
 

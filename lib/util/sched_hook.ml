@@ -3,8 +3,8 @@
    The deterministic concurrent crash explorer (lib/fault) runs 2-4
    logical "domains" as fibers on ONE OS thread, switching between them
    only at declared yield points. Layers that sit on the multi-domain
-   hot path (Pmem.persist, Rwlock, Epalloc's class/stripe mutexes,
-   Microlog slot waits) consult this hook:
+   hot path (Pmem.persist, Rwlock, Epalloc's class/stripe mutexes)
+   consult this hook:
 
    - [yield] is a no-op unless a scheduler is installed, so the real
      Domain.spawn path is unchanged;

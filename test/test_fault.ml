@@ -1223,6 +1223,44 @@ let recycle_race_leaves_nothing () =
       Chunk.all_classes
   done
 
+(* Two classes recycling at once: every schedule of the recycle-classes
+   workload, clean and torn, recovers to an admissible state, and some
+   crash boundary leaves both recycles' records pending, each in its
+   own class's slot (leaf 0, val32 3). *)
+let recycle_classes_sweep () =
+  let module Microlog = Hart_core.Microlog in
+  let seed = 42L in
+  let setup, scripts = Fault_mt.recycle_classes_workload ~domains:2 ~ops_per_domain:6 in
+  let sweep mode =
+    Fault_mt.explore ~mode ~keep_going:true ~seed ~domains:2 ~workload:"recycle-classes"
+      ~setup scripts
+  in
+  let r = sweep Pmem.Clean in
+  Alcotest.(check int) "clean: violations" 0 (List.length r.Fault.violations);
+  Alcotest.(check int) "torn: violations" 0
+    (List.length (sweep (Pmem.Torn { seed = 7L; fraction = 0.5 })).Fault.violations);
+  let pending schedule =
+    let p = Fault_mt.probe ~capture_snapshot:true ~seed ~schedule ~setup scripts in
+    match p.Fault.p_snapshot with
+    | None -> Alcotest.fail "no crashed image captured"
+    | Some image ->
+        let logs =
+          Microlog.attach image ~base:(Hart_core.Epalloc.root_off + Pmem.line_bytes)
+        in
+        let slots = ref [] in
+        Microlog.iter_pending logs (fun ~slot -> slots := slot :: !slots);
+        List.rev !slots
+  in
+  let both =
+    List.filter
+      (fun schedule -> pending schedule = [ 0; 3 ])
+      (List.init r.Fault.total_flushes Fun.id)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "a crash leaves both records pending (at %d of %d boundaries)"
+       (List.length both) r.Fault.total_flushes)
+    true (both <> [])
+
 (* The server sweep must catch real durability bugs end to end: the
    same injected update bug, observed through RESP sessions instead of
    direct index calls, and carved down to a minimal replayable
@@ -1415,5 +1453,7 @@ let () =
             free_before_unname_caught;
           Alcotest.test_case "bits before p_value fails the update-race sweep" `Quick
             bits_before_p_value_caught;
+          Alcotest.test_case "two classes recycle at once" `Quick
+            recycle_classes_sweep;
         ] );
     ]

@@ -230,7 +230,6 @@ type t = {
          stale (full or recycled) entries, filtered lazily under the
          class lock *)
   active : int array array;  (* class x domain slot: allocation fast path *)
-  swept : runs;  (* the values attach's sweep found owned *)
 }
 
 let pool t = t.pool
@@ -379,7 +378,6 @@ let make pool ~kh ~checksums ~logs =
     chunk_mu = Array.init n_stripes (fun _ -> Mutex.create ());
     avail = Array.init n_classes (fun _ -> Hashtbl.create 64);
     active = Array.init n_classes (fun _ -> Array.make dom_slots 0);
-    swept = runs ();
   }
 
 (* The kh word doubles as the pool's feature word: low byte = hash-key
@@ -783,15 +781,14 @@ let name_value t r v =
     r.mask <- r.mask lor (1 lsl ((v - r.lo) / r.size))
 
 (* The liveness pass, serial and quiesced, after every named value went
-   through [name_value] (the attach sweep's owned values are in
-   [t.swept]). Each run ors its mask into its chunk's named word, one
-   metered mirror access per run. Then every value chunk's mirror word
-   is compared with its named word, one read per mirror line, and only a
-   chunk whose image disagrees has its header stored and persisted:
-   clear bits that are named are set, set bits nothing names are
-   cleared unless [keep_unnamed]. A quiescent image agrees everywhere,
-   so it still recovers flush-free. A chunk left empty is recycled. *)
-let settle_values ?(keep_unnamed = false) t runs =
+   through [name_value]. Each run ors its mask into its chunk's named
+   word, one metered mirror access per run. Then every value chunk's
+   mirror word is compared with its named word, one read per mirror
+   line, and only a chunk whose image disagrees has its header stored
+   and persisted: clear bits that are named are set, set bits nothing
+   names are cleared. A quiescent image agrees everywhere, so it still
+   recovers flush-free. A chunk left empty is recycled. *)
+let settle_values t runs =
   let named = Array.map (fun m -> Array.make m.used 0) t.mirror in
   List.iter
     (fun r ->
@@ -802,7 +799,7 @@ let settle_values ?(keep_unnamed = false) t runs =
           named.(id).(e.slot) <- named.(id).(e.slot) lor mask)
         r.closed;
       r.closed <- [])
-    (t.swept :: runs);
+    runs;
   if not (mutated No_liveness_pass) then
     List.iter
       (fun cls ->
@@ -814,10 +811,7 @@ let settle_values ?(keep_unnamed = false) t runs =
         let emptied = ref [] in
         Registry.iter_live
           (fun e ->
-            let want =
-              if keep_unnamed then e.bits lor named.(id).(e.slot)
-              else named.(id).(e.slot)
-            in
+            let want = named.(id).(e.slot) in
             if want <> e.bits then begin
               let cleared = e.bits land lnot want <> 0 in
               with_stripe t e.chunk (fun () -> store_bits t e want);
@@ -1027,38 +1021,6 @@ let attach ?(bad_lines = []) ?report pool =
                 f_keys = [];
                 f_capacity = 1;
               });
-  (* Ownership sweep (DESIGN.md §6 item 2): a free leaf slot whose
-     p_value names a committed value owns it, and is marked so without a
-     PM write, so a quiescent image still recovers flush-free. Any other
-     non-null p_value names a value whose bit is clear: the footprint of
-     a crash inside an insertion, between its leaf store and its value's
-     bit, whose reservation kept that value from every other key before
-     the crash. The slot is severed, so no later reallocation of that
-     value can make the slot look like an owner. In quarantine mode
-     the sweep is skipped — a media fault can forge a p_value aliasing a
-     live key's value, so the caller must run the deferred scan that
-     knows the live keys' values ([Hart]'s quarantining recovery). *)
-  if not quarantine then begin
-    let reg = Atomic.get t.registry.(cls_id Chunk.Leaf_c) in
-    let rec sweep chunk =
-      if chunk <> 0 then begin
-        let e = Registry.find reg chunk in
-        (* the sweep never changes this leaf chunk's bitmap, so one
-           bitmap read serves the whole chunk *)
-        Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx ~obj ~live ->
-            if not live then
-              let v = Leaf.p_value pool ~leaf:obj in
-              if v <> 0 then
-                if value_committed t v then begin
-                  e.owned <- e.owned lor (1 lsl idx);
-                  name_value t t.swept v
-                end
-                else Leaf.set_p_value pool ~leaf:obj 0);
-        sweep (Chunk.pnext pool ~chunk)
-      end
-    in
-    sweep t.heads.(cls_id Chunk.Leaf_c)
-  end;
   t
 
 (* ------------------------------------------------------------------ *)

@@ -91,17 +91,13 @@ val attach :
     scalars or a chunk prologue refuses the mount. Passing [~report]
     switches on quarantine mode for media-damaged pools: every log slot
     on a [bad_lines] line or failing its CRC goes through
-    {!scrub_log_slot} before replay, so replay never reads it; replay
-    is guarded (a record whose pointers do not resolve is discarded and
-    reported); and the free-leaf-slot ownership sweep is skipped — the
-    caller must follow with [Hart]'s deferred scan, which decides each
-    slot's ownership against the live keys' values ({!set_owner}),
-    since a forged [p_value] could alias a live key's value object.
+    {!scrub_log_slot} before replay, so replay never reads it; and
+    replay is guarded (a record whose pointers do not resolve is
+    discarded and reported).
 
-    Outside quarantine mode the sweep reads every free leaf slot's
-    [p_value]: a slot naming a committed value becomes its owner with
-    no PM write, and its value is named for {!settle_values}; any other
-    non-null pointer is severed (stored 0 and persisted).
+    Attach reads no leaf slot: every slot starts owning nothing. The
+    caller's recovery scan reads each free slot's [p_value] and settles
+    its ownership ({!set_owner}).
 
     @raise Hart_error.Error when the pool cannot be mounted: bad magic
     (including a ["HART_v01"] root),
@@ -253,22 +249,20 @@ val name_value : t -> runs -> int -> unit
     up its chunk. An offset that is no object of a registered value
     chunk names nothing. Lock-free and PM-free; one cursor per domain. *)
 
-val settle_values : ?keep_unnamed:bool -> t -> runs list -> unit
+val settle_values : t -> runs list -> unit
 (** Recovery's liveness pass (DESIGN.md §6 item 3), after every live
-    value went through {!name_value} on one of these cursors (attach's
-    sweep names the owned ones itself): one metered mirror access per
-    run and one read per mirror line, then a header store and persist
-    for each value chunk whose bitmap disagrees with its named set —
-    named clear bits are set, unnamed set bits cleared. With
-    [keep_unnamed] (a quarantining mount) unnamed set bits stay for
-    fsck's orphan rule, which reports each value it frees. A quiescent
-    image writes nothing. A chunk left empty is recycled. Serial,
-    quiesced. *)
+    value — each committed leaf's and each owning free slot's — went
+    through {!name_value} on one of these cursors: one metered mirror
+    access per run and one read per mirror line, then a header store
+    and persist for each value chunk whose bitmap disagrees with its
+    named set — named clear bits are set, unnamed set bits cleared.
+    Both mounts run it alike. A quiescent image writes nothing. A chunk
+    left empty is recycled. Serial, quiesced. *)
 
 val set_owner : t -> leaf:int -> bool -> unit
-(** Set or drop a free leaf slot's owned mark. For a quarantining
-    recovery, which decides ownership itself, and for fsck when it
-    severs or reclaims. Quiesced callers only. *)
+(** Set or drop a free leaf slot's owned mark, with no PM write. For
+    recovery, which settles every free slot's ownership after its scan,
+    and for fsck when it severs or reclaims. Quiesced callers only. *)
 
 val value_committed : t -> int -> bool
 (** Whether the offset is an object of a registered value chunk whose

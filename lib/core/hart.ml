@@ -437,56 +437,51 @@ let reclaim_value alloc ~report vcls ~obj ~detail =
       f_capacity = 0;
     }
 
-(* Serial application of the quarantine decisions gathered by the (maybe
-   parallel) scan: quarantine bad leaves, freeing only the values no kept
-   (index-reachable) leaf names, then settle free slots' ownership,
-   naming each owned value for the liveness pass. PM-mutating. *)
-let apply_quarantine alloc ~kept_values ~name ~report ~badq ~stale_free =
-  List.iter
-    (fun (leaf, key, pv, detail) ->
-      let pv = if Hashtbl.mem kept_values pv then 0 else pv in
-      quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail)
-    badq;
-  (* Free leaf slots still carrying a value pointer, decided here instead
-     of by [Epalloc]'s attach sweep so that the kept reference set is
-     known (the pointer may be forged by the media fault and alias a
-     live key's value). As in that sweep, a slot naming a committed
-     value owns it, unless a kept leaf or a lower slot already names it;
-     any other slot is severed. No finding — this is ordinary crash
-     residue, not corruption. *)
+(* The free-slot rule (DESIGN.md §6 item 2), serial, for both mounts:
+   the free leaf slots the scan found naming a value, as (slot, pointer)
+   pairs, pointer 0 for one it could not read. In slot order, a slot
+   naming a committed value owns it and names it for the liveness pass;
+   any other is severed: its pointer stored 0, or, unreadable, the whole
+   slot zeroed. A quarantining mount also refuses a value that a kept
+   leaf or a lower slot names, since a media fault can forge a pointer
+   to it. No crash leaves such an alias, so the plain mount needs no
+   such rule and applies none: a protocol bug that made one must not be
+   settled away before the crash oracle sees it. No finding either way:
+   this is crash residue. *)
+let settle_free_slots alloc ~quarantine ~kept_values ~name stale_free =
+  let pool = Epalloc.pool alloc in
   let claimed = Hashtbl.create 16 in
+  let aliased pv = quarantine && (Hashtbl.mem kept_values pv || Hashtbl.mem claimed pv) in
   List.iter
     (fun (leaf, pv) ->
-      if
-        pv > 0
-        && (not (Hashtbl.mem kept_values pv))
-        && (not (Hashtbl.mem claimed pv))
-        && Epalloc.value_committed alloc pv
-      then begin
+      if pv = 0 then zero_span pool ~off:leaf ~len:Leaf.size
+      else if (not (aliased pv)) && Epalloc.value_committed alloc pv then begin
         Hashtbl.replace claimed pv ();
         Epalloc.set_owner alloc ~leaf true;
         name pv
       end
-      else zero_span (Epalloc.pool alloc) ~off:leaf ~len:Leaf.size)
+      else Leaf.set_p_value pool ~leaf 0)
     (List.sort compare stale_free)
 
 (* Algorithm 7: one pipeline for every mode and domain count [d].
 
    - preamble (serial): [Epalloc.attach] replays the recycle log;
      replay orders PM writes. A quarantining mount first consults the
-     device ECC, then attaches in guarded mode (no eager slot repair)
-     with a findings sink.
+     device ECC, then attaches in guarded mode with a findings sink.
    - scan: domain [me] walks the leaf chunk list and takes every [d]-th
      chunk. It reads each live leaf's key and value pointer and names
      the value on its own cursor [named.(me)], or, quarantining,
-     validates the leaf and notes free slots that still name a value.
-     The entry goes to cell [work.(me).(p)] where [p = Hash_dir.hash
-     hash_key mod d]: no two domains write one cell, and nothing is
-     written to PM.
+     validates the leaf; it notes every free slot that still names a
+     value. The entry goes to cell [work.(me).(p)] where [p =
+     Hash_dir.hash hash_key mod d]: no two domains write one cell, and
+     nothing is written to PM.
    - merge (quarantining only, serial): the keep-lower-offset rule for
      a duplicate key and for a value two keys name (order-independent,
-     so every [d] excises the same leaves), then
-     [apply_quarantine]; the kept and owned values are named.
+     so every [d] excises the same leaves), then the quarantine PM
+     writes; the kept values are named.
+   - free slots (serial): [settle_free_slots] makes each free slot that
+     names a committed value its owner and names the value, and severs
+     every other (DESIGN.md §6 item 2).
    - liveness (serial): [Epalloc.settle_values] commits every named
      value and frees every other (DESIGN.md §6 item 3).
    - build: domain [p] indexes column [p] straight into [t.dir].
@@ -500,11 +495,10 @@ let apply_quarantine alloc ~kept_values ~name ~report ~badq ~stale_free =
    nothing is spawned.
 
    [Domain.join] gives the inter-phase happens-before. Only the attach,
-   the quarantining merge and the liveness pass flush, all on the
-   calling domain, so an
-   armed crash ([Pmem.arm_crash]) fires there and nested
-   crash-during-recovery schedules stay well-defined under the fault
-   explorer. *)
+   the quarantining merge, the free-slot step and the liveness pass
+   flush, all on the calling domain, so an armed crash
+   ([Pmem.arm_crash]) fires there and nested crash-during-recovery
+   schedules stay well-defined under the fault explorer. *)
 let recover_parallel ?domains ?(quarantine = false) pool =
   let d =
     match domains with
@@ -556,11 +550,12 @@ let recover_parallel ?domains ?(quarantine = false) pool =
                     if p = me && not quarantine then index n hash_key art_key leaf
                     else push work.(me).(p) (hash_key, art_key, leaf, pv)
                 | Leaf_bad { key; pv; detail } -> push badq.(me) (leaf, key, pv, detail))
-              else if quarantine then
+              else
                 match Leaf.p_value pool ~leaf with
                 | 0 -> ()
                 | pv -> push stale_free.(me) (leaf, pv)
-                | exception (Pmem.Media_poisoned _ | Invalid_argument _) ->
+                | exception (Pmem.Media_poisoned _ | Invalid_argument _)
+                  when quarantine ->
                     (* unreadable pointer in a free slot: clear, free nothing *)
                     push stale_free.(me) (leaf, 0));
         incr i);
@@ -575,9 +570,13 @@ let recover_parallel ?domains ?(quarantine = false) pool =
     List.iter (Result.iter_error raise) (mine :: Array.to_list theirs)
   in
   run_phase scan;
+  let all r = List.concat_map ( ! ) (Array.to_list r) in
   let dropped = Hashtbl.create 16 in
+  (* no crash leaves two committed leaves naming one value, so a shared
+     value means a media fault redirected one pointer *)
+  let kept_values = Hashtbl.create 256 in
+  let name = Epalloc.name_value alloc named.(0) in
   if quarantine then begin
-    let all r = List.concat_map ( ! ) (Array.to_list r) in
     let bad = ref (all badq) in
     let by_key = Hashtbl.create 256 in
     let dup = "duplicate committed leaf (higher offset quarantined)" in
@@ -599,10 +598,8 @@ let recover_parallel ?domains ?(quarantine = false) pool =
                    bad := (leaf, Some key, pv, dup) :: !bad)
              !cell))
       work;
-    (* no crash leaves two committed leaves naming one value, so a
-       shared value means a media fault redirected one pointer: keep the
-       lower-offset leaf, as for a duplicate key *)
-    let kept_values = Hashtbl.create 256 in
+    (* keep the lower-offset leaf of a shared value, as for a duplicate
+       key *)
     let shared = "value shared with another committed leaf (higher offset quarantined)" in
     List.iter
       (fun (leaf, key, pv) ->
@@ -613,15 +610,17 @@ let recover_parallel ?domains ?(quarantine = false) pool =
         else Hashtbl.replace kept_values pv ())
       (List.sort compare
          (Hashtbl.fold (fun key (_, _, leaf, pv) acc -> (leaf, key, pv) :: acc) by_key []));
-    let name = Epalloc.name_value alloc named.(0) in
     Hashtbl.iter (fun pv () -> name pv) kept_values;
-    apply_quarantine alloc ~kept_values ~name ~report ~badq:!bad
-      ~stale_free:(all stale_free)
+    (* quarantine the bad leaves, freeing only the values no kept leaf
+       names *)
+    List.iter
+      (fun (leaf, key, pv, detail) ->
+        let pv = if Hashtbl.mem kept_values pv then 0 else pv in
+        quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail)
+      !bad
   end;
-  (* a quarantining mount leaves unnamed values to fsck, which reports
-     each one it frees: one may be a quarantined key's value whose
-     pointer was not trusted *)
-  Epalloc.settle_values ~keep_unnamed:quarantine alloc (Array.to_list named);
+  settle_free_slots alloc ~quarantine ~kept_values ~name (all stale_free);
+  Epalloc.settle_values alloc (Array.to_list named);
   let build p =
     let n = ref 0 in
     for me = 0 to d - 1 do

@@ -64,10 +64,19 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     duplicate keys resolve deterministically (lower leaf offset wins).
     Everything excised is reported in {!quarantines}; value objects of
     excised leaves are freed only when provably unshared (a corrupt
-    pointer may alias a live key's value), and the liveness pass leaves
-    values nothing names to {!fsck}, which reports each one it frees. Without [quarantine] (the
+    pointer may alias a live key's value). Without [quarantine] (the
     default) the mount assumes a crash-consistent, media-clean image
     and raises on anomalies.
+
+    Both mounts settle free leaf slots alike, after the scan: a free
+    slot naming a committed value owns it, and every other is severed
+    (its [p_value] stored 0; quarantining, a slot whose pointer cannot
+    be read is zeroed whole). The quarantining mount also refuses a
+    value that a kept leaf or a lower slot names, since a media fault
+    can forge a pointer. Both then run the same liveness pass, which
+    frees every value nothing names with no finding: crash residue is
+    not reported, and a quarantined key's finding already reports its
+    value.
 
     @raise Hart_error.Error on an unmountable pool (bad root block,
     corrupt chunk chain; in non-quarantine mode also a duplicate leaf,
@@ -84,13 +93,16 @@ val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
       the ECC scrub, in guarded mode);
     - [domains] workers scan slices of the leaf chunk list, reading each
       live leaf's key and value pointer (quarantining: validating the
-      leaf), and sort the entries into partitions by the directory hash
-      of their hash key;
+      leaf) and each free slot's value pointer, and sort the entries
+      into partitions by the directory hash of their hash key;
     - quarantining only, a serial merge applies the keep-lower-offset
       duplicate rule and then every quarantine PM write;
+    - a serial step settles the free leaf slots the scan found naming
+      a value: owners are marked, the rest severed;
     - the serial liveness pass stores the value-chunk headers whose
-      bits disagree with the named values — with the merge, the only
-      PM writes after the preamble;
+      bits disagree with the named values — with the merge and the
+      free-slot step, the only PM writes after the preamble, all on
+      the calling domain;
     - each worker indexes its own partition straight into the shared
       directory. Partitions own disjoint hash keys, so each ART is built
       wholly by one worker.

@@ -55,7 +55,10 @@ let sorted_dump iter =
   iter (fun k v -> m := SMap.add k v !m);
   SMap.bindings !m
 
-let hart_instance ?(expect_clean = true) pool h =
+(* [findings] (default: the mount's quarantines) must be empty: crash
+   schedules never involve media faults, so a finding here means
+   recovery misclassified a legitimate torn state as corruption *)
+let hart_instance ?(findings = Hart.quarantines) pool h =
   {
     pool;
     apply =
@@ -67,22 +70,16 @@ let hart_instance ?(expect_clean = true) pool h =
     check =
       (fun () ->
         Hart.check_integrity h;
-        (* crash schedules never involve media faults, so a quarantining
-           mount reached through this path must have found nothing — a
-           finding here means recovery misclassified a legitimate torn
-           state as corruption *)
-        if expect_clean then
-          match Hart.quarantines h with
-          | [] -> ()
-          | fs ->
-              failwith
-                (Format.asprintf
-                   "media-clean recovery produced %d quarantine finding(s): %a"
-                   (List.length fs)
-                   (Format.pp_print_list
-                      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
-                      Hart_error.pp_finding)
-                   fs));
+        match findings h with
+        | [] -> ()
+        | fs ->
+            failwith
+              (Format.asprintf "media-clean recovery produced %d finding(s): %a"
+                 (List.length fs)
+                 (Format.pp_print_list
+                    ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
+                    Hart_error.pp_finding)
+                 fs));
     dump = (fun () -> sorted_dump (Hart.iter h));
   }
 
@@ -91,7 +88,7 @@ let hart_instance ?(expect_clean = true) pool h =
 let hart_media_mount recover pool =
   let h = recover pool in
   let fs = Hart.quarantines h @ Hart.fsck h in
-  (hart_instance ~expect_clean:false pool h, fs)
+  (hart_instance ~findings:(fun _ -> []) pool h, fs)
 
 let hart =
   {
@@ -117,6 +114,23 @@ let hart_checksummed =
         hart_instance pool (Hart.create ~checksums:true pool));
     reattach = (fun pool -> hart_instance pool (Hart.recover pool));
     media_mount = Some (hart_media_mount (Hart.recover ~quarantine:true));
+  }
+
+(* Same index, but every post-crash reattach is the quarantining mount.
+   A crash leaves no media damage, so that mount must settle the image
+   as the plain one does: the check fails on any finding of the mount
+   or of a following fsck. Kept out of [all_targets] and
+   [media_targets]. *)
+let hart_quarantining =
+  {
+    hart with
+    target_name = "hart-quarantine";
+    reattach =
+      (fun pool ->
+        hart_instance
+          ~findings:(fun h -> Hart.quarantines h @ Hart.fsck h)
+          pool
+          (Hart.recover ~quarantine:true pool));
   }
 
 (* Same index, but every post-crash reattach rebuilds with the

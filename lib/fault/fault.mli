@@ -91,6 +91,14 @@ val hart_checksummed : target
     detection tier; member of {!media_targets} (not {!all_targets}) so
     the media sweep exercises the deep fsck checksum walk. *)
 
+val hart_quarantining : target
+(** HART with every post-crash reattach running
+    {!Hart_core.Hart.recover}[ ~quarantine:true]. A crash leaves no
+    media damage, so its [check] also fails on any finding of that mount
+    or of a following {!Hart_core.Hart.fsck}: crash residue must be
+    settled as the plain mount settles it, not reported as a repair. In
+    neither {!all_targets} nor {!media_targets}. *)
+
 val hart_parallel_recovery : domains:int -> target
 (** HART with every post-crash reattach running
     {!Hart_core.Hart.recover_parallel}[ ~domains] instead of serial

@@ -480,7 +480,7 @@ let test_epalloc_attach_rejects_garbage () =
 let test_epalloc_leaf_repair () =
   (* the Algorithm 1 crash windows: a free leaf slot names a value that
      is committed (crash after the value's bit, before the leaf's) or
-     not (crash before the value's bit). Attach makes the first slot
+     not (crash before the value's bit). Recovery makes the first slot
      the value's owner, writing nothing, and severs the second. *)
   let a, pool = fresh_alloc () in
   let stage committed =
@@ -496,9 +496,9 @@ let test_epalloc_leaf_repair () =
   (* crash: neither leaf bit was set *)
   Pmem.crash pool;
   let flushes = Pmem.flush_count pool in
-  let a' = Epalloc.attach pool in
+  let a' = Hart.alloc (Hart.recover pool) in
   Alcotest.(check int) "one flush: the sever" 1 (Pmem.flush_count pool - flushes);
-  Alcotest.(check int) "attach keeps only the committed value" 1
+  Alcotest.(check int) "recovery keeps only the committed value" 1
     (Epalloc.live_objects a' Chunk.Val8);
   Alcotest.(check bool) "committed value kept" true
     (Epalloc.obj_bit a' Chunk.Val8 ~obj:v);
@@ -922,13 +922,8 @@ let test_microlog_any_slot_replayed () =
                 ( "quarantining mount",
                   fun p ->
                     let h = Hart.recover ~quarantine:true p in
-                    (* the values a replayed leaf-chunk recycle leaves
-                       unnamed are fsck's, not the mount's *)
-                    let _, quarantined, detected =
-                      Hart_error.partition (Hart.quarantines h @ Hart.fsck h)
-                    in
-                    Alcotest.(check int) (what ^ ": nothing lost") 0
-                      (List.length quarantined + List.length detected);
+                    Alcotest.(check int) (what ^ ": no finding") 0
+                      (List.length (Hart.quarantines h @ Hart.fsck h));
                     h );
                 ("2-domain recovery", fun p -> Hart.recover_parallel ~domains:2 p);
               ]
@@ -1614,13 +1609,9 @@ let test_hart_reads_per_op () =
     if i mod 3 = 0 then assert (Hart.delete h (Printf.sprintf "rd%04d" i))
   done;
   Pmem.crash pool;
-  (* The attach sanitize sweep reads each leaf chunk's bitmap once.
-     Beyond an empty pool's attach, this pool's attach reads:
-     - for each of its 8 chunks (4 leaf, 4 value), the header word and
-       the chain pointer of the chunk-list walk;
-     - for each of its 4 leaf chunks, the sweep's one bitmap word and
-       chain pointer;
-     - the value pointer of each of the 91 free leaf slots. *)
+  (* Attach reads no leaf slot. Beyond an empty pool's attach, this
+     pool's attach reads the header word and the chain pointer of each
+     of its 8 chunks (4 leaf, 4 value) in the chunk-list walk. *)
   let empty = fresh_pool () in
   ignore (Hart.create empty : Hart.t);
   Pmem.crash empty;
@@ -1630,8 +1621,7 @@ let test_hart_reads_per_op () =
     (Meter.diff before (Meter.counters (Pmem.meter pool))).Meter.pm_reads
   in
   let base = attach_reads empty in
-  Alcotest.(check int) "attach: pm reads over an empty pool's"
-    ((8 * 2) + (4 * 2) + 91)
+  Alcotest.(check int) "attach: pm reads over an empty pool's" (8 * 2)
     (attach_reads pool - base);
   Pmem.crash pool;
   let r = ref h in
@@ -1639,8 +1629,9 @@ let test_hart_reads_per_op () =
   Alcotest.(check int) "recover: keys" 133 (Hart.count !r);
   (* recovery reads each live leaf's value pointer with its key: the 17
      live leaves in slot phase 1, whose pointer ends the line before
-     their key, read one more line each *)
-  Alcotest.(check int) "recover: pm reads" 287 d.Meter.pm_reads
+     their key, read one more line each; the scan reads each free
+     slot's value pointer as it passes *)
+  Alcotest.(check int) "recover: pm reads" 279 d.Meter.pm_reads
 
 (* The write path reads no chunk header on PM: allocation, bit commits,
    frees and recycling's emptiness test use the bitmap mirror, and each
@@ -1777,13 +1768,16 @@ let test_hart_cold_read_misses () =
   (* recovery no longer reads the 8 update-log slot lines (16 reads),
      and reads each live leaf's value pointer with its key, one more
      line for a leaf in slot phase 1 (200 here): a hit, since the line
-     ends the leaf before it *)
+     ends the leaf before it; the scan reads each free slot's value
+     pointer with its chunk's other slots, and attach reads no leaf
+     chunk a second time *)
   Alcotest.(check int) "pm read misses" 1976 d.Meter.pm_read_misses;
-  Alcotest.(check int) "pm reads" 10704 d.Meter.pm_reads;
+  Alcotest.(check int) "pm reads" 10632 d.Meter.pm_reads;
   (* 31504 for recovery's rebuild and the searches' directory probes
      and ART descents, plus one mirror word per validated leaf (1600
      search hits and 1600 scanned keys) and one per owning free slot,
-     whose value's bit attach's sweep tests (400 deleted keys), plus
+     whose value's bit recovery's free-slot step tests (400 deleted
+     keys), plus
      the liveness pass's one read of each of the 7 value mirror lines *)
   Alcotest.(check int) "dram reads" 35111 d.Meter.dram_reads
 
@@ -2249,8 +2243,8 @@ let test_double_recovery () =
    and the clock also pin the order of the rebuild's accesses: the
    chunk walk, each leaf's read and its insert interleaved. The pool
    has been churned (recycled chunks, owning free slots) and updated, so
-   attach's sweep and the liveness pass are in the bill too; the image
-   is quiescent, so the pass writes nothing. *)
+   the free-slot step and the liveness pass are in the bill too; the
+   image is quiescent, so neither writes anything. *)
 let test_recover_cost_pinned () =
   let pool = Pmem.create (Meter.create ~llc_bytes:(64 * 1024) Latency.c300_100) in
   let h = Hart.create pool in
@@ -2278,19 +2272,19 @@ let test_recover_cost_pinned () =
   Alcotest.(check int) "owning free slots" 750
     (Hart_core.Hart_stats.collect r).owned_values;
   let pin what want got = Alcotest.(check int) what want got in
-  pin "pm reads" 3849 d.Meter.pm_reads;
+  pin "pm reads" 3741 d.Meter.pm_reads;
   pin "pm writes" 0 d.Meter.pm_writes;
   pin "dram reads" 9398 d.Meter.dram_reads;
-  pin "dram writes" 819 d.Meter.dram_writes;
-  pin "pm read misses" 2688 d.Meter.pm_read_misses;
-  pin "dram read misses" 1892 d.Meter.dram_read_misses;
+  pin "dram writes" 805 d.Meter.dram_writes;
+  pin "pm read misses" 2003 d.Meter.pm_read_misses;
+  pin "dram read misses" 1898 d.Meter.dram_read_misses;
   pin "flushes" 0 d.Meter.flushes;
   pin "fences" 0 d.Meter.fences;
   pin "persist calls" 0 d.Meter.persist_calls;
   pin "evictions" 0 d.Meter.evictions;
   pin "pm allocs" 0 d.Meter.pm_allocs;
   pin "pm frees" 0 d.Meter.pm_frees;
-  Alcotest.(check (float 0.)) "sim ns" 505430. d.Meter.sim_ns;
+  Alcotest.(check (float 0.)) "sim ns" 440315. d.Meter.sim_ns;
   Hart.check_integrity r
 
 (* ------------------------------------------------------------------ *)
@@ -2304,27 +2298,29 @@ let dump_hart h =
   SMap.bindings !m
 
 (* [pool] must already be crashed; every domain count recovers its own
-   clone of the same durable image. *)
+   clone of the same durable image, plainly and quarantining. The image
+   is media-clean, so the quarantining mount must settle it exactly as
+   the plain one does, owning slots included, and find nothing. *)
 let check_parallel_equiv ?(domain_counts = [ 1; 2; 3; 4 ]) pool =
   let serial = Hart.recover (Pmem.clone pool) in
   Hart.check_integrity serial;
   let s_dump = dump_hart serial in
   let s_stats = Hart_core.Hart_stats.collect serial in
   List.iter
-    (fun d ->
-      let par = Hart.recover_parallel ~domains:d (Pmem.clone pool) in
+    (fun (d, quarantine) ->
+      let at =
+        Printf.sprintf "at %d domain(s)%s" d (if quarantine then ", quarantining" else "")
+      in
+      let par = Hart.recover_parallel ~domains:d ~quarantine (Pmem.clone pool) in
       Hart.check_integrity par;
-      Alcotest.(check int)
-        (Printf.sprintf "count at %d domain(s)" d)
-        (Hart.count serial) (Hart.count par);
-      Alcotest.(check int)
-        (Printf.sprintf "art count at %d domain(s)" d)
-        (Hart.art_count serial) (Hart.art_count par);
-      if dump_hart par <> s_dump then
-        Alcotest.failf "contents diverge from serial at %d domain(s)" d;
+      Alcotest.(check int) ("count " ^ at) (Hart.count serial) (Hart.count par);
+      Alcotest.(check int) ("art count " ^ at) (Hart.art_count serial) (Hart.art_count par);
+      if dump_hart par <> s_dump then Alcotest.failf "contents diverge from serial %s" at;
       if Hart_core.Hart_stats.collect par <> s_stats then
-        Alcotest.failf "structural stats diverge from serial at %d domain(s)" d)
-    domain_counts
+        Alcotest.failf "structural stats diverge from serial %s" at;
+      Alcotest.(check int) ("findings " ^ at) 0
+        (List.length (Hart.quarantines par @ Hart.fsck par)))
+    (List.concat_map (fun d -> [ (d, false); (d, true) ]) domain_counts)
 
 let test_parallel_recover_empty () =
   let h, pool = fresh_hart () in
@@ -2971,6 +2967,7 @@ let test_invalid_key_length_refused () =
         (fun k -> Hart.insert h ~key:k ~value:("v-" ^ k))
         [ "alpha"; "bravo"; "charlie" ];
       let leaf = List.find (fun l -> Leaf.key pool ~leaf:l = "bravo") (leaf_offsets h) in
+      let value = Leaf.p_value pool ~leaf in
       Pmem.set_u8 pool (leaf + 8) bad;
       Pmem.persist pool ~off:(leaf + 8) ~len:1;
       let what = Printf.sprintf "length byte %d" bad in
@@ -2994,12 +2991,11 @@ let test_invalid_key_length_refused () =
         (what ^ ": quarantined")
         [ Printf.sprintf "invalid key length %d" bad ]
         (List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.quarantines hq));
-      (* the excised leaf's value pointer was not trusted, so its value
-         object is left for fsck's orphan sweep *)
-      Alcotest.(check (list string))
-        (what ^ ": fsck reclaims the value")
-        [ "unreferenced committed value object reclaimed" ]
-        (List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.fsck hq));
+      (* the excised leaf's value pointer was not trusted, so nothing
+         names its value object and the liveness pass frees it *)
+      Alcotest.(check bool) (what ^ ": the mount frees the value") false
+        (Epalloc.value_committed (Hart.alloc hq) value);
+      Alcotest.(check int) (what ^ ": fsck finds nothing") 0 (List.length (Hart.fsck hq));
       Hart.check_integrity hq)
     [ 0; 30; 200 ]
 
@@ -3009,8 +3005,9 @@ let test_invalid_key_length_refused () =
    key, and quarantines the other without freeing the value, at every
    domain count. Sent to a free value slot instead, the pointer looks
    like a crash between an update's p_value store and its bit commit:
-   the plain pool's mount accepts it and serves the slot's stale bytes,
-   and fsck frees the real value as an orphan (DESIGN.md §15). *)
+   the plain pool's mount accepts it and serves the slot's stale bytes.
+   Either way nothing names the real value any more, so the mount's
+   liveness pass frees it and fsck finds nothing. *)
 let test_redirected_value_pointer () =
   let details fs = List.map (fun (f : Hart_error.finding) -> f.f_detail) fs in
   let h, pool = fresh_hart () in
@@ -3019,6 +3016,7 @@ let test_redirected_value_pointer () =
   let lo, hi =
     if leaf "alpha" < leaf "charlie" then ("alpha", "charlie") else ("charlie", "alpha")
   in
+  let real = Leaf.p_value pool ~leaf:(leaf hi) in
   Leaf.set_p_value pool ~leaf:(leaf hi) (Leaf.p_value pool ~leaf:(leaf lo));
   Pmem.crash pool;
   List.iter
@@ -3033,9 +3031,9 @@ let test_redirected_value_pointer () =
         (what ^ ": survivors")
         (List.sort compare [ (lo, "v-" ^ lo); ("bravo", "v-bravo") ])
         (dump_hart hq);
-      Alcotest.(check (list string))
-        (what ^ ": fsck reclaims the unnamed value")
-        [ "unreferenced committed value object reclaimed" ]
+      Alcotest.(check bool) (what ^ ": the mount frees the unnamed value") false
+        (Epalloc.value_committed (Hart.alloc hq) real);
+      Alcotest.(check (list string)) (what ^ ": fsck finds nothing") []
         (details (Hart.fsck hq));
       Hart.check_integrity hq)
     [ 1; 3 ];
@@ -3043,16 +3041,16 @@ let test_redirected_value_pointer () =
   List.iter (fun k -> Hart.insert h ~key:k ~value:("v-" ^ k)) [ "alpha"; "bravo" ];
   let stale = Leaf.p_value pool ~leaf:(leaf "alpha") in
   assert (Hart.update h ~key:"alpha" ~value:"w-alpha");
+  let real = Leaf.p_value pool ~leaf:(leaf "bravo") in
   Leaf.set_p_value pool ~leaf:(leaf "bravo") stale;
   Pmem.crash pool;
   let hq = Hart.recover ~quarantine:true pool in
   Alcotest.(check (list string)) "free slot: accepted" [] (details (Hart.quarantines hq));
   Alcotest.(check (option string)) "free slot: its stale bytes served" (Some "v-alpha")
     (Hart.search hq "bravo");
-  Alcotest.(check (list string))
-    "free slot: fsck frees the real value"
-    [ "unreferenced committed value object reclaimed" ]
-    (details (Hart.fsck hq));
+  Alcotest.(check bool) "free slot: the mount frees the real value" false
+    (Epalloc.value_committed (Hart.alloc hq) real);
+  Alcotest.(check (list string)) "free slot: fsck finds nothing" [] (details (Hart.fsck hq));
   Hart.check_integrity hq
 
 (* A live leaf's line is destroyed: the binding cannot be repaired, so
@@ -3299,8 +3297,9 @@ let qcheck_media_fsck_partition =
    checksummed), each churned by [populate_hart] (owning free slots),
    then by updates, then cut by a crash inside a leaf-chunk recycle (a
    pending recycle record; the chunk's owned values are still committed
-   and nothing names them, so every quarantining mount leaves them to
-   fsck's orphan rule). Every site is one media fault (all five
+   and nothing names them, so the mount's liveness pass frees them, and
+   fsck's orphan rule sees only the orphans an online fault makes).
+   Every site is one media fault (all five
    kinds) on one line class: the log region's lines (the reserved line
    that held update slot 0, a pending and an idle recycle slot), chunk
    prologues, a live leaf, a live value, an owning free slot, the value
@@ -3520,7 +3519,7 @@ let test_media_findings_pinned () =
       then Alcotest.failf "no leaf quarantined by %s" who)
     [ "mount"; "fsck" ];
   Alcotest.(check string)
-    "rendering md5" "3f692144e1f501a465bd23597400bcbb"
+    "rendering md5" "e42d247b483a92457f1993e30223d28c"
     (Digest.to_hex (Digest.string rendering))
 
 let () =

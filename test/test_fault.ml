@@ -132,6 +132,20 @@ let parallel_recovery_cases =
         parallel_recovery_matches_serial_space;
     ]
 
+(* The quarantining mount settles crash residue as the plain mount
+   does: every built-in workload, clean and torn, with no finding from
+   the mount or from fsck after it. *)
+let quarantining_cases =
+  let target = Fault.hart_quarantining in
+  clean_cases ~expect_nested:true target
+  @ List.map
+      (fun (name, _, _) ->
+        Alcotest.test_case
+          (Printf.sprintf "%s/%s torn seed=7" target.Fault.target_name name)
+          `Quick
+          (sweep ~mode:(Pmem.Torn { seed = 7L; fraction = 0.5 }) target name))
+      Fault.builtin_workloads
+
 (* Pin HART's crash-schedule space exactly. The triples move only when
    the persistence protocol's PM write/flush sequence changes (as with
    the one-line micro-log records); a change elsewhere, such as the
@@ -1333,6 +1347,7 @@ let () =
         @ [ Alcotest.test_case "fptree/split-chain repairs torn split" `Quick
               fptree_split_repair ] );
       ("hart-parallel-recovery", parallel_recovery_cases);
+      ("hart-quarantine", quarantining_cases);
       ("hart-torn", torn_cases Fault.hart);
       ("fptree-torn", torn_cases fptree);
       ( "torn-full",

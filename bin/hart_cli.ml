@@ -570,7 +570,10 @@ let fault_cmd =
              taking its owning slot over across value classes), \
              $(b,recycle-classes) (a leaf chunk and a Val32 chunk emptied \
              and recycled by two domains at once, each under its own \
-             class's log slot), or $(b,gen) (seeded random op mix, swept \
+             class's log slot), $(b,takeover-race) (a deleted key's owning \
+             slot taken over across value classes while another domain \
+             updates in the owned value's chunk), or $(b,gen) (seeded \
+             random op mix, swept \
              over $(b,--gen-seeds) seeds).")
   in
   let server =

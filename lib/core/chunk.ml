@@ -20,8 +20,8 @@ let value_class_for len =
   else if len <= 31 then Val32
   else invalid_arg (Printf.sprintf "value of %d bytes exceeds the 31-byte limit" len)
 
-let alloc pool cls =
-  let chunk = Pmem.alloc pool (chunk_bytes cls) in
+let alloc ?publish_at pool cls =
+  let chunk = Pmem.alloc ?publish_at pool (chunk_bytes cls) in
   (* fresh space is zeroed: bitmap empty, hint 0, indicator available,
      PNext null — persist the prologue so the chunk is recoverable *)
   Pmem.persist pool ~off:chunk ~len:16;
@@ -95,6 +95,3 @@ let iter_slots pool cls ~chunk f =
   for idx = 0 to objs_per_chunk - 1 do
     f ~idx ~obj:(obj_off cls ~chunk ~idx) ~live:(Bits.test bm idx)
   done
-
-let iter_live pool cls ~chunk f =
-  iter_slots pool cls ~chunk (fun ~idx ~obj ~live -> if live then f ~idx ~obj)

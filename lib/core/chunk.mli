@@ -40,8 +40,9 @@ val value_class_for : int -> cls
     fits a payload of the given length.
     @raise Invalid_argument beyond 31 bytes. *)
 
-val alloc : Hart_pmem.Pmem.t -> cls -> int
-(** Allocate and persist a fresh, empty chunk; returns its offset. *)
+val alloc : ?publish_at:int -> Hart_pmem.Pmem.t -> cls -> int
+(** Allocate and persist a fresh, empty chunk; returns its offset.
+    [publish_at] as for {!Hart_pmem.Pmem.alloc}. *)
 
 val release : Hart_pmem.Pmem.t -> cls -> chunk:int -> unit
 (** Give the chunk's space back to the pool ([pfree]). *)
@@ -103,7 +104,3 @@ val iter_slots :
 (** Visit every slot in index order with its bit, reading the bitmap
     once (one PM read per chunk, not one per slot). [f] must not change
     this chunk's bitmap. *)
-
-val iter_live : Hart_pmem.Pmem.t -> cls -> chunk:int -> (idx:int -> obj:int -> unit) -> unit
-(** Visit every object whose bit is set (recovery scan, Algorithm 7);
-    {!iter_slots} restricted to live slots. *)

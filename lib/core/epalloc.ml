@@ -44,14 +44,13 @@ let root_bytes = Pmem.line_bytes + Microlog.region_bytes
    (if stale) record, and a recycled chunk's record keeps its empty
    bitmap for good.
 
-   [bits] is the DRAM mirror of the chunk's 56-bit occupancy bitmap. PM
-   stays the only durable copy: every header store computes the new
-   bitmap from the mirror, updates the mirror and then stores and
-   persists the PM header, all under the chunk's stripe lock, so the two
-   never differ outside that call. [attach] rebuilds the mirror from the
-   headers its chain walk reads anyway. The mirror is a dense DRAM array
-   of 8-byte words, 8 to a line; [addr] is this chunk's word in it, and
-   every read or write of [bits] is charged there on the meter.
+   [bits] is the DRAM mirror of the chunk's 56-bit occupancy bitmap. A
+   leaf chunk's header is stored and persisted with it under the
+   stripe lock, and [attach] reads it back; a value chunk's word is the
+   only copy, which recovery's liveness pass rebuilds (DESIGN.md §6
+   item 3). The mirror is a dense DRAM array of 8-byte words, 8 to a
+   line; [addr] is this chunk's word in it, and every read or write of
+   [bits] is charged there on the meter.
 
    [prev] is the chunk before this one in its class list (0 at the
    head): the volatile PPrev of Algorithm 6, so recycling needs no list
@@ -181,15 +180,14 @@ let mirror_lines m = (m.used + entries_per_line - 1) / entries_per_line
    value chunk, so the cursor keeps the current chunk's object range and
    a mask of its named objects, as a C scan would in registers; only a
    value outside the range closes the run and looks up the next chunk.
-   [closed] holds the finished runs as (class id, chunk record, mask). *)
+   [closed] holds the finished runs as (chunk record, mask). *)
 type runs = {
   mutable run : entry;  (* [no_entry] when no run is open *)
-  mutable run_id : int;
   mutable lo : int;  (* the run's first object, 0 when none *)
   mutable hi : int;  (* past its last object *)
   mutable size : int;
   mutable mask : int;
-  mutable closed : (int * entry * int) list;
+  mutable closed : (entry * int) list;
 }
 
 let no_entry =
@@ -197,7 +195,7 @@ let no_entry =
     live = false }
 
 let runs () =
-  { run = no_entry; run_id = 0; lo = 0; hi = 0; size = 1; mask = 0; closed = [] }
+  { run = no_entry; lo = 0; hi = 0; size = 1; mask = 0; closed = [] }
 
 (* Lock architecture (strict acquisition order, coarse to fine):
      class mutex  →  chunk stripe mutex  →  Pmem alloc
@@ -260,19 +258,19 @@ let read_bits t e =
   Meter.access t.meter Dram ~addr:e.addr ~write:false;
   e.bits
 
-(* Stripe lock held. The mirror is written before the PM store, so a
-   lock-free reader sees the new bitmap no later than it would have seen
-   the PM word, even across the persist's yield point. *)
-let store_bits t e bits =
+(* Stripe lock held. Only a leaf chunk's header is stored, after the
+   mirror, so a lock-free reader sees the new bitmap no later than the
+   PM word, even across the persist's yield point. *)
+let store_bits t cls e bits =
   e.bits <- bits;
   Meter.access t.meter Dram ~addr:e.addr ~write:true;
-  Chunk.write_header t.pool ~chunk:e.chunk bits
+  if cls = Chunk.Leaf_c then Chunk.write_header t.pool ~chunk:e.chunk bits
 
 (* The spare rule. Plain allocation never takes a value chunk's last
    free slot: only an update whose old value sits in the chunk may
-   ([epmalloc_update]), so its new value shares the old one's header and
-   both bits commit with one store. That store frees the old slot, which
-   gives the spare back. Leaf chunks keep no spare. *)
+   ([epmalloc_update]), so its new value shares the old one's mirror
+   word and both bits change in one locked store. That store frees the
+   old slot, which gives the spare back. Leaf chunks keep no spare. *)
 let keeps_spare = function Chunk.Leaf_c -> false | Val8 | Val16 | Val32 -> true
 
 (* [e]'s slots neither committed nor reserved *)
@@ -298,7 +296,7 @@ let mark_avail t cls chunk =
 let commit_bits t cls e ~set ~clear =
   let mu = t.chunk_mu.(stripe_of e.chunk) in
   Hart_util.Sched_hook.lock mu;
-  match store_bits t e ((read_bits t e lor set) land lnot clear) with
+  match store_bits t cls e ((read_bits t e lor set) land lnot clear) with
   | () ->
       e.reserved <- e.reserved land lnot set;
       let freed = clear <> 0 && plain_room cls e in
@@ -545,11 +543,13 @@ let reserve t cls =
         List.iter (fun c -> Hashtbl.remove t.avail.(id) c) !stale;
         if !got <> no_slot then !got
         else begin
-          (* lines 8-10: grow the list at its head *)
-          let chunk = Chunk.alloc t.pool cls in
+          (* lines 8-10: grow the list at its head; the chunk is
+             allocated durably only when the head naming it is *)
+          let chunk = Chunk.alloc t.pool cls ~publish_at:(head_field cls) in
           let next = t.heads.(id) in
           Chunk.set_pnext t.pool ~chunk next;
           set_head t cls chunk;
+          Pmem.published t.pool ~off:chunk;
           let e = new_entry t id chunk ~bits:0 ~prev:0 in
           Meter.access t.meter Dram ~addr:e.addr ~write:true;
           Registry.add t.registry.(id) e;
@@ -614,27 +614,33 @@ let iter_owned t f =
       done)
     (Atomic.get t.registry.(cls_id Chunk.Leaf_c))
 
-(* Whether [v] is a committed object of a registered value chunk. *)
-let value_committed t v =
+(* [v]'s entry and bit if it is an object of a registered value chunk *)
+let value_slot t v =
   match value_entry t v with
   | Some (vcls, ve) -> (
       match Chunk.idx_of_obj vcls ~chunk:ve.chunk ~obj:v with
-      | idx -> read_bits t ve land (1 lsl idx) <> 0
-      | exception Invalid_argument _ -> false)
-  | None -> false
+      | idx -> Some (ve, 1 lsl idx)
+      | exception Invalid_argument _ -> None)
+  | None -> None
 
-(* fsck: rewrite a chunk header that is not the one its mirror implies.
-   Right after [attach] the mirror is the PM bitmap, so only a corrupt
-   hint/full byte can differ; later the mirror holds the last bitmap the
-   allocator stored, so a bitmap a stray write changed is put back. *)
-let repair_header t cls ~chunk =
-  let e = Registry.find (Atomic.get t.registry.(cls_id cls)) chunk in
+let is_value_obj t v = value_slot t v <> None
+
+let value_committed t v =
+  match value_slot t v with Some (ve, bit) -> read_bits t ve land bit <> 0 | None -> false
+
+(* fsck: rewrite a leaf chunk header that is not the one its mirror
+   implies. Right after [attach] the mirror is the PM bitmap, so only a
+   corrupt hint/full byte can differ; later the mirror holds the last
+   bitmap the allocator stored, so a bitmap a stray write changed is put
+   back. *)
+let repair_header t ~chunk =
+  let e = Registry.find (Atomic.get t.registry.(cls_id Chunk.Leaf_c)) chunk in
   with_stripe t chunk (fun () ->
       let bits = read_bits t e in
       let h = Chunk.header t.pool ~chunk in
       if h = Chunk.header_of_bits bits then `Intact
       else begin
-        store_bits t e bits;
+        store_bits t Chunk.Leaf_c e bits;
         if Int64.to_int h land full_mask = bits then `Hint_rewritten
         else `Bitmap_restored
       end)
@@ -684,10 +690,9 @@ let rec release_value t cls ~obj =
    unlinked in the same locked section that finds it empty, so it
    cannot change under the recycle; its values are let go afterwards,
    with no leaf lock held, since value-class locks never nest inside
-   leaf-class ones. Nothing names them by then: a crash in between
-   leaves committed values that nothing names, which recovery's
-   liveness pass frees. Under [Free_before_unname] the values go first,
-   every slot of the chunk reserved meanwhile so that it stays empty. *)
+   leaf-class ones; nothing durable names them by then. Under
+   [Free_before_unname] the values go first, every slot of the chunk
+   reserved meanwhile so that it stays empty. *)
 and eprecycle t cls ~chunk =
   let id = cls_id cls in
   let values =
@@ -709,12 +714,10 @@ and eprecycle t cls ~chunk =
         with_stripe t chunk (fun () ->
             unlink t cls (Registry.find (Atomic.get t.registry.(id)) chunk)))
 
-(* Set [obj]'s bit and reset [old]'s: one header store when they share a
-   chunk. Otherwise [old]'s header is stored first, so a crash between
-   the two leaves the value the leaf names with a clear bit, which
-   recovery's liveness pass sets, rather than an unnamed value with a
-   set one; then [old]'s chunk is recycled if that emptied it. Nothing
-   is held: the leaf already names [obj]. *)
+(* Set [obj]'s bit and reset [old]'s, in the mirror alone: one locked
+   store when they share a chunk. Otherwise [old]'s word changes first;
+   then [old]'s chunk is recycled if that emptied it. Nothing is held:
+   the leaf already names [obj]. *)
 let commit_update t cls ~obj ~old =
   let e = entry_of_obj t cls obj in
   let set = obj_mask cls e obj in
@@ -737,7 +740,7 @@ let free_leaf t ~leaf =
   let mu = t.chunk_mu.(stripe_of e.chunk) in
   Hart_util.Sched_hook.lock mu;
   e.owned <- e.owned lor bit;
-  (match store_bits t e (read_bits t e land lnot bit) with
+  (match store_bits t Chunk.Leaf_c e (read_bits t e land lnot bit) with
   | () -> Mutex.unlock mu
   | exception ex ->
       Mutex.unlock mu;
@@ -748,14 +751,11 @@ let free_leaf t ~leaf =
 (* ------------------------------------------------------------------ *)
 (* Recovery (single-domain: runs before the store is shared)           *)
 
-(* Value liveness. An update stores the leaf's p_value before it
-   commits the value bits, so a crash can leave a key naming a value
-   whose bit is clear, and an unnamed old value whose bit is set. No log
-   records which: recovery derives it. A value named by a committed leaf
-   or by an owning free slot is live; every other value is free. *)
+(* Value liveness: no value bit is durable, so recovery derives it. A
+   value named by a committed leaf or an owning free slot is live. *)
 
 let close_run r =
-  if r.mask <> 0 then r.closed <- (r.run_id, r.run, r.mask) :: r.closed;
+  if r.mask <> 0 then r.closed <- (r.run, r.mask) :: r.closed;
   r.run <- no_entry;
   r.lo <- 0;
   r.hi <- 0;
@@ -771,7 +771,6 @@ let name_value t r v =
     match value_entry t v with
     | Some (cls, e) ->
         r.run <- e;
-        r.run_id <- cls_id cls;
         r.lo <- e.chunk + 16;
         r.size <- Chunk.obj_size cls;
         r.hi <- r.lo + (Chunk.objs_per_chunk * r.size)
@@ -781,47 +780,37 @@ let name_value t r v =
     r.mask <- r.mask lor (1 lsl ((v - r.lo) / r.size))
 
 (* The liveness pass, serial and quiesced, after every named value went
-   through [name_value]. Each run ors its mask into its chunk's named
-   word, one metered mirror access per run. Then every value chunk's
-   mirror word is compared with its named word, one read per mirror
-   line, and only a chunk whose image disagrees has its header stored
-   and persisted: clear bits that are named are set, set bits nothing
-   names are cleared. A quiescent image agrees everywhere, so it still
-   recovers flush-free. A chunk left empty is recycled. *)
+   through [name_value]: each run ors its mask into its chunk's mirror
+   word, which [attach] left empty (one metered write per run); then one
+   read per mirror line finds the chunks with room for the avail cache
+   and the chunks nothing names, which are recycled. *)
 let settle_values t runs =
-  let named = Array.map (fun m -> Array.make m.used 0) t.mirror in
   List.iter
     (fun r ->
       close_run r;
-      List.iter
-        (fun (id, e, mask) ->
-          Meter.access t.meter Dram ~addr:e.addr ~write:true;
-          named.(id).(e.slot) <- named.(id).(e.slot) lor mask)
-        r.closed;
+      if not (mutated No_liveness_pass) then
+        List.iter
+          (fun (e, mask) ->
+            Meter.access t.meter Dram ~addr:e.addr ~write:true;
+            e.bits <- e.bits lor mask)
+          r.closed;
       r.closed <- [])
     runs;
-  if not (mutated No_liveness_pass) then
-    List.iter
-      (fun cls ->
-        let id = cls_id cls in
-        let m = t.mirror.(id) in
-        for line = 0 to mirror_lines m - 1 do
-          Meter.access t.meter Dram ~addr:m.lines.(line) ~write:false
-        done;
-        let emptied = ref [] in
-        Registry.iter_live
-          (fun e ->
-            let want = named.(id).(e.slot) in
-            if want <> e.bits then begin
-              let cleared = e.bits land lnot want <> 0 in
-              with_stripe t e.chunk (fun () -> store_bits t e want);
-              if want = 0 then emptied := e.chunk :: !emptied
-              else if cleared && plain_room cls e then
-                Hashtbl.replace t.avail.(id) e.chunk ()
-            end)
-          (Atomic.get t.registry.(id));
-        List.iter (fun chunk -> eprecycle t cls ~chunk) !emptied)
-      [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ]
+  List.iter
+    (fun cls ->
+      let id = cls_id cls in
+      let m = t.mirror.(id) in
+      for line = 0 to mirror_lines m - 1 do
+        Meter.access t.meter Dram ~addr:m.lines.(line) ~write:false
+      done;
+      let emptied = ref [] in
+      Registry.iter_live
+        (fun e ->
+          if e.bits = 0 then emptied := e.chunk :: !emptied
+          else if plain_room cls e then Hashtbl.replace t.avail.(id) e.chunk ())
+        (Atomic.get t.registry.(id));
+      List.iter (fun chunk -> eprecycle t cls ~chunk) !emptied)
+    [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ]
 
 (* The repair for a recycle slot on a corrupt media line or failing its
    word CRC: rewrite its line without reading it. [before_replay] is
@@ -886,9 +875,9 @@ let recover_recycle_log t ~slot =
       unregister t id e;
       Hashtbl.remove t.avail.(id) chunk
   | exception Not_found ->
-      (* already unlinked: the pool free was idempotent at the allocator
-         level, so only the log remains to clean *)
-      ());
+      (* already unlinked: free it, unless it was *)
+      let len = Chunk.chunk_bytes cls in
+      if not (Pmem.is_free t.pool ~off:chunk ~len) then Pmem.free t.pool ~off:chunk ~len);
   Microlog.reclaim logs ~slot
 
 let attach ?(bad_lines = []) ?report pool =
@@ -947,12 +936,15 @@ let attach ?(bad_lines = []) ?report pool =
             "media-corrupt prologue line — bitmap and chain pointer \
              untrustworthy";
         match
-          (* the header read that rebuilds the mirror also feeds the
-             avail cache *)
-          let bits = Int64.to_int (Chunk.bitmap pool ~chunk) in
+          (* a leaf chunk's header rebuilds its mirror word and feeds
+             the avail cache; [settle_values] fills a value chunk's *)
+          let bits =
+            if cls = Chunk.Leaf_c then Int64.to_int (Chunk.bitmap pool ~chunk) else 0
+          in
           let e = new_entry t id chunk ~bits ~prev in
           walked := e :: !walked;
-          if plain_room cls e then Hashtbl.replace t.avail.(id) chunk ();
+          if cls = Chunk.Leaf_c && plain_room cls e then
+            Hashtbl.replace t.avail.(id) chunk ();
           e.next <- Chunk.pnext pool ~chunk;
           e.next
         with
@@ -1003,8 +995,15 @@ let attach ?(bad_lines = []) ?report pool =
         (if quarantine then
            let prev = Microlog.pprev logs ~slot in
            let cls = Microlog.cls logs ~slot in
-           if prev <> 0 && not (Registry.mem (Atomic.get t.registry.(cls_id cls)) prev)
-           then Hart_error.error site "PPrev %d is no registered chunk" prev);
+           let reg = Atomic.get t.registry.(cls_id cls) in
+           if prev <> 0 && not (Registry.mem reg prev) then
+             Hart_error.error site "PPrev %d is no registered chunk" prev;
+           (* an unlinked PCurrent is freed: it must be a chunk's place *)
+           let cur = Microlog.pcurrent logs ~slot in
+           if cur land (Pmem.line_bytes - 1) <> 0 || cur < root_off + root_bytes
+              || cur + Chunk.chunk_bytes cls > Pmem.capacity pool
+              || (chunk_covering t cur <> None && not (Registry.mem reg cur))
+           then Hart_error.error site "PCurrent %d is no chunk of its class" cur);
         recover_recycle_log t ~slot
       in
       if not quarantine then replay ()
@@ -1055,10 +1054,14 @@ let chunk_count t cls =
   iter_chunks t cls (fun _ -> incr n);
   !n
 
+let committed_bits t cls ~chunk =
+  if cls = Chunk.Leaf_c then Int64.to_int (Chunk.bitmap t.pool ~chunk)
+  else read_bits t (Registry.find (Atomic.get t.registry.(cls_id cls)) chunk)
+
 let live_objects t cls =
   let n = ref 0 in
   iter_chunks t cls (fun chunk ->
-      n := !n + Bits.popcount (Chunk.bitmap t.pool ~chunk));
+      n := !n + Bits.popcount (Int64.of_int (committed_bits t cls ~chunk)));
   !n
 
 let spares t cls =
@@ -1073,7 +1076,12 @@ let spares t cls =
 
 let iter_live_objs t cls f =
   iter_chunks t cls (fun chunk ->
-      Chunk.iter_live t.pool cls ~chunk (fun ~idx:_ ~obj -> f ~obj))
+      let bits = ref (committed_bits t cls ~chunk) in
+      while !bits <> 0 do
+        let idx = Bits.ctz !bits in
+        bits := !bits land (!bits - 1);
+        f ~obj:(Chunk.obj_off cls ~chunk ~idx)
+      done)
 
 let check_invariants t =
   let fail fmt = Printf.ksprintf failwith fmt in
@@ -1109,10 +1117,11 @@ let check_invariants t =
       (fun e ->
         if not (Hashtbl.mem in_list e.chunk) then
           fail "chunk %d in registry but not in list (class %d)" e.chunk id;
-        let pm = Int64.to_int (Chunk.bitmap t.pool ~chunk:e.chunk) in
-        if e.bits <> pm then
-          fail "bitmap mirror of chunk %d is %#x but its PM bitmap is %#x"
-            e.chunk e.bits pm;
+        (if cls = Chunk.Leaf_c then
+           let pm = Int64.to_int (Chunk.bitmap t.pool ~chunk:e.chunk) in
+           if e.bits <> pm then
+             fail "bitmap mirror of chunk %d is %#x but its PM bitmap is %#x"
+               e.chunk e.bits pm);
         if e.reserved land lnot full_mask <> 0 then
           fail "reservation mask of chunk %d out of range" e.chunk;
         if e.owned land (e.bits lor e.reserved) <> 0 then

@@ -3,13 +3,12 @@
     EPallocator amortises expensive PM allocation by carving objects out
     of 56-slot {!Chunk}s, one singly linked chunk list per object class,
     with list heads and micro-logs in a persistent root block. Its leak
-    freedom comes from ordering: an object's bitmap bit is set only
-    {e after} the object is fully linked into the index, so a crash
-    between allocation and commit leaves a free bit and the slot is
-    simply handed out again later. A free leaf slot whose [p_value]
-    names a committed value owns it (a deleted key's slot, or a crashed
-    insertion's): Algorithm 2's reuse point hands that value to the next
-    key, and only recycling lets go of it otherwise.
+    freedom comes from ordering: a leaf's bitmap bit is set only
+    {e after} the leaf is written, so a crash before it leaves a free
+    bit. Value bits are not durable: recovery commits the values that
+    committed leaves and owning free slots name ({!settle_values}). A
+    free leaf slot whose [p_value] names a value owns it until an
+    insertion takes the slot over or recycling lets go of it.
 
     Volatile acceleration (rebuilt by {!attach} after a crash): a mirror
     of the list heads, a per-class registry resolving object offsets to
@@ -22,14 +21,12 @@
     common allocation touches no full chunk.
 
     The bitmap mirror takes PM reads off the write path: allocation,
-    bit commits and frees, recycling's emptiness test and {!obj_bit}
-    read the mirror, and every header store is computed from it. Each
-    header store still writes and persists the PM header exactly as
-    before, in the same stripe-locked call that updates the mirror, so
-    PM stays the only durable copy and the persist sequence is
-    unchanged. The mirror is a dense DRAM array of 8-byte words, 8 per
-    line, charged on the meter as DRAM accesses and counted in
-    {!mirror_bytes}.
+    bit commits, recycling's emptiness test and {!obj_bit} read it. A
+    leaf chunk's header is stored and persisted in the stripe-locked
+    call that updates its mirror word; a value chunk's word is the only
+    copy of its bitmap, and its PM header is never read. The mirror is
+    a dense DRAM array of 8-byte words, 8 per line, metered as DRAM and
+    counted in {!mirror_bytes}.
 
     Domain safety: object-offset resolution is lock-free (the registry is
     a sorted array with spare capacity, published with its length through
@@ -84,8 +81,8 @@ val attach :
 (** Adopt the pool after a crash or reopen: verify the magic, rebuild the
     volatile state by walking the chunk lists (every chain pointer
     validated — alignment, bounds, acyclicity), then replay the recycle
-    log. Value bits are left as the image has them: the caller names
-    every live value and runs {!settle_values}.
+    log. Value mirrors start empty: the caller names every live value
+    and runs {!settle_values}.
 
     [bad_lines] are the lines the device ECC flags; one under the root
     scalars or a chunk prologue refuses the mount. Passing [~report]
@@ -123,7 +120,7 @@ val value_objs_per_chunk : int
 (** 55: the objects {!epmalloc} hands out of one value chunk. It never
     takes a value chunk's last free slot, the {e spare}: only
     {!epmalloc_update} may, so an update's new value can share the old
-    one's chunk and header. The header store that commits the update
+    one's chunk and mirror word. The store that commits the update
     frees the old slot, which gives the spare back. Leaf chunks keep no
     spare. *)
 
@@ -146,24 +143,22 @@ val epmalloc_leaf : t -> int * bool
     slot, see {!free_leaf}). The owner takes that value over — Algorithm
     2's reuse point, lines 12–16 — by rewriting it in place, or, for a
     value of another class, by letting it go with {!release_value} once
-    the leaf's pointer names the new value. A slot that owns nothing
-    needs no PM read: non-owning free slots name no value. The test
-    costs nothing beyond the reservation: it reads the owned mark in the
-    same locked section. *)
+    the leaf's pointer names the new value. The owned mark is read in
+    the reservation's locked section, with no PM read. *)
 
 val set_obj_bit : t -> Chunk.cls -> obj:int -> unit
-(** Commit the object: set and persist its bitmap bit, release the
+(** Commit the object: set its bit (persisted for a leaf), release the
     reservation. *)
 
 val reset_obj_bit : t -> Chunk.cls -> obj:int -> unit
-(** Clear and persist the object's bit, making the slot reusable. *)
+(** Clear the object's bit (persisted for a leaf). *)
 
 val free_leaf : t -> leaf:int -> unit
 (** Algorithm 5's free, with one persist: clear and persist the leaf's
     bit and mark the free slot as the owner of the value its [p_value]
-    still names. That value keeps its bit until an insertion takes the
-    slot over ({!epmalloc_leaf}) or {!eprecycle} lets go of it. Then
-    recycle the leaf's chunk if it emptied. *)
+    still names, until an insertion takes the slot over
+    ({!epmalloc_leaf}) or {!eprecycle} lets go of it. Then recycle the
+    leaf's chunk if it emptied. *)
 
 val release_value : t -> Chunk.cls -> obj:int -> unit
 (** Free a committed value once nothing durable names it any more:
@@ -171,11 +166,9 @@ val release_value : t -> Chunk.cls -> obj:int -> unit
 
 val commit_update : t -> Chunk.cls -> obj:int -> old:int -> unit
 (** An update's bit commit, once its leaf's [p_value] names [obj]: set
-    [obj]'s bit and reset [old]'s, holding nothing. When the two share a
-    chunk both change in one header store and persist; otherwise [old]'s
-    header is persisted first and [obj]'s second, and [old]'s chunk is
-    recycled if that emptied it. If [old] is no value object, only
-    [obj]'s bit is set. *)
+    [obj]'s mirror bit and reset [old]'s (one store when they share a
+    chunk), with no persist, then recycle [old]'s chunk if that emptied
+    it. If [old] is no value object, only [obj]'s bit is set. *)
 
 val obj_bit : t -> Chunk.cls -> obj:int -> bool
 (** Whether the object is committed, read from the bitmap mirror (one
@@ -195,9 +188,8 @@ type mutation =
           names it, so another domain can be given it and overwrite it
           before a crash. *)
   | No_liveness_pass
-      (** {!settle_values} marks but writes nothing: a crash between an
-          update's [p_value] store and its bit commit leaves a key naming
-          a value whose bit is clear. *)
+      (** {!settle_values} applies no named run: recovered keys name
+          uncommitted values. *)
   | Ignore_owned
       (** [Hart.insert] overwrites an owning slot's [p_value] as if the
           slot owned nothing, leaking the owned value. *)
@@ -252,21 +244,20 @@ val name_value : t -> runs -> int -> unit
 val settle_values : t -> runs list -> unit
 (** Recovery's liveness pass (DESIGN.md §6 item 3), after every live
     value — each committed leaf's and each owning free slot's — went
-    through {!name_value} on one of these cursors: one metered mirror
-    access per run and one read per mirror line, then a header store
-    and persist for each value chunk whose bitmap disagrees with its
-    named set — named clear bits are set, unnamed set bits cleared.
-    Both mounts run it alike. A quiescent image writes nothing. A chunk
-    left empty is recycled. Serial, quiesced. *)
+    through {!name_value} on one of these cursors: each run is ored into
+    its chunk's mirror word (one metered write), then one read per
+    mirror line refills the avail cache and recycles the chunks nothing
+    names. Both mounts run it. Serial, quiesced. *)
 
 val set_owner : t -> leaf:int -> bool -> unit
 (** Set or drop a free leaf slot's owned mark, with no PM write. For
     recovery, which settles every free slot's ownership after its scan,
     and for fsck when it severs or reclaims. Quiesced callers only. *)
 
+val is_value_obj : t -> int -> bool
 val value_committed : t -> int -> bool
-(** Whether the offset is an object of a registered value chunk whose
-    bit is set (read from the mirror). *)
+(** Whether the offset is an object of a registered value chunk, and
+    whether that object's mirror bit is set. *)
 
 val iter_owned : t -> (leaf:int -> unit) -> unit
 (** Visit every owning free leaf slot, in offset order. *)
@@ -279,9 +270,7 @@ val eprecycle : t -> Chunk.cls -> chunk:int -> unit
     cost does not depend on the length of the list. A leaf chunk whose
     free slots own values is unlinked in the locked section that finds
     it empty, reading the owning slots' [p_value]s there; then, with no
-    leaf lock held, each value is let go with {!release_value}. A crash
-    in between leaves committed values that nothing names, which
-    recovery's liveness pass frees. *)
+    leaf lock held, each value is let go with {!release_value}. *)
 
 val chunk_of_obj : t -> Chunk.cls -> int -> int
 (** [MemChunkOf]: the chunk containing this object.
@@ -299,15 +288,14 @@ val mirror_bytes : t -> int
 (** DRAM bytes of the bitmap mirror: whole 64-byte lines of 8-byte
     words, one word per chunk ever registered at once. *)
 
-val repair_header :
-  t -> Chunk.cls -> chunk:int -> [ `Intact | `Hint_rewritten | `Bitmap_restored ]
-(** fsck's header repair: if the chunk's PM header is not the one its
+val repair_header : t -> chunk:int -> [ `Intact | `Hint_rewritten | `Bitmap_restored ]
+(** fsck's leaf-chunk header repair: if its PM header is not the one its
     bitmap mirror implies, store and persist that one. [`Hint_rewritten]:
     only the hint/full byte was wrong. [`Bitmap_restored]: the PM bitmap
     itself differed — a stray write changed it since the allocator last
     stored it (right after {!attach} the mirror is the PM bitmap, so
     this needs a live store).
-    @raise Not_found if [chunk] is not a registered chunk of the class. *)
+    @raise Not_found if [chunk] is not a registered leaf chunk. *)
 
 val chunk_count : t -> Chunk.cls -> int
 val iter_chunks : t -> Chunk.cls -> (int -> unit) -> unit
@@ -323,8 +311,12 @@ val iter_chain : t -> Chunk.cls -> (int -> unit) -> unit
     charges the chain walk a real recovery makes, and
     {!check_invariants}, which compares the two. *)
 
+val committed_bits : t -> Chunk.cls -> chunk:int -> int
+(** A registered chunk's committed slots: a leaf chunk's PM bitmap, a
+    value chunk's mirror word. *)
+
 val live_objects : t -> Chunk.cls -> int
-(** Total set bits across the class's chunks. *)
+(** Total {!committed_bits} across the class's chunks. *)
 
 val spares : t -> Chunk.cls -> int
 (** Value chunks whose only free, unreserved slot is the kept spare
@@ -334,6 +326,6 @@ val iter_live_objs : t -> Chunk.cls -> (obj:int -> unit) -> unit
 
 val check_invariants : t -> unit
 (** Registry/list agreement, registry order, each chunk's predecessor
-    and successor links against the PM chain, head mirrors, each registered chunk's bitmap
-    mirror against its PM bitmap, reservation sanity. Raises [Failure]
+    and successor links against the PM chain, head mirrors, each registered leaf chunk's
+    bitmap mirror against its PM bitmap, reservation sanity. Raises [Failure]
     on violation. Test use. *)

@@ -10,6 +10,7 @@ type t = {
   kh : int;
   internal_nodes : internal_nodes;
   count : int Atomic.t;
+  pm_node_bytes : int Atomic.t;  (* pool bytes of ART nodes under [`Pm] *)
   quarantines : Hart_error.finding list ref;
       (* findings accumulated by a quarantining recovery of this pool *)
 }
@@ -44,14 +45,21 @@ let pm_node_protocol meter =
   | Art.Prefix_changed { addr } -> M.persist_range meter ~addr ~len:16
   | Art.Here_changed { addr } -> M.persist_range meter ~addr ~len:8
 
+let pool_bytes size = (size + Pmem.line_bytes - 1) / Pmem.line_bytes * Pmem.line_bytes
+
 let new_art t =
   let meter = Pmem.meter t.pool in
+  let count size = ignore (Atomic.fetch_and_add t.pm_node_bytes size : int) in
   match t.internal_nodes with
   | `Dram -> Art.create ~meter ()
   | `Pm ->
       Art.create ~meter ~space:Pm
-        ~alloc_node:(fun size -> Pmem.alloc t.pool size)
-        ~free_node:(fun ~addr ~size -> Pmem.free t.pool ~off:addr ~len:size)
+        ~alloc_node:(fun size ->
+          count (pool_bytes size);
+          Pmem.alloc t.pool size)
+        ~free_node:(fun ~addr ~size ->
+          count (-pool_bytes size);
+          Pmem.free t.pool ~off:addr ~len:size)
         ~on_event:(pm_node_protocol meter) ()
 
 let create ?(kh = 2) ?(checksums = false) ?dir_buckets ?(internal_nodes = `Dram)
@@ -65,6 +73,7 @@ let create ?(kh = 2) ?(checksums = false) ?dir_buckets ?(internal_nodes = `Dram)
     kh;
     internal_nodes;
     count = Atomic.make 0;
+    pm_node_bytes = Atomic.make 0;
     quarantines = ref [];
   }
 
@@ -89,17 +98,10 @@ let check_key key =
     invalid_arg
       (Printf.sprintf "HART keys must be 1..%d bytes (got %d)" Leaf.max_key_len n)
 
-(* Algorithm 3 without its update log (DESIGN.md §6 item 3). [leaf]
-   must be a committed leaf. The new value is persisted first,
-   then the leaf's p_value, then both bits: three persists when the new
-   value goes into the old value's chunk (its spare, if need be), since
-   one header store then commits both bits; four on a class change or a
-   chunk with no free slot, whose two header stores clear the old bit
-   first. A crash before the p_value store leaves the old value named
-   and committed; after it, the key names the new value, whose bytes are
-   durable, and recovery's liveness pass sets its bit and clears the
-   old one's. The old value is freed by the bit commit, after the
-   leaf stopped naming it. *)
+(* Algorithm 3 without its update log (DESIGN.md §6 item 3): persist the
+   new value, then the leaf's p_value, then commit both value bits in
+   the DRAM mirror, the only copy of a value chunk's bitmap. Recovery
+   commits whichever value the leaf names. [leaf] must be committed. *)
 let update_leaf t ~leaf value =
   let old_v = Leaf.p_value t.pool ~leaf in
   let vcls = Value_obj.cls_for value in
@@ -110,15 +112,12 @@ let update_leaf t ~leaf value =
   Leaf.set_p_value t.pool ~leaf new_v;
   if not bits_first then Epalloc.commit_update t.alloc vcls ~obj:new_v ~old:old_v
 
-(* Algorithm 1. The value's bit is set only after the leaf's p_value is
-   durable, so a crash never leaves a committed value that nothing names.
-   A slot that owns a value (a deleted key's, DESIGN.md §6 item 1) hands
-   it over, Algorithm 2 lines 12-16: a value of the new value's class is
-   rewritten in place and keeps its bit (three persists: value, leaf,
-   leaf bit); one of another class is freed once [Leaf.init] has made
-   the slot name the new value, so no domain can be given it while the
-   slot still names it. A crash before that free leaves it committed
-   and unnamed, which recovery's liveness pass frees. *)
+(* Algorithm 1: value, leaf, leaf bit, three persists; the value's bit
+   is a mirror store. A slot that owns a value (a deleted key's,
+   DESIGN.md §6 item 1) hands it over, Algorithm 2 lines 12-16: a value
+   of the new value's class is rewritten in place; one of another class
+   is freed once [Leaf.init] has made the slot name the new value, so no
+   domain can be given it while the slot still names it. *)
 let insert t ~key ~value =
   check_key key;
   let hash_key, art_key = split_key t key in
@@ -294,6 +293,7 @@ let make_recovered pool alloc quarantines =
     kh = Epalloc.kh alloc;
     internal_nodes = `Dram;
     count = Atomic.make 0;
+    pm_node_bytes = Atomic.make 0;
     quarantines;
   }
 
@@ -328,11 +328,9 @@ type leaf_verdict =
          pointer itself is unreadable or untrustworthy *)
 
 (* Read-only validation of one committed leaf slot: media lines, key
-   length, key CRC, value pointer resolution, value CRC. The value's bit
-   is not consulted: a crash between an update's p_value store and its
-   bit commit leaves the key naming a durable value whose bit is clear,
-   which the liveness pass commits (DESIGN.md §6 item 3). Never writes,
-   never raises — suitable for parallel scan workers. *)
+   length, key CRC, value pointer resolution, value CRC; no value bit is
+   durable to consult (DESIGN.md §6 item 3). Never writes, never raises
+   — suitable for parallel scan workers. *)
 let inspect_leaf alloc ~checksums ~bad_span ~leaf =
   let pool = Epalloc.pool alloc in
   try
@@ -384,20 +382,16 @@ let zero_span pool ~off ~len =
   Pmem.set_string pool ~off (String.make len '\000');
   Pmem.persist pool ~off ~len
 
-(* Durably free a value object: clear its bit, then zero and persist its
-   bytes, which reseals its media lines and leaves no stale payload. *)
-let free_value alloc vcls ~obj =
-  Epalloc.reset_obj_bit alloc vcls ~obj;
-  zero_span (Epalloc.pool alloc) ~off:obj ~len:(Chunk.obj_size vcls)
-
-(* [free_value] if [pv] is a committed value object. Untrusted bytes may
-   land inside a value chunk yet between object boundaries: such an
-   offset names no object, committed or not. *)
-let free_committed alloc pv =
-  if pv > 0 && Epalloc.value_committed alloc pv then
-    match Epalloc.class_of_value_obj alloc pv with
-    | Some vcls -> free_value alloc vcls ~obj:pv
-    | None -> ()
+(* Free the value object at [pv], if it is one (untrusted bytes may
+   land between object boundaries): clear its bit, then zero and
+   persist its bytes, which reseals its media lines. The bit is not
+   consulted: a mount knows none before the liveness pass. *)
+let free_value alloc pv =
+  match Epalloc.class_of_value_obj alloc pv with
+  | Some vcls when Epalloc.is_value_obj alloc pv ->
+      Epalloc.reset_obj_bit alloc vcls ~obj:pv;
+      zero_span (Epalloc.pool alloc) ~off:pv ~len:(Chunk.obj_size vcls)
+  | Some _ | None -> ()
 
 (* Excise one committed leaf from PM and report the loss: clear its bit,
    zero and persist its bytes (resealing the covering lines), free its
@@ -412,7 +406,7 @@ let quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail =
   if Epalloc.obj_bit alloc Chunk.Leaf_c ~obj:leaf then
     Epalloc.reset_obj_bit alloc Chunk.Leaf_c ~obj:leaf;
   zero_span (Epalloc.pool alloc) ~off:leaf ~len:Leaf.size;
-  free_committed alloc pv;
+  free_value alloc pv;
   report
     {
       Hart_error.f_site = leaf_site alloc ~leaf;
@@ -425,7 +419,7 @@ let quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail =
 (* fsck: free a committed value that no live key and no owning slot
    names, and report it *)
 let reclaim_value alloc ~report vcls ~obj ~detail =
-  free_value alloc vcls ~obj;
+  free_value alloc obj;
   let chunk = Epalloc.chunk_of_obj alloc vcls obj in
   let idx = Chunk.idx_of_obj vcls ~chunk ~obj in
   report
@@ -440,22 +434,24 @@ let reclaim_value alloc ~report vcls ~obj ~detail =
 (* The free-slot rule (DESIGN.md §6 item 2), serial, for both mounts:
    the free leaf slots the scan found naming a value, as (slot, pointer)
    pairs, pointer 0 for one it could not read. In slot order, a slot
-   naming a committed value owns it and names it for the liveness pass;
-   any other is severed: its pointer stored 0, or, unreadable, the whole
-   slot zeroed. A quarantining mount also refuses a value that a kept
-   leaf or a lower slot names, since a media fault can forge a pointer
+   naming an object of a registered value chunk owns it and names it
+   for the liveness pass (a crashed insertion's slot names a value
+   reserved for it); any other is severed: its pointer stored 0, or,
+   unreadable, the whole slot zeroed. A quarantining mount also refuses
+   a value that a kept leaf or a lower slot names or that the
+   quarantine freed ([taken]), since a media fault can forge a pointer
    to it. No crash leaves such an alias, so the plain mount needs no
    such rule and applies none: a protocol bug that made one must not be
    settled away before the crash oracle sees it. No finding either way:
    this is crash residue. *)
-let settle_free_slots alloc ~quarantine ~kept_values ~name stale_free =
+let settle_free_slots alloc ~quarantine ~taken ~name stale_free =
   let pool = Epalloc.pool alloc in
   let claimed = Hashtbl.create 16 in
-  let aliased pv = quarantine && (Hashtbl.mem kept_values pv || Hashtbl.mem claimed pv) in
+  let aliased pv = quarantine && (Hashtbl.mem taken pv || Hashtbl.mem claimed pv) in
   List.iter
     (fun (leaf, pv) ->
       if pv = 0 then zero_span pool ~off:leaf ~len:Leaf.size
-      else if (not (aliased pv)) && Epalloc.value_committed alloc pv then begin
+      else if (not (aliased pv)) && Epalloc.is_value_obj alloc pv then begin
         Hashtbl.replace claimed pv ();
         Epalloc.set_owner alloc ~leaf true;
         name pv
@@ -480,7 +476,7 @@ let settle_free_slots alloc ~quarantine ~kept_values ~name stale_free =
      so every [d] excises the same leaves), then the quarantine PM
      writes; the kept values are named.
    - free slots (serial): [settle_free_slots] makes each free slot that
-     names a committed value its owner and names the value, and severs
+     names a value object its owner and names the value, and severs
      every other (DESIGN.md §6 item 2).
    - liveness (serial): [Epalloc.settle_values] commits every named
      value and frees every other (DESIGN.md §6 item 3).
@@ -573,7 +569,8 @@ let recover_parallel ?domains ?(quarantine = false) pool =
   let all r = List.concat_map ( ! ) (Array.to_list r) in
   let dropped = Hashtbl.create 16 in
   (* no crash leaves two committed leaves naming one value, so a shared
-     value means a media fault redirected one pointer *)
+     value means a media fault redirected one pointer; a value the
+     quarantine frees joins them, so no free slot owns it *)
   let kept_values = Hashtbl.create 256 in
   let name = Epalloc.name_value alloc named.(0) in
   if quarantine then begin
@@ -616,10 +613,11 @@ let recover_parallel ?domains ?(quarantine = false) pool =
     List.iter
       (fun (leaf, key, pv, detail) ->
         let pv = if Hashtbl.mem kept_values pv then 0 else pv in
-        quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail)
+        quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail;
+        if pv <> 0 then Hashtbl.replace kept_values pv ())
       !bad
   end;
-  settle_free_slots alloc ~quarantine ~kept_values ~name (all stale_free);
+  settle_free_slots alloc ~quarantine ~taken:kept_values ~name (all stale_free);
   Epalloc.settle_values alloc (Array.to_list named);
   let build p =
     let n = ref 0 in
@@ -713,6 +711,14 @@ let check_integrity t =
           if not (Hashtbl.mem seen_values obj) then
             fail "committed value object %d is unreferenced (leak)" obj))
     [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
+  (* the pool holds the root block, the chunks and (PM-node ablation)
+     the ART nodes: a chunk unlinked but never freed shows here *)
+  let chunks n cls = n + (Epalloc.chunk_count t.alloc cls * pool_bytes (Chunk.chunk_bytes cls)) in
+  let root_and_nodes = pool_bytes Epalloc.root_bytes + Atomic.get t.pm_node_bytes in
+  let accounted = List.fold_left chunks root_and_nodes Chunk.all_classes in
+  if Pmem.live_bytes t.pool <> accounted then
+    fail "pool holds %d live bytes but the root block, chunks and nodes take %d (leak?)"
+      (Pmem.live_bytes t.pool) accounted;
   Epalloc.check_invariants t.alloc
 
 (* ------------------------------------------------------------------ *)
@@ -882,10 +888,11 @@ let fsck ?(deep = true) t =
                  zero free slots and padding *)
               let osize = Chunk.obj_size cls in
               let touched_live = ref false in
+              let live = Epalloc.committed_bits alloc cls ~chunk in
               for idx = 0 to Chunk.objs_per_chunk - 1 do
                 let obj = Chunk.obj_off cls ~chunk ~idx in
                 if obj < lo + lb && obj + osize > lo then
-                  if Chunk.test_bit pool ~chunk ~idx then begin
+                  if live land (1 lsl idx) <> 0 then begin
                     touched_live := true;
                     if cls = Chunk.Leaf_c then
                       quarantine_leaf_here ~owner ~leaf:obj
@@ -980,8 +987,10 @@ let fsck ?(deep = true) t =
           | 0 -> ()
           | pv when Hashtbl.find_opt owned pv = Some leaf -> ()
           | pv ->
-              if not (Hashtbl.mem owner pv || Hashtbl.mem owned pv) then
-                free_committed alloc pv;
+              if
+                (not (Hashtbl.mem owner pv || Hashtbl.mem owned pv))
+                && Epalloc.value_committed alloc pv
+              then free_value alloc pv;
               sever t ~leaf;
               emit
                 {
@@ -997,43 +1006,37 @@ let fsck ?(deep = true) t =
   List.iter
     (fun vcls ->
       let orphans = ref [] in
-      Epalloc.iter_chunks alloc vcls (fun chunk ->
-          Chunk.iter_live pool vcls ~chunk (fun ~idx:_ ~obj ->
-              if not (Hashtbl.mem owner obj || Hashtbl.mem owned obj) then
-                orphans := obj :: !orphans));
+      Epalloc.iter_live_objs alloc vcls (fun ~obj ->
+          if not (Hashtbl.mem owner obj || Hashtbl.mem owned obj) then
+            orphans := obj :: !orphans);
       List.iter
         (fun obj ->
           reclaim_value alloc ~report:emit vcls ~obj
             ~detail:"unreferenced committed value object reclaimed")
         !orphans)
     [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
-  (* every chunk header must be the one its bitmap mirror implies: the
-     hint/full byte is a pure function of the bitmap, and the mirror holds
-     the bitmap the allocator last stored (skipped when the prologue line
-     is flagged by the ECC — rewriting would reseal a line whose chain
-     pointer is garbage) *)
-  List.iter
-    (fun cls ->
-      Epalloc.iter_chunks alloc cls (fun chunk ->
-          let repaired f_detail =
-            emit
-              {
-                Hart_error.f_site =
-                  Chunk_meta { cls = Epalloc.cls_name cls; chunk };
-                f_action = Repaired;
-                f_detail;
-                f_keys = [];
-                f_capacity = 0;
-              }
-          in
-          if not (bad_span chunk 1) then
-            match Epalloc.repair_header alloc cls ~chunk with
-            | `Intact -> ()
-            | `Hint_rewritten ->
-                repaired "hint/full header byte recomputed from the bitmap"
-            | `Bitmap_restored ->
-                repaired "PM bitmap restored from the allocator's DRAM mirror"))
-    Chunk.all_classes;
+  (* every leaf chunk header must be the one its bitmap mirror implies:
+     the hint/full byte is a pure function of the bitmap, and the mirror
+     holds the bitmap the allocator last stored (skipped when the
+     prologue line is flagged by the ECC — rewriting would reseal a line
+     whose chain pointer is garbage). A value chunk's header is never
+     read, so it needs no repair. *)
+  Epalloc.iter_chunks alloc Chunk.Leaf_c (fun chunk ->
+      let repaired f_detail =
+        emit
+          {
+            Hart_error.f_site = Chunk_meta { cls = Epalloc.cls_name Chunk.Leaf_c; chunk };
+            f_action = Repaired;
+            f_detail;
+            f_keys = [];
+            f_capacity = 0;
+          }
+      in
+      if not (bad_span chunk 1) then
+        match Epalloc.repair_header alloc ~chunk with
+        | `Intact -> ()
+        | `Hint_rewritten -> repaired "hint/full header byte recomputed from the bitmap"
+        | `Bitmap_restored -> repaired "PM bitmap restored from the allocator's DRAM mirror");
   (* -------- phase 3 (deep): checksum walk ------------------------- *)
   if deep then begin
     (if checksums then

@@ -459,6 +459,36 @@ let recycle_classes_workload ~domains ~ops_per_domain =
   in
   (setup, Array.init domains script)
 
+(* Class-changing take-overs of owning slots racing updates in the
+   owned values' chunks. The setup deletes "bb00", whose free slot then
+   owns its Val8 value; three filler keys keep that slot off "aa00"'s
+   line. Domain 0 inserts keys that take the owning slot over with a
+   value of the other class (Val32, then Val8, and so on), each freeing
+   the owned value, and deletes them again, so the slot owns the new
+   value; every other domain updates "aa00", whose Val8 chunk is where
+   a freed Val8 value goes back to. *)
+let takeover_race_workload ~domains ~ops_per_domain =
+  let script d =
+    List.init ops_per_domain (fun j ->
+        if d = 0 then
+          let key = Printf.sprintf "c%d00" (j / 2) in
+          if j mod 2 = 1 then Fault.Delete key
+          else Fault.Insert (key, if j mod 4 = 0 then String.make 20 'c' else "c")
+        else Fault.Update ("aa00", Printf.sprintf "u%d.%d" d j))
+  in
+  let setup =
+    [
+      Fault.Insert ("aa00", "v0");
+      Fault.Insert ("ab00", "f1");
+      Fault.Insert ("ac00", "f2");
+      Fault.Insert ("ad00", "f3");
+      Fault.Insert ("bb00", "v1");
+      Fault.Insert ("dd00", String.make 20 'd');
+      Fault.Delete "bb00";
+    ]
+  in
+  (setup, Array.init domains script)
+
 (* Seeded workload generator: a qcheck-style op mix (40% insert, 25%
    update, 15% delete, 20% search) over a small key universe that mixes
    per-domain private keys with keys shared across all domains, so
@@ -503,6 +533,7 @@ let workloads =
     ("update-race", fun ~seed:_ -> update_race_workload);
     ("recycle-race", fun ~seed:_ -> recycle_race_workload);
     ("recycle-classes", fun ~seed:_ -> recycle_classes_workload);
+    ("takeover-race", fun ~seed:_ -> takeover_race_workload);
     ("gen", gen_workload);
   ]
 

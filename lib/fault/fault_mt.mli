@@ -155,6 +155,16 @@ val recycle_race_workload :
     the owning slot over before the recycle, changing the value's class
     (Val8 to Val16). *)
 
+val takeover_race_workload :
+  domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array
+(** [(setup, scripts)] — class-changing take-overs racing updates: the
+    setup leaves a deleted key's free slot owning a Val8 value. Domain 0
+    inserts keys that take that slot over with a value of the other
+    class (Val32, then Val8, in turn), each freeing the owned value once
+    the slot names the new one, and deletes them again; every other
+    domain updates a Val8 key in the chunk the freed Val8 values go back
+    to. *)
+
 val recycle_classes_workload :
   domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array
 (** [(setup, scripts)] — two object classes recycling at once: the

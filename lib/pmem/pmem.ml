@@ -33,7 +33,10 @@ type t = {
   mutable brk : int;
   mutable live : int;
   mutable free_lists : (int, int list ref) Hashtbl.t;  (* size -> offsets *)
-  alloc_mu : Mutex.t;  (* guards brk/live/free_lists/grow *)
+  mutable unpublished : (int * int * int) list;
+      (* allocations whose publishing pointer is not yet durable:
+         (offset, rounded size, offset of the pointer) *)
+  alloc_mu : Mutex.t;  (* guards brk/live/free_lists/unpublished/grow *)
   mutable crash_after : int;  (* flushes until injected crash; -1 = off *)
   mutable crash_mode : crash_mode;
   mutable torn_commit_line : int;  (* line whose flush the crash interrupted *)
@@ -69,6 +72,7 @@ let create ?(capacity = 1 lsl 20) ?(max_capacity = 1 lsl 30) meter =
     brk = line_bytes (* offset 0 is the null persistent pointer *);
     live = 0;
     free_lists = Hashtbl.create 7;
+    unpublished = [];
     alloc_mu = Mutex.create ();
     crash_after = -1;
     crash_mode = Clean;
@@ -148,7 +152,7 @@ let grow t needed =
    buffers, which would invalidate concurrent loads/stores in other
    domains — multi-domain users must pre-size the pool (or call
    {!reserve} while quiesced) so growth never fires mid-run. *)
-let alloc t size =
+let alloc ?publish_at t size =
   if size <= 0 then invalid_arg "Pmem.alloc: size must be positive";
   Meter.pm_alloc t.meter;
   let rounded = (size + line_bytes - 1) / line_bytes * line_bytes in
@@ -181,6 +185,7 @@ let alloc t size =
         t.brk <- t.brk + rounded;
         off
   in
+  Option.iter (fun at -> t.unpublished <- (off, rounded, at) :: t.unpublished) publish_at;
   Mutex.unlock t.alloc_mu;
   off
 
@@ -199,6 +204,22 @@ let free t ~off ~len =
   in
   cell := off :: !cell;
   Mutex.unlock t.alloc_mu
+
+let published t ~off =
+  Mutex.lock t.alloc_mu;
+  t.unpublished <- List.filter (fun (o, _, _) -> o <> off) t.unpublished;
+  Mutex.unlock t.alloc_mu
+
+let is_free t ~off ~len =
+  let rounded = (len + line_bytes - 1) / line_bytes * line_bytes in
+  Mutex.lock t.alloc_mu;
+  let free =
+    match Hashtbl.find_opt t.free_lists rounded with
+    | Some cell -> List.mem off !cell
+    | None -> false
+  in
+  Mutex.unlock t.alloc_mu;
+  free
 
 let reserve t needed =
   if needed < 0 then invalid_arg "Pmem.reserve";
@@ -379,6 +400,18 @@ let do_crash t =
           end)
         lines);
   t.crash_mode <- Clean;
+  (* an allocation whose publishing pointer never reached PM is lost
+     with it *)
+  List.iter
+    (fun (off, rounded, at) ->
+      if Int64.to_int (Bytes.get_int64_le t.shadow at) <> off then begin
+        t.live <- t.live - rounded;
+        match Hashtbl.find_opt t.free_lists rounded with
+        | Some cell -> cell := off :: !cell
+        | None -> Hashtbl.add t.free_lists rounded (ref [ off ])
+      end)
+    t.unpublished;
+  t.unpublished <- [];
   Bytes.blit t.shadow 0 t.cache 0 t.capacity;
   Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
   Meter.invalidate_cache t.meter;

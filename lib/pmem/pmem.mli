@@ -57,9 +57,11 @@ val meter : t -> Meter.t
     own metadata is assumed durable. EPallocator's chunking amortises
     calls to it. *)
 
-val alloc : t -> int -> int
+val alloc : ?publish_at:int -> t -> int -> int
 (** [alloc t size] returns the offset of [size] fresh bytes, 64-byte
-    aligned, zero-filled in both views. Domain-safe: allocator metadata is
+    aligned, zero-filled in both views. With [~publish_at], until
+    {!published} a crash frees the allocation unless the 8-byte word at
+    that offset reached PM naming it (an atomic allocate-and-publish). Domain-safe: allocator metadata is
     guarded by an internal mutex. If the allocation forces the pool to
     grow, the backing buffers are replaced — concurrent accesses in other
     domains would race with the swap, so multi-domain users must pre-size
@@ -69,6 +71,13 @@ val alloc : t -> int -> int
 val free : t -> off:int -> len:int -> unit
 (** Return a region to the allocator's free list ([pfree] in Alg. 6).
     Domain-safe. *)
+
+val published : t -> off:int -> unit
+(** The caller persisted the pointer [alloc ~publish_at] named: the
+    allocation at [off] is durable. *)
+
+val is_free : t -> off:int -> len:int -> bool
+(** Whether the region is on the allocator's free list. *)
 
 val reserve : t -> int -> unit
 (** [reserve t bytes] grows the pool now (while the caller is quiesced)

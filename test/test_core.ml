@@ -194,13 +194,13 @@ let test_chunk_pnext () =
   Pmem.crash pool;
   Alcotest.(check int) "pnext durable" b (Chunk.pnext pool ~chunk:a)
 
-let test_chunk_iter_live () =
+let test_chunk_iter_slots () =
   let pool = fresh_pool () in
   let chunk = Chunk.alloc pool Chunk.Leaf_c in
   List.iter (fun idx -> Chunk.set_bit pool ~chunk ~idx) [ 3; 7; 55 ];
   let seen = ref [] in
-  Chunk.iter_live pool Chunk.Leaf_c ~chunk (fun ~idx ~obj ->
-      seen := (idx, obj) :: !seen;
+  Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx ~obj ~live ->
+      if live then seen := (idx, obj) :: !seen;
       Alcotest.(check int) "obj offset" (Chunk.obj_off Chunk.Leaf_c ~chunk ~idx) obj);
   Alcotest.(check (list int)) "live indices" [ 3; 7; 55 ]
     (List.rev_map fst !seen |> List.sort compare)
@@ -395,9 +395,10 @@ let test_eprecycle_cost_independent_of_length () =
 
 (* The spare rule: plain allocation hands out 55 slots of a value chunk
    and opens a new chunk rather than take the 56th. An update whose old
-   value sits in the chunk takes it, and both bits commit with one
-   header persist, which frees the old slot: that slot is the chunk's
-   spare from then on, and the next update in the chunk takes it. *)
+   value sits in the chunk takes it, and both bits change with one
+   store of the chunk's mirror word and no persist, which frees the old
+   slot: that slot is the chunk's spare from then on, and the next
+   update in the chunk takes it. *)
 let test_epalloc_spare_rule () =
   let a, pool = fresh_alloc () in
   let objs =
@@ -417,9 +418,12 @@ let test_epalloc_spare_rule () =
   let other16 = Epalloc.epmalloc_update a Chunk.Val16 ~old:objs.(8) in
   Alcotest.(check bool) "a class change allocates in its class" true
     (Epalloc.class_of_value_obj a other16 = Some Chunk.Val16);
-  let before = Pmem.flush_count pool in
+  let meter = Pmem.meter pool in
+  let before = Meter.counters meter in
   Epalloc.commit_update a Chunk.Val8 ~obj:fresh ~old;
-  Alcotest.(check int) "both bits, one flush" 1 (Pmem.flush_count pool - before);
+  let d = Meter.diff before (Meter.counters meter) in
+  Alcotest.(check int) "both bits, no flush" 0 d.Meter.flushes;
+  Alcotest.(check int) "both bits, one mirror store" 1 d.Meter.dram_writes;
   Alcotest.(check bool) "new bit set" true (Epalloc.obj_bit a Chunk.Val8 ~obj:fresh);
   Alcotest.(check bool) "old bit clear" false (Epalloc.obj_bit a Chunk.Val8 ~obj:old);
   Alcotest.(check int) "the freed old slot is the spare" 1
@@ -478,10 +482,13 @@ let test_epalloc_attach_rejects_garbage () =
     | exception Hart_error.Error { site = Hart_error.Root_block _; _ } -> true)
 
 let test_epalloc_leaf_repair () =
-  (* the Algorithm 1 crash windows: a free leaf slot names a value that
-     is committed (crash after the value's bit, before the leaf's) or
-     not (crash before the value's bit). Recovery makes the first slot
-     the value's owner, writing nothing, and severs the second. *)
+  (* the Algorithm 1 crash windows: a free leaf slot names a value whose
+     bit was set (crash after the value's bit, before the leaf's) or not
+     (crash before it). No value bit is durable, so recovery cannot tell
+     them apart and need not: each value was reserved for its slot, and
+     each slot becomes its value's owner, writing nothing. A slot whose
+     pointer names no value object (here, one between two objects) is
+     severed. *)
   let a, pool = fresh_alloc () in
   let stage committed =
     let leaf = fst (Epalloc.epmalloc_leaf a) in
@@ -492,29 +499,37 @@ let test_epalloc_leaf_repair () =
     (leaf, v)
   in
   let owner, v = stage true in
+  let owner', v' = stage false in
   let severed, _ = stage false in
-  (* crash: neither leaf bit was set *)
+  Leaf.set_p_value pool ~leaf:severed (v + 1);
+  (* crash: no leaf bit was set *)
   Pmem.crash pool;
   let flushes = Pmem.flush_count pool in
   let a' = Hart.alloc (Hart.recover pool) in
   Alcotest.(check int) "one flush: the sever" 1 (Pmem.flush_count pool - flushes);
-  Alcotest.(check int) "recovery keeps only the committed value" 1
+  Alcotest.(check int) "recovery keeps both named values" 2
     (Epalloc.live_objects a' Chunk.Val8);
   Alcotest.(check bool) "committed value kept" true
     (Epalloc.obj_bit a' Chunk.Val8 ~obj:v);
-  Alcotest.(check int) "uncommitted value's slot severed" 0
+  Alcotest.(check bool) "uncommitted value kept" true
+    (Epalloc.obj_bit a' Chunk.Val8 ~obj:v');
+  Alcotest.(check int) "the slot naming no object severed" 0
     (Leaf.p_value pool ~leaf:severed);
   let owned = ref [] in
   Epalloc.iter_owned a' (fun ~leaf -> owned := leaf :: !owned);
-  Alcotest.(check (list int)) "the other slot owns it" [ owner ] !owned;
+  Alcotest.(check (list int)) "the other slots own them" [ owner'; owner ] !owned;
   Alcotest.(check (pair int bool)) "handed out as an owner" (owner, true)
     (Epalloc.epmalloc_leaf a');
   Alcotest.(check int) "p_value kept" v (Leaf.p_value pool ~leaf:owner);
+  Alcotest.(check (pair int bool)) "then the second owner" (owner', true)
+    (Epalloc.epmalloc_leaf a');
   Alcotest.(check (pair int bool)) "then the severed slot, owning nothing"
     (severed, false) (Epalloc.epmalloc_leaf a')
 
 (* Allocator model check: random alloc/commit/free/recycle/crash
-   sequences against a simple set model. *)
+   sequences against a simple set model. A value bit is not durable, so
+   a crash recovers as a mount does: every value the model holds is
+   named, and the liveness pass commits exactly those. *)
 let qcheck_epalloc_model =
   let op_gen =
     QCheck.Gen.(
@@ -552,7 +567,10 @@ let qcheck_epalloc_model =
               | Some _ | None -> ())
           | `Crash ->
               Pmem.crash pool;
-              a := Epalloc.attach pool)
+              a := Epalloc.attach pool;
+              let named = Epalloc.runs () in
+              Hashtbl.iter (fun obj () -> Epalloc.name_value !a named obj) live;
+              Epalloc.settle_values !a [ named ])
         script;
       Epalloc.check_invariants !a;
       Epalloc.live_objects !a Chunk.Val16 = Hashtbl.length live)
@@ -1155,10 +1173,11 @@ let test_kept_record_quiescent_recovery () =
       Alcotest.(check (option string)) "value" (Some "NEW") (Hart.search h "target"))
     [ false; true ]
 
-(* Every crash between an update's p_value store and its bit commit,
-   in place (one header store) and across classes (the old chunk's
-   header, then the new one's): recovery names the new value, sets its
-   bit and clears the old one's, whatever the image held. *)
+(* A crash at an update's p_value store, the last of its two persists,
+   in place and across classes: the bit commit that follows it changes
+   only the DRAM mirror, so this is also every crash after the update
+   returned. Recovery names the new value, commits it and frees the old
+   one, and writes nothing. *)
 let test_update_p_value_windows () =
   List.iter
     (fun (value, first, last) ->
@@ -1172,13 +1191,12 @@ let test_update_p_value_windows () =
         | exception Pmem.Crash_injected -> ());
         Pmem.disarm_crash pool;
         let what = Printf.sprintf "%S, crash after %d flushes" value n in
-        Alcotest.(check (option string)) what (Some value) (recovered_value pool);
-        Pmem.crash pool;
         let f0 = Pmem.flush_count pool in
-        ignore (recovered_value pool : string option);
-        Alcotest.(check int) (what ^ ": settled for good") 0 (Pmem.flush_count pool - f0)
+        Alcotest.(check (option string)) what (Some value) (recovered_value pool);
+        Alcotest.(check int) (what ^ ": recovery writes nothing") 0
+          (Pmem.flush_count pool - f0)
       done)
-    [ ("NEW", 2, 2); ("a 16-byte value", 2, 3) ]
+    [ ("NEW", 2, 2); ("a 16-byte value", 2, 2) ]
 
 (* Crash a fresh [scenario] after [n] flushes of [op] on its store,
    where [n] is the flush count of [op] on a dry run of the same
@@ -1214,9 +1232,11 @@ let recover_twice pool =
 
 (* A delete that empties a leaf chunk whose free slot owns a value
    unlinks the chunk, then resets the value's bit: "lone" sits alone in
-   the second leaf chunk, and its value shares a chunk that stays. A
-   crash between the two leaves a committed value that nothing names;
-   recovery's liveness pass clears its bit with one header store. *)
+   the second leaf chunk, and its value shares a chunk that stays. The
+   reset changes only the DRAM mirror, so a crash after the unlink, the
+   delete's last persist, leaves the same image whether or not the
+   reset ran: a value that nothing names, whose bit attach does not
+   know. Recovery's liveness pass leaves it free and writes nothing. *)
 let test_recycle_unlink_window () =
   let scenario () =
     let h, pool = fresh_hart () in
@@ -1227,22 +1247,24 @@ let test_recycle_unlink_window () =
     (pool, h, Leaf.p_value pool ~leaf:(leaf_of h "lone"))
   in
   let op h = assert (Hart.delete h "lone") in
-  let pool, v = crash_before_last scenario op ~last:1 in
+  let pool, v = crash_before_last scenario op ~last:0 in
   let a = Epalloc.attach (Pmem.clone pool) in
   Alcotest.(check int) "leaf chunk unlinked" 1 (Epalloc.chunk_count a Chunk.Leaf_c);
-  Alcotest.(check bool) "value still committed" true (Epalloc.value_committed a v);
+  Alcotest.(check bool) "no value bit before the liveness pass" false
+    (Epalloc.value_committed a v);
   let h, flushes = recover_twice pool in
-  Alcotest.(check int) "recovery: one header store" 1 flushes;
+  Alcotest.(check int) "recovery: no flush" 0 flushes;
   Alcotest.(check bool) "unnamed value freed" false
     (Epalloc.value_committed (Hart.alloc h) v);
   Alcotest.(check int) "keys" 56 (Hart.count h)
 
 (* A take-over across classes writes the new value and the leaf, whose
    p_value then names the new value, and only then resets the old
-   value's bit. A crash between the leaf and the reset leaves the free
-   slot naming the new value, whose bit is clear, and the old value
-   committed with nothing naming it: attach severs the slot, and the
-   liveness pass clears the old value's bit. *)
+   value's bit, in the mirror. A crash between the leaf and the leaf's
+   bit leaves the free slot naming the new value and nothing naming the
+   old one: the free-slot step makes the slot the new value's owner
+   (the value was reserved for this insert), and the liveness pass
+   leaves the old value free. Recovery writes nothing. *)
 let test_takeover_class_window () =
   let scenario () =
     let h, pool = fresh_hart () in
@@ -1254,17 +1276,19 @@ let test_takeover_class_window () =
     assert (Hart.delete h "gone");
     (pool, h, (leaf, Leaf.p_value pool ~leaf))
   in
-  (* after Leaf.init: the old value's reset, the new value's bit and the
-     leaf's bit remain *)
+  (* after Leaf.init only the leaf's bit is persisted *)
   let op h = Hart.insert h ~key:"heir" ~value:"a 16-byte value" in
-  let pool, (leaf, old_v) = crash_before_last scenario op ~last:3 in
+  let pool, (leaf, old_v) = crash_before_last scenario op ~last:1 in
   let new_v = Leaf.p_value pool ~leaf in
   Alcotest.(check bool) "the slot names the new value" true (new_v <> 0 && new_v <> old_v);
-  let a = Epalloc.attach (Pmem.clone pool) in
-  Alcotest.(check bool) "old value still committed" true (Epalloc.value_committed a old_v);
   let h, flushes = recover_twice pool in
-  Alcotest.(check int) "recovery: the sever and one header store" 2 flushes;
-  Alcotest.(check int) "slot severed" 0 (Leaf.p_value pool ~leaf);
+  Alcotest.(check int) "recovery: no flush" 0 flushes;
+  Alcotest.(check int) "the slot keeps its pointer" new_v (Leaf.p_value pool ~leaf);
+  let owned = ref [] in
+  Epalloc.iter_owned (Hart.alloc h) (fun ~leaf -> owned := leaf :: !owned);
+  Alcotest.(check (list int)) "and owns the new value" [ leaf ] !owned;
+  Alcotest.(check bool) "new value committed" true
+    (Epalloc.value_committed (Hart.alloc h) new_v);
   Alcotest.(check bool) "unnamed value freed" false
     (Epalloc.value_committed (Hart.alloc h) old_v);
   Alcotest.(check (option string)) "heir never committed" None (Hart.search h "heir");
@@ -1518,12 +1542,27 @@ let test_hart_memory_accounting () =
    + s.Hart_core.Hart_stats.mirror_bytes)
     (Hart.dram_bytes h)
 
+(* The pool-leak check of [check_integrity] counts the ART nodes that
+   the PM-node ablation allocates from the pool, through node splits,
+   grows and shrinks. *)
+let test_hart_pm_nodes_accounted () =
+  let pool = fresh_pool () in
+  let h = Hart.create ~internal_nodes:`Pm pool in
+  for i = 0 to 1999 do
+    Hart.insert h ~key:(Printf.sprintf "pn%05d" (i * 7919 mod 2000)) ~value:"v"
+  done;
+  Hart.check_integrity h;
+  for i = 0 to 1999 do
+    if i mod 3 <> 0 then assert (Hart.delete h (Printf.sprintf "pn%05d" i))
+  done;
+  Hart.check_integrity h
+
 (* The persist budget of one quiesced operation (no chunk allocated or
-   recycled): an update persists the new value, the leaf's p_value and
-   both bits in one header store (the new value shares the old one's
-   chunk); one that changes the value's class commits the bits in two
-   chunks' headers, four persists. An insert persists the value, the
-   leaf (p_value and key together), the value's bit and the leaf's bit. *)
+   recycled). A value's bit changes in the allocator's DRAM mirror only,
+   so an update persists the new value and the leaf's p_value, two
+   persists, whether or not it changes the value's class. An insert
+   persists the value, the leaf (p_value and key together) and the
+   leaf's bit. *)
 let test_hart_persists_per_op () =
   let h, pool = fresh_hart () in
   for i = 0 to 9 do
@@ -1537,15 +1576,15 @@ let test_hart_persists_per_op () =
     Meter.diff before (Meter.counters meter)
   in
   let d = cost (fun () -> assert (Hart.update h ~key:"pc0003" ~value:"w")) in
-  Alcotest.(check int) "update: persist calls" 3 d.Meter.persist_calls;
+  Alcotest.(check int) "update: persist calls" 2 d.Meter.persist_calls;
   (* 8-byte value objects never straddle a line *)
-  Alcotest.(check int) "update: flushes" 3 d.Meter.flushes;
+  Alcotest.(check int) "update: flushes" 2 d.Meter.flushes;
   let d =
     cost (fun () -> assert (Hart.update h ~key:"pc0004" ~value:"a 16-byte value"))
   in
-  Alcotest.(check int) "class-changing update: persist calls" 4 d.Meter.persist_calls;
+  Alcotest.(check int) "class-changing update: persist calls" 2 d.Meter.persist_calls;
   let d = cost (fun () -> Hart.insert h ~key:"pc0010" ~value:"v") in
-  Alcotest.(check int) "insert: persist calls" 4 d.Meter.persist_calls;
+  Alcotest.(check int) "insert: persist calls" 3 d.Meter.persist_calls;
   (* the freed slot owns its value: the delete persists the leaf bit
      only, and the next insert takes the value over in place *)
   let d = cost (fun () -> assert (Hart.delete h "pc0010")) in
@@ -1556,15 +1595,16 @@ let test_hart_persists_per_op () =
   Alcotest.(check int) "no owning slot left" 0
     (Hart_core.Hart_stats.collect h).owned_values;
   (* a take-over across classes writes the new value and the leaf, then
-     frees the owned value and commits both bits *)
+     frees the owned value and commits both bits: the leaf's is the one
+     persist past the value and the leaf *)
   assert (Hart.delete h "pc0011");
   let d = cost (fun () -> Hart.insert h ~key:"pc0012" ~value:"a 16-byte value") in
-  Alcotest.(check int) "take-over, class change: persist calls" 5 d.Meter.persist_calls;
+  Alcotest.(check int) "take-over, class change: persist calls" 3 d.Meter.persist_calls;
   (* fill the first leaf chunk, so that "lone" is alone in a second one:
      deleting it recycles that chunk, whose free slot owns the value.
      The delete persists the leaf bit, the unlink its recycle record,
-     the list head and the record's reclaim, then the value's reset;
-     the value chunk stays *)
+     the list head and the record's reclaim; the value's reset persists
+     nothing, and the value chunk stays *)
   for i = 100 to 144 do
     Hart.insert h ~key:(Printf.sprintf "pc%04d" i) ~value:"v"
   done;
@@ -1575,7 +1615,7 @@ let test_hart_persists_per_op () =
   in
   Alcotest.(check (pair int int)) "two leaf chunks, one val8 chunk" (2, 1) (chunks ());
   let d = cost (fun () -> assert (Hart.delete h "lone")) in
-  Alcotest.(check int) "owning leaf-chunk recycle: persist calls" 5 d.Meter.persist_calls;
+  Alcotest.(check int) "owning leaf-chunk recycle: persist calls" 4 d.Meter.persist_calls;
   Alcotest.(check (pair int int)) "the leaf chunk recycled" (1, 1) (chunks ())
 
 (* PM reads per op. Every object read charges each line it covers
@@ -1611,7 +1651,9 @@ let test_hart_reads_per_op () =
   Pmem.crash pool;
   (* Attach reads no leaf slot. Beyond an empty pool's attach, this
      pool's attach reads the header word and the chain pointer of each
-     of its 8 chunks (4 leaf, 4 value) in the chunk-list walk. *)
+     of its 4 leaf chunks in the chunk-list walk, and only the chain
+     pointer of each of its 4 value chunks: a value chunk's header is
+     never read. *)
   let empty = fresh_pool () in
   ignore (Hart.create empty : Hart.t);
   Pmem.crash empty;
@@ -1621,7 +1663,7 @@ let test_hart_reads_per_op () =
     (Meter.diff before (Meter.counters (Pmem.meter pool))).Meter.pm_reads
   in
   let base = attach_reads empty in
-  Alcotest.(check int) "attach: pm reads over an empty pool's" (8 * 2)
+  Alcotest.(check int) "attach: pm reads over an empty pool's" ((4 * 2) + 4)
     (attach_reads pool - base);
   Pmem.crash pool;
   let r = ref h in
@@ -1631,20 +1673,21 @@ let test_hart_reads_per_op () =
      live leaves in slot phase 1, whose pointer ends the line before
      their key, read one more line each; the scan reads each free
      slot's value pointer as it passes *)
-  Alcotest.(check int) "recover: pm reads" 279 d.Meter.pm_reads
+  Alcotest.(check int) "recover: pm reads" 275 d.Meter.pm_reads
 
 (* The write path reads no chunk header on PM: allocation, bit commits,
    frees and recycling's emptiness test use the bitmap mirror, and each
-   header store is computed from it. What PM reads remain are the
+   leaf header store is computed from it. What PM reads remain are the
    leaf's value pointer, read by an update and by an insert that takes
    over an owning slot; a fresh insert and a delete read none. An update
    whose new value shares the old one's chunk reads 2 mirror words (the
-   reservation and the bit commit) and writes 1. rd0042's update took
-   its chunk's spare and freed its old slot in the same store, so
-   rd0043's update right after finds that slot. An update that changes
-   the value's class reserves in the other class's chunk (one read),
-   commits in two headers (a read and a write each, one more flush) and
-   tests the old chunk for recycling (one read). A fresh insert reads 4
+   reservation and the bit commit) and writes 1, and flushes only the
+   value and the p_value. rd0042's update took its chunk's spare and
+   freed its old slot in the same store, so rd0043's update right after
+   finds that slot. An update that changes the value's class reserves
+   in the other class's chunk (one read), commits in two mirror words (a
+   read and a write each, no flush) and tests the old chunk for
+   recycling (one read). A fresh insert reads 4
    mirror words and writes 2, a delete reads 2 (its bit, its chunk's
    recycling test) and writes 1, a take-over reads 2 and writes 1 (its
    leaf's chunk only: the value keeps its bit). The other DRAM reads are
@@ -1672,16 +1715,16 @@ let test_hart_write_path_reads () =
   in
   check "update after an update in the chunk"
     (cost (fun () -> assert (Hart.update h ~key:"rd0043" ~value:"w")))
-    ~pm_reads:1 ~flushes:3 ~dram_reads:(7 + 2) ~dram_writes:1;
+    ~pm_reads:1 ~flushes:2 ~dram_reads:(7 + 2) ~dram_writes:1;
   check "update"
     (cost (fun () -> assert (Hart.update h ~key:"rd0100" ~value:"w")))
-    ~pm_reads:1 ~flushes:3 ~dram_reads:(7 + 2) ~dram_writes:1;
+    ~pm_reads:1 ~flushes:2 ~dram_reads:(7 + 2) ~dram_writes:1;
   check "update, class change"
     (cost (fun () -> assert (Hart.update h ~key:"rd0101" ~value:"a 16-byte value")))
-    ~pm_reads:1 ~flushes:4 ~dram_reads:(7 + 4) ~dram_writes:2;
+    ~pm_reads:1 ~flushes:2 ~dram_reads:(7 + 4) ~dram_writes:2;
   check "insert"
     (cost (fun () -> Hart.insert h ~key:"rd0200" ~value:"v200"))
-    ~pm_reads:0 ~flushes:4 ~dram_reads:(5 + 4) ~dram_writes:2;
+    ~pm_reads:0 ~flushes:3 ~dram_reads:(5 + 4) ~dram_writes:2;
   check "delete"
     (cost (fun () -> assert (Hart.delete h "rd0200")))
     ~pm_reads:0 ~flushes:1 ~dram_reads:(3 + 2) ~dram_writes:1;
@@ -1700,7 +1743,7 @@ let test_hart_write_path_reads () =
    chunk holds 56 values, and every chunk holding 55 is down to its
    spare. *)
 let test_hart_spares_after_updates () =
-  let h, pool = fresh_hart () in
+  let h, _ = fresh_hart () in
   let n = 2200 in
   let key i = Printf.sprintf "sp%04d" i in
   for i = 0 to n - 1 do
@@ -1725,7 +1768,10 @@ let test_hart_spares_after_updates () =
     List.iter
       (fun cls ->
         Epalloc.iter_chunks alloc cls (fun chunk ->
-            let live = Hart_util.Bits.popcount (Chunk.bitmap pool ~chunk) in
+            let live =
+              Hart_util.Bits.popcount
+                (Int64.of_int (Epalloc.committed_bits alloc cls ~chunk))
+            in
             if live = Chunk.objs_per_chunk then
               Alcotest.failf "value chunk %d has all its bits set" chunk;
             if live = Epalloc.value_objs_per_chunk then incr at_spare))
@@ -1770,16 +1816,17 @@ let test_hart_cold_read_misses () =
      line for a leaf in slot phase 1 (200 here): a hit, since the line
      ends the leaf before it; the scan reads each free slot's value
      pointer with its chunk's other slots, and attach reads no leaf
-     chunk a second time *)
+     chunk a second time, and no value chunk's header: its 39 value
+     chunks' chain pointers are the only reads of their prologue lines *)
   Alcotest.(check int) "pm read misses" 1976 d.Meter.pm_read_misses;
-  Alcotest.(check int) "pm reads" 10632 d.Meter.pm_reads;
+  Alcotest.(check int) "pm reads" 10593 d.Meter.pm_reads;
   (* 31504 for recovery's rebuild and the searches' directory probes
      and ART descents, plus one mirror word per validated leaf (1600
-     search hits and 1600 scanned keys) and one per owning free slot,
-     whose value's bit recovery's free-slot step tests (400 deleted
-     keys), plus
-     the liveness pass's one read of each of the 7 value mirror lines *)
-  Alcotest.(check int) "dram reads" 35111 d.Meter.dram_reads
+     search hits and 1600 scanned keys), plus the liveness pass's one
+     read of each of the 7 value mirror lines; recovery's free-slot step
+     reads no mirror word (an owning slot needs only that its pointer
+     names a value object) *)
+  Alcotest.(check int) "dram reads" 34711 d.Meter.dram_reads
 
 (* ------------------------------------------------------------------ *)
 (* HART vs model                                                       *)
@@ -1907,35 +1954,41 @@ let test_insert_crash_sweep () =
   done;
   Alcotest.(check bool) "sweep exercised several crash points" true (!k >= 4)
 
+(* An update in place persists twice; one into a class with no chunk yet
+   also links a new chunk, four persists in all. Both are swept. *)
 let test_update_crash_sweep () =
-  let k = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let h, pool = fresh_hart () in
-    Hart.insert h ~key:"stable" ~value:"S";
-    Hart.insert h ~key:"target" ~value:"OLD";
-    let completed =
-      with_crash_at pool !k
-        (fun () -> ignore (Hart.update h ~key:"target" ~value:"NEW"))
-        (fun () ->
-          let h' = Hart.recover pool in
-          Hart.check_integrity h';
-          Alcotest.(check (option string)) "stable survives" (Some "S")
-            (Hart.search h' "stable");
-          (match Hart.search h' "target" with
-          | Some "OLD" | Some "NEW" -> ()
-          | v ->
-              Alcotest.failf "target corrupted after update crash: %s"
-                (Option.value v ~default:"<absent>"));
-          (* after recovery the update log must be fully reclaimed *)
-          ignore (Hart.update h' ~key:"target" ~value:"FINAL");
-          Alcotest.(check (option string)) "post-recovery update works"
-            (Some "FINAL") (Hart.search h' "target");
-          Hart.check_integrity h')
-    in
-    if completed then continue := false else incr k
-  done;
-  Alcotest.(check bool) "sweep exercised several crash points" true (!k >= 4)
+  let points = ref 0 in
+  List.iter
+    (fun value ->
+      let k = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let h, pool = fresh_hart () in
+        Hart.insert h ~key:"stable" ~value:"S";
+        Hart.insert h ~key:"target" ~value:"OLD";
+        let completed =
+          with_crash_at pool !k
+            (fun () -> ignore (Hart.update h ~key:"target" ~value))
+            (fun () ->
+              let h' = Hart.recover pool in
+              Hart.check_integrity h';
+              Alcotest.(check (option string)) "stable survives" (Some "S")
+                (Hart.search h' "stable");
+              (match Hart.search h' "target" with
+              | Some v when v = "OLD" || v = value -> ()
+              | v ->
+                  Alcotest.failf "target corrupted after update crash: %s"
+                    (Option.value v ~default:"<absent>"));
+              ignore (Hart.update h' ~key:"target" ~value:"FINAL");
+              Alcotest.(check (option string)) "post-recovery update works"
+                (Some "FINAL") (Hart.search h' "target");
+              Hart.check_integrity h')
+        in
+        if completed then continue := false else incr k
+      done;
+      points := !points + !k)
+    [ "NEW"; "a 16-byte value" ];
+  Alcotest.(check bool) "sweep exercised several crash points" true (!points >= 4)
 
 let test_delete_crash_sweep () =
   let k = ref 0 in
@@ -2244,7 +2297,9 @@ let test_double_recovery () =
    chunk walk, each leaf's read and its insert interleaved. The pool
    has been churned (recycled chunks, owning free slots) and updated, so
    the free-slot step and the liveness pass are in the bill too; the
-   image is quiescent, so neither writes anything. *)
+   image is quiescent, so neither writes anything. Attach reads no
+   value chunk's header (56 value chunks), and the free-slot step reads
+   no mirror word (750 owning slots). *)
 let test_recover_cost_pinned () =
   let pool = Pmem.create (Meter.create ~llc_bytes:(64 * 1024) Latency.c300_100) in
   let h = Hart.create pool in
@@ -2272,19 +2327,19 @@ let test_recover_cost_pinned () =
   Alcotest.(check int) "owning free slots" 750
     (Hart_core.Hart_stats.collect r).owned_values;
   let pin what want got = Alcotest.(check int) what want got in
-  pin "pm reads" 3741 d.Meter.pm_reads;
+  pin "pm reads" 3685 d.Meter.pm_reads;
   pin "pm writes" 0 d.Meter.pm_writes;
-  pin "dram reads" 9398 d.Meter.dram_reads;
+  pin "dram reads" 8648 d.Meter.dram_reads;
   pin "dram writes" 805 d.Meter.dram_writes;
   pin "pm read misses" 2003 d.Meter.pm_read_misses;
-  pin "dram read misses" 1898 d.Meter.dram_read_misses;
+  pin "dram read misses" 1892 d.Meter.dram_read_misses;
   pin "flushes" 0 d.Meter.flushes;
   pin "fences" 0 d.Meter.fences;
   pin "persist calls" 0 d.Meter.persist_calls;
   pin "evictions" 0 d.Meter.evictions;
   pin "pm allocs" 0 d.Meter.pm_allocs;
   pin "pm frees" 0 d.Meter.pm_frees;
-  Alcotest.(check (float 0.)) "sim ns" 440315. d.Meter.sim_ns;
+  Alcotest.(check (float 0.)) "sim ns" 435715. d.Meter.sim_ns;
   Hart.check_integrity r
 
 (* ------------------------------------------------------------------ *)
@@ -3162,30 +3217,36 @@ let test_parallel_recover_media_faulted () =
       Alcotest.(check (list string)) (what ^ "fsck afterwards") s_fsck p_fsck)
     [ 1; 2; 3; 4 ]
 
-(* A Val8 chunk of [populate_hart]'s store with a free slot: its
-   offset, that slot, and a committed slot. *)
-let val8_chunk_slots h =
-  let pool = Hart.pool h in
+(* A chunk of [populate_hart]'s store with a free slot that names
+   nothing: its offset, that slot, and a committed slot. *)
+let chunk_slots h cls =
+  let pool = Hart.pool h and alloc = Hart.alloc h in
   let found = ref None in
-  Epalloc.iter_chunks (Hart.alloc h) Chunk.Val8 (fun chunk ->
-      let bm = Chunk.bitmap pool ~chunk in
+  Epalloc.iter_chunks alloc cls (fun chunk ->
+      let bm = Epalloc.committed_bits alloc cls ~chunk in
+      let names_nothing i =
+        cls <> Chunk.Leaf_c || Leaf.p_value pool ~leaf:(Chunk.obj_off cls ~chunk ~idx:i) = 0
+      in
       let pick live =
-        List.find (fun i -> Int64.logand bm (Int64.shift_left 1L i) <> 0L = live)
+        List.find_opt
+          (fun i -> bm land (1 lsl i) <> 0 = live && (live || names_nothing i))
           (List.init Chunk.objs_per_chunk Fun.id)
       in
-      if !found = None then found := Some (chunk, pick false, pick true));
+      match (!found, pick false, pick true) with
+      | None, Some free, Some live -> found := Some (chunk, free, live)
+      | _ -> ());
   Option.get !found
 
 let fails_integrity h =
   match Hart.check_integrity h with () -> false | exception Failure _ -> true
 
 (* A stray store of a well-formed header with a different bitmap leaves
-   the allocator's DRAM mirror and the PM bitmap disagreeing; the
+   a leaf chunk's DRAM mirror and its PM bitmap disagreeing; the
    allocator's invariant check names the chunk. *)
 let test_mirror_desync_caught () =
   let h, pool, _ = populate_hart () in
   Hart.check_integrity h;
-  let chunk, free, _ = val8_chunk_slots h in
+  let chunk, free, _ = chunk_slots h Chunk.Leaf_c in
   let bm = Int64.logor (Chunk.bitmap pool ~chunk) (Int64.shift_left 1L free) in
   Pmem.set_u64 pool chunk (Chunk.header_of_bitmap bm);
   Pmem.persist pool ~off:chunk ~len:8;
@@ -3196,34 +3257,52 @@ let test_mirror_desync_caught () =
         (String.starts_with ~prefix:(Printf.sprintf "bitmap mirror of chunk %d " chunk) msg));
   Alcotest.(check bool) "check_integrity fails" true (fails_integrity h)
 
-(* A live store whose value-chunk header was corrupted: scrub leaves
-   the PM header equal to the bitmap mirror again, so the store passes
-   its integrity check and serves every binding. A media bit flip that
-   marks a free slot used is reclaimed as an orphan (resealing the
-   line); a stray store that clears a live value's bit is put back from
-   the mirror. *)
-let test_scrub_heals_value_header () =
+(* A value chunk's bitmap lives only in the allocator's DRAM mirror:
+   nothing reads the header word on PM, and recovery rebuilds the
+   mirror from what the leaves and owning free slots name. So a crashed
+   image mounts the same whatever its value headers hold: as this
+   version leaves them (zero), as a version that persisted every value
+   bit left them (each header matching its mirror), all ones, or zero
+   again. Each gives the same bindings, statistics and integrity. *)
+let test_value_headers_never_read () =
   let h, pool, model = populate_hart () in
-  let chunk, free, live = val8_chunk_slots h in
-  Pmem.inject_media_fault pool (Pmem.Flip_bit { off = chunk + (free / 8); bit = free mod 8 });
-  Alcotest.(check bool) "flipped bit: check_integrity fails" true (fails_integrity h);
-  let details = List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.scrub h) in
-  Alcotest.(check bool) "flipped bit: orphan reclaimed" true
-    (List.mem "unreferenced committed value object reclaimed" details);
-  Hart.check_integrity h;
-  Alcotest.(check (list int)) "flipped bit: line resealed" []
-    (Pmem.media_verify pool).Pmem.corrupt_lines;
-  let bm = Int64.logand (Chunk.bitmap pool ~chunk) (Int64.lognot (Int64.shift_left 1L live)) in
-  Pmem.set_u64 pool chunk (Chunk.header_of_bitmap bm);
-  Pmem.persist pool ~off:chunk ~len:8;
-  Alcotest.(check bool) "cleared bit: check_integrity fails" true (fails_integrity h);
-  Alcotest.(check (list string)) "cleared bit: bitmap restored"
-    [ "PM bitmap restored from the allocator's DRAM mirror" ]
-    (List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.scrub h));
-  Hart.check_integrity h;
-  Alcotest.(check int) "scrub converges" 0 (List.length (Hart.scrub h));
-  Alcotest.(check (list (pair string string)))
-    "bindings intact" (SMap.bindings model) (dump_hart h)
+  List.iteri
+    (fun i (key, value) ->
+      if i mod 5 = 2 then assert (Hart.update h ~key ~value:("u" ^ value)))
+    (SMap.bindings model);
+  let committed = ref [] in
+  let alloc = Hart.alloc h in
+  List.iter
+    (fun cls ->
+      Epalloc.iter_chunks alloc cls (fun chunk ->
+          committed := (chunk, Epalloc.committed_bits alloc cls ~chunk) :: !committed))
+    [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
+  Alcotest.(check bool) "the store has value chunks" true (List.length !committed >= 3);
+  let live = dump_hart h in
+  Pmem.crash pool;
+  let mount ~header =
+    let p = Pmem.clone pool in
+    List.iter
+      (fun (chunk, bits) ->
+        Pmem.set_u64 p chunk (header bits);
+        Pmem.persist p ~off:chunk ~len:8)
+      !committed;
+    let h = Hart.recover p in
+    Hart.check_integrity h;
+    (dump_hart h, Format.asprintf "%a" Hart_core.Hart_stats.pp (Hart_core.Hart_stats.collect h))
+  in
+  let bindings, stats = mount ~header:(fun _ -> 0L) in
+  Alcotest.(check (list (pair string string))) "bindings" live bindings;
+  List.iter
+    (fun (what, header) ->
+      let b, st = mount ~header in
+      Alcotest.(check (list (pair string string))) (what ^ ": bindings") bindings b;
+      Alcotest.(check string) (what ^ ": stats") stats st)
+    [
+      ("headers as the mirror", Chunk.header_of_bits);
+      ("all ones", fun _ -> -1L);
+      ("zero", fun _ -> 0L);
+    ]
 
 (* k seeded media faults into a populated pool: a quarantining mount
    plus fsck must partition every finding into {repaired, quarantined,
@@ -3519,7 +3598,7 @@ let test_media_findings_pinned () =
       then Alcotest.failf "no leaf quarantined by %s" who)
     [ "mount"; "fsck" ];
   Alcotest.(check string)
-    "rendering md5" "e42d247b483a92457f1993e30223d28c"
+    "rendering md5" "d8a52e5cd21be1500f74dde9ca67863b"
     (Digest.to_hex (Digest.string rendering))
 
 let () =
@@ -3541,7 +3620,7 @@ let () =
             test_chunk_header_of_bits;
           Alcotest.test_case "header durable" `Quick test_chunk_header_durable;
           Alcotest.test_case "pnext durable" `Quick test_chunk_pnext;
-          Alcotest.test_case "iter_live" `Quick test_chunk_iter_live;
+          Alcotest.test_case "iter_slots" `Quick test_chunk_iter_slots;
         ] );
       ( "epalloc",
         [
@@ -3611,6 +3690,8 @@ let () =
           Alcotest.test_case "fold/min/max" `Quick test_hart_fold_min_max;
           Alcotest.test_case "stats" `Quick test_hart_stats;
           Alcotest.test_case "memory accounting" `Quick test_hart_memory_accounting;
+          Alcotest.test_case "pm-node ablation leaks nothing" `Quick
+            test_hart_pm_nodes_accounted;
           Alcotest.test_case "persist calls per op" `Quick test_hart_persists_per_op;
           Alcotest.test_case "pm reads per op" `Quick test_hart_reads_per_op;
           Alcotest.test_case "cold read misses" `Quick test_hart_cold_read_misses;
@@ -3700,8 +3781,8 @@ let () =
             test_unrepairable_leaf_quarantined;
           Alcotest.test_case "bitmap mirror desync caught" `Quick
             test_mirror_desync_caught;
-          Alcotest.test_case "scrub heals a value-chunk header" `Quick
-            test_scrub_heals_value_header;
+          Alcotest.test_case "value-chunk PM headers are never read" `Quick
+            test_value_headers_never_read;
           QCheck_alcotest.to_alcotest qcheck_media_fsck_partition;
           Alcotest.test_case "media findings pinned" `Quick test_media_findings_pinned;
         ] );

@@ -166,12 +166,12 @@ let schedule_space_pin () =
         (Printf.sprintf "%s: nested schedules" name)
         nested r.Fault.nested_schedules)
     [
-      ("update-log", 65, 65, 121);
-      ("update-own", 46, 46, 23);
-      ("delete-recycle", 61, 61, 124);
-      ("mixed-dense", 59, 59, 75);
-      ("chunk-unlink", 192, 192, 603);
-      ("split-chain", 149, 149, 39);
+      ("update-log", 49, 49, 96);
+      ("update-own", 36, 36, 24);
+      ("delete-recycle", 51, 51, 105);
+      ("mixed-dense", 47, 47, 48);
+      ("chunk-unlink", 24, 24, 75);
+      ("split-chain", 114, 114, 6);
     ]
 
 let oracle_semantics () =
@@ -701,15 +701,16 @@ let mt_generated () =
 (* Checkpointed replay must check exactly what full re-execution checks:
    same flush census, same in-flight statistics, zero violations, and
    snapshots must actually have been taken and used. Eight ops per
-   domain give the dry run two quiescent points past 20 flushes with
-   crash points after them (four ops, 23 flushes, leave none). *)
+   domain (40 flushes) give the dry run two quiescent points, each past
+   another 15 flushes, with crash points after them (four ops, 17
+   flushes, leave none). *)
 let mt_checkpoint_equivalence () =
   let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:8 in
   let plain =
     Fault_mt.explore ~seed:42L ~domains:2 ~workload:"mt-cp" ~setup scripts
   in
   let cp =
-    Fault_mt.explore ~checkpoint_every:20 ~seed:42L ~domains:2
+    Fault_mt.explore ~checkpoint_every:15 ~seed:42L ~domains:2
       ~workload:"mt-cp" ~setup scripts
   in
   Alcotest.(check int) "same flush census" plain.Fault.total_flushes
@@ -751,10 +752,12 @@ let mt_nested_sweep target () =
     r.Fault.nested_schedules;
   Alcotest.(check int) "no violations" 0 (List.length r.Fault.violations)
 
-(* HART's recovery rewrites PM (micro-log replay, bitmap repair), so
-   the nested sweep must actually have boundaries to crash. *)
+(* HART's recovery rewrites PM only to finish what a crash cut short: a
+   recycle-log replay, an emptied value chunk's unlink, a sever. The
+   recycle-classes workload's crashes leave all of these, so the nested
+   sweep must actually have boundaries to crash. *)
 let mt_nested_hart_covers () =
-  let setup, scripts = Fault_mt.default_workload ~domains:2 ~ops_per_domain:6 in
+  let setup, scripts = Fault_mt.recycle_classes_workload ~domains:2 ~ops_per_domain:6 in
   let r =
     Fault_mt.explore ~nested:true ~seed:42L ~domains:2 ~workload:"mt-nested"
       ~setup scripts
@@ -848,8 +851,8 @@ let srv_determinism () =
   let setup, scripts =
     Fault_server.default_workload ~clients:2 ~ops_per_client:6
   in
-  let p1 = Fault_server.probe ~seed:7L ~schedule:20 ~setup scripts in
-  let p2 = Fault_server.probe ~seed:7L ~schedule:20 ~setup scripts in
+  let p1 = Fault_server.probe ~seed:7L ~schedule:14 ~setup scripts in
+  let p2 = Fault_server.probe ~seed:7L ~schedule:14 ~setup scripts in
   Alcotest.(check bool) "byte-level replay is identical" true (p1 = p2);
   Alcotest.(check bool) "the armed schedule fired" true p1.Fault.p_crashed;
   Alcotest.(check (list string)) "no oracle errors" [] p1.Fault.p_errors
@@ -887,17 +890,25 @@ let mt_counter_pin () =
       ( "mt-default",
         Fault_mt.default_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 35); ("schedules", 35);
-          ("nested", 10); ("recovery-flushes", 10); ("max-in-flight", 2);
-          ("multi-in-flight", 20); ("contended", 3); ("checkpoints", 0);
+          ("ops", 12); ("flush-boundaries", 27); ("schedules", 27);
+          ("nested", 0); ("recovery-flushes", 0); ("max-in-flight", 2);
+          ("multi-in-flight", 15); ("contended", 3); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
       ( "mt-collide",
         Fault_mt.collide_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 41); ("schedules", 41);
-          ("nested", 14); ("recovery-flushes", 14); ("max-in-flight", 2);
-          ("multi-in-flight", 15); ("contended", 11); ("checkpoints", 0);
+          ("ops", 12); ("flush-boundaries", 31); ("schedules", 31);
+          ("nested", 0); ("recovery-flushes", 0); ("max-in-flight", 2);
+          ("multi-in-flight", 6); ("contended", 9); ("checkpoints", 0);
+          ("replays", 0); ("violations", 0);
+        ] );
+      ( "mt-recycle-classes",
+        Fault_mt.recycle_classes_workload ~domains:2 ~ops_per_domain:6,
+        [
+          ("ops", 12); ("flush-boundaries", 51); ("schedules", 51);
+          ("nested", 54); ("recovery-flushes", 54); ("max-in-flight", 2);
+          ("multi-in-flight", 32); ("contended", 1); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
     ]
@@ -915,7 +926,7 @@ let srv_counters r =
     ("violations", List.length r.Fault.violations);
   ]
 
-(* seed 11 at the CLI's 28 requests per client: the 96 + 52 boundaries
+(* seed 11 at the CLI's 28 requests per client: the 73 + 38 boundaries
    the server DST gate sweeps, clean and torn *)
 let srv_counter_pin () =
   let setup, scripts =
@@ -926,16 +937,16 @@ let srv_counter_pin () =
   in
   let default_pin =
     [
-      ("ops", 56); ("flush-boundaries", 96); ("schedules", 96);
-      ("recovery-flushes", 32); ("max-in-flight", 2);
-      ("multi-in-flight", 37); ("acked", 1575); ("dropped-sessions", 0);
+      ("ops", 56); ("flush-boundaries", 73); ("schedules", 73);
+      ("recovery-flushes", 0); ("max-in-flight", 2);
+      ("multi-in-flight", 24); ("acked", 1191); ("dropped-sessions", 0);
       ("violations", 0);
     ]
   and drop_pin =
     [
-      ("ops", 56); ("flush-boundaries", 52); ("schedules", 52);
-      ("recovery-flushes", 14); ("max-in-flight", 1);
-      ("multi-in-flight", 0); ("acked", 412); ("dropped-sessions", 52);
+      ("ops", 56); ("flush-boundaries", 38); ("schedules", 38);
+      ("recovery-flushes", 0); ("max-in-flight", 1);
+      ("multi-in-flight", 0); ("acked", 283); ("dropped-sessions", 38);
       ("violations", 0);
     ]
   in
@@ -1176,15 +1187,20 @@ let recycle_race_sweep () =
 (* The recycle's order, unlink then free the owned values, under a
    schedule that puts an allocation of the freed value in between. The
    recycle-race setup leaves "aa00" alone in the second leaf chunk while
-   its Val8 value shares a chunk that stays linked. The first domain
-   deletes "aa00"; the other two insert Val8 values, and under
-   [Free_before_unname] one of them is given the freed value and
-   commits it before the unlink is durable, first at seed 67: the free
-   slot that still names it then owns a value a live key names. *)
+   its Val8 value shares a chunk with "zz00"'s that stays linked. The
+   first domain deletes "aa00"; the other updates "zz00", whose new
+   value goes into that chunk's lowest free slot. Under
+   [Free_before_unname] the update is given the freed value and names
+   it durably before the unlink's record is, first at seed 22: the free
+   slot that still names it then owns a value a live key names. (An
+   insert cannot get there first: with the first leaf chunk full and
+   the second being recycled it must open a leaf chunk, under the leaf
+   class lock the unlink holds.) *)
 let recycle_frees_after_unlink () =
-  let setup, _ = Fault_mt.recycle_race_workload ~domains:3 ~ops_per_domain:0 in
-  let inserts p = List.init 2 (fun i -> Fault.Insert (Printf.sprintf "%s%d00" p i, "w")) in
-  let scripts = [| [ Fault.Delete "aa00" ]; inserts "b"; inserts "c" |] in
+  let setup, _ = Fault_mt.recycle_race_workload ~domains:2 ~ops_per_domain:0 in
+  let scripts =
+    [| [ Fault.Delete "aa00" ]; [ Fault.Update ("zz00", "y"); Fault.Update ("zz00", "z") ] |]
+  in
   Alcotest.(check int) "violations" 0 (mt_violations ~seed:7L ~setup scripts);
   let first =
     with_mutation Epalloc.Free_before_unname (fun () ->
@@ -1192,18 +1208,33 @@ let recycle_frees_after_unlink () =
           (fun seed -> mt_violations ~seed:(Int64.of_int seed) ~setup scripts > 0)
           (List.init 200 (fun i -> i + 1)))
   in
-  Alcotest.(check (option int)) "freeing before the unlink is caught" (Some 67) first
+  Alcotest.(check (option int)) "freeing before the unlink is caught" (Some 22) first
 
-(* The recycle-race workload sweeps clean, and freeing an owned value
-   before its slot stops naming it fails the sweep at seed 1: the
-   recycling domain frees the deleted key's value before the unlink,
-   and the other domain is given it and commits it before the crash. *)
+(* Freeing an owned value before its slot stops naming it fails the
+   sweeps CI runs, at both sites. The recycle-race sweep at seed 42 (the
+   CLI's default) reaches the recycle site: the recycling domain frees
+   the deleted key's value before the unlink, and the other domain is
+   given it and commits it before the crash. The takeover-race sweep at
+   seed 8 reaches the take-over site: the insert frees the owned value
+   before its leaf store, and the updating domain is given it. (Checked
+   site by site with each half of the mutation disabled: recycle-race
+   reaches only the recycle site, takeover-race only the take-over
+   site.) Both sweep clean without the mutation. *)
 let free_before_unname_caught () =
-  let setup, scripts = Fault_mt.recycle_race_workload ~domains:2 ~ops_per_domain:6 in
-  Alcotest.(check bool) "clean sweep passes" false (mt_violates ~seed:1L ~setup scripts);
-  Alcotest.(check bool) "free before unname fails the recycle-race sweep" true
-    (with_mutation Epalloc.Free_before_unname (fun () ->
-         mt_violates ~seed:1L ~setup scripts))
+  List.iter
+    (fun (name, workload, seed) ->
+      let setup, scripts = workload ~domains:2 ~ops_per_domain:6 in
+      Alcotest.(check bool) (name ^ ": clean sweep passes") false
+        (mt_violates ~seed ~setup scripts);
+      Alcotest.(check bool)
+        (Printf.sprintf "free before unname fails the %s sweep" name)
+        true
+        (with_mutation Epalloc.Free_before_unname (fun () ->
+             mt_violates ~seed ~setup scripts)))
+    [
+      ("recycle-race", Fault_mt.recycle_race_workload, 42L);
+      ("takeover-race", Fault_mt.takeover_race_workload, 8L);
+    ]
 
 (* A slot another domain commits and deletes while a recycle of its
    leaf chunk is being decided must leave nothing behind: whichever
@@ -1240,10 +1271,11 @@ let recycle_race_leaves_nothing () =
 (* Two classes recycling at once: every schedule of the recycle-classes
    workload, clean and torn, recovers to an admissible state, and some
    crash boundary leaves both recycles' records pending, each in its
-   own class's slot (leaf 0, val32 3). *)
+   own class's slot (leaf 0, val32 3). Seed 3 overlaps the two recycles
+   at 6 of its 51 boundaries (seed 42, the CLI's default, at none). *)
 let recycle_classes_sweep () =
   let module Microlog = Hart_core.Microlog in
-  let seed = 42L in
+  let seed = 3L in
   let setup, scripts = Fault_mt.recycle_classes_workload ~domains:2 ~ops_per_domain:6 in
   let sweep mode =
     Fault_mt.explore ~mode ~keep_going:true ~seed ~domains:2 ~workload:"recycle-classes"
@@ -1278,9 +1310,10 @@ let recycle_classes_sweep () =
 (* The server sweep must catch real durability bugs end to end: the
    same injected update bug, observed through RESP sessions instead of
    direct index calls, and carved down to a minimal replayable
-   reproducer by the same delta-debugging core. Of seeds 1-60 only 16
-   interleaves two sessions' updates in one value chunk inside the
-   window. *)
+   reproducer by the same delta-debugging core. Of seeds 1-120 only
+   23, 71, 72 and 82 interleave two sessions' updates in one value
+   chunk inside the window, and 82's violation shrinks to the fewest
+   ops. *)
 
 let srv_violates ~seed ~setup scripts =
   match
@@ -1299,7 +1332,7 @@ let srv_shrink_regression () =
           (fun s ->
             ( Int64.of_int s,
               Fault_server.default_workload ~clients:2 ~ops_per_client:8 ))
-          [ 1; 2; 3; 4; 5; 11; 16 ]
+          [ 1; 2; 3; 4; 5; 11; 82 ]
       in
       match
         List.find_opt

@@ -42,6 +42,29 @@ let test_live_bytes () =
   Pmem.free pool ~off:a ~len:100;
   Alcotest.(check int) "returns to base" base (Pmem.live_bytes pool)
 
+(* An allocation made with [~publish_at] survives a crash only if the
+   word at that offset reached PM naming it, or the caller declared it
+   published: a crash before either frees it. *)
+let test_alloc_publish () =
+  let pool, _ = fresh () in
+  let root = Pmem.alloc pool 64 in
+  let base = Pmem.live_bytes pool in
+  let a = Pmem.alloc pool 100 ~publish_at:root in
+  Pmem.crash pool;
+  Alcotest.(check int) "unpublished: freed by the crash" base (Pmem.live_bytes pool);
+  Alcotest.(check bool) "on the free list" true (Pmem.is_free pool ~off:a ~len:100);
+  let b = Pmem.alloc pool 100 ~publish_at:root in
+  Pmem.set_u64 pool root (Int64.of_int b);
+  Pmem.persist pool ~off:root ~len:8;
+  Pmem.crash pool;
+  Alcotest.(check int) "pointer durable: kept" (base + 128) (Pmem.live_bytes pool);
+  let c = Pmem.alloc pool 100 ~publish_at:root in
+  Pmem.published pool ~off:c;
+  Pmem.set_u64 pool root 0L;
+  Pmem.persist pool ~off:root ~len:8;
+  Pmem.crash pool;
+  Alcotest.(check int) "declared published: kept" (base + 256) (Pmem.live_bytes pool)
+
 let test_alloc_grows () =
   let pool, _ = fresh ~capacity:4096 () in
   let off = Pmem.alloc pool 100_000 in
@@ -1192,6 +1215,7 @@ let () =
           Alcotest.test_case "zero-filled" `Quick test_alloc_zeroed;
           Alcotest.test_case "reuse after free" `Quick test_alloc_reuse_after_free;
           Alcotest.test_case "live byte accounting" `Quick test_live_bytes;
+          Alcotest.test_case "publish or lose on crash" `Quick test_alloc_publish;
           Alcotest.test_case "grows on demand" `Quick test_alloc_grows;
           Alcotest.test_case "growth preserves both views" `Quick test_alloc_grow_preserves;
           Alcotest.test_case "capped pool raises" `Quick test_alloc_cap;

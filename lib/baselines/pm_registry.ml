@@ -4,7 +4,7 @@
     Those trees keep their {e inner nodes} charge-modelled (DESIGN.md):
     real pool addresses, metered stores and flushes, but no durable
     bytes — so after a crash the node graph cannot be re-walked. Their
-    ground truth is the set of 40-byte leaves (Hart_core.Leaf) plus
+    ground truth is the set of 32-byte leaves (Hart_core.Leaf) plus
     value objects ({!Pm_value}), which ARE byte-stored. This module
     makes that leaf set discoverable after a crash: a root block (the
     pool's first allocation, tagged with a per-index magic) heads a

@@ -1,7 +1,7 @@
 (** Persistent leaf registry: the crash-discoverable ground truth of the
     charge-modelled radix baselines (WORT, WOART, ART+CoW). A root block
     at the pool's first allocation heads a chain of 512-byte slot
-    chunks; each live 40-byte leaf occupies one 8-byte slot. Registering
+    chunks; each live 32-byte leaf occupies one 8-byte slot. Registering
     (one persisted word store) is the insert commit point; deregistering
     (persisted zero) strictly precedes freeing the leaf. *)
 

@@ -22,13 +22,14 @@ let free pool obj =
   let len = Pmem.get_u8 pool obj in
   Pmem.free pool ~off:obj ~len:(1 + len)
 
-(* The shared 40-byte leaf layout (Hart_core.Leaf): key + value pointer.
+(* The shared 32-byte leaf layout (Hart_core.Leaf): key + value pointer.
    [update] is the uniform out-of-place value update: new value written
    and persisted, 8-byte pointer swap as commit, old value freed. *)
 let update_leaf pool ~leaf payload =
-  let old_v = Hart_core.Leaf.p_value pool ~leaf in
+  let head = Hart_core.Leaf.head pool ~leaf in
+  let old_v = Hart_core.Leaf.head_p_value head in
   let new_v = write pool payload in
-  Hart_core.Leaf.set_p_value pool ~leaf new_v;
+  Hart_core.Leaf.set_p_value pool ~leaf ~head new_v;
   if old_v <> 0 then free pool old_v
 
 (* Validated read: the final PM key comparison of a radix descent. *)
@@ -40,11 +41,11 @@ let read_leaf pool ~leaf key =
 let free_leaf pool ~leaf =
   let v = Hart_core.Leaf.p_value pool ~leaf in
   if v <> 0 then free pool v;
-  Pmem.free pool ~off:leaf ~len:40
+  Pmem.free pool ~off:leaf ~len:Hart_core.Leaf.size
 
 let new_leaf pool ~key ~payload =
-  let leaf = Pmem.alloc pool 40 in
-  Hart_core.Leaf.write_key pool ~leaf key;
+  let leaf = Pmem.alloc pool Hart_core.Leaf.size in
+  let head = Hart_core.Leaf.write_key pool ~leaf key in
   let v = write pool payload in
-  Hart_core.Leaf.set_p_value pool ~leaf v;
+  Hart_core.Leaf.set_p_value pool ~leaf ~head v;
   leaf

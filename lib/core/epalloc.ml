@@ -2,12 +2,20 @@ module Pmem = Hart_pmem.Pmem
 module Meter = Hart_pmem.Meter
 module Bits = Hart_util.Bits
 
-let magic = 0x484152545F763032L (* "HART_v02" *)
+let magic = 0x484152545F763033L (* "HART_v03" *)
 
-(* The v01 root packed the micro-logs right after the scalars (from byte
-   48 of the root line, 24-byte stride); its images are refused, never
-   replayed at this layout's offsets. *)
-let magic_v01 = 0x484152545F763031L (* "HART_v01" *)
+(* Older formats are refused, never mounted at this layout's offsets:
+   the v01 root packed the micro-logs right after the scalars (from byte
+   48 of the root line, 24-byte stride); v02 kept 40-byte leaves behind
+   a PM occupancy bitmap, whose commit point this layout does not
+   have. *)
+let old_magics =
+  [
+    (0x484152545F763031L, "HART_v01", "whose micro-logs sit at other offsets");
+    ( 0x484152545F763032L,
+      "HART_v02",
+      "whose 40-byte leaves commit through a PM chunk bitmap" );
+  ]
 let root_off = 64 (* first allocation of a fresh pool *)
 let n_classes = 4
 
@@ -32,7 +40,7 @@ let cls_name = function
 
 (* Root block layout: magic@0, kh@8, heads@16+8*cls on the first line,
    which the scalars have to themselves; the log region fills the lines
-   after it: the reserved lines, then the recycle slots, one per line. *)
+   after it, one recycle slot per line. *)
 let head_field cls = root_off + 16 + (8 * cls_id cls)
 let root_scalar_bytes = 16 + (8 * n_classes)
 let log_base = root_off + Pmem.line_bytes
@@ -44,11 +52,10 @@ let root_bytes = Pmem.line_bytes + Microlog.region_bytes
    (if stale) record, and a recycled chunk's record keeps its empty
    bitmap for good.
 
-   [bits] is the DRAM mirror of the chunk's 56-bit occupancy bitmap. A
-   leaf chunk's header is stored and persisted with it under the
-   stripe lock, and [attach] reads it back; a value chunk's word is the
-   only copy, which recovery's liveness pass rebuilds (DESIGN.md §6
-   item 3). The mirror is a dense DRAM array of 8-byte words, 8 to a
+   [bits] is the chunk's 56-bit occupancy bitmap, which lives only in
+   DRAM: recovery rebuilds a leaf chunk's word from its slots' length
+   bytes and a value chunk's from what the leaves name (DESIGN.md §6
+   item 3). The words form a dense DRAM array of 8-byte words, 8 to a
    line; [addr] is this chunk's word in it, and every read or write of
    [bits] is charged there on the meter.
 
@@ -90,7 +97,7 @@ type entry = {
    its cells are written past [len] and a snapshot one longer is
    published. Recycling marks the record dead in place. [Pmem] reuses a
    freed range only for an allocation of the same rounded size, and the
-   four chunk classes round to sizes (2304, 512, 960 and 1856 bytes)
+   four chunk classes round to sizes (1856, 512, 960 and 1920 bytes)
    that differ from each other and from every other allocation in a
    HART pool (the root block; the ART nodes of the PM-node ablation, 64
    to 2112 bytes), so a dead record's offset can only come back as a
@@ -199,8 +206,8 @@ let runs () =
 
 (* Lock architecture (strict acquisition order, coarse to fine):
      class mutex  →  chunk stripe mutex  →  Pmem alloc
-   - A chunk's stripe mutex guards its header stores, its mirror word
-     and its reservation mask; the allocation fast path takes only this.
+   - A chunk's stripe mutex guards its mirror word and its reservation
+     and owned masks; the allocation fast path takes only this.
    - A class mutex guards that class's chunk-list structure (PM pnext
      links + head mirror), its recycle-log slot, its avail cache, its
      mirror slots and its registry publication.
@@ -239,7 +246,7 @@ let full_mask = (1 lsl Chunk.objs_per_chunk) - 1
 
 (* [Sched_hook.lock] (try-lock/yield under the cooperative crash
    explorer, plain [Mutex.lock] otherwise): persists run under these
-   mutexes (e.g. [set_head], bitmap commits), i.e. a fiber can park at a
+   mutexes (e.g. [set_head], the recycle log), i.e. a fiber can park at a
    flush-boundary yield point while holding one — a blocking lock from
    another fiber would then deadlock the single scheduler thread. *)
 let with_lock mu f =
@@ -258,13 +265,10 @@ let read_bits t e =
   Meter.access t.meter Dram ~addr:e.addr ~write:false;
   e.bits
 
-(* Stripe lock held. Only a leaf chunk's header is stored, after the
-   mirror, so a lock-free reader sees the new bitmap no later than the
-   PM word, even across the persist's yield point. *)
-let store_bits t cls e bits =
+(* Stripe lock held. The word is the only copy of the bitmap. *)
+let store_bits t e bits =
   e.bits <- bits;
-  Meter.access t.meter Dram ~addr:e.addr ~write:true;
-  if cls = Chunk.Leaf_c then Chunk.write_header t.pool ~chunk:e.chunk bits
+  Meter.access t.meter Dram ~addr:e.addr ~write:true
 
 (* The spare rule. Plain allocation never takes a value chunk's last
    free slot: only an update whose old value sits in the chunk may
@@ -296,15 +300,11 @@ let mark_avail t cls chunk =
 let commit_bits t cls e ~set ~clear =
   let mu = t.chunk_mu.(stripe_of e.chunk) in
   Hart_util.Sched_hook.lock mu;
-  match store_bits t cls e ((read_bits t e lor set) land lnot clear) with
-  | () ->
-      e.reserved <- e.reserved land lnot set;
-      let freed = clear <> 0 && plain_room cls e in
-      Mutex.unlock mu;
-      if freed then mark_avail t cls e.chunk
-  | exception ex ->
-      Mutex.unlock mu;
-      raise ex
+  store_bits t e ((read_bits t e lor set) land lnot clear);
+  e.reserved <- e.reserved land lnot set;
+  let freed = clear <> 0 && plain_room cls e in
+  Mutex.unlock mu;
+  if freed then mark_avail t cls e.chunk
 
 (* class lock held *)
 let mirror_slot t id =
@@ -407,7 +407,9 @@ let entry_of_obj t cls obj =
   let i = Registry.find_le reg obj in
   if i < 0 then raise Not_found;
   let e = reg.entries.(i) in
-  if (not e.live) || obj < e.chunk + 16 || obj >= e.chunk + Chunk.chunk_bytes cls then
+  if (not e.live) || obj < e.chunk + Chunk.prologue cls
+     || obj >= e.chunk + Chunk.chunk_bytes cls
+  then
     raise Not_found;
   e
 
@@ -427,7 +429,7 @@ let value_entry t obj =
 let class_of_value_obj t obj = Option.map fst (value_entry t obj)
 
 (* Which registered chunk (any class) covers this pool byte — including
-   its 16-byte prologue, which [chunk_of_obj] deliberately excludes.
+   its prologue, which [chunk_of_obj] deliberately excludes.
    fsck uses this to attribute a corrupt media line to a structure. *)
 let chunk_covering t off =
   let rec go id =
@@ -461,6 +463,7 @@ type mutation =
   | Bits_before_p_value
   | No_liveness_pass
   | Ignore_owned
+  | Head_before_key
 
 let unsafe_mutation : mutation option ref = ref None
 let mutated m = match !unsafe_mutation with None -> false | Some m' -> m' == m
@@ -472,9 +475,8 @@ let mutated m = match !unsafe_mutation with None -> false | Some m' -> m' == m
 let no_slot = -1
 
 (* Reserve the lowest free slot of [chunk] if it is still a live chunk
-   of [cls] with room: the lowest zero of mirror | reserved, which is
-   the slot the persistent next-free hint names whenever that slot is
-   unreserved, found without a PM read. The registry re-check under the
+   of [cls] with room: the lowest zero of mirror | reserved, found
+   without a PM read. The registry re-check under the
    stripe lock is what makes the cached [active] chunk (and stale
    [avail] entries) safe: a chunk recycled — or recycled and
    re-allocated to another class — since the caller last saw it fails
@@ -628,23 +630,6 @@ let is_value_obj t v = value_slot t v <> None
 let value_committed t v =
   match value_slot t v with Some (ve, bit) -> read_bits t ve land bit <> 0 | None -> false
 
-(* fsck: rewrite a leaf chunk header that is not the one its mirror
-   implies. Right after [attach] the mirror is the PM bitmap, so only a
-   corrupt hint/full byte can differ; later the mirror holds the last
-   bitmap the allocator stored, so a bitmap a stray write changed is put
-   back. *)
-let repair_header t ~chunk =
-  let e = Registry.find (Atomic.get t.registry.(cls_id Chunk.Leaf_c)) chunk in
-  with_stripe t chunk (fun () ->
-      let bits = read_bits t e in
-      let h = Chunk.header t.pool ~chunk in
-      if h = Chunk.header_of_bits bits then `Intact
-      else begin
-        store_bits t Chunk.Leaf_c e bits;
-        if Int64.to_int h land full_mask = bits then `Hint_rewritten
-        else `Bitmap_restored
-      end)
-
 (* ------------------------------------------------------------------ *)
 (* Recycling (Algorithm 6)                                             *)
 
@@ -730,21 +715,21 @@ let commit_update t cls ~obj ~old =
       eprecycle t ocls ~chunk:oe.chunk
   | None -> commit_bits t cls e ~set ~clear:0
 
-(* Algorithm 5's free: clear and persist the leaf's bit and, in the same
-   stripe-locked section, mark the slot as the owner of the value its
-   p_value names, so no domain can reserve the slot before it owns; then
-   recycle the chunk if that emptied it. *)
+(* Algorithm 5's free: store and persist the leaf's zero length byte,
+   its commit point; then, in one stripe-locked section, clear its
+   mirror bit and mark the slot as the owner of the value its p_value
+   still names, so no domain can reserve the slot before it owns, or
+   before its length byte is durable; then recycle the chunk if that
+   emptied it. *)
 let free_leaf t ~leaf =
   let e = entry_of_obj t Chunk.Leaf_c leaf in
   let bit = leaf_bit e ~leaf in
+  Leaf.free t.pool ~leaf;
   let mu = t.chunk_mu.(stripe_of e.chunk) in
   Hart_util.Sched_hook.lock mu;
   e.owned <- e.owned lor bit;
-  (match store_bits t Chunk.Leaf_c e (read_bits t e land lnot bit) with
-  | () -> Mutex.unlock mu
-  | exception ex ->
-      Mutex.unlock mu;
-      raise ex);
+  store_bits t e (read_bits t e land lnot bit);
+  Mutex.unlock mu;
   mark_avail t Chunk.Leaf_c e.chunk;
   eprecycle t Chunk.Leaf_c ~chunk:e.chunk
 
@@ -771,13 +756,23 @@ let name_value t r v =
     match value_entry t v with
     | Some (cls, e) ->
         r.run <- e;
-        r.lo <- e.chunk + 16;
+        r.lo <- e.chunk + Chunk.prologue cls;
         r.size <- Chunk.obj_size cls;
         r.hi <- r.lo + (Chunk.objs_per_chunk * r.size)
     | None -> ()
   end;
   if v >= r.lo && v < r.hi && (v - r.lo) mod r.size = 0 then
     r.mask <- r.mask lor (1 lsl ((v - r.lo) / r.size))
+
+(* Recovery's leaf scan: [bits] are the live slots of leaf chunk
+   [chunk], as their length bytes say, gathered in a register. One
+   metered mirror write, and the chunk joins the avail cache if it has
+   room. Each chunk is scanned by one domain; the class lock serialises
+   the cache. *)
+let set_leaf_bits t ~chunk bits =
+  let e = Registry.find (Atomic.get t.registry.(cls_id Chunk.Leaf_c)) chunk in
+  store_bits t e bits;
+  if plain_room Chunk.Leaf_c e then mark_avail t Chunk.Leaf_c chunk
 
 (* The liveness pass, serial and quiesced, after every named value went
    through [name_value]: each run ors its mask into its chunk's mirror
@@ -834,25 +829,12 @@ let scrub_log_slot t ~report ~before_replay (slot, off) =
       f_capacity = (if lost then 1 else 0);
     }
 
-(* A damaged line of the root block past its scalars: a recycle slot's
-   line is scrubbed; any other is one of the reserved lines where v02
-   images kept update-log slots, which nothing reads, so it is zeroed
-   and resealed. *)
+(* A damaged line of the root block past its scalars is a recycle
+   slot's line: the slot is scrubbed. *)
 let repair_root_line t ~report ~before_replay line =
-  match Microlog.slots_overlapping t.logs ~lines:[ line ] with
-  | [] ->
-      let off = line * Pmem.line_bytes in
-      Pmem.set_string t.pool ~off (String.make Pmem.line_bytes '\000');
-      Pmem.persist t.pool ~off ~len:Pmem.line_bytes;
-      report
-        {
-          Hart_error.f_site = Pool_line { line };
-          f_action = Repaired;
-          f_detail = "reserved root-block line zeroed and resealed";
-          f_keys = [];
-          f_capacity = 0;
-        }
-  | slots -> List.iter (scrub_log_slot t ~report ~before_replay) slots
+  List.iter
+    (scrub_log_slot t ~report ~before_replay)
+    (Microlog.slots_overlapping t.logs ~lines:[ line ])
 
 let recover_recycle_log t ~slot =
   let logs = t.logs in
@@ -893,13 +875,14 @@ let attach ?(bad_lines = []) ?report pool =
       "media-corrupt line under the root scalars — pool is unmountable";
   (match Pmem.get_u64 pool root_off with
   | m when m = magic -> ()
-  | m when m = magic_v01 ->
-      Hart_error.error (Root_block { off = root_off })
-        "pool formatted as HART_v01, whose micro-logs sit at other offsets \
-         — not mountable by this version"
-  | m ->
-      Hart_error.error (Root_block { off = root_off })
-        "bad magic %Lx (want %Lx)" m magic);
+  | m -> (
+      match List.find_opt (fun (m', _, _) -> m' = m) old_magics with
+      | Some (_, name, why) ->
+          Hart_error.error (Root_block { off = root_off })
+            "pool formatted as %s, %s — not mountable by this version" name why
+      | None ->
+          Hart_error.error (Root_block { off = root_off })
+            "bad magic %Lx (want %Lx)" m magic));
   let kh_word = Int64.to_int (Pmem.get_u64 pool (root_off + 8)) in
   let kh = kh_word land 0xFF in
   let checksums = kh_word land checksums_flag <> 0 in
@@ -911,9 +894,11 @@ let attach ?(bad_lines = []) ?report pool =
   (* Hardened chain walk: every pnext pointer is validated (alignment,
      bounds, acyclicity, no overlap with the root region) before it is
      trusted, and a chunk whose prologue line the ECC flags is refused —
-     its bitmap and pnext cannot be trusted, and walking past them could
-     silently resurrect or drop keys. Corruption here surfaces as a
-     typed error instead of an [assert]/[Failure] deep in the walk. *)
+     its pnext cannot be trusted, and walking past it could silently
+     drop or invent chunks. Corruption here surfaces as a typed error
+     instead of an [assert]/[Failure] deep in the walk. Every mirror
+     word starts empty: recovery's scan fills the leaf chunks' and the
+     liveness pass the value chunks'. *)
   let seen = Hashtbl.create 64 in
   for id = 0 to n_classes - 1 do
     let cls = cls_of_id id in
@@ -933,18 +918,10 @@ let attach ?(bad_lines = []) ?report pool =
         Hashtbl.add seen chunk ();
         if bad_span chunk 16 then
           Hart_error.error site
-            "media-corrupt prologue line — bitmap and chain pointer \
-             untrustworthy";
+            "media-corrupt prologue line — chain pointer untrustworthy";
         match
-          (* a leaf chunk's header rebuilds its mirror word and feeds
-             the avail cache; [settle_values] fills a value chunk's *)
-          let bits =
-            if cls = Chunk.Leaf_c then Int64.to_int (Chunk.bitmap pool ~chunk) else 0
-          in
-          let e = new_entry t id chunk ~bits ~prev in
+          let e = new_entry t id chunk ~bits:0 ~prev in
           walked := e :: !walked;
-          if cls = Chunk.Leaf_c && plain_room cls e then
-            Hashtbl.replace t.avail.(id) chunk ();
           e.next <- Chunk.pnext pool ~chunk;
           e.next
         with
@@ -985,9 +962,7 @@ let attach ?(bad_lines = []) ?report pool =
   end;
   (* Replay, guarded in quarantine mode: a record whose pointers do not
      resolve to registered chunks is discarded rather than replayed into
-     arbitrary pool bytes. Every slot is replayed, not only the four
-     this version writes: an image written while slots were handed out
-     dynamically may hold a record in any of them. *)
+     arbitrary pool bytes. *)
   Microlog.iter_pending logs (fun ~slot ->
       let off = Microlog.slot_offset logs ~slot in
       let site = Hart_error.Log_slot { slot; off } in
@@ -1055,8 +1030,7 @@ let chunk_count t cls =
   !n
 
 let committed_bits t cls ~chunk =
-  if cls = Chunk.Leaf_c then Int64.to_int (Chunk.bitmap t.pool ~chunk)
-  else read_bits t (Registry.find (Atomic.get t.registry.(cls_id cls)) chunk)
+  read_bits t (Registry.find (Atomic.get t.registry.(cls_id cls)) chunk)
 
 let live_objects t cls =
   let n = ref 0 in
@@ -1117,11 +1091,6 @@ let check_invariants t =
       (fun e ->
         if not (Hashtbl.mem in_list e.chunk) then
           fail "chunk %d in registry but not in list (class %d)" e.chunk id;
-        (if cls = Chunk.Leaf_c then
-           let pm = Int64.to_int (Chunk.bitmap t.pool ~chunk:e.chunk) in
-           if e.bits <> pm then
-             fail "bitmap mirror of chunk %d is %#x but its PM bitmap is %#x"
-               e.chunk e.bits pm);
         if e.reserved land lnot full_mask <> 0 then
           fail "reservation mask of chunk %d out of range" e.chunk;
         if e.owned land (e.bits lor e.reserved) <> 0 then

@@ -2,13 +2,14 @@
 
     EPallocator amortises expensive PM allocation by carving objects out
     of 56-slot {!Chunk}s, one singly linked chunk list per object class,
-    with list heads and micro-logs in a persistent root block. Its leak
-    freedom comes from ordering: a leaf's bitmap bit is set only
-    {e after} the leaf is written, so a crash before it leaves a free
-    bit. Value bits are not durable: recovery commits the values that
-    committed leaves and owning free slots name ({!settle_values}). A
-    free leaf slot whose [p_value] names a value owns it until an
-    insertion takes the slot over or recycling lets go of it.
+    with list heads and micro-logs in a persistent root block. No
+    occupancy bit is durable. A leaf commits itself: its length byte is
+    stored after its key and value pointer ({!Leaf.init}), and recovery
+    takes leaf occupancy from the length bytes ({!set_leaf_bits}) and
+    commits the values that live leaves and owning free slots name
+    ({!settle_values}). A free leaf slot whose [p_value] names a value
+    owns it until an insertion takes the slot over or recycling lets go
+    of it.
 
     Volatile acceleration (rebuilt by {!attach} after a crash): a mirror
     of the list heads, a per-class registry resolving object offsets to
@@ -20,21 +21,18 @@
     a value, and a cache of chunks known to have free slots so the
     common allocation touches no full chunk.
 
-    The bitmap mirror takes PM reads off the write path: allocation,
-    bit commits, recycling's emptiness test and {!obj_bit} read it. A
-    leaf chunk's header is stored and persisted in the stripe-locked
-    call that updates its mirror word; a value chunk's word is the only
-    copy of its bitmap, and its PM header is never read. The mirror is
-    a dense DRAM array of 8-byte words, 8 per line, metered as DRAM and
-    counted in {!mirror_bytes}.
+    The bitmap mirror is every chunk's only occupancy bitmap:
+    allocation, bit commits, recycling's emptiness test and {!obj_bit}
+    read it, and no bit change writes PM. It is a dense DRAM array of
+    8-byte words, 8 per line, metered as DRAM and counted in
+    {!mirror_bytes}.
 
     Domain safety: object-offset resolution is lock-free (the registry is
     a sorted array with spare capacity, published with its length through
     an [Atomic.t]; registration appends in place, recycling marks a
     record dead, and a reader never looks past its snapshot's length); bitmap
     read-modify-writes and reservations are serialised per chunk by a
-    stripe of mutexes, which also preserves the bitmap-after-insert
-    persistence ordering per chunk; chunk-list structure, the avail cache
+    stripe of mutexes; chunk-list structure, the avail cache
     and registry publication are serialised by one mutex per class; and
     each domain caches a per-class active chunk so steady-state
     allocation takes only the chunk's stripe lock, never the class lock.
@@ -48,9 +46,11 @@
 type t
 
 val magic : int64
-(** ["HART_v02"]: root scalars on a line of their own, then one micro-log
-    slot per line. A ["HART_v01"] root (logs packed after the scalars) is
-    refused by {!attach}. *)
+(** ["HART_v03"]: root scalars on a line of their own, then one micro-log
+    slot per line; 32-byte self-committing leaves and no PM bitmap. A
+    ["HART_v01"] root (logs packed after the scalars) and a ["HART_v02"]
+    one (40-byte leaves committed by a PM bitmap) are refused by
+    {!attach}. *)
 
 val root_off : int
 (** Pool offset of the root block (the pool's first allocation). *)
@@ -81,8 +81,9 @@ val attach :
 (** Adopt the pool after a crash or reopen: verify the magic, rebuild the
     volatile state by walking the chunk lists (every chain pointer
     validated — alignment, bounds, acyclicity), then replay the recycle
-    log. Value mirrors start empty: the caller names every live value
-    and runs {!settle_values}.
+    log. Every mirror word starts empty: the caller's scan sets each
+    leaf chunk's ({!set_leaf_bits}), names every live value and runs
+    {!settle_values}.
 
     [bad_lines] are the lines the device ECC flags; one under the root
     scalars or a chunk prologue refuses the mount. Passing [~report]
@@ -97,7 +98,7 @@ val attach :
     its ownership ({!set_owner}).
 
     @raise Hart_error.Error when the pool cannot be mounted: bad magic
-    (including a ["HART_v01"] root),
+    (including a ["HART_v01"] or ["HART_v02"] root),
     implausible feature word, corrupt chunk chain, or a media fault on
     the root-scalar line or a chunk prologue line (per-line ECC cannot
     localise damage below line granularity, so those structures cannot
@@ -147,18 +148,19 @@ val epmalloc_leaf : t -> int * bool
     the reservation's locked section, with no PM read. *)
 
 val set_obj_bit : t -> Chunk.cls -> obj:int -> unit
-(** Commit the object: set its bit (persisted for a leaf), release the
-    reservation. *)
+(** Commit the object: set its mirror bit, release the reservation. No
+    PM write: a leaf's own length byte is its durable commit. *)
 
 val reset_obj_bit : t -> Chunk.cls -> obj:int -> unit
-(** Clear the object's bit (persisted for a leaf). *)
+(** Clear the object's mirror bit (no PM write). *)
 
 val free_leaf : t -> leaf:int -> unit
-(** Algorithm 5's free, with one persist: clear and persist the leaf's
-    bit and mark the free slot as the owner of the value its [p_value]
-    still names, until an insertion takes the slot over
-    ({!epmalloc_leaf}) or {!eprecycle} lets go of it. Then recycle the
-    leaf's chunk if it emptied. *)
+(** Algorithm 5's free, with one persist: store and persist the leaf's
+    zero length byte ({!Leaf.free}), then clear its mirror bit and mark
+    the free slot as the owner of the value its [p_value] still names,
+    until an insertion takes the slot over ({!epmalloc_leaf}) or
+    {!eprecycle} lets go of it. Then recycle the leaf's chunk if it
+    emptied. *)
 
 val release_value : t -> Chunk.cls -> obj:int -> unit
 (** Free a committed value once nothing durable names it any more:
@@ -193,9 +195,14 @@ type mutation =
   | Ignore_owned
       (** [Hart.insert] overwrites an owning slot's [p_value] as if the
           slot owned nothing, leaking the owned value. *)
-(** Test-only fault injection into the ownership, update and liveness
-    protocols (DESIGN.md §6 items 1–3): each reinstates one bug the
-    crash explorers must catch. *)
+  | Head_before_key
+      (** [Hart.insert] stores a leaf's head (length and value pointer)
+          before its key bytes: a line written back between the two
+          holds a live slot with another key's bytes. Line-atomic crash
+          modes cannot see it; [test_core]'s store-order test can. *)
+(** Test-only fault injection into the ownership, update, liveness and
+    leaf-commit protocols (DESIGN.md §6 items 1–3): each reinstates one
+    bug the crash tests must catch. *)
 
 val unsafe_mutation : mutation option ref
 (** The mutation in force; [None] (always, outside the fault tests). *)
@@ -221,12 +228,16 @@ val scrub_log_slot :
 val repair_root_line :
   t -> report:(Hart_error.finding -> unit) -> before_replay:bool -> int -> unit
 (** The repair for a corrupt media line of the root block past its
-    scalars: a recycle slot's line goes through {!scrub_log_slot}; a
-    reserved line is zeroed, resealed and reported [Repaired] at its
-    [Pool_line] site. Shared by {!attach}'s quarantine mode and
+    scalars, which is a recycle slot's line: the slot goes through
+    {!scrub_log_slot}. Shared by {!attach}'s quarantine mode and
     [Hart.fsck]. *)
 
-(** {1 Value liveness (recovery)} *)
+(** {1 Occupancy and value liveness (recovery)} *)
+
+val set_leaf_bits : t -> chunk:int -> int -> unit
+(** Recovery's scan: set leaf chunk [chunk]'s mirror word to the slots
+    whose length bytes say live (one metered DRAM write), and add the
+    chunk to the avail cache if it has room. One caller per chunk. *)
 
 type runs
 (** One domain's cursor over the named values' chunks: the value chunk
@@ -288,15 +299,6 @@ val mirror_bytes : t -> int
 (** DRAM bytes of the bitmap mirror: whole 64-byte lines of 8-byte
     words, one word per chunk ever registered at once. *)
 
-val repair_header : t -> chunk:int -> [ `Intact | `Hint_rewritten | `Bitmap_restored ]
-(** fsck's leaf-chunk header repair: if its PM header is not the one its
-    bitmap mirror implies, store and persist that one. [`Hint_rewritten]:
-    only the hint/full byte was wrong. [`Bitmap_restored]: the PM bitmap
-    itself differed — a stray write changed it since the allocator last
-    stored it (right after {!attach} the mirror is the PM bitmap, so
-    this needs a live store).
-    @raise Not_found if [chunk] is not a registered leaf chunk. *)
-
 val chunk_count : t -> Chunk.cls -> int
 val iter_chunks : t -> Chunk.cls -> (int -> unit) -> unit
 (** Walk the class's chunk list as the allocator's DRAM registry holds
@@ -312,8 +314,7 @@ val iter_chain : t -> Chunk.cls -> (int -> unit) -> unit
     {!check_invariants}, which compares the two. *)
 
 val committed_bits : t -> Chunk.cls -> chunk:int -> int
-(** A registered chunk's committed slots: a leaf chunk's PM bitmap, a
-    value chunk's mirror word. *)
+(** A registered chunk's committed slots: its mirror word. *)
 
 val live_objects : t -> Chunk.cls -> int
 (** Total {!committed_bits} across the class's chunks. *)
@@ -326,6 +327,7 @@ val iter_live_objs : t -> Chunk.cls -> (obj:int -> unit) -> unit
 
 val check_invariants : t -> unit
 (** Registry/list agreement, registry order, each chunk's predecessor
-    and successor links against the PM chain, head mirrors, each registered leaf chunk's
-    bitmap mirror against its PM bitmap, reservation sanity. Raises [Failure]
-    on violation. Test use. *)
+    and successor links against the PM chain, head mirrors, reservation
+    and owned-mask sanity. Raises [Failure] on violation. Test use.
+    [Hart.check_integrity] checks each leaf slot's length byte against
+    its mirror bit. *)

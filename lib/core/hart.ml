@@ -99,25 +99,33 @@ let check_key key =
       (Printf.sprintf "HART keys must be 1..%d bytes (got %d)" Leaf.max_key_len n)
 
 (* Algorithm 3 without its update log (DESIGN.md §6 item 3): persist the
-   new value, then the leaf's p_value, then commit both value bits in
-   the DRAM mirror, the only copy of a value chunk's bitmap. Recovery
+   new value, then the leaf's p_value (one store into the head that
+   keeps its length and CRC bits), then commit both value bits in the
+   DRAM mirror, the only copy of a value chunk's bitmap. Recovery
    commits whichever value the leaf names. [leaf] must be committed. *)
 let update_leaf t ~leaf value =
-  let old_v = Leaf.p_value t.pool ~leaf in
+  let head = Leaf.head t.pool ~leaf in
+  let old_v = Leaf.head_p_value head in
   let vcls = Value_obj.cls_for value in
   let new_v = Epalloc.epmalloc_update t.alloc vcls ~old:old_v in
   Value_obj.write ~crc:(checksums t) t.pool ~obj:new_v value;
   let bits_first = Epalloc.mutated Bits_before_p_value in
   if bits_first then Epalloc.commit_update t.alloc vcls ~obj:new_v ~old:old_v;
-  Leaf.set_p_value t.pool ~leaf new_v;
+  Leaf.set_p_value t.pool ~leaf ~head new_v;
   if not bits_first then Epalloc.commit_update t.alloc vcls ~obj:new_v ~old:old_v
 
-(* Algorithm 1: value, leaf, leaf bit, three persists; the value's bit
-   is a mirror store. A slot that owns a value (a deleted key's,
-   DESIGN.md §6 item 1) hands it over, Algorithm 2 lines 12-16: a value
-   of the new value's class is rewritten in place; one of another class
-   is freed once [Leaf.init] has made the slot name the new value, so no
-   domain can be given it while the slot still names it. *)
+(* The leaf's one persist: key bytes, then the head, whose length byte
+   commits the key (DESIGN.md §6 item 1). *)
+let init_leaf t ~leaf ~p_value key =
+  Leaf.init ~crc:(checksums t) ~head_first:(Epalloc.mutated Head_before_key) t.pool
+    ~leaf ~p_value key
+
+(* Algorithm 1: value, then leaf, two persists; the leaf's and the
+   value's bits are mirror stores. A slot that owns a value (a deleted
+   key's, DESIGN.md §6 item 1) hands it over, Algorithm 2 lines 12-16: a
+   value of the new value's class is rewritten in place; one of another
+   class is freed once the leaf names the new value, so no domain can be
+   given it while the slot still names it. *)
 let insert t ~key ~value =
   check_key key;
   let hash_key, art_key = split_key t key in
@@ -136,7 +144,7 @@ let insert t ~key ~value =
       (match old with
       | Some old_cls when old_cls = vcls ->
           Value_obj.write ~crc t.pool ~obj:old_v value;
-          Leaf.init ~crc t.pool ~leaf ~p_value:old_v key
+          init_leaf t ~leaf ~p_value:old_v key
       | _ ->
           let vobj = Epalloc.epmalloc t.alloc vcls in
           Value_obj.write ~crc t.pool ~obj:vobj value;
@@ -144,7 +152,7 @@ let insert t ~key ~value =
           (match old with
           | Some c when free_first -> Epalloc.release_value t.alloc c ~obj:old_v
           | _ -> ());
-          Leaf.init ~crc t.pool ~leaf ~p_value:vobj key;
+          init_leaf t ~leaf ~p_value:vobj key;
           (match old with
           | Some c when not free_first -> Epalloc.release_value t.alloc c ~obj:old_v
           | _ -> ());
@@ -156,17 +164,15 @@ let insert t ~key ~value =
       Atomic.incr t.count
 
 (* Read a validated leaf's value; [None] if the leaf fails validation.
-   The leaf's bit comes from the allocator's DRAM bitmap mirror; then two
-   PM reads: the leaf (key and value pointer in one pass — the leaf key
-   comparison a C implementation performs at the end of its ART descent)
-   and the value object. *)
+   Two PM reads: the leaf's one line (its length byte says it is live;
+   key and value pointer come in the same pass — the leaf key comparison
+   a C implementation performs at the end of its ART descent) and the
+   value object. *)
 let read_validated t ~leaf key =
-  if not (Epalloc.obj_bit t.alloc Chunk.Leaf_c ~obj:leaf) then None
-  else
-    match Leaf.read t.pool ~leaf with
-    | Ok (v, stored) when v <> 0 && String.equal stored key ->
-        Some (Value_obj.read t.pool ~obj:v)
-    | Ok _ | Error _ -> None
+  match Leaf.read t.pool ~leaf with
+  | Ok (v, stored) when v <> 0 && String.equal stored key ->
+      Some (Value_obj.read t.pool ~obj:v)
+  | Ok _ | Error _ -> None
 
 (* Algorithm 4. *)
 let search t key =
@@ -309,40 +315,60 @@ let leaf_slot_error ?keys alloc ~obj fmt =
 let duplicate_leaf_error alloc ~key ~obj =
   leaf_slot_error ~keys:[ key ] alloc ~obj "duplicate committed leaf for key %S" key
 
-(* The key a plain recovery indexes a committed leaf under, with the
-   value it names, read in one metered leaf access. A length byte
-   outside 1..max_key_len names no key the index could have stored:
-   refuse the mount rather than index a bogus key. *)
-let committed_leaf alloc ~obj =
-  match Leaf.read (Epalloc.pool alloc) ~leaf:obj with
-  | Ok (pv, key) -> (key, pv)
-  | Error len ->
-      leaf_slot_error alloc ~obj "committed leaf stores invalid key length %d" len
-
-(* ---- quarantining recovery machinery ------------------------------ *)
-
-type leaf_verdict =
+(* One leaf slot as a recovery scan sees it. *)
+type scanned =
+  | Free_slot of int  (* the value pointer a free slot still holds *)
   | Leaf_ok of { key : string; pv : int }
   | Leaf_bad of { key : string option; pv : int; detail : string }
       (* [pv] is the value offset to consider freeing — 0 when the
          pointer itself is unreadable or untrustworthy *)
 
-(* Read-only validation of one committed leaf slot: media lines, key
-   length, key CRC, value pointer resolution, value CRC; no value bit is
-   durable to consult (DESIGN.md §6 item 3). Never writes, never raises
-   — suitable for parallel scan workers. *)
-let inspect_leaf alloc ~checksums ~bad_span ~leaf =
+(* A slot as the plain mount reads it, in one metered access: its length
+   byte says whether it is live. A length byte outside 0..max_key_len
+   names no key the index could have stored: refuse the mount rather
+   than index a bogus key. *)
+let plain_slot alloc ~leaf =
+  match Leaf.slot (Epalloc.pool alloc) ~leaf with
+  | Free pv -> Free_slot pv
+  | Live (pv, key) -> Leaf_ok { key; pv }
+  | Corrupt len ->
+      leaf_slot_error alloc ~obj:leaf "leaf slot stores invalid key length %d" len
+
+(* ---- quarantining recovery machinery ------------------------------ *)
+
+(* Read-only validation of one slot: media lines, key length, key CRC,
+   value pointer resolution, value CRC; no value bit is durable to
+   consult (DESIGN.md §6 item 3). A free slot on a corrupt line is bad
+   too: its length byte, which says it is free, is on that line. Never
+   writes, never raises — suitable for parallel scan workers. *)
+let inspect_slot alloc ~checksums ~bad_span ~leaf =
   let pool = Epalloc.pool alloc in
   try
-    match Leaf.read pool ~leaf with
-    | Error len ->
+    match Leaf.slot pool ~leaf with
+    | Corrupt len ->
         Leaf_bad
           { key = None; pv = 0; detail = Printf.sprintf "invalid key length %d" len }
-    | Ok (pv, key) ->
+    | Free pv when not (bad_span leaf Leaf.size) -> Free_slot pv
+    | Free _ ->
+        Leaf_bad
+          {
+            key = None;
+            pv = 0;
+            detail = "free leaf slot on a corrupt media line (length byte untrustworthy)";
+          }
+    | Live (pv, key) ->
+        (* a key read off a corrupt line is named only if its CRC
+           vouches for it *)
+        let crc_ok = checksums && Leaf.key_crc_ok pool ~leaf key in
         if bad_span leaf Leaf.size then
-          Leaf_bad { key = Some key; pv; detail = "leaf bytes on a corrupt media line" }
-        else if checksums && not (Leaf.key_crc_ok pool ~leaf key) then
-          Leaf_bad { key = Some key; pv; detail = "leaf key fails its CRC" }
+          Leaf_bad
+            {
+              key = (if crc_ok then Some key else None);
+              pv;
+              detail = "leaf bytes on a corrupt media line";
+            }
+        else if checksums && not crc_ok then
+          Leaf_bad { key = None; pv; detail = "leaf key fails its CRC" }
         else if pv = 0 then
           Leaf_bad
             { key = Some key; pv = 0; detail = "committed leaf without a value object" }
@@ -371,7 +397,7 @@ let inspect_leaf alloc ~checksums ~bad_span ~leaf =
         {
           key = None;
           pv = 0;
-          detail = Printf.sprintf "poisoned media line %d under leaf or value" line;
+          detail = Printf.sprintf "poisoned media line %d under leaf slot or value" line;
         }
   | Invalid_argument msg ->
       Leaf_bad { key = None; pv = 0; detail = "access out of pool: " ^ msg }
@@ -393,7 +419,7 @@ let free_value alloc pv =
       zero_span (Epalloc.pool alloc) ~off:pv ~len:(Chunk.obj_size vcls)
   | Some _ | None -> ()
 
-(* Excise one committed leaf from PM and report the loss: clear its bit,
+(* Excise one leaf slot from PM and report the loss: clear its bit,
    zero and persist its bytes (resealing the covering lines), free its
    value. [key] and [pv] are what the caller trusts of the leaf. A
    corrupt leaf's pointer is untrusted bytes that may alias a live key's
@@ -401,8 +427,7 @@ let free_value alloc pv =
    proves no kept leaf names the value. The DRAM index is the
    caller's. *)
 let quarantine_leaf alloc ~report ~leaf ~key ~pv ~detail =
-  (* fsck finds live leaves by their PM bit, which a stray write can set
-     while the allocator's mirror bit stays clear *)
+  (* the scan leaves a slot it could not read unmarked *)
   if Epalloc.obj_bit alloc Chunk.Leaf_c ~obj:leaf then
     Epalloc.reset_obj_bit alloc Chunk.Leaf_c ~obj:leaf;
   zero_span (Epalloc.pool alloc) ~off:leaf ~len:Leaf.size;
@@ -456,7 +481,7 @@ let settle_free_slots alloc ~quarantine ~taken ~name stale_free =
         Epalloc.set_owner alloc ~leaf true;
         name pv
       end
-      else Leaf.set_p_value pool ~leaf 0)
+      else Leaf.sever pool ~leaf)
     (List.sort compare stale_free)
 
 (* Algorithm 7: one pipeline for every mode and domain count [d].
@@ -465,10 +490,12 @@ let settle_free_slots alloc ~quarantine ~taken ~name stale_free =
      replay orders PM writes. A quarantining mount first consults the
      device ECC, then attaches in guarded mode with a findings sink.
    - scan: domain [me] walks the leaf chunk list and takes every [d]-th
-     chunk. It reads each live leaf's key and value pointer and names
-     the value on its own cursor [named.(me)], or, quarantining,
-     validates the leaf; it notes every free slot that still names a
-     value. The entry goes to cell [work.(me).(p)] where [p =
+     chunk. It reads every slot once: the length byte says whether it
+     is live, and the chunk's live slots become its mirror word
+     ([Epalloc.set_leaf_bits]). It names each live leaf's value on its
+     own cursor [named.(me)], or, quarantining, validates the leaf; it
+     notes every free slot that still names a value. The entry goes to
+     cell [work.(me).(p)] where [p =
      Hash_dir.hash hash_key mod d]: no two domains write one cell, and
      nothing is written to PM.
    - merge (quarantining only, serial): the keep-lower-offset rule for
@@ -525,35 +552,30 @@ let recover_parallel ?domains ?(quarantine = false) pool =
     | `Replaced _ -> duplicate_leaf_error alloc ~key:(hash_key ^ art_key) ~obj:leaf
   in
   let classify leaf =
-    if quarantine then inspect_leaf alloc ~checksums ~bad_span ~leaf
-    else
-      let key, pv = committed_leaf alloc ~obj:leaf in
-      Leaf_ok { key; pv }
+    if quarantine then inspect_slot alloc ~checksums ~bad_span ~leaf
+    else plain_slot alloc ~leaf
   in
   let named = Array.init d (fun _ -> Epalloc.runs ()) in
   let push cell x = cell := x :: !cell in
   let scan me =
     let n = ref 0 and i = ref 0 in
     Epalloc.iter_chain alloc Chunk.Leaf_c (fun chunk ->
-        if !i mod d = me then
-          Chunk.iter_slots pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj:leaf ~live ->
-              if live then (
-                match classify leaf with
-                | Leaf_ok { key; pv } ->
-                    if not quarantine then Epalloc.name_value alloc named.(me) pv;
-                    let hash_key, art_key = split_key t key in
-                    let p = Hash_dir.hash hash_key mod d in
-                    if p = me && not quarantine then index n hash_key art_key leaf
-                    else push work.(me).(p) (hash_key, art_key, leaf, pv)
-                | Leaf_bad { key; pv; detail } -> push badq.(me) (leaf, key, pv, detail))
-              else
-                match Leaf.p_value pool ~leaf with
-                | 0 -> ()
-                | pv -> push stale_free.(me) (leaf, pv)
-                | exception (Pmem.Media_poisoned _ | Invalid_argument _)
-                  when quarantine ->
-                    (* unreadable pointer in a free slot: clear, free nothing *)
-                    push stale_free.(me) (leaf, 0));
+        if !i mod d = me then begin
+          let live = ref 0 in
+          Chunk.iter_slots Chunk.Leaf_c ~chunk (fun ~idx ~obj:leaf ->
+              match classify leaf with
+              | Free_slot 0 -> ()
+              | Free_slot pv -> push stale_free.(me) (leaf, pv)
+              | Leaf_ok { key; pv } ->
+                  live := !live lor (1 lsl idx);
+                  if not quarantine then Epalloc.name_value alloc named.(me) pv;
+                  let hash_key, art_key = split_key t key in
+                  let p = Hash_dir.hash hash_key mod d in
+                  if p = me && not quarantine then index n hash_key art_key leaf
+                  else push work.(me).(p) (hash_key, art_key, leaf, pv)
+              | Leaf_bad { key; pv; detail } -> push badq.(me) (leaf, key, pv, detail));
+          Epalloc.set_leaf_bits alloc ~chunk !live
+        end;
         incr i);
     ignore (Atomic.fetch_and_add t.count !n : int)
   in
@@ -684,7 +706,7 @@ let check_integrity t =
   if !n <> count then fail "count %d but %d reachable leaves" count !n;
   let live_leaves = Epalloc.live_objects t.alloc Chunk.Leaf_c in
   if live_leaves <> !n then
-    fail "%d committed PM leaves but %d reachable from ARTs (leak?)" live_leaves !n;
+    fail "%d committed leaves but %d reachable from ARTs (leak?)" live_leaves !n;
   (* every committed value is named by a live leaf or by exactly one
      owning free slot, and a free slot that owns nothing names no
      committed value: a crash would otherwise make it a second owner *)
@@ -699,10 +721,18 @@ let check_integrity t =
           fail "value %d owned by free leaf slot %d is also named by %d" v leaf other
       | None -> ());
       Hashtbl.add seen_values v leaf);
+  (* each slot's length byte, its durable commit, agrees with its
+     mirror bit *)
   Epalloc.iter_chunks t.alloc Chunk.Leaf_c (fun chunk ->
-      Chunk.iter_slots t.pool Chunk.Leaf_c ~chunk (fun ~idx:_ ~obj:leaf ~live ->
+      let bits = Epalloc.committed_bits t.alloc Chunk.Leaf_c ~chunk in
+      Chunk.iter_slots Chunk.Leaf_c ~chunk (fun ~idx ~obj:leaf ->
+          let head = Leaf.head t.pool ~leaf in
+          let live = bits land (1 lsl idx) <> 0 in
+          if live <> (Leaf.head_len head <> 0) then
+            fail "leaf slot %d stores key length %d but its mirror bit is %b" leaf
+              (Leaf.head_len head) live;
           if not (live || Hashtbl.mem owning leaf) then
-            let v = Leaf.p_value t.pool ~leaf in
+            let v = Leaf.head_p_value head in
             if v <> 0 && Epalloc.value_committed t.alloc v then
               fail "free leaf slot %d names committed value %d but owns nothing" leaf v));
   List.iter
@@ -789,7 +819,7 @@ let owned_values t =
 (* fsck: a free slot stops owning and stops naming a value *)
 let sever t ~leaf =
   Epalloc.set_owner t.alloc ~leaf false;
-  Leaf.set_p_value t.pool ~leaf 0
+  Leaf.sever t.pool ~leaf
 
 let fsck ?(deep = true) t =
   let pool = t.pool and alloc = t.alloc in
@@ -865,8 +895,8 @@ let fsck ?(deep = true) t =
               }
         | Some (cls, chunk) ->
             if line = chunk / lb then begin
-              (* prologue line: bitmap and chain pointer untrustworthy;
-                 nothing below line granularity can prove which — leave
+              (* prologue line: the chain pointer is untrustworthy (a
+                 leaf chunk's first two slots share the line) — leave
                  for the mount-time refusal, report the blast radius *)
               Hashtbl.replace detected_lines line ();
               emit
@@ -876,7 +906,7 @@ let fsck ?(deep = true) t =
                   f_action = Detected;
                   f_detail =
                     Printf.sprintf
-                      "media fault on prologue line %d — chunk metadata \
+                      "media fault on prologue line %d — chain pointer \
                        untrustworthy"
                       line;
                   f_keys = [];
@@ -972,36 +1002,54 @@ let fsck ?(deep = true) t =
         None
       end)
     owned;
-  (* chunks come from the allocator's DRAM registry: a clobbered chain
-     pointer cannot lead these walks astray *)
+  (* chunks come from the allocator's DRAM registry and liveness from
+     its mirror, which the allocator alone writes: a clobbered chain
+     pointer or a stray length byte cannot lead these walks astray. A
+     slot on a line the ECC flags is phase 1's (or, on a prologue line,
+     left with its Detected finding). *)
+  let repaired ~leaf f_detail =
+    emit
+      {
+        Hart_error.f_site = leaf_site alloc ~leaf;
+        f_action = Repaired;
+        f_detail;
+        f_keys = [];
+        f_capacity = 0;
+      }
+  in
   Epalloc.iter_chunks alloc Chunk.Leaf_c (fun chunk ->
-      for idx = 0 to Chunk.objs_per_chunk - 1 do
-        let leaf = Chunk.obj_off Chunk.Leaf_c ~chunk ~idx in
-        if Chunk.test_bit pool ~chunk ~idx then begin
-          if not (Hashtbl.mem reachable leaf) then
-            quarantine_leaf_here ~owner ~leaf
-              ~detail:"committed leaf unreachable from the index"
-        end
-        else
-          match Leaf.p_value pool ~leaf with
-          | 0 -> ()
-          | pv when Hashtbl.find_opt owned pv = Some leaf -> ()
-          | pv ->
-              if
-                (not (Hashtbl.mem owner pv || Hashtbl.mem owned pv))
-                && Epalloc.value_committed alloc pv
-              then free_value alloc pv;
-              sever t ~leaf;
-              emit
-                {
-                  Hart_error.f_site = leaf_site alloc ~leaf;
-                  f_action = Repaired;
-                  f_detail = "stale value reference in free leaf slot severed";
-                  f_keys = [];
-                  f_capacity = 0;
-                }
-          | exception Pmem.Media_poisoned _ -> ()
-      done);
+      let live = Epalloc.committed_bits alloc Chunk.Leaf_c ~chunk in
+      Chunk.iter_slots Chunk.Leaf_c ~chunk (fun ~idx ~obj:leaf ->
+          if not (bad_span leaf Leaf.size) then begin
+            let head = Leaf.head pool ~leaf in
+            if live land (1 lsl idx) <> 0 then (
+              match Hashtbl.find_opt reachable leaf with
+              | None ->
+                  quarantine_leaf_here ~owner ~leaf
+                    ~detail:"committed leaf unreachable from the index"
+              | Some key ->
+                  if Leaf.head_len head <> String.length key then begin
+                    Leaf.init ~crc:checksums pool ~leaf ~p_value:(Leaf.head_p_value head)
+                      key;
+                    repaired ~leaf "live leaf's length byte restored from the index"
+                  end)
+            else begin
+              if Leaf.head_len head <> 0 then begin
+                Leaf.free pool ~leaf;
+                repaired ~leaf "free leaf slot's length byte cleared"
+              end;
+              match Leaf.head_p_value head with
+              | 0 -> ()
+              | pv when Hashtbl.find_opt owned pv = Some leaf -> ()
+              | pv ->
+                  if
+                    (not (Hashtbl.mem owner pv || Hashtbl.mem owned pv))
+                    && Epalloc.value_committed alloc pv
+                  then free_value alloc pv;
+                  sever t ~leaf;
+                  repaired ~leaf "stale value reference in free leaf slot severed"
+            end
+          end));
   (* committed values that no live key and no owning slot names *)
   List.iter
     (fun vcls ->
@@ -1015,28 +1063,6 @@ let fsck ?(deep = true) t =
             ~detail:"unreferenced committed value object reclaimed")
         !orphans)
     [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
-  (* every leaf chunk header must be the one its bitmap mirror implies:
-     the hint/full byte is a pure function of the bitmap, and the mirror
-     holds the bitmap the allocator last stored (skipped when the
-     prologue line is flagged by the ECC — rewriting would reseal a line
-     whose chain pointer is garbage). A value chunk's header is never
-     read, so it needs no repair. *)
-  Epalloc.iter_chunks alloc Chunk.Leaf_c (fun chunk ->
-      let repaired f_detail =
-        emit
-          {
-            Hart_error.f_site = Chunk_meta { cls = Epalloc.cls_name Chunk.Leaf_c; chunk };
-            f_action = Repaired;
-            f_detail;
-            f_keys = [];
-            f_capacity = 0;
-          }
-      in
-      if not (bad_span chunk 1) then
-        match Epalloc.repair_header alloc ~chunk with
-        | `Intact -> ()
-        | `Hint_rewritten -> repaired "hint/full header byte recomputed from the bitmap"
-        | `Bitmap_restored -> repaired "PM bitmap restored from the allocator's DRAM mirror");
   (* -------- phase 3 (deep): checksum walk ------------------------- *)
   if deep then begin
     (if checksums then
@@ -1047,9 +1073,9 @@ let fsck ?(deep = true) t =
        List.iter
          (fun leaf ->
            match
-             inspect_leaf alloc ~checksums ~bad_span:(fun _ _ -> false) ~leaf
+             inspect_slot alloc ~checksums ~bad_span:(fun _ _ -> false) ~leaf
            with
-           | Leaf_ok _ -> ()
+           | Leaf_ok _ | Free_slot _ -> ()
            | Leaf_bad { detail; _ } ->
                quarantine_leaf_here ~owner ~leaf ~detail)
          !to_check);

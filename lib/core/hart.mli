@@ -7,16 +7,17 @@
     simulated PM, managed by {!Epalloc}. The implementation follows the
     paper's algorithms:
 
-    - insertion — Algorithm 1 (leaf bit set last: the commit point);
+    - insertion — Algorithm 1 (value, then leaf: the leaf's length byte,
+      stored after its key, is the commit point; two persists);
     - allocation — Algorithm 2 (inside {!Epalloc.epmalloc});
     - update — Algorithm 3 (out-of-place, without its update log: the
-      new value, then the leaf's [p_value], then the bits; three
-      persists when the new value takes a slot in the old value's
-      chunk, whose two bits then change in one header store);
-    - search — Algorithm 4 (bitmap validation of the found leaf);
-    - deletion — Algorithm 5 (the leaf bit reset, with one persist: the
-      free slot owns its value until an insertion takes the slot over or
-      its chunk is recycled; empty ARTs freed);
+      new value, then the leaf's [p_value], two persists, then both
+      value bits in DRAM);
+    - search — Algorithm 4 (the found leaf validated by its own length
+      byte and key, read with it in one line);
+    - deletion — Algorithm 5 (the leaf's length byte zeroed, with one
+      persist: the free slot owns its value until an insertion takes
+      the slot over or its chunk is recycled; empty ARTs freed);
     - chunk recycling — Algorithm 6 (inside {!Epalloc.eprecycle});
     - recovery — Algorithm 7 ({!recover} rebuilds the directory and all
       internal nodes from the PM leaf chunks alone).
@@ -91,18 +92,20 @@ val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
 
     - the serial preamble replays the recycle log (quarantining: after
       the ECC scrub, in guarded mode);
-    - [domains] workers scan slices of the leaf chunk list, reading each
-      live leaf's key and value pointer (quarantining: validating the
-      leaf) and each free slot's value pointer, and sort the entries
-      into partitions by the directory hash of their hash key;
+    - [domains] workers scan slices of the leaf chunk list, reading
+      every slot once: its length byte says whether it is live and sets
+      its chunk's DRAM occupancy word; a live leaf's key and value
+      pointer (quarantining: validating the leaf) and a free slot's
+      value pointer come with it. The entries go into partitions by the
+      directory hash of their hash key;
     - quarantining only, a serial merge applies the keep-lower-offset
       duplicate rule and then every quarantine PM write;
     - a serial step settles the free leaf slots the scan found naming
       a value: owners are marked, the rest severed;
-    - the serial liveness pass stores the value-chunk headers whose
-      bits disagree with the named values — with the merge and the
-      free-slot step, the only PM writes after the preamble, all on
-      the calling domain;
+    - the serial liveness pass sets the value chunks' DRAM words from
+      the named values and recycles the value chunks nothing names —
+      with the merge and the free-slot step, the only PM writes after
+      the preamble, all on the calling domain;
     - each worker indexes its own partition straight into the shared
       directory. Partitions own disjoint hash keys, so each ART is built
       wholly by one worker.
@@ -133,8 +136,9 @@ val fsck : ?deep:bool -> t -> Hart_error.finding list
     - {e cross-structure invariants}: committed-but-unreachable leaves
       are quarantined, committed values named by no live leaf and no
       owning free slot reclaimed, free slots that name a value without
-      owning it severed, and corrupt
-      hint/full header bytes recomputed from their bitmaps;
+      owning it severed, and a leaf length byte that disagrees with the
+      allocator's DRAM occupancy repaired (a live leaf's restored from
+      the index, a free slot's cleared);
     - {e checksum walk} (only with [~deep:true], the default, on
       checksummed pools): every reachable leaf's key CRC and value CRC
       is verified, as is every micro-log word.

@@ -20,14 +20,13 @@ type site =
   | Root_block of { off : int }
       (** the root block's scalars: magic, kh word, class list heads *)
   | Chunk_meta of { cls : string; chunk : int }
-      (** a chunk prologue (bitmap/hint/full header word or PNext) *)
+      (** a chunk prologue (its PNext chain pointer) *)
   | Leaf_slot of { chunk : int; idx : int; leaf : int }
   | Value_slot of { cls : string; chunk : int; idx : int; obj : int }
   | Log_slot of { slot : int; off : int }  (** one recycle-log slot *)
   | Pool_line of { line : int }
       (** a 64-byte line attributable to no finer structure (free space,
-          allocation padding, the root block's reserved lines, unmounted
-          regions) *)
+          allocation padding, unmounted regions) *)
 
 type t = { site : site; detail : string; keys : string list }
 

@@ -3,67 +3,94 @@
     A HART leaf node lives in a PM leaf chunk and stores the {e complete}
     key (hash-key prefix included, "for the purpose of failure recovery",
     §III-A.2) plus a persistent pointer to its out-of-leaf value object
-    (Fig. 3). Layout, 40 bytes:
+    (Fig. 3). Layout, 32 bytes, 32-aligned in a leaf chunk so a leaf
+    never straddles a cache line:
 
     {v
-    offset 0   p_value : u64   pool offset of the value object (0 = none)
-    offset 8   key_len : u8    0..24
-    offset 9   key     : 24 B  key bytes, zero-padded
-    offset 33  padding
-    offset 34  key_crc : u32   optional CRC-32 (checksummed pools only)
-    offset 38  padding to 40
+    offset 0   head    : u64   bits  0..39 p_value (pool offset of the value, 0 = none)
+                               bits 40..55 key CRC-16 (checksummed pools; 0 otherwise)
+                               bits 56..63 key_len, 0..24
+    offset 8   key     : 24 B  key bytes (only [key_len] are meaningful)
     v}
 
-    The maximal key length is 24 bytes, as in the paper. The optional
-    CRC covers the length byte plus the [key_len] live key bytes only
-    (leaf slots are recycled unscrubbed, so fixed-width coverage would
-    checksum a previous occupant's stale tail bytes). *)
+    The maximal key length is 24 bytes, as in the paper. The length byte
+    is the leaf's commit point: a slot is live when it is non-zero and
+    free when it is zero. An insert stores the key bytes, then the head,
+    and persists the slot once; a prefix of those stores that lacks the
+    head leaves the slot free. A free slot keeps its [p_value], and a
+    free slot that names a value owns it (DESIGN.md §6 item 1).
+
+    The optional CRC is the low 16 bits of a CRC-32 over the length byte
+    plus the [key_len] live key bytes (slots are recycled unscrubbed, so
+    fixed-width coverage would checksum a previous occupant's stale tail
+    bytes). Pool offsets must stay below 2{^40}. *)
 
 val max_key_len : int
 
 val size : int
-(** Bytes per leaf slot (40). *)
+(** Bytes per leaf slot (32). *)
 
-val p_value : Hart_pmem.Pmem.t -> leaf:int -> int
-val set_p_value : Hart_pmem.Pmem.t -> leaf:int -> int -> unit
-(** Store and persist the value pointer (Algorithm 1 line 13 /
-    Algorithm 3 line 8 commit point). *)
+type slot =
+  | Free of int  (** length 0; the value pointer it still holds, 0 for none *)
+  | Live of int * string  (** value pointer and key *)
+  | Corrupt of int  (** a length byte outside [0..]{!max_key_len} *)
+
+val slot : Hart_pmem.Pmem.t -> leaf:int -> slot
+(** The slot as recovery sees it, in one metered access of its 32
+    bytes (one line). *)
 
 val read : Hart_pmem.Pmem.t -> leaf:int -> (int * string, int) result
-(** [Ok (p_value, key)] in one pass over the leaf — the leaf key
-    comparison a C implementation performs at the end of an ART descent.
-    One access reads [[leaf, min (leaf + 33, end of the line holding
-    leaf + 8))], a second only the key bytes past that line, so each
-    line of [[leaf, leaf + 9 + key_len)] is charged once and no other.
-    [Error len] when the stored length byte is outside
-    [1..]{!max_key_len} (a corrupt or never-written leaf); no key byte
-    is read then, and nothing past the slot ever is. *)
-
-val read_key : Hart_pmem.Pmem.t -> leaf:int -> (string, int) result
-(** {!read} without the value pointer: starts at the length byte, so it
-    charges the lines of [[leaf + 8, leaf + 9 + key_len)] only (what a
-    recovery scan needs). *)
+(** [Ok (p_value, key)] of a live slot in one access of its one line —
+    the leaf key comparison a C implementation performs at the end of an
+    ART descent. [Error len] when the length byte is outside
+    [1..]{!max_key_len}: 0 for a free slot, anything else for a corrupt
+    one. *)
 
 val key : Hart_pmem.Pmem.t -> leaf:int -> string
-(** The key of {!read_key}.
-    @raise Invalid_argument on an out-of-range length byte. *)
+(** The key of {!read}.
+    @raise Invalid_argument on a free slot or an out-of-range length. *)
 
-val write_key : ?crc:bool -> Hart_pmem.Pmem.t -> leaf:int -> string -> unit
-(** Store and persist key and key length (Algorithm 1 lines 15–16).
-    With [~crc:true] also stores the CRC-32 trailer (same persist call;
-    the trailer shares the leaf's cache lines, so flush counts are
-    unchanged).
-    @raise Invalid_argument if the key exceeds {!max_key_len}. *)
+val head : Hart_pmem.Pmem.t -> leaf:int -> int64
+(** The head word (one 8-byte read). *)
 
-val init : ?crc:bool -> Hart_pmem.Pmem.t -> leaf:int -> p_value:int -> string -> unit
-(** Store the value pointer and the key (and, with [~crc:true], its
-    trailer), then persist them with one call — Algorithm 1 lines 13–16
-    with the two leaf persists merged. The leaf is still free (its bit
-    unset) when this runs, so no recovery state depends on the order of
-    the two stores.
-    @raise Invalid_argument if the key exceeds {!max_key_len}. *)
+val head_len : int64 -> int
+val head_p_value : int64 -> int
+
+val p_value : Hart_pmem.Pmem.t -> leaf:int -> int
+(** [head_p_value (head pool ~leaf)]. *)
+
+val set_p_value : Hart_pmem.Pmem.t -> leaf:int -> head:int64 -> int -> unit
+(** Store [head] with its value pointer replaced — one 8-byte store that
+    keeps the length and CRC bits — and persist it (Algorithm 3's commit
+    point). [head] is the word the caller read. *)
+
+val init :
+  ?crc:bool ->
+  ?head_first:bool ->
+  Hart_pmem.Pmem.t ->
+  leaf:int ->
+  p_value:int ->
+  string ->
+  unit
+(** Commit a key into a free slot (Algorithm 1 lines 13–18): store the
+    key bytes, then the head (with [~crc:true] carrying the key CRC),
+    then persist the slot once. [~head_first:true] reverses the two
+    stores: test-only, the order {!Epalloc.Head_before_key} reinstates.
+    @raise Invalid_argument if the key is not 1..{!max_key_len} bytes or
+    [p_value] is no offset below 2{^40}. *)
+
+val write_key : Hart_pmem.Pmem.t -> leaf:int -> string -> int64
+(** {!init} with a null value pointer and no CRC; returns the head it
+    stored, for a following {!set_p_value}. The baselines' leaf
+    protocol (key, then value, then pointer). *)
+
+val free : Hart_pmem.Pmem.t -> leaf:int -> unit
+(** Store and persist a zero length byte: the slot is free and keeps
+    its value pointer (Algorithm 5's commit point). *)
+
+val sever : Hart_pmem.Pmem.t -> leaf:int -> unit
+(** Store and persist a zero head: the slot is free and names nothing. *)
 
 val key_crc_ok : Hart_pmem.Pmem.t -> leaf:int -> string -> bool
-(** [key_crc_ok pool ~leaf key]: does the stored CRC trailer match
-    [key], as returned by {!read}? Reads the 4-byte trailer only
-    (checksummed pools only; meaningless on plain pools). *)
+(** Does the head's CRC match [key], as returned by {!read}? Reads the
+    head only (checksummed pools only; meaningless on plain pools). *)

@@ -1,18 +1,16 @@
 module Pmem = Hart_pmem.Pmem
 module Crc32 = Hart_util.Crc32
 
-let n_slots = 8
+let n_slots = 4
 let slot_bytes = 24
 
 (* Each slot owns a whole line, so writing or reclaiming a record is one
    single-line persist and a line holds at most one slot's record. *)
-let region_bytes = 2 * n_slots * Pmem.line_bytes
+let region_bytes = n_slots * Pmem.line_bytes
 
 type t = {
   pool : Pmem.t;
-  base : int;
-      (* line-aligned: the v02 layout's reserved lines at [base], then
-         the recycle slots *)
+  base : int;  (* line-aligned: slot 0's line *)
   checksummed : bool;  (* in-word CRC trailers on every log word *)
 }
 
@@ -28,7 +26,7 @@ let create ?(checksummed = false) pool ~base =
   t
 
 let attach ?(checksummed = false) pool ~base = make pool ~base ~checksummed
-let slot_offset t ~slot = t.base + ((n_slots + slot) * Pmem.line_bytes)
+let slot_offset t ~slot = t.base + (slot * Pmem.line_bytes)
 
 (* In-word CRC trailer (opt-in): log values are pool offsets or class
    tags, all well below 2^32, so the upper half of each 8-byte word is

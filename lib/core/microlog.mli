@@ -5,10 +5,8 @@
     flight, and each class writes one fixed slot: its class id (leaf 0,
     val8 1, val16 2, val32 3). Whoever holds a class's lock holds its
     slot. The paper gives each writer thread a log of its own
-    ([GetMicroLog]); DESIGN.md §6 item 4. The region keeps [n_slots]
-    recycle slots, and recovery replays a record in any of them, so an
-    image written while slots were handed out dynamically still
-    recovers.
+    ([GetMicroLog]); DESIGN.md §6 item 4. The region is exactly those
+    four slots; recovery replays a record in any of them.
 
     A slot is a triple of 8-byte persistent words at the start of its
     own 64-byte line: [PPrev], [PCurrent], [meta] (low bits: object
@@ -24,12 +22,6 @@
     (DESIGN.md §6 item 4). A record is reclaimed with one single-line
     flush.
 
-    The region keeps the v02 layout: [n_slots] lines that held update-log
-    slots come first. Updates no longer log (DESIGN.md §6 item 3), so
-    those lines are reserved padding: nothing reads or writes them, apart
-    from media repair, which zeroes and reseals a damaged one; a record
-    an older image left there is ignored.
-
     When the pool is formatted with checksums, every non-zero log word
     carries a CRC-32 of its 32-bit payload in its upper half — the
     values logged are pool offsets and class tags, all below 2{^32}, so
@@ -41,16 +33,15 @@
 type t
 
 val n_slots : int
-(** 8 recycle slots. Only the first four (one per object class) are
-    written; recovery replays all of them. *)
+(** 4 recycle slots, one per object class. *)
 
 val slot_bytes : int
 (** Bytes of a slot's record (three 8-byte words). Slots are laid out
     one per line ({!Hart_pmem.Pmem.line_bytes} apart). *)
 
 val region_bytes : int
-(** Bytes the v02 layout occupies after the root-block scalars:
-    [n_slots] reserved lines, then [n_slots] recycle-slot lines. *)
+(** Bytes of the region after the root-block scalars: [n_slots] lines,
+    one slot each. *)
 
 val create : ?checksummed:bool -> Hart_pmem.Pmem.t -> base:int -> t
 (** [create pool ~base] formats (zeroes and persists) the region

@@ -374,10 +374,10 @@ let split_race_workload ~domains ~ops_per_domain =
 
 (* Concurrent updates into one value chunk: each domain updates keys of
    its own prefix (its own stripe), whose values the setup places in one
-   Val8 chunk, so one domain's header store commits while another's
-   update is between its p_value store and its own bit commit, and each
-   domain is handed the slots the other's updates free. Every third
-   update changes class and back, taking the two-header path. *)
+   Val8 chunk, so one domain's bit commit lands while another's update
+   is between its p_value store and its own bit commit, and each domain
+   is handed the slots the other's updates free. Every third update
+   changes class and back, committing in two chunks' words. *)
 let update_race_workload ~domains ~ops_per_domain =
   let key d i = Printf.sprintf "u%d-%02d" d i in
   let setup =

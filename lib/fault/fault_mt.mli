@@ -140,10 +140,10 @@ val split_race_workload :
 val update_race_workload :
   domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array
 (** [(setup, scripts)] — every domain updates keys of its own prefix
-    whose values share one value chunk, so header commits interleave
-    with other domains' updates between their [p_value] store and their
-    bit commit, and freed slots pass between domains; every third update
-    changes class, taking the two-header commit. *)
+    whose values share one value chunk, so bit commits interleave with
+    other domains' updates between their [p_value] store and their bit
+    commit, and freed slots pass between domains; every third update
+    changes class, committing in two chunks' words. *)
 
 val recycle_race_workload :
   domains:int -> ops_per_domain:int -> Fault.op list * Fault.op list array

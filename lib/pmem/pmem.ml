@@ -43,6 +43,7 @@ type t = {
   mutable crash_fired : bool;  (* a crash happened since the last arm *)
   mutable total_flushes : int;  (* lifetime protocol flushes, survives Meter.reset *)
   mutable read_trace : (int, unit) Hashtbl.t option;  (* lines read while tracing *)
+  mutable store_trace : (int * string) list option;  (* stores, newest first *)
   (* Media model. The DIMM's per-line ECC is modelled sparsely: a line
      whose durable bytes are what its last legitimate write left there
      has no entry, because its ECC would just be the CRC of those bytes.
@@ -80,6 +81,7 @@ let create ?(capacity = 1 lsl 20) ?(max_capacity = 1 lsl 30) meter =
     crash_fired = false;
     total_flushes = 0;
     read_trace = None;
+    store_trace = None;
     expected = Hashtbl.create 4;
     stuck = Hashtbl.create 4;
     poisoned = Hashtbl.create 4;
@@ -97,6 +99,7 @@ let clone t =
     free_lists;
     alloc_mu = Mutex.create ();
     read_trace = None;
+    store_trace = None;
     expected = Hashtbl.copy t.expected;
     stuck = Hashtbl.copy t.stuck;
     poisoned = Hashtbl.copy t.poisoned;
@@ -239,7 +242,17 @@ let mark_written t off len =
   for line = first to last do
     dirty_set t line
   done;
-  Meter.access_range t.meter Pm ~addr:off ~len ~write:true
+  Meter.access_range t.meter Pm ~addr:off ~len ~write:true;
+  match t.store_trace with
+  | None -> ()
+  | Some l -> t.store_trace <- Some ((off, Bytes.sub_string t.cache off len) :: l)
+
+let store_trace_start t = t.store_trace <- Some []
+
+let store_trace_stop t =
+  let stores = Option.value t.store_trace ~default:[] in
+  t.store_trace <- None;
+  List.rev stores
 
 let trace_read t off len =
   match t.read_trace with

@@ -132,6 +132,15 @@ val read_trace_stop : t -> int list
     {!read_trace_start}, sorted ascending. Returns [[]] if no trace was
     active. *)
 
+val store_trace_start : t -> unit
+(** Start (or restart) recording every store to the volatile view. A
+    test that builds crash images by hand uses the record to know which
+    bytes a protocol stored, in which order. Off by default. *)
+
+val store_trace_stop : t -> (int * string) list
+(** Stop recording and return the stores since {!store_trace_start} in
+    program order, each as its offset and the bytes it stored. *)
+
 (** {1 Persistence} *)
 
 val persist : t -> off:int -> len:int -> unit

@@ -1,10 +1,8 @@
 (** Bit-level helpers shared by the persistent layouts and the ART
     bitmap node layer.
 
-    The EPallocator chunk header (Fig. 2 of the paper) packs a 56-bit
-    occupancy bitmap, a 6-bit next-free index and a 2-bit full indicator
-    into one 8-byte word; these helpers implement the packing. The DRAM
-    ART's bitmap nodes (DESIGN.md §14) additionally rank children by
+    FPTree's leaf bitmap and EPallocator's DRAM occupancy words use the
+    set/test/scan helpers. The DRAM ART's bitmap nodes (DESIGN.md §14) additionally rank children by
     popcount over their membership bitset, so {!popcount} is a
     branchless SWAR reduction rather than a per-set-bit loop, and the
     [_w] variants operate on 32-bit words held in a native [int] (the

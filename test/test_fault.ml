@@ -166,12 +166,12 @@ let schedule_space_pin () =
         (Printf.sprintf "%s: nested schedules" name)
         nested r.Fault.nested_schedules)
     [
-      ("update-log", 49, 49, 96);
-      ("update-own", 36, 36, 24);
-      ("delete-recycle", 51, 51, 105);
-      ("mixed-dense", 47, 47, 48);
+      ("update-log", 44, 44, 96);
+      ("update-own", 30, 30, 24);
+      ("delete-recycle", 45, 45, 105);
+      ("mixed-dense", 39, 39, 48);
       ("chunk-unlink", 24, 24, 75);
-      ("split-chain", 114, 114, 6);
+      ("split-chain", 76, 76, 6);
     ]
 
 let oracle_semantics () =
@@ -194,7 +194,7 @@ let oracle_semantics () =
 let checkpoint_equivalence target name () =
   let name, setup, ops = find name in
   let full = Fault.explore ~setup ~workload:name target ops in
-  let cp = Fault.explore ~setup ~checkpoint_every:30 ~workload:name target ops in
+  let cp = Fault.explore ~setup ~checkpoint_every:20 ~workload:name target ops in
   Alcotest.(check int) "same flush boundaries" full.Fault.total_flushes
     cp.Fault.total_flushes;
   Alcotest.(check int) "same schedules" full.Fault.schedules cp.Fault.schedules;
@@ -242,9 +242,11 @@ let tampered_target () =
     media_mount = None;
   }
 
+(* two inserts after the dropped key's, so that more than one schedule
+   crashes with it committed *)
 let tampered_ops =
   [ Fault.Insert ("aa", "1"); Fault.Insert ("ab", "2");
-    Fault.Insert ("ac", "3") ]
+    Fault.Insert ("ac", "3"); Fault.Insert ("ad", "4") ]
 
 (* keep_going must complete the sweep and collect every violating
    schedule instead of raising on the first. *)
@@ -623,8 +625,8 @@ let mt_torn_sweep () =
    prefix, in-flight set and recovered state all equal. *)
 let mt_determinism () =
   let setup, scripts = Fault_mt.default_workload ~domains:3 ~ops_per_domain:4 in
-  let p1 = Fault_mt.probe ~seed:7L ~schedule:20 ~setup scripts in
-  let p2 = Fault_mt.probe ~seed:7L ~schedule:20 ~setup scripts in
+  let p1 = Fault_mt.probe ~seed:7L ~schedule:12 ~setup scripts in
+  let p2 = Fault_mt.probe ~seed:7L ~schedule:12 ~setup scripts in
   Alcotest.(check bool) "replay is bit-identical" true (p1 = p2);
   Alcotest.(check bool) "the armed schedule fired" true p1.Fault.p_crashed
 
@@ -890,25 +892,25 @@ let mt_counter_pin () =
       ( "mt-default",
         Fault_mt.default_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 27); ("schedules", 27);
+          ("ops", 12); ("flush-boundaries", 21); ("schedules", 21);
           ("nested", 0); ("recovery-flushes", 0); ("max-in-flight", 2);
-          ("multi-in-flight", 15); ("contended", 3); ("checkpoints", 0);
+          ("multi-in-flight", 9); ("contended", 4); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
       ( "mt-collide",
         Fault_mt.collide_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 31); ("schedules", 31);
+          ("ops", 12); ("flush-boundaries", 22); ("schedules", 22);
           ("nested", 0); ("recovery-flushes", 0); ("max-in-flight", 2);
-          ("multi-in-flight", 6); ("contended", 9); ("checkpoints", 0);
+          ("multi-in-flight", 4); ("contended", 7); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
       ( "mt-recycle-classes",
         Fault_mt.recycle_classes_workload ~domains:2 ~ops_per_domain:6,
         [
-          ("ops", 12); ("flush-boundaries", 51); ("schedules", 51);
-          ("nested", 54); ("recovery-flushes", 54); ("max-in-flight", 2);
-          ("multi-in-flight", 32); ("contended", 1); ("checkpoints", 0);
+          ("ops", 12); ("flush-boundaries", 49); ("schedules", 49);
+          ("nested", 48); ("recovery-flushes", 48); ("max-in-flight", 2);
+          ("multi-in-flight", 25); ("contended", 5); ("checkpoints", 0);
           ("replays", 0); ("violations", 0);
         ] );
     ]
@@ -926,7 +928,7 @@ let srv_counters r =
     ("violations", List.length r.Fault.violations);
   ]
 
-(* seed 11 at the CLI's 28 requests per client: the 73 + 38 boundaries
+(* seed 11 at the CLI's 28 requests per client: the 57 + 31 boundaries
    the server DST gate sweeps, clean and torn *)
 let srv_counter_pin () =
   let setup, scripts =
@@ -937,16 +939,16 @@ let srv_counter_pin () =
   in
   let default_pin =
     [
-      ("ops", 56); ("flush-boundaries", 73); ("schedules", 73);
+      ("ops", 56); ("flush-boundaries", 57); ("schedules", 57);
       ("recovery-flushes", 0); ("max-in-flight", 2);
-      ("multi-in-flight", 24); ("acked", 1191); ("dropped-sessions", 0);
+      ("multi-in-flight", 12); ("acked", 935); ("dropped-sessions", 0);
       ("violations", 0);
     ]
   and drop_pin =
     [
-      ("ops", 56); ("flush-boundaries", 38); ("schedules", 38);
+      ("ops", 56); ("flush-boundaries", 31); ("schedules", 31);
       ("recovery-flushes", 0); ("max-in-flight", 1);
-      ("multi-in-flight", 0); ("acked", 283); ("dropped-sessions", 38);
+      ("multi-in-flight", 0); ("acked", 238); ("dropped-sessions", 31);
       ("violations", 0);
     ]
   in
@@ -1131,6 +1133,26 @@ let sweep_violates name =
   | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
   | exception _ -> true
 
+(* Storing a leaf's head before its key bytes breaks the leaf's
+   self-commit only for a crash that writes back part of the leaf's line
+   ([test_core]'s store-order test builds those images). Every
+   line-atomic crash mode writes back whole lines at flushes, so the
+   mutation passes every sweep here: the reason the store-order test
+   exists. *)
+let head_before_key_passes_line_atomic_sweeps () =
+  with_mutation Epalloc.Head_before_key (fun () ->
+      List.iter
+        (fun (name, setup, ops) ->
+          List.iter
+            (fun mode ->
+              let r = Fault.explore ~mode ~keep_going:true ~setup ~workload:name Fault.hart ops in
+              Alcotest.(check (list string))
+                (Format.asprintf "%s %a" name Fault.pp_mode mode)
+                []
+                (List.map Fault.violation_message r.Fault.violations))
+            [ Pmem.Clean; Pmem.Torn { seed = 7L; fraction = 0.5 }; Pmem.Torn_commit ])
+        Fault.builtin_workloads)
+
 let ownership_mutations_caught () =
   List.iter
     (fun (m, what, workload) ->
@@ -1211,11 +1233,11 @@ let recycle_frees_after_unlink () =
   Alcotest.(check (option int)) "freeing before the unlink is caught" (Some 22) first
 
 (* Freeing an owned value before its slot stops naming it fails the
-   sweeps CI runs, at both sites. The recycle-race sweep at seed 42 (the
-   CLI's default) reaches the recycle site: the recycling domain frees
+   sweeps CI runs, at both sites. The recycle-race sweep at seed 1
+   reaches the recycle site: the recycling domain frees
    the deleted key's value before the unlink, and the other domain is
    given it and commits it before the crash. The takeover-race sweep at
-   seed 8 reaches the take-over site: the insert frees the owned value
+   seed 6 reaches the take-over site: the insert frees the owned value
    before its leaf store, and the updating domain is given it. (Checked
    site by site with each half of the mutation disabled: recycle-race
    reaches only the recycle site, takeover-race only the take-over
@@ -1232,8 +1254,8 @@ let free_before_unname_caught () =
         (with_mutation Epalloc.Free_before_unname (fun () ->
              mt_violates ~seed ~setup scripts)))
     [
-      ("recycle-race", Fault_mt.recycle_race_workload, 42L);
-      ("takeover-race", Fault_mt.takeover_race_workload, 8L);
+      ("recycle-race", Fault_mt.recycle_race_workload, 1L);
+      ("takeover-race", Fault_mt.takeover_race_workload, 6L);
     ]
 
 (* A slot another domain commits and deletes while a recycle of its
@@ -1332,7 +1354,7 @@ let srv_shrink_regression () =
           (fun s ->
             ( Int64.of_int s,
               Fault_server.default_workload ~clients:2 ~ops_per_client:8 ))
-          [ 1; 2; 3; 4; 5; 11; 82 ]
+          [ 1; 2; 3; 4; 5; 11; 14 ]
       in
       match
         List.find_opt
@@ -1503,5 +1525,7 @@ let () =
             bits_before_p_value_caught;
           Alcotest.test_case "two classes recycle at once" `Quick
             recycle_classes_sweep;
+          Alcotest.test_case "head before key passes the line-atomic sweeps" `Quick
+            head_before_key_passes_line_atomic_sweeps;
         ] );
     ]

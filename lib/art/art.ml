@@ -762,6 +762,80 @@ let insert t key v =
   !result
 
 (* ------------------------------------------------------------------ *)
+(* Bulk build                                                          *)
+
+(* A fresh inner node written whole, bottom-up: its children (byte,
+   child word), ascending, and its ends-here leaf (-1 for none) are
+   known, so it takes its final modelled class, physical capacity and
+   prefix at once — one allocation, one [Node_created], one write of its
+   modelled C bytes. *)
+let alloc_whole t ~prefix ~here children =
+  let n = List.length children in
+  let rec cls_for c = if 4 lsl c >= n then c else cls_for (c + 1) in
+  let cls = cls_for 0 in
+  let h = alloc_handle t in
+  let koff = alloc_kids t cls in
+  let base = h * stride in
+  A.unsafe_set t.meta (base + f_cls) cls;
+  A.unsafe_set t.meta (base + f_koff) koff;
+  A.unsafe_set t.meta (base + f_n) n;
+  A.unsafe_set t.meta (base + f_here) here;
+  t.prefixes.(h) <- prefix;
+  List.iteri
+    (fun r (c, child) ->
+      A.unsafe_set t.kids (koff + if cls = 6 then c else r) child;
+      let wi = base + f_bits + (c lsr 5) in
+      A.unsafe_set t.meta wi (A.unsafe_get t.meta wi lor (1 lsl (c land 31))))
+    children;
+  t.dense_used <- t.dense_used + n;
+  let size = msize (mclass n) in
+  if mclass n = 48 then n48_enter t h;
+  t.bytes <- t.bytes + size;
+  let addr = t.alloc_node size in
+  A.unsafe_set t.meta (base + f_addr) addr;
+  (match t.meter with
+  | Some m -> Meter.write_range m t.space ~addr ~len:size
+  | None -> ());
+  if evented t then t.on_event (Node_created { addr; bytes = size });
+  h
+
+let no_pass ~lo:_ ~hi:_ ~byte:_ = ()
+
+let of_sorted ?meter ?on_event ?(on_pass = no_pass) keys vals =
+  let n = Array.length keys in
+  if Array.length vals <> n then invalid_arg "Art.of_sorted: keys and values differ in number";
+  for i = 1 to n - 1 do
+    if String.compare keys.(i - 1) keys.(i) >= 0 then
+      invalid_arg "Art.of_sorted: keys not strictly increasing"
+  done;
+  let t = create ?meter ?on_event () in
+  (* keys [lo, hi) share their first [depth] bytes; sorted, they share
+     exactly what the first and the last share *)
+  let rec build lo hi depth =
+    if hi - lo = 1 then leaf_word (alloc_leaf t keys.(lo) vals.(lo))
+    else begin
+      let first = keys.(lo) in
+      let d = depth + common_len first depth keys.(hi - 1) depth in
+      on_pass ~lo ~hi ~byte:d;
+      (* a key ending at [d] sorts first and ends here *)
+      let here, lo = if String.length first = d then (alloc_leaf t first vals.(lo), lo + 1) else (-1, lo) in
+      let rec runs a acc =
+        if a = hi then List.rev acc
+        else
+          let c = keys.(a).[d] in
+          let rec stop b = if b < hi && keys.(b).[d] = c then stop (b + 1) else b in
+          let b = stop (a + 1) in
+          runs b ((Char.code c, build a b (d + 1)) :: acc)
+      in
+      let children = runs lo [] in
+      inner_word (alloc_whole t ~prefix:(String.sub first depth (d - depth)) ~here children)
+    end
+  in
+  if n > 0 then t.root <- build 0 n 0;
+  t.count <- n;
+  t
+
+(* ------------------------------------------------------------------ *)
 (* Deletion                                                            *)
 
 (* Restore path-compression minimality after a removal under [h].

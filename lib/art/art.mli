@@ -70,6 +70,30 @@ val create :
     every node has a distinct address either way). [on_event] receives
     structural events (default: ignored). *)
 
+val of_sorted :
+  ?meter:Hart_pmem.Meter.t ->
+  ?on_event:(event -> unit) ->
+  ?on_pass:(lo:int -> hi:int -> byte:int -> unit) ->
+  string array ->
+  'v array ->
+  'v t
+(** [of_sorted keys vals] is the tree binding [keys.(i)] to [vals.(i)],
+    built bottom-up (Leis et al., ICDE 2013): the same tree, node for
+    node, that inserting the bindings into {!create}[ ()] builds, but
+    each inner node is allocated once, at its final adaptive class,
+    physical capacity and compressed prefix. One [Node_created] per
+    node, no other event; with [meter], one {!Hart_pmem.Meter.write_range}
+    of the node's modelled C bytes and no read. [on_pass] is called once
+    per inner node, before its node is written, with the sorted
+    positions [\[lo, hi)] of the keys below it and the position [byte]
+    of the key byte it branches on: the build compares the range's
+    first and last keys up to [byte] and reads [byte] of each key in
+    the range, so a caller holding the keys in its own memory can
+    charge that pass. [meter] and [on_event] are {!create}'s; the
+    nodes are DRAM nodes from the meter's allocator.
+    @raise Invalid_argument unless [keys] is strictly increasing and as
+    long as [vals]. *)
+
 val count : 'v t -> int
 (** Number of keys. O(1). *)
 

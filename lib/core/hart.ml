@@ -1,4 +1,5 @@
 module Pmem = Hart_pmem.Pmem
+module Meter = Hart_pmem.Meter
 module Art = Hart_art.Art
 
 type internal_nodes = [ `Dram | `Pm ]
@@ -77,10 +78,11 @@ let create ?(kh = 2) ?(checksums = false) ?dir_buckets ?(internal_nodes = `Dram)
     quarantines = ref [];
   }
 
-let split_key t key =
+let split kh key =
   let n = String.length key in
-  if n <= t.kh then (key, "")
-  else (String.sub key 0 t.kh, String.sub key t.kh (n - t.kh))
+  if n <= kh then (key, "") else (String.sub key 0 kh, String.sub key kh (n - kh))
+
+let split_key t key = split t.kh key
 
 let find_art t hash_key = Hash_dir.find t.dir hash_key
 
@@ -290,19 +292,6 @@ let iter_arts t f = Hash_dir.iter t.dir f
 (* ------------------------------------------------------------------ *)
 (* Recovery (Algorithm 7)                                              *)
 
-let make_recovered pool alloc quarantines =
-  let meter = Pmem.meter pool in
-  {
-    alloc;
-    pool;
-    dir = Hash_dir.create ~meter ();
-    kh = Epalloc.kh alloc;
-    internal_nodes = `Dram;
-    count = Atomic.make 0;
-    pm_node_bytes = Atomic.make 0;
-    quarantines;
-  }
-
 (* A leaf slot's coordinates in errors and findings *)
 let leaf_site alloc ~leaf =
   let chunk = Epalloc.chunk_of_obj alloc Chunk.Leaf_c leaf in
@@ -484,7 +473,120 @@ let settle_free_slots alloc ~quarantine ~taken ~name stale_free =
       else Leaf.sever pool ~leaf)
     (List.sort compare stale_free)
 
-(* Algorithm 7: one pipeline for every mode and domain count [d].
+(* ---- the index build: gather during the scan, build each ART once - *)
+
+(* A gather buffer: the live leaves one scanning domain found under one
+   hash key, in scan order. A C entry is 16 bytes: the leaf offset (40
+   bits), the ART key's length (8 bits) and its first
+   [inline_key_bytes] bytes, in blocks taken from the meter's DRAM
+   allocator. The OCaml arrays keep whole keys; a byte past the inline
+   ones is charged as a PM read of the leaf, where a C build finds it. *)
+type gather_buf = {
+  mutable keys : string array;  (* ART keys *)
+  mutable leaves : int array;
+  mutable len : int;
+  mutable blocks : int list;  (* modelled block addresses, newest first *)
+}
+
+let entry_bytes = 16
+let block_entries = 16 (* 256-byte blocks: four lines *)
+let block_bytes = block_entries * entry_bytes
+let inline_key_bytes = 10
+
+(* The directory's payload while recovery runs: a buffer per scanning
+   domain, then the ART built of them. *)
+type gather = { hk : string; bufs : gather_buf option array; mutable art : int Art.t option }
+
+(* One metered DRAM write per entry *)
+let append meter buf key leaf =
+  let i = buf.len in
+  if i mod block_entries = 0 then buf.blocks <- Meter.dram_alloc meter block_bytes :: buf.blocks;
+  if i = Array.length buf.keys then begin
+    let grow a fill = Array.append a (Array.make (max 8 i) fill) in
+    buf.keys <- grow buf.keys "";
+    buf.leaves <- grow buf.leaves 0
+  end;
+  buf.keys.(i) <- key;
+  buf.leaves.(i) <- leaf;
+  buf.len <- i + 1;
+  Meter.access meter Meter.Dram
+    ~addr:(List.hd buf.blocks + (i mod block_entries * entry_bytes))
+    ~write:true
+
+(* Build [g]'s ART of the leaves [keep] accepts, then free its buffers;
+   the number of leaves built. The entries are sorted in place: sorted
+   position [i] sits in the [i]-th kept entry's slot. The sort reads and
+   writes each of their lines once, and each partition pass of
+   [Art.of_sorted] reads the lines of its range once; a comparison or a
+   branch byte the inline bytes do not hold reads the leaf. A plain
+   mount refuses two committed leaves for one key, naming the higher
+   offset (the quarantining merge has already dropped it). *)
+let build_art alloc meter ~keep g =
+  let bufs = List.filter_map Fun.id (Array.to_list g.bufs) in
+  let total = List.fold_left (fun a b -> a + b.len) 0 bufs in
+  let keys = Array.make total "" and leaves = Array.make total 0 in
+  let slots = Array.make total 0 in
+  let n = ref 0 in
+  List.iter
+    (fun b ->
+      let blocks = Array.of_list (List.rev b.blocks) in
+      for i = 0 to b.len - 1 do
+        if keep b.leaves.(i) then begin
+          keys.(!n) <- b.keys.(i);
+          leaves.(!n) <- b.leaves.(i);
+          slots.(!n) <- blocks.(i / block_entries) + (i mod block_entries * entry_bytes);
+          incr n
+        end
+      done)
+    bufs;
+  let n = !n in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun i j ->
+      match String.compare keys.(i) keys.(j) with 0 -> compare leaves.(i) leaves.(j) | c -> c)
+    order;
+  let keys = Array.map (fun i -> keys.(i)) order
+  and leaves = Array.map (fun i -> leaves.(i)) order in
+  let pass ~write lo hi =
+    let last = ref (-1) in
+    for i = lo to hi - 1 do
+      let line = slots.(i) / Pmem.line_bytes in
+      if line <> !last then begin
+        last := line;
+        Meter.access meter Meter.Dram ~addr:(line * Pmem.line_bytes) ~write
+      end
+    done
+  in
+  let long i = String.length keys.(i) > inline_key_bytes in
+  let same_inline a b =
+    let rec go j = j = inline_key_bytes || (a.[j] = b.[j] && go (j + 1)) in
+    go 0
+  in
+  let read_leaf i = Meter.access meter Meter.Pm ~addr:leaves.(i) ~write:false in
+  pass ~write:false 0 n;
+  if n > 1 then pass ~write:true 0 n;
+  for i = 1 to n - 1 do
+    if long (i - 1) && long i && same_inline keys.(i - 1) keys.(i) then begin
+      read_leaf (i - 1);
+      read_leaf i
+    end;
+    if String.equal keys.(i - 1) keys.(i) then
+      duplicate_leaf_error alloc ~key:(g.hk ^ keys.(i)) ~obj:leaves.(i)
+  done;
+  let on_pass ~lo ~hi ~byte =
+    pass ~write:false lo hi;
+    if byte >= inline_key_bytes then
+      for i = lo to hi - 1 do
+        if long i then read_leaf i
+      done
+  in
+  if n > 0 then g.art <- Some (Art.of_sorted ~meter ~on_pass keys leaves);
+  List.iter
+    (fun b -> List.iter (fun addr -> Meter.dram_free meter ~addr ~size:block_bytes) b.blocks)
+    bufs;
+  n
+
+(* Algorithm 7 as one pipeline for every mode and domain count [d].
 
    - preamble (serial): [Epalloc.attach] replays the recycle log;
      replay orders PM writes. A quarantining mount first consults the
@@ -493,11 +595,12 @@ let settle_free_slots alloc ~quarantine ~taken ~name stale_free =
      chunk. It reads every slot once: the length byte says whether it
      is live, and the chunk's live slots become its mirror word
      ([Epalloc.set_leaf_bits]). It names each live leaf's value on its
-     own cursor [named.(me)], or, quarantining, validates the leaf; it
-     notes every free slot that still names a value. The entry goes to
-     cell [work.(me).(p)] where [p =
-     Hash_dir.hash hash_key mod d]: no two domains write one cell, and
-     nothing is written to PM.
+     own cursor [named.(me)], or, quarantining, validates the leaf and
+     notes it for the merge; it notes every free slot that still names
+     a value. Each live leaf probes the directory once for its hash key
+     and appends one entry to its own buffer there ([append]); the
+     first domain to probe a hash key adds it, to partition [p =
+     Hash_dir.hash hash_key mod d]. Nothing is written to PM.
    - merge (quarantining only, serial): the keep-lower-offset rule for
      a duplicate key and for a value two keys name (order-independent,
      so every [d] excises the same leaves), then the quarantine PM
@@ -507,15 +610,10 @@ let settle_free_slots alloc ~quarantine ~taken ~name stale_free =
      every other (DESIGN.md §6 item 2).
    - liveness (serial): [Epalloc.settle_values] commits every named
      value and frees every other (DESIGN.md §6 item 3).
-   - build: domain [p] indexes column [p] straight into [t.dir].
-     Partitioning by the directory hash gives the partitions disjoint
-     hash keys, so no ART is shared between domains, and
-     [Hash_dir.insert] serialises on its writer mutex.
-
-   A plain mount has no merge, so a domain indexes the entries of its
-   own partition as its scan reads them. At [d = 1] that is every entry:
-   the chunk walk, each leaf read and its insert stay interleaved, and
-   nothing is spawned.
+   - build: domain [p] builds each ART of partition [p] once
+     ([build_art]: sort the buffers, [Art.of_sorted]); partitions share
+     no ART. Then, serially, the directory keeps the ARTs in place
+     ([Hash_dir.map]), less any hash key the merge emptied.
 
    [Domain.join] gives the inter-phase happens-before. Only the attach,
    the quarantining merge, the free-slot step and the liveness pass
@@ -540,17 +638,32 @@ let recover_parallel ?domains ?(quarantine = false) pool =
     end
   in
   let checksums = Epalloc.checksums alloc in
-  let t = make_recovered pool alloc findings in
+  let kh = Epalloc.kh alloc in
+  let meter = Pmem.meter pool in
+  let gathers = Hash_dir.create ~meter () in
+  (* [made.(me).(p)]: the hash keys of partition [p] domain [me] added *)
+  let made = Array.init d (fun _ -> Array.make d []) in
+  let gather me hash_key art_key leaf =
+    let g =
+      Hash_dir.find_or_add gathers hash_key (fun () ->
+          let g = { hk = hash_key; bufs = Array.make d None; art = None } in
+          let p = Hash_dir.hash hash_key mod d in
+          made.(me).(p) <- g :: made.(me).(p);
+          g)
+    in
+    let buf =
+      match g.bufs.(me) with
+      | Some b -> b
+      | None ->
+          let b = { keys = [||]; leaves = [||]; len = 0; blocks = [] } in
+          g.bufs.(me) <- Some b;
+          b
+    in
+    append meter buf art_key leaf
+  in
   let work = Array.init d (fun _ -> Array.init d (fun _ -> ref [])) in
   let badq = Array.init d (fun _ -> ref []) in
   let stale_free = Array.init d (fun _ -> ref []) in
-  (* the one indexing step; [n] counts the calling domain's inserts *)
-  let index n hash_key art_key leaf =
-    let art = find_or_create_art t hash_key in
-    match Art.insert art art_key leaf with
-    | `Inserted -> incr n
-    | `Replaced _ -> duplicate_leaf_error alloc ~key:(hash_key ^ art_key) ~obj:leaf
-  in
   let classify leaf =
     if quarantine then inspect_slot alloc ~checksums ~bad_span ~leaf
     else plain_slot alloc ~leaf
@@ -558,7 +671,7 @@ let recover_parallel ?domains ?(quarantine = false) pool =
   let named = Array.init d (fun _ -> Epalloc.runs ()) in
   let push cell x = cell := x :: !cell in
   let scan me =
-    let n = ref 0 and i = ref 0 in
+    let i = ref 0 in
     Epalloc.iter_chain alloc Chunk.Leaf_c (fun chunk ->
         if !i mod d = me then begin
           let live = ref 0 in
@@ -568,16 +681,15 @@ let recover_parallel ?domains ?(quarantine = false) pool =
               | Free_slot pv -> push stale_free.(me) (leaf, pv)
               | Leaf_ok { key; pv } ->
                   live := !live lor (1 lsl idx);
-                  if not quarantine then Epalloc.name_value alloc named.(me) pv;
-                  let hash_key, art_key = split_key t key in
-                  let p = Hash_dir.hash hash_key mod d in
-                  if p = me && not quarantine then index n hash_key art_key leaf
-                  else push work.(me).(p) (hash_key, art_key, leaf, pv)
+                  let hash_key, art_key = split kh key in
+                  if quarantine then
+                    push work.(me).(Hash_dir.hash hash_key mod d) (hash_key, art_key, leaf, pv)
+                  else Epalloc.name_value alloc named.(me) pv;
+                  gather me hash_key art_key leaf
               | Leaf_bad { key; pv; detail } -> push badq.(me) (leaf, key, pv, detail));
           Epalloc.set_leaf_bits alloc ~chunk !live
         end;
-        incr i);
-    ignore (Atomic.fetch_and_add t.count !n : int)
+        incr i)
   in
   (* every domain is joined before any failure (a typed [Hart_error]
      from a worker, say) is re-raised *)
@@ -641,18 +753,29 @@ let recover_parallel ?domains ?(quarantine = false) pool =
   end;
   settle_free_slots alloc ~quarantine ~taken:kept_values ~name (all stale_free);
   Epalloc.settle_values alloc (Array.to_list named);
+  let count = Atomic.make 0 in
+  let keep leaf = not (Hashtbl.mem dropped leaf) in
   let build p =
     let n = ref 0 in
     for me = 0 to d - 1 do
-      List.iter
-        (fun (hash_key, art_key, leaf, _) ->
-          if not (Hashtbl.mem dropped leaf) then index n hash_key art_key leaf)
-        !(work.(me).(p))
+      List.iter (fun g -> n := !n + build_art alloc meter ~keep g) made.(me).(p)
     done;
-    ignore (Atomic.fetch_and_add t.count !n : int)
+    ignore (Atomic.fetch_and_add count !n : int)
   in
   run_phase build;
-  t
+  Array.iter
+    (Array.iter (List.iter (fun g -> if g.art = None then Hash_dir.remove gathers g.hk)))
+    made;
+  {
+    alloc;
+    pool;
+    dir = Hash_dir.map gathers (fun g -> Option.get g.art);
+    kh;
+    internal_nodes = `Dram;
+    count;
+    pm_node_bytes = Atomic.make 0;
+    quarantines = findings;
+  }
 
 let recover ?quarantine pool = recover_parallel ~domains:1 ?quarantine pool
 

@@ -81,8 +81,8 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
 
     @raise Hart_error.Error on an unmountable pool (bad root block,
     corrupt chunk chain; in non-quarantine mode also a duplicate leaf,
-    or a committed leaf whose key length is outside 1..24, both as
-    [Leaf_slot]). *)
+    naming the higher offset, or a committed leaf whose key length is
+    outside 1..24, both as [Leaf_slot]). *)
 
 val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
 (** {!recover} cut into [domains] partitions (default
@@ -96,8 +96,10 @@ val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
       every slot once: its length byte says whether it is live and sets
       its chunk's DRAM occupancy word; a live leaf's key and value
       pointer (quarantining: validating the leaf) and a free slot's
-      value pointer come with it. The entries go into partitions by the
-      directory hash of their hash key;
+      value pointer come with it. Each live leaf probes the directory
+      once for its hash key and appends a 16-byte entry to its own
+      gather buffer there; a hash key falls into a partition by its
+      directory hash;
     - quarantining only, a serial merge applies the keep-lower-offset
       duplicate rule and then every quarantine PM write;
     - a serial step settles the free leaf slots the scan found naming
@@ -106,14 +108,15 @@ val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
       the named values and recycles the value chunks nothing names —
       with the merge and the free-slot step, the only PM writes after
       the preamble, all on the calling domain;
-    - each worker indexes its own partition straight into the shared
-      directory. Partitions own disjoint hash keys, so each ART is built
-      wholly by one worker.
+    - each worker builds each ART of its own partition once: it sorts
+      the ART's entries and writes every inner node once, at its final
+      class ({!Hart_art.Art.of_sorted}). Partitions own disjoint hash
+      keys, so each ART is built wholly by one worker.
 
     The rules are order-independent, so the bindings, the findings and
-    the structural statistics do not depend on [domains]. With [~domains:1] nothing
-    is spawned, and a plain mount reads each leaf and indexes it in one
-    pass over the chunk list.
+    the structural statistics do not depend on [domains], and equal
+    those of a store that only ever inserted the same keys. With
+    [~domains:1] nothing is spawned.
     @raise Invalid_argument if [domains < 1]. *)
 
 val quarantines : t -> Hart_error.finding list

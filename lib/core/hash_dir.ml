@@ -144,6 +144,24 @@ let insert t key payload =
   insert_locked t key payload;
   Mutex.unlock t.writer
 
+(* A miss probes twice, as [find] then [insert] would: once lock-free,
+   once under the writer mutex, where a racing domain's insert shows. *)
+let find_or_add t key make =
+  match find t key with
+  | Some payload -> payload
+  | None ->
+      Mutex.lock t.writer;
+      let payload =
+        match probe t (Atomic.get t.table) key with
+        | _, Occupied { payload; _ } -> payload
+        | _, Empty ->
+            let payload = make () in
+            insert_locked t key payload;
+            payload
+      in
+      Mutex.unlock t.writer;
+      payload
+
 let remove t key =
   Mutex.lock t.writer;
   let tab = Atomic.get t.table in
@@ -194,6 +212,20 @@ let fold t ~init ~f =
       | Empty -> acc
       | Occupied { key; payload } -> f acc key payload)
     init tab.slots
+
+let map t f =
+  let tab = Atomic.get t.table in
+  let cell = function
+    | Empty -> Empty
+    | Occupied { key; payload } -> Occupied { key; payload = f payload }
+  in
+  {
+    meter = t.meter;
+    table = Atomic.make { tab with slots = Array.map (fun c -> Atomic.make (cell (Atomic.get c))) tab.slots };
+    version = Atomic.make 0;
+    writer = Mutex.create ();
+    occupied = t.occupied;
+  }
 
 let footprint_bytes t = ((Atomic.get t.table).mask + 1) * slot_bytes
 

@@ -40,12 +40,25 @@ val find : 'a t -> string -> 'a option
 val insert : 'a t -> string -> 'a -> unit
 (** Bind the hash key, replacing any previous binding. *)
 
+val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
+(** [find_or_add t key make] is [key]'s payload, binding it to [make ()]
+    first when absent. Atomic under concurrent callers: [make] runs
+    under the writer mutex, at most once per key. Metered as {!find}
+    followed, on a miss, by {!insert}. *)
+
 val remove : 'a t -> string -> unit
 (** Remove the binding if present (used when an ART becomes empty,
     Algorithm 5 lines 15–16). *)
 
 val iter : 'a t -> (string -> 'a -> unit) -> unit
 val fold : 'a t -> init:'b -> f:('b -> string -> 'a -> 'b) -> 'b
+
+val map : 'a t -> ('a -> 'b) -> 'b t
+(** [map t f] is [t] with every payload passed through [f]: the same
+    keys in the same buckets at the same modelled address, so no probe
+    is repeated and nothing is metered (a C table would store into the
+    payloads in place). [t] must not be used afterwards, and writers
+    must be quiesced. *)
 
 val footprint_bytes : 'a t -> int
 (** Modelled C footprint: buckets × (8-byte key slot + 8-byte pointer). *)

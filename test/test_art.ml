@@ -689,6 +689,109 @@ let test_pool_stats_census () =
     p.Art.free_node_slots;
   Art.check_invariants t
 
+(* ------------------------------------------------------------------ *)
+(* Bulk build: [Art.of_sorted] against the insert-built tree            *)
+
+(* Key sets with the empty key, strict-prefix keys, binary bytes, and
+   nodes whose child counts sit at and across 4/16/48/256. *)
+let bulk_keys_gen =
+  QCheck.Gen.(
+    let binary =
+      map
+        (fun bs -> String.concat "" (List.map (fun b -> String.make 1 (Char.chr b)) bs))
+        (list_size (int_bound 4) (int_bound 255))
+    in
+    let fan =
+      map2
+        (fun prefix n -> List.init n (fun c -> prefix ^ String.make 1 (Char.chr (255 - c))))
+        key_gen
+        (oneofl [ 3; 4; 5; 15; 16; 17; 47; 48; 49; 255; 256 ])
+    in
+    map3
+      (fun small bin fans -> List.sort_uniq String.compare (small @ bin @ List.concat fans))
+      (list_size (int_bound 60) key_gen)
+      (list_size (int_bound 30) binary)
+      (list_size (int_bound 3) fan))
+
+(* Everything a recovered store reports of its ARTs, and more *)
+let shape t =
+  ( Art.node_histogram t,
+    Art.footprint_bytes t,
+    Art.height t,
+    (Art.pool_stats t).Art.nodes_by_cap,
+    Art.fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc) )
+
+let qcheck_of_sorted =
+  QCheck.Test.make ~count:200 ~name:"of_sorted builds the insert-built tree"
+    (QCheck.make ~print:(fun ks -> String.concat "; " (List.map (Printf.sprintf "%S") ks))
+       bulk_keys_gen)
+    (fun keys ->
+      let sorted = Array.of_list keys in
+      let bulk = Art.of_sorted sorted (Array.map String.length sorted) in
+      (* inserted in an order unrelated to key order *)
+      let ins = Art.create () in
+      List.iter
+        (fun k -> ignore (Art.insert ins k (String.length k)))
+        (List.sort (fun a b -> compare (Hashtbl.hash a, a) (Hashtbl.hash b, b)) keys);
+      Art.check_invariants bulk;
+      shape bulk = shape ins
+      && Art.count bulk = Array.length sorted
+      && Array.for_all (fun k -> Art.find bulk k = Some (String.length k)) sorted)
+
+(* One write of each node's modelled bytes and one [Node_created] per
+   node; no read, no other event; one pass per inner node, over the
+   range of keys below it. *)
+let test_of_sorted_costs () =
+  let meter = Hart_pmem.Meter.create Hart_pmem.Latency.c300_100 in
+  let keys = Array.of_list (List.sort_uniq compare (random_keys (Rng.create 9L) 400)) in
+  let events = ref [] and passes = ref [] in
+  let t =
+    Art.of_sorted ~meter
+      ~on_event:(fun e -> events := e :: !events)
+      ~on_pass:(fun ~lo ~hi ~byte -> passes := (lo, hi, byte) :: !passes)
+      keys keys
+  in
+  let n4, n16, n48, n256 = Art.node_histogram t in
+  let nodes = n4 + n16 + n48 + n256 in
+  let created =
+    List.filter_map (function Art.Node_created { bytes; _ } -> Some bytes | _ -> None) !events
+  in
+  Alcotest.(check int) "one Node_created per node" nodes (List.length created);
+  Alcotest.(check int) "no other event" nodes (List.length !events);
+  Alcotest.(check int) "created bytes are the footprint" (Art.footprint_bytes t - 16)
+    (List.fold_left ( + ) 0 created);
+  Alcotest.(check int) "live DRAM bytes" (Art.footprint_bytes t - 16)
+    (Hart_pmem.Meter.dram_live_bytes meter);
+  let c = Hart_pmem.Meter.counters meter in
+  Alcotest.(check int) "no read" 0 c.Hart_pmem.Meter.dram_reads;
+  Alcotest.(check int) "one write per node line"
+    (List.fold_left (fun a b -> a + ((b + 63) / 64)) 0 created)
+    c.Hart_pmem.Meter.dram_writes;
+  Alcotest.(check int) "one pass per node" nodes (List.length !passes);
+  List.iter
+    (fun (lo, hi, byte) ->
+      let first = keys.(lo) and last = keys.(hi - 1) in
+      if
+        not
+          (hi - lo >= 2
+          && String.length last > byte
+          && String.sub first 0 byte = String.sub last 0 byte
+          && (String.length first = byte || first.[byte] <> last.[byte]))
+      then Alcotest.failf "pass [%d, %d) at byte %d" lo hi byte)
+    !passes
+
+let test_of_sorted_rejects () =
+  let rejects what keys vals =
+    Alcotest.(check bool) what true
+      (match Art.of_sorted keys vals with
+      | (_ : int Art.t) -> false
+      | exception Invalid_argument _ -> true)
+  in
+  rejects "unsorted" [| "b"; "a" |] [| 1; 2 |];
+  rejects "duplicate" [| "a"; "a" |] [| 1; 2 |];
+  rejects "lengths differ" [| "a" |] [||];
+  Alcotest.(check int) "empty" 0 (Art.count (Art.of_sorted [||] [||]))
+
 let () =
   Alcotest.run "art"
     [
@@ -747,5 +850,11 @@ let () =
           Alcotest.test_case "boxed/bitmap observational equivalence" `Quick
             test_boxed_bitmap_equivalence;
           Alcotest.test_case "pool census" `Quick test_pool_stats_census;
+        ] );
+      ( "bulk build",
+        [
+          QCheck_alcotest.to_alcotest qcheck_of_sorted;
+          Alcotest.test_case "one write per node" `Quick test_of_sorted_costs;
+          Alcotest.test_case "invalid input" `Quick test_of_sorted_rejects;
         ] );
     ]

@@ -1276,6 +1276,15 @@ let test_takeover_in_place_window () =
       end)
     [ 1; 0 ]
 
+(* Does the durable image hold a pending recycle record? *)
+let recycle_pending ~checksums pool =
+  let logs =
+    Microlog.attach ~checksummed:checksums pool ~base:(Epalloc.root_off + Pmem.line_bytes)
+  in
+  List.exists
+    (fun slot -> Microlog.pcurrent logs ~slot <> 0)
+    (List.init Microlog.n_slots Fun.id)
+
 (* A key alone in the second leaf chunk, with a Val16 value alone in its
    value chunk, behind a full first leaf chunk of Val8 values. *)
 let lone_scenario () =
@@ -1862,13 +1871,14 @@ let test_hart_cold_read_misses () =
      leaf's line and its value's *)
   Alcotest.(check int) "pm read misses" 1772 d.Meter.pm_read_misses;
   Alcotest.(check int) "pm reads" 8537 d.Meter.pm_reads;
-  (* 31504 for recovery's rebuild and the searches' directory probes
-     and ART descents, plus the liveness pass's one read of each of the
-     7 value mirror lines; a leaf's own length byte validates it, so no
-     search or scanned key reads a mirror word, and recovery's free-slot
-     step reads none (an owning slot needs only that its pointer names a
-     value object) *)
-  Alcotest.(check int) "dram reads" 31511 d.Meter.dram_reads
+  (* 21602 for recovery's rebuild (its directory probes and the build's
+     passes over the gather buffer; no ART node is read) and the
+     searches' directory probes and ART descents, plus the liveness
+     pass's one read of each of the 7 value mirror lines; a leaf's own
+     length byte validates it, so no search or scanned key reads a
+     mirror word, and recovery's free-slot step reads none (an owning
+     slot needs only that its pointer names a value object) *)
+  Alcotest.(check int) "dram reads" 21609 d.Meter.dram_reads
 
 (* ------------------------------------------------------------------ *)
 (* HART vs model                                                       *)
@@ -2205,39 +2215,40 @@ let test_recover_then_operate () =
   Hart.check_integrity h'
 
 let test_crash_during_recovery () =
-  (* recovery itself writes PM (log replay, repair sweep): crashing in
-     the middle of it must leave a state a second recovery handles *)
-  let h, pool = fresh_hart () in
-  for i = 0 to 199 do
-    Hart.insert h ~key:(Printf.sprintf "cr%04d" i) ~value:"v"
-  done;
-  (* leave a pending update log by crashing mid-update *)
-  Pmem.arm_crash pool ~after_flushes:4;
-  (try ignore (Hart.update h ~key:"cr0100" ~value:"NEW")
-   with Pmem.Crash_injected -> ());
-  (* now crash the recovery at each of its first flush points *)
-  let recovered = ref None in
-  let k = ref 0 in
-  while !recovered = None && !k < 30 do
-    Pmem.arm_crash pool ~after_flushes:!k;
+  (* recovery itself writes PM (the recycle-log replay): crashing in the
+     middle of it must leave a state a second recovery handles. The
+     delete of "lone" recycles both its chunks; crash it at the first
+     flush that leaves a recycle record pending. *)
+  let rec setup k =
+    let pool = crash_lone_delete ~after_flushes:k in
+    if recycle_pending ~checksums:false pool then pool else setup (k + 1)
+  in
+  let pool = setup 0 in
+  (* now crash the recovery at each of its flush points until one runs
+     through *)
+  let recovered = ref None and crashes = ref 0 in
+  while !recovered = None && !crashes < 30 do
+    Pmem.arm_crash pool ~after_flushes:!crashes;
     (match Hart.recover pool with
-    | h' ->
-        Pmem.disarm_crash pool;
-        recovered := Some h'
-    | exception Pmem.Crash_injected -> incr k)
+    | h' -> recovered := Some h'
+    | exception Pmem.Crash_injected -> ());
+    if Pmem.crash_fired pool then incr crashes;
+    Pmem.disarm_crash pool
   done;
-  (match !recovered with
-  | None ->
-      (* recovery exercised 30 crash points and still had flushes left:
-         finish it cleanly *)
-      recovered := Some (Hart.recover pool)
-  | Some _ -> ());
-  let h' = Option.get !recovered in
+  Alcotest.(check bool) "recovery crashed at least once" true (!crashes > 0);
+  let h' = match !recovered with Some h' -> h' | None -> Hart.recover pool in
   Hart.check_integrity h';
-  Alcotest.(check int) "all records present" 200 (Hart.count h');
-  (match Hart.search h' "cr0100" with
-  | Some "v" | Some "NEW" -> ()
-  | v -> Alcotest.failf "cr0100 corrupted: %s" (Option.value v ~default:"<absent>"))
+  let lone =
+    match Hart.search h' "lone" with
+    | None -> 0
+    | Some "a 16-byte value" -> 1
+    | Some v -> Alcotest.failf "lone corrupted: %S" v
+  in
+  Alcotest.(check int) "all records present" (Chunk.objs_per_chunk + lone) (Hart.count h');
+  for i = 0 to Chunk.objs_per_chunk - 1 do
+    Alcotest.(check (option string)) "untouched key" (Some "v")
+      (Hart.search h' (Printf.sprintf "fl%04d" i))
+  done
 
 let test_eviction_does_not_break_protocol () =
   (* random background write-backs may persist any dirty line at any
@@ -2366,7 +2377,9 @@ let test_double_recovery () =
 (* The full cost of one plain recovery, every meter field pinned. The
    simulated LLC (64 KiB) is smaller than the pool, so the miss counts
    and the clock also pin the order of the rebuild's accesses: the
-   chunk walk, each leaf's read and its insert interleaved. The pool
+   chunk walk with each leaf's read, directory probe and gather-buffer
+   append interleaved, then each ART built once from its sorted buffer
+   (DESIGN.md §13). The pool
    has been churned (recycled chunks, owning free slots) and updated, so
    the free-slot step and the liveness pass are in the bill too; the
    image is quiescent, so neither writes anything. Attach reads no
@@ -2402,17 +2415,17 @@ let test_recover_cost_pinned () =
   let pin what want got = Alcotest.(check int) what want got in
   pin "pm reads" 3198 d.Meter.pm_reads;
   pin "pm writes" 0 d.Meter.pm_writes;
-  pin "dram reads" 8648 d.Meter.dram_reads;
-  pin "dram writes" 859 d.Meter.dram_writes;
+  pin "dram reads" 4488 d.Meter.dram_reads;
+  pin "dram writes" 4751 d.Meter.dram_writes;
   pin "pm read misses" 1675 d.Meter.pm_read_misses;
-  pin "dram read misses" 1895 d.Meter.dram_read_misses;
+  pin "dram read misses" 794 d.Meter.dram_read_misses;
   pin "flushes" 0 d.Meter.flushes;
   pin "fences" 0 d.Meter.fences;
   pin "persist calls" 0 d.Meter.persist_calls;
   pin "evictions" 0 d.Meter.evictions;
   pin "pm allocs" 0 d.Meter.pm_allocs;
   pin "pm frees" 0 d.Meter.pm_frees;
-  Alcotest.(check (float 0.)) "sim ns" 402675. d.Meter.sim_ns;
+  Alcotest.(check (float 0.)) "sim ns" 296740. d.Meter.sim_ns;
   Hart.check_integrity r
 
 (* ------------------------------------------------------------------ *)
@@ -2724,18 +2737,68 @@ let test_parallel_recover_short_keys () =
   Alcotest.(check int) "kh read from pool" 3 (Hart.kh r);
   check_parallel_equiv pool
 
-let test_parallel_recover_pending_log () =
-  (* a crash mid-update leaves a pending micro-log; its serial replay
-     inside recover_parallel must land exactly as in serial recovery *)
+let test_parallel_recover_update_crash () =
+  (* an update crashed after its value's flush, before the leaf names
+     it: the new value is durable and unnamed, and every domain count
+     frees it and keeps the old one *)
   let h, pool = fresh_hart () in
   for i = 0 to 299 do
     Hart.insert h ~key:(Printf.sprintf "pl%04d" i) ~value:"v"
   done;
-  Pmem.arm_crash pool ~after_flushes:3;
+  Pmem.arm_crash pool ~after_flushes:1;
   (try ignore (Hart.update h ~key:"pl0100" ~value:"NEW" : bool)
    with Pmem.Crash_injected -> ());
+  Alcotest.(check bool) "the update crashed" true (Pmem.crash_fired pool);
   Pmem.disarm_crash pool;
+  Alcotest.(check (option string)) "old value kept" (Some "v")
+    (Hart.search (Hart.recover (Pmem.clone pool)) "pl0100");
   check_parallel_equiv pool
+
+(* A store that only ever grew (inserts and updates, no delete) has the
+   directory and ARTs that inserting its keys builds. Recovery builds
+   each ART once from its sorted leaves instead, and at every domain
+   count and on both mounts must give that same store: its bindings,
+   its structural stats and DRAM bytes, and an intact one. Only the
+   bitmap pools' physical size may differ: it records the child arena's
+   growth history, which a one-shot build does not repeat. The keys mix
+   wide fan-outs (a NODE256 of binary bytes, NODE48s), strict prefixes,
+   keys no longer than the hash key, and long keys that share more than
+   a gather entry's inline bytes. *)
+let test_parallel_recover_equals_insert_built () =
+  let h, pool = fresh_hart () in
+  let keys =
+    List.init 1500 (fun i ->
+        Printf.sprintf "%c%c%d"
+          (Char.chr (Char.code 'a' + (i mod 7)))
+          (Char.chr (Char.code 'a' + (i / 7 mod 5)))
+          i)
+    @ List.init 256 (fun b -> "zz" ^ String.make 1 (Char.chr b))
+    @ List.init 40 (fun i -> "zz\000" ^ string_of_int i)
+    @ List.init 300 (fun i -> Printf.sprintf "long-shared-prefix-%04d" i)
+    @ [ "a"; "ab"; "abc"; "abcd"; "q"; "qr" ]
+  in
+  List.iteri
+    (fun i key -> Hart.insert h ~key ~value:(String.make (i mod 30) 'v'))
+    keys;
+  List.iteri
+    (fun i key -> if i mod 9 = 0 then assert (Hart.update h ~key ~value:"updated"))
+    keys;
+  Hart.check_integrity h;
+  let norm (s : Hart_core.Hart_stats.t) =
+    { s with art_pools = { s.art_pools with pool_bytes = 0 } }
+  in
+  let live = norm (Hart_core.Hart_stats.collect h) in
+  Pmem.crash pool;
+  List.iter
+    (fun (d, quarantine) ->
+      let at = Printf.sprintf "at %d domain(s)%s" d (if quarantine then ", quarantining" else "") in
+      let r = Hart.recover_parallel ~domains:d ~quarantine (Pmem.clone pool) in
+      Hart.check_integrity r;
+      if dump_hart r <> dump_hart h then Alcotest.failf "bindings diverge %s" at;
+      Alcotest.(check int) ("dram bytes " ^ at) (Hart.dram_bytes h) (Hart.dram_bytes r);
+      if norm (Hart_core.Hart_stats.collect r) <> live then
+        Alcotest.failf "structural stats diverge %s" at)
+    [ (1, false); (1, true); (2, false); (2, true) ]
 
 let test_parallel_recover_validation () =
   let h, pool = fresh_hart () in
@@ -3316,6 +3379,42 @@ let test_invalid_key_length_refused () =
       Hart.check_integrity hq)
     [ 25; 30; 200 ]
 
+(* Two committed leaves for one key: no crash leaves them, so a forged
+   image (a second leaf's key bytes rewritten to the first's) is refused
+   by the plain mount with one typed error at every domain count, naming
+   the higher-offset leaf; the quarantining mount keeps the lower. *)
+let test_duplicate_leaf_refused () =
+  let h, pool = fresh_hart () in
+  Hart.insert h ~key:"dup-a" ~value:"first";
+  Hart.insert h ~key:"dup-b" ~value:"second";
+  let low = min (leaf_of h "dup-a") (leaf_of h "dup-b")
+  and high = max (leaf_of h "dup-a") (leaf_of h "dup-b") in
+  let kept = Leaf.key pool ~leaf:low in
+  (* the key bytes follow the 8-byte head *)
+  Pmem.set_string pool ~off:(high + 8) kept;
+  Pmem.persist pool ~off:high ~len:Leaf.size;
+  Pmem.crash pool;
+  let refusal name recover =
+    match recover (Pmem.clone pool) with
+    | (_ : Hart.t) -> Alcotest.failf "%s: mounted" name
+    | exception Hart_error.Error e -> e
+  in
+  let serial = refusal "serial" Hart.recover in
+  let parallel = refusal "2 domains" (Hart.recover_parallel ~domains:2) in
+  (match serial.Hart_error.site with
+  | Hart_error.Leaf_slot { leaf; _ } -> Alcotest.(check int) "the higher offset" high leaf
+  | _ -> Alcotest.failf "site %s" (Hart_error.to_string serial));
+  Alcotest.(check (list string)) "the key" [ kept ] serial.keys;
+  Alcotest.(check string) "same error at 2 domains" (Hart_error.to_string serial)
+    (Hart_error.to_string parallel);
+  let hq = Hart.recover ~quarantine:true (Pmem.clone pool) in
+  Alcotest.(check (list string)) "quarantined"
+    [ "duplicate committed leaf (higher offset quarantined)" ]
+    (List.map (fun (f : Hart_error.finding) -> f.f_detail) (Hart.quarantines hq));
+  Alcotest.(check (option string)) "the lower offset kept"
+    (Some (if kept = "dup-a" then "first" else "second"))
+    (Hart.search hq kept)
+
 (* A stray write that sends a leaf's p_value to another live key's value
    leaves two committed leaves naming one value, which no crash can: the
    quarantining mount keeps the lower-offset leaf, as for a duplicate
@@ -3703,15 +3802,6 @@ let media_pin_base ~checksums =
     (SMap.bindings model);
   Pmem.persist_all pool;
   Pmem.crash pool;
-  let logs p =
-    Microlog.attach ~checksummed:checksums p
-      ~base:(Epalloc.root_off + Pmem.line_bytes)
-  in
-  let recycle_pending p =
-    List.exists
-      (fun slot -> Microlog.pcurrent (logs p) ~slot <> 0)
-      (List.init Microlog.n_slots Fun.id)
-  in
   (* delete in leaf-offset order, so the lowest leaf chunk empties, and
      crash at the first flush that leaves its recycle record pending *)
   let rec cut k =
@@ -3726,7 +3816,7 @@ let media_pin_base ~checksums =
     | () -> Alcotest.failf "no recycle record pending after %d flushes" k
     | exception Pmem.Crash_injected ->
         Pmem.disarm_crash p;
-        if recycle_pending p then (p, recycled) else cut (k + 1)
+        if recycle_pending ~checksums p then (p, recycled) else cut (k + 1)
   in
   let base, recycled = cut 1 in
   (base, recycled)
@@ -4058,6 +4148,8 @@ let () =
             test_recover_cost_pinned;
           Alcotest.test_case "crash during recycle-log replay" `Quick
             test_crash_during_recycle_replay;
+          Alcotest.test_case "duplicate committed leaf refused" `Quick
+            test_duplicate_leaf_refused;
         ] );
       ( "parallel-recovery",
         [
@@ -4065,10 +4157,13 @@ let () =
           Alcotest.test_case "mixed pool" `Quick test_parallel_recover_mixed;
           Alcotest.test_case "churned pool" `Quick test_parallel_recover_churned;
           Alcotest.test_case "short keys, kh=3" `Quick test_parallel_recover_short_keys;
-          Alcotest.test_case "pending update log" `Quick test_parallel_recover_pending_log;
+          Alcotest.test_case "update crashed after its value's flush" `Quick
+            test_parallel_recover_update_crash;
           Alcotest.test_case "validation" `Quick test_parallel_recover_validation;
           Alcotest.test_case "quarantining, media-faulted pool" `Quick
             test_parallel_recover_media_faulted;
+          Alcotest.test_case "bulk build equals the insert-built store" `Quick
+            test_parallel_recover_equals_insert_built;
         ] );
       ( "recover-roundtrip",
         [

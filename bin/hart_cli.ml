@@ -307,7 +307,7 @@ let integrity_report ~tool ~db hart findings =
       ("findings", List (List.map finding_json findings));
     ]
 
-let integrity_cmd ~tool ~doc ~deep =
+let integrity_cmd ~tool ~doc =
   let json_out =
     Arg.(
       value
@@ -324,13 +324,10 @@ let integrity_cmd ~tool ~doc ~deep =
            Error (Printf.sprintf "no store at %s" db)
          else begin
            let pool = Pmem.load (Meter.create Latency.c300_300) db in
-           (* a quarantining mount: media faults in the image become
-              findings instead of aborting the check *)
+           (* the quarantining mount is the whole check: media faults in
+              the image become findings instead of aborting it *)
            let hart = Hart.recover ~quarantine:true pool in
-           let findings =
-             Hart.quarantines hart
-             @ (if deep then Hart.fsck ~deep:true hart else Hart.scrub hart)
-           in
+           let findings = Hart.quarantines hart in
            List.iter
              (fun f -> Format.printf "%a@." Hart_error.pp_finding f)
              findings;
@@ -368,18 +365,18 @@ let integrity_cmd ~tool ~doc ~deep =
   Cmd.v (Cmd.info tool ~doc) Term.(const run $ json_out $ db_arg)
 
 let fsck_cmd =
-  integrity_cmd ~tool:"fsck" ~deep:true
+  integrity_cmd ~tool:"fsck"
     ~doc:
-      "Check and self-heal a store image: quarantining mount, media \
-       attribution, cross-structure invariants and the deep checksum walk. \
-       Repairs are written back; exit is nonzero only when unrepairable \
-       corruption remains."
+      "Check and self-heal a store image with the quarantining mount: \
+       every slot validated (media lines, key lengths, checksums), damaged \
+       objects quarantined, flagged lines resealed. Repairs are written \
+       back; exit is nonzero only when unrepairable corruption remains."
 
 let scrub_cmd =
-  integrity_cmd ~tool:"scrub" ~deep:false
+  integrity_cmd ~tool:"scrub"
     ~doc:
-      "Online integrity pass: fsck without the deep checksum walk — the \
-       cheap scan a store would run periodically."
+      "The same pass as $(b,fsck): an image at rest has no live index to \
+       check against, so its scrub is the quarantining mount."
 
 (* Replay one schedule of a concurrent sweep and dump it: crash and
    flush counts, the committed prefix, the operations in flight and

@@ -76,6 +76,8 @@ val create : ?kh:int -> ?checksums:bool -> Hart_pmem.Pmem.t -> t
 val attach :
   ?bad_lines:int list ->
   ?report:(Hart_error.finding -> unit) ->
+  ?live:t ->
+  ?log_crcs:bool ->
   Hart_pmem.Pmem.t ->
   t
 (** Adopt the pool after a crash or reopen: verify the magic, rebuild the
@@ -88,10 +90,19 @@ val attach :
     [bad_lines] are the lines the device ECC flags; one under the root
     scalars or a chunk prologue refuses the mount. Passing [~report]
     switches on quarantine mode for media-damaged pools: every log slot
-    on a [bad_lines] line or failing its CRC goes through
-    {!scrub_log_slot} before replay, so replay never reads it; and
-    replay is guarded (a record whose pointers do not resolve is
-    discarded and reported).
+    on a [bad_lines] line or (with [log_crcs], the default) failing its
+    CRC is rewritten before replay, so replay never reads it, and
+    reported — [Quarantined] if the slot may have held a record,
+    [Repaired] otherwise; and replay is guarded (a record whose
+    pointers do not resolve is discarded and reported).
+
+    [live] is the allocator of the store this pool is mounted under
+    (fsck's rebuild of a quiesced store): the root scalars and each
+    class's chunk list are taken from it, and no chain pointer is read.
+    A flagged root-scalar line or chunk prologue line is then rewritten
+    from it and reported [Repaired] instead of refusing the mount, and
+    no log slot is taken to hold a record: a quiesced store has no
+    recycle in flight.
 
     Attach reads no leaf slot: every slot starts owning nothing. The
     caller's recovery scan reads each free slot's [p_value] and settles
@@ -209,28 +220,16 @@ val unsafe_mutation : mutation option ref
 
 val mutated : mutation -> bool
 
-val scrub_log_slot :
-  t ->
-  report:(Hart_error.finding -> unit) ->
-  before_replay:bool ->
-  int * int ->
-  unit
-(** The repair for a recycle slot, given as a [(slot, offset)] pair,
-    that sits on a corrupt media line or fails its word CRC
-    ({!Microlog.verify}): rewrite its line without trusting its words
-    ({!Microlog.reclaim}) and [report] one [Log_slot] finding. With
-    [before_replay] (the quarantining mount, before it replays the log),
-    a slot that holds a record or whose line cannot be read is
-    [Quarantined]: the recycle is treated as never committed. Every
-    other slot is [Repaired]. Never raises [Media_poisoned]. Shared by
-    {!attach}'s quarantine mode and [Hart.fsck]. *)
-
 val repair_root_line :
   t -> report:(Hart_error.finding -> unit) -> before_replay:bool -> int -> unit
 (** The repair for a corrupt media line of the root block past its
-    scalars, which is a recycle slot's line: the slot goes through
-    {!scrub_log_slot}. Shared by {!attach}'s quarantine mode and
-    [Hart.fsck]. *)
+    scalars, which is a recycle slot's line: rewrite the slot without
+    trusting its words ({!Microlog.reclaim}) and [report] one [Log_slot]
+    finding. With [before_replay] (a mount of a pool at rest, before it
+    replays the log), a slot that holds a record or whose line cannot be
+    read is [Quarantined]: the recycle is treated as never committed.
+    Every other slot is [Repaired]. Never raises [Media_poisoned].
+    {!attach}'s quarantine mode. *)
 
 (** {1 Occupancy and value liveness (recovery)} *)
 
@@ -262,8 +261,8 @@ val settle_values : t -> runs list -> unit
 
 val set_owner : t -> leaf:int -> bool -> unit
 (** Set or drop a free leaf slot's owned mark, with no PM write. For
-    recovery, which settles every free slot's ownership after its scan,
-    and for fsck when it severs or reclaims. Quiesced callers only. *)
+    recovery, which settles every free slot's ownership after its scan.
+    Quiesced callers only. *)
 
 val is_value_obj : t -> int -> bool
 val value_committed : t -> int -> bool
@@ -293,7 +292,8 @@ val class_of_value_obj : t -> int -> Chunk.cls option
 
 val chunk_covering : t -> int -> (Chunk.cls * int) option
 (** The registered chunk (any class) whose bytes — prologue included —
-    cover this pool offset. fsck's media-fault attribution. *)
+    cover this pool offset. The quarantining mount's media-fault
+    attribution. *)
 
 val mirror_bytes : t -> int
 (** DRAM bytes of the bitmap mirror: whole 64-byte lines of 8-byte
@@ -304,8 +304,8 @@ val iter_chunks : t -> Chunk.cls -> (int -> unit) -> unit
 (** Walk the class's chunk list as the allocator's DRAM registry holds
     it: from the head mirror, each chunk's successor by its mirrored
     chain pointer. No PM read, so a chain pointer clobbered on a live
-    store cannot lead it astray. Quiesced callers: fsck, [Hart.iter],
-    the statistics helpers below, tests. *)
+    store cannot lead it astray. Quiesced callers: fsck's rebuild,
+    [Hart.check_integrity], the statistics helpers below, tests. *)
 
 val iter_chain : t -> Chunk.cls -> (int -> unit) -> unit
 (** The same list as PM holds it, following {!Chunk.pnext}: each chain

@@ -63,9 +63,12 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     every committed leaf is validated (media lines, key length, CRCs,
     value resolution) before the index accepts it, and
     duplicate keys resolve deterministically (lower leaf offset wins).
-    Everything excised is reported in {!quarantines}; value objects of
-    excised leaves are freed only when provably unshared (a corrupt
-    pointer may alias a live key's value). Without [quarantine] (the
+    Value objects of excised leaves are freed only when provably
+    unshared (a corrupt pointer may alias a live key's value). After
+    the liveness pass, every flagged line that still fails its ECC
+    holds nothing live and is zeroed, which reseals it; a line that
+    fails even then is stuck media, reported [Detected]. Everything
+    found is reported in {!quarantines}. Without [quarantine] (the
     default) the mount assumes a crash-consistent, media-clean image
     and raises on anomalies.
 
@@ -74,7 +77,8 @@ val recover : ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     (its [p_value] stored 0; quarantining, a slot whose pointer cannot
     be read is zeroed whole). The quarantining mount also refuses a
     value that a kept leaf or a lower slot names, since a media fault
-    can forge a pointer. Both then run the same liveness pass, which
+    can forge a pointer, and frees (and reports) a value on a flagged
+    line. Both then run the same liveness pass, which
     frees every value nothing names with no finding: crash residue is
     not reported, and a quarantined key's finding already reports its
     value.
@@ -105,9 +109,11 @@ val recover_parallel : ?domains:int -> ?quarantine:bool -> Hart_pmem.Pmem.t -> t
     - a serial step settles the free leaf slots the scan found naming
       a value: owners are marked, the rest severed;
     - the serial liveness pass sets the value chunks' DRAM words from
-      the named values and recycles the value chunks nothing names —
-      with the merge and the free-slot step, the only PM writes after
-      the preamble, all on the calling domain;
+      the named values and recycles the value chunks nothing names;
+    - quarantining only, a serial step zeroes the flagged lines that
+      still fail their ECC and reports the stuck ones — with the merge,
+      the free-slot step and the liveness pass, the only PM writes
+      after the preamble, all on the calling domain;
     - each worker builds each ART of its own partition once: it sorts
       the ART's entries and writes every inner node once, at its final
       class ({!Hart_art.Art.of_sorted}). Partitions own disjoint hash
@@ -127,31 +133,34 @@ val checksums : t -> bool
 (** Whether the pool uses the checksummed object format. *)
 
 val fsck : ?deep:bool -> t -> Hart_error.finding list
-(** Self-healing integrity check of the mounted store. Three phases:
+(** Self-healing integrity check of the mounted store: the quarantining
+    run of {!recover}[ ~quarantine:true], on one domain, over the same
+    pool. The store must be quiesced: no other operation may run until
+    fsck returns. The run takes each class's chunk list and the root
+    scalars from the live allocator's DRAM registry, not from PM chain
+    pointers, and the live index tells it more than a pool at rest
+    would (DESIGN.md §15 lists the cases): a flagged root-scalar line or
+    chunk prologue line is rewritten instead of refusing; no log slot
+    may hold a record; a free slot on a flagged line is zeroed, not
+    quarantined; and on a clean line a slot whose length byte or key
+    disagrees with the index (a stray write the ECC cannot see) is
+    restored from it — a live leaf's key with its own value pointer, a
+    free slot's length byte cleared.
 
-    - {e media attribution}: every line the pool's ECC table flags is
-      attributed to a structure (root block, log slot, chunk prologue,
-      leaf/value slot, free space) and handled per the DESIGN.md §15
-      decision table — zero+persist reseals what nothing references,
-      damaged live objects are quarantined out of the index, log
-      records discarded, and what cannot be trusted at line granularity
-      (root scalars, chunk prologues) is reported as detected;
-    - {e cross-structure invariants}: committed-but-unreachable leaves
-      are quarantined, committed values named by no live leaf and no
-      owning free slot reclaimed, free slots that name a value without
-      owning it severed, and a leaf length byte that disagrees with the
-      allocator's DRAM occupancy repaired (a live leaf's restored from
-      the index, a free slot's cleared);
-    - {e checksum walk} (only with [~deep:true], the default, on
-      checksummed pools): every reachable leaf's key CRC and value CRC
-      is verified, as is every micro-log word.
+    Before it installs the rebuilt allocator state and directory in
+    [t], fsck compares the rebuilt bindings with the live index: every
+    key the rebuild drops, rebinds or adds is named by the finding at
+    its leaf, or by a finding of its own. [~deep:true], the default,
+    also checks the checksummed format's key, value and log-word CRCs.
 
-    Returns this run's findings in discovery order — empty on a healthy
-    store. Repairs are durable (persisted) as they are made. *)
+    Returns this run's findings — empty on a healthy store; a second
+    run reports nothing but stuck lines. Repairs are durable (persisted)
+    as they are made.
+    @raise Invalid_argument on a store built with [~internal_nodes:`Pm],
+    whose ART nodes live on PM and would not be rebuilt. *)
 
 val scrub : t -> Hart_error.finding list
-(** Online scrub: {!fsck} without the deep checksum walk — the cheap
-    pass a store would run periodically. *)
+(** {!fsck} without the checksum checks. *)
 
 val kh : t -> int
 val pool : t -> Hart_pmem.Pmem.t

@@ -27,8 +27,9 @@
     values logged are pool offsets and class tags, all below 2{^32}, so
     the trailer rides in the same 8-byte store and changes no flush
     counts. A word whose trailer fails raises a typed
-    {!Hart_error.Error} at its [Log_slot] site; fsck discards such
-    records (an unverifiable log record is treated as never written). *)
+    {!Hart_error.Error} at its [Log_slot] site; the quarantining mount
+    discards such records (an unverifiable log record is treated as
+    never written). *)
 
 type t
 
@@ -75,7 +76,7 @@ val reclaim : t -> slot:int -> unit
 val iter_pending : t -> (slot:int -> unit) -> unit
 (** Every slot whose [PCurrent] is set, in slot order. *)
 
-(** {1 fsck hooks} *)
+(** {1 Quarantining-mount hooks} *)
 
 val occupied : t -> slot:int -> bool
 (** Whether the slot's [PCurrent] word is non-zero or its line cannot be

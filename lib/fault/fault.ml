@@ -83,12 +83,11 @@ let hart_instance ?(findings = Hart.quarantines) pool h =
     dump = (fun () -> sorted_dump (Hart.iter h));
   }
 
-(* quarantining mount + fsck, the fault-tolerant HART mount the media
-   sweep exercises; every finding of either pass is reported *)
+(* the quarantining mount, the fault-tolerant HART mount the media
+   sweep exercises, with its findings *)
 let hart_media_mount recover pool =
   let h = recover pool in
-  let fs = Hart.quarantines h @ Hart.fsck h in
-  (hart_instance ~findings:(fun _ -> []) pool h, fs)
+  (hart_instance ~findings:(fun _ -> []) pool h, Hart.quarantines h)
 
 let hart =
   {
@@ -104,7 +103,8 @@ let hart =
 (* HART with the checksummed object format: CRC-32 trailers on leaf
    keys, value objects and micro-log words. Not part of the crash-gate
    eight (it is the same index with a flag), but swept by the media gate
-   so the deep fsck checksum walk is exercised end to end. *)
+   so the quarantining mount's checksum checks are exercised end to
+   end. *)
 let hart_checksummed =
   {
     target_name = "hart-crc";

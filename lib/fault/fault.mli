@@ -69,8 +69,8 @@ type target = {
       (** fault-tolerant mount for the media sweep: adopt a pool whose
           device ECC may be reporting corruption, repairing or
           quarantining what it can, and report the findings (HART:
-          {!Hart_core.Hart.recover}[ ~quarantine:true] followed by
-          {!Hart_core.Hart.fsck}). [None] — the index has no repair
+          {!Hart_core.Hart.recover}[ ~quarantine:true]). [None] — the
+          index has no repair
           path; {!explore_media} then consults the device ECC itself
           and refuses a corrupt image with a typed error. *)
 }
@@ -89,7 +89,8 @@ val hart_checksummed : target
 (** HART formatted with [~checksums:true] — CRC-32 trailers on leaf
     keys, value objects and micro-log words. Same index, second
     detection tier; member of {!media_targets} (not {!all_targets}) so
-    the media sweep exercises the deep fsck checksum walk. *)
+    the media sweep exercises the quarantining mount's checksum
+    checks. *)
 
 val hart_quarantining : target
 (** HART with every post-crash reattach running
@@ -513,7 +514,7 @@ val find_workload : string -> (string * op list * op list) option
     lines themselves rotting?". Per corruption site it populates the
     target, powers off cleanly, injects one seeded
     {!Hart_pmem.Pmem.media_fault} into the durable image, mounts
-    fault-tolerantly (HART: quarantining recovery + fsck; baselines:
+    fault-tolerantly (HART: the quarantining recovery; baselines:
     device-ECC verification that refuses a corrupt image with a typed
     {!Hart_core.Hart_error.Error}), reads everything back, runs a small
     write batch, power-cycles and mounts again — a stuck line that

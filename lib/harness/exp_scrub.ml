@@ -9,10 +9,11 @@
       identical; what remains is the metered loads that computing and
       verifying trailers adds (a few percent on insert, nothing on
       search, which validates lazily). The table quantifies it.
-    - {e scan cost}: what do the online scrub and the deep fsck walk
-      cost in wall-clock time per key? Both are volatile-side
-      computation (the ECC compare is free on the simulated clock), so
-      wall time on the host is the honest unit.
+    - {e scan cost}: what do the online scrub and fsck cost in
+      wall-clock time per key? Each is a quarantining recovery of the
+      live store (fsck also checks the checksums), so wall time on the
+      host is the honest unit: the ECC compare is free on the simulated
+      clock.
 
     Every scrub/fsck run here doubles as a correctness gate: a healthy
     pool must produce zero findings. *)

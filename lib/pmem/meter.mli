@@ -43,7 +43,10 @@ type counters = {
 
 val create : ?llc_bytes:int -> Latency.config -> t
 (** [create config] makes a meter with a simulated direct-mapped LLC of
-    [llc_bytes] (default 20 MiB, the paper's Xeon E5-2640 v3 L3). *)
+    [llc_bytes] (default 20 MiB, the paper's Xeon E5-2640 v3 L3),
+    rounded down to a power of two of lines (20 MiB gives 16 MiB). A
+    line's set is its encoded line ([line * 2] for PM, [line * 2 + 1]
+    for DRAM), so each space has half the sets: 8 MiB by default. *)
 
 val config : t -> Latency.config
 

@@ -46,6 +46,20 @@ let store_of_hart (t : Hart_mt.t) =
 
 type stats = { mutable commands : int; mutable batches : int }
 
+(* HART stores keys of 1..24 bytes and values of at most 31. A SET
+   outside them is answered with an error before it is batched: inside
+   [apply_batch] it would raise and fail the whole batch, acked or
+   not. *)
+let max_value_len = Hart_core.Chunk.obj_size Hart_core.Chunk.Val32 - 1
+
+let refuse_set k v =
+  let n = String.length k and m = String.length v in
+  if n < 1 || n > Hart_core.Leaf.max_key_len then
+    Some (Printf.sprintf "key must be 1..%d bytes (got %d)" Hart_core.Leaf.max_key_len n)
+  else if m > max_value_len then
+    Some (Printf.sprintf "value must be at most %d bytes (got %d)" max_value_len m)
+  else None
+
 let serve_conn ?(max_batch = 256) ?stats store (c : Transport.conn) =
   let out = Buffer.create 4096 in
   let pending = ref [] (* reversed *) and pending_n = ref 0 in
@@ -73,7 +87,12 @@ let serve_conn ?(max_batch = 256) ?stats store (c : Transport.conn) =
   in
   let quit = ref false in
   let handle = function
-    | Resp.Set (k, v) -> push (Index_intf.Bset (k, v))
+    | Resp.Set (k, v) -> (
+        match refuse_set k v with
+        | None -> push (Index_intf.Bset (k, v))
+        | Some msg ->
+            flush_writes ();
+            Resp.err out msg)
     | Resp.Del k -> push (Index_intf.Bdel k)
     | Resp.Get k -> (
         flush_writes ();

@@ -502,6 +502,29 @@ let loopback_pipelined_echo () =
   let again = loopback_session ~seed:11L burst 9 in
   Alcotest.(check string) "deterministic replay" want again
 
+(* A SET whose key or value HART cannot store is answered with an error
+   before it is batched; the writes around it commit and the rest of the
+   burst is served in order. *)
+let loopback_refused_set () =
+  let burst =
+    String.concat ""
+      [
+        req [ "SET"; "a"; "1" ];
+        req [ "SET"; String.make 25 'k'; "x" ];
+        req [ "SET"; "b"; "2" ];
+        req [ "SET"; "c"; String.make 32 'v' ];
+        req [ "GET"; "a" ];
+        req [ "GET"; "b" ];
+        req [ "GET"; "c" ];
+        req [ "PING" ];
+      ]
+  in
+  let want =
+    "+OK\r\n-ERR key must be 1..24 bytes (got 25)\r\n+OK\r\n\
+     -ERR value must be at most 31 bytes (got 32)\r\n$1\r\n1\r\n$1\r\n2\r\n$-1\r\n+PONG\r\n"
+  in
+  Alcotest.(check string) "errors in request order" want (loopback_session ~seed:17L burst 8)
+
 (* split the same burst byte-by-byte across writes: the incremental
    parser must produce the identical reply stream *)
 let loopback_fragmented () =
@@ -671,5 +694,7 @@ let () =
             disconnect_graceful_commits;
           Alcotest.test_case "abrupt drop mid-batch commits" `Quick
             disconnect_abrupt_commits;
+          Alcotest.test_case "unstorable SET refused, burst served" `Quick
+            loopback_refused_set;
         ] );
     ]

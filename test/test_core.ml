@@ -3781,18 +3781,17 @@ let qcheck_media_fsck_partition =
    checksummed), each churned by [populate_hart] (owning free slots),
    then by updates, then cut by a crash inside a leaf-chunk recycle (a
    pending recycle record; the chunk's owned values are still committed
-   and nothing names them, so the mount's liveness pass frees them, and
-   fsck's orphan rule sees only the orphans an online fault makes).
-   Every site is one media fault (all five
-   kinds) on one line class: the log region's lines (a pending and an
-   idle recycle slot), chunk
+   and nothing names them, so the mount's liveness pass frees them).
+   Every site is one media fault (all five kinds) on one line class:
+   the log region's lines (a pending and an idle recycle slot), chunk
    prologues, a live leaf, a live value, an owning free slot, the value
-   it owns, chunk padding and unregistered pool space. At rest the fault hits the
-   crashed image before the quarantining mount; online it hits the
-   mounted store before fsck. Each site renders the mount's typed
-   error, or its quarantines then the fsck findings, then the sorted
-   bindings and an MD5 of the durable image; the MD5 of the whole
-   rendering is pinned. [PIN_DUMP=1 dune exec test/test_core.exe]
+   it owns, chunk padding and unregistered pool space. At rest the
+   fault hits the crashed image before the quarantining mount; online
+   it hits the mounted store before fsck. Either way one quarantining
+   run repairs it, and each site renders that run's typed refusal or
+   its findings ("found"), then those of a second fsck ("again"), the
+   sorted bindings and an MD5 of the durable image; the MD5 of the
+   whole rendering is pinned. [PIN_DUMP=1 dune exec test/test_core.exe]
    prints the rendering, then the MD5 to pin. *)
 let media_pin_base ~checksums =
   let h, pool, model = populate_hart ~checksums () in
@@ -3904,13 +3903,13 @@ let media_pin_render () =
     Sys.remove path;
     d
   in
-  let fsck_and_dump h =
+  let dump h =
     (match Hart.fsck h with
-    | fs -> show "fsck" fs
-    | exception Hart_error.Error e -> out "fsck raised: %s\n" (Hart_error.to_string e)
+    | fs -> show "again" fs
+    | exception Hart_error.Error e -> out "again raised: %s\n" (Hart_error.to_string e)
     | exception Pmem.Media_poisoned { line; _ } ->
-        out "fsck raised: poisoned line %d\n" line
-    | exception Invalid_argument m -> out "fsck raised: %s\n" m);
+        out "again raised: poisoned line %d\n" line
+    | exception Invalid_argument m -> out "again raised: %s\n" m);
     (match dump_hart h with
     | bs ->
         out "bindings: %s\n"
@@ -3950,9 +3949,19 @@ let media_pin_render () =
               | exception Pmem.Media_poisoned { line; _ } ->
                   out "mount refused: poisoned line %d\n" line
               | h ->
-                  show "mount" (Hart.quarantines h);
-                  if phase = "online" then Pmem.inject_media_fault pool fault;
-                  fsck_and_dump h)
+                  if phase = "at-rest" then show (phase ^ " found") (Hart.quarantines h)
+                  else begin
+                    show "mount" (Hart.quarantines h);
+                    Pmem.inject_media_fault pool fault;
+                    match Hart.fsck h with
+                    | fs -> show (phase ^ " found") fs
+                    | exception Hart_error.Error e ->
+                        out "fsck raised: %s\n" (Hart_error.to_string e)
+                    | exception Pmem.Media_poisoned { line; _ } ->
+                        out "fsck raised: poisoned line %d\n" line
+                    | exception Invalid_argument m -> out "fsck raised: %s\n" m
+                  end;
+                  dump h)
             sites)
         [ "at-rest"; "online" ])
     [ false; true ];
@@ -3978,7 +3987,10 @@ let test_media_findings_pinned () =
       "idle log slot rewritten to zero (line resealed)";
       "free leaf slot on a corrupt media line (length byte untrustworthy)";
       "unreferenced committed value on corrupt line reclaimed";
-      "unreferenced committed value object reclaimed";
+      "prologue line rewritten from the live registry";
+      "corrupt line touched only free slots/padding — zeroed and resealed";
+      "unreferenced pool line zeroed and resealed";
+      "line still fails ECC after repair (stuck-at media: writes do not take)";
     ];
   List.iter
     (fun who ->
@@ -3990,11 +4002,96 @@ let test_media_findings_pinned () =
                && f.f_action = Hart_error.Quarantined
                && match f.f_site with Hart_error.Leaf_slot _ -> true | _ -> false)
              findings)
-      then Alcotest.failf "no leaf quarantined by %s" who)
-    [ "mount"; "fsck" ];
+      then Alcotest.failf "no leaf quarantined %s" who)
+    [ "at-rest found"; "online found" ];
   Alcotest.(check string)
-    "rendering md5" "32db463e83eddf0dccc2bda8cae137f3"
+    "rendering md5" "35ec101e5b1e1c3c1d7f31458d19c8cd"
     (Digest.to_hex (Digest.string rendering))
+
+(* One media fault on the churned pool of the pin above (owning free
+   slots, a pending recycle record), on a seeded PM line, of each of
+   the five kinds, at rest (before the quarantining mount) or online
+   (after it, before fsck). The mount returns or refuses with a typed
+   error; fsck returns and leaves a store that passes
+   [check_integrity]; a second fsck finds nothing but the stuck line; no
+   key reads a value it was not given; and every key of the
+   crash-consistent state that no finding names reads its value.
+   Online that covers every lost key: fsck names each key the live
+   index bound. At rest a key whose bytes the fault destroyed cannot be
+   named, and counts against its finding's capacity instead, as in the
+   media sweep's oracle. *)
+let media_fsck_bases =
+  lazy
+    (List.map
+       (fun checksums ->
+         let base, _ = media_pin_base ~checksums in
+         (checksums, base, dump_hart (Hart.recover (Pmem.clone base))))
+       [ false; true ])
+
+let stuck_detail = "line still fails ECC after repair (stuck-at media: writes do not take)"
+
+let qcheck_media_fsck_converges =
+  QCheck.Test.make ~count:300 ~name:"one media fault, at rest or online: fsck converges"
+    QCheck.(quad bool (int_bound 0xFFFF) (int_bound 4) bool)
+    (fun (checksums, pick, kind, online) ->
+      let fail fmt = QCheck.Test.fail_reportf fmt in
+      let _, base, model =
+        List.find (fun (c, _, _) -> c = checksums) (Lazy.force media_fsck_bases)
+      in
+      let pool = Pmem.clone base in
+      let line = 1 + (pick mod ((Pmem.live_bytes base / Pmem.line_bytes) - 1)) in
+      let rng = Rng.create (Int64.of_int pick) in
+      let what, fault =
+        List.nth
+          (media_pin_faults rng line
+          @ [ ("flip-bits", Pmem.Flip_bits { seed = Rng.next64 rng; flips = 1 + Rng.int rng 4 }) ]
+          )
+          kind
+      in
+      let stuck (f : Hart_error.finding) =
+        what = "stuck" && f.f_action = Detected && f.f_detail = stuck_detail
+        && f.f_site = Pool_line { line }
+      in
+      if not online then Pmem.inject_media_fault pool fault;
+      match Hart.recover ~quarantine:true pool with
+      | exception Hart_error.Error _ when not online -> true
+      | h ->
+          let found = Hart.quarantines h in
+          if online then begin
+            if found <> [] then fail "the clean mount found %d" (List.length found);
+            Pmem.inject_media_fault pool fault
+          end;
+          let found = found @ Hart.fsck h in
+          (match Hart.check_integrity h with
+          | () -> ()
+          | exception Failure m -> fail "integrity after fsck: %s" m);
+          List.iter
+            (fun f ->
+              if not (stuck f) then
+                fail "second fsck: %s" (Format.asprintf "%a" Hart_error.pp_finding f))
+            (Hart.fsck h);
+          let got = dump_hart h in
+          List.iter
+            (fun (k, v) ->
+              if List.assoc_opt k model <> Some v then fail "key %S reads %S" k v)
+            got;
+          let named = List.concat_map (fun (f : Hart_error.finding) -> f.f_keys) found in
+          let lost =
+            List.filter
+              (fun (k, v) -> List.assoc_opt k got <> Some v && not (List.mem k named))
+              model
+          in
+          let residual =
+            if online then 0
+            else
+              List.fold_left
+                (fun a (f : Hart_error.finding) -> a + max 0 (f.f_capacity - List.length f.f_keys))
+                0 found
+          in
+          if List.length lost > residual then
+            fail "%d key(s) lost with no finding naming them: %s" (List.length lost)
+              (String.concat "," (List.map fst lost));
+          true)
 
 let () =
   Alcotest.run "core"
@@ -4200,5 +4297,11 @@ let () =
           Alcotest.test_case "hart_mt concurrent inserts" `Quick test_hart_mt_concurrent_inserts;
           Alcotest.test_case "hart_mt mixed stress" `Quick test_hart_mt_mixed_stress;
           Alcotest.test_case "hart_mt lock mapping" `Quick test_hart_mt_lock_mapping;
+        ] );
+      ( "media-fsck",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x3ED1A |])
+            qcheck_media_fsck_converges;
         ] );
     ]

@@ -80,6 +80,11 @@ type 'v t = {
   mutable leaf_top : int;
   mutable leaf_free : int list;
   mutable n48 : n48_state option array;  (* parallel to meta handles *)
+  (* Results of the running [insert] or [delete], which a writer runs
+     alone: no per-call ref or closure carries them, and as ints they
+     cost no write barrier. *)
+  mutable hit : int;  (* the key's leaf found there, -1 for none *)
+  mutable rebuilt : bool;  (* see [delete_from] *)
 }
 
 (* meta-word offsets within a handle's 16-word stride *)
@@ -155,6 +160,8 @@ let create ?meter ?(space = Meter.Dram) ?alloc_node ?free_node
     leaf_top = 0;
     leaf_free = [];
     n48 = [||];
+    hit = -1;
+    rebuilt = false;
   }
 
 let[@inline] evented t = t.on_event != ignore_event
@@ -624,142 +631,171 @@ let only_child t h =
 (* ------------------------------------------------------------------ *)
 (* Lookup                                                              *)
 
+(* Top-level recursions: a local [go] closing over its arguments would
+   be allocated on every call. *)
+let rec common_from a ai b bi n i =
+  if i < n && String.unsafe_get a (ai + i) = String.unsafe_get b (bi + i) then
+    common_from a ai b bi n (i + 1)
+  else i
+
 let common_len a ai b bi =
-  let n = min (String.length a - ai) (String.length b - bi) in
-  let rec go i = if i < n && a.[ai + i] = b.[bi + i] then go (i + 1) else i in
-  go 0
+  let la = String.length a - ai and lb = String.length b - bi in
+  common_from a ai b bi (if la < lb then la else lb) 0
 
-(* Does [key] contain [prefix] starting at [depth]? *)
-let prefix_matches key depth prefix =
+(* Does [key] contain [prefix] starting at [pos]? *)
+let prefix_matches key pos prefix =
   let plen = String.length prefix in
-  String.length key - depth >= plen && common_len key depth prefix 0 = plen
+  String.length key - pos >= plen && common_from key pos prefix 0 plen 0 = plen
 
-let find t key =
-  let rec go child depth =
-    if is_leaf_word child then begin
-      let i = word_ix child in
-      if String.equal (Array.unsafe_get t.leaf_keys i) key then
-        Array.unsafe_get t.leaf_vals i
-      else None
-    end
-    else begin
-      let h = word_ix child in
-      touch t h;
-      let prefix = Array.unsafe_get t.prefixes h in
-      if not (prefix_matches key depth prefix) then None
-      else
-        let d = depth + String.length prefix in
-        if String.length key = d then begin
-          let hr = get_here t h in
-          if hr >= 0 then Array.unsafe_get t.leaf_vals hr else None
-        end
-        else begin
-          let c = Char.code (String.unsafe_get key d) in
-          touch_child t h c;
-          let ch = find_child t h c in
-          if ch = nil then None else go ch (d + 1)
-        end
-    end
-  in
-  if t.root = nil then None else go t.root 0
+(* Is the stored leaf key [s] equal to [key] from [off] on? In place. *)
+let equal_at s key off =
+  if off = 0 then String.equal s key
+  else
+    let n = String.length s in
+    n = String.length key - off && common_from s 0 key off n 0 = n
+
+(* The tree key of [key] read from [off]: copied only when a leaf is
+   made for it. *)
+let suffix key off = if off = 0 then key else String.sub key off (String.length key - off)
+
+(* The descents below take the caller's whole key and the offset [off]
+   where the tree's key starts; [pos] is the position in [key] of the
+   next byte to consume. *)
+
+let rec find_from t key child pos off =
+  if is_leaf_word child then begin
+    let i = word_ix child in
+    if equal_at (Array.unsafe_get t.leaf_keys i) key off then Array.unsafe_get t.leaf_vals i
+    else None
+  end
+  else begin
+    let h = word_ix child in
+    touch t h;
+    let prefix = Array.unsafe_get t.prefixes h in
+    if not (prefix_matches key pos prefix) then None
+    else
+      let d = pos + String.length prefix in
+      if String.length key = d then begin
+        let hr = get_here t h in
+        if hr >= 0 then Array.unsafe_get t.leaf_vals hr else None
+      end
+      else begin
+        let c = Char.code (String.unsafe_get key d) in
+        touch_child t h c;
+        let ch = find_child t h c in
+        if ch = nil then None else find_from t key ch (d + 1) off
+      end
+  end
+
+let find t key ~off = if t.root = nil then None else find_from t key t.root off off
 
 (* ------------------------------------------------------------------ *)
 (* Insertion                                                           *)
 
-(* Join two leaves that diverge at or after [depth] under a fresh inner
-   node; [li] is the pre-existing leaf, the new leaf holds [key]/[v]. *)
-let join_leaves t li lkey key v depth =
-  let m = common_len lkey depth key depth in
-  let inn = alloc_inner t ~prefix:(String.sub key depth m) in
-  let d = depth + m in
-  let place i ikey =
-    if String.length ikey = d then set_here t inn i
-    else add_child ~quiet:true t inn (Char.code ikey.[d]) (leaf_word i)
-  in
-  place li lkey;
-  let ni = alloc_leaf t key v in
-  place ni key;
+(* Join two leaves that diverge at or after [pos] under a fresh inner
+   node; [li] is the pre-existing leaf, whose tree key [lkey] starts at
+   [pos - off]; the new leaf holds [key] from [off] on, bound to [v]. *)
+let join_leaves t li lkey key off v pos =
+  let lpos = pos - off in
+  let m = common_len lkey lpos key pos in
+  let inn = alloc_inner t ~prefix:(String.sub key pos m) in
+  if String.length lkey = lpos + m then set_here t inn li
+  else add_child ~quiet:true t inn (Char.code lkey.[lpos + m]) (leaf_word li);
+  let ni = alloc_leaf t (suffix key off) v in
+  let d = pos + m in
+  if String.length key = d then set_here t inn ni
+  else add_child ~quiet:true t inn (Char.code key.[d]) (leaf_word ni);
   inner_word inn
 
-let insert t key v =
-  let result = ref `Inserted in
-  let rec go child depth =
-    if is_leaf_word child then begin
-      let li = word_ix child in
-      let lkey = leaf_key t li in
-      if String.equal lkey key then begin
-        result := `Replaced (leaf_value t li);
-        t.leaf_vals.(li) <- Some v;
-        child
-      end
-      else join_leaves t li lkey key v depth
+(* Returns the replacement child word. A key already bound leaves the
+   subtree as it is and records its leaf in [t.hit]; otherwise
+   [make key x] runs where the new leaf goes, before any node changes. *)
+let rec insert_from t key make x child pos off =
+  if is_leaf_word child then begin
+    let li = word_ix child in
+    let lkey = leaf_key t li in
+    if equal_at lkey key off then begin
+      t.hit <- li;
+      child
+    end
+    else join_leaves t li lkey key off (make key x) pos
+  end
+  else begin
+    let h = word_ix child in
+    touch t h;
+    let prefix = t.prefixes.(h) in
+    let plen = String.length prefix in
+    let m = common_len key pos prefix 0 in
+    if m < plen then begin
+      (* split the compressed path at [m] *)
+      let v = make key x in
+      let parent = alloc_inner t ~prefix:(String.sub prefix 0 m) in
+      let old_byte = Char.code prefix.[m] in
+      t.prefixes.(h) <- String.sub prefix (m + 1) (plen - m - 1);
+      if evented t then t.on_event (Prefix_changed { addr = get_addr t h });
+      add_child ~quiet:true t parent old_byte (inner_word h);
+      let d = pos + m in
+      if String.length key = d then set_here t parent (alloc_leaf t (suffix key off) v)
+      else
+        add_child ~quiet:true t parent
+          (Char.code key.[d])
+          (leaf_word (alloc_leaf t (suffix key off) v));
+      inner_word parent
     end
     else begin
-      let h = word_ix child in
-      touch t h;
-      let prefix = t.prefixes.(h) in
-      let plen = String.length prefix in
-      let m = common_len key depth prefix 0 in
-      if m < plen then begin
-        (* split the compressed path at [m] *)
-        let parent = alloc_inner t ~prefix:(String.sub prefix 0 m) in
-        let old_byte = Char.code prefix.[m] in
-        t.prefixes.(h) <- String.sub prefix (m + 1) (plen - m - 1);
-        if evented t then t.on_event (Prefix_changed { addr = get_addr t h });
-        add_child ~quiet:true t parent old_byte (inner_word h);
-        let d = depth + m in
-        if String.length key = d then set_here t parent (alloc_leaf t key v)
-        else
-          add_child ~quiet:true t parent
-            (Char.code key.[d])
-            (leaf_word (alloc_leaf t key v));
-        inner_word parent
+      let d = pos + plen in
+      if String.length key = d then begin
+        let hr = get_here t h in
+        (if hr >= 0 then t.hit <- hr
+         else begin
+           let v = make key x in
+           set_here t h (alloc_leaf t (suffix key off) v);
+           if evented t then t.on_event (Here_changed { addr = get_addr t h })
+         end);
+        child
       end
       else begin
-        let d = depth + plen in
-        if String.length key = d then begin
-          let hr = get_here t h in
-          (if hr >= 0 then begin
-             result := `Replaced (leaf_value t hr);
-             t.leaf_vals.(hr) <- Some v
-           end
-           else begin
-             set_here t h (alloc_leaf t key v);
-             if evented t then t.on_event (Here_changed { addr = get_addr t h })
-           end);
+        let c = Char.code key.[d] in
+        touch_child t h c;
+        let ch = find_child t h c in
+        if ch <> nil then begin
+          let ch' = insert_from t key make x ch (d + 1) off in
+          if ch' <> ch then replace_child t h c ch';
           child
         end
         else begin
-          let c = Char.code key.[d] in
-          touch_child t h c;
-          let ch = find_child t h c in
-          if ch <> nil then begin
-            let ch' = go ch (d + 1) in
-            if ch' <> ch then replace_child t h c ch';
-            child
-          end
-          else begin
-            add_child t h c (leaf_word (alloc_leaf t key v));
-            child
-          end
+          let v = make key x in
+          add_child t h c (leaf_word (alloc_leaf t (suffix key off) v));
+          child
         end
       end
     end
-  in
+  end
+
+let insert t key ~off make x =
+  t.hit <- -1;
   (if t.root = nil then begin
-     t.root <- leaf_word (alloc_leaf t key v);
+     let v = make key x in
+     t.root <- leaf_word (alloc_leaf t (suffix key off) v);
      if evented t then t.on_event (Child_added { addr = 0; slot_off = 0; kind = 0 })
    end
    else
      let r = t.root in
-     let r' = go r 0 in
+     let r' = insert_from t key make x r off off in
      if r' <> r then begin
        t.root <- r';
        if evented t then
          t.on_event (Child_replaced { addr = 0; slot_off = 0; kind = 0 })
      end);
-  (match !result with `Inserted -> t.count <- t.count + 1 | `Replaced _ -> ());
-  !result
+  let hit = t.hit in
+  if hit < 0 then begin
+    t.count <- t.count + 1;
+    None
+  end
+  else begin
+    t.hit <- -1;
+    Array.unsafe_get t.leaf_vals hit
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Bulk build                                                          *)
@@ -861,91 +897,96 @@ let collapse t h =
   end
   else inner_word h
 
-let delete t key =
-  let found = ref None in
-  (* [rebuilt] reproduces a boxed-layer artifact that is now part of the
-     modelled event contract: there, [collapse] reconstructs the variant
-     word ([Some (Inner inn)]) for a node that survived a removal at its
-     own level, so the physical-inequality check in the immediate parent
-     rewrites the (unchanged) child pointer and emits Child_replaced —
-     one level up only, since that parent returns its original binding.
-     Pool handles are stable, so the survived-in-place case is flagged
-     explicitly: set by a node whose here/child removal left it alive,
-     consumed (and cleared) by its direct parent. *)
-  let rebuilt = ref false in
-  (* Returns the replacement child word, or [nil] when the subtree is
-     gone entirely (the boxed layer's [None]). *)
-  let rec go child depth =
-    if is_leaf_word child then begin
-      let li = word_ix child in
-      if String.equal (leaf_key t li) key then begin
-        found := Array.unsafe_get t.leaf_vals li;
-        free_leaf t li;
-        nil
-      end
-      else child
+(* Returns the replacement child word, or [nil] when the subtree is
+   gone entirely (the boxed layer's [None]); the removed leaf goes to
+   [t.hit], which [delete] frees once the descent is over.
+
+   [t.rebuilt] reproduces a boxed-layer artifact that is now part of
+   the modelled event contract: there, [collapse] reconstructs the
+   variant word ([Some (Inner inn)]) for a node that survived a removal
+   at its own level, so the physical-inequality check in the immediate
+   parent rewrites the (unchanged) child pointer and emits
+   Child_replaced — one level up only, since that parent returns its
+   original binding. Pool handles are stable, so the survived-in-place
+   case is flagged explicitly: set by a node whose here/child removal
+   left it alive, consumed (and cleared) by its direct parent. *)
+let rec delete_from t key child pos off =
+  if is_leaf_word child then begin
+    let li = word_ix child in
+    if equal_at (leaf_key t li) key off then begin
+      t.hit <- li;
+      nil
     end
-    else begin
-      let h = word_ix child in
-      touch t h;
-      let prefix = t.prefixes.(h) in
-      if not (prefix_matches key depth prefix) then child
-      else
-        let d = depth + String.length prefix in
-        if String.length key = d then begin
-          let hr = get_here t h in
-          if hr >= 0 && String.equal (leaf_key t hr) key then begin
-            found := Array.unsafe_get t.leaf_vals hr;
-            free_leaf t hr;
-            set_here t h (-1);
-            if evented t then t.on_event (Here_changed { addr = get_addr t h });
+    else child
+  end
+  else begin
+    let h = word_ix child in
+    touch t h;
+    let prefix = t.prefixes.(h) in
+    if not (prefix_matches key pos prefix) then child
+    else
+      let d = pos + String.length prefix in
+      if String.length key = d then begin
+        let hr = get_here t h in
+        if hr >= 0 && equal_at (leaf_key t hr) key off then begin
+          t.hit <- hr;
+          set_here t h (-1);
+          if evented t then t.on_event (Here_changed { addr = get_addr t h });
+          let w = collapse t h in
+          if w = child then t.rebuilt <- true;
+          w
+        end
+        else child
+      end
+      else begin
+        let c = Char.code key.[d] in
+        touch_child t h c;
+        let ch = find_child t h c in
+        if ch = nil then child
+        else begin
+          let ch' = delete_from t key ch (d + 1) off in
+          let rb = t.rebuilt in
+          t.rebuilt <- false;
+          if ch' = nil then begin
+            remove_child t h c;
             let w = collapse t h in
-            if w = child then rebuilt := true;
+            if w = child then t.rebuilt <- true;
             w
           end
-          else child
-        end
-        else begin
-          let c = Char.code key.[d] in
-          touch_child t h c;
-          let ch = find_child t h c in
-          if ch = nil then child
           else begin
-            let ch' = go ch (d + 1) in
-            let rb = !rebuilt in
-            rebuilt := false;
-            if ch' = nil then begin
-              remove_child t h c;
-              let w = collapse t h in
-              if w = child then rebuilt := true;
-              w
-            end
-            else begin
-              if ch' <> ch then replace_child t h c ch'
-              else if rb then replace_child_same t h c;
-              child
-            end
+            if ch' <> ch then replace_child t h c ch'
+            else if rb then replace_child_same t h c;
+            child
           end
         end
+      end
+  end
+
+let delete t key ~off =
+  if t.root <> nil then begin
+    let r = t.root in
+    let r' = delete_from t key r off off in
+    if r' = nil then begin
+      t.root <- nil;
+      if evented t then
+        t.on_event (Child_removed { addr = 0; slot_off = 0; kind = 0 })
     end
-  in
-  (if t.root <> nil then begin
-     let r = t.root in
-     let r' = go r 0 in
-     if r' = nil then begin
-       t.root <- nil;
-       if evented t then
-         t.on_event (Child_removed { addr = 0; slot_off = 0; kind = 0 })
-     end
-     else if r' <> r || !rebuilt then begin
-       t.root <- r';
-       if evented t then
-         t.on_event (Child_replaced { addr = 0; slot_off = 0; kind = 0 })
-     end;
-     rebuilt := false
-   end);
-  (match !found with Some _ -> t.count <- t.count - 1 | None -> ());
-  !found
+    else if r' <> r || t.rebuilt then begin
+      t.root <- r';
+      if evented t then
+        t.on_event (Child_replaced { addr = 0; slot_off = 0; kind = 0 })
+    end;
+    t.rebuilt <- false
+  end;
+  let hit = t.hit in
+  if hit < 0 then None
+  else begin
+    t.hit <- -1;
+    let found = Array.unsafe_get t.leaf_vals hit in
+    free_leaf t hit;
+    t.count <- t.count - 1;
+    found
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Ordered traversal                                                   *)
@@ -1017,7 +1058,8 @@ let max_binding t =
   if t.root = nil then None else go t.root
 
 let is_strict_prefix p s =
-  String.length p < String.length s && String.sub s 0 (String.length p) = p
+  let n = String.length p in
+  n < String.length s && common_from p 0 s 0 n 0 = n
 
 let range t ~lo ~hi f =
   (* Subtree keys all extend [path]; prune when the whole extension set

@@ -99,17 +99,32 @@ val count : 'v t -> int
 
 val is_empty : 'v t -> bool
 
-val find : 'v t -> string -> 'v option
-(** [find t key] is the value bound to [key], if any. *)
+(** {1 Point operations}
 
-val insert : 'v t -> string -> 'v -> [ `Inserted | `Replaced of 'v ]
-(** [insert t key v] binds [key] to [v], returning the previous binding
-    when one existed. *)
+    [find], [insert] and [delete] take a caller's whole key and the
+    offset [off] where the tree's key starts within it: the tree's key
+    is the bytes of [key] from [off] on. HART passes the full key with
+    [off] past the hash prefix, so the prefix is never copied out; a
+    tree of whole keys passes [~off:0]. The bound and removed keys, and
+    every key {!iter}, {!range} and the extremes report, are tree keys.
+    Each descent is a top-level recursion that allocates nothing but
+    what it returns. *)
 
-val delete : 'v t -> string -> 'v option
-(** [delete t key] removes and returns [key]'s binding. Nodes shrink back
-    through the adaptive classes and paths re-compress, as in the paper's
-    deletion discussion. *)
+val find : 'v t -> string -> off:int -> 'v option
+(** [find t key ~off] is the value bound to [key]'s tree key, if any. *)
+
+val insert : 'v t -> string -> off:int -> (string -> 'a -> 'v) -> 'a -> 'v option
+(** [insert t key ~off make x] binds [key]'s tree key to [make key x]
+    unless it is bound already, in one descent. A bound key's binding is
+    returned and the tree is left as it was, [make] uncalled. Otherwise
+    [make] runs at the insertion point, before any node changes, so if
+    it raises the tree is untouched; the result is [None]. A caller
+    binding a value it already holds passes [(fun _ v -> v)]. *)
+
+val delete : 'v t -> string -> off:int -> 'v option
+(** [delete t key ~off] removes and returns the binding of [key]'s tree
+    key. Nodes shrink back through the adaptive classes and paths
+    re-compress, as in the paper's deletion discussion. *)
 
 val min_binding : 'v t -> (string * 'v) option
 (** Smallest key in byte-lexicographic order. *)

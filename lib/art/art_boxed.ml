@@ -404,13 +404,12 @@ let join_leaves t l key v depth =
   Inner inn
 
 let insert t key v =
-  let result = ref `Inserted in
+  let result = ref None in
   let rec go node depth =
     match node with
     | Leaf l ->
         if String.equal l.key key then begin
-          result := `Replaced l.value;
-          l.value <- v;
+          result := Some l.value;
           node
         end
         else join_leaves t l key v depth
@@ -438,9 +437,7 @@ let insert t key v =
           let d = depth + plen in
           if String.length key = d then begin
             (match inn.here with
-            | Some l ->
-                result := `Replaced l.value;
-                l.value <- v
+            | Some l -> result := Some l.value
             | None ->
                 inn.here <- Some { key; value = v };
                 t.on_event (Here_changed { addr = inn.addr }));
@@ -479,7 +476,7 @@ let insert t key v =
         t.root <- Some n';
         t.on_event (Child_replaced { addr = 0; slot_off = 0; kind = 0 })
       end);
-  (match !result with `Inserted -> t.count <- t.count + 1 | `Replaced _ -> ());
+  (match !result with None -> t.count <- t.count + 1 | Some _ -> ());
   !result
 
 (* ------------------------------------------------------------------ *)

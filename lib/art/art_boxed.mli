@@ -74,9 +74,10 @@ val is_empty : 'v t -> bool
 val find : 'v t -> string -> 'v option
 (** [find t key] is the value bound to [key], if any. *)
 
-val insert : 'v t -> string -> 'v -> [ `Inserted | `Replaced of 'v ]
-(** [insert t key v] binds [key] to [v], returning the previous binding
-    when one existed. *)
+val insert : 'v t -> string -> 'v -> 'v option
+(** [insert t key v] binds [key] to [v] unless it is bound already; a
+    bound key's binding is returned and left as it was, as
+    {!Art.insert} does. *)
 
 val delete : 'v t -> string -> 'v option
 (** [delete t key] removes and returns [key]'s binding. Nodes shrink back

@@ -55,33 +55,33 @@ let create pool =
 let update_leaf t ~leaf value = Pm_value.update_leaf t.pool ~leaf value
 
 let insert t ~key ~value =
-  match Art.find t.art key with
+  match Art.find t.art key ~off:0 with
   | Some leaf -> update_leaf t ~leaf value
   | None -> (
       (* leaf + value are fully persisted by [new_leaf]; the registry
          slot persist is this insert's durable commit point *)
       let leaf = Pm_value.new_leaf t.pool ~key ~payload:value in
       Pm_registry.register t.reg leaf;
-      match Art.insert t.art key leaf with
-      | `Inserted -> ()
-      | `Replaced _ -> assert false)
+      match Art.insert t.art key ~off:0 (fun _ leaf -> leaf) leaf with
+      | None -> ()
+      | Some _ -> assert false)
 
 let read_leaf t ~leaf key = Pm_value.read_leaf t.pool ~leaf key
 
 let search t key =
-  match Art.find t.art key with
+  match Art.find t.art key ~off:0 with
   | None -> None
   | Some leaf -> read_leaf t ~leaf key
 
 let update t ~key ~value =
-  match Art.find t.art key with
+  match Art.find t.art key ~off:0 with
   | None -> false
   | Some leaf ->
       update_leaf t ~leaf value;
       true
 
 let delete t key =
-  match Art.delete t.art key with
+  match Art.delete t.art key ~off:0 with
   | None -> false
   | Some leaf ->
       (* deregistration commits the delete before the leaf's space can
@@ -106,9 +106,10 @@ let recover pool =
   let reg = Pm_registry.attach pool ~magic in
   let t = { pool; meter; art = make_art pool meter; reg } in
   Pm_registry.iter reg (fun leaf ->
-      match Art.insert t.art (Hart_core.Leaf.key t.pool ~leaf) leaf with
-      | `Inserted -> ()
-      | `Replaced _ -> failwith "Woart.recover: duplicate key in registry");
+      let key = Hart_core.Leaf.key t.pool ~leaf in
+      match Art.insert t.art key ~off:0 (fun _ leaf -> leaf) leaf with
+      | None -> ()
+      | Some _ -> failwith "Woart.recover: duplicate key in registry");
   t
 
 let check_integrity t =
@@ -165,5 +166,5 @@ module S : Hart_core.Index_intf.S with type t = t = struct
     match op with
     | `Update -> false
     | `Delete -> true
-    | `Insert -> Art.find t.art key = None (* new key: node + registry slot *)
+    | `Insert -> Art.find t.art key ~off:0 = None (* new key: node + registry slot *)
 end

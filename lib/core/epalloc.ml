@@ -115,16 +115,15 @@ module Registry = struct
   let of_sorted entries =
     { keys = Array.map (fun e -> e.chunk) entries; entries; len = Array.length entries }
 
+  (* top-level, so a lookup builds no closure *)
+  let rec find_le_in (keys : int array) (x : int) lo hi =
+    if lo > hi then hi
+    else
+      let mid = (lo + hi) lsr 1 in
+      if keys.(mid) <= x then find_le_in keys x (mid + 1) hi else find_le_in keys x lo (mid - 1)
+
   (* greatest index below [len] with keys.(i) <= x, or -1 *)
-  let find_le r x =
-    let keys = r.keys in
-    let rec go lo hi =
-      if lo > hi then hi
-      else
-        let mid = (lo + hi) lsr 1 in
-        if keys.(mid) <= x then go (mid + 1) hi else go lo (mid - 1)
-    in
-    go 0 (r.len - 1)
+  let find_le r x = find_le_in r.keys x 0 (r.len - 1)
 
   (* the live record of a registered chunk *)
   let find r chunk =
@@ -450,11 +449,11 @@ let chunk_covering t off =
 (* ------------------------------------------------------------------ *)
 (* Allocation (Algorithm 2)                                            *)
 
-(* The lowest slot not set in [occupied]: a trailing-zero count of the
-   free mask, constant time. *)
+(* The lowest slot not set in [occupied], or -1: a trailing-zero count
+   of the free mask, constant time, and no option to box. *)
 let free_slot occupied =
   let free = lnot occupied land full_mask in
-  if free = 0 then None else Some (Bits.ctz free)
+  if free = 0 then -1 else Bits.ctz free
 
 let value_objs_per_chunk = Chunk.objs_per_chunk - 1
 
@@ -496,17 +495,18 @@ let try_reserve ?(spare = false) t cls chunk =
       | exception Not_found -> no_slot
       | e -> (
           let occupied = read_bits t e lor e.reserved in
-          match free_slot occupied with
-          | Some idx
-            when spare
-                 || (not (keeps_spare cls))
-                 || occupied lor (1 lsl idx) <> full_mask ->
-              let bit = 1 lsl idx in
-              let owns = e.owned land bit <> 0 in
-              e.reserved <- e.reserved lor bit;
-              e.owned <- e.owned land lnot bit;
-              (Chunk.obj_off cls ~chunk ~idx lsl 1) lor Bool.to_int owns
-          | Some _ | None -> no_slot)
+          let idx = free_slot occupied in
+          if
+            idx >= 0
+            && (spare || (not (keeps_spare cls)) || occupied lor (1 lsl idx) <> full_mask)
+          then begin
+            let bit = 1 lsl idx in
+            let owns = e.owned land bit <> 0 in
+            e.reserved <- e.reserved lor bit;
+            e.owned <- e.owned land lnot bit;
+            (Chunk.obj_off cls ~chunk ~idx lsl 1) lor Bool.to_int owns
+          end
+          else no_slot)
     in
     Mutex.unlock mu;
     r
@@ -706,17 +706,23 @@ and eprecycle t cls ~chunk =
    store when they share a chunk. Otherwise [old]'s word changes first;
    then [old]'s chunk is recycled if that emptied it. Nothing is held:
    the leaf already names [obj]. *)
+let commit_apart t cls e ~set ocls oe ~old =
+  commit_bits t ocls oe ~set:0 ~clear:(obj_mask ocls oe old);
+  commit_bits t cls e ~set ~clear:0;
+  eprecycle t ocls ~chunk:oe.chunk
+
 let commit_update t cls ~obj ~old =
   let e = entry_of_obj t cls obj in
   let set = obj_mask cls e obj in
-  match value_entry t old with
-  | Some (ocls, oe) when oe == e ->
-      commit_bits t cls e ~set ~clear:(obj_mask ocls oe old)
-  | Some (ocls, oe) ->
-      commit_bits t ocls oe ~set:0 ~clear:(obj_mask ocls oe old);
-      commit_bits t cls e ~set ~clear:0;
-      eprecycle t ocls ~chunk:oe.chunk
-  | None -> commit_bits t cls e ~set ~clear:0
+  (* [old]'s own class first: an in-class update resolves it with no
+     allocation *)
+  match entry_of_obj t cls old with
+  | oe when oe == e -> commit_bits t cls e ~set ~clear:(obj_mask cls oe old)
+  | oe -> commit_apart t cls e ~set cls oe ~old
+  | exception Not_found -> (
+      match value_entry t old with
+      | Some (ocls, oe) -> commit_apart t cls e ~set ocls oe ~old
+      | None -> commit_bits t cls e ~set ~clear:0)
 
 (* Algorithm 5's free: store and persist the leaf's zero length byte,
    its commit point; then, in one stripe-locked section, clear its

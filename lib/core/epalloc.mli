@@ -123,10 +123,10 @@ val checksums : t -> bool
 
 val logs : t -> Microlog.t
 
-val free_slot : int -> int option
+val free_slot : int -> int
 (** The lowest slot of a chunk whose occupied-or-reserved mask is given,
-    or [None] if all 56 are taken: the slot {!epmalloc} hands out.
-    Constant time (a trailing-zero count). *)
+    or -1 if all 56 are taken: the slot {!epmalloc} hands out.
+    Constant time (a trailing-zero count), allocation-free. *)
 
 val value_objs_per_chunk : int
 (** 55: the objects {!epmalloc} hands out of one value chunk. It never

@@ -14,6 +14,9 @@ type t = {
   pm_node_bytes : int Atomic.t;  (* pool bytes of ART nodes under [`Pm] *)
   quarantines : Hart_error.finding list ref;
       (* findings accumulated by a quarantining recovery of this pool *)
+  new_leaf : string -> string -> int;
+      (* [new_leaf key value]: [Art.insert]'s leaf maker, one closure per
+         store, so an insert of a bound key allocates none *)
 }
 
 let kh t = t.kh
@@ -63,42 +66,36 @@ let new_art t =
           Pmem.free t.pool ~off:addr ~len:size)
         ~on_event:(pm_node_protocol meter) ()
 
-let create ?(kh = 2) ?(checksums = false) ?dir_buckets ?(internal_nodes = `Dram)
-    pool =
-  let alloc = Epalloc.create ~kh ~checksums pool in
-  let meter = Pmem.meter pool in
-  {
-    alloc;
-    pool;
-    dir = Hash_dir.create ~meter ?initial_buckets:dir_buckets ();
-    kh;
-    internal_nodes;
-    count = Atomic.make 0;
-    pm_node_bytes = Atomic.make 0;
-    quarantines = ref [];
-  }
-
 let split kh key =
   let n = String.length key in
   if n <= kh then (key, "") else (String.sub key 0 kh, String.sub key kh (n - kh))
 
 let split_key t key = split t.kh key
 
-let find_art t hash_key = Hash_dir.find t.dir hash_key
+(* The hash key's length in [key]: its first [kh] bytes, or all of a
+   shorter key. The point operations pass [key] whole with this offset
+   to the directory and the ART, so neither half is copied out. *)
+let hk_len t key =
+  let n = String.length key in
+  if n < t.kh then n else t.kh
 
-let find_or_create_art t hash_key =
-  match Hash_dir.find t.dir hash_key with
+let find_or_create_art t key off =
+  match Hash_dir.find_prefix t.dir key off with
   | Some art -> art
   | None ->
       let art = new_art t in
-      Hash_dir.insert t.dir hash_key art;
+      Hash_dir.insert t.dir (String.sub key 0 off) art;
       art
 
-let check_key key =
+let valid_length key =
   let n = String.length key in
-  if n < 1 || n > Leaf.max_key_len then
+  n >= 1 && n <= Leaf.max_key_len
+
+let check_key key =
+  if not (valid_length key) then
     invalid_arg
-      (Printf.sprintf "HART keys must be 1..%d bytes (got %d)" Leaf.max_key_len n)
+      (Printf.sprintf "HART keys must be 1..%d bytes (got %d)" Leaf.max_key_len
+         (String.length key))
 
 (* Algorithm 3 without its update log (DESIGN.md §6 item 3): persist the
    new value, then the leaf's p_value (one store into the head that
@@ -106,14 +103,13 @@ let check_key key =
    DRAM mirror, the only copy of a value chunk's bitmap. Recovery
    commits whichever value the leaf names. [leaf] must be committed. *)
 let update_leaf t ~leaf value =
-  let head = Leaf.head t.pool ~leaf in
-  let old_v = Leaf.head_p_value head in
+  let old_v = Leaf.p_value t.pool ~leaf in
   let vcls = Value_obj.cls_for value in
   let new_v = Epalloc.epmalloc_update t.alloc vcls ~old:old_v in
   Value_obj.write ~crc:(checksums t) t.pool ~obj:new_v value;
   let bits_first = Epalloc.mutated Bits_before_p_value in
   if bits_first then Epalloc.commit_update t.alloc vcls ~obj:new_v ~old:old_v;
-  Leaf.set_p_value t.pool ~leaf ~head new_v;
+  Leaf.repoint t.pool ~leaf new_v;
   if not bits_first then Epalloc.commit_update t.alloc vcls ~obj:new_v ~old:old_v
 
 (* The leaf's one persist: key bytes, then the head, whose length byte
@@ -127,75 +123,98 @@ let init_leaf t ~leaf ~p_value key =
    key's, DESIGN.md §6 item 1) hands it over, Algorithm 2 lines 12-16: a
    value of the new value's class is rewritten in place; one of another
    class is freed once the leaf names the new value, so no domain can be
-   given it while the slot still names it. *)
+   given it while the slot still names it. [Art.insert] runs this at the
+   insertion point of its one descent and links the leaf it returns. *)
+let new_leaf t key value =
+  let leaf, owns = Epalloc.epmalloc_leaf t.alloc in
+  let crc = checksums t in
+  let vcls = Value_obj.cls_for value in
+  let old_v =
+    if owns && not (Epalloc.mutated Ignore_owned) then Leaf.p_value t.pool ~leaf
+    else 0
+  in
+  let old = if old_v = 0 then None else Epalloc.class_of_value_obj t.alloc old_v in
+  (match old with
+  | Some old_cls when old_cls = vcls ->
+      Value_obj.write ~crc t.pool ~obj:old_v value;
+      init_leaf t ~leaf ~p_value:old_v key
+  | _ ->
+      let vobj = Epalloc.epmalloc t.alloc vcls in
+      Value_obj.write ~crc t.pool ~obj:vobj value;
+      let free_first = Epalloc.mutated Free_before_unname in
+      (match old with
+      | Some c when free_first -> Epalloc.release_value t.alloc c ~obj:old_v
+      | _ -> ());
+      init_leaf t ~leaf ~p_value:vobj key;
+      (match old with
+      | Some c when not free_first -> Epalloc.release_value t.alloc c ~obj:old_v
+      | _ -> ());
+      Epalloc.set_obj_bit t.alloc vcls ~obj:vobj);
+  Epalloc.set_obj_bit t.alloc Chunk.Leaf_c ~obj:leaf;
+  leaf
+
+let make ~alloc ~pool ~dir ~kh ~internal_nodes ~count ~quarantines =
+  let pm_node_bytes = Atomic.make 0 in
+  let rec t =
+    {
+      alloc;
+      pool;
+      dir;
+      kh;
+      internal_nodes;
+      count;
+      pm_node_bytes;
+      quarantines;
+      new_leaf = (fun key value -> new_leaf t key value);
+    }
+  in
+  t
+
+let create ?(kh = 2) ?(checksums = false) ?dir_buckets ?(internal_nodes = `Dram)
+    pool =
+  let alloc = Epalloc.create ~kh ~checksums pool in
+  let meter = Pmem.meter pool in
+  make ~alloc ~pool
+    ~dir:(Hash_dir.create ~meter ?initial_buckets:dir_buckets ())
+    ~kh ~internal_nodes ~count:(Atomic.make 0) ~quarantines:(ref [])
+
 let insert t ~key ~value =
   check_key key;
-  let hash_key, art_key = split_key t key in
-  let art = find_or_create_art t hash_key in
-  match Art.find art art_key with
+  let off = hk_len t key in
+  let art = find_or_create_art t key off in
+  match Art.insert art key ~off t.new_leaf value with
   | Some leaf -> update_leaf t ~leaf value
-  | None ->
-      let leaf, owns = Epalloc.epmalloc_leaf t.alloc in
-      let crc = checksums t in
-      let vcls = Value_obj.cls_for value in
-      let old_v =
-        if owns && not (Epalloc.mutated Ignore_owned) then Leaf.p_value t.pool ~leaf
-        else 0
-      in
-      let old = if old_v = 0 then None else Epalloc.class_of_value_obj t.alloc old_v in
-      (match old with
-      | Some old_cls when old_cls = vcls ->
-          Value_obj.write ~crc t.pool ~obj:old_v value;
-          init_leaf t ~leaf ~p_value:old_v key
-      | _ ->
-          let vobj = Epalloc.epmalloc t.alloc vcls in
-          Value_obj.write ~crc t.pool ~obj:vobj value;
-          let free_first = Epalloc.mutated Free_before_unname in
-          (match old with
-          | Some c when free_first -> Epalloc.release_value t.alloc c ~obj:old_v
-          | _ -> ());
-          init_leaf t ~leaf ~p_value:vobj key;
-          (match old with
-          | Some c when not free_first -> Epalloc.release_value t.alloc c ~obj:old_v
-          | _ -> ());
-          Epalloc.set_obj_bit t.alloc vcls ~obj:vobj);
-      (match Art.insert art art_key leaf with
-      | `Inserted -> ()
-      | `Replaced _ -> assert false (* Art.find returned None above *));
-      Epalloc.set_obj_bit t.alloc Chunk.Leaf_c ~obj:leaf;
-      Atomic.incr t.count
+  | None -> Atomic.incr t.count
 
 (* Read a validated leaf's value; [None] if the leaf fails validation.
    Two PM reads: the leaf's one line (its length byte says it is live;
    key and value pointer come in the same pass — the leaf key comparison
-   a C implementation performs at the end of its ART descent) and the
-   value object. *)
+   a C implementation performs at the end of its ART descent, here in
+   place) and the value object. *)
 let read_validated t ~leaf key =
-  match Leaf.read t.pool ~leaf with
-  | Ok (v, stored) when v <> 0 && String.equal stored key ->
-      Some (Value_obj.read t.pool ~obj:v)
-  | Ok _ | Error _ -> None
+  let v = Leaf.lookup t.pool ~leaf key in
+  if v <> 0 then Some (Value_obj.read t.pool ~obj:v) else None
 
 (* Algorithm 4. *)
 let search t key =
-  if String.length key < 1 || String.length key > Leaf.max_key_len then None
+  if not (valid_length key) then None
   else
-    let hash_key, art_key = split_key t key in
-    match find_art t hash_key with
+    let off = hk_len t key in
+    match Hash_dir.find_prefix t.dir key off with
     | None -> None
     | Some art -> (
-        match Art.find art art_key with
+        match Art.find art key ~off with
         | None -> None
         | Some leaf -> read_validated t ~leaf key)
 
 let update t ~key ~value =
-  if String.length key < 1 || String.length key > Leaf.max_key_len then false
+  if not (valid_length key) then false
   else
-    let hash_key, art_key = split_key t key in
-    match find_art t hash_key with
+    let off = hk_len t key in
+    match Hash_dir.find_prefix t.dir key off with
     | None -> false
     | Some art -> (
-        match Art.find art art_key with
+        match Art.find art key ~off with
         | None -> false
         | Some leaf ->
             update_leaf t ~leaf value;
@@ -203,19 +222,19 @@ let update t ~key ~value =
 
 (* Algorithm 5. *)
 let delete t key =
-  if String.length key < 1 || String.length key > Leaf.max_key_len then false
+  if not (valid_length key) then false
   else
-    let hash_key, art_key = split_key t key in
-    match find_art t hash_key with
+    let off = hk_len t key in
+    match Hash_dir.find_prefix t.dir key off with
     | None -> false
     | Some art -> (
-        match Art.delete art art_key with
+        match Art.delete art key ~off with
         | None -> false
         | Some leaf ->
             (* one persist: the free slot keeps its p_value and owns
                that value (DESIGN.md §6 item 1) *)
             Epalloc.free_leaf t.alloc ~leaf;
-            if Art.is_empty art then Hash_dir.remove t.dir hash_key;
+            if Art.is_empty art then Hash_dir.remove t.dir (String.sub key 0 off);
             Atomic.decr t.count;
             true)
 
@@ -224,8 +243,12 @@ let delete t key =
 
 let infinity_key = String.make Leaf.max_key_len '\xff'
 
+let rec same_from p s n i = i = n || (p.[i] = s.[i] && same_from p s n (i + 1))
+
+(* in place: the directory fold below tests every hash key *)
 let is_strict_prefix p s =
-  String.length p < String.length s && String.sub s 0 (String.length p) = p
+  let n = String.length p in
+  n < String.length s && same_from p s n 0
 
 let range t ~lo ~hi f =
   (* select the ARTs whose key universe (extensions of their hash key)
@@ -890,16 +913,9 @@ let rebuild ~domains:d ~quarantine ?live ?(deep = true) pool =
   Array.iter
     (Array.iter (List.iter (fun g -> if g.art = None then Hash_dir.remove gathers g.hk)))
     made;
-  {
-    alloc;
-    pool;
-    dir = Hash_dir.map gathers (fun g -> Option.get g.art);
-    kh;
-    internal_nodes = `Dram;
-    count;
-    pm_node_bytes = Atomic.make 0;
-    quarantines = findings;
-  }
+  make ~alloc ~pool
+    ~dir:(Hash_dir.map gathers (fun g -> Option.get g.art))
+    ~kh ~internal_nodes:`Dram ~count ~quarantines:findings
 
 let recover_parallel ?domains ?(quarantine = false) pool =
   let d =

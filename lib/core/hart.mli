@@ -22,6 +22,14 @@
     - recovery — Algorithm 7 ({!recover} rebuilds the directory and all
       internal nodes from the PM leaf chunks alone).
 
+    The point operations never split a key: they pass it whole, with
+    the hash key's length as an offset, to the directory
+    ({!Hash_dir.find_prefix}) and to the ART ({!Hart_art.Art.find} and
+    friends), and validate the leaf on PM in place ({!Leaf.lookup}). An
+    insertion descends its ART once: {!Hart_art.Art.insert} makes the
+    PM leaf at the insertion point. A search hit allocates only its
+    result, and an update or an insertion of a bound key nothing.
+
     Keys are 1–24 bytes, values 0–31 bytes ({!Leaf.max_key_len},
     {!Chunk.value_class_for}). This module is single-threaded; use
     {!Hart_mt} for the paper's per-ART-locked concurrent front end. *)
@@ -173,11 +181,12 @@ val art_count : t -> int
     writers, §III-A.3). *)
 
 val split_key : t -> string -> string * string
-(** [(hash_key, art_key)] for a key, per §III-A.1. *)
+(** [(hash_key, art_key)] for a key, per §III-A.1, as copies. The point
+    operations do not use it: they address both halves in place. *)
 
 val insert : t -> key:string -> value:string -> unit
-(** Algorithm 1. Updates in place (via Algorithm 3) when the key already
-    exists.
+(** Algorithm 1, in one ART descent. Updates in place (via Algorithm 3)
+    when the key already exists.
     @raise Invalid_argument on over-long key or value. *)
 
 val search : t -> string -> string option

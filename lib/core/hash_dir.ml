@@ -1,6 +1,10 @@
 module Meter = Hart_pmem.Meter
 
-type 'a slot = Empty | Occupied of { key : string; payload : 'a }
+(* [found] is [Some payload], built once when the slot is filled, so a
+   hit returns it without allocating. *)
+type 'a slot = Empty | Occupied of { key : string; payload : 'a; found : 'a option }
+
+let occupied key payload = Occupied { key; payload; found = Some payload }
 
 type 'a table = {
   slots : 'a slot Atomic.t array;
@@ -72,48 +76,64 @@ let touch t tab slot ~write =
   | None -> ()
   | Some m -> Meter.access m Dram ~addr:(tab.addr + (slot * slot_bytes)) ~write
 
-(* [key]'s slot, or the first empty slot on its chain: its index and the
-   cell read there. Callers decide from that cell and never read the
-   slot again, since a concurrent fresh insert can fill an empty slot
-   without bumping [version]. Top-level recursion, so a probe builds
-   no closure. *)
+(* Do the first [n] bytes of [key] spell [k]? In place. *)
+let rec same_from k key n i =
+  i = n || (String.unsafe_get k i = String.unsafe_get key i && same_from k key n (i + 1))
+
+let same_prefix k key n =
+  String.length k = n && if n = String.length key then String.equal k key else same_from k key n 0
+
+(* The lock-free probe for the first [n] bytes of [key]: the [found] of
+   their slot, or [None] at the first empty slot on their chain. It
+   decides from the one cell it reads per slot, since a concurrent
+   fresh insert can fill an empty slot without bumping [version].
+   Top-level recursion, so a probe builds no closure. *)
+let rec lookup_from t tab key n i =
+  touch t tab i ~write:false;
+  match Atomic.get tab.slots.(i) with
+  | Empty -> None
+  | Occupied { key = k; found; _ } ->
+      if same_prefix k key n then found else lookup_from t tab key n ((i + 1) land tab.mask)
+
+(* The writers' probe, under [t.writer]: [key]'s slot, or the first
+   empty slot on its chain. No other writer can fill a slot meanwhile,
+   so the caller may read the slot again. Same touches as [lookup_from]. *)
 let rec probe_from t tab key i =
   touch t tab i ~write:false;
   match Atomic.get tab.slots.(i) with
-  | Empty -> (i, Empty)
-  | Occupied { key = k; _ } as cell ->
-      if String.equal k key then (i, cell)
-      else probe_from t tab key ((i + 1) land tab.mask)
+  | Empty -> i
+  | Occupied { key = k; _ } ->
+      if String.equal k key then i else probe_from t tab key ((i + 1) land tab.mask)
 
 let probe t tab key = probe_from t tab key (hash key land tab.mask)
 
-let rec find t key =
+let rec find_prefix t key n =
   let v0 = Atomic.get t.version in
   if v0 land 1 = 1 then begin
     Domain.cpu_relax ();
-    find t key
+    find_prefix t key n
   end
   else
     let tab = Atomic.get t.table in
-    let r =
-      match probe t tab key with
-      | _, Empty -> None
-      | _, Occupied { payload; _ } -> Some payload
-    in
-    if Atomic.get t.version <> v0 then find t key else r
+    let n = if n < String.length key then n else String.length key in
+    let r = lookup_from t tab key n (hash_prefix key n land tab.mask) in
+    if Atomic.get t.version <> v0 then find_prefix t key n else r
+
+let find t key = find_prefix t key (String.length key)
 
 (* callers hold [t.writer] *)
 let rec insert_locked t key payload =
   let tab = Atomic.get t.table in
-  match probe t tab key with
-  | i, Occupied _ -> Atomic.set tab.slots.(i) (Occupied { key; payload })
-  | i, Empty ->
+  let i = probe t tab key in
+  match Atomic.get tab.slots.(i) with
+  | Occupied _ -> Atomic.set tab.slots.(i) (occupied key payload)
+  | Empty ->
       if 10 * (t.occupied + 1) > 7 * (tab.mask + 1) then begin
         resize t tab;
         insert_locked t key payload
       end
       else begin
-        Atomic.set tab.slots.(i) (Occupied { key; payload });
+        Atomic.set tab.slots.(i) (occupied key payload);
         touch t tab i ~write:true;
         t.occupied <- t.occupied + 1
       end
@@ -129,9 +149,9 @@ and resize t old =
     (fun cell ->
       match Atomic.get cell with
       | Empty -> ()
-      | Occupied { key; payload } ->
-          let i, _ = probe t fresh key in
-          Atomic.set fresh.slots.(i) (Occupied { key; payload });
+      | Occupied { key; _ } as cell ->
+          let i = probe t fresh key in
+          Atomic.set fresh.slots.(i) cell;
           touch t fresh i ~write:true;
           t.occupied <- t.occupied + 1)
     old.slots;
@@ -151,10 +171,11 @@ let find_or_add t key make =
   | Some payload -> payload
   | None ->
       Mutex.lock t.writer;
+      let tab = Atomic.get t.table in
       let payload =
-        match probe t (Atomic.get t.table) key with
-        | _, Occupied { payload; _ } -> payload
-        | _, Empty ->
+        match Atomic.get tab.slots.(probe t tab key) with
+        | Occupied { payload; _ } -> payload
+        | Empty ->
             let payload = make () in
             insert_locked t key payload;
             payload
@@ -165,9 +186,10 @@ let find_or_add t key make =
 let remove t key =
   Mutex.lock t.writer;
   let tab = Atomic.get t.table in
-  (match probe t tab key with
-  | _, Empty -> ()
-  | i, Occupied _ ->
+  let i = probe t tab key in
+  (match Atomic.get tab.slots.(i) with
+  | Empty -> ()
+  | Occupied _ ->
       (* the backward-shift transiently breaks probe chains; make readers
          retry across it *)
       Atomic.incr t.version;
@@ -179,12 +201,12 @@ let remove t key =
       let rec scan hole j =
         match Atomic.get tab.slots.(j) with
         | Empty -> ()
-        | Occupied { key = k; payload } ->
+        | Occupied { key = k; _ } as cell ->
             let home = hash k land tab.mask in
             let dist_hole = (hole - home) land tab.mask
             and dist_j = (j - home) land tab.mask in
             if dist_hole <= dist_j then begin
-              Atomic.set tab.slots.(hole) (Occupied { key = k; payload });
+              Atomic.set tab.slots.(hole) cell;
               Atomic.set tab.slots.(j) Empty;
               touch t tab hole ~write:true;
               scan j ((j + 1) land tab.mask)
@@ -201,7 +223,7 @@ let iter t f =
     (fun cell ->
       match Atomic.get cell with
       | Empty -> ()
-      | Occupied { key; payload } -> f key payload)
+      | Occupied { key; payload; _ } -> f key payload)
     tab.slots
 
 let fold t ~init ~f =
@@ -210,14 +232,14 @@ let fold t ~init ~f =
     (fun acc cell ->
       match Atomic.get cell with
       | Empty -> acc
-      | Occupied { key; payload } -> f acc key payload)
+      | Occupied { key; payload; _ } -> f acc key payload)
     init tab.slots
 
 let map t f =
   let tab = Atomic.get t.table in
   let cell = function
     | Empty -> Empty
-    | Occupied { key; payload } -> Occupied { key; payload = f payload }
+    | Occupied { key; payload; _ } -> occupied key (f payload)
   in
   {
     meter = t.meter;
@@ -236,7 +258,7 @@ let check_invariants t =
     (fun cell ->
       match Atomic.get cell with
       | Empty -> ()
-      | Occupied { key; payload = _ } ->
+      | Occupied { key; _ } ->
           incr n;
           if find t key = None then
             failwith (Printf.sprintf "Hash_dir: stored key %S not findable" key))

@@ -36,6 +36,12 @@ val hash_prefix : string -> int -> int
     key)] bytes of [key], without copying them out. *)
 
 val find : 'a t -> string -> 'a option
+(** A hit allocates nothing: each slot keeps its [Some payload]. *)
+
+val find_prefix : 'a t -> string -> int -> 'a option
+(** [find_prefix t key n] is {!find} of the first [min n (String.length
+    key)] bytes of [key], hashed with {!hash_prefix} and compared in
+    place: the same probe, with no copy of the prefix. *)
 
 val insert : 'a t -> string -> 'a -> unit
 (** Bind the hash key, replacing any previous binding. *)

@@ -29,6 +29,13 @@ let read pool ~leaf =
   if len < 1 || len > max_key_len then Error len
   else Ok (pv_of s, String.sub s key_off len)
 
+let lookup pool ~leaf key =
+  Pmem.fetch pool ~off:leaf ~len:size;
+  let len = String.length key in
+  if len > 0 && Pmem.peek_u8 pool (leaf + 7) = len && Pmem.peek_equal pool ~off:(leaf + key_off) key
+  then Pmem.peek_int pool leaf land pv_mask
+  else 0
+
 let key pool ~leaf =
   match read pool ~leaf with
   | Ok (_, k) -> k
@@ -38,10 +45,21 @@ let key pool ~leaf =
 let head pool ~leaf = Pmem.get_u64 pool leaf
 let head_len h = Int64.to_int (Int64.shift_right_logical h 56)
 let head_p_value h = Int64.to_int h land pv_mask
-let p_value pool ~leaf = head_p_value (head pool ~leaf)
+(* [head]'s one 8-byte access, with no boxed word *)
+let p_value pool ~leaf =
+  Pmem.fetch pool ~off:leaf ~len:8;
+  Pmem.peek_int pool leaf land pv_mask
 
 let set_p_value pool ~leaf ~head v =
   Pmem.set_u64 pool leaf (Int64.logor (Int64.logand head hi_mask) (Int64.of_int v));
+  Pmem.persist pool ~off:leaf ~len:8
+
+(* A live head's length byte is at most [max_key_len], so its top bit
+   is clear and the word fits an int: [set_int] stores it back exactly. *)
+let repoint pool ~leaf v =
+  if v land lnot pv_mask <> 0 then
+    invalid_arg (Printf.sprintf "Leaf: value pointer %d needs more than 40 bits" v);
+  Pmem.set_int pool leaf (Pmem.peek_int pool leaf land lnot pv_mask lor v);
   Pmem.persist pool ~off:leaf ~len:8
 
 (* The CRC covers exactly the length byte plus the [len] live key bytes,

@@ -46,6 +46,11 @@ val read : Hart_pmem.Pmem.t -> leaf:int -> (int * string, int) result
     [1..]{!max_key_len}: 0 for a free slot, anything else for a corrupt
     one. *)
 
+val lookup : Hart_pmem.Pmem.t -> leaf:int -> string -> int
+(** [lookup pool ~leaf key] is the value pointer of a live slot storing
+    [key], and 0 for any other slot: {!read}'s one access, with the key
+    compared in place and nothing allocated. *)
+
 val key : Hart_pmem.Pmem.t -> leaf:int -> string
 (** The key of {!read}.
     @raise Invalid_argument on a free slot or an out-of-range length. *)
@@ -57,12 +62,19 @@ val head_len : int64 -> int
 val head_p_value : int64 -> int
 
 val p_value : Hart_pmem.Pmem.t -> leaf:int -> int
-(** [head_p_value (head pool ~leaf)]. *)
+(** [head_p_value (head pool ~leaf)], in the same one access, with no
+    boxed word. *)
 
 val set_p_value : Hart_pmem.Pmem.t -> leaf:int -> head:int64 -> int -> unit
 (** Store [head] with its value pointer replaced — one 8-byte store that
     keeps the length and CRC bits — and persist it (Algorithm 3's commit
     point). [head] is the word the caller read. *)
+
+val repoint : Hart_pmem.Pmem.t -> leaf:int -> int -> unit
+(** {!set_p_value} of a live slot's own head, with no boxed word: the
+    pointer replaced in the head as the slot holds it (read unmetered,
+    the caller having read it with {!p_value}), stored and persisted.
+    The slot must be live. *)
 
 val init :
   ?crc:bool ->

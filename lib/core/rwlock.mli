@@ -1,8 +1,18 @@
 (** Reader/writer lock with the admission policy the paper describes for
     HART's per-ART locks (§IV-G): multiple readers share an ART; a writer
     holds it exclusively; while a writer works (or waits), incoming
-    readers block, so writers are not starved. Built on stdlib
-    [Mutex]/[Condition] — usable from OCaml 5 domains. *)
+    readers block, so writers are not starved.
+
+    The state is one [Atomic] word (writer bit, pending-waiter bit,
+    reader count): with no waiter, an acquisition and a release are one
+    CAS each. A domain that cannot be admitted raises the pending bit
+    and waits on a stdlib [Mutex]/[Condition] pair; while that bit is
+    up every acquisition and release goes through the mutex, which
+    keeps the admission policy and wakes the waiters, and the last
+    waiter to leave clears it (DESIGN.md §9). Under the cooperative
+    crash explorer ({!Hart_util.Sched_hook}) the lock spins through the
+    scheduler instead, with the same yield points as ever. Usable from
+    OCaml 5 domains. *)
 
 type t
 
@@ -24,10 +34,11 @@ val write_lock : t -> unit
 val write_unlock : t -> unit
 
 val with_read : t -> (unit -> 'a) -> 'a
-(** Run under the shared lock, releasing on exception. *)
+(** Run under the shared lock, releasing on exception; the release
+    yield point follows a normal return only. *)
 
 val with_write : t -> (unit -> 'a) -> 'a
-(** Run under the exclusive lock, releasing on exception. *)
+(** Run under the exclusive lock, as {!with_read}. *)
 
 val readers : t -> int
 (** Current reader count (diagnostic; racy by nature). *)

@@ -29,6 +29,8 @@
    exactly the durable linearization order. It is a no-op outside the
    explorer. *)
 
+module Sched_hook = Hart_util.Sched_hook
+
 let n_stripes = 512 (* power of two, >> expected domain count *)
 
 module Make (I : Index_intf.S) : Index_intf.MT with type index = I.t = struct
@@ -56,12 +58,41 @@ module Make (I : Index_intf.S) : Index_intf.MT with type index = I.t = struct
   let stripe_lock t key =
     t.stripes.(I.stripe_of_key t.idx key land (n_stripes - 1))
 
-  let read t key f =
-    if I.volatile_domain_safe then
-      Rwlock.with_read (stripe_lock t key) (fun () -> f t.idx)
+  (* [f idx a] under [l]'s read lock. The lock is taken and released
+     inline, a raise releasing it as it propagates, so a read builds no
+     closure; the release yield point is on the normal path only. *)
+  let under_read l f idx a =
+    Rwlock.read_lock l;
+    match f idx a with
+    | r ->
+        Rwlock.read_unlock l;
+        Sched_hook.yield ();
+        r
+    | exception e ->
+        Rwlock.read_unlock l;
+        raise e
+
+  (* [f idx a b] under [l]'s write lock, [Mt_hook.fire] after it and
+     before the release, inline like [under_read]. *)
+  let under_write l f idx a b =
+    Rwlock.write_lock l;
+    match
+      let r = f idx a b in
+      Mt_hook.fire ();
+      r
+    with
+    | r ->
+        Rwlock.write_unlock l;
+        Sched_hook.yield ();
+        r
+    | exception e ->
+        Rwlock.write_unlock l;
+        raise e
+
+  let read t key f a =
+    if I.volatile_domain_safe then under_read (stripe_lock t key) f t.idx a
     else
-      Rwlock.with_read t.structure (fun () ->
-          Rwlock.with_read (stripe_lock t key) (fun () -> f t.idx))
+      Rwlock.with_read t.structure (fun () -> under_read (stripe_lock t key) f t.idx a)
 
   (* Exclusive path: restructuring (or conservatively classified)
      mutations own the whole structure; no stripe is needed. *)
@@ -71,12 +102,8 @@ module Make (I : Index_intf.S) : Index_intf.MT with type index = I.t = struct
         Mt_hook.fire ();
         r)
 
-  let mutate t ~op ~key f =
-    if I.volatile_domain_safe then
-      Rwlock.with_write (stripe_lock t key) (fun () ->
-          let r = f t.idx in
-          Mt_hook.fire ();
-          r)
+  let mutate t ~op ~key f a b =
+    if I.volatile_domain_safe then under_write (stripe_lock t key) f t.idx a b
     else
       match
         Rwlock.with_read t.structure (fun () ->
@@ -87,28 +114,28 @@ module Make (I : Index_intf.S) : Index_intf.MT with type index = I.t = struct
               Rwlock.with_write (stripe_lock t key) (fun () ->
                   if I.restructures t.idx ~op ~key then `Retry
                   else begin
-                    let r = f t.idx in
+                    let r = f t.idx a b in
                     Mt_hook.fire ();
                     `Done r
                   end))
       with
       | `Done r -> r
-      | `Retry -> exclusive t f
+      | `Retry -> exclusive t (fun idx -> f idx a b)
 
-  let insert t ~key ~value =
-    mutate t ~op:`Insert ~key (fun idx -> I.insert idx ~key ~value)
+  (* The operations as functions of the index, built once *)
+  let insert_in idx key value = I.insert idx ~key ~value
+  let update_in idx key value = I.update idx ~key ~value
+  let delete_in idx key () = I.delete idx key
 
-  let search t key = read t key (fun idx -> I.search idx key)
+  let rmw_in idx key f =
+    let value = f (I.search idx key) in
+    I.insert idx ~key ~value
 
-  let update t ~key ~value =
-    mutate t ~op:`Update ~key (fun idx -> I.update idx ~key ~value)
-
-  let delete t key = mutate t ~op:`Delete ~key (fun idx -> I.delete idx key)
-
-  let rmw t ~key f =
-    mutate t ~op:`Insert ~key (fun idx ->
-        let value = f (I.search idx key) in
-        I.insert idx ~key ~value)
+  let insert t ~key ~value = mutate t ~op:`Insert ~key insert_in key value
+  let search t key = read t key I.search key
+  let update t ~key ~value = mutate t ~op:`Update ~key update_in key value
+  let delete t key = mutate t ~op:`Delete ~key delete_in key ()
+  let rmw t ~key f = mutate t ~op:`Insert ~key rmw_in key f
 
   let apply_one idx = function
     | Index_intf.Bset (key, value) ->

@@ -13,7 +13,7 @@ let crc_fits cls len = Chunk.obj_size cls - 1 - len >= 4
 
 let value_crc payload = Crc32.string (String.make 1 (Char.chr (String.length payload)) ^ payload)
 
-let write ?(crc = false) pool ~obj payload =
+let write ~crc pool ~obj payload =
   let len = String.length payload in
   let cls = Chunk.value_class_for len in
   Pmem.set_u8 pool obj len;
@@ -26,19 +26,16 @@ let write ?(crc = false) pool ~obj payload =
 
 (* One access for the object's bytes on its first line (at most the
    largest object, 32 bytes), a second only for payload bytes past that
-   line: each line of [obj, obj + 1 + len) is charged once. *)
+   line: each line of [obj, obj + 1 + len) is charged once. The payload
+   is copied once, into the result. *)
 let read pool ~obj =
   let line_end = (obj / Pmem.line_bytes + 1) * Pmem.line_bytes in
-  let head =
-    Pmem.get_string pool ~off:obj
-      ~len:(min (Chunk.obj_size Val32) (line_end - obj))
-  in
-  let len = Char.code head.[0] in
-  let have = String.length head - 1 in
-  if len <= have then String.sub head 1 len
-  else
-    String.sub head 1 have
-    ^ Pmem.get_string pool ~off:(obj + 1 + have) ~len:(len - have)
+  let first = min (Chunk.obj_size Val32) (line_end - obj) in
+  Pmem.fetch pool ~off:obj ~len:first;
+  let len = Pmem.peek_u8 pool obj in
+  let have = first - 1 in
+  if len > have then Pmem.fetch pool ~off:(obj + 1 + have) ~len:(len - have);
+  Pmem.peek_string pool ~off:(obj + 1) ~len
 
 let crc_ok pool ~cls ~obj =
   let len = Pmem.get_u8 pool obj in

@@ -5,9 +5,10 @@
     so the commit granularity is a single slot. HART supports
     variable-size values through these size classes (§III-A.5). *)
 
-val write : ?crc:bool -> Hart_pmem.Pmem.t -> obj:int -> string -> unit
+val write : crc:bool -> Hart_pmem.Pmem.t -> obj:int -> string -> unit
 (** Store payload and length, persist the object (Algorithm 1 line 12 /
-    Algorithm 3 line 5). With [~crc:true], a CRC-32 of (length byte +
+    Algorithm 3 line 5). [crc] is a plain label, not an optional one, so
+    a caller passing the pool's flag boxes no option. With [~crc:true], a CRC-32 of (length byte +
     payload) is appended when the size class leaves ≥ 4 slack bytes —
     class selection is never changed by the trailer; payloads that fill
     their class rely on the pool's per-line ECC instead.

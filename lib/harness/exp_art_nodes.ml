@@ -43,9 +43,9 @@ module Bitmap_layer : LAYER = struct
   let name = "bitmap"
   let create () = M.create ()
   let create_metered m = M.create ~meter:m ()
-  let insert t k v = ignore (M.insert t k v : [ `Inserted | `Replaced of int ])
-  let find = M.find
-  let delete = M.delete
+  let insert t k v = ignore (M.insert t k ~off:0 (fun _ v -> v) v : int option)
+  let find t k = M.find t k ~off:0
+  let delete t k = M.delete t k ~off:0
   let range = M.range
 end
 
@@ -57,7 +57,7 @@ module Boxed_layer : LAYER = struct
   let name = "boxed"
   let create () = M.create ()
   let create_metered m = M.create ~meter:m ()
-  let insert t k v = ignore (M.insert t k v : [ `Inserted | `Replaced of int ])
+  let insert t k v = ignore (M.insert t k v : int option)
   let find = M.find
   let delete = M.delete
   let range = M.range

@@ -1,6 +1,7 @@
 (* Bechamel micro-benchmarks: the raw OCaml-side wall-clock cost and
-   minor-heap allocation of insert, search and update on each tree, 10k
-   preloaded Random keys, and of the simulator's per-event primitives
+   minor-heap allocation of insert, search and update on each tree and
+   on HART behind its stripe locks ([hart_mt]), 10k preloaded Random
+   keys, and of the simulator's per-event primitives
    (a metered access, a one-line store + persist, a directory probe).
    Wall-clock on DRAM hardware cannot express PM latency, so these only
    sanity-check the implementations; the figure reproductions use the
@@ -14,8 +15,8 @@ module Hash_dir = Hart_core.Hash_dir
 module Keygen = Hart_workloads.Keygen
 
 (* Paths every simulated operation repeats. DESIGN.md §9 requires a
-   metered access and a one-line persist to allocate nothing; a
-   directory probe allocates only its result. *)
+   metered access, a one-line persist and a directory hit to allocate
+   nothing. *)
 let primitives keys =
   let open Bechamel in
   let n = Array.length keys in
@@ -48,14 +49,9 @@ let tests () =
   let keys = Keygen.generate Keygen.Random n in
   let shuffled = Array.copy keys in
   Hart_util.Rng.shuffle (Hart_util.Rng.create 17L) shuffled;
-  let per_tree tree =
-    let name = tree.Roster.label in
-    let built =
-      lazy
-        (let inst = Runner.make tree Latency.c300_100 in
-         Runner.preload inst keys Keygen.value_for;
-         inst)
-    in
+  (* insert (of a preloaded key), search and update rows of a store
+     built on first use *)
+  let rows name built ~insert ~search ~update =
     let idx = ref 0 in
     let next () =
       let i = !idx in
@@ -65,28 +61,45 @@ let tests () =
     [
       Test.make ~name:(name ^ "/insert")
         (Staged.stage (fun () ->
-             let inst = Lazy.force built in
-             let i = next () in
-             inst.Runner.ops.Hart_core.Index_intf.insert ~key:keys.(i)
-               ~value:"bench77"));
+             let s = Lazy.force built in
+             insert s ~key:keys.(next ()) ~value:"bench77"));
       Test.make ~name:(name ^ "/search")
         (Staged.stage (fun () ->
-             let inst = Lazy.force built in
-             ignore
-               (inst.Runner.ops.Hart_core.Index_intf.search
-                  shuffled.(next ())
-                 : string option)));
+             let s = Lazy.force built in
+             ignore (search s shuffled.(next ()) : string option)));
       Test.make ~name:(name ^ "/update")
         (Staged.stage (fun () ->
-             let inst = Lazy.force built in
-             ignore
-               (inst.Runner.ops.Hart_core.Index_intf.update
-                  ~key:shuffled.(next ()) ~value:"bench88"
-                 : bool)));
+             let s = Lazy.force built in
+             ignore (update s ~key:shuffled.(next ()) ~value:"bench88" : bool)));
     ]
   in
+  let per_tree tree =
+    let built =
+      lazy
+        (let inst = Runner.make tree Latency.c300_100 in
+         Runner.preload inst keys Keygen.value_for;
+         inst.Runner.ops)
+    in
+    rows tree.Roster.label built
+      ~insert:(fun ops -> ops.Hart_core.Index_intf.insert)
+      ~search:(fun ops -> ops.Hart_core.Index_intf.search)
+      ~update:(fun ops -> ops.Hart_core.Index_intf.update)
+  in
+  (* HART behind its stripe locks, beside the roster's bare [hart] rows:
+     the difference is the lock layer's cost *)
+  let hart_mt =
+    let built =
+      lazy
+        (let meter = Meter.create ~llc_bytes:Runner.harness_llc_bytes Latency.c300_100 in
+         let mt = Hart_core.Hart_mt.create (Pmem.create meter) in
+         Array.iteri (fun i key -> Hart_core.Hart_mt.insert mt ~key ~value:(Keygen.value_for i)) keys;
+         mt)
+    in
+    rows "hart_mt" built ~insert:Hart_core.Hart_mt.insert ~search:Hart_core.Hart_mt.search
+      ~update:Hart_core.Hart_mt.update
+  in
   Bechamel.Test.make_grouped ~name:"micro"
-    (primitives keys @ List.concat_map per_tree Roster.paper)
+    (primitives keys @ List.concat_map per_tree Roster.paper @ hart_mt)
 
 let run () =
   let open Bechamel in

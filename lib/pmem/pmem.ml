@@ -312,6 +312,11 @@ let set_u64 t off v =
   Bytes.set_int64_le t.cache off v;
   mark_written t off 8
 
+let set_int t off v =
+  check t off 8 "set_int";
+  Bytes.set_int64_le t.cache off (Int64.of_int v);
+  mark_written t off 8
+
 let get_u32 t off =
   check t off 4 "get_u32";
   poison_check t off 4;
@@ -324,11 +329,28 @@ let set_u32 t off v =
   Bytes.set_int32_le t.cache off (Int32.of_int v);
   mark_written t off 4
 
-let get_string t ~off ~len =
-  check t off len "get_string";
+(* A load's checks and charges, with no copy *)
+let load t off len op =
+  check t off len op;
   poison_check t off len;
   Meter.access_range t.meter Pm ~addr:off ~len ~write:false;
-  trace_read t off len;
+  trace_read t off len
+
+let fetch t ~off ~len = load t off len "fetch"
+
+let peek_u8 t off = Bytes.get_uint8 t.cache off
+let peek_int t off = Int64.to_int (Bytes.get_int64_le t.cache off)
+let peek_string t ~off ~len = Bytes.sub_string t.cache off len
+
+let rec equal_from cache off s n i =
+  i = n || (Bytes.unsafe_get cache (off + i) = String.unsafe_get s i && equal_from cache off s n (i + 1))
+
+let peek_equal t ~off s =
+  let n = String.length s in
+  off + n <= Bytes.length t.cache && equal_from t.cache off s n 0
+
+let get_string t ~off ~len =
+  load t off len "get_string";
   Bytes.sub_string t.cache off len
 
 let set_string t ~off s =

@@ -99,6 +99,11 @@ val set_u8 : t -> int -> int -> unit
 val get_u64 : t -> int -> int64
 val set_u64 : t -> int -> int64 -> unit
 
+val set_int : t -> int -> int -> unit
+(** [set_u64] of [Int64.of_int v]: an 8-byte store whose top bit copies
+    bit 62. A hot path's store of a word it holds as an int, which
+    allocates nothing, where an [int64] handed to {!set_u64} is boxed. *)
+
 val get_u32 : t -> int -> int
 (** Little-endian 32-bit load, returned in \[0, 2{^32}). Used for the
     optional CRC-32 trailers on persisted objects. *)
@@ -107,6 +112,26 @@ val set_u32 : t -> int -> int -> unit
 
 val get_string : t -> off:int -> len:int -> string
 val set_string : t -> off:int -> string -> unit
+
+(** {2 Loads without a copy}
+
+    [get_string] is {!fetch} then {!peek_string}. A hot path that only
+    compares or decodes the bytes it loads calls {!fetch} once, the
+    load's bounds check, poison check, metered access and read trace,
+    then reads them with the [peek] functions, which do none of these
+    and allocate nothing but a {!peek_string}'s result. A [peek] reads
+    only bytes the caller has just fetched. *)
+
+val fetch : t -> off:int -> len:int -> unit
+val peek_u8 : t -> int -> int
+
+val peek_int : t -> int -> int
+(** The little-endian 64-bit word at the offset, less its top bit. *)
+
+val peek_string : t -> off:int -> len:int -> string
+
+val peek_equal : t -> off:int -> string -> bool
+(** Whether the bytes at [off] spell the string, compared in place. *)
 
 val read_shadow_u64 : t -> int -> int64
 (** Read the durable image directly, bypassing the volatile view and the

@@ -4,6 +4,13 @@ module SMap = Map.Make (String)
 
 let check_opt = Alcotest.(check (option string))
 
+(* A tree of whole keys binding values it is handed: offset 0 and a
+   constant leaf maker. *)
+let insert0 t k v = Art.insert t k ~off:0 (fun _ v -> v) v
+
+(* the model of [insert0]: a bound key keeps its binding *)
+let add_absent k v m = if SMap.mem k m then m else SMap.add k v m
+
 (* ------------------------------------------------------------------ *)
 (* Basics                                                              *)
 
@@ -11,68 +18,121 @@ let test_empty () =
   let t : string Art.t = Art.create () in
   Alcotest.(check int) "count" 0 (Art.count t);
   Alcotest.(check bool) "is_empty" true (Art.is_empty t);
-  check_opt "find on empty" None (Art.find t "k");
-  check_opt "delete on empty" None (Art.delete t "k");
+  check_opt "find on empty" None (Art.find t ~off:0 "k");
+  check_opt "delete on empty" None (Art.delete t ~off:0 "k");
   Alcotest.(check int) "height" 0 (Art.height t)
 
 let test_single () =
   let t = Art.create () in
-  Alcotest.(check bool) "inserted" true (Art.insert t "alpha" 1 = `Inserted);
-  Alcotest.(check (option int)) "found" (Some 1) (Art.find t "alpha");
-  Alcotest.(check (option int)) "other missing" None (Art.find t "beta");
+  Alcotest.(check (option int)) "inserted" None (insert0 t "alpha" 1);
+  Alcotest.(check (option int)) "found" (Some 1) (Art.find t ~off:0 "alpha");
+  Alcotest.(check (option int)) "other missing" None (Art.find t ~off:0 "beta");
   Alcotest.(check int) "count" 1 (Art.count t)
 
-let test_replace () =
+let test_bound_key_kept () =
   let t = Art.create () in
-  ignore (Art.insert t "k" 1);
-  Alcotest.(check bool) "replaced" true (Art.insert t "k" 2 = `Replaced 1);
-  Alcotest.(check (option int)) "new value" (Some 2) (Art.find t "k");
+  ignore (insert0 t "k" 1);
+  let made = ref 0 in
+  let make _ v =
+    incr made;
+    v
+  in
+  Alcotest.(check (option int)) "bound key: its binding" (Some 1)
+    (Art.insert t "k" ~off:0 make 2);
+  Alcotest.(check int) "maker not called" 0 !made;
+  Alcotest.(check (option int)) "binding kept" (Some 1) (Art.find t ~off:0 "k");
   Alcotest.(check int) "count unchanged" 1 (Art.count t)
+
+(* The tree key is the caller's key from [off] on; the maker sees the
+   whole key. *)
+let test_offset_keys () =
+  let t = Art.create () in
+  let seen = ref [] in
+  let make key v =
+    seen := key :: !seen;
+    v
+  in
+  List.iteri
+    (fun i k -> ignore (Art.insert t k ~off:2 make i : int option))
+    [ "AAart"; "BBartist"; "CCa"; "DD" ];
+  Alcotest.(check (list string)) "maker gets whole keys"
+    [ "DD"; "CCa"; "BBartist"; "AAart" ] !seen;
+  Alcotest.(check (list string)) "tree keys"
+    [ ""; "a"; "art"; "artist" ]
+    (List.rev (Art.fold t ~init:[] ~f:(fun acc k _ -> k :: acc)));
+  Alcotest.(check (option int)) "found at offset" (Some 1) (Art.find t "xxartist" ~off:2);
+  Alcotest.(check (option int)) "empty tree key" (Some 3) (Art.find t "ZZ" ~off:2);
+  Alcotest.(check (option int)) "prefix of a tree key" None (Art.find t "QQart" ~off:3);
+  Alcotest.(check (option int)) "deleted at offset" (Some 0) (Art.delete t "art" ~off:0);
+  Alcotest.(check (option int)) "gone" None (Art.find t "AAart" ~off:2);
+  Art.check_invariants t
+
+(* A maker that raises leaves the tree as it was, at every kind of
+   insertion point: empty root, leaf join, prefix split, ends-here slot
+   and a free child byte. *)
+let test_maker_raises () =
+  let t = Art.create () in
+  let boom _ _ = failwith "boom" in
+  let attempt k =
+    match Art.insert t k ~off:0 boom 0 with
+    | _ -> Alcotest.failf "insert of %S did not raise" k
+    | exception Failure _ -> ()
+  in
+  attempt "first";
+  Alcotest.(check int) "empty root untouched" 0 (Art.count t);
+  List.iteri (fun i k -> ignore (insert0 t k i)) [ "abcd"; "abce"; "xyz" ];
+  let fp = Art.footprint_bytes t in
+  List.iter attempt [ "xyw"; "abX"; "abc"; "abcz"; "q" ];
+  Alcotest.(check int) "count untouched" 3 (Art.count t);
+  Alcotest.(check int) "footprint untouched" fp (Art.footprint_bytes t);
+  Alcotest.(check (list string)) "keys untouched" [ "abcd"; "abce"; "xyz" ]
+    (List.rev (Art.fold t ~init:[] ~f:(fun acc k _ -> k :: acc)));
+  Art.check_invariants t
 
 let test_empty_string_key () =
   let t = Art.create () in
-  ignore (Art.insert t "" 42);
-  Alcotest.(check (option int)) "empty key found" (Some 42) (Art.find t "");
-  ignore (Art.insert t "x" 1);
-  Alcotest.(check (option int)) "still found" (Some 42) (Art.find t "");
-  Alcotest.(check (option int)) "deleted" (Some 42) (Art.delete t "");
-  Alcotest.(check (option int)) "gone" None (Art.find t "");
-  Alcotest.(check (option int)) "sibling intact" (Some 1) (Art.find t "x")
+  ignore (insert0 t "" 42);
+  Alcotest.(check (option int)) "empty key found" (Some 42) (Art.find t ~off:0 "");
+  ignore (insert0 t "x" 1);
+  Alcotest.(check (option int)) "still found" (Some 42) (Art.find t ~off:0 "");
+  Alcotest.(check (option int)) "deleted" (Some 42) (Art.delete t ~off:0 "");
+  Alcotest.(check (option int)) "gone" None (Art.find t ~off:0 "");
+  Alcotest.(check (option int)) "sibling intact" (Some 1) (Art.find t ~off:0 "x")
 
 let test_prefix_keys () =
   let t = Art.create () in
-  ignore (Art.insert t "art" 1);
-  ignore (Art.insert t "artist" 2);
-  ignore (Art.insert t "artistic" 3);
-  ignore (Art.insert t "a" 4);
-  Alcotest.(check (option int)) "art" (Some 1) (Art.find t "art");
-  Alcotest.(check (option int)) "artist" (Some 2) (Art.find t "artist");
-  Alcotest.(check (option int)) "artistic" (Some 3) (Art.find t "artistic");
-  Alcotest.(check (option int)) "a" (Some 4) (Art.find t "a");
-  Alcotest.(check (option int)) "ar missing" None (Art.find t "ar");
+  ignore (insert0 t "art" 1);
+  ignore (insert0 t "artist" 2);
+  ignore (insert0 t "artistic" 3);
+  ignore (insert0 t "a" 4);
+  Alcotest.(check (option int)) "art" (Some 1) (Art.find t ~off:0 "art");
+  Alcotest.(check (option int)) "artist" (Some 2) (Art.find t ~off:0 "artist");
+  Alcotest.(check (option int)) "artistic" (Some 3) (Art.find t ~off:0 "artistic");
+  Alcotest.(check (option int)) "a" (Some 4) (Art.find t ~off:0 "a");
+  Alcotest.(check (option int)) "ar missing" None (Art.find t ~off:0 "ar");
   Art.check_invariants t;
-  Alcotest.(check (option int)) "delete middle" (Some 2) (Art.delete t "artist");
-  Alcotest.(check (option int)) "art survives" (Some 1) (Art.find t "art");
-  Alcotest.(check (option int)) "artistic survives" (Some 3) (Art.find t "artistic");
+  Alcotest.(check (option int)) "delete middle" (Some 2) (Art.delete t ~off:0 "artist");
+  Alcotest.(check (option int)) "art survives" (Some 1) (Art.find t ~off:0 "art");
+  Alcotest.(check (option int)) "artistic survives" (Some 3) (Art.find t ~off:0 "artistic");
   Art.check_invariants t
 
 let test_binary_keys () =
   let t = Art.create () in
   let keys = [ "\x00"; "\x00\x00"; "\xff\x00\xff"; "\x00\x01"; "\x01" ] in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) keys;
+  List.iteri (fun i k -> ignore (insert0 t k i)) keys;
   List.iteri
-    (fun i k -> Alcotest.(check (option int)) ("binary " ^ string_of_int i) (Some i) (Art.find t k))
+    (fun i k -> Alcotest.(check (option int)) ("binary " ^ string_of_int i) (Some i) (Art.find t ~off:0 k))
     keys;
   Art.check_invariants t
 
 let test_shared_prefix_split () =
   let t = Art.create () in
-  ignore (Art.insert t "abcdefgh1" 1);
-  ignore (Art.insert t "abcdefgh2" 2);
-  ignore (Art.insert t "abcdXfgh3" 3);
-  Alcotest.(check (option int)) "1" (Some 1) (Art.find t "abcdefgh1");
-  Alcotest.(check (option int)) "2" (Some 2) (Art.find t "abcdefgh2");
-  Alcotest.(check (option int)) "3" (Some 3) (Art.find t "abcdXfgh3");
+  ignore (insert0 t "abcdefgh1" 1);
+  ignore (insert0 t "abcdefgh2" 2);
+  ignore (insert0 t "abcdXfgh3" 3);
+  Alcotest.(check (option int)) "1" (Some 1) (Art.find t ~off:0 "abcdefgh1");
+  Alcotest.(check (option int)) "2" (Some 2) (Art.find t ~off:0 "abcdefgh2");
+  Alcotest.(check (option int)) "3" (Some 3) (Art.find t ~off:0 "abcdXfgh3");
   Art.check_invariants t
 
 (* ------------------------------------------------------------------ *)
@@ -84,7 +144,7 @@ let spread_keys n =
 
 let test_grow_to_n16 () =
   let t = Art.create () in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) (spread_keys 9);
+  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 9);
   let n4, n16, _, _ = Art.node_histogram t in
   Alcotest.(check int) "one NODE16" 1 n16;
   Alcotest.(check int) "no NODE4" 0 n4;
@@ -92,28 +152,28 @@ let test_grow_to_n16 () =
 
 let test_grow_to_n48 () =
   let t = Art.create () in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) (spread_keys 30);
+  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 30);
   let _, _, n48, _ = Art.node_histogram t in
   Alcotest.(check int) "one NODE48" 1 n48;
   Art.check_invariants t
 
 let test_grow_to_n256 () =
   let t = Art.create () in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) (spread_keys 200);
+  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 200);
   let _, _, _, n256 = Art.node_histogram t in
   Alcotest.(check int) "one NODE256" 1 n256;
   List.iteri
-    (fun i k -> Alcotest.(check (option int)) k (Some i) (Art.find t k))
+    (fun i k -> Alcotest.(check (option int)) k (Some i) (Art.find t ~off:0 k))
     (spread_keys 200);
   Art.check_invariants t
 
 let test_shrink_on_delete () =
   let t = Art.create () in
   let keys = spread_keys 200 in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) keys;
+  List.iteri (fun i k -> ignore (insert0 t k i)) keys;
   let big = Art.footprint_bytes t in
   List.iteri
-    (fun i k -> if i >= 2 then ignore (Art.delete t k))
+    (fun i k -> if i >= 2 then ignore (Art.delete t ~off:0 k))
     keys;
   Art.check_invariants t;
   let n4, n16, n48, n256 = Art.node_histogram t in
@@ -123,21 +183,21 @@ let test_shrink_on_delete () =
 let test_delete_all_frees_everything () =
   let t = Art.create () in
   let keys = spread_keys 100 in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) keys;
-  List.iter (fun k -> ignore (Art.delete t k)) keys;
+  List.iteri (fun i k -> ignore (insert0 t k i)) keys;
+  List.iter (fun k -> ignore (Art.delete t ~off:0 k)) keys;
   Alcotest.(check bool) "empty" true (Art.is_empty t);
   Alcotest.(check int) "base footprint" 16 (Art.footprint_bytes t);
   Art.check_invariants t
 
 let test_path_recompression () =
   let t = Art.create () in
-  ignore (Art.insert t "prefix-one" 1);
-  ignore (Art.insert t "prefix-two" 2);
-  ignore (Art.delete t "prefix-two");
+  ignore (insert0 t "prefix-one" 1);
+  ignore (insert0 t "prefix-two" 2);
+  ignore (Art.delete t ~off:0 "prefix-two");
   (* the remaining single leaf should collapse back: no inner nodes *)
   let n4, n16, n48, n256 = Art.node_histogram t in
   Alcotest.(check (list int)) "no inner nodes" [ 0; 0; 0; 0 ] [ n4; n16; n48; n256 ];
-  Alcotest.(check (option int)) "survivor intact" (Some 1) (Art.find t "prefix-one");
+  Alcotest.(check (option int)) "survivor intact" (Some 1) (Art.find t ~off:0 "prefix-one");
   Art.check_invariants t
 
 (* ------------------------------------------------------------------ *)
@@ -152,7 +212,7 @@ let test_iter_sorted () =
   let rng = Rng.create 1L in
   let t = Art.create () in
   let keys = random_keys rng 500 in
-  List.iter (fun k -> ignore (Art.insert t k k)) keys;
+  List.iter (fun k -> ignore (insert0 t k k)) keys;
   let collected = ref [] in
   Art.iter t (fun k _ -> collected := k :: !collected);
   let got = List.rev !collected in
@@ -161,13 +221,13 @@ let test_iter_sorted () =
 
 let test_min_max () =
   let t = Art.create () in
-  List.iter (fun k -> ignore (Art.insert t k k)) [ "m"; "zz"; "a"; "aa"; "z" ];
+  List.iter (fun k -> ignore (insert0 t k k)) [ "m"; "zz"; "a"; "aa"; "z" ];
   Alcotest.(check (option (pair string string))) "min" (Some ("a", "a")) (Art.min_binding t);
   Alcotest.(check (option (pair string string))) "max" (Some ("zz", "zz")) (Art.max_binding t)
 
 let test_range_inclusive () =
   let t = Art.create () in
-  List.iter (fun k -> ignore (Art.insert t k k)) [ "a"; "b"; "c"; "d"; "e" ];
+  List.iter (fun k -> ignore (insert0 t k k)) [ "a"; "b"; "c"; "d"; "e" ];
   let got = ref [] in
   Art.range t ~lo:"b" ~hi:"d" (fun k _ -> got := k :: !got);
   Alcotest.(check (list string)) "inclusive bounds" [ "b"; "c"; "d" ] (List.rev !got)
@@ -176,7 +236,7 @@ let test_range_matches_filter () =
   let rng = Rng.create 7L in
   let t = Art.create () in
   let keys = List.sort_uniq String.compare (random_keys rng 800) in
-  List.iter (fun k -> ignore (Art.insert t k k)) keys;
+  List.iter (fun k -> ignore (insert0 t k k)) keys;
   let lo = "A" and hi = "m" in
   let expected = List.filter (fun k -> lo <= k && k <= hi) keys in
   let got = ref [] in
@@ -185,7 +245,7 @@ let test_range_matches_filter () =
 
 let test_range_prefix_boundaries () =
   let t = Art.create () in
-  List.iter (fun k -> ignore (Art.insert t k k)) [ "ab"; "abc"; "abd"; "ac"; "b" ];
+  List.iter (fun k -> ignore (insert0 t k k)) [ "ab"; "abc"; "abd"; "ac"; "b" ];
   let got = ref [] in
   Art.range t ~lo:"ab" ~hi:"abz" (fun k _ -> got := k :: !got);
   Alcotest.(check (list string)) "prefix-aware" [ "ab"; "abc"; "abd" ] (List.rev !got)
@@ -193,7 +253,7 @@ let test_range_prefix_boundaries () =
 let test_height_bounded () =
   let rng = Rng.create 3L in
   let t = Art.create () in
-  List.iter (fun k -> ignore (Art.insert t k ())) (random_keys rng 2000);
+  List.iter (fun k -> ignore (insert0 t k ())) (random_keys rng 2000);
   Alcotest.(check bool) "height <= max key len + 1" true (Art.height t <= 13)
 
 (* ------------------------------------------------------------------ *)
@@ -203,11 +263,11 @@ let test_metered_footprint () =
   let meter = Hart_pmem.Meter.create Hart_pmem.Latency.c300_100 in
   let t = Art.create ~meter () in
   let rng = Rng.create 5L in
-  List.iter (fun k -> ignore (Art.insert t k ())) (random_keys rng 300);
+  List.iter (fun k -> ignore (insert0 t k ())) (random_keys rng 300);
   Alcotest.(check bool) "meter sees the modelled footprint" true
     (Hart_pmem.Meter.dram_live_bytes meter >= Art.footprint_bytes t - 16);
   let before = Hart_pmem.Meter.counters meter in
-  ignore (Art.find t "somekey");
+  ignore (Art.find t ~off:0 "somekey");
   let d = Hart_pmem.Meter.diff before (Hart_pmem.Meter.counters meter) in
   Alcotest.(check bool) "descent reported DRAM reads" true (d.Hart_pmem.Meter.dram_reads > 0)
 
@@ -224,14 +284,14 @@ let count_events pred events = List.length (List.filter pred events)
 
 let test_events_first_insert () =
   let t, got = collect_events () in
-  ignore (Art.insert t "solo" 1);
+  ignore (insert0 t "solo" 1);
   Alcotest.(check int) "one root child-added" 1
     (count_events (function Art.Child_added _ -> true | _ -> false) (got ()))
 
 let test_events_leaf_split () =
   let t, got = collect_events () in
-  ignore (Art.insert t "ax" 1);
-  ignore (Art.insert t "ay" 2);
+  ignore (insert0 t "ax" 1);
+  ignore (insert0 t "ay" 2);
   let events = got () in
   Alcotest.(check int) "one node created" 1
     (count_events (function Art.Node_created _ -> true | _ -> false) events);
@@ -242,10 +302,10 @@ let test_events_leaf_split () =
 
 let test_events_in_place_add () =
   let t, got = collect_events () in
-  ignore (Art.insert t "ax" 1);
-  ignore (Art.insert t "ay" 2);
+  ignore (insert0 t "ax" 1);
+  ignore (insert0 t "ay" 2);
   let before = got () in
-  ignore (Art.insert t "az" 3);
+  ignore (insert0 t "az" 3);
   let after = got () in
   let added l = count_events (function Art.Child_added _ -> true | _ -> false) l in
   Alcotest.(check int) "third insert is one in-place child add" 1
@@ -253,7 +313,7 @@ let test_events_in_place_add () =
 
 let test_events_grow_reports_node () =
   let t, got = collect_events () in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) (spread_keys 5);
+  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 5);
   let events = got () in
   (* growing N4 -> N16 frees the old node and creates the new one *)
   Alcotest.(check bool) "node freed on grow" true
@@ -263,7 +323,7 @@ let test_events_grow_reports_node () =
 
 let test_events_kind_tags () =
   let t, got = collect_events () in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) (spread_keys 60);
+  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 60);
   let kinds =
     List.filter_map
       (function Art.Child_added { kind; _ } -> Some kind | _ -> None)
@@ -279,18 +339,18 @@ let test_events_kind_tags () =
 
 let test_events_delete_reports_removal () =
   let t, got = collect_events () in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) (spread_keys 8);
+  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 8);
   let before = got () in
-  ignore (Art.delete t (List.hd (spread_keys 8)));
+  ignore (Art.delete t ~off:0 (List.hd (spread_keys 8)));
   let after = got () in
   let removed l = count_events (function Art.Child_removed _ -> true | _ -> false) l in
   Alcotest.(check int) "one child removed" 1 (removed after - removed before)
 
 let test_events_prefix_split () =
   let t, got = collect_events () in
-  ignore (Art.insert t "prefix-aa" 1);
-  ignore (Art.insert t "prefix-ab" 2);
-  ignore (Art.insert t "preXix" 3);
+  ignore (insert0 t "prefix-aa" 1);
+  ignore (insert0 t "prefix-ab" 2);
+  ignore (insert0 t "preXix" 3);
   Alcotest.(check bool) "prefix change reported" true
     (count_events (function Art.Prefix_changed _ -> true | _ -> false) (got ()) >= 1)
 
@@ -304,10 +364,10 @@ let test_pm_space_nodes_alloc_from_pool () =
       ~free_node:(fun ~addr ~size -> Hart_pmem.Pmem.free pool ~off:addr ~len:size)
       ()
   in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) (spread_keys 100);
+  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 100);
   Alcotest.(check bool) "nodes consumed pool space" true
     (Hart_pmem.Pmem.live_bytes pool > live0);
-  List.iter (fun k -> ignore (Art.delete t k)) (spread_keys 100);
+  List.iter (fun k -> ignore (Art.delete t ~off:0 k)) (spread_keys 100);
   Alcotest.(check int) "all node space returned" live0
     (Hart_pmem.Pmem.live_bytes pool)
 
@@ -354,23 +414,19 @@ let qcheck_vs_map =
           match op with
           | Insert (k, v) ->
               let expect = SMap.find_opt k !model in
-              let got =
-                match Art.insert t k v with
-                | `Inserted -> None
-                | `Replaced old -> Some old
-              in
-              model := SMap.add k v !model;
-              expect = got
+              (* a bound key keeps its binding *)
+              model := add_absent k v !model;
+              insert0 t k v = expect
           | Delete k ->
               let expect = SMap.find_opt k !model in
               model := SMap.remove k !model;
-              Art.delete t k = expect
-          | Find k -> Art.find t k = SMap.find_opt k !model)
+              Art.delete t ~off:0 k = expect
+          | Find k -> Art.find t ~off:0 k = SMap.find_opt k !model)
         ops
       &&
       (Art.check_invariants t;
        Art.count t = SMap.cardinal !model
-       && SMap.for_all (fun k v -> Art.find t k = Some v) !model))
+       && SMap.for_all (fun k v -> Art.find t ~off:0 k = Some v) !model))
 
 let qcheck_iter_sorted =
   QCheck.Test.make ~count:200 ~name:"iteration is sorted and complete"
@@ -381,10 +437,10 @@ let qcheck_iter_sorted =
       List.iter
         (function
           | Insert (k, v) ->
-              ignore (Art.insert t k v);
-              model := SMap.add k v !model
+              ignore (insert0 t k v);
+              model := add_absent k v !model
           | Delete k ->
-              ignore (Art.delete t k);
+              ignore (Art.delete t ~off:0 k);
               model := SMap.remove k !model
           | Find _ -> ())
         ops;
@@ -403,10 +459,10 @@ let qcheck_range_model =
       List.iter
         (function
           | Insert (k, v) ->
-              ignore (Art.insert t k v);
-              model := SMap.add k v !model
+              ignore (insert0 t k v);
+              model := add_absent k v !model
           | Delete k ->
-              ignore (Art.delete t k);
+              ignore (Art.delete t ~off:0 k);
               model := SMap.remove k !model
           | Find _ -> ())
         ops;
@@ -434,7 +490,7 @@ let check_against_model t model ctx =
       (SMap.cardinal model);
   SMap.iter
     (fun k v ->
-      if Art.find t k <> Some v then Alcotest.failf "%s: lost key %S" ctx k)
+      if Art.find t ~off:0 k <> Some v then Alcotest.failf "%s: lost key %S" ctx k)
     model
 
 let test_boundary_oscillation () =
@@ -443,10 +499,10 @@ let test_boundary_oscillation () =
       let t = Art.create () in
       let model = ref SMap.empty in
       let add c =
-        ignore (Art.insert t (byte_key c) c);
+        ignore (insert0 t (byte_key c) c);
         model := SMap.add (byte_key c) c !model
       and del c =
-        ignore (Art.delete t (byte_key c));
+        ignore (Art.delete t ~off:0 (byte_key c));
         model := SMap.remove (byte_key c) !model
       in
       (* fill to b-1, then oscillate b-1 <-> b+1 across the class flip,
@@ -503,19 +559,19 @@ let qcheck_boundary_churn =
         (fun op ->
           match op with
           | Insert (k, v) ->
-              ignore (Art.insert t k v);
-              model := SMap.add k v !model;
+              ignore (insert0 t k v);
+              model := add_absent k v !model;
               true
           | Delete k ->
               let expect = SMap.find_opt k !model in
               model := SMap.remove k !model;
-              Art.delete t k = expect
-          | Find k -> Art.find t k = SMap.find_opt k !model)
+              Art.delete t ~off:0 k = expect
+          | Find k -> Art.find t ~off:0 k = SMap.find_opt k !model)
         ops
       &&
       (Art.check_invariants t;
        Art.count t = SMap.cardinal !model
-       && SMap.for_all (fun k v -> Art.find t k = Some v) !model))
+       && SMap.for_all (fun k v -> Art.find t ~off:0 k = Some v) !model))
 
 (* ------------------------------------------------------------------ *)
 (* Differential fidelity: the bitmap layer must be observationally
@@ -575,7 +631,7 @@ let run_workload (type t e) ~insert ~delete ~find
         let r =
           match op with
           | Insert (k, v) -> (
-              match insert t k v with `Inserted -> -1 | `Replaced o -> o)
+              match insert t k v with None -> -1 | Some o -> o)
           | Delete k -> ( match delete t k with None -> -1 | Some o -> o)
           | Find k -> ( match find t k with None -> -1 | Some o -> o)
         in
@@ -600,7 +656,9 @@ let test_boxed_bitmap_equivalence () =
   for round = 0 to 4 do
     let ops = diff_workload rng 2_000 in
     let tn, mn, en, kn, rn =
-      run_workload ~insert:Art.insert ~delete:Art.delete ~find:Art.find
+      run_workload ~insert:insert0
+        ~delete:(fun t k -> Art.delete t k ~off:0)
+        ~find:(fun t k -> Art.find t k ~off:0)
         ~make:(fun on_event meter -> Art.create ~meter ~on_event ())
         ~fp:fp_new ops
     in
@@ -653,10 +711,10 @@ let test_pool_stats_census () =
   let t = Art.create () in
   let rng = Rng.create 23L in
   let keys = random_keys rng 3_000 in
-  List.iteri (fun i k -> ignore (Art.insert t k i)) keys;
+  List.iteri (fun i k -> ignore (insert0 t k i)) keys;
   (* churn: delete a third, reinsert half of those *)
-  List.iteri (fun i k -> if i mod 3 = 0 then ignore (Art.delete t k)) keys;
-  List.iteri (fun i k -> if i mod 6 = 0 then ignore (Art.insert t k i)) keys;
+  List.iteri (fun i k -> if i mod 3 = 0 then ignore (Art.delete t ~off:0 k)) keys;
+  List.iteri (fun i k -> if i mod 6 = 0 then ignore (insert0 t k i)) keys;
   Art.check_invariants t;
   let p = Art.pool_stats t in
   let n4, n16, n48, n256 = Art.node_histogram t in
@@ -679,7 +737,7 @@ let test_pool_stats_census () =
     (p.Art.live_leaves <= p.Art.leaf_slots);
   Alcotest.(check bool) "pool bytes accounted" true (p.Art.pool_bytes > 0);
   (* drain completely: everything returns to the free lists *)
-  List.iter (fun k -> ignore (Art.delete t k)) keys;
+  List.iter (fun k -> ignore (Art.delete t ~off:0 k)) keys;
   let p = Art.pool_stats t in
   Alcotest.(check int) "no live nodes after drain" 0 p.Art.live_nodes;
   Alcotest.(check int) "no used slots after drain" 0 p.Art.dense_used;
@@ -731,12 +789,12 @@ let qcheck_of_sorted =
       (* inserted in an order unrelated to key order *)
       let ins = Art.create () in
       List.iter
-        (fun k -> ignore (Art.insert ins k (String.length k)))
+        (fun k -> ignore (insert0 ins k (String.length k)))
         (List.sort (fun a b -> compare (Hashtbl.hash a, a) (Hashtbl.hash b, b)) keys);
       Art.check_invariants bulk;
       shape bulk = shape ins
       && Art.count bulk = Array.length sorted
-      && Array.for_all (fun k -> Art.find bulk k = Some (String.length k)) sorted)
+      && Array.for_all (fun k -> Art.find bulk ~off:0 k = Some (String.length k)) sorted)
 
 (* One write of each node's modelled bytes and one [Node_created] per
    node; no read, no other event; one pass per inner node, over the
@@ -799,7 +857,9 @@ let () =
         [
           Alcotest.test_case "empty tree" `Quick test_empty;
           Alcotest.test_case "single key" `Quick test_single;
-          Alcotest.test_case "replace" `Quick test_replace;
+          Alcotest.test_case "bound key kept" `Quick test_bound_key_kept;
+          Alcotest.test_case "keys at an offset" `Quick test_offset_keys;
+          Alcotest.test_case "raising maker leaves the tree" `Quick test_maker_raises;
           Alcotest.test_case "empty-string key" `Quick test_empty_string_key;
           Alcotest.test_case "prefix keys" `Quick test_prefix_keys;
           Alcotest.test_case "binary keys" `Quick test_binary_keys;

@@ -462,8 +462,8 @@ let qcheck_free_slot_matches_scan =
   let full = (1 lsl Chunk.objs_per_chunk) - 1 in
   let scan occ =
     let rec go i =
-      if i >= Chunk.objs_per_chunk then None
-      else if occ land (1 lsl i) = 0 then Some i
+      if i >= Chunk.objs_per_chunk then -1
+      else if occ land (1 lsl i) = 0 then i
       else go (i + 1)
     in
     go 0
@@ -591,7 +591,7 @@ let test_epalloc_leaf_repair () =
   let stage committed =
     let leaf = fst (Epalloc.epmalloc_leaf a) in
     let v = Epalloc.epmalloc a Chunk.Val8 in
-    Value_obj.write pool ~obj:v "six";
+    Value_obj.write ~crc:false pool ~obj:v "six";
     Leaf.set_p_value pool ~leaf ~head:0L v;
     if committed then Epalloc.set_obj_bit a Chunk.Val8 ~obj:v;
     (leaf, v)
@@ -720,7 +720,7 @@ let test_value_codec () =
   List.iter
     (fun payload ->
       let obj = Pmem.alloc pool 32 in
-      Value_obj.write pool ~obj payload;
+      Value_obj.write ~crc:false pool ~obj payload;
       Alcotest.(check string) "roundtrip" payload (Value_obj.read pool ~obj))
     [ ""; "x"; "1234567"; "fifteen-bytes.."; String.make 31 'v' ]
 
@@ -757,7 +757,7 @@ let test_reader_equivalence () =
     let obj = Chunk.obj_off cls ~chunk:(List.assoc cls vchunks) ~idx:vidx in
     let key = String.init klen (fun i -> Char.chr (65 + ((i + klen) mod 26))) in
     let value = String.init vlen (fun i -> Char.chr (97 + (((7 * i) + vlen) mod 26))) in
-    Value_obj.write pool ~obj value;
+    Value_obj.write ~crc:false pool ~obj value;
     Leaf.init pool ~leaf ~p_value:obj key;
     let fields, field_lines, _ =
       traced pool (fun () ->
@@ -1745,8 +1745,9 @@ let test_hart_reads_per_op () =
    mirror words and writes 2, a delete reads 2 (its bit, its chunk's
    recycling test) and writes 1, a take-over reads 2 and writes 1 (its
    leaf's chunk only: the value keeps its bit). The other DRAM reads are
-   the directory probe and the ART descent (7 for the updates, 5 for the
-   inserts, 3 for deleting rd0200, the only key under "rd02"). *)
+   the directory probe and the ART descent (7 for the updates, 3 for the
+   inserts, whose one descent finds the insertion point, and 3 for
+   deleting rd0200, the only key under "rd02"). *)
 let test_hart_write_path_reads () =
   let h, pool = fresh_hart () in
   for i = 0 to 199 do
@@ -1778,13 +1779,13 @@ let test_hart_write_path_reads () =
     ~pm_reads:1 ~flushes:2 ~dram_reads:(7 + 4) ~dram_writes:2;
   check "insert"
     (cost (fun () -> Hart.insert h ~key:"rd0200" ~value:"v200"))
-    ~pm_reads:0 ~flushes:2 ~dram_reads:(5 + 4) ~dram_writes:2;
+    ~pm_reads:0 ~flushes:2 ~dram_reads:(3 + 4) ~dram_writes:2;
   check "delete"
     (cost (fun () -> assert (Hart.delete h "rd0200")))
     ~pm_reads:0 ~flushes:1 ~dram_reads:(3 + 2) ~dram_writes:1;
   check "insert into the owning slot"
     (cost (fun () -> Hart.insert h ~key:"rd0201" ~value:"v201"))
-    ~pm_reads:1 ~flushes:2 ~dram_reads:(5 + 2) ~dram_writes:1;
+    ~pm_reads:1 ~flushes:2 ~dram_reads:(3 + 2) ~dram_writes:1;
   Hart.check_integrity h
 
 (* After a preload, every full value chunk is down to its spare. An
@@ -4093,6 +4094,59 @@ let qcheck_media_fsck_converges =
               (String.concat "," (List.map fst lost));
           true)
 
+(* ------------------------------------------------------------------ *)
+(* Allocation pins: the request path allocates nothing but its result.
+   The key is hashed and compared in place all the way down (directory,
+   ART, and the leaf on PM), the descent builds no closure, and the
+   stripe lock takes no closure either (DESIGN.md §9).                 *)
+
+let alloc_calls = 10_000
+
+(* Minor words per call of [f], beyond [result] words per call for what
+   it returns *)
+let check_alloc_free name ~result f =
+  f 0 (* warm: first-touch effects stay out of the count *);
+  let before = Gc.minor_words () in
+  for i = 1 to alloc_calls do
+    f i
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int alloc_calls in
+  Alcotest.(check (float 0.)) (name ^ ": words/call beyond the result") 0.
+    (Float.round (words -. float_of_int result))
+
+let alloc_keys = Array.init 256 (fun i -> Printf.sprintf "alloc%05d" (i * 37))
+let alloc_value = "val0007"
+
+(* words of a hit's [Some value] *)
+let hit_words = Obj.reachable_words (Obj.repr (Some alloc_value))
+
+let preloaded insert =
+  Array.iter (fun key -> insert ~key ~value:alloc_value) alloc_keys
+
+let test_alloc_hart_search () =
+  let h, _ = fresh_hart () in
+  preloaded (Hart.insert h);
+  check_alloc_free "Hart.search hit" ~result:hit_words (fun i ->
+      ignore (Hart.search h alloc_keys.(i land 255) : string option))
+
+let test_alloc_hart_update () =
+  let h, _ = fresh_hart () in
+  preloaded (Hart.insert h);
+  check_alloc_free "Hart.update in place" ~result:0 (fun i ->
+      ignore (Hart.update h ~key:alloc_keys.(i land 255) ~value:alloc_value : bool))
+
+let test_alloc_hart_mt_search () =
+  let h = Hart_mt.create (fresh_pool ()) in
+  preloaded (Hart_mt.insert h);
+  check_alloc_free "Hart_mt.search hit" ~result:hit_words (fun i ->
+      ignore (Hart_mt.search h alloc_keys.(i land 255) : string option))
+
+let test_alloc_hart_mt_insert () =
+  let h = Hart_mt.create (fresh_pool ()) in
+  preloaded (Hart_mt.insert h);
+  check_alloc_free "Hart_mt.insert of a bound key" ~result:0 (fun i ->
+      Hart_mt.insert h ~key:alloc_keys.(i land 255) ~value:alloc_value)
+
 let () =
   Alcotest.run "core"
     [
@@ -4297,6 +4351,13 @@ let () =
           Alcotest.test_case "hart_mt concurrent inserts" `Quick test_hart_mt_concurrent_inserts;
           Alcotest.test_case "hart_mt mixed stress" `Quick test_hart_mt_mixed_stress;
           Alcotest.test_case "hart_mt lock mapping" `Quick test_hart_mt_lock_mapping;
+        ] );
+      ( "alloc-free",
+        [
+          Alcotest.test_case "Hart.search hit" `Quick test_alloc_hart_search;
+          Alcotest.test_case "Hart.update in place" `Quick test_alloc_hart_update;
+          Alcotest.test_case "Hart_mt.search hit" `Quick test_alloc_hart_mt_search;
+          Alcotest.test_case "Hart_mt.insert of a bound key" `Quick test_alloc_hart_mt_insert;
         ] );
       ( "media-fsck",
         [

@@ -190,6 +190,103 @@ let test_rwlock_no_starvation () =
   Alcotest.(check int) "lock drained" 0 (Rwlock.readers l);
   Alcotest.(check bool) "no writer left" false (Rwlock.writer_active l)
 
+(* The lock word's CAS fast path under contention: 4 domains mix reads
+   and writes over 2 shared locks, so CASes collide, waiters set the
+   pending bit and hand over through the mutex, and the fast path comes
+   back once they leave. A writer moves a pair of counters in two
+   steps; a reader that finds the pair uneven saw a writer's half-done
+   move. Every raise inside a critical section must release the lock as
+   it propagates, or the other domains hang on it. *)
+let test_rwlock_two_stripes () =
+  let locks = Array.init 2 (fun _ -> Rwlock.create ()) in
+  let a = Array.make 2 0 and b = Array.make 2 0 in
+  let rounds = 4_000 in
+  let uneven = Atomic.make 0 in
+  let check s = if a.(s) <> b.(s) then Atomic.incr uneven in
+  let domains =
+    Array.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let rng = Rng.create (Int64.of_int (31 + d)) in
+            let moved = Array.make 2 0 in
+            for _ = 1 to rounds do
+              let s = Rng.int rng 2 in
+              match Rng.int rng 8 with
+              | 0 | 1 ->
+                  Rwlock.with_write locks.(s) (fun () ->
+                      a.(s) <- a.(s) + 1;
+                      Domain.cpu_relax ();
+                      b.(s) <- b.(s) + 1);
+                  moved.(s) <- moved.(s) + 1
+              | 2 -> (
+                  try
+                    Rwlock.with_write locks.(s) (fun () ->
+                        check s;
+                        raise Exit)
+                  with Exit -> ())
+              | 3 -> (
+                  try
+                    Rwlock.with_read locks.(s) (fun () ->
+                        check s;
+                        raise Exit)
+                  with Exit -> ())
+              | _ -> Rwlock.with_read locks.(s) (fun () -> check s)
+            done;
+            moved))
+  in
+  let moved = Array.map Domain.join domains in
+  Alcotest.(check int) "no reader saw a half-done move" 0 (Atomic.get uneven);
+  for s = 0 to 1 do
+    let total = Array.fold_left (fun n m -> n + m.(s)) 0 moved in
+    Alcotest.(check (pair int int)) (Printf.sprintf "stripe %d: no lost move" s) (total, total)
+      (a.(s), b.(s));
+    Alcotest.(check int) "lock drained" 0 (Rwlock.readers locks.(s));
+    Alcotest.(check bool) "no writer left" false (Rwlock.writer_active locks.(s))
+  done
+
+(* The same through [Striped_mt]'s inline lock sections: 4 domains on
+   the 2 stripes of two counter keys. An increment that raises inside
+   its critical section changes nothing and must free the stripe. *)
+let test_striped_raise_releases () =
+  let t = fresh_mt () in
+  let keys = [| "aa:count"; "zz:count" |] in
+  Alcotest.(check bool) "two stripes" false
+    (Hart_mt.art_lock t keys.(0) == Hart_mt.art_lock t keys.(1));
+  Array.iter (fun key -> Hart_mt.insert t ~key ~value:"0") keys;
+  let incr_value = function
+    | Some v -> string_of_int (int_of_string v + 1)
+    | None -> Alcotest.fail "counter key lost"
+  in
+  let domains =
+    Array.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            let rng = Rng.create (Int64.of_int (57 + d)) in
+            let done_ = Array.make 2 0 in
+            for _ = 1 to 1_000 do
+              let s = Rng.int rng 2 in
+              match Rng.int rng 4 with
+              | 0 ->
+                  Hart_mt.rmw t ~key:keys.(s) incr_value;
+                  done_.(s) <- done_.(s) + 1
+              | 1 -> (
+                  try Hart_mt.rmw t ~key:keys.(s) (fun _ -> raise Exit) with Exit -> ())
+              | _ -> (
+                  match Hart_mt.search t keys.(s) with
+                  | Some v when int_of_string v >= 0 -> ()
+                  | _ -> Alcotest.fail "counter unreadable")
+            done;
+            done_))
+  in
+  let done_ = Array.map Domain.join domains in
+  Array.iteri
+    (fun s key ->
+      let total = Array.fold_left (fun n m -> n + m.(s)) 0 done_ in
+      Alcotest.(check (option string)) (key ^ ": every increment, once")
+        (Some (string_of_int total)) (Hart_mt.search t key);
+      Alcotest.(check bool) "stripe released" false
+        (Rwlock.writer_active (Hart_mt.art_lock t key)))
+    keys;
+  Hart.check_integrity (Hart_mt.underlying t)
+
 (* ------------------------------------------------------------------ *)
 (* Hash_dir: lock-free readers racing inserts and backward-shift       *)
 (* removes                                                             *)
@@ -985,6 +1082,10 @@ let () =
             test_rwlock_writer_preference;
           Alcotest.test_case "no starvation, no lost updates" `Quick
             test_rwlock_no_starvation;
+          Alcotest.test_case "fast path: 4 domains, 2 locks, raises" `Quick
+            test_rwlock_two_stripes;
+          Alcotest.test_case "striped: a raise releases the stripe" `Quick
+            test_striped_raise_releases;
         ] );
       ( "hash_dir",
         [

@@ -210,6 +210,88 @@ let test_experiments_smoke () =
   Sys.rmdir dir
 
 (* ------------------------------------------------------------------ *)
+(* Golden sim-clock pins: every cell of the deterministic registry
+   entries at scale 0.02, at full precision (%.17g round-trips a
+   float), one line per cell: title, row label, column, value, tab
+   separated. A refactor that must not move a number proves it here;
+   one that moves numbers shows exactly which. The entries with
+   wall-clock columns (micro, parallel, ycsb, recovery, art_nodes,
+   scrub) are left out. Regenerate with
+   [PIN_DUMP=1 dune exec test/test_harness.exe > test/golden_sim.txt]. *)
+
+module Json = Hart_util.Json
+
+let golden_entries =
+  [ "fig4567"; "fig8"; "fig9"; "fig10a"; "fig10b"; "fig10c"; "fig10d"; "ablation" ]
+
+let golden_file = "golden_sim.txt"
+
+let golden_render () =
+  let entries = Result.get_ok (Experiments.select golden_entries) in
+  let (), tables =
+    with_captured_stdout (fun () ->
+        Report.capture (fun () ->
+            List.iter
+              (fun e -> ignore (e.Experiments.run ~gate:false ~scale:0.02 : Json.t option))
+              entries))
+  in
+  let field k = function
+    | Json.Obj kv -> List.assoc k kv
+    | _ -> invalid_arg "golden_render: not an object"
+  and items = function
+    | Json.List l -> l
+    | _ -> invalid_arg "golden_render: not a list"
+  and text = function
+    | Json.Str s -> s
+    | Json.Float f -> Printf.sprintf "%.17g" f
+    | _ -> invalid_arg "golden_render: not a cell"
+  in
+  List.concat_map
+    (fun table ->
+      let title = text (field "title" table) in
+      let cols = Array.of_list (List.map text (items (field "columns" table))) in
+      List.concat_map
+        (fun row ->
+          let label = text (field "label" row) in
+          List.mapi
+            (fun i cell -> String.concat "\t" [ title; label; cols.(i); text cell ])
+            (items (field "cells" row)))
+        (items (field "rows" table)))
+    (items tables)
+
+let () =
+  if Sys.getenv_opt "PIN_DUMP" <> None then begin
+    List.iter print_endline (golden_render ());
+    exit 0
+  end
+
+let test_golden_sim () =
+  let pinned =
+    In_channel.with_open_text golden_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (( <> ) "")
+  in
+  let cell line =
+    match String.split_on_char '\t' line with
+    | [ title; row; col; value ] -> (Printf.sprintf "%s / %s / %s" title row col, value)
+    | _ -> (line, "")
+  in
+  let rec diffs pinned now =
+    match (pinned, now) with
+    | [], [] -> []
+    | [], extra -> [ Printf.sprintf "%d cells not pinned" (List.length extra) ]
+    | missing, [] -> [ Printf.sprintf "%d pinned cells gone" (List.length missing) ]
+    | p :: ps, n :: ns ->
+        let (kp, vp), (kn, vn) = (cell p, cell n) in
+        if kp <> kn then [ Printf.sprintf "cell %S is now %S" kp kn ]
+        else if vp <> vn then Printf.sprintf "%s: %s -> %s" kp vp vn :: diffs ps ns
+        else diffs ps ns
+  in
+  match diffs pinned (golden_render ()) with
+  | [] -> ()
+  | ds -> Alcotest.failf "golden sim-clock cells moved:\n%s" (String.concat "\n" ds)
+
+(* ------------------------------------------------------------------ *)
 (* Cross-index mixed-workload plan generator (Exp_parallel.mix_plan)   *)
 
 module Exp_parallel = Hart_harness.Exp_parallel
@@ -303,5 +385,6 @@ let () =
         [
           Alcotest.test_case "registry lookup" `Quick test_registry_select;
           Alcotest.test_case "smoke run all drivers" `Quick test_experiments_smoke;
+          Alcotest.test_case "golden sim-clock cells" `Quick test_golden_sim;
         ] );
     ]

@@ -24,8 +24,8 @@ let all =
     entry "HART" (module Hart_core.Hart_mt.S) ~mt:(module Hart_core.Hart_mt.M);
     entry "FPTree" (module Fptree.S) ~mt:(module Striped_mt.Make (Fptree.S));
     entry "WORT" (module Wort.S) ~mt:(module Striped_mt.Make (Wort.S));
-    entry "WOART" (module Woart.S) ~mt:(module Striped_mt.Make (Woart.S));
-    entry "ART+CoW" (module Art_cow.S);
+    entry "WOART" (module Pm_art.Woart) ~mt:(module Striped_mt.Make (Pm_art.Woart));
+    entry "ART+CoW" (module Pm_art.Art_cow);
     entry "NV-Tree" (module Nv_tree.S);
     entry "wB+Tree" (module Wb_tree.S) ~mt:(module Striped_mt.Make (Wb_tree.S));
     entry "CDDS" (module Cdds_btree.S);

@@ -27,44 +27,17 @@ let art_count t = Hash_dir.length t.dir
 let quarantines t = List.rev !(t.quarantines)
 let checksums t = Epalloc.checksums t.alloc
 
-(* Ablation support (`Pm): internal nodes placed on PM with a
-   WOART-style per-mutation persistence protocol, isolating the cost the
-   paper's selective consistency/persistence strategy (§III-A.2) avoids. *)
-let pm_node_protocol meter =
-  let module M = Hart_pmem.Meter in
-  function
-  | Art.Node_created { addr; bytes } ->
-      M.write_range meter Pm ~addr ~len:bytes;
-      M.persist_range meter ~addr ~len:bytes;
-      M.persist_range meter ~addr ~len:8
-  | Art.Node_freed _ -> ()
-  | Art.Child_added { addr; slot_off; kind = _ } ->
-      M.write_range meter Pm ~addr:(addr + slot_off) ~len:8;
-      M.persist_range meter ~addr:(addr + slot_off) ~len:8;
-      M.persist_range meter ~addr ~len:1
-  | Art.Child_replaced { addr; slot_off; kind = _ }
-  | Art.Child_removed { addr; slot_off; kind = _ } ->
-      M.write_range meter Pm ~addr:(addr + slot_off) ~len:8;
-      M.persist_range meter ~addr:(addr + slot_off) ~len:8
-  | Art.Prefix_changed { addr } -> M.persist_range meter ~addr ~len:16
-  | Art.Here_changed { addr } -> M.persist_range meter ~addr ~len:8
-
 let pool_bytes size = (size + Pmem.line_bytes - 1) / Pmem.line_bytes * Pmem.line_bytes
 
+(* The ablation (`Pm) places the internal nodes on PM under WOART's
+   per-mutation persistence protocol, isolating the cost the paper's
+   selective consistency/persistence strategy (§III-A.2) avoids. *)
 let new_art t =
-  let meter = Pmem.meter t.pool in
-  let count size = ignore (Atomic.fetch_and_add t.pm_node_bytes size : int) in
   match t.internal_nodes with
-  | `Dram -> Art.create ~meter ()
+  | `Dram -> Art.create ~meter:(Pmem.meter t.pool) ()
   | `Pm ->
-      Art.create ~meter ~space:Pm
-        ~alloc_node:(fun size ->
-          count (pool_bytes size);
-          Pmem.alloc t.pool size)
-        ~free_node:(fun ~addr ~size ->
-          count (-pool_bytes size);
-          Pmem.free t.pool ~off:addr ~len:size)
-        ~on_event:(pm_node_protocol meter) ()
+      Hart_art.Pm_nodes.create Write_optimal t.pool ~count_bytes:(fun n ->
+          ignore (Atomic.fetch_and_add t.pm_node_bytes n : int))
 
 let split kh key =
   let n = String.length key in

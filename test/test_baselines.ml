@@ -2,7 +2,7 @@ module Latency = Hart_pmem.Latency
 module Meter = Hart_pmem.Meter
 module Pmem = Hart_pmem.Pmem
 module Rng = Hart_util.Rng
-module Woart = Hart_baselines.Woart
+module Woart = Hart_baselines.Pm_art.Woart
 module Wort = Hart_baselines.Wort
 module Nv_tree = Hart_baselines.Nv_tree
 module Wb_tree = Hart_baselines.Wb_tree
@@ -334,8 +334,8 @@ let test_wort_deeper_than_woart () =
   List.iter (fun k -> Wort.insert w ~key:k ~value:"v") (mk_keys 500);
   Wort.check_invariants w;
   let pool_a = fresh_pool () in
-  let a = Hart_baselines.Woart.create pool_a in
-  List.iter (fun k -> Hart_baselines.Woart.insert a ~key:k ~value:"v") (mk_keys 500);
+  let a = Woart.create pool_a in
+  List.iter (fun k -> Woart.insert a ~key:k ~value:"v") (mk_keys 500);
   Alcotest.(check bool)
     (Printf.sprintf "WORT height %d > ART-based height" (Wort.height w))
     true

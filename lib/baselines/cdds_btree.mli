@@ -23,10 +23,10 @@
     at pool addresses like the other §II-C baselines (DESIGN.md) and
     are rebuilt from the chain. *)
 
-type t
+
+include Hart_core.Index_intf.S
 
 val leaf_cap : int
-val create : Hart_pmem.Pmem.t -> t
 
 val recover : Hart_pmem.Pmem.t -> t
 (** Reattach to a crashed pool: validate the root block, roll
@@ -35,21 +35,8 @@ val recover : Hart_pmem.Pmem.t -> t
     the inner levels. Each repair is one atomic 8-byte persist, so
     recovery is idempotent and itself crash-tolerant. *)
 
-val insert : t -> key:string -> value:string -> unit
-val search : t -> string -> string option
-val update : t -> key:string -> value:string -> bool
-val delete : t -> string -> bool
-val range : t -> lo:string -> hi:string -> (string -> string -> unit) -> unit
-val count : t -> int
 val version : t -> int
 (** The committed global version (one bump per mutation). *)
 
 val dead_entries : t -> int
 (** Versioned corpses currently occupying leaf slots. *)
-
-val dram_bytes : t -> int
-val pm_bytes : t -> int
-val check_integrity : t -> unit
-module S : Hart_core.Index_intf.S with type t = t
-(** Uniform index-signature conformance (shard metadata included), for
-    [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

@@ -440,10 +440,12 @@ let check_integrity t =
   walk t.head "";
   if !seen <> t.count then fail "count %d but %d live entries" t.count !seen
 
-(* Index_intf.S conformance. The commuting shard is the leaf a key
-   routes to: two writers in one leaf race on the same free slot (the
-   bitmap flip that would exclude a slot is the *commit*, well after the
-   slot was chosen), so same-leaf mutations must serialise, while
+let name = "fptree"
+
+(* The commuting shard (Index_intf.S) is the leaf a key routes to:
+   two writers in one leaf race on the same free slot (the bitmap flip
+   that would exclude a slot is the *commit*, well after the slot was
+   chosen), so same-leaf mutations must serialise, while
    mutations on distinct leaves touch disjoint PM lines and commute.
    The DRAM inner nodes are unsynchronised, so FPTree is not
    [volatile_domain_safe]: the routing (and with it the shard id) is
@@ -451,39 +453,21 @@ let check_integrity t =
    that may split — an insert or update into a leaf with no free slot —
    must take it exclusively. Delete only clears a bitmap bit and never
    coalesces, so it is always leaf-local. *)
-module S : Hart_core.Index_intf.S with type t = t = struct
-  type nonrec t = t
+let in_range key =
+  String.length key >= 1 && String.length key <= max_key
 
-  let name = "fptree"
-  let create = create
-  let recover = recover
-  let insert = insert
-  let search = search
-  let update = update
-  let delete = delete
-  let range = range
-  let iter = iter
-  let count = count
-  let dram_bytes = dram_bytes
-  let pm_bytes = pm_bytes
-  let check_integrity t = check_integrity t
+let stripe_of_key t key =
+  (* leaf offsets are multiples of the leaf size; hash them so the
+     low stripe bits are not all aligned *)
+  Hashtbl.hash (find_leaf t t.root key)
 
-  let in_range key =
-    String.length key >= 1 && String.length key <= max_key
+let volatile_domain_safe = false
 
-  let stripe_of_key t key =
-    (* leaf offsets are multiples of the leaf size; hash them so the
-       low stripe bits are not all aligned *)
-    Hashtbl.hash (find_leaf t t.root key)
-
-  let volatile_domain_safe = false
-
-  let restructures t ~op ~key =
-    match op with
-    | `Delete -> false
-    | `Insert | `Update ->
-        (* a full leaf splits on the way in, mutating the leaf chain and
-           the DRAM inners; out-of-range keys are rejected before they
-           touch anything, so either path is safe for them *)
-        in_range key && free_slot t (find_leaf t t.root key) = None
-end
+let restructures t ~op ~key =
+  match op with
+  | `Delete -> false
+  | `Insert | `Update ->
+      (* a full leaf splits on the way in, mutating the leaf chain and
+         the DRAM inners; out-of-range keys are rejected before they
+         touch anything, so either path is safe for them *)
+      in_range key && free_slot t (find_leaf t t.root key) = None

@@ -21,7 +21,8 @@
     the largest in Fig. 10b. {!recover} rebuilds the DRAM inner nodes by
     walking the persistent leaf chain (Fig. 10c). *)
 
-type t
+
+include Hart_core.Index_intf.S
 
 val leaf_cap : int
 
@@ -36,25 +37,14 @@ val create : Hart_pmem.Pmem.t -> t
 val recover : Hart_pmem.Pmem.t -> t
 (** Rebuild the inner nodes from the leaf chain after a crash/reboot. *)
 
-val insert : t -> key:string -> value:string -> unit
-val search : t -> string -> string option
-val update : t -> key:string -> value:string -> bool
-val delete : t -> string -> bool
-
 val range : t -> lo:string -> hi:string -> (string -> string -> unit) -> unit
 (** Leaf-chain scan — FPTree's strong suit (Fig. 10a). *)
 
 val iter : t -> (string -> string -> unit) -> unit
 (** Visit every binding in key order (full leaf-chain scan). *)
 
-val count : t -> int
-val dram_bytes : t -> int
-val pm_bytes : t -> int
 val height : t -> int
+
 val check_integrity : t -> unit
 (** Inner-node separators agree with leaf contents, chain is key-ordered,
     count matches live bits. Raises [Failure] on violation. *)
-
-module S : Hart_core.Index_intf.S with type t = t
-(** Uniform index-signature conformance (shard metadata included), for
-    [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

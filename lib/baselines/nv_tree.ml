@@ -361,28 +361,14 @@ let check_integrity t =
     t.leaves;
   if !seen <> t.count then fail "count %d but %d live bindings" t.count !seen
 
-(* Index_intf.S conformance, conservative: this baseline has no
+let name = "nv-tree"
+let iter t f = range t ~lo:"" ~hi:(String.make 25 '\xff') f
+
+(* Commuting shards (Index_intf.S), conservative: this baseline has no
    concurrency story in the paper, so it declares a single shard
    (stripe 0) and classifies every mutation as a restructure — the
    functor serialises all writers on the exclusive structure lock and
    readers share it, which is trivially correct. *)
-module S : Hart_core.Index_intf.S with type t = t = struct
-  type nonrec t = t
-
-  let name = "nv-tree"
-  let create = create
-  let recover = recover
-  let insert = insert
-  let search = search
-  let update = update
-  let delete = delete
-  let range = range
-  let iter t f = range t ~lo:"" ~hi:(String.make 25 '\xff') f
-  let count = count
-  let dram_bytes = dram_bytes
-  let pm_bytes = pm_bytes
-  let check_integrity t = check_integrity t
-  let stripe_of_key _ _ = 0
-  let volatile_domain_safe = false
-  let restructures _ ~op:_ ~key:_ = true
-end
+let stripe_of_key _ _ = 0
+let volatile_domain_safe = false
+let restructures _ ~op:_ ~key:_ = true

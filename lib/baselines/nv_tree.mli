@@ -19,12 +19,11 @@
     single 8-byte pointer swing, so {!recover} can rebuild the DRAM
     index by walking the chain after a crash at any flush boundary. *)
 
-type t
+
+include Hart_core.Index_intf.S
 
 val leaf_cap : int
 (** Entries per PM leaf (including appended tombstones). *)
-
-val create : Hart_pmem.Pmem.t -> t
 
 val recover : Hart_pmem.Pmem.t -> t
 (** Reattach to a crashed pool: validate the root block, walk the leaf
@@ -32,18 +31,5 @@ val recover : Hart_pmem.Pmem.t -> t
     are unlinked and freed (each unlink is one atomic persisted pointer
     swing, so recovery is idempotent and itself crash-tolerant). *)
 
-val insert : t -> key:string -> value:string -> unit
-val search : t -> string -> string option
-val update : t -> key:string -> value:string -> bool
-val delete : t -> string -> bool
-val range : t -> lo:string -> hi:string -> (string -> string -> unit) -> unit
-val count : t -> int
 val rebuild_count : t -> int
 (** How many full inner-index reconstructions splits have caused. *)
-
-val dram_bytes : t -> int
-val pm_bytes : t -> int
-val check_integrity : t -> unit
-module S : Hart_core.Index_intf.S with type t = t
-(** Uniform index-signature conformance (shard metadata included), for
-    [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

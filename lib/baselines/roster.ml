@@ -22,13 +22,13 @@ let entry ?mt label (module I : Index_intf.S) =
 let all =
   [
     entry "HART" (module Hart_core.Hart_mt.S) ~mt:(module Hart_core.Hart_mt.M);
-    entry "FPTree" (module Fptree.S) ~mt:(module Striped_mt.Make (Fptree.S));
-    entry "WORT" (module Wort.S) ~mt:(module Striped_mt.Make (Wort.S));
+    entry "FPTree" (module Fptree) ~mt:(module Striped_mt.Make (Fptree));
+    entry "WORT" (module Wort) ~mt:(module Striped_mt.Make (Wort));
     entry "WOART" (module Pm_art.Woart) ~mt:(module Striped_mt.Make (Pm_art.Woart));
     entry "ART+CoW" (module Pm_art.Art_cow);
-    entry "NV-Tree" (module Nv_tree.S);
-    entry "wB+Tree" (module Wb_tree.S) ~mt:(module Striped_mt.Make (Wb_tree.S));
-    entry "CDDS" (module Cdds_btree.S);
+    entry "NV-Tree" (module Nv_tree);
+    entry "wB+Tree" (module Wb_tree) ~mt:(module Striped_mt.Make (Wb_tree));
+    entry "CDDS" (module Cdds_btree);
   ]
 
 let find name =

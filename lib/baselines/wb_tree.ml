@@ -669,49 +669,34 @@ let check_integrity t =
   chain (Some t.first_leaf) "";
   if !seen <> t.count then fail "count %d but %d chained entries" t.count !seen
 
-(* Index_intf.S conformance, conservative: this baseline has no
+let name = "wb-tree"
+let iter t f = range t ~lo:"" ~hi:(String.make 25 '\xff') f
+
+(* Commuting shards (Index_intf.S), conservative: this baseline has no
    concurrency story in the paper, so it declares a single shard
    (stripe 0) and classifies every mutation as a restructure — the
    functor serialises all writers on the exclusive structure lock and
    readers share it, which is trivially correct. *)
-module S : Hart_core.Index_intf.S with type t = t = struct
-  type nonrec t = t
+let in_range key = String.length key >= 1 && String.length key <= 24
 
-  let name = "wb-tree"
-  let create = create
-  let recover = recover
-  let insert = insert
-  let search = search
-  let update = update
-  let delete = delete
-  let range = range
-  let iter t f = range t ~lo:"" ~hi:(String.make 25 '\xff') f
-  let count = count
-  let dram_bytes = dram_bytes
-  let pm_bytes = pm_bytes
-  let check_integrity t = check_integrity t
+let stripe_of_key t key =
+  (* hash the leaf's PM address, not the leaf record: records carry
+     the l_next chain and DRAM mirrors, which [Hashtbl.hash] would
+     wander into *)
+  Hashtbl.hash (find_leaf t t.root key).l_addr
 
-  let in_range key = String.length key >= 1 && String.length key <= 24
+let volatile_domain_safe = false
 
-  let stripe_of_key t key =
-    (* hash the leaf's PM address, not the leaf record: records carry
-       the l_next chain and DRAM mirrors, which [Hashtbl.hash] would
-       wander into *)
-    Hashtbl.hash (find_leaf t t.root key).l_addr
-
-  let volatile_domain_safe = false
-
-  let restructures t ~op ~key =
-    match op with
-    | `Delete ->
-        (* always leaf-local: DRAM blits plus one bitmap flip; leaves
-           never merge *)
-        false
-    | `Insert | `Update ->
-        (* the bitmap-popcount invariant keeps a free physical slot
-           exactly while l_n < node_cap, so a non-full leaf absorbs the
-           out-of-place write locally; a full leaf splits, rewiring the
-           leaf chain and the DRAM inners. Out-of-range keys are
-           rejected by check_limits before touching anything. *)
-        in_range key && (find_leaf t t.root key).l_n >= node_cap
-end
+let restructures t ~op ~key =
+  match op with
+  | `Delete ->
+      (* always leaf-local: DRAM blits plus one bitmap flip; leaves
+         never merge *)
+      false
+  | `Insert | `Update ->
+      (* the bitmap-popcount invariant keeps a free physical slot
+         exactly while l_n < node_cap, so a non-full leaf absorbs the
+         out-of-place write locally; a full leaf splits, rewiring the
+         leaf chain and the DRAM inners. Out-of-range keys are
+         rejected by check_limits before touching anything. *)
+      in_range key && (find_leaf t t.root key).l_n >= node_cap

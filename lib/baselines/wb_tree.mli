@@ -23,10 +23,10 @@
     store, shrink the left bitmap last; {!recover} resolves the
     duplicate window in favour of the right copy. *)
 
-type t
+
+include Hart_core.Index_intf.S
 
 val node_cap : int
-val create : Hart_pmem.Pmem.t -> t
 
 val recover : Hart_pmem.Pmem.t -> t
 (** Reattach to a crashed pool: validate the root block, repair any
@@ -34,22 +34,11 @@ val recover : Hart_pmem.Pmem.t -> t
     chain rebuilding the sorted views, unlink-and-free emptied leaves
     and rebuild the inner levels bottom-up. *)
 
-val insert : t -> key:string -> value:string -> unit
-val search : t -> string -> string option
-val update : t -> key:string -> value:string -> bool
-val delete : t -> string -> bool
-val range : t -> lo:string -> hi:string -> (string -> string -> unit) -> unit
-val count : t -> int
 val height : t -> int
+
 val dram_bytes : t -> int
 (** 0: pure-PM tree. *)
-
-val pm_bytes : t -> int
 
 val check_integrity : t -> unit
 (** Volatile/durable correspondence (bitmaps, entries, next chain) plus
     the sorted-chain and routing invariants. *)
-
-module S : Hart_core.Index_intf.S with type t = t
-(** Uniform index-signature conformance (shard metadata included), for
-    [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

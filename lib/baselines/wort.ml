@@ -346,7 +346,7 @@ let height t =
   in
   go t.root
 
-let check_invariants t =
+let check_integrity t =
   let fail fmt = Printf.ksprintf failwith fmt in
   let leaves = ref 0 in
   let rec go child path =
@@ -403,7 +403,10 @@ let recover pool =
       link_leaf t ~key:(Hart_core.Leaf.key t.pool ~leaf) leaf);
   t
 
-(* Index_intf.S conformance. Like WOART, WORT's value updates are
+let name = "wort"
+let iter t f = range t ~lo:"" ~hi:(String.make 25 '\xff') f
+
+(* Commuting shards (Index_intf.S). Like WOART, WORT's value updates are
    leaf-local out-of-place swaps ([Pm_value.update_leaf]: new object,
    8-byte pointer commit, old object freed, allocation serialised in the
    pool) — they touch no radix node and no registry slot, so they
@@ -414,36 +417,18 @@ let recover pool =
    and deletes rewrite radix nodes and the shared registry free list and
    stay exclusive. The shard id is a short key prefix, mirroring the
    radix subtree granularity. *)
-module S : Hart_core.Index_intf.S with type t = t = struct
-  type nonrec t = t
+let stripe_of_key _ key =
+  Hashtbl.hash (String.sub key 0 (min 2 (String.length key)))
 
-  let name = "wort"
-  let create = create
-  let recover = recover
-  let insert = insert
-  let search = search
-  let update = update
-  let delete = delete
-  let range = range
-  let iter t f = range t ~lo:"" ~hi:(String.make 25 '\xff') f
-  let count = count
-  let dram_bytes = dram_bytes
-  let pm_bytes = pm_bytes
-  let check_integrity t = check_invariants t
+let volatile_domain_safe = false
 
-  let stripe_of_key _ key =
-    Hashtbl.hash (String.sub key 0 (min 2 (String.length key)))
+let key_present t key =
+  match find_leaf t key with
+  | 0 -> false
+  | leaf -> String.equal (Hart_core.Leaf.key t.pool ~leaf) key
 
-  let volatile_domain_safe = false
-
-  let key_present t key =
-    match find_leaf t key with
-    | 0 -> false
-    | leaf -> String.equal (Hart_core.Leaf.key t.pool ~leaf) key
-
-  let restructures t ~op ~key =
-    match op with
-    | `Update -> false
-    | `Delete -> true
-    | `Insert -> not (key_present t key) (* new key: node + registry slot *)
-end
+let restructures t ~op ~key =
+  match op with
+  | `Update -> false
+  | `Delete -> true
+  | `Insert -> not (key_present t key) (* new key: node + registry slot *)

@@ -19,32 +19,19 @@
     pool addresses (DESIGN.md). Keys that are prefixes of other keys are
     handled with ends-here slots, as in {!Hart_art.Art}. *)
 
-type t
 
-val create : Hart_pmem.Pmem.t -> t
+include Hart_core.Index_intf.S
 
 val recover : Hart_pmem.Pmem.t -> t
 (** Reattach to a crashed pool: validate the registry root block
     ({!Pm_registry}) and rebuild the volatile radix structure by
     re-linking every registered leaf. Read-only on PM. *)
 
-val insert : t -> key:string -> value:string -> unit
-val search : t -> string -> string option
-val update : t -> key:string -> value:string -> bool
-val delete : t -> string -> bool
-val range : t -> lo:string -> hi:string -> (string -> string -> unit) -> unit
-val count : t -> int
 val height : t -> int
 (** Nodes on the longest descent (≈ 2 × key bytes minus compression). *)
 
 val dram_bytes : t -> int
 (** 0: pure-PM tree. *)
 
-val pm_bytes : t -> int
-
-val check_invariants : t -> unit
+val check_integrity : t -> unit
 (** Structural invariants plus exact tree/registry correspondence. *)
-
-module S : Hart_core.Index_intf.S with type t = t
-(** Uniform index-signature conformance (shard metadata included), for
-    [Hart_core.Striped_mt.Make] and the generic harness/fault layers. *)

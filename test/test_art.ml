@@ -372,6 +372,85 @@ let test_pm_space_nodes_alloc_from_pool () =
     (Hart_pmem.Pmem.live_bytes pool)
 
 (* ------------------------------------------------------------------ *)
+(* Pm_nodes: the protocols' charges, pinned per event kind             *)
+
+module Pm_nodes = Hart_art.Pm_nodes
+module Meter = Hart_pmem.Meter
+
+(* a line-aligned NODE4 of one line and a NODE256 of 33 lines *)
+let n4 = 0x1000
+let n256 = 0x4000
+
+let node_events =
+  [ Art.Node_created { addr = n4; bytes = 52 }; Art.Node_created { addr = n256; bytes = 2064 } ]
+
+(* (event, (pm_writes, flushes, fences)) as charged once both nodes
+   exist; every persist is a fence, the lines' flushes and a fence *)
+let pinned_charges =
+  let add addr kind = Art.Child_added { addr; slot_off = 16; kind } in
+  let removed addr kind = Art.Child_removed { addr; slot_off = 16; kind } in
+  let replaced = Art.Child_replaced { addr = n4; slot_off = 16; kind = 4 } in
+  let prefix addr = Art.Prefix_changed { addr } and here = Art.Here_changed { addr = n4 } in
+  let created = Art.Node_created { addr = 0x8000; bytes = 52 } in
+  let freed = Art.Node_freed { addr = n4; bytes = 52 } in
+  [
+    ( Pm_nodes.Write_optimal,
+      [
+        ("node created: node store + persist, pointer persist", created, (1, 2, 4));
+        ("node freed: nothing", freed, (0, 0, 0));
+        ("NODE4 add: slot and key byte, two store + persist", add n4 4, (2, 2, 4));
+        ("NODE256 add: the same two pairs", add n256 256, (2, 2, 4));
+        ("pointer replaced: one word", replaced, (1, 1, 2));
+        ("NODE4 removal: one word", removed n4 4, (1, 1, 2));
+        ("path header: one 16-byte store + persist", prefix n256, (1, 1, 2));
+        ("ends-here slot: one word", here, (1, 1, 2));
+      ] );
+    ( Pm_nodes.Copy_on_write,
+      [
+        ("node created: node store + persist, pointer persist", created, (1, 2, 4));
+        ("node freed: nothing", freed, (0, 0, 0));
+        ("NODE4 add: node copy + pointer persist", add n4 4, (1, 2, 4));
+        ("NODE48 add: node copy", add n4 48, (1, 2, 4));
+        ("NODE256 add: one atomic word", add n256 256, (1, 1, 2));
+        ("root add: one atomic word", add n4 0, (1, 1, 2));
+        ("pointer replaced: one word", replaced, (1, 1, 2));
+        ("NODE4 removal: node copy", removed n4 4, (1, 2, 4));
+        ("NODE48 removal: one word", removed n4 48, (1, 1, 2));
+        ("NODE256 path header: 33-line copy", prefix n256, (33, 34, 4));
+        ("ends-here slot: one word", here, (1, 1, 2));
+      ] );
+  ]
+
+let test_pm_nodes_charges () =
+  List.iter
+    (fun (protocol, cases) ->
+      List.iter
+        (fun (what, event, expected) ->
+          let meter = Meter.create Hart_pmem.Latency.c300_300 in
+          let charge = Pm_nodes.charges protocol meter in
+          List.iter charge node_events;
+          let before = Meter.counters meter in
+          charge event;
+          let d = Meter.diff before (Meter.counters meter) in
+          Alcotest.(check (triple int int int))
+            ((if protocol = Write_optimal then "WOART " else "CoW ") ^ what)
+            expected
+            (d.Meter.pm_writes, d.Meter.flushes, d.Meter.fences))
+        cases)
+    pinned_charges
+
+(* the byte count [create] reports is the pool space its nodes hold *)
+let test_pm_nodes_count_bytes () =
+  let pool = Hart_pmem.Pmem.create (Meter.create Hart_pmem.Latency.c300_300) in
+  let live0 = Hart_pmem.Pmem.live_bytes pool and held = ref 0 in
+  let t = Pm_nodes.create Copy_on_write pool ~count_bytes:(fun n -> held := !held + n) in
+  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 200);
+  Alcotest.(check int) "counted = pool bytes" (Hart_pmem.Pmem.live_bytes pool - live0) !held;
+  Alcotest.(check bool) "nodes held" true (!held > 0);
+  List.iter (fun k -> ignore (Art.delete t ~off:0 k)) (spread_keys 200);
+  Alcotest.(check int) "all returned" 0 !held
+
+(* ------------------------------------------------------------------ *)
 (* Model-based properties                                              *)
 
 type op = Insert of string * int | Delete of string | Find of string
@@ -895,6 +974,11 @@ let () =
           Alcotest.test_case "delete reports removal" `Quick test_events_delete_reports_removal;
           Alcotest.test_case "prefix split" `Quick test_events_prefix_split;
           Alcotest.test_case "PM-space nodes use the pool" `Quick test_pm_space_nodes_alloc_from_pool;
+        ] );
+      ( "pm_nodes",
+        [
+          Alcotest.test_case "protocol charges per event" `Quick test_pm_nodes_charges;
+          Alcotest.test_case "node bytes counted" `Quick test_pm_nodes_count_bytes;
         ] );
       ( "properties",
         [

@@ -323,7 +323,7 @@ let test_wort_basic_shape () =
   Wort.insert w ~key:"abce" ~value:"2";
   (* the two keys share 7 nibbles: one compressed node + leaves *)
   Alcotest.(check int) "compressed join" 2 (Wort.height w);
-  Wort.check_invariants w
+  Wort.check_integrity w
 
 let test_wort_deeper_than_woart () =
   (* 16-ary non-adaptive nodes: two levels per byte, so WORT descents
@@ -332,7 +332,7 @@ let test_wort_deeper_than_woart () =
   let pool_w = fresh_pool () in
   let w = Wort.create pool_w in
   List.iter (fun k -> Wort.insert w ~key:k ~value:"v") (mk_keys 500);
-  Wort.check_invariants w;
+  Wort.check_integrity w;
   let pool_a = fresh_pool () in
   let a = Woart.create pool_a in
   List.iter (fun k -> Woart.insert a ~key:k ~value:"v") (mk_keys 500);
@@ -353,7 +353,7 @@ let test_wort_prefix_keys () =
   ignore (Wort.delete w "ab");
   Alcotest.(check (option string)) "middle prefix gone" None (Wort.search w "ab");
   Alcotest.(check (option string)) "deeper survives" (Some "3") (Wort.search w "abcd");
-  Wort.check_invariants w
+  Wort.check_integrity w
 
 let test_wort_collapse_on_delete () =
   let pool = fresh_pool () in
@@ -367,7 +367,7 @@ let test_wort_collapse_on_delete () =
   done;
   Alcotest.(check int) "empty" 0 (Wort.count w);
   Alcotest.(check int) "all PM returned" live0 (Pmem.live_bytes pool);
-  Wort.check_invariants w
+  Wort.check_integrity w
 
 let test_wort_range_ordered () =
   let pool = fresh_pool () in

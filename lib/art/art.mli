@@ -32,8 +32,8 @@
 type 'v t
 
 (** Structural events, reported to the [on_event] hook as they happen.
-    The WOART and ART+CoW baselines translate these into their PM
-    consistency protocols (per-slot atomic persists vs. whole-node
+    {!Pm_nodes} translates these into the PM consistency protocols of
+    WOART and ART+CoW (per-slot atomic persists vs. whole-node
     copy-on-write) without re-implementing the tree. *)
 type event =
   | Node_created of { addr : int; bytes : int }

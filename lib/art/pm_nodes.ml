@@ -61,15 +61,13 @@ let charges = function
   | Write_optimal -> write_optimal
   | Copy_on_write -> copy_on_write
 
-let pool_bytes size = (size + Pmem.line_bytes - 1) / Pmem.line_bytes * Pmem.line_bytes
-
 let create ?(count_bytes = ignore) protocol pool =
   let meter = Pmem.meter pool in
   Art.create ~meter ~space:Pm
     ~alloc_node:(fun size ->
-      count_bytes (pool_bytes size);
+      count_bytes (Pmem.block_bytes size);
       Pmem.alloc pool size)
     ~free_node:(fun ~addr ~size ->
-      count_bytes (-pool_bytes size);
+      count_bytes (-Pmem.block_bytes size);
       Pmem.free pool ~off:addr ~len:size)
     ~on_event:(charges protocol meter) ()

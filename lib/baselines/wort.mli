@@ -14,7 +14,7 @@
     16-way nodes mean deeper descents and a bigger PM footprint than
     WOART's adaptive nodes — which is why WOART superseded it.
 
-    Same storage conventions as {!Woart}: leaves and value objects are
+    Same storage conventions as WOART ({!Pm_art}): leaves and value objects are
     byte-stored on the pool; node contents are charge-modelled at real
     pool addresses (DESIGN.md). Keys that are prefixes of other keys are
     handled with ends-here slots, as in {!Hart_art.Art}. *)

@@ -27,8 +27,6 @@ let art_count t = Hash_dir.length t.dir
 let quarantines t = List.rev !(t.quarantines)
 let checksums t = Epalloc.checksums t.alloc
 
-let pool_bytes size = (size + Pmem.line_bytes - 1) / Pmem.line_bytes * Pmem.line_bytes
-
 (* The ablation (`Pm) places the internal nodes on PM under WOART's
    per-mutation persistence protocol, isolating the cost the paper's
    selective consistency/persistence strategy (§III-A.2) avoids. *)
@@ -988,8 +986,10 @@ let check_integrity t =
     [ Chunk.Val8; Chunk.Val16; Chunk.Val32 ];
   (* the pool holds the root block, the chunks and (PM-node ablation)
      the ART nodes: a chunk unlinked but never freed shows here *)
-  let chunks n cls = n + (Epalloc.chunk_count t.alloc cls * pool_bytes (Chunk.chunk_bytes cls)) in
-  let root_and_nodes = pool_bytes Epalloc.root_bytes + Atomic.get t.pm_node_bytes in
+  let chunks n cls =
+    n + (Epalloc.chunk_count t.alloc cls * Pmem.block_bytes (Chunk.chunk_bytes cls))
+  in
+  let root_and_nodes = Pmem.block_bytes Epalloc.root_bytes + Atomic.get t.pm_node_bytes in
   let accounted = List.fold_left chunks root_and_nodes Chunk.all_classes in
   if Pmem.live_bytes t.pool <> accounted then
     fail "pool holds %d live bytes but the root block, chunks and nodes take %d (leak?)"

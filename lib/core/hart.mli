@@ -39,8 +39,9 @@ type t
 type internal_nodes = [ `Dram | `Pm ]
 (** Where ART internal nodes live. [`Dram] is HART as published
     (selective persistence, §III-A.2). [`Pm] is an ablation that places
-    internal nodes on PM under a WOART-style persistence protocol,
-    isolating what selective persistence buys. *)
+    internal nodes on PM under WOART's persistence protocol
+    ({!Hart_art.Pm_nodes.Write_optimal}), isolating what selective
+    persistence buys. *)
 
 val create :
   ?kh:int ->

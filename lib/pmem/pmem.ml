@@ -155,10 +155,12 @@ let grow t needed =
    buffers, which would invalidate concurrent loads/stores in other
    domains — multi-domain users must pre-size the pool (or call
    {!reserve} while quiesced) so growth never fires mid-run. *)
+let block_bytes size = (size + line_bytes - 1) / line_bytes * line_bytes
+
 let alloc ?publish_at t size =
   if size <= 0 then invalid_arg "Pmem.alloc: size must be positive";
   Meter.pm_alloc t.meter;
-  let rounded = (size + line_bytes - 1) / line_bytes * line_bytes in
+  let rounded = block_bytes size in
   Mutex.lock t.alloc_mu;
   let off =
     match Hashtbl.find_opt t.free_lists rounded with
@@ -194,7 +196,7 @@ let alloc ?publish_at t size =
 
 let free t ~off ~len =
   Meter.pm_free t.meter;
-  let rounded = (len + line_bytes - 1) / line_bytes * line_bytes in
+  let rounded = block_bytes len in
   Mutex.lock t.alloc_mu;
   t.live <- max 0 (t.live - rounded);
   let cell =
@@ -214,7 +216,7 @@ let published t ~off =
   Mutex.unlock t.alloc_mu
 
 let is_free t ~off ~len =
-  let rounded = (len + line_bytes - 1) / line_bytes * line_bytes in
+  let rounded = block_bytes len in
   Mutex.lock t.alloc_mu;
   let free =
     match Hashtbl.find_opt t.free_lists rounded with

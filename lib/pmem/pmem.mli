@@ -57,6 +57,10 @@ val meter : t -> Meter.t
     own metadata is assumed durable. EPallocator's chunking amortises
     calls to it. *)
 
+val block_bytes : int -> int
+(** The pool bytes an allocation of [size] bytes takes: [size] rounded
+    up to whole lines. *)
+
 val alloc : ?publish_at:int -> t -> int -> int
 (** [alloc t size] returns the offset of [size] fresh bytes, 64-byte
     aligned, zero-filled in both views. With [~publish_at], until

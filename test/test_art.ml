@@ -384,7 +384,7 @@ let n256 = 0x4000
 let node_events =
   [ Art.Node_created { addr = n4; bytes = 52 }; Art.Node_created { addr = n256; bytes = 2064 } ]
 
-(* (event, (pm_writes, flushes, fences)) as charged once both nodes
+(* (what, event, (pm_writes, flushes, fences)) as charged once both nodes
    exist; every persist is a fence, the lines' flushes and a fence *)
 let pinned_charges =
   let add addr kind = Art.Child_added { addr; slot_off = 16; kind } in
@@ -438,17 +438,6 @@ let test_pm_nodes_charges () =
             (d.Meter.pm_writes, d.Meter.flushes, d.Meter.fences))
         cases)
     pinned_charges
-
-(* the byte count [create] reports is the pool space its nodes hold *)
-let test_pm_nodes_count_bytes () =
-  let pool = Hart_pmem.Pmem.create (Meter.create Hart_pmem.Latency.c300_300) in
-  let live0 = Hart_pmem.Pmem.live_bytes pool and held = ref 0 in
-  let t = Pm_nodes.create Copy_on_write pool ~count_bytes:(fun n -> held := !held + n) in
-  List.iteri (fun i k -> ignore (insert0 t k i)) (spread_keys 200);
-  Alcotest.(check int) "counted = pool bytes" (Hart_pmem.Pmem.live_bytes pool - live0) !held;
-  Alcotest.(check bool) "nodes held" true (!held > 0);
-  List.iter (fun k -> ignore (Art.delete t ~off:0 k)) (spread_keys 200);
-  Alcotest.(check int) "all returned" 0 !held
 
 (* ------------------------------------------------------------------ *)
 (* Model-based properties                                              *)
@@ -978,7 +967,6 @@ let () =
       ( "pm_nodes",
         [
           Alcotest.test_case "protocol charges per event" `Quick test_pm_nodes_charges;
-          Alcotest.test_case "node bytes counted" `Quick test_pm_nodes_count_bytes;
         ] );
       ( "properties",
         [

@@ -224,7 +224,9 @@ module Json = Hart_util.Json
 let golden_entries =
   [ "fig4567"; "fig8"; "fig9"; "fig10a"; "fig10b"; "fig10c"; "fig10d"; "ablation" ]
 
-let golden_file = "golden_sim.txt"
+(* the test's own directory under [dune runtest], the root under [dune exec] *)
+let golden_file =
+  if Sys.file_exists "golden_sim.txt" then "golden_sim.txt" else "test/golden_sim.txt"
 
 let golden_render () =
   let entries = Result.get_ok (Experiments.select golden_entries) in

@@ -15,8 +15,6 @@ let write_node meter ~addr ~bytes =
   store_persist meter ~addr ~len:bytes;
   Meter.persist_range meter ~addr ~len:8
 
-(* WOART: every mutation is made failure-atomic in place, by ordering
-   persists of at most 8 bytes each. *)
 let write_optimal meter = function
   | Art.Node_created { addr; bytes } -> write_node meter ~addr ~bytes
   | Art.Node_freed _ -> ()
@@ -30,13 +28,9 @@ let write_optimal meter = function
   | Art.Prefix_changed { addr } -> store_persist meter ~addr ~len:16
   | Art.Here_changed { addr } -> store_persist meter ~addr ~len:8
 
-(* ART+CoW: a mutation that needs more than one 8-byte word (inserting
-   into the sorted NODE4/NODE16 arrays, the two-location NODE48 insert,
-   path-header changes) copies the whole node. Mutations that are a
-   single aligned word (any pointer overwrite or removal, a NODE256
-   insert, the ends-here slot) are already failure-atomic and need one
-   persist. A copy's size comes from the node-size table, which lives as
-   long as the hook. *)
+(* A single aligned 8-byte store is failure-atomic by itself; anything
+   wider (the sorted NODE4/16 arrays, NODE48's two locations, the path
+   header) is made atomic by copying the node, priced by its size. *)
 let copy_on_write meter =
   let node_size = Hashtbl.create 256 in
   let copy_node addr =

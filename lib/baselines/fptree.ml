@@ -1,31 +1,22 @@
 module Pmem = Hart_pmem.Pmem
 module Meter = Hart_pmem.Meter
+module Inner = Bptree_inner
 
 let leaf_cap = 32
 let entry_bytes = 64
-let max_key = 24
 let max_val = 31
 let leaf_bytes = 16 + leaf_cap + (leaf_cap * entry_bytes)
-let inner_cap = 32 (* separators per DRAM inner node *)
-let inner_model_bytes = 16 + (inner_cap * 16) (* separator word + child ptr *)
+let inner_model_bytes = 16 + (Inner.cap * 16) (* separator word + child ptr *)
 let magic = 0x46505452_45453031L (* "FPTREE01" *)
 let root_off = 64
-
-type node = LeafN of int (* pool offset *) | InnerN of inner
-
-and inner = {
-  keys : string array;  (* inner_cap + 1, slack slot for pre-split overflow *)
-  kids : node array;  (* inner_cap + 2 *)
-  mutable n : int;  (* separators in use *)
-  addr : int;
-}
 
 type t = {
   pool : Pmem.t;
   meter : Meter.t;
-  mutable root : node;
+  inner : Inner.charges;
+  inner_count : int ref;  (* DRAM inner nodes allocated *)
+  mutable root : int Inner.node;  (* leaves are pool offsets *)
   mutable count : int;
-  mutable inner_count : int;
   head : int;  (* anchor leaf, first in the chain *)
 }
 
@@ -108,57 +99,56 @@ let live_entries t leaf =
   done;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !out
 
-let alloc_leaf t =
-  let leaf = Pmem.alloc t.pool leaf_bytes in
-  Pmem.persist t.pool ~off:leaf ~len:16;
+let alloc_leaf pool =
+  let leaf = Pmem.alloc pool leaf_bytes in
+  Pmem.persist pool ~off:leaf ~len:16;
   leaf
 
 (* ------------------------------------------------------------------ *)
-(* DRAM inner nodes                                                    *)
+(* DRAM inner nodes: one line read per level descended, one DRAM write
+   per separator added; nothing is persisted                            *)
 
-let touch t addr = Meter.access t.meter Dram ~addr ~write:false
-
-let alloc_inner t =
-  t.inner_count <- t.inner_count + 1;
+let dram_inner meter inner_count =
+  let none _ = () in
   {
-    keys = Array.make (inner_cap + 1) "";
-    kids = Array.make (inner_cap + 2) (LeafN 0);
-    n = 0;
-    addr = Meter.dram_alloc t.meter inner_model_bytes;
+    Inner.alloc =
+      (fun () ->
+        incr inner_count;
+        Meter.dram_alloc meter inner_model_bytes);
+    enter = (fun addr -> Meter.access meter Dram ~addr ~write:false);
+    probe = (fun _ _ -> ());
+    added = (fun addr _ -> Meter.access meter Dram ~addr ~write:true);
+    split = (fun ~left:_ ~right:_ -> ());
+    rooted = none;
+    built = none;
   }
 
-(* child index for [key]: number of separators <= key *)
-let child_index t inn key =
-  touch t inn.addr;
-  let rec go lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if inn.keys.(mid) <= key then go (mid + 1) hi else go lo mid
-  in
-  go 0 inn.n
+let make pool ~head =
+  let meter = Pmem.meter pool and inner_count = ref 0 in
+  {
+    pool;
+    meter;
+    inner = dram_inner meter inner_count;
+    inner_count;
+    root = Inner.Leaf head;
+    count = 0;
+    head;
+  }
 
-let rec find_leaf t node key =
-  match node with
-  | LeafN leaf -> leaf
-  | InnerN inn -> find_leaf t inn.kids.(child_index t inn key) key
+let find_leaf t key = Inner.find_leaf t.inner t.root key
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                        *)
 
 let create pool =
-  let meter = Pmem.meter pool in
   let off = Pmem.alloc pool 16 in
   if off <> root_off then
     invalid_arg "Fptree.create: the root block must be the pool's first allocation";
   Pmem.set_u64 pool root_off magic;
-  let t =
-    { pool; meter; root = LeafN 0; count = 0; inner_count = 0; head = 0 }
-  in
-  let head = alloc_leaf t in
+  let head = alloc_leaf pool in
   Pmem.set_u64 pool (root_off + 8) (Int64.of_int head);
   Pmem.persist pool ~off:root_off ~len:16;
-  { t with root = LeafN head; head }
+  make pool ~head
 
 (* ------------------------------------------------------------------ *)
 (* Insertion                                                           *)
@@ -170,7 +160,7 @@ let split_leaf t leaf =
   let n = List.length entries in
   let sep_idx = n / 2 in
   let sep = fst (List.nth entries sep_idx) in
-  let right = alloc_leaf t in
+  let right = alloc_leaf t.pool in
   let right_bm = ref 0L in
   List.iteri
     (fun i (k, slot) ->
@@ -193,38 +183,8 @@ let split_leaf t leaf =
   set_bitmap t leaf !keep;
   (sep, right)
 
-let rec ins t node key value : (string * node) option =
-  match node with
-  | LeafN leaf -> ins_leaf t leaf key value
-  | InnerN inn -> (
-      let i = child_index t inn key in
-      match ins t inn.kids.(i) key value with
-      | None -> None
-      | Some (sep, right) ->
-          (* shift separators/children right of position i *)
-          for j = inn.n downto i + 1 do
-            inn.keys.(j) <- inn.keys.(j - 1);
-            inn.kids.(j + 1) <- inn.kids.(j)
-          done;
-          inn.keys.(i) <- sep;
-          inn.kids.(i + 1) <- right;
-          inn.n <- inn.n + 1;
-          Meter.access t.meter Dram ~addr:inn.addr ~write:true;
-          if inn.n <= inner_cap then None
-          else begin
-            (* split the inner node, promoting the median separator *)
-            let mid = inn.n / 2 in
-            let promoted = inn.keys.(mid) in
-            let rinn = alloc_inner t in
-            let rn = inn.n - mid - 1 in
-            Array.blit inn.keys (mid + 1) rinn.keys 0 rn;
-            Array.blit inn.kids (mid + 1) rinn.kids 0 (rn + 1);
-            rinn.n <- rn;
-            inn.n <- mid;
-            Some (promoted, InnerN rinn)
-          end)
-
-and ins_leaf t leaf key value =
+(* Returns the separator and right leaf when [leaf] splits. *)
+let rec ins_leaf t leaf key value =
   match (leaf_find t leaf key, free_slot t leaf) with
   | Some old_slot, Some slot ->
       (* out-of-place in-leaf update: both bitmap bits flip in one
@@ -244,33 +204,26 @@ and ins_leaf t leaf key value =
       (match ins_leaf t target key value with
       | None -> ()
       | Some _ -> assert false (* both halves have free slots *));
-      Some (sep, LeafN right)
+      Some (sep, right)
 
 let check_limits key value =
-  if String.length key < 1 || String.length key > max_key then
-    invalid_arg (Printf.sprintf "FPTree keys must be 1..%d bytes" max_key);
+  if not (Hart_core.Leaf.key_fits key) then
+    invalid_arg
+      (Printf.sprintf "FPTree keys must be 1..%d bytes" Hart_core.Leaf.max_key_len);
   if String.length value > max_val then
     invalid_arg (Printf.sprintf "FPTree values must be at most %d bytes" max_val)
 
 let insert t ~key ~value =
   check_limits key value;
-  match ins t t.root key value with
-  | None -> ()
-  | Some (sep, right) ->
-      let inn = alloc_inner t in
-      inn.keys.(0) <- sep;
-      inn.kids.(0) <- t.root;
-      inn.kids.(1) <- right;
-      inn.n <- 1;
-      t.root <- InnerN inn
+  t.root <- Inner.insert t.inner t.root key (fun leaf -> ins_leaf t leaf key value)
 
 (* ------------------------------------------------------------------ *)
 (* Search / update / delete                                            *)
 
 let search t key =
-  if String.length key < 1 || String.length key > max_key then None
+  if not (Hart_core.Leaf.key_fits key) then None
   else
-    let leaf = find_leaf t t.root key in
+    let leaf = find_leaf t key in
     match leaf_find t leaf key with
     | None -> None
     | Some slot -> Some (entry_value t leaf slot)
@@ -283,9 +236,9 @@ let update t ~key ~value =
   end
 
 let delete t key =
-  if String.length key < 1 || String.length key > max_key then false
+  if not (Hart_core.Leaf.key_fits key) then false
   else
-    let leaf = find_leaf t t.root key in
+    let leaf = find_leaf t key in
     match leaf_find t leaf key with
     | None -> false
     | Some slot ->
@@ -309,7 +262,7 @@ let range t ~lo ~hi f =
       if not !stop then walk (pnext t leaf)
     end
   in
-  walk (find_leaf t t.root lo)
+  walk (find_leaf t lo)
 
 let iter t f =
   let rec walk leaf =
@@ -327,8 +280,7 @@ let recover pool =
   if Pmem.get_u64 pool root_off <> magic then
     failwith "Fptree.recover: no valid FPTree root block in this pool";
   let head = Int64.to_int (Pmem.get_u64 pool (root_off + 8)) in
-  let meter = Pmem.meter pool in
-  let t = { pool; meter; root = LeafN head; count = 0; inner_count = 0; head } in
+  let t = make pool ~head in
   (* Repair a torn split: a crash between the chain relink and the left
      leaf's bitmap shrink leaves the moved entries live in both leaves.
      The right leaf was fully persisted before it became reachable, so
@@ -360,57 +312,22 @@ let recover pool =
       let entries = live_entries t leaf in
       t.count <- t.count + List.length entries;
       let acc =
-        match entries with [] -> acc | (mink, _) :: _ -> (mink, LeafN leaf) :: acc
+        match entries with [] -> acc | (mink, _) :: _ -> (mink, leaf) :: acc
       in
       walk (pnext t leaf) acc
   in
-  let leaves = walk head [] in
-  (* bulk-load one level at a time *)
-  let rec build level =
-    match level with
-    | [] -> LeafN head
-    | [ (_, only) ] -> only
-    | _ ->
-        let groups = ref [] and current = ref [] in
-        List.iter
-          (fun item ->
-            current := item :: !current;
-            if List.length !current > inner_cap then begin
-              groups := List.rev !current :: !groups;
-              current := []
-            end)
-          level;
-        if !current <> [] then groups := List.rev !current :: !groups;
-        let parents =
-          List.rev_map
-            (fun group ->
-              let inn = alloc_inner t in
-              List.iteri
-                (fun i (mink, node) ->
-                  if i = 0 then inn.kids.(0) <- node
-                  else begin
-                    inn.keys.(i - 1) <- mink;
-                    inn.kids.(i) <- node;
-                    inn.n <- inn.n + 1
-                  end)
-                group;
-              (fst (List.hd group), InnerN inn))
-            !groups
-        in
-        build parents
-  in
-  { t with root = build leaves }
+  (* empty leaves stay chained but unrouted *)
+  (match walk head [] with [] -> () | leaves -> t.root <- Inner.build t.inner leaves);
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Accounting, integrity                                               *)
 
 let count t = t.count
-let dram_bytes t = 16 + (t.inner_count * inner_model_bytes)
+let dram_bytes t = 16 + (!(t.inner_count) * inner_model_bytes)
 let pm_bytes t = Pmem.live_bytes t.pool
 
-let height t =
-  let rec go = function LeafN _ -> 1 | InnerN inn -> 1 + go inn.kids.(0) in
-  go t.root
+let height t = Inner.height t.root
 
 let check_integrity t =
   let fail fmt = Printf.ksprintf failwith fmt in
@@ -430,7 +347,7 @@ let check_integrity t =
           incr seen;
           if Char.code fps.[slot] <> fp_hash k then
             fail "stale fingerprint for key %S" k;
-          let found = find_leaf t t.root k in
+          let found = find_leaf t k in
           if found <> leaf then fail "index does not route %S to its leaf" k)
         entries;
       let mx = List.fold_left (fun acc (k, _) -> max acc k) prev_max entries in
@@ -453,13 +370,10 @@ let name = "fptree"
    that may split — an insert or update into a leaf with no free slot —
    must take it exclusively. Delete only clears a bitmap bit and never
    coalesces, so it is always leaf-local. *)
-let in_range key =
-  String.length key >= 1 && String.length key <= max_key
-
 let stripe_of_key t key =
   (* leaf offsets are multiples of the leaf size; hash them so the
      low stripe bits are not all aligned *)
-  Hashtbl.hash (find_leaf t t.root key)
+  Hashtbl.hash (find_leaf t key)
 
 let volatile_domain_safe = false
 
@@ -470,4 +384,4 @@ let restructures t ~op ~key =
       (* a full leaf splits on the way in, mutating the leaf chain and
          the DRAM inners; out-of-range keys are rejected before they
          touch anything, so either path is safe for them *)
-      in_range key && free_slot t (find_leaf t t.root key) = None
+      Hart_core.Leaf.key_fits key && free_slot t (find_leaf t key) = None

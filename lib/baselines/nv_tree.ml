@@ -207,7 +207,7 @@ let split_leaf t idx =
 (* Operations                                                          *)
 
 let check_key key =
-  if String.length key < 1 || String.length key > 24 then
+  if not (Hart_core.Leaf.key_fits key) then
     invalid_arg "Nv_tree: keys must be 1..24 bytes";
   ()
 
@@ -227,7 +227,7 @@ let rec insert t ~key ~value =
   end
 
 let search t key =
-  if String.length key < 1 || String.length key > 24 then None
+  if not (Hart_core.Leaf.key_fits key) then None
   else leaf_lookup t t.leaves.(leaf_index t key) key
 
 let update t ~key ~value =
@@ -238,7 +238,7 @@ let update t ~key ~value =
   end
 
 let rec delete t key =
-  if String.length key < 1 || String.length key > 24 then false
+  if not (Hart_core.Leaf.key_fits key) then false
   else begin
     let idx = leaf_index t key in
     let leaf = t.leaves.(idx) in

@@ -205,7 +205,7 @@ let link_leaf t ~key new_leaf =
   t.count <- t.count + 1
 
 let insert t ~key ~value =
-  if String.length key = 0 || String.length key > Hart_core.Leaf.max_key_len then
+  if not (Hart_core.Leaf.key_fits key) then
     invalid_arg "Wort.insert: key must be 1..24 bytes";
   match find_leaf t key with
   | leaf when leaf <> 0 && String.equal (Hart_core.Leaf.key t.pool ~leaf) key ->

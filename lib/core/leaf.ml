@@ -2,6 +2,11 @@ module Pmem = Hart_pmem.Pmem
 module Crc32 = Hart_util.Crc32
 
 let max_key_len = 24
+
+let key_fits key =
+  let n = String.length key in
+  n >= 1 && n <= max_key_len
+
 let size = 32
 let key_off = 8
 let pv_mask = (1 lsl 40) - 1

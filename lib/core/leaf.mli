@@ -27,6 +27,10 @@
 
 val max_key_len : int
 
+val key_fits : string -> bool
+(** Whether [key] is 1..{!max_key_len} bytes: the key limit HART and
+    the byte-stored baselines share. *)
+
 val size : int
 (** Bytes per leaf slot (32). *)
 

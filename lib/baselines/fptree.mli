@@ -18,8 +18,10 @@
     flip both bitmap bits with one atomic persisted u64). Splits persist
     the new leaf before relinking. Deletion only clears a bitmap bit:
     leaves are never coalesced, which is why FPTree's PM consumption is
-    the largest in Fig. 10b. {!recover} rebuilds the DRAM inner nodes by
-    walking the persistent leaf chain (Fig. 10c). *)
+    the largest in Fig. 10b. The inner levels are {!Bptree_inner},
+    charged one DRAM line read per level descended and one DRAM write
+    per separator added; {!recover} rebuilds them, balanced, by walking
+    the persistent leaf chain (Fig. 10c). *)
 
 
 include Hart_core.Index_intf.S

@@ -13,9 +13,14 @@
     word), a next pointer and the 64-byte entries (inline values ≤ 31
     bytes) are real durable bytes, and the leaves form a chain headed
     by a root block (the pool's first allocation). The slot arrays and
-    the inner nodes stay charge-modelled at real pool addresses
-    (DESIGN.md) — recovery re-sorts each leaf by key and rebuilds the
-    inner levels from the chain, so neither is needed after a crash.
+    the inner nodes ({!Bptree_inner}) stay charge-modelled at real pool
+    addresses (DESIGN.md) — recovery re-sorts each leaf by key and
+    rebuilds the inner levels from the chain, so neither is needed
+    after a crash, and a crash returns the inner nodes' blocks to the
+    pool. An inner node charges a slot-array read plus one entry read
+    per probe, a small insert per added separator (at slot 0 for a new
+    root), the redo-logged split, and a whole-node write when recovery
+    rebuilds it.
     Value updates are out-of-place: the new entry is persisted into a
     free slot and one 8-byte bitmap store retires the old and commits
     the new atomically. Splits are crash-safe in the FPTree style:
